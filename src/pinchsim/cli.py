@@ -756,7 +756,7 @@ def main(argv=None) -> int:
                                      workers=args.workers)
             for path in paths:
                 print(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

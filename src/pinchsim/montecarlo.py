@@ -20,7 +20,7 @@ import numpy as np
 from .analytics import OutageParams
 from .channel import unblocked_probability_sq
 from .scenario import LossCase, SystemConfig, dbm_to_watt, waveguide_y_offsets
-from .transceiver import LN2, design2_rates_from_power, zf_gains_batch
+from .transceiver import LN2, design2_rates_from_power, no_empty_line, zf_gains_batch
 
 # Trials per random-stream chunk. Fixed so that the set of random draws, and
 # therefore every estimate, is independent of how chunks are scheduled.
@@ -144,14 +144,20 @@ def _pin_rates_chunk(cfg: SystemConfig, n: int, rng: np.random.Generator,
     s = cfg.path_gain_factor / dist_sq * (amp * amp)[:, None, :]
     s_eff = np.where(alpha, s, 0.0)
 
-    if not zero_force:
+    if not zero_force or m == 1:
+        # A single user sees no interference, so zero forcing is Design II.
         return design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power, m)
 
-    dist = np.sqrt(dist_sq)
-    wav_len = x + cfg.d_l / 2.0
+    # A realization with an empty row or column cannot be zero-forced; its h
+    # stays zero, zf_gains_batch rejects it, and it falls back below. Only
+    # the others need the complex phase.
+    live = no_empty_line(alpha)
+    dist = np.sqrt(dist_sq[live])
+    wav_len = x[live] + cfg.d_l / 2.0
     phase = -2.0 * np.pi * (dist / cfg.wavelength
                             + wav_len[:, None, :] / cfg.guided_wavelength)
-    h = np.where(alpha, np.sqrt(s), 0.0) * np.exp(1j * phase)
+    h = np.zeros((n, m, m), dtype=complex)
+    h[live] = np.where(alpha[live], np.sqrt(s[live]), 0.0) * np.exp(1j * phase)
     gains, ok = zf_gains_batch(h)
 
     rates = np.empty((n, m))

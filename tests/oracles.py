@@ -24,6 +24,19 @@ def erf_highprec(x: float) -> float:
         return float(mpmath.erf(x))
 
 
+def zf_gains_highprec(h, dps: int = 60) -> list[float]:
+    """Zero-forcing gains 1 / (M ||col_m(inv(H))||^2) of the exact float
+    matrix ``h``, inverted in ``dps``-digit mpmath arithmetic."""
+    with mpmath.workdps(dps):
+        mat = mpmath.matrix([[mpmath.mpc(complex(v).real, complex(v).imag)
+                              for v in row] for row in h])
+        inv = mat ** -1
+        m = mat.rows
+        return [float(1 / (m * mpmath.fsum(abs(inv[i, j]) ** 2
+                                           for i in range(m))))
+                for j in range(m)]
+
+
 def _quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL):
     val, _ = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
     return val

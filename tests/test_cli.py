@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from pinchsim import analytics, cli
 from pinchsim import (
     BlockageModel,
     LossCase,
@@ -313,3 +314,17 @@ class TestMainEntryPoint:
         cfg_path.write_text(MANUAL_DOC.format(out="/nonexistent-dir/x.csv"))
         assert main(["simulate", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_analytic_arithmetic_error_returns_nonzero(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def out_of_range(p):
+            return analytics._check_probability(1.5, "outage_pin_model_b")
+
+        # fig2b is the MODEL_B outage preset, whose overlay calls this analytic
+        monkeypatch.setattr(cli, "outage_pin_model_b", out_of_range)
+        rc = main(["figure", "fig2b", "--out", str(tmp_path), "--trials", "200"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: outage_pin_model_b produced 1.5")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "fig2b.csv").exists()

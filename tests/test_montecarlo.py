@@ -254,6 +254,20 @@ class TestEstimateErgodic:
             d2 = estimate_ergodic(Scheme.PIN_D2, cfg, 40000, 2)[-1]
             assert (d1.value - d2.value) >= -(d1.ci_half_width + d2.ci_half_width)
 
+    def test_design1_is_design2_for_one_user(self):
+        # a single user sees no interference, so zero forcing is Design II
+        cfg = make_cfg(tx_power=1.0)
+        assert np.array_equal(
+            _pin_rates_chunk(cfg, 4096, chunk_generator(11, 0, 0), True),
+            _pin_rates_chunk(cfg, 4096, chunk_generator(11, 0, 0), False))
+        assert (estimate_ergodic(Scheme.PIN_D1, cfg, 20000, 11)
+                == estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 11))
+        rate = estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 11)[0].value
+        p = OutageParams(cfg=cfg, r_target=rate)
+        d1 = estimate_outage(Scheme.PIN_D1, p, 20000, 11)
+        assert 0.0 < d1.value < 1.0
+        assert d1 == estimate_outage(Scheme.PIN_D2, p, 20000, 11)
+
     def test_conv_bound_dominates_finite_snr_rate(self):
         # the noise-free limit ignores blockage, so it upper-bounds the
         # finite-SNR expectation that zeroes out blocked realizations

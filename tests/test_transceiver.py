@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from pinchsim import (
     BlockageModel,
     BlockageState,
@@ -246,3 +249,109 @@ class TestBatchConsistency:
         for i in range(32):
             rv = design2_rates(as_channel(batch[i]), cfg)
             assert np.allclose(rates[i], rv.rates, rtol=1e-12)
+
+
+def conditioned_matrix(cond, m, rng, scale=3e-4):
+    """scale * U diag(s) V with Haar-like unitary U, V and 2-norm cond(H) = cond."""
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((m, m))
+                            + 1j * rng.standard_normal((m, m)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+    s = np.geomspace(1.0, 1.0 / cond, m)
+    return scale * (unitary() * s) @ unitary()
+
+
+class TestZeroForcingAccuracy:
+    @pytest.mark.parametrize("cond", [1e6, 1e8, 1e10])
+    def test_gains_match_high_precision_inverse(self, cond):
+        rng = np.random.default_rng(int(np.log10(cond)))
+        batch = np.stack([conditioned_matrix(cond, 4, rng) for _ in range(4)])
+        gains, ok = zf_gains_batch(batch)
+        assert ok.all()
+        for h, g in zip(batch, gains):
+            expected = np.array(oracles.zf_gains_highprec(h))
+            assert np.all(np.abs(g - expected) <= 1e-5 * expected)
+
+
+class TestMixedBatch:
+    def mixed_batch(self):
+        rng = np.random.default_rng(77)
+        good = random_channels(5, 3, rng)
+        a, b, c, d, e = 1e-4 * (rng.standard_normal(5)
+                                + 1j * rng.standard_normal(5))
+        zero_row = random_channels(1, 3, rng)[0]
+        zero_row[1, :] = 0.0
+        zero_col = random_channels(1, 3, rng)[0]
+        zero_col[:, 2] = 0.0
+        # rank 2 with no empty row or column. With a small c, LU meets an
+        # exact zero pivot; with a large c, row 3 is the first pivot and the
+        # singularity shows only through rounding.
+        pattern = np.array([[a, 0, 0], [b, 0, 0], [1e-3 * c, d, e]])
+        pattern_pivot = np.array([[a, 0, 0], [b, 0, 0], [1e3 * c, d, e]])
+        near = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-14, 0.0],
+                         [0.0, 0.0, 1.0]], dtype=complex)
+        batch = np.stack([good[0], zero_row, good[1], zero_col, pattern,
+                          good[2], pattern_pivot, near, good[3], good[4]])
+        bad = np.array([False, True, False, True, True,
+                        False, True, True, False, False])
+        return batch, bad
+
+    def test_ok_exactly_on_full_rank_rows(self):
+        batch, bad = self.mixed_batch()
+        gains, ok = zf_gains_batch(batch)
+        assert np.array_equal(ok, ~bad)
+        assert np.all(np.isnan(gains[bad]))
+        assert np.all(np.isfinite(gains[~bad]) & (gains[~bad] > 0))
+
+    def test_each_row_matches_scalar_call(self):
+        batch, _ = self.mixed_batch()
+        gains, ok = zf_gains_batch(batch)
+        for i, h in enumerate(batch):
+            scalar = zero_forcing_gains(h, 3)
+            assert (scalar is None) == (not ok[i])
+            if scalar is not None:
+                assert np.allclose(gains[i], scalar.g, rtol=1e-12)
+
+    def test_leading_batch_shape_is_kept(self):
+        batch, bad = self.mixed_batch()
+        gains, ok = zf_gains_batch(batch.reshape(2, 5, 3, 3))
+        assert gains.shape == (2, 5, 3) and ok.shape == (2, 5)
+        assert np.array_equal(ok.ravel(), ~bad)
+
+
+@st.composite
+def sparse_channel(draw):
+    """A generic complex M x M matrix with a drawn zero pattern."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=m * m,
+                                  max_size=m * m))).reshape(m, m)
+    h = random_channels(1, m, np.random.default_rng(seed))[0]
+    return np.where(mask, h, 0.0)
+
+
+class TestZeroForcingProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(h=sparse_channel(), data=st.data())
+    def test_joint_user_waveguide_permutation(self, h, data):
+        m = h.shape[0]
+        perm = np.array(data.draw(st.permutations(range(m))))
+        gains, ok = zf_gains_batch(h)
+        p_gains, p_ok = zf_gains_batch(h[perm][:, perm])
+        assert p_ok == ok
+        if ok:
+            assert np.allclose(p_gains, gains[perm], rtol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=sparse_channel(), data=st.data())
+    def test_empty_row_or_column_is_rejected(self, h, data):
+        m = h.shape[0]
+        index = data.draw(st.integers(min_value=0, max_value=m - 1))
+        h = h.copy()
+        if data.draw(st.booleans()):
+            h[index, :] = 0.0
+        else:
+            h[:, index] = 0.0
+        gains, ok = zf_gains_batch(np.stack([h, np.eye(m, dtype=complex)]))
+        assert list(ok) == [False, True]
+        assert np.all(np.isnan(gains[0]))

@@ -26,7 +26,8 @@ class BlockageState:
 
     For PINCHING, ``alpha`` is an (M, M) matrix indexed [user, waveguide].
     For CONVENTIONAL all array elements share one indicator per user, so
-    ``alpha`` is an (M,) vector.
+    ``alpha`` is an (M,) vector. A state drawn with ``sample_blockage(...,
+    size=n)`` carries a leading batch axis of n realizations.
     """
 
     alpha: np.ndarray
@@ -38,9 +39,10 @@ class BlockageState:
             raise ValueError("alpha entries must be 0 or 1")
         arr = given.astype(np.int8)
         expected_ndim = 2 if self.system is SystemKind.PINCHING else 1
-        if arr.ndim != expected_ndim:
+        if arr.ndim not in (expected_ndim, expected_ndim + 1):
             raise ValueError(
-                f"alpha must be {expected_ndim}-dimensional for {self.system.value}")
+                f"alpha must be {expected_ndim}-dimensional for {self.system.value}, "
+                "plus an optional leading batch axis")
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
 
@@ -101,19 +103,24 @@ def unblocked_probability_sq(dist_sq, cfg: SystemConfig):
 
 
 def sample_blockage(placement: Placement, cfg: SystemConfig,
-                    system: SystemKind, rng: np.random.Generator) -> BlockageState:
-    """Draw independent Bernoulli blockage indicators for one realization."""
+                    system: SystemKind, rng: np.random.Generator,
+                    size: int | None = None) -> BlockageState:
+    """Draw independent Bernoulli blockage indicators for one placement.
+
+    With ``size=n`` the state holds n independent realizations along a
+    leading axis, drawn in one call; the stream is consumed exactly as by
+    n successive single draws.
+    """
     users = placement.user_positions
     if system is SystemKind.PINCHING:
         diff = users[:, None, :] - placement.pinch_positions[None, :, :]
         dist = np.linalg.norm(diff, axis=-1)
-        p = blockage_probability(dist, cfg)
-        alpha = (rng.random(dist.shape) < p).astype(np.int8)
     else:
         center = np.array([0.0, 0.0, cfg.height])
         dist = np.linalg.norm(users - center, axis=-1)
-        p = blockage_probability(dist, cfg)
-        alpha = (rng.random(dist.shape) < p).astype(np.int8)
+    p = blockage_probability(dist, cfg)
+    shape = dist.shape if size is None else (size,) + dist.shape
+    alpha = (rng.random(shape) < p).astype(np.int8)
     return BlockageState(alpha=alpha, system=system)
 
 
@@ -154,6 +161,8 @@ def build_channel_matrix(placement: Placement, blockage: BlockageState,
     """Assemble the effective (M, M) channel for one realization."""
     if blockage.system is not system:
         raise ValueError("blockage state was drawn for a different system kind")
+    if blockage.alpha.ndim != (2 if system is SystemKind.PINCHING else 1):
+        raise ValueError("blockage state holds a batch; pass one realization")
     users = placement.user_positions
 
     if system is SystemKind.PINCHING:

@@ -6,6 +6,11 @@ and chunk results are reduced in chunk order with exact summation, so an
 estimate is bit-identical for any worker count. Rates inside a chunk are
 computed with the vectorized transceiver helpers, i.e. through the same
 formulas as the single-realization API.
+
+A chunk is evaluated in sub-batches of about SUB_LINKS links so that its
+temporaries stay cache-sized. Every random number is still drawn in trial
+order from the chunk's stream, so the sub-batch size never changes a draw,
+a rate or an estimate.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ from .transceiver import LN2, design2_rates_from_power, no_empty_line, zf_gains_
 # Trials per random-stream chunk. Fixed so that the set of random draws, and
 # therefore every estimate, is independent of how chunks are scheduled.
 CHUNK_TRIALS = 8192
+
+# Links (trial x user x antenna entries) evaluated at once inside a chunk:
+# max(1, SUB_LINKS // M^2) trials, so an (n, M, M) float64 temporary is at
+# most 512 KiB and a sub-batch's working set stays in cache. Sub-batching
+# never changes the random draws (see _pin_rates_chunk), so it is free to
+# tune without changing any estimate.
+SUB_LINKS = 1 << 16
 
 # Reserved chunk index for the shared-placement stream of the
 # variance-reduction mode; ordinary chunk indices stay far below it.
@@ -92,11 +104,14 @@ def _map_ordered(fn, n_chunks: int, workers: int) -> list:
         return list(pool.map(fn, range(n_chunks)))
 
 
-def _sample_user_xy(cfg: SystemConfig, n: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized user drop: (n, M) x and y coordinates."""
+def _sample_user_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
+                    beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized user drop: (n, M) x and y coordinates.
+
+    ``beta`` is ``waveguide_y_offsets(cfg)``, which callers also need for
+    the distances and so compute once.
+    """
     m = cfg.num_users
-    beta = waveguide_y_offsets(cfg)
     x = rng.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, size=(n, m))
     if cfg.constrain_under_waveguide:
         y = np.broadcast_to(beta, (n, m)).copy()
@@ -104,6 +119,12 @@ def _sample_user_xy(cfg: SystemConfig, n: int,
         half = cfg.strip_width / 2.0
         y = rng.uniform(beta - half, beta + half, size=(n, m))
     return x, y
+
+
+def _sub_batches(n: int, m: int) -> list[slice]:
+    """Consecutive trial ranges of about SUB_LINKS links each."""
+    step = max(1, SUB_LINKS // (m * m))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _pin_distances_sq(x: np.ndarray, y: np.ndarray, beta: np.ndarray,
@@ -123,9 +144,9 @@ def _waveguide_amplitude(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
 
 
 def _chunk_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
-              fixed_xy) -> tuple[np.ndarray, np.ndarray]:
+              fixed_xy, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if fixed_xy is None:
-        return _sample_user_xy(cfg, n, rng)
+        return _sample_user_xy(cfg, n, rng, beta)
     x0, y0 = fixed_xy
     m = cfg.num_users
     return (np.broadcast_to(x0, (n, m)), np.broadcast_to(y0, (n, m)))
@@ -135,56 +156,70 @@ def _pin_rates_chunk(cfg: SystemConfig, n: int, rng: np.random.Generator,
                      zero_force: bool, fixed_xy=None) -> np.ndarray:
     m = cfg.num_users
     beta = waveguide_y_offsets(cfg)
-    x, y = _chunk_xy(cfg, n, rng, fixed_xy)
-    dist_sq = _pin_distances_sq(x, y, beta, cfg.height)
-    p_los = unblocked_probability_sq(dist_sq, cfg)
-    alpha = rng.random(dist_sq.shape) < p_los
-
-    amp = _waveguide_amplitude(cfg, x)
-    s = cfg.path_gain_factor / dist_sq * (amp * amp)[:, None, :]
-    s_eff = np.where(alpha, s, 0.0)
-
-    if not zero_force or m == 1:
-        # A single user sees no interference, so zero forcing is Design II.
-        return design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power, m)
-
-    # A realization with an empty row or column cannot be zero-forced; its h
-    # stays zero, zf_gains_batch rejects it, and it falls back below. Only
-    # the others need the complex phase.
-    live = no_empty_line(alpha)
-    dist = np.sqrt(dist_sq[live])
-    wav_len = x[live] + cfg.d_l / 2.0
-    phase = -2.0 * np.pi * (dist / cfg.wavelength
-                            + wav_len[:, None, :] / cfg.guided_wavelength)
-    h = np.zeros((n, m, m), dtype=complex)
-    h[live] = np.where(alpha[live], np.sqrt(s[live]), 0.0) * np.exp(1j * phase)
-    gains, ok = zf_gains_batch(h)
-
+    x, y = _chunk_xy(cfg, n, rng, fixed_xy, beta)
     rates = np.empty((n, m))
-    if np.any(ok):
-        snr = gains[ok] * cfg.tx_power / cfg.noise_power
-        rates[ok] = np.log1p(snr) / LN2
-    if not np.all(ok):
-        bad = ~ok
-        rates[bad] = design2_rates_from_power(s_eff[bad], cfg.tx_power,
-                                              cfg.noise_power, m)
+    for b in _sub_batches(n, m):
+        xb = x[b]
+        dist_sq = _pin_distances_sq(xb, y[b], beta, cfg.height)
+        p_los = unblocked_probability_sq(dist_sq, cfg)
+        # Blockage uniforms are drawn sub-batch by sub-batch in trial order,
+        # which consumes the stream exactly as one (n, M, M) draw would.
+        alpha = rng.random(dist_sq.shape) < p_los
+
+        amp = _waveguide_amplitude(cfg, xb)
+        s = cfg.path_gain_factor / dist_sq * (amp * amp)[:, None, :]
+        # s is finite and positive, so this equals where(alpha, s, 0.0).
+        s_eff = s * alpha
+
+        if not zero_force or m == 1:
+            # A single user sees no interference, so zero forcing is Design II.
+            rates[b] = design2_rates_from_power(s_eff, cfg.tx_power,
+                                                cfg.noise_power, m)
+            continue
+
+        # A realization with an empty row or column cannot be zero-forced;
+        # its h stays zero, zf_gains_batch rejects it, and it falls back
+        # below. Only the others need the complex phase.
+        live = no_empty_line(alpha)
+        dist = np.sqrt(dist_sq[live])
+        wav_len = xb[live] + cfg.d_l / 2.0
+        phase = -2.0 * np.pi * (dist / cfg.wavelength
+                                + wav_len[:, None, :] / cfg.guided_wavelength)
+        h = np.zeros(dist_sq.shape, dtype=complex)
+        h[live] = np.sqrt(s_eff[live]) * np.exp(1j * phase)
+        gains, ok = zf_gains_batch(h)
+
+        out = rates[b]
+        if np.any(ok):
+            snr = gains[ok] * cfg.tx_power / cfg.noise_power
+            out[ok] = np.log1p(snr) / LN2
+        if not np.all(ok):
+            bad = ~ok
+            out[bad] = design2_rates_from_power(s_eff[bad], cfg.tx_power,
+                                                cfg.noise_power, m)
     return rates
 
 
 def _conv_rates_chunk(cfg: SystemConfig, n: int, rng: np.random.Generator,
                       fixed_xy=None) -> np.ndarray:
     m = cfg.num_users
-    x, y = _chunk_xy(cfg, n, rng, fixed_xy)
+    x, y = _chunk_xy(cfg, n, rng, fixed_xy, waveguide_y_offsets(cfg))
     center_sq = x * x + y * y + cfg.height ** 2
     alpha = rng.random(center_sq.shape) < unblocked_probability_sq(center_sq, cfg)
 
     spacing = cfg.wavelength / 2.0
     offsets = (np.arange(m) - (m - 1) / 2.0) * spacing
-    dx = x[:, :, None] - offsets[None, None, :]
-    dist_sq = dx * dx + (y * y + cfg.height ** 2)[:, :, None]
-    s = cfg.path_gain_factor / dist_sq
-    s_eff = np.where(alpha[:, :, None], s, 0.0)
-    return design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power, m)
+    yz_sq = y * y + cfg.height ** 2
+    rates = np.empty((n, m))
+    for b in _sub_batches(n, m):
+        dx = x[b][:, :, None] - offsets[None, None, :]
+        dist_sq = dx * dx + yz_sq[b][:, :, None]
+        s = cfg.path_gain_factor / dist_sq
+        # A user's Design II rate reads only its own row of s, and a blocked
+        # row gives exactly 0.0, so blockage can be applied to the rates.
+        rates[b] = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power,
+                                            m) * alpha[b]
+    return rates
 
 
 def _rates_chunk(scheme: Scheme, cfg: SystemConfig, n: int,
@@ -202,7 +237,7 @@ def _maybe_fixed_xy(cfg: SystemConfig, master_seed: int, axis_index: int,
     if not fix_placement:
         return None
     rng = chunk_generator(master_seed, axis_index, _PLACEMENT_STREAM)
-    return _sample_user_xy(cfg, 1, rng)
+    return _sample_user_xy(cfg, 1, rng, waveguide_y_offsets(cfg))
 
 
 def estimate_outage(scheme: Scheme, params: OutageParams, n_trials: int,
@@ -302,11 +337,12 @@ def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
     sizes = _chunk_sizes(n_trials)
     spacing = cfg.wavelength / 2.0
     offsets = (np.arange(m) - (m - 1) / 2.0) * spacing
+    beta = waveguide_y_offsets(cfg)
 
     def one(chunk: int) -> tuple[np.ndarray, np.ndarray, float, float]:
         rng = chunk_generator(master_seed, axis_index, chunk)
         n = sizes[chunk]
-        x, y = _sample_user_xy(cfg, n, rng)
+        x, y = _sample_user_xy(cfg, n, rng, beta)
         dx = x[:, :, None] - offsets[None, None, :]
         dist_sq = dx * dx + (y * y + cfg.height ** 2)[:, :, None]
         s = cfg.path_gain_factor / dist_sq

@@ -107,6 +107,22 @@ def zf_gains_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = h.shape[-1]
     batch = h.shape[:-2]
     flat = h.reshape(-1, m, m)
+    live, _, col_sq = _zf_inverses(flat)
+
+    ok = np.zeros(flat.shape[0], dtype=bool)
+    ok[live] = True
+    gains = np.full((flat.shape[0], m), np.nan)
+    gains[live] = 1.0 / (m * col_sq)
+    return gains.reshape(batch + (m,)), ok.reshape(batch)
+
+
+def _zf_inverses(flat: np.ndarray):
+    """The zero-forcing gate and inverse for an (N, M, M) stack.
+
+    Returns the indices of the matrices that pass the gate described in
+    :func:`zf_gains_batch`, their inverses and the squared column norms of
+    those inverses.
+    """
     live = np.flatnonzero(no_empty_line(flat != 0))
     sign, _ = np.linalg.slogdet(flat[live])
     live = live[sign != 0]
@@ -116,14 +132,7 @@ def zf_gains_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cond = (np.abs(mats).sum(axis=-2).max(axis=-1)
             * inv_abs.sum(axis=-2).max(axis=-1))
     well = cond <= COND_LIMIT
-    live = live[well]
-    col_sq = (inv_abs[well] ** 2).sum(axis=-2)
-
-    ok = np.zeros(flat.shape[0], dtype=bool)
-    ok[live] = True
-    gains = np.full((flat.shape[0], m), np.nan)
-    gains[live] = 1.0 / (m * col_sq)
-    return gains.reshape(batch + (m,)), ok.reshape(batch)
+    return live[well], inv[well], (inv_abs[well] ** 2).sum(axis=-2)
 
 
 def zero_forcing_gains(h, m: int):
@@ -155,10 +164,10 @@ def zero_forcing_precoder(h):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("channel matrix must be square")
     m = mat.shape[0]
-    gains = zero_forcing_gains(mat, m)
-    if gains is None:
+    live, inv, col_sq = _zf_inverses(mat[None])
+    if live.size == 0:
         return None
-    return np.linalg.solve(mat, np.diag(np.sqrt(gains.g)).astype(complex))
+    return inv[0] * np.sqrt(1.0 / (m * col_sq[0]))
 
 
 def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,

@@ -45,6 +45,7 @@ from pinchsim import (
     zero_forcing_precoder,
 )
 from pinchsim.montecarlo import _sample_user_xy
+from pinchsim.scenario import waveguide_y_offsets
 
 
 @contextlib.contextmanager
@@ -254,7 +255,7 @@ def test_criterion_08_triangular_distribution():
         cfg = fig_preset_cfg("fig3a").system
         rng = np.random.default_rng(20250814)
         n = 1_000_000
-        x, _ = _sample_user_xy(cfg, n, rng)
+        x, _ = _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
         z = x[:, 0] - x[:, 1]
         d_l = cfg.d_l
         counts, edges = np.histogram(z, bins=50, range=(-d_l, d_l))

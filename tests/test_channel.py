@@ -73,8 +73,8 @@ class TestSampleBlockage:
         dist = np.linalg.norm(pl.user_positions[0] - pl.pinch_positions[0])
         p = blockage_probability(dist, cfg)
         n = 1_000_000
-        hits = sum(int(sample_blockage(pl, cfg, SystemKind.PINCHING, rng).alpha[0, 0])
-                   for _ in range(n))
+        st = sample_blockage(pl, cfg, SystemKind.PINCHING, rng, size=n)
+        hits = int(st.alpha[:, 0, 0].sum())
         tol = 3.0 * math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) <= tol
 
@@ -84,15 +84,40 @@ class TestSampleBlockage:
         rng = np.random.default_rng(3)
         pl = sample_placement(cfg, rng)
         n = 200_000
-        hits = sum(int(sample_blockage(pl, cfg, SystemKind.PINCHING, rng).alpha[0, 0])
-                   for _ in range(n))
+        st = sample_blockage(pl, cfg, SystemKind.PINCHING, rng, size=n)
+        hits = int(st.alpha[:, 0, 0].sum())
         p = math.exp(-0.1 * 9.0)
         tol = 3.0 * math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) <= tol
 
+    @pytest.mark.parametrize("system", list(SystemKind))
+    def test_batched_draw_equals_successive_draws(self, system):
+        cfg = make_cfg(num_users=3, phi=0.2)
+        pl = sample_placement(cfg, np.random.default_rng(12))
+        rng = np.random.default_rng(13)
+        single = [sample_blockage(pl, cfg, system, rng).alpha for _ in range(50)]
+        batch = sample_blockage(pl, cfg, system, np.random.default_rng(13),
+                                size=50)
+        assert batch.alpha.shape == (50,) + single[0].shape
+        assert np.array_equal(batch.alpha, np.stack(single))
+
+    def test_batched_state_rejected_by_channel_builder(self):
+        cfg = make_cfg(num_users=2)
+        pl = sample_placement(cfg, np.random.default_rng(14))
+        st = sample_blockage(pl, cfg, SystemKind.PINCHING,
+                             np.random.default_rng(15), size=4)
+        with pytest.raises(ValueError):
+            build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
+
     def test_binary_entries_enforced(self):
         with pytest.raises(ValueError):
             BlockageState(alpha=np.array([[0.5]]), system=SystemKind.PINCHING)
+
+    def test_batch_axis_is_the_only_extra_axis(self):
+        with pytest.raises(ValueError):
+            BlockageState(alpha=np.ones((2, 2, 2, 2)), system=SystemKind.PINCHING)
+        with pytest.raises(ValueError):
+            BlockageState(alpha=np.ones((2, 2, 2)), system=SystemKind.CONVENTIONAL)
 
 
 class TestFreeSpaceCoefficient:

@@ -1,6 +1,8 @@
 """Monte-Carlo engine: determinism, confidence intervals, oracle agreement."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +30,13 @@ from pinchsim import (
     sweep,
 )
 from pinchsim.channel import blockage_probability
+from pinchsim import montecarlo
 from pinchsim.montecarlo import (
     _conv_rates_chunk,
+    _maybe_fixed_xy,
     _pin_distances_sq,
     _pin_rates_chunk,
+    _rates_chunk,
     _sample_user_xy,
     chunk_generator,
 )
@@ -49,8 +54,8 @@ class TestDistanceKernel:
     def test_matches_scalar_norms(self):
         cfg = make_cfg(num_users=3)
         rng = np.random.default_rng(0)
-        x, y = _sample_user_xy(cfg, 16, rng)
         beta = waveguide_y_offsets(cfg)
+        x, y = _sample_user_xy(cfg, 16, rng, beta)
         d_sq = _pin_distances_sq(x, y, beta, cfg.height)
         for t in range(16):
             users = np.column_stack([x[t], y[t], np.zeros(3)])
@@ -63,11 +68,17 @@ class TestKernelMatchesReferencePath:
     """The vectorized chunk kernels reproduce the scalar channel/transceiver
     computation trial by trial when replaying the same random draws."""
 
+    @pytest.fixture(autouse=True)
+    def small_sub_batches(self, monkeypatch):
+        # 7 trials per sub-batch at M = 2, so the 40 replayed trials span
+        # six sub-batches, the last one short
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * 2 * 2)
+
     def replay(self, cfg, n, seed):
         rng = chunk_generator(seed, 0, 0)
-        x, y = _sample_user_xy(cfg, n, rng)
         m = cfg.num_users
         beta = waveguide_y_offsets(cfg)
+        x, y = _sample_user_xy(cfg, n, rng, beta)
         placements, states_pin = [], []
         users = np.stack([x, y, np.zeros_like(x)], axis=-1)
         pinch = np.stack([x, np.broadcast_to(beta, x.shape),
@@ -109,12 +120,12 @@ class TestKernelMatchesReferencePath:
         rates = _conv_rates_chunk(cfg, n, chunk_generator(seed, 0, 0))
         # replay the conventional draw order: x, y, then per-user uniforms
         rng = chunk_generator(seed, 0, 0)
-        x, y = _sample_user_xy(cfg, n, rng)
+        beta = waveguide_y_offsets(cfg)
+        x, y = _sample_user_xy(cfg, n, rng, beta)
         center_dist = np.sqrt(x * x + y * y + cfg.height ** 2)
         u = rng.random((n, 2))
         alpha = (u < blockage_probability(center_dist, cfg)).astype(int)
         conv = conventional_array_positions(cfg)
-        beta = waveguide_y_offsets(cfg)
         feeds = np.stack([np.full_like(beta, -cfg.d_l / 2), beta,
                           np.full_like(beta, cfg.height)], axis=-1)
         for t in range(n):
@@ -125,6 +136,43 @@ class TestKernelMatchesReferencePath:
             st = BlockageState(alpha=alpha[t], system=SystemKind.CONVENTIONAL)
             assert np.allclose(rates[t], conventional_rates(pl, st, cfg).rates,
                                rtol=1e-9)
+
+
+class TestSubBatches:
+    """Sub-batching a chunk changes neither the random draws nor the rates."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rates_bitwise_equal_for_any_sub_batch(self, monkeypatch, scheme, m):
+        n = 45  # not a multiple of 7
+        for model, loss, constrained, fix in itertools.product(
+                BlockageModel, LossCase, (False, True), (False, True)):
+            cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05,
+                           blockage_model=model, loss_case=loss,
+                           constrain_under_waveguide=constrained)
+            fixed_xy = _maybe_fixed_xy(cfg, 6, 0, fix)
+            results = []
+            for trials in (1, 7, n):
+                monkeypatch.setattr(montecarlo, "SUB_LINKS", trials * m * m)
+                results.append(_rates_chunk(scheme, cfg, n,
+                                            chunk_generator(6, 0, 3), fixed_xy))
+            first = results[0].view(np.int64)
+            for other in results[1:]:
+                assert np.array_equal(other.view(np.int64), first), (
+                    model, loss, constrained, fix)
+
+    @pytest.mark.parametrize("scheme", [Scheme.PIN_D2, Scheme.CONV])
+    def test_chunk_temporaries_stay_small_at_sixteen_users(self, scheme):
+        # unblocked (8192, 16, 16) float64 temporaries would be 16 MiB each
+        cfg = make_cfg(num_users=16, tx_power=1.0)
+        tracemalloc.start()
+        try:
+            _rates_chunk(scheme, cfg, montecarlo.CHUNK_TRIALS,
+                         chunk_generator(1, 0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestEstimateOutage:
@@ -359,7 +407,7 @@ class TestFixedPlacementMode:
         from pinchsim import blockage_probability
         from pinchsim.montecarlo import (_PLACEMENT_STREAM, chunk_generator)
         rng = chunk_generator(42, 0, _PLACEMENT_STREAM)
-        x, y = _sample_user_xy(cfg, 1, rng)
+        x, y = _sample_user_xy(cfg, 1, rng, waveguide_y_offsets(cfg))
         dist = math.sqrt(y[0, 0] ** 2 + cfg.height ** 2)
         p_clear = blockage_probability(dist, cfg)
         expected = 1.0 - p_clear if dist < p.tau1 else 1.0

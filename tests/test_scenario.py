@@ -164,7 +164,7 @@ class TestSamplePlacement:
         cfg = make_cfg(num_users=2)
         rng = np.random.default_rng(2024)
         n = 1_000_000
-        x, y = _sample_user_xy(cfg, n, rng)
+        x, y = _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
         beta = np.array([-2.5, 2.5])
         tol = 3.0 * cfg.strip_width / math.sqrt(12.0 * n)
         assert np.all(np.abs(y.mean(axis=0) - beta) <= tol)

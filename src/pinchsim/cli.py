@@ -520,13 +520,17 @@ def _closed_form_entries(scheme: Scheme, cfg: ExperimentConfig,
 
 
 def collect_rows(cfg: ExperimentConfig) -> list[dict]:
-    """Run the configured sweeps and return output rows in a frozen order."""
+    """Run the configured sweep and return output rows in a frozen order.
+
+    All schemes are simulated together, one pass per sweep point; the rows
+    still come scheme by scheme.
+    """
     run = cfg.run
     rows: list[dict] = []
-    for scheme in run.schemes:
-        points = sweep(cfg.system, scheme, run.sweep_axis, run.axis_values,
+    per_scheme = sweep(cfg.system, run.schemes, run.sweep_axis, run.axis_values,
                        run.metric, run.n_trials, run.master_seed,
                        r_target=run.r_target, workers=run.workers)
+    for scheme, points in zip(run.schemes, per_scheme):
         for point in points:
             for idx, est in enumerate(point.estimates):
                 user = idx if run.metric is MetricKind.ERGODIC_PER_USER else None

@@ -7,6 +7,14 @@ estimate is bit-identical for any worker count. Rates inside a chunk are
 computed with the vectorized transceiver helpers, i.e. through the same
 formulas as the single-realization API.
 
+Streams are keyed per sweep point and chunk, not per scheme, and every
+scheme of an estimator call is evaluated from one pass over each chunk's
+stream. All schemes therefore see the same user placements, PIN_D1 and
+PIN_D2 also see the same blockage, and scheme comparisons are paired. A
+scheme's rates never depend on which other schemes run with it: the
+conventional scheme reads its blockage uniforms from the same point of the
+stream, right after the placement, as when it runs alone.
+
 A chunk is evaluated in sub-batches of about SUB_LINKS links so that its
 temporaries stay cache-sized. Every random number is still drawn in trial
 order from the chunk's stream, so the sub-batch size never changes a draw,
@@ -16,6 +24,7 @@ a rate or an estimate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -24,7 +33,13 @@ import numpy as np
 
 from .analytics import OutageParams
 from .channel import unblocked_probability_sq
-from .scenario import LossCase, SystemConfig, dbm_to_watt, waveguide_y_offsets
+from .scenario import (
+    LossCase,
+    SystemConfig,
+    conventional_array_positions,
+    dbm_to_watt,
+    waveguide_y_offsets,
+)
 from .transceiver import LN2, design2_rates_from_power, no_empty_line, zf_gains_batch
 
 # Trials per random-stream chunk. Fixed so that the set of random draws, and
@@ -34,8 +49,8 @@ CHUNK_TRIALS = 8192
 # Links (trial x user x antenna entries) evaluated at once inside a chunk:
 # max(1, SUB_LINKS // M^2) trials, so an (n, M, M) float64 temporary is at
 # most 512 KiB and a sub-batch's working set stays in cache. Sub-batching
-# never changes the random draws (see _pin_rates_chunk), so it is free to
-# tune without changing any estimate.
+# never changes the random draws (see _pin_rates), so it is free to tune
+# without changing any estimate.
 SUB_LINKS = 1 << 16
 
 # Reserved chunk index for the shared-placement stream of the
@@ -104,6 +119,19 @@ def _map_ordered(fn, n_chunks: int, workers: int) -> list:
         return list(pool.map(fn, range(n_chunks)))
 
 
+def _uniform(rng: np.random.Generator, low, high, shape) -> np.ndarray:
+    """``rng.uniform(low, high, shape)`` bit for bit, at ``rng.random`` speed.
+
+    numpy computes ``low + (high - low) * u`` from one ``random()`` double
+    per entry, but with array bounds it runs about twice as slow as scaling
+    the ``random`` output in place.
+    """
+    u = rng.random(shape)
+    u *= high - low
+    u += low
+    return u
+
+
 def _sample_user_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
                     beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized user drop: (n, M) x and y coordinates.
@@ -112,12 +140,12 @@ def _sample_user_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
     the distances and so compute once.
     """
     m = cfg.num_users
-    x = rng.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, size=(n, m))
+    x = _uniform(rng, -cfg.d_l / 2.0, cfg.d_l / 2.0, (n, m))
     if cfg.constrain_under_waveguide:
         y = np.broadcast_to(beta, (n, m)).copy()
     else:
         half = cfg.strip_width / 2.0
-        y = rng.uniform(beta - half, beta + half, size=(n, m))
+        y = _uniform(rng, beta - half, beta + half, (n, m))
     return x, y
 
 
@@ -133,6 +161,17 @@ def _pin_distances_sq(x: np.ndarray, y: np.ndarray, beta: np.ndarray,
     dx = x[:, :, None] - x[:, None, :]
     dy = y[:, :, None] - beta[None, None, :]
     return dx * dx + dy * dy + height * height
+
+
+def _conv_path_gains(cfg: SystemConfig, x: np.ndarray, yz_sq: np.ndarray,
+                     offsets: np.ndarray) -> np.ndarray:
+    """Conventional-array power gains, (n, M, M) indexed [trial, user, element].
+
+    ``yz_sq`` is ``y² + height²`` per user and ``offsets`` the element x
+    coordinates.
+    """
+    dx = x[:, :, None] - offsets[None, None, :]
+    return cfg.path_gain_factor / (dx * dx + yz_sq[:, :, None])
 
 
 def _waveguide_amplitude(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
@@ -152,12 +191,24 @@ def _chunk_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
     return (np.broadcast_to(x0, (n, m)), np.broadcast_to(y0, (n, m)))
 
 
-def _pin_rates_chunk(cfg: SystemConfig, n: int, rng: np.random.Generator,
-                     zero_force: bool, fixed_xy=None) -> np.ndarray:
-    m = cfg.num_users
-    beta = waveguide_y_offsets(cfg)
-    x, y = _chunk_xy(cfg, n, rng, fixed_xy, beta)
-    rates = np.empty((n, m))
+def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
+               beta: np.ndarray, rng: np.random.Generator,
+               zero_force: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Design II and Design I rates of the pinching system on one placement.
+
+    Draws the (n, M, M) blockage uniforms, which both designs share. The
+    Design I rates are None unless ``zero_force``; with one user they are
+    the Design II array itself.
+    """
+    n, m = x.shape
+    d2 = np.empty((n, m))
+    if not zero_force:
+        d1 = None
+    elif m == 1:
+        # A single user sees no interference, so zero forcing is Design II.
+        d1 = d2
+    else:
+        d1 = np.empty((n, m))
     for b in _sub_batches(n, m):
         xb = x[b]
         dist_sq = _pin_distances_sq(xb, y[b], beta, cfg.height)
@@ -170,16 +221,14 @@ def _pin_rates_chunk(cfg: SystemConfig, n: int, rng: np.random.Generator,
         s = cfg.path_gain_factor / dist_sq * (amp * amp)[:, None, :]
         # s is finite and positive, so this equals where(alpha, s, 0.0).
         s_eff = s * alpha
-
-        if not zero_force or m == 1:
-            # A single user sees no interference, so zero forcing is Design II.
-            rates[b] = design2_rates_from_power(s_eff, cfg.tx_power,
-                                                cfg.noise_power, m)
+        d2[b] = design2_rates_from_power(s_eff, cfg.tx_power,
+                                         cfg.noise_power, m)
+        if d1 is None or d1 is d2:
             continue
 
         # A realization with an empty row or column cannot be zero-forced;
-        # its h stays zero, zf_gains_batch rejects it, and it falls back
-        # below. Only the others need the complex phase.
+        # its h stays zero, zf_gains_batch rejects it, and it keeps its
+        # Design II rate. Only the others need the complex phase.
         live = no_empty_line(alpha)
         dist = np.sqrt(dist_sq[live])
         wav_len = xb[live] + cfg.d_l / 2.0
@@ -189,32 +238,26 @@ def _pin_rates_chunk(cfg: SystemConfig, n: int, rng: np.random.Generator,
         h[live] = np.sqrt(s_eff[live]) * np.exp(1j * phase)
         gains, ok = zf_gains_batch(h)
 
-        out = rates[b]
+        out = d1[b]
+        out[...] = d2[b]
         if np.any(ok):
             snr = gains[ok] * cfg.tx_power / cfg.noise_power
             out[ok] = np.log1p(snr) / LN2
-        if not np.all(ok):
-            bad = ~ok
-            out[bad] = design2_rates_from_power(s_eff[bad], cfg.tx_power,
-                                                cfg.noise_power, m)
-    return rates
+    return d2, d1
 
 
-def _conv_rates_chunk(cfg: SystemConfig, n: int, rng: np.random.Generator,
-                      fixed_xy=None) -> np.ndarray:
-    m = cfg.num_users
-    x, y = _chunk_xy(cfg, n, rng, fixed_xy, waveguide_y_offsets(cfg))
+def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """Conventional-array rates on one placement; draws the (n, M) blockage."""
+    n, m = x.shape
     center_sq = x * x + y * y + cfg.height ** 2
     alpha = rng.random(center_sq.shape) < unblocked_probability_sq(center_sq, cfg)
 
-    spacing = cfg.wavelength / 2.0
-    offsets = (np.arange(m) - (m - 1) / 2.0) * spacing
+    offsets = conventional_array_positions(cfg)[:, 0]
     yz_sq = y * y + cfg.height ** 2
     rates = np.empty((n, m))
     for b in _sub_batches(n, m):
-        dx = x[b][:, :, None] - offsets[None, None, :]
-        dist_sq = dx * dx + yz_sq[b][:, :, None]
-        s = cfg.path_gain_factor / dist_sq
+        s = _conv_path_gains(cfg, x[b], yz_sq[b], offsets)
         # A user's Design II rate reads only its own row of s, and a blocked
         # row gives exactly 0.0, so blockage can be applied to the rates.
         rates[b] = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power,
@@ -222,13 +265,31 @@ def _conv_rates_chunk(cfg: SystemConfig, n: int, rng: np.random.Generator,
     return rates
 
 
-def _rates_chunk(scheme: Scheme, cfg: SystemConfig, n: int,
-                 rng: np.random.Generator, fixed_xy=None) -> np.ndarray:
-    if scheme is Scheme.PIN_D1:
-        return _pin_rates_chunk(cfg, n, rng, zero_force=True, fixed_xy=fixed_xy)
-    if scheme is Scheme.PIN_D2:
-        return _pin_rates_chunk(cfg, n, rng, zero_force=False, fixed_xy=fixed_xy)
-    return _conv_rates_chunk(cfg, n, rng, fixed_xy=fixed_xy)
+def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
+                 rng: np.random.Generator, fixed_xy=None) -> tuple[np.ndarray, ...]:
+    """(n, M) rates of each of ``schemes`` from one pass over a chunk's stream.
+
+    The placement is drawn once. The pinching schemes share the blockage
+    draw that follows it and everything up to the Design II rates. The
+    conventional scheme rewinds the stream to the end of the placement
+    before its own blockage draw, so it reads the uniforms it reads alone.
+    A repeated scheme gets the same array again.
+    """
+    beta = waveguide_y_offsets(cfg)
+    x, y = _chunk_xy(cfg, n, rng, fixed_xy, beta)
+    zero_force = Scheme.PIN_D1 in schemes
+    pin = zero_force or Scheme.PIN_D2 in schemes
+    conv = Scheme.CONV in schemes
+    rates = {}
+    if pin:
+        after_placement = rng.bit_generator.state if conv else None
+        rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = _pin_rates(
+            cfg, x, y, beta, rng, zero_force)
+        if conv:
+            rng.bit_generator.state = after_placement
+    if conv:
+        rates[Scheme.CONV] = _conv_rates(cfg, x, y, rng)
+    return tuple(rates[s] for s in schemes)
 
 
 def _maybe_fixed_xy(cfg: SystemConfig, master_seed: int, axis_index: int,
@@ -240,33 +301,51 @@ def _maybe_fixed_xy(cfg: SystemConfig, master_seed: int, axis_index: int,
     return _sample_user_xy(cfg, 1, rng, waveguide_y_offsets(cfg))
 
 
-def estimate_outage(scheme: Scheme, params: OutageParams, n_trials: int,
-                    master_seed: int, *, workers: int = 1, axis_index: int = 0,
-                    fix_placement: bool = False) -> MetricEstimate:
+def _as_schemes(schemes) -> tuple[tuple[Scheme, ...], bool]:
+    """``schemes`` as a nonempty tuple, and whether it was one bare Scheme."""
+    if isinstance(schemes, Scheme):
+        return (schemes,), True
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("schemes must be nonempty")
+    return schemes, False
+
+
+def estimate_outage(schemes: Scheme | Sequence[Scheme], params: OutageParams,
+                    n_trials: int, master_seed: int, *, workers: int = 1,
+                    axis_index: int = 0, fix_placement: bool = False):
     """Fraction of trials in which user 1's rate falls at or below the target.
 
+    ``schemes`` is one Scheme, giving one estimate, or a sequence of them,
+    giving a list with one estimate per scheme from one pass over the trials
+    (each equal to the one-scheme estimate).
     The confidence half-width is the 3-sigma binomial normal approximation.
     By default each trial redraws both placement and blockage;
     ``fix_placement`` freezes one placement and varies blockage only.
     """
+    schemes, single = _as_schemes(schemes)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     cfg = params.cfg
     sizes = _chunk_sizes(n_trials)
     fixed_xy = _maybe_fixed_xy(cfg, master_seed, axis_index, fix_placement)
 
-    def one(chunk: int) -> int:
+    def one(chunk: int) -> list[int]:
         rng = chunk_generator(master_seed, axis_index, chunk)
-        rates = _rates_chunk(scheme, cfg, sizes[chunk], rng, fixed_xy)
-        return int(np.count_nonzero(rates[:, 0] <= params.r_target))
+        return [int(np.count_nonzero(rates[:, 0] <= params.r_target))
+                for rates in _rates_chunk(schemes, cfg, sizes[chunk], rng,
+                                          fixed_xy)]
 
     counts = _map_ordered(one, len(sizes), workers)
-    hits = sum(counts)
-    value = hits / n_trials
-    sigma = math.sqrt(value * (1.0 - value) / n_trials)
-    return MetricEstimate(value=value, ci_half_width=3.0 * sigma,
-                          n_trials=n_trials, metric_kind=MetricKind.OUTAGE,
-                          provenance=Provenance.SIMULATED)
+    estimates = []
+    for hits in zip(*counts):
+        value = sum(hits) / n_trials
+        sigma = math.sqrt(value * (1.0 - value) / n_trials)
+        estimates.append(MetricEstimate(value=value, ci_half_width=3.0 * sigma,
+                                        n_trials=n_trials,
+                                        metric_kind=MetricKind.OUTAGE,
+                                        provenance=Provenance.SIMULATED))
+    return estimates[0] if single else estimates
 
 
 def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -277,32 +356,19 @@ def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
     return mean, 3.0 * math.sqrt(var / n)
 
 
-def estimate_ergodic(scheme: Scheme, cfg: SystemConfig, n_trials: int,
-                     master_seed: int, *, workers: int = 1, axis_index: int = 0,
-                     fix_placement: bool = False) -> list[MetricEstimate]:
-    """Per-user ergodic rates followed by the sum rate, each with 3-sigma CIs.
+def _ergodic_sums(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Per-user and sum-rate first and second moments of one chunk's rates."""
+    per_sum = rates.sum(axis=0)
+    per_sq = (rates * rates).sum(axis=0)
+    totals = rates.sum(axis=1)
+    return per_sum, per_sq, float(totals.sum()), float((totals * totals).sum())
 
-    Every trial resamples both the placement and the blockage state unless
-    ``fix_placement`` requests the blockage-only variance-reduction mode.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    m = cfg.num_users
-    sizes = _chunk_sizes(n_trials)
-    fixed_xy = _maybe_fixed_xy(cfg, master_seed, axis_index, fix_placement)
 
-    def one(chunk: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-        rng = chunk_generator(master_seed, axis_index, chunk)
-        rates = _rates_chunk(scheme, cfg, sizes[chunk], rng, fixed_xy)
-        per_sum = rates.sum(axis=0)
-        per_sq = (rates * rates).sum(axis=0)
-        totals = rates.sum(axis=1)
-        return per_sum, per_sq, float(totals.sum()), float((totals * totals).sum())
-
-    parts = _map_ordered(one, len(sizes), workers)
-
+def _ergodic_estimates(parts, n_trials: int) -> list[MetricEstimate]:
+    """Per-user means then the sum-rate mean from ``_ergodic_sums`` of every
+    chunk, reduced in chunk order with exact summation."""
     estimates = []
-    for u in range(m):
+    for u in range(len(parts[0][0])):
         total = math.fsum(p[0][u] for p in parts)
         total_sq = math.fsum(p[1][u] for p in parts)
         mean, ci = _mean_ci(total, total_sq, n_trials)
@@ -318,6 +384,34 @@ def estimate_ergodic(scheme: Scheme, cfg: SystemConfig, n_trials: int,
                                     metric_kind=MetricKind.ERGODIC_SUM,
                                     provenance=Provenance.SIMULATED))
     return estimates
+
+
+def estimate_ergodic(schemes: Scheme | Sequence[Scheme], cfg: SystemConfig,
+                     n_trials: int, master_seed: int, *, workers: int = 1,
+                     axis_index: int = 0, fix_placement: bool = False):
+    """Per-user ergodic rates followed by the sum rate, each with 3-sigma CIs.
+
+    ``schemes`` is one Scheme, giving that list of estimates, or a sequence
+    of them, giving one such list per scheme from one pass over the trials.
+    Every trial resamples both the placement and the blockage state unless
+    ``fix_placement`` requests the blockage-only variance-reduction mode.
+    """
+    schemes, single = _as_schemes(schemes)
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    sizes = _chunk_sizes(n_trials)
+    fixed_xy = _maybe_fixed_xy(cfg, master_seed, axis_index, fix_placement)
+
+    def one(chunk: int) -> list[tuple]:
+        rng = chunk_generator(master_seed, axis_index, chunk)
+        return [_ergodic_sums(rates)
+                for rates in _rates_chunk(schemes, cfg, sizes[chunk], rng,
+                                          fixed_xy)]
+
+    parts = _map_ordered(one, len(sizes), workers)
+    estimates = [_ergodic_estimates(scheme_parts, n_trials)
+                 for scheme_parts in zip(*parts)]
+    return estimates[0] if single else estimates
 
 
 def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
@@ -335,43 +429,23 @@ def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
         raise ValueError("n_trials must be >= 1")
     m = cfg.num_users
     sizes = _chunk_sizes(n_trials)
-    spacing = cfg.wavelength / 2.0
-    offsets = (np.arange(m) - (m - 1) / 2.0) * spacing
+    offsets = conventional_array_positions(cfg)[:, 0]
     beta = waveguide_y_offsets(cfg)
 
     def one(chunk: int) -> tuple[np.ndarray, np.ndarray, float, float]:
         rng = chunk_generator(master_seed, axis_index, chunk)
         n = sizes[chunk]
         x, y = _sample_user_xy(cfg, n, rng, beta)
-        dx = x[:, :, None] - offsets[None, None, :]
-        dist_sq = dx * dx + (y * y + cfg.height ** 2)[:, :, None]
-        s = cfg.path_gain_factor / dist_sq
-        own = np.diagonal(s, axis1=-2, axis2=-1)
-        interference = s.sum(axis=-1) - own
-        rates = np.log1p(own / interference) / LN2
-        per_sum = rates.sum(axis=0)
-        per_sq = (rates * rates).sum(axis=0)
-        totals = rates.sum(axis=1)
-        return per_sum, per_sq, float(totals.sum()), float((totals * totals).sum())
+        yz_sq = y * y + cfg.height ** 2
+        rates = np.empty((n, m))
+        for b in _sub_batches(n, m):
+            s = _conv_path_gains(cfg, x[b], yz_sq[b], offsets)
+            own = np.diagonal(s, axis1=-2, axis2=-1)
+            interference = s.sum(axis=-1) - own
+            rates[b] = np.log1p(own / interference) / LN2
+        return _ergodic_sums(rates)
 
-    parts = _map_ordered(one, len(sizes), workers)
-    estimates = []
-    for u in range(m):
-        total = math.fsum(p[0][u] for p in parts)
-        total_sq = math.fsum(p[1][u] for p in parts)
-        mean, ci = _mean_ci(total, total_sq, n_trials)
-        estimates.append(MetricEstimate(value=mean, ci_half_width=ci,
-                                        n_trials=n_trials,
-                                        metric_kind=MetricKind.ERGODIC_PER_USER,
-                                        provenance=Provenance.SIMULATED))
-    total = math.fsum(p[2] for p in parts)
-    total_sq = math.fsum(p[3] for p in parts)
-    mean, ci = _mean_ci(total, total_sq, n_trials)
-    estimates.append(MetricEstimate(value=mean, ci_half_width=ci,
-                                    n_trials=n_trials,
-                                    metric_kind=MetricKind.ERGODIC_SUM,
-                                    provenance=Provenance.SIMULATED))
-    return estimates
+    return _ergodic_estimates(_map_ordered(one, len(sizes), workers), n_trials)
 
 
 def apply_axis(cfg: SystemConfig, axis: SweepAxis, value: float,
@@ -384,14 +458,19 @@ def apply_axis(cfg: SystemConfig, axis: SweepAxis, value: float,
     return cfg, value
 
 
-def sweep(cfg: SystemConfig, scheme: Scheme, sweep_axis: SweepAxis,
-          axis_values, metric: MetricKind, n_trials: int, master_seed: int,
-          *, r_target: float | None = None, workers: int = 1) -> list[SweepPoint]:
+def sweep(cfg: SystemConfig, schemes: Scheme | Sequence[Scheme],
+          sweep_axis: SweepAxis, axis_values, metric: MetricKind, n_trials: int,
+          master_seed: int, *, r_target: float | None = None,
+          workers: int = 1):
     """One estimate per axis value with per-point deterministic seeding.
 
-    Point i uses streams derived from (master_seed, i, chunk); a single-value
-    sweep is therefore bit-identical to a direct estimate call.
+    Point i uses streams derived from (master_seed, i, chunk) for every
+    scheme; a single-value sweep is therefore bit-identical to a direct
+    estimate call. ``schemes`` is one Scheme, giving its list of points, or
+    a sequence of them, giving one list of points per scheme; every scheme
+    of a point is evaluated from one pass over that point's streams.
     """
+    schemes, single = _as_schemes(schemes)
     values = [float(v) for v in axis_values]
     if not values:
         raise ValueError("axis_values must be nonempty")
@@ -400,22 +479,23 @@ def sweep(cfg: SystemConfig, scheme: Scheme, sweep_axis: SweepAxis,
     if metric is not MetricKind.OUTAGE and sweep_axis is SweepAxis.R_TARGET:
         raise ValueError("R_TARGET sweeps only apply to the OUTAGE metric")
 
-    points = []
+    points = [[] for _ in schemes]
     for i, v in enumerate(values):
         cfg_i, rt_i = apply_axis(cfg, sweep_axis, v, r_target)
         if metric is MetricKind.OUTAGE:
             if rt_i is None:
                 raise ValueError("OUTAGE sweeps need r_target (or an R_TARGET axis)")
-            est = estimate_outage(scheme, OutageParams(cfg=cfg_i, r_target=rt_i),
-                                  n_trials, master_seed, workers=workers,
-                                  axis_index=i)
-            chosen = (est,)
+            ests = estimate_outage(schemes, OutageParams(cfg=cfg_i, r_target=rt_i),
+                                   n_trials, master_seed, workers=workers,
+                                   axis_index=i)
+            chosen = [(est,) for est in ests]
         else:
-            ests = estimate_ergodic(scheme, cfg_i, n_trials, master_seed,
+            ests = estimate_ergodic(schemes, cfg_i, n_trials, master_seed,
                                     workers=workers, axis_index=i)
             if metric is MetricKind.ERGODIC_SUM:
-                chosen = (ests[-1],)
+                chosen = [(e[-1],) for e in ests]
             else:
-                chosen = tuple(ests[:-1])
-        points.append(SweepPoint(axis_value=v, estimates=chosen))
-    return points
+                chosen = [tuple(e[:-1]) for e in ests]
+        for scheme_points, estimates in zip(points, chosen):
+            scheme_points.append(SweepPoint(axis_value=v, estimates=estimates))
+    return points[0] if single else points

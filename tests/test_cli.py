@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +264,26 @@ class TestRunExperiment:
             run_experiment(parse_config(doc))
 
 
+class TestCollectRows:
+    """All schemes of a run come from one sweep, in the frozen row order."""
+
+    @pytest.mark.parametrize("doc", [
+        MANUAL_DOC.format(out="x.csv"),
+        # M = 1 outage with closed-form rows after each simulated point
+        "preset = fig2b",
+    ], ids=["manual", "fig2b"])
+    def test_three_schemes_equal_three_one_scheme_runs(self, doc):
+        cfg = parse_config(doc)
+        cfg = replace(cfg, run=replace(cfg.run, n_trials=3000,
+                                       schemes=tuple(Scheme)))
+        one_by_one = []
+        for scheme in Scheme:
+            single = replace(cfg, run=replace(cfg.run, schemes=(scheme,)))
+            one_by_one += cli.collect_rows(single)
+        rows = cli.collect_rows(cfg)
+        assert rows == one_by_one
+
+
 class TestReproduceFigure:
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="fig9"):
@@ -328,3 +353,17 @@ class TestMainEntryPoint:
         assert err.startswith("error: outage_pin_model_b produced 1.5")
         assert err.count("\n") == 1
         assert not (tmp_path / "fig2b.csv").exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_pinchsim_runs_without_warnings(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinchsim", "figure", "fig2b",
+             "--trials", "8192", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (tmp_path / "fig2b.csv").exists()

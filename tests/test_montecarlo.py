@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pinchsim import (
@@ -32,10 +34,8 @@ from pinchsim import (
 from pinchsim.channel import blockage_probability
 from pinchsim import montecarlo
 from pinchsim.montecarlo import (
-    _conv_rates_chunk,
     _maybe_fixed_xy,
     _pin_distances_sq,
-    _pin_rates_chunk,
     _rates_chunk,
     _sample_user_xy,
     chunk_generator,
@@ -103,8 +103,10 @@ class TestKernelMatchesReferencePath:
     def test_pin_kernels_match_scalar_rates(self, loss_case):
         cfg = make_cfg(num_users=2, tx_power=1.0, loss_case=loss_case)
         n, seed = 40, 314
-        d2_rates = _pin_rates_chunk(cfg, n, chunk_generator(seed, 0, 0), False)
-        d1_rates = _pin_rates_chunk(cfg, n, chunk_generator(seed, 0, 0), True)
+        (d2_rates,) = _rates_chunk((Scheme.PIN_D2,), cfg, n,
+                                   chunk_generator(seed, 0, 0))
+        (d1_rates,) = _rates_chunk((Scheme.PIN_D1,), cfg, n,
+                                   chunk_generator(seed, 0, 0))
         placements, states = self.replay(cfg, n, seed)
         for t in range(n):
             chan = build_channel_matrix(placements[t], states[t], cfg,
@@ -117,7 +119,8 @@ class TestKernelMatchesReferencePath:
     def test_conv_kernel_matches_scalar_rates(self):
         cfg = make_cfg(num_users=2, tx_power=1.0)
         n, seed = 40, 217
-        rates = _conv_rates_chunk(cfg, n, chunk_generator(seed, 0, 0))
+        (rates,) = _rates_chunk((Scheme.CONV,), cfg, n,
+                                chunk_generator(seed, 0, 0))
         # replay the conventional draw order: x, y, then per-user uniforms
         rng = chunk_generator(seed, 0, 0)
         beta = waveguide_y_offsets(cfg)
@@ -154,8 +157,9 @@ class TestSubBatches:
             results = []
             for trials in (1, 7, n):
                 monkeypatch.setattr(montecarlo, "SUB_LINKS", trials * m * m)
-                results.append(_rates_chunk(scheme, cfg, n,
-                                            chunk_generator(6, 0, 3), fixed_xy))
+                results.append(_rates_chunk((scheme,), cfg, n,
+                                            chunk_generator(6, 0, 3),
+                                            fixed_xy)[0])
             first = results[0].view(np.int64)
             for other in results[1:]:
                 assert np.array_equal(other.view(np.int64), first), (
@@ -167,12 +171,119 @@ class TestSubBatches:
         cfg = make_cfg(num_users=16, tx_power=1.0)
         tracemalloc.start()
         try:
-            _rates_chunk(scheme, cfg, montecarlo.CHUNK_TRIALS,
+            _rates_chunk((scheme,), cfg, montecarlo.CHUNK_TRIALS,
                          chunk_generator(1, 0, 0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+class TestPlacementDraw:
+    """The placement is rng.uniform's draw bit for bit, with the stream left
+    where rng.uniform leaves it."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
+    def test_equals_rng_uniform(self, m, constrained):
+        cfg = make_cfg(num_users=m, constrain_under_waveguide=constrained)
+        beta = waveguide_y_offsets(cfg)
+        n = 37
+        rng = chunk_generator(4, 2, 1)
+        x, y = _sample_user_xy(cfg, n, rng, beta)
+        ref = chunk_generator(4, 2, 1)
+        ref_x = ref.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, size=(n, m))
+        half = cfg.strip_width / 2.0
+        ref_y = (np.broadcast_to(beta, (n, m)).copy() if constrained
+                 else ref.uniform(beta - half, beta + half, size=(n, m)))
+        assert np.array_equal(x.view(np.int64), ref_x.view(np.int64))
+        assert np.array_equal(y.view(np.int64), ref_y.view(np.int64))
+        assert rng.random() == ref.random()
+
+
+# every nonempty ordered subset of the schemes
+SCHEME_TUPLES = [t for k in (1, 2, 3) for t in itertools.permutations(Scheme, k)]
+
+
+class TestFusedSchemes:
+    """Schemes evaluated from one pass get exactly their one-scheme results."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
+    def test_any_scheme_tuple_gives_the_single_scheme_rates(self, monkeypatch, m):
+        # 7 trials per sub-batch, so the conventional rewind follows a
+        # pinching draw that spans several sub-batches
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * m * m)
+        n = 45
+        for model, loss, constrained, fix in itertools.product(
+                BlockageModel, LossCase, (False, True), (False, True)):
+            cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05,
+                           blockage_model=model, loss_case=loss,
+                           constrain_under_waveguide=constrained)
+            fixed_xy = _maybe_fixed_xy(cfg, 6, 0, fix)
+            alone = {s: _rates_chunk((s,), cfg, n, chunk_generator(6, 0, 3),
+                                     fixed_xy)[0]
+                     for s in Scheme}
+            for schemes in SCHEME_TUPLES:
+                together = _rates_chunk(schemes, cfg, n,
+                                        chunk_generator(6, 0, 3), fixed_xy)
+                assert len(together) == len(schemes)
+                for scheme, rates in zip(schemes, together):
+                    assert np.array_equal(rates.view(np.int64),
+                                          alone[scheme].view(np.int64)), (
+                        schemes, scheme, model, loss, constrained, fix)
+
+    def test_fused_chunk_temporaries_stay_small_at_sixteen_users(self):
+        cfg = make_cfg(num_users=16, tx_power=1.0)
+        tracemalloc.start()
+        try:
+            _rates_chunk((Scheme.PIN_D2, Scheme.CONV), cfg,
+                         montecarlo.CHUNK_TRIALS, chunk_generator(1, 0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    @settings(max_examples=25, deadline=None)
+    @given(schemes=st.lists(st.sampled_from(list(Scheme)), min_size=1,
+                            max_size=4),
+           m=st.sampled_from([1, 2, 3]),
+           n_trials=st.integers(min_value=1, max_value=300),
+           workers=st.sampled_from([1, 2]),
+           metric=st.sampled_from(list(MetricKind)),
+           fix=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_multi_scheme_estimates_equal_per_scheme_calls(
+            self, schemes, m, n_trials, workers, metric, fix, seed):
+        cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05)
+        if metric is MetricKind.OUTAGE:
+            axis, values = SweepAxis.R_TARGET, [6.0, 9.0]
+            params = OutageParams(cfg=cfg, r_target=9.0)
+
+            def estimate(s, **kw):
+                return estimate_outage(s, params, n_trials, seed,
+                                       fix_placement=fix, **kw)
+        else:
+            axis, values = SweepAxis.TX_POWER_DBM, [10.0, 30.0]
+
+            def estimate(s, **kw):
+                return estimate_ergodic(s, cfg, n_trials, seed,
+                                        fix_placement=fix, **kw)
+        with pytest.MonkeyPatch.context() as mp:
+            # 64-trial chunks, so n_trials spans several, the last partial
+            mp.setattr(montecarlo, "CHUNK_TRIALS", 64)
+            assert (estimate(schemes, workers=workers)
+                    == [estimate(s) for s in schemes])
+            assert (sweep(cfg, schemes, axis, values, metric, n_trials, seed,
+                          workers=workers)
+                    == [sweep(cfg, s, axis, values, metric, n_trials, seed)
+                        for s in schemes])
+
+    def test_empty_scheme_tuple_rejected(self):
+        cfg = make_cfg()
+        with pytest.raises(ValueError, match="schemes"):
+            estimate_ergodic((), cfg, 100, 1)
+        with pytest.raises(ValueError, match="schemes"):
+            sweep(cfg, [], SweepAxis.D_L, [40.0], MetricKind.ERGODIC_SUM, 100, 1)
 
 
 class TestEstimateOutage:
@@ -306,8 +417,8 @@ class TestEstimateErgodic:
         # a single user sees no interference, so zero forcing is Design II
         cfg = make_cfg(tx_power=1.0)
         assert np.array_equal(
-            _pin_rates_chunk(cfg, 4096, chunk_generator(11, 0, 0), True),
-            _pin_rates_chunk(cfg, 4096, chunk_generator(11, 0, 0), False))
+            _rates_chunk((Scheme.PIN_D1,), cfg, 4096, chunk_generator(11, 0, 0)),
+            _rates_chunk((Scheme.PIN_D2,), cfg, 4096, chunk_generator(11, 0, 0)))
         assert (estimate_ergodic(Scheme.PIN_D1, cfg, 20000, 11)
                 == estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 11))
         rate = estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 11)[0].value
@@ -324,6 +435,31 @@ class TestEstimateErgodic:
         finite = estimate_ergodic(Scheme.CONV, cfg, 60000, 3)[-1]
         assert bound.value > finite.value
         assert bound.value == pytest.approx(2.0, abs=0.02)
+
+
+class TestConvRateBound:
+    def test_sub_batches_do_not_change_values(self, monkeypatch):
+        cfg = make_cfg(num_users=3, tx_power=1.0)
+        n = 45  # not a multiple of 7
+        bits = []
+        for trials in (1, 7, n):
+            monkeypatch.setattr(montecarlo, "SUB_LINKS", trials * 3 * 3)
+            ests = estimate_conv_rate_bound(cfg, n, 5)
+            bits.append(np.array([(e.value, e.ci_half_width)
+                                  for e in ests]).view(np.int64))
+        assert np.array_equal(bits[0], bits[1])
+        assert np.array_equal(bits[0], bits[2])
+
+    def test_temporaries_stay_small_at_sixteen_users(self):
+        # whole-chunk (8192, 16, 16) float64 temporaries would be 16 MiB each
+        cfg = make_cfg(num_users=16, tx_power=1.0)
+        tracemalloc.start()
+        try:
+            estimate_conv_rate_bound(cfg, montecarlo.CHUNK_TRIALS, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestSweep:

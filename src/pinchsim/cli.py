@@ -15,8 +15,10 @@ import csv
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -101,121 +103,148 @@ class ExperimentConfig:
 # Config schema
 # --------------------------------------------------------------------------
 
-_SYSTEM_KEYS = (
-    "system.num_users", "system.d_w", "system.d_l", "system.height",
-    "system.carrier_freq_hz", "system.noise_dbm", "system.tx_power_dbm",
-    "system.blockage_model", "system.phi", "system.loss_case",
-    "system.waveguide_loss_db_per_m", "system.n_eff",
-    "system.constrain_under_waveguide",
-)
-_RUN_KEYS = (
-    "run.schemes", "run.metric", "run.sweep_axis", "run.axis_values",
-    "run.r_target", "run.n_trials", "run.master_seed", "run.workers",
-    "run.output", "run.format", "run.analytics",
-)
-_KNOWN_KEYS = ("preset",) + _SYSTEM_KEYS + _RUN_KEYS
-
-_REQUIRED_KEYS = (
-    "system.num_users", "system.d_w", "system.d_l", "system.tx_power_dbm",
-    "system.phi", "system.blockage_model",
-    "run.schemes", "run.metric", "run.sweep_axis", "run.axis_values",
-    "run.n_trials", "run.master_seed", "run.output",
-)
-
-_DEFAULTS: dict[str, object] = {
-    "system.height": 3.0,
-    "system.carrier_freq_hz": 28e9,
-    "system.noise_dbm": -90.0,
-    "system.loss_case": LossCase.CASE_I,
-    "system.waveguide_loss_db_per_m": 0.08,
-    "system.n_eff": 1.4,
-    "system.constrain_under_waveguide": False,
-    "run.r_target": None,
-    "run.workers": 1,
-    "run.format": OutputFormat.CSV,
-    "run.analytics": True,
-}
-
-
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _parse_bool(key: str, raw: str) -> bool:
+# Value parsers: each maps one raw token to a typed value or raises a
+# ConfigError whose message the caller prefixes with the key.
+
+def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low == "true":
         return True
     if low == "false":
         return False
-    raise ConfigError(f"{key}: expected true or false, got {raw!r}")
+    raise ConfigError(f"expected true or false, got {raw!r}")
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_int(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+        raise ConfigError(f"expected an integer, got {raw!r}") from None
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        value = math.nan
+    # nan and inf would flow into the channel model and out as nan rows.
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_enum(key: str, raw: str, enum_cls):
-    token = raw.strip().upper()
-    for member in enum_cls:
-        if member.value.upper() == token or member.name == token:
-            return member
-    options = ", ".join(m.value for m in enum_cls)
-    raise ConfigError(f"{key}: unknown value {raw!r} (expected one of {options})")
+def _parse_path(raw: str) -> str:
+    if not raw:
+        raise ConfigError("expected a path")
+    return raw
 
 
-def _parse_value(key: str, raw: str):
-    if key == "preset":
-        return _parse_enum(key, raw, Preset)
-    if key == "system.num_users":
-        return _parse_int(key, raw)
-    if key in ("system.d_w", "system.d_l", "system.height",
-               "system.carrier_freq_hz", "system.noise_dbm",
-               "system.tx_power_dbm", "system.phi",
-               "system.waveguide_loss_db_per_m", "system.n_eff"):
-        return _parse_float(key, raw)
-    if key == "system.blockage_model":
-        return _parse_enum(key, raw, BlockageModel)
-    if key == "system.loss_case":
-        return _parse_enum(key, raw, LossCase)
-    if key == "system.constrain_under_waveguide":
-        return _parse_bool(key, raw)
-    if key == "run.schemes":
+def _enum(enum_cls):
+    def parse(raw: str):
+        token = raw.strip().upper()
+        for member in enum_cls:
+            if member.value.upper() == token or member.name == token:
+                return member
+        options = ", ".join(m.value for m in enum_cls)
+        raise ConfigError(f"unknown value {raw!r} (expected one of {options})")
+    return parse
+
+
+def _list(parse_item, noun: str):
+    def parse(raw: str) -> tuple:
         tokens = [t.strip() for t in raw.split(",") if t.strip()]
         if not tokens:
-            raise ConfigError("run.schemes: expected at least one scheme")
-        return tuple(_parse_enum("run.schemes", t, Scheme) for t in tokens)
-    if key == "run.metric":
-        return _parse_enum(key, raw, MetricKind)
-    if key == "run.sweep_axis":
-        return _parse_enum(key, raw, SweepAxis)
-    if key == "run.axis_values":
-        tokens = [t.strip() for t in raw.split(",") if t.strip()]
-        if not tokens:
-            raise ConfigError("run.axis_values: expected at least one value")
-        return tuple(_parse_float("run.axis_values", t) for t in tokens)
-    if key == "run.r_target":
-        return _parse_float(key, raw)
-    if key in ("run.n_trials", "run.master_seed", "run.workers"):
-        return _parse_int(key, raw)
-    if key == "run.output":
-        if not raw:
-            raise ConfigError("run.output: expected a path")
-        return raw
-    if key == "run.format":
-        return _parse_enum(key, raw, OutputFormat)
-    if key == "run.analytics":
-        return _parse_bool(key, raw)
-    raise ConfigError(f"unknown config key: {key!r}")
+            raise ConfigError(f"expected at least one {noun}")
+        return tuple(parse_item(t) for t in tokens)
+    return parse
+
+
+_REQUIRED = object()  # default of a key the document (or a preset) must set
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: ``section.leaf`` name, parser, default and the
+    SystemConfig (``system.*``) or RunSpec (``run.*``) field it sets.
+
+    A ``dbm`` value sets its field in watts; ExperimentConfig keeps the dBm
+    value under the key's leaf name, so the echo round-trips bit-exactly.
+    """
+
+    key: str
+    parse: Callable[[str], object]
+    default: object
+    target: str | None
+    dbm: bool = False
+
+
+# The schema. Its order is the order of the effective-config echo.
+_KEYS = (
+    _Key("preset", _enum(Preset), None, None),
+    _Key("system.num_users", _parse_int, _REQUIRED, "num_users"),
+    _Key("system.d_w", _parse_float, _REQUIRED, "d_w"),
+    _Key("system.d_l", _parse_float, _REQUIRED, "d_l"),
+    _Key("system.height", _parse_float, 3.0, "height"),
+    _Key("system.carrier_freq_hz", _parse_float, 28e9, "carrier_freq"),
+    _Key("system.noise_dbm", _parse_float, -90.0, "noise_power", dbm=True),
+    _Key("system.tx_power_dbm", _parse_float, _REQUIRED, "tx_power", dbm=True),
+    _Key("system.blockage_model", _enum(BlockageModel), _REQUIRED,
+         "blockage_model"),
+    _Key("system.phi", _parse_float, _REQUIRED, "phi"),
+    _Key("system.loss_case", _enum(LossCase), LossCase.CASE_I, "loss_case"),
+    _Key("system.waveguide_loss_db_per_m", _parse_float, 0.08,
+         "waveguide_loss_db_per_m"),
+    _Key("system.n_eff", _parse_float, 1.4, "n_eff"),
+    _Key("system.constrain_under_waveguide", _parse_bool, False,
+         "constrain_under_waveguide"),
+    _Key("run.schemes", _list(_enum(Scheme), "scheme"), _REQUIRED, "schemes"),
+    _Key("run.metric", _enum(MetricKind), _REQUIRED, "metric"),
+    _Key("run.sweep_axis", _enum(SweepAxis), _REQUIRED, "sweep_axis"),
+    _Key("run.axis_values", _list(_parse_float, "value"), _REQUIRED,
+         "axis_values"),
+    _Key("run.r_target", _parse_float, None, "r_target"),
+    _Key("run.n_trials", _parse_int, _REQUIRED, "n_trials"),
+    _Key("run.master_seed", _parse_int, _REQUIRED, "master_seed"),
+    _Key("run.workers", _parse_int, 1, "workers"),
+    _Key("run.output", _parse_path, _REQUIRED, "output"),
+    _Key("run.format", _enum(OutputFormat), OutputFormat.CSV, "fmt"),
+    _Key("run.analytics", _parse_bool, True, "analytics"),
+)
+_SCHEMA = {k.key: k for k in _KEYS}
+_FIELD_KEYS = [k for k in _KEYS if k.target is not None]
+# SystemConfig field -> config key, to name the key in a range error.
+_SYSTEM_FIELD_KEY = {k.target: k.key for k in _FIELD_KEYS
+                     if k.key.startswith("system.")}
+
+
+def _check_run(values: dict[str, object]) -> None:
+    """Run-level checks; SystemConfig checks the physical fields itself."""
+    for key, low in (("run.n_trials", 1), ("run.workers", 1),
+                     ("run.master_seed", 0)):
+        if values[key] < low:
+            raise ConfigError(f"{key}: must be >= {low}")
+    axis_values = values["run.axis_values"]
+    if any(b <= a for a, b in zip(axis_values, axis_values[1:])):
+        raise ConfigError("run.axis_values: must be strictly increasing")
+    r_target = values["run.r_target"]
+    if r_target is None:
+        if (values["run.metric"] is MetricKind.OUTAGE
+                and values["run.sweep_axis"] is not SweepAxis.R_TARGET):
+            raise ConfigError("missing required config key: 'run.r_target' "
+                              "(needed for the OUTAGE metric)")
+    elif not r_target > 0:
+        raise ConfigError("run.r_target: must be > 0")
+
+
+def _parse(key: str, raw: str):
+    try:
+        return _SCHEMA[key].parse(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _read_flat_document(text: str) -> dict[str, str]:
@@ -229,7 +258,7 @@ def _read_flat_document(text: str) -> dict[str, str]:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key: {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate config key: {key!r}")
@@ -319,80 +348,46 @@ def preset_fields(preset: Preset) -> dict[str, object]:
     return base
 
 
-def _require(values: dict[str, object], key: str):
-    if key not in values or values[key] is None:
-        raise ConfigError(f"missing required config key: {key!r}")
-    return values[key]
-
-
 def _build_config(values: dict[str, object],
                   preset_name: str | None) -> ExperimentConfig:
-    for key in _REQUIRED_KEYS:
-        _require(values, key)
+    for k in _KEYS:
+        if values[k.key] is _REQUIRED:
+            raise ConfigError(f"missing required config key: {k.key!r}")
+    _check_run(values)
+    fields: dict[str, dict[str, object]] = {"system": {}, "run": {}}
+    dbm: dict[str, float] = {}
+    for k in _FIELD_KEYS:
+        section, _, leaf = k.key.partition(".")
+        value = values[k.key]
+        if k.dbm:
+            dbm[leaf] = value
+            value = dbm_to_watt(value)
+        fields[section][k.target] = value
+    try:
+        system = SystemConfig(**fields["system"])
+    except ValueError as exc:
+        # SystemConfig's messages begin with the offending field's name.
+        field_name, _, reason = str(exc).partition(" ")
+        raise ConfigError(f"{_SYSTEM_FIELD_KEY[field_name]}: {reason}") from None
+    return ExperimentConfig(system=system, run=RunSpec(**fields["run"]),
+                            preset_name=preset_name, **dbm)
 
-    num_users = values["system.num_users"]
-    if num_users < 1:
-        raise ConfigError("system.num_users: must be >= 1")
-    for key in ("system.d_w", "system.d_l", "system.height",
-                "system.carrier_freq_hz", "system.n_eff"):
-        if not values[key] > 0:
-            raise ConfigError(f"{key}: must be > 0")
-    if values["system.phi"] < 0:
-        raise ConfigError("system.phi: must be >= 0")
-    if values["system.waveguide_loss_db_per_m"] < 0:
-        raise ConfigError("system.waveguide_loss_db_per_m: must be >= 0")
-    if values["run.n_trials"] < 1:
-        raise ConfigError("run.n_trials: must be >= 1")
-    if values["run.workers"] < 1:
-        raise ConfigError("run.workers: must be >= 1")
-    if values["run.master_seed"] < 0:
-        raise ConfigError("run.master_seed: must be >= 0")
-    axis_values = values["run.axis_values"]
-    if any(b <= a for a, b in zip(axis_values, axis_values[1:])):
-        raise ConfigError("run.axis_values: must be strictly increasing")
 
-    metric = values["run.metric"]
-    sweep_axis = values["run.sweep_axis"]
-    r_target = values["run.r_target"]
-    if metric is MetricKind.OUTAGE and sweep_axis is not SweepAxis.R_TARGET:
-        if r_target is None:
-            raise ConfigError("missing required config key: 'run.r_target' "
-                              "(needed for the OUTAGE metric)")
-    if r_target is not None and not r_target > 0:
-        raise ConfigError("run.r_target: must be > 0")
+def _resolve(document: dict[str, str],
+             overrides: dict[str, str]) -> ExperimentConfig:
+    """The one way a config is made: defaults, then the document's keys,
+    then the preset's fields, then the overrides, then one build.
 
-    tx_power_dbm = float(values["system.tx_power_dbm"])
-    noise_dbm = float(values["system.noise_dbm"])
-    system = SystemConfig(
-        num_users=num_users,
-        d_w=float(values["system.d_w"]),
-        d_l=float(values["system.d_l"]),
-        height=float(values["system.height"]),
-        carrier_freq=float(values["system.carrier_freq_hz"]),
-        noise_power=dbm_to_watt(noise_dbm),
-        tx_power=dbm_to_watt(tx_power_dbm),
-        phi=float(values["system.phi"]),
-        blockage_model=values["system.blockage_model"],
-        loss_case=values["system.loss_case"],
-        waveguide_loss_db_per_m=float(values["system.waveguide_loss_db_per_m"]),
-        n_eff=float(values["system.n_eff"]),
-        constrain_under_waveguide=values["system.constrain_under_waveguide"],
-    )
-    run = RunSpec(
-        schemes=values["run.schemes"],
-        metric=metric,
-        sweep_axis=sweep_axis,
-        axis_values=axis_values,
-        n_trials=values["run.n_trials"],
-        master_seed=values["run.master_seed"],
-        output=values["run.output"],
-        fmt=values["run.format"],
-        r_target=r_target,
-        workers=values["run.workers"],
-        analytics=values["run.analytics"],
-    )
-    return ExperimentConfig(system=system, run=run, tx_power_dbm=tx_power_dbm,
-                            noise_dbm=noise_dbm, preset_name=preset_name)
+    ``document`` and ``overrides`` map keys to raw values, which are parsed
+    by the schema.
+    """
+    values = {k.key: k.default for k in _KEYS}
+    values.update((key, _parse(key, raw)) for key, raw in document.items())
+    preset = values["preset"]
+    if preset is not None:
+        values.update(preset_fields(preset))
+    values.update((key, _parse(key, raw)) for key, raw in overrides.items())
+    return _build_config(values, preset.value if preset is not None else None)
 
 
 def parse_config(document: str) -> ExperimentConfig:
@@ -401,18 +396,7 @@ def parse_config(document: str) -> ExperimentConfig:
     Unknown keys are rejected so typos never silently disappear; error
     messages carry the offending key path.
     """
-    raw = _read_flat_document(document)
-    values: dict[str, object] = dict(_DEFAULTS)
-    preset_name = None
-    for key, raw_value in raw.items():
-        if key == "preset":
-            continue
-        values[key] = _parse_value(key, raw_value)
-    if "preset" in raw:
-        preset = _parse_value("preset", raw["preset"])
-        preset_name = preset.value
-        values.update(preset_fields(preset))
-    return _build_config(values, preset_name)
+    return _resolve(_read_flat_document(document), {})
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -428,8 +412,6 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, tuple):
@@ -439,39 +421,15 @@ def _format_value(value) -> str:
 
 def effective_config_text(cfg: ExperimentConfig) -> str:
     """Serialize the effective config; parsing the result reproduces it."""
-    sys_cfg = cfg.system
-    run = cfg.run
-    pairs = [
-        ("system.num_users", sys_cfg.num_users),
-        ("system.d_w", sys_cfg.d_w),
-        ("system.d_l", sys_cfg.d_l),
-        ("system.height", sys_cfg.height),
-        ("system.carrier_freq_hz", sys_cfg.carrier_freq),
-        ("system.noise_dbm", cfg.noise_dbm),
-        ("system.tx_power_dbm", cfg.tx_power_dbm),
-        ("system.blockage_model", sys_cfg.blockage_model),
-        ("system.phi", sys_cfg.phi),
-        ("system.loss_case", sys_cfg.loss_case),
-        ("system.waveguide_loss_db_per_m", sys_cfg.waveguide_loss_db_per_m),
-        ("system.n_eff", sys_cfg.n_eff),
-        ("system.constrain_under_waveguide", sys_cfg.constrain_under_waveguide),
-        ("run.schemes", run.schemes),
-        ("run.metric", run.metric),
-        ("run.sweep_axis", run.sweep_axis),
-        ("run.axis_values", run.axis_values),
-        ("run.n_trials", run.n_trials),
-        ("run.master_seed", run.master_seed),
-        ("run.workers", run.workers),
-        ("run.output", run.output),
-        ("run.format", run.fmt),
-        ("run.analytics", run.analytics),
-    ]
-    if run.r_target is not None:
-        pairs.insert(17, ("run.r_target", run.r_target))
     lines = ["# effective configuration"]
     if cfg.preset_name is not None:
         lines.append(f"# expanded from preset {cfg.preset_name}")
-    lines += [f"{key} = {_format_value(value)}" for key, value in pairs]
+    for k in _FIELD_KEYS:
+        section, _, leaf = k.key.partition(".")
+        value = (getattr(cfg, leaf) if k.dbm
+                 else getattr(getattr(cfg, section), k.target))
+        if value is not None:
+            lines.append(f"{k.key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -580,19 +538,43 @@ def _render_json(rows: list[dict]) -> str:
     return json.dumps({"schema": SCHEMA_VERSION, "rows": rows}, indent=2) + "\n"
 
 
+def _outputs(cfg: ExperimentConfig) -> list[tuple[Path, str]]:
+    """Run the experiment and render its results file and config echo."""
+    rows = collect_rows(cfg)
+    out_path = Path(cfg.run.output)
+    text = (_render_csv(rows) if cfg.run.fmt is OutputFormat.CSV
+            else _render_json(rows))
+    return [(out_path, text),
+            (Path(str(out_path) + ".config"), effective_config_text(cfg))]
+
+
+def _write_files(files: list[tuple[Path, str]]) -> list[Path]:
+    """Write each ``(path, text)`` atomically, and all of them or none.
+
+    Each text goes to a temp file in its target's directory first; only when
+    all are written is each moved into place with ``os.replace``. So no
+    reader sees a half-written file, and a failed write leaves every target
+    as it was, never a result without its echo.
+    """
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp")
+             for path, _ in files]
+    try:
+        for tmp, (_, text) in zip(temps, files):
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+    return [path for path, _ in files]
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute the experiment and write results plus the config echo.
 
     Returns the written paths; raises OSError if the output is unwritable.
     """
-    rows = collect_rows(cfg)
-    out_path = Path(cfg.run.output)
-    text = (_render_csv(rows) if cfg.run.fmt is OutputFormat.CSV
-            else _render_json(rows))
-    out_path.write_text(text, encoding="utf-8")
-    echo_path = Path(str(out_path) + ".config")
-    echo_path.write_text(effective_config_text(cfg), encoding="utf-8")
-    return [out_path, echo_path]
+    return _write_files(_outputs(cfg))
 
 
 # --------------------------------------------------------------------------
@@ -663,59 +645,33 @@ def reproduce_figure(figure_id, output_dir, *, n_trials: int | None = None,
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = preset.value.lower()
-
-    values = dict(_DEFAULTS)
-    values.update(preset_fields(preset))
-    if n_trials is not None:
-        values["run.n_trials"] = n_trials
-    if master_seed is not None:
-        values["run.master_seed"] = master_seed
-    if workers is not None:
-        values["run.workers"] = workers
-
-    written: list[Path] = []
-    csv_names: list[str] = []
+    overrides = {key: str(value) for key, value in (
+        ("run.n_trials", n_trials), ("run.master_seed", master_seed),
+        ("run.workers", workers)) if value is not None}
     if preset is Preset.FIG1:
-        cases = [(LossCase.CASE_I, f"{name}_case_i.csv"),
-                 (LossCase.CASE_II, f"{name}_case_ii.csv")]
+        cases = {f"{name}_case_i.csv": {"system.loss_case": "CASE_I"},
+                 f"{name}_case_ii.csv": {"system.loss_case": "CASE_II"}}
     else:
-        cases = [(values["system.loss_case"], f"{name}.csv")]
-    for loss_case, csv_name in cases:
-        case_values = dict(values)
-        case_values["system.loss_case"] = loss_case
-        case_values["run.output"] = str(out_dir / csv_name)
-        cfg = _build_config(case_values, preset.value)
-        written += run_experiment(cfg)
-        csv_names.append(csv_name)
+        cases = {f"{name}.csv": {}}
 
-    run_cfg = _build_config({**values, "run.output": "unused.csv"}, preset.value)
-    stub = _plot_stub(csv_names, run_cfg.run.schemes, run_cfg.run.sweep_axis,
-                      run_cfg.run.metric,
-                      logscale=run_cfg.run.metric is MetricKind.OUTAGE)
-    stub_path = out_dir / f"{name}.gp"
-    stub_path.write_text(stub, encoding="utf-8")
-    written.append(stub_path)
-    return written
+    files: list[tuple[Path, str]] = []
+    for csv_name, case in cases.items():
+        cfg = _resolve({"preset": preset.value},
+                       {**overrides, **case,
+                        "run.output": str(out_dir / csv_name)})
+        files += _outputs(cfg)
+    # The cases differ only in loss case and output, so any one of them
+    # gives the schemes, axis and metric.
+    stub = _plot_stub(list(cases), cfg.run.schemes, cfg.run.sweep_axis,
+                      cfg.run.metric,
+                      logscale=cfg.run.metric is MetricKind.OUTAGE)
+    files.append((out_dir / f"{name}.gp", stub))
+    return _write_files(files)
 
 
 # --------------------------------------------------------------------------
 # Command-line interface
 # --------------------------------------------------------------------------
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    run = cfg.run
-    if args.trials is not None:
-        run = replace(run, n_trials=args.trials)
-    if args.seed is not None:
-        run = replace(run, master_seed=args.seed)
-    if args.workers is not None:
-        run = replace(run, workers=args.workers)
-    if getattr(args, "format", None) is not None:
-        run = replace(run, fmt=OutputFormat(args.format))
-    if getattr(args, "out", None) is not None:
-        run = replace(run, output=args.out)
-    return replace(cfg, run=run)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -726,23 +682,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run an experiment from a config file")
     sim.add_argument("config", help="path to a flat key-value config document")
-    sim.add_argument("--trials", type=int, default=None,
+    sim.add_argument("--trials", default=None,
                      help="override run.n_trials")
-    sim.add_argument("--seed", type=int, default=None,
+    sim.add_argument("--seed", default=None,
                      help="override run.master_seed")
-    sim.add_argument("--workers", type=int, default=None,
+    sim.add_argument("--workers", default=None,
                      help="override run.workers")
-    sim.add_argument("--format", choices=["csv", "json"], default=None,
-                     help="override run.format")
+    sim.add_argument("--format", default=None,
+                     help="override run.format (csv or json)")
     sim.add_argument("--out", default=None, help="override run.output")
 
     fig = sub.add_parser("figure", help="reproduce a bundled figure preset")
     fig.add_argument("figure_id",
                      help="one of " + ", ".join(p.value.lower() for p in Preset))
     fig.add_argument("--out", required=True, help="output directory")
-    fig.add_argument("--trials", type=int, default=None)
-    fig.add_argument("--seed", type=int, default=None)
-    fig.add_argument("--workers", type=int, default=None)
+    fig.add_argument("--trials", default=None)
+    fig.add_argument("--seed", default=None)
+    fig.add_argument("--workers", default=None)
     return parser
 
 
@@ -750,16 +706,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            cfg = _apply_overrides(parse_config_file(args.config), args)
-            for path in run_experiment(cfg):
-                print(path)
+            overrides = {key: value for key, value in (
+                ("run.n_trials", args.trials), ("run.master_seed", args.seed),
+                ("run.workers", args.workers), ("run.format", args.format),
+                ("run.output", args.out)) if value is not None}
+            text = Path(args.config).read_text(encoding="utf-8")
+            paths = run_experiment(
+                _resolve(_read_flat_document(text), overrides))
         else:
             paths = reproduce_figure(args.figure_id, args.out,
                                      n_trials=args.trials,
                                      master_seed=args.seed,
                                      workers=args.workers)
-            for path in paths:
-                print(path)
+        for path in paths:
+            print(path)
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

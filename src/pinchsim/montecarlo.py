@@ -53,10 +53,6 @@ CHUNK_TRIALS = 8192
 # without changing any estimate.
 SUB_LINKS = 1 << 16
 
-# Reserved chunk index for the shared-placement stream of the
-# variance-reduction mode; ordinary chunk indices stay far below it.
-_PLACEMENT_STREAM = 1 << 62
-
 
 class Scheme(Enum):
     PIN_D1 = "PIN_D1"
@@ -182,15 +178,6 @@ def _waveguide_amplitude(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
     return np.ones_like(x)
 
 
-def _chunk_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
-              fixed_xy, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if fixed_xy is None:
-        return _sample_user_xy(cfg, n, rng, beta)
-    x0, y0 = fixed_xy
-    m = cfg.num_users
-    return (np.broadcast_to(x0, (n, m)), np.broadcast_to(y0, (n, m)))
-
-
 def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
                beta: np.ndarray, rng: np.random.Generator,
                zero_force: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -266,7 +253,7 @@ def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
 
 
 def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
-                 rng: np.random.Generator, fixed_xy=None) -> tuple[np.ndarray, ...]:
+                 rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """(n, M) rates of each of ``schemes`` from one pass over a chunk's stream.
 
     The placement is drawn once. The pinching schemes share the blockage
@@ -276,7 +263,7 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
     A repeated scheme gets the same array again.
     """
     beta = waveguide_y_offsets(cfg)
-    x, y = _chunk_xy(cfg, n, rng, fixed_xy, beta)
+    x, y = _sample_user_xy(cfg, n, rng, beta)
     zero_force = Scheme.PIN_D1 in schemes
     pin = zero_force or Scheme.PIN_D2 in schemes
     conv = Scheme.CONV in schemes
@@ -292,15 +279,6 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
     return tuple(rates[s] for s in schemes)
 
 
-def _maybe_fixed_xy(cfg: SystemConfig, master_seed: int, axis_index: int,
-                    fix_placement: bool):
-    """One shared placement for the variance-reduction mode (non-default)."""
-    if not fix_placement:
-        return None
-    rng = chunk_generator(master_seed, axis_index, _PLACEMENT_STREAM)
-    return _sample_user_xy(cfg, 1, rng, waveguide_y_offsets(cfg))
-
-
 def _as_schemes(schemes) -> tuple[tuple[Scheme, ...], bool]:
     """``schemes`` as a nonempty tuple, and whether it was one bare Scheme."""
     if isinstance(schemes, Scheme):
@@ -313,28 +291,24 @@ def _as_schemes(schemes) -> tuple[tuple[Scheme, ...], bool]:
 
 def estimate_outage(schemes: Scheme | Sequence[Scheme], params: OutageParams,
                     n_trials: int, master_seed: int, *, workers: int = 1,
-                    axis_index: int = 0, fix_placement: bool = False):
+                    axis_index: int = 0):
     """Fraction of trials in which user 1's rate falls at or below the target.
 
     ``schemes`` is one Scheme, giving one estimate, or a sequence of them,
     giving a list with one estimate per scheme from one pass over the trials
     (each equal to the one-scheme estimate).
     The confidence half-width is the 3-sigma binomial normal approximation.
-    By default each trial redraws both placement and blockage;
-    ``fix_placement`` freezes one placement and varies blockage only.
     """
     schemes, single = _as_schemes(schemes)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     cfg = params.cfg
     sizes = _chunk_sizes(n_trials)
-    fixed_xy = _maybe_fixed_xy(cfg, master_seed, axis_index, fix_placement)
 
     def one(chunk: int) -> list[int]:
         rng = chunk_generator(master_seed, axis_index, chunk)
         return [int(np.count_nonzero(rates[:, 0] <= params.r_target))
-                for rates in _rates_chunk(schemes, cfg, sizes[chunk], rng,
-                                          fixed_xy)]
+                for rates in _rates_chunk(schemes, cfg, sizes[chunk], rng)]
 
     counts = _map_ordered(one, len(sizes), workers)
     estimates = []
@@ -388,25 +362,22 @@ def _ergodic_estimates(parts, n_trials: int) -> list[MetricEstimate]:
 
 def estimate_ergodic(schemes: Scheme | Sequence[Scheme], cfg: SystemConfig,
                      n_trials: int, master_seed: int, *, workers: int = 1,
-                     axis_index: int = 0, fix_placement: bool = False):
+                     axis_index: int = 0):
     """Per-user ergodic rates followed by the sum rate, each with 3-sigma CIs.
 
     ``schemes`` is one Scheme, giving that list of estimates, or a sequence
     of them, giving one such list per scheme from one pass over the trials.
-    Every trial resamples both the placement and the blockage state unless
-    ``fix_placement`` requests the blockage-only variance-reduction mode.
+    Every trial resamples both the placement and the blockage state.
     """
     schemes, single = _as_schemes(schemes)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     sizes = _chunk_sizes(n_trials)
-    fixed_xy = _maybe_fixed_xy(cfg, master_seed, axis_index, fix_placement)
 
     def one(chunk: int) -> list[tuple]:
         rng = chunk_generator(master_seed, axis_index, chunk)
         return [_ergodic_sums(rates)
-                for rates in _rates_chunk(schemes, cfg, sizes[chunk], rng,
-                                          fixed_xy)]
+                for rates in _rates_chunk(schemes, cfg, sizes[chunk], rng)]
 
     parts = _map_ordered(one, len(sizes), workers)
     estimates = [_ergodic_estimates(scheme_parts, n_trials)

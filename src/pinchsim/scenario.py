@@ -33,8 +33,11 @@ class LossCase(Enum):
 
 
 def dbm_to_watt(dbm: float) -> float:
-    """Convert a power level in dBm to watts."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Convert a power level in dBm to watts (inf beyond the float range)."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watt_to_dbm(watt: float) -> float:
@@ -48,8 +51,9 @@ def watt_to_dbm(watt: float) -> float:
 class SystemConfig:
     """All physical and deployment parameters, validated eagerly.
 
-    Powers are linear watts; frequencies in Hz; lengths in meters. Derived
-    quantities (wavelengths, free-space gain constant) are pure functions of
+    Powers are linear watts; frequencies in Hz; lengths in meters. Every
+    float field must be finite, and each error message begins with the name
+    of the offending field. Derived quantities (wavelengths, free-space gain constant) are pure functions of
     the fields, exposed as properties so they can never drift.
     """
 
@@ -71,8 +75,12 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
-        for name in ("d_w", "d_l", "height", "carrier_freq", "noise_power",
-                     "tx_power", "light_speed", "n_eff"):
+        positive = ("d_w", "d_l", "height", "carrier_freq", "noise_power",
+                    "tx_power", "light_speed", "n_eff")
+        for name in positive + ("phi", "waveguide_loss_db_per_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.phi < 0:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim import analytics, cli
 from pinchsim import (
@@ -110,6 +112,40 @@ class TestParseConfig:
             parse_config(doc)
 
 
+def manual_doc(*lines: str, out="x.csv") -> str:
+    """MANUAL_DOC with each of ``lines`` replacing its key's line, if any."""
+    keys = {line.split("=")[0].strip() for line in lines}
+    kept = [line for line in MANUAL_DOC.format(out=out).splitlines()
+            if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
+
+
+class TestNonFiniteValues:
+    """nan and inf never get past the parser, for any float key."""
+
+    @pytest.mark.parametrize("lines", [
+        ("system.phi = nan",),
+        ("system.loss_case = CASE_II", "system.waveguide_loss_db_per_m = nan"),
+        ("system.tx_power_dbm = inf",),
+        ("system.d_l = -inf",),
+        ("run.axis_values = 10, nan",),
+        ("run.metric = OUTAGE", "run.r_target = inf"),
+    ])
+    def test_rejected_naming_the_key(self, lines):
+        key = lines[-1].split("=")[0].strip()
+        with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
+            parse_config(manual_doc(*lines))
+
+    @pytest.mark.parametrize("line, message", [
+        # 10 ** 397 W overflows a float; 10 ** -403 W underflows to 0
+        ("system.tx_power_dbm = 4000", "system.tx_power_dbm: must be finite"),
+        ("system.noise_dbm = -4000", "system.noise_dbm: must be > 0"),
+    ])
+    def test_dbm_beyond_the_float_range_is_named(self, line, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(manual_doc(line))
+
+
 class TestPresetTables:
     """Deployment constants pinned by the bundled presets."""
 
@@ -191,6 +227,107 @@ class TestRoundTrip:
         assert parse_config(paths[1].read_text()) == cfg
 
 
+# Raw-token domain of every config key, for documents the parser must accept.
+def _num(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+def _tokens(enum_cls):
+    return st.sampled_from([m.value for m in enum_cls])
+
+
+KEY_DOMAINS = {
+    "preset": _tokens(Preset),
+    "system.num_users": st.integers(1, 16).map(str),
+    "system.d_w": _num(1e-3, 1e4),
+    "system.d_l": _num(1e-3, 1e4),
+    "system.height": _num(1e-3, 1e3),
+    "system.carrier_freq_hz": _num(1e6, 1e12),
+    "system.noise_dbm": _num(-200.0, 100.0),
+    "system.tx_power_dbm": _num(-200.0, 200.0),
+    "system.blockage_model": _tokens(BlockageModel),
+    "system.phi": _num(0.0, 10.0),
+    "system.loss_case": _tokens(LossCase),
+    "system.waveguide_loss_db_per_m": _num(0.0, 10.0),
+    "system.n_eff": _num(1.0, 4.0),
+    "system.constrain_under_waveguide": st.sampled_from(["true", "false"]),
+    "run.schemes": st.lists(_tokens(Scheme), min_size=1,
+                            max_size=4).map(", ".join),
+    "run.metric": _tokens(MetricKind),
+    "run.sweep_axis": _tokens(SweepAxis),
+    "run.axis_values": st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5,
+                                unique=True).map(
+        lambda v: ", ".join(repr(x) for x in sorted(v))),
+    "run.r_target": _num(1e-6, 50.0),
+    "run.n_trials": st.integers(1, 10 ** 7).map(str),
+    "run.master_seed": st.integers(0, 2 ** 64).map(str),
+    "run.workers": st.integers(1, 64).map(str),
+    "run.output": st.from_regex(r"[a-z0-9_./-]{1,20}", fullmatch=True),
+    "run.format": _tokens(cli.OutputFormat),
+    "run.analytics": st.sampled_from(["true", "false"]),
+}
+
+
+@st.composite
+def valid_documents(draw):
+    """Every required key, a random subset of the optional ones."""
+    values = {}
+    for k in cli._KEYS:
+        if k.default is cli._REQUIRED or draw(st.booleans()):
+            values[k.key] = draw(KEY_DOMAINS[k.key])
+    if values["run.metric"] == "OUTAGE" and values["run.sweep_axis"] != "R_TARGET":
+        values.setdefault("run.r_target", draw(KEY_DOMAINS["run.r_target"]))
+    lines = draw(st.permutations([f"{k} = {v}" for k, v in values.items()]))
+    return "\n".join(lines)
+
+
+class TestRoundTripProperty:
+    def test_domains_cover_exactly_the_schema(self):
+        assert list(KEY_DOMAINS) == [k.key for k in cli._KEYS]
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=valid_documents())
+    def test_echo_of_any_valid_document_reparses_equal(self, doc):
+        cfg = parse_config(doc)
+        assert parse_config(effective_config_text(cfg)) == cfg
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    """The README's config reference is the schema's, key for key."""
+
+    def test_key_table_matches_the_schema(self):
+        text = README.read_text(encoding="utf-8")
+        lines = text.split("All keys, with defaults", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("| key |"))
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            key, default = [c.strip() for c in line.strip("|").split("|")][:2]
+            rows.append((key.strip("`"), default))
+        assert [key for key, _ in rows] == [k.key for k in cli._KEYS]
+        for key, cell in rows:
+            entry = cli._SCHEMA[key]
+            if cell == "required":
+                assert entry.default is cli._REQUIRED, key
+            elif cell == "none":
+                assert entry.default is None, key
+            else:
+                assert entry.default not in (None, cli._REQUIRED), key
+                assert entry.parse(cell) == entry.default, key
+
+    def test_example_document_parses(self):
+        text = README.read_text(encoding="utf-8")
+        example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(example)
+        assert cfg.system.num_users == 2
+        assert cfg.run.schemes == tuple(Scheme)
+
+
 class TestRunExperiment:
     def run_small(self, tmp_path, extra="", out_name="r.csv"):
         doc = MANUAL_DOC.format(out=tmp_path / out_name) + extra
@@ -263,6 +400,35 @@ class TestRunExperiment:
         with pytest.raises(OSError):
             run_experiment(parse_config(doc))
 
+    def test_failing_render_writes_nothing(self, tmp_path, monkeypatch):
+        cfg = parse_config(MANUAL_DOC.format(out=tmp_path / "r.csv"))
+
+        def fail(cfg):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(cli, "effective_config_text", fail)
+        with pytest.raises(RuntimeError):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_echo_write_keeps_the_old_result(self, tmp_path,
+                                                     monkeypatch):
+        out = tmp_path / "r.csv"
+        out.write_text("old results\n")
+        cfg = parse_config(MANUAL_DOC.format(out=out))
+        write_text = Path.write_text
+
+        def failing_write(path, *args, **kwargs):
+            if ".config." in path.name:
+                raise OSError("disk full")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg)
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert out.read_text() == "old results\n"
+
 
 class TestCollectRows:
     """All schemes of a run come from one sweep, in the frozen row order."""
@@ -299,6 +465,15 @@ class TestReproduceFigure:
         stub = (tmp_path / "fig2a.gp").read_text()
         assert "using 3:" in stub and "column(5)" in stub
 
+    def test_failing_stub_writes_nothing(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("stub failed")
+
+        monkeypatch.setattr(cli, "_plot_stub", fail)
+        with pytest.raises(RuntimeError):
+            reproduce_figure("fig1", tmp_path, n_trials=200)
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig1_emits_both_loss_cases(self, tmp_path):
         paths = reproduce_figure(Preset.FIG1, tmp_path, n_trials=1000)
         names = {p.name for p in paths}
@@ -327,6 +502,26 @@ class TestMainEntryPoint:
         rows = list(csv.DictReader(
             (tmp_path / "fig3a.csv").read_text().splitlines()[1:]))
         assert {r["scheme"] for r in rows} == {"PIN_D1", "PIN_D2", "CONV"}
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--workers", "0", "run.workers"),
+        ("--seed", "-1", "run.master_seed"),
+        ("--trials", "many", "run.n_trials"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "figure"])
+    def test_invalid_override_is_one_line_naming_the_key(
+            self, tmp_path, capsys, command, flag, value, key):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MANUAL_DOC.format(out=tmp_path / "a.csv"))
+        out_dir = tmp_path / "figs"
+        argv = (["simulate", str(cfg_path)] if command == "simulate"
+                else ["figure", "fig2b", "--out", str(out_dir)])
+        assert main(argv + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["exp.cfg"]
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_bad_config_returns_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

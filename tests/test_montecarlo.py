@@ -24,6 +24,7 @@ from pinchsim import (
     build_channel_matrix,
     conventional_array_positions,
     conventional_rates,
+    dbm_to_watt,
     design1_rates,
     design2_rates,
     estimate_conv_rate_bound,
@@ -34,7 +35,6 @@ from pinchsim import (
 from pinchsim.channel import blockage_probability
 from pinchsim import montecarlo
 from pinchsim.montecarlo import (
-    _maybe_fixed_xy,
     _pin_distances_sq,
     _rates_chunk,
     _sample_user_xy,
@@ -148,22 +148,20 @@ class TestSubBatches:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_rates_bitwise_equal_for_any_sub_batch(self, monkeypatch, scheme, m):
         n = 45  # not a multiple of 7
-        for model, loss, constrained, fix in itertools.product(
-                BlockageModel, LossCase, (False, True), (False, True)):
+        for model, loss, constrained in itertools.product(
+                BlockageModel, LossCase, (False, True)):
             cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05,
                            blockage_model=model, loss_case=loss,
                            constrain_under_waveguide=constrained)
-            fixed_xy = _maybe_fixed_xy(cfg, 6, 0, fix)
             results = []
             for trials in (1, 7, n):
                 monkeypatch.setattr(montecarlo, "SUB_LINKS", trials * m * m)
                 results.append(_rates_chunk((scheme,), cfg, n,
-                                            chunk_generator(6, 0, 3),
-                                            fixed_xy)[0])
+                                            chunk_generator(6, 0, 3))[0])
             first = results[0].view(np.int64)
             for other in results[1:]:
                 assert np.array_equal(other.view(np.int64), first), (
-                    model, loss, constrained, fix)
+                    model, loss, constrained)
 
     @pytest.mark.parametrize("scheme", [Scheme.PIN_D2, Scheme.CONV])
     def test_chunk_temporaries_stay_small_at_sixteen_users(self, scheme):
@@ -214,23 +212,21 @@ class TestFusedSchemes:
         # pinching draw that spans several sub-batches
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * m * m)
         n = 45
-        for model, loss, constrained, fix in itertools.product(
-                BlockageModel, LossCase, (False, True), (False, True)):
+        for model, loss, constrained in itertools.product(
+                BlockageModel, LossCase, (False, True)):
             cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05,
                            blockage_model=model, loss_case=loss,
                            constrain_under_waveguide=constrained)
-            fixed_xy = _maybe_fixed_xy(cfg, 6, 0, fix)
-            alone = {s: _rates_chunk((s,), cfg, n, chunk_generator(6, 0, 3),
-                                     fixed_xy)[0]
+            alone = {s: _rates_chunk((s,), cfg, n, chunk_generator(6, 0, 3))[0]
                      for s in Scheme}
             for schemes in SCHEME_TUPLES:
                 together = _rates_chunk(schemes, cfg, n,
-                                        chunk_generator(6, 0, 3), fixed_xy)
+                                        chunk_generator(6, 0, 3))
                 assert len(together) == len(schemes)
                 for scheme, rates in zip(schemes, together):
                     assert np.array_equal(rates.view(np.int64),
                                           alone[scheme].view(np.int64)), (
-                        schemes, scheme, model, loss, constrained, fix)
+                        schemes, scheme, model, loss, constrained)
 
     def test_fused_chunk_temporaries_stay_small_at_sixteen_users(self):
         cfg = make_cfg(num_users=16, tx_power=1.0)
@@ -250,24 +246,21 @@ class TestFusedSchemes:
            n_trials=st.integers(min_value=1, max_value=300),
            workers=st.sampled_from([1, 2]),
            metric=st.sampled_from(list(MetricKind)),
-           fix=st.booleans(),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_multi_scheme_estimates_equal_per_scheme_calls(
-            self, schemes, m, n_trials, workers, metric, fix, seed):
+            self, schemes, m, n_trials, workers, metric, seed):
         cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05)
         if metric is MetricKind.OUTAGE:
             axis, values = SweepAxis.R_TARGET, [6.0, 9.0]
             params = OutageParams(cfg=cfg, r_target=9.0)
 
             def estimate(s, **kw):
-                return estimate_outage(s, params, n_trials, seed,
-                                       fix_placement=fix, **kw)
+                return estimate_outage(s, params, n_trials, seed, **kw)
         else:
             axis, values = SweepAxis.TX_POWER_DBM, [10.0, 30.0]
 
             def estimate(s, **kw):
-                return estimate_ergodic(s, cfg, n_trials, seed,
-                                        fix_placement=fix, **kw)
+                return estimate_ergodic(s, cfg, n_trials, seed, **kw)
         with pytest.MonkeyPatch.context() as mp:
             # 64-trial chunks, so n_trials spans several, the last partial
             mp.setattr(montecarlo, "CHUNK_TRIALS", 64)
@@ -406,7 +399,6 @@ class TestEstimateErgodic:
         assert abs(ests[0].value - expected) <= ests[0].ci_half_width + 1e-3
 
     def test_design1_at_least_design2_at_preset_points(self):
-        from pinchsim import dbm_to_watt
         for dbm in (10.0, 20.0, 30.0, 40.0):
             cfg = make_cfg(num_users=2, tx_power=dbm_to_watt(dbm))
             d1 = estimate_ergodic(Scheme.PIN_D1, cfg, 40000, 2)[-1]
@@ -528,32 +520,38 @@ class TestSweep:
                   MetricKind.ERGODIC_SUM, 100, 1)
 
 
-class TestFixedPlacementMode:
-    def test_constant_rate_without_blockage(self):
-        # one frozen placement and phi = 0: every trial sees the same rate
-        cfg = make_cfg(phi=0.0)
-        ests = estimate_ergodic(Scheme.PIN_D2, cfg, 5000, 42, fix_placement=True)
-        assert ests[0].ci_half_width == 0.0
+class TestSmallRunProperties:
+    """Every estimate of a small multi-scheme run is finite; outage is a
+    probability and, on one stream, monotone in the target rate."""
 
-    def test_outage_becomes_pure_bernoulli(self):
-        cfg = make_cfg()
-        p = OutageParams(cfg=cfg, r_target=8.0)
-        est = estimate_outage(Scheme.PIN_D2, p, 100_000, 42, fix_placement=True)
-        # the frozen placement either outages on blockage alone or never
-        from pinchsim import blockage_probability
-        from pinchsim.montecarlo import (_PLACEMENT_STREAM, chunk_generator)
-        rng = chunk_generator(42, 0, _PLACEMENT_STREAM)
-        x, y = _sample_user_xy(cfg, 1, rng, waveguide_y_offsets(cfg))
-        dist = math.sqrt(y[0, 0] ** 2 + cfg.height ** 2)
-        p_clear = blockage_probability(dist, cfg)
-        expected = 1.0 - p_clear if dist < p.tau1 else 1.0
-        assert abs(est.value - expected) <= max(est.ci_half_width, 1e-3)
-
-    def test_default_mode_unaffected(self):
-        cfg = make_cfg()
-        a = estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 9)
-        b = estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 9, fix_placement=False)
-        assert a == b
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 3),
+           model=st.sampled_from(list(BlockageModel)),
+           loss=st.sampled_from(list(LossCase)),
+           constrained=st.booleans(),
+           d_w=st.floats(0.5, 50.0), d_l=st.floats(0.5, 500.0),
+           height=st.floats(0.01, 20.0), phi=st.floats(0.0, 2.0),
+           tx_power_dbm=st.floats(-30.0, 80.0),
+           targets=st.lists(st.floats(1e-3, 40.0), min_size=2, max_size=2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_estimates_finite_and_outage_in_unit_interval(
+            self, m, model, loss, constrained, d_w, d_l, height, phi,
+            tx_power_dbm, targets, seed):
+        cfg = make_cfg(num_users=m, d_w=d_w, d_l=d_l, height=height, phi=phi,
+                       tx_power=dbm_to_watt(tx_power_dbm), blockage_model=model,
+                       loss_case=loss, constrain_under_waveguide=constrained)
+        schemes = tuple(Scheme)
+        for per_scheme in estimate_ergodic(schemes, cfg, 100, seed):
+            for est in per_scheme:
+                assert math.isfinite(est.value) and est.value >= 0.0
+                assert math.isfinite(est.ci_half_width)
+        low, high = sorted(targets)
+        outages = [estimate_outage(schemes, OutageParams(cfg=cfg, r_target=r),
+                                   100, seed)
+                   for r in (low, high)]
+        for at_low, at_high in zip(*outages):
+            assert 0.0 <= at_low.value <= at_high.value <= 1.0
+            assert math.isfinite(at_high.ci_half_width)
 
 
 class TestWaveguideLossEffect:

@@ -43,6 +43,15 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_cfg(**{field: -1.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["d_w", "d_l", "height", "carrier_freq",
+                                       "noise_power", "tx_power", "n_eff",
+                                       "light_speed", "phi",
+                                       "waveguide_loss_db_per_m"])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            make_cfg(**{field: value})
+
     def test_bad_counts_and_phi_rejected(self):
         with pytest.raises(ValueError):
             make_cfg(num_users=0)
@@ -51,6 +60,7 @@ class TestSystemConfig:
 
     def test_dbm_conversions(self):
         assert np.isclose(dbm_to_watt(10.0), 0.01, rtol=1e-12)
+        assert dbm_to_watt(4000.0) == math.inf
         assert np.isclose(dbm_to_watt(-90.0), 1e-12, rtol=1e-12)
         assert np.isclose(watt_to_dbm(dbm_to_watt(23.0)), 23.0, rtol=1e-12)
 

@@ -10,7 +10,6 @@ so the two routes can cross-validate each other.
 from .analytics import (
     OutageParams,
     ThresholdGeometry,
-    erf,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
@@ -28,11 +27,8 @@ from .channel import (
     BlockageState,
     ChannelMatrix,
     SystemKind,
-    blockage_probability,
     build_channel_matrix,
-    free_space_coefficient,
     sample_blockage,
-    waveguide_factor,
 )
 from .cli import (
     ExperimentConfig,
@@ -66,13 +62,11 @@ from .scenario import (
     dbm_to_watt,
     sample_placement,
     watt_to_dbm,
-    waveguide_y_offset,
     waveguide_y_offsets,
 )
 from .transceiver import (
     RateVector,
     SchemeUsed,
-    ZfGains,
     conventional_rates,
     design1_rates,
     design2_rates,
@@ -81,3 +75,21 @@ from .transceiver import (
 )
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "OutageParams", "ThresholdGeometry", "ergodic_pin_two_user_highsnr",
+    "outage_conv_model_a_highsnr", "outage_conv_model_b_highsnr",
+    "outage_gap_model_b", "outage_pin_model_a", "outage_pin_model_a_highsnr",
+    "outage_pin_model_b", "outage_pin_model_b_highsnr", "strip_los_integral",
+    "threshold_geometry", "triangular_pdf", "two_user_cross_blockage_factor",
+    "BlockageState", "ChannelMatrix", "SystemKind", "build_channel_matrix",
+    "sample_blockage", "ExperimentConfig", "OutputFormat", "Preset", "RunSpec",
+    "parse_config", "parse_config_file", "reproduce_figure", "run_experiment",
+    "MetricEstimate", "MetricKind", "Provenance", "Scheme", "SweepAxis",
+    "SweepPoint", "estimate_conv_rate_bound", "estimate_ergodic",
+    "estimate_outage", "sweep", "SPEED_OF_LIGHT", "BlockageModel", "LossCase",
+    "Placement", "SystemConfig", "conventional_array_positions", "dbm_to_watt",
+    "sample_placement", "watt_to_dbm", "waveguide_y_offsets", "RateVector",
+    "SchemeUsed", "conventional_rates", "design1_rates", "design2_rates",
+    "zero_forcing_gains", "zero_forcing_precoder",
+]

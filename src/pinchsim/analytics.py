@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import erf  # noqa: F401  (re-exported: module-level special function)
+from math import erf
 
 import numpy as np
 from scipy.integrate import quad
 
-from .scenario import BlockageModel, SystemConfig, waveguide_y_offset
+from .scenario import BlockageModel, SystemConfig, waveguide_y_offsets
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -240,8 +240,7 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
     _check_model(cfg, BlockageModel.MODEL_B, "two_user_cross_blockage_factor")
     if cfg.phi == 0.0:
         return 0.0
-    beta1 = waveguide_y_offset(1, cfg)
-    beta2 = waveguide_y_offset(2, cfg)
+    beta1, beta2 = waveguide_y_offsets(cfg).tolist()
     tau4 = (beta1 - beta2) ** 2 + cfg.height ** 2
     phi = cfg.phi
     d_l = cfg.d_l

@@ -1,8 +1,18 @@
-"""Blockage indicators and complex channel coefficients.
+"""The channel model: distances, line-of-sight probability, power gains and
+complex coefficients.
 
-Channel coefficients combine a spherical-wave free-space term with, for the
-pinching system, an in-waveguide phase (guided wavelength) and optional dB/m
-amplitude loss between the feed point and the antenna.
+Every function here takes n realizations at once, as (n, M) user
+coordinates, and returns (n, M, M) arrays indexed [trial, user, antenna].
+The Monte-Carlo estimators call them on whole sub-batches, and the
+per-realization API (:func:`sample_blockage`, :func:`build_channel_matrix`)
+is their n = 1 case.
+
+A link of length r has free-space power gain path_gain_factor / r^2. The
+pinching system adds the in-waveguide path of length l = x + d_l/2 from the
+feed at the near edge to the antenna: a phase over the guided wavelength and,
+for CASE_II, a dB/m amplitude loss a(l). So
+h = alpha sqrt(path_gain_factor) / r a(l) exp(-2 pi j (r / wavelength
++ l / guided_wavelength)), with alpha the line-of-sight indicator.
 """
 
 from __future__ import annotations
@@ -12,7 +22,14 @@ from enum import Enum
 
 import numpy as np
 
-from .scenario import BlockageModel, LossCase, Placement, SystemConfig
+from .scenario import (
+    BlockageModel,
+    LossCase,
+    Placement,
+    SystemConfig,
+    conventional_array_positions,
+    waveguide_y_offsets,
+)
 
 
 class SystemKind(Enum):
@@ -51,55 +68,121 @@ class BlockageState:
 class ChannelMatrix:
     """Effective channel, rows = users, columns = transmit elements.
 
-    ``h`` already includes blockage zeros and any waveguide loss;
-    ``magnitudes`` keeps the raw unblocked |h| for diagnostics.
+    ``h`` already includes blockage zeros and any waveguide loss.
     """
 
     h: np.ndarray
-    magnitudes: np.ndarray
     system: SystemKind
 
     def __post_init__(self) -> None:
         h = np.array(self.h, dtype=complex)
-        mags = np.array(self.magnitudes, dtype=float)
-        if h.shape != mags.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("h and magnitudes must be equal square matrices")
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError("h must be a square matrix")
         h.setflags(write=False)
-        mags.setflags(write=False)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "magnitudes", mags)
 
     @property
     def num_users(self) -> int:
         return self.h.shape[0]
 
 
-def blockage_probability(distance, cfg: SystemConfig):
-    """Probability that a link of the given length keeps line of sight.
+def pin_distances_sq(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
+                     beta: np.ndarray) -> np.ndarray:
+    """Squared user-to-pinching-antenna distances, (n, M, M).
 
-    MODEL_A uses exp(-phi * distance); MODEL_B uses exp(-phi * distance^2).
-    Accepts scalars or arrays; the result is in (0, 1].
+    Antenna m sits at (x[:, m], beta[m], height); ``beta`` is
+    ``waveguide_y_offsets(cfg)``.
     """
-    dist = np.asarray(distance, dtype=float)
-    if np.any(dist < 0):
-        raise ValueError("distance must be >= 0")
-    if cfg.blockage_model is BlockageModel.MODEL_A:
-        exponent = dist
-    else:
-        exponent = dist * dist
-    out = np.exp(-cfg.phi * exponent)
-    return float(out) if np.isscalar(distance) or out.ndim == 0 else out
+    dx = x[:, :, None] - x[:, None, :]
+    dy = y[:, :, None] - beta[None, None, :]
+    return dx * dx + dy * dy + cfg.height * cfg.height
+
+
+def conv_distances_sq(cfg: SystemConfig, x: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """Squared user-to-element distances of the conventional array, (n, M, M)."""
+    dx = x[:, :, None] - conventional_array_positions(cfg)[None, None, :, 0]
+    return dx * dx + (y * y + cfg.height ** 2)[:, :, None]
+
+
+def center_distances_sq(cfg: SystemConfig, x: np.ndarray,
+                        y: np.ndarray) -> np.ndarray:
+    """Squared user-to-array-center distances, (n, M): the length of the one
+    link whose blockage every conventional element shares."""
+    return x * x + y * y + cfg.height ** 2
 
 
 def unblocked_probability_sq(dist_sq, cfg: SystemConfig):
-    """Same as :func:`blockage_probability` but from squared distances.
+    """Probability that a link keeps line of sight, from its squared length.
 
-    Avoids the square root for MODEL_B; used by the vectorized simulator.
+    MODEL_A uses exp(-phi * distance); MODEL_B uses exp(-phi * distance^2),
+    which needs no square root.
     """
     dsq = np.asarray(dist_sq, dtype=float)
     if cfg.blockage_model is BlockageModel.MODEL_A:
         return np.exp(-cfg.phi * np.sqrt(dsq))
     return np.exp(-cfg.phi * dsq)
+
+
+def _guided_length(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
+    """In-waveguide distance from the feed at x = -d_l/2 to antennas at x."""
+    return x + cfg.d_l / 2.0
+
+
+def waveguide_amplitude(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
+    """In-waveguide amplitude factor of antennas at x: the dB/m loss for
+    CASE_II, ones for CASE_I."""
+    if cfg.loss_case is LossCase.CASE_II:
+        length = _guided_length(cfg, x)
+        return 10.0 ** (-cfg.waveguide_loss_db_per_m * length / 20.0)
+    return np.ones_like(x)
+
+
+def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
+                pinch_x: np.ndarray | None = None) -> np.ndarray:
+    """Unblocked |h|^2 of every link, (n, M, M).
+
+    ``pinch_x`` holds the (n, M) antenna x coordinates of a pinching system,
+    whose waveguide amplitude then applies per column; None for the
+    conventional array.
+    """
+    s = cfg.path_gain_factor / dist_sq
+    if pinch_x is None:
+        return s
+    amp = waveguide_amplitude(cfg, pinch_x)
+    return s * (amp * amp)[:, None, :]
+
+
+def channel_coefficients(cfg: SystemConfig, dist_sq: np.ndarray,
+                         s_eff: np.ndarray,
+                         pinch_x: np.ndarray | None = None) -> np.ndarray:
+    """Complex h = sqrt(s_eff) exp(-2 pi j (r / wavelength + l / guided_wavelength)).
+
+    ``s_eff`` is the blocked power gain alpha |h|^2. ``pinch_x`` is as in
+    :func:`power_gains`; without it there is no in-waveguide phase.
+    """
+    cycles = np.sqrt(dist_sq) / cfg.wavelength
+    if pinch_x is not None:
+        cycles = (cycles + _guided_length(cfg, pinch_x)[:, None, :]
+                  / cfg.guided_wavelength)
+    return np.sqrt(s_eff) * np.exp(1j * (-2.0 * np.pi * cycles))
+
+
+def _user_xy(placement: Placement,
+             cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The placement as (1, M) coordinates, after checking that it holds
+    the M users of ``cfg``, whose waveguides it is paired with."""
+    if placement.x.shape != (cfg.num_users,):
+        raise ValueError(f"placement holds {placement.x.size} users, "
+                         f"expected num_users = {cfg.num_users}")
+    return placement.x[None], placement.y[None]
+
+
+def _check_one_state(blockage: BlockageState, system: SystemKind) -> None:
+    if blockage.system is not system:
+        raise ValueError("blockage state was drawn for a different system kind")
+    if blockage.alpha.ndim != (2 if system is SystemKind.PINCHING else 1):
+        raise ValueError("blockage state holds a batch; pass one realization")
 
 
 def sample_blockage(placement: Placement, cfg: SystemConfig,
@@ -111,82 +194,29 @@ def sample_blockage(placement: Placement, cfg: SystemConfig,
     leading axis, drawn in one call; the stream is consumed exactly as by
     n successive single draws.
     """
-    users = placement.user_positions
+    x, y = _user_xy(placement, cfg)
     if system is SystemKind.PINCHING:
-        diff = users[:, None, :] - placement.pinch_positions[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
+        dist_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))[0]
     else:
-        center = np.array([0.0, 0.0, cfg.height])
-        dist = np.linalg.norm(users - center, axis=-1)
-    p = blockage_probability(dist, cfg)
-    shape = dist.shape if size is None else (size,) + dist.shape
-    alpha = (rng.random(shape) < p).astype(np.int8)
-    return BlockageState(alpha=alpha, system=system)
-
-
-def free_space_coefficient(tx, rx, cfg: SystemConfig) -> complex:
-    """Spherical-wave coefficient between two points.
-
-    Magnitude sqrt(path_gain_factor) / distance, phase -2 pi distance over
-    the carrier wavelength.
-    """
-    tx = np.asarray(tx, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    r = float(np.linalg.norm(rx - tx))
-    if r == 0.0:
-        raise ValueError("tx and rx coincide; free-space coefficient is singular")
-    amp = np.sqrt(cfg.path_gain_factor) / r
-    return amp * np.exp(-2j * np.pi * r / cfg.wavelength)
-
-
-def waveguide_factor(feed, antenna, cfg: SystemConfig) -> complex:
-    """In-waveguide propagation factor from the feed point to an antenna.
-
-    Phase advances with the guided wavelength; CASE_II additionally applies
-    the configured dB/m amplitude loss over the in-waveguide distance.
-    """
-    feed = np.asarray(feed, dtype=float)
-    antenna = np.asarray(antenna, dtype=float)
-    if feed[1] != antenna[1] or feed[2] != antenna[2]:
-        raise ValueError("feed and antenna must lie on the same waveguide")
-    length = abs(float(antenna[0] - feed[0]))
-    amp = 1.0
-    if cfg.loss_case is LossCase.CASE_II:
-        amp = 10.0 ** (-cfg.waveguide_loss_db_per_m * length / 20.0)
-    return amp * np.exp(-2j * np.pi * length / cfg.guided_wavelength)
+        dist_sq = center_distances_sq(cfg, x, y)[0]
+    p = unblocked_probability_sq(dist_sq, cfg)
+    shape = p.shape if size is None else (size,) + p.shape
+    return BlockageState(alpha=rng.random(shape) < p, system=system)
 
 
 def build_channel_matrix(placement: Placement, blockage: BlockageState,
                          cfg: SystemConfig, system: SystemKind) -> ChannelMatrix:
     """Assemble the effective (M, M) channel for one realization."""
-    if blockage.system is not system:
-        raise ValueError("blockage state was drawn for a different system kind")
-    if blockage.alpha.ndim != (2 if system is SystemKind.PINCHING else 1):
-        raise ValueError("blockage state holds a batch; pass one realization")
-    users = placement.user_positions
-
+    _check_one_state(blockage, system)
+    x, y = _user_xy(placement, cfg)
     if system is SystemKind.PINCHING:
-        elements = placement.pinch_positions
-        diff = users[:, None, :] - elements[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        if np.any(dist == 0):
-            raise ValueError("user coincides with an antenna; channel is singular")
-        wav_len = np.abs(elements[:, 0] - placement.feed_positions[:, 0])
-        amp = np.ones_like(wav_len)
-        if cfg.loss_case is LossCase.CASE_II:
-            amp = 10.0 ** (-cfg.waveguide_loss_db_per_m * wav_len / 20.0)
-        mags = np.sqrt(cfg.path_gain_factor) / dist * amp[None, :]
-        phase = -2.0 * np.pi * (dist / cfg.wavelength
-                                + wav_len[None, :] / cfg.guided_wavelength)
-        h = blockage.alpha * mags * np.exp(1j * phase)
+        dist_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
+        pinch_x = x
+        alpha = blockage.alpha
     else:
-        elements = placement.conv_positions
-        diff = users[:, None, :] - elements[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        if np.any(dist == 0):
-            raise ValueError("user coincides with an antenna; channel is singular")
-        mags = np.sqrt(cfg.path_gain_factor) / dist
-        phase = -2.0 * np.pi * dist / cfg.wavelength
-        h = blockage.alpha[:, None] * mags * np.exp(1j * phase)
-
-    return ChannelMatrix(h=h, magnitudes=mags, system=system)
+        dist_sq = conv_distances_sq(cfg, x, y)
+        pinch_x = None
+        alpha = blockage.alpha[:, None]
+    s_eff = power_gains(cfg, dist_sq, pinch_x) * alpha
+    h = channel_coefficients(cfg, dist_sq, s_eff, pinch_x)
+    return ChannelMatrix(h=h[0], system=system)

@@ -216,9 +216,9 @@ _KEYS = (
 )
 _SCHEMA = {k.key: k for k in _KEYS}
 _FIELD_KEYS = [k for k in _KEYS if k.target is not None]
-# SystemConfig field -> config key, to name the key in a range error.
-_SYSTEM_FIELD_KEY = {k.target: k.key for k in _FIELD_KEYS
-                     if k.key.startswith("system.")}
+# SystemConfig or RunSpec field -> config key, to name the key in a range
+# error (the two classes share no field name).
+_FIELD_KEY = {k.target: k.key for k in _FIELD_KEYS}
 
 
 def _check_run(values: dict[str, object]) -> None:
@@ -230,6 +230,10 @@ def _check_run(values: dict[str, object]) -> None:
     axis_values = values["run.axis_values"]
     if any(b <= a for a, b in zip(axis_values, axis_values[1:])):
         raise ConfigError("run.axis_values: must be strictly increasing")
+    if (values["run.sweep_axis"] is SweepAxis.R_TARGET
+            and values["run.metric"] is not MetricKind.OUTAGE):
+        raise ConfigError("run.sweep_axis: R_TARGET applies only to the "
+                          "OUTAGE metric")
     r_target = values["run.r_target"]
     if r_target is None:
         if (values["run.metric"] is MetricKind.OUTAGE
@@ -368,9 +372,28 @@ def _build_config(values: dict[str, object],
     except ValueError as exc:
         # SystemConfig's messages begin with the offending field's name.
         field_name, _, reason = str(exc).partition(" ")
-        raise ConfigError(f"{_SYSTEM_FIELD_KEY[field_name]}: {reason}") from None
-    return ExperimentConfig(system=system, run=RunSpec(**fields["run"]),
-                            preset_name=preset_name, **dbm)
+        raise ConfigError(f"{_FIELD_KEY[field_name]}: {reason}") from None
+    run = RunSpec(**fields["run"])
+    _check_axis_values(system, run)
+    return ExperimentConfig(system=system, run=run, preset_name=preset_name,
+                            **dbm)
+
+
+def _check_axis_values(system: SystemConfig, run: RunSpec) -> None:
+    """Build every sweep point's config and target rate as ``sweep`` will,
+    so that a value outside its axis' domain fails here, naming
+    run.axis_values, and not when the sweep reaches it."""
+    for value in run.axis_values:
+        try:
+            cfg, r_target = apply_axis(system, run.sweep_axis, value,
+                                       run.r_target)
+            if r_target is not None:
+                OutageParams(cfg=cfg, r_target=r_target)
+        except ValueError as exc:
+            # Both classes' messages begin with the offending field's name.
+            field_name, _, reason = str(exc).partition(" ")
+            raise ConfigError(f"run.axis_values: value {value!r} for "
+                              f"{_FIELD_KEY[field_name]} {reason}") from None
 
 
 def _resolve(document: dict[str, str],

@@ -3,9 +3,11 @@
 Trials are evaluated in fixed-size chunks. Each chunk owns an independent
 counter-based random stream derived from (master_seed, axis_index, chunk),
 and chunk results are reduced in chunk order with exact summation, so an
-estimate is bit-identical for any worker count. Rates inside a chunk are
-computed with the vectorized transceiver helpers, i.e. through the same
-formulas as the single-realization API.
+estimate is bit-identical for any worker count. This module owns only the
+streams, the sub-batching and the reductions: the rates inside a chunk come
+from the batched functions of :mod:`pinchsim.channel` and
+:mod:`pinchsim.transceiver`, i.e. from the same functions as the
+single-realization API, which is their n = 1 case.
 
 Streams are keyed per sweep point and chunk, not per scheme, and every
 scheme of an estimator call is evaluated from one pass over each chunk's
@@ -32,15 +34,22 @@ from enum import Enum
 import numpy as np
 
 from .analytics import OutageParams
-from .channel import unblocked_probability_sq
-from .scenario import (
-    LossCase,
-    SystemConfig,
-    conventional_array_positions,
-    dbm_to_watt,
-    waveguide_y_offsets,
+from .channel import (
+    center_distances_sq,
+    channel_coefficients,
+    conv_distances_sq,
+    pin_distances_sq,
+    power_gains,
+    unblocked_probability_sq,
 )
-from .transceiver import LN2, design2_rates_from_power, no_empty_line, zf_gains_batch
+from .scenario import SystemConfig, _sample_user_xy, dbm_to_watt, waveguide_y_offsets
+from .transceiver import (
+    LN2,
+    design1_rates_from_gains,
+    design2_rates_from_power,
+    no_empty_line,
+    zf_gains_batch,
+)
 
 # Trials per random-stream chunk. Fixed so that the set of random draws, and
 # therefore every estimate, is independent of how chunks are scheduled.
@@ -115,67 +124,10 @@ def _map_ordered(fn, n_chunks: int, workers: int) -> list:
         return list(pool.map(fn, range(n_chunks)))
 
 
-def _uniform(rng: np.random.Generator, low, high, shape) -> np.ndarray:
-    """``rng.uniform(low, high, shape)`` bit for bit, at ``rng.random`` speed.
-
-    numpy computes ``low + (high - low) * u`` from one ``random()`` double
-    per entry, but with array bounds it runs about twice as slow as scaling
-    the ``random`` output in place.
-    """
-    u = rng.random(shape)
-    u *= high - low
-    u += low
-    return u
-
-
-def _sample_user_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
-                    beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized user drop: (n, M) x and y coordinates.
-
-    ``beta`` is ``waveguide_y_offsets(cfg)``, which callers also need for
-    the distances and so compute once.
-    """
-    m = cfg.num_users
-    x = _uniform(rng, -cfg.d_l / 2.0, cfg.d_l / 2.0, (n, m))
-    if cfg.constrain_under_waveguide:
-        y = np.broadcast_to(beta, (n, m)).copy()
-    else:
-        half = cfg.strip_width / 2.0
-        y = _uniform(rng, beta - half, beta + half, (n, m))
-    return x, y
-
-
 def _sub_batches(n: int, m: int) -> list[slice]:
     """Consecutive trial ranges of about SUB_LINKS links each."""
     step = max(1, SUB_LINKS // (m * m))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def _pin_distances_sq(x: np.ndarray, y: np.ndarray, beta: np.ndarray,
-                      height: float) -> np.ndarray:
-    """Squared user-to-antenna distances, (n, M, M) indexed [trial, user, wg]."""
-    dx = x[:, :, None] - x[:, None, :]
-    dy = y[:, :, None] - beta[None, None, :]
-    return dx * dx + dy * dy + height * height
-
-
-def _conv_path_gains(cfg: SystemConfig, x: np.ndarray, yz_sq: np.ndarray,
-                     offsets: np.ndarray) -> np.ndarray:
-    """Conventional-array power gains, (n, M, M) indexed [trial, user, element].
-
-    ``yz_sq`` is ``y² + height²`` per user and ``offsets`` the element x
-    coordinates.
-    """
-    dx = x[:, :, None] - offsets[None, None, :]
-    return cfg.path_gain_factor / (dx * dx + yz_sq[:, :, None])
-
-
-def _waveguide_amplitude(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
-    """Per-antenna in-waveguide amplitude factor (ones for CASE_I)."""
-    if cfg.loss_case is LossCase.CASE_II:
-        length = x + cfg.d_l / 2.0
-        return 10.0 ** (-cfg.waveguide_loss_db_per_m * length / 20.0)
-    return np.ones_like(x)
 
 
 def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
@@ -198,16 +150,13 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
         d1 = np.empty((n, m))
     for b in _sub_batches(n, m):
         xb = x[b]
-        dist_sq = _pin_distances_sq(xb, y[b], beta, cfg.height)
+        dist_sq = pin_distances_sq(cfg, xb, y[b], beta)
         p_los = unblocked_probability_sq(dist_sq, cfg)
         # Blockage uniforms are drawn sub-batch by sub-batch in trial order,
         # which consumes the stream exactly as one (n, M, M) draw would.
         alpha = rng.random(dist_sq.shape) < p_los
-
-        amp = _waveguide_amplitude(cfg, xb)
-        s = cfg.path_gain_factor / dist_sq * (amp * amp)[:, None, :]
-        # s is finite and positive, so this equals where(alpha, s, 0.0).
-        s_eff = s * alpha
+        # The gains are finite and positive, so this equals where(alpha, s, 0).
+        s_eff = power_gains(cfg, dist_sq, xb) * alpha
         d2[b] = design2_rates_from_power(s_eff, cfg.tx_power,
                                          cfg.noise_power, m)
         if d1 is None or d1 is d2:
@@ -217,19 +166,16 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
         # its h stays zero, zf_gains_batch rejects it, and it keeps its
         # Design II rate. Only the others need the complex phase.
         live = no_empty_line(alpha)
-        dist = np.sqrt(dist_sq[live])
-        wav_len = xb[live] + cfg.d_l / 2.0
-        phase = -2.0 * np.pi * (dist / cfg.wavelength
-                                + wav_len[:, None, :] / cfg.guided_wavelength)
         h = np.zeros(dist_sq.shape, dtype=complex)
-        h[live] = np.sqrt(s_eff[live]) * np.exp(1j * phase)
+        h[live] = channel_coefficients(cfg, dist_sq[live], s_eff[live],
+                                       xb[live])
         gains, ok = zf_gains_batch(h)
 
         out = d1[b]
         out[...] = d2[b]
         if np.any(ok):
-            snr = gains[ok] * cfg.tx_power / cfg.noise_power
-            out[ok] = np.log1p(snr) / LN2
+            out[ok] = design1_rates_from_gains(gains[ok], cfg.tx_power,
+                                               cfg.noise_power)
     return d2, d1
 
 
@@ -237,14 +183,12 @@ def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Conventional-array rates on one placement; draws the (n, M) blockage."""
     n, m = x.shape
-    center_sq = x * x + y * y + cfg.height ** 2
+    center_sq = center_distances_sq(cfg, x, y)
     alpha = rng.random(center_sq.shape) < unblocked_probability_sq(center_sq, cfg)
 
-    offsets = conventional_array_positions(cfg)[:, 0]
-    yz_sq = y * y + cfg.height ** 2
     rates = np.empty((n, m))
     for b in _sub_batches(n, m):
-        s = _conv_path_gains(cfg, x[b], yz_sq[b], offsets)
+        s = power_gains(cfg, conv_distances_sq(cfg, x[b], y[b]))
         # A user's Design II rate reads only its own row of s, and a blocked
         # row gives exactly 0.0, so blockage can be applied to the rates.
         rates[b] = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power,
@@ -400,17 +344,15 @@ def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
         raise ValueError("n_trials must be >= 1")
     m = cfg.num_users
     sizes = _chunk_sizes(n_trials)
-    offsets = conventional_array_positions(cfg)[:, 0]
     beta = waveguide_y_offsets(cfg)
 
     def one(chunk: int) -> tuple[np.ndarray, np.ndarray, float, float]:
         rng = chunk_generator(master_seed, axis_index, chunk)
         n = sizes[chunk]
         x, y = _sample_user_xy(cfg, n, rng, beta)
-        yz_sq = y * y + cfg.height ** 2
         rates = np.empty((n, m))
         for b in _sub_batches(n, m):
-            s = _conv_path_gains(cfg, x[b], yz_sq[b], offsets)
+            s = power_gains(cfg, conv_distances_sq(cfg, x[b], y[b]))
             own = np.diagonal(s, axis1=-2, axis2=-1)
             interference = s.sum(axis=-1) - own
             rates[b] = np.log1p(own / interference) / LN2

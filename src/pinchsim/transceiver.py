@@ -1,4 +1,4 @@
-"""Per-realization rate computation for the three transmission designs.
+"""Rates of the three transmission designs.
 
 Design I inverts the channel matrix (zero forcing with per-user power
 normalization) and falls back to Design II when blockage makes the matrix
@@ -7,8 +7,11 @@ an equal 1/sqrt(M) power split and treats cross links as interference. The
 conventional baseline applies the Design II power split to the fixed
 half-wavelength array.
 
-All rate helpers also accept stacked (..., M, M) inputs so the Monte-Carlo
-engine can evaluate many realizations at once through the same code path.
+The kernels (:func:`zf_gains_batch`, :func:`design1_rates_from_gains`,
+:func:`design2_rates_from_power`) take stacked (..., M, M) inputs, and the
+Monte-Carlo estimators call them on whole sub-batches. The per-realization
+functions are their n = 1 case, on one :class:`ChannelMatrix` or one
+placement.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import BlockageState, ChannelMatrix, SystemKind, build_channel_matrix
+from .channel import (
+    BlockageState,
+    ChannelMatrix,
+    SystemKind,
+    _check_one_state,
+    _user_xy,
+    conv_distances_sq,
+    power_gains,
+)
 from .scenario import Placement, SystemConfig
 
 LN2 = np.log(2.0)
@@ -50,24 +61,6 @@ class RateVector:
         arr = np.array(self.rates, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "rates", arr)
-
-
-@dataclass(frozen=True)
-class ZfGains:
-    """Effective per-user power gains after zero forcing."""
-
-    g: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.g, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "g", arr)
-
-
-def _as_matrix(h) -> np.ndarray:
-    if isinstance(h, ChannelMatrix):
-        return np.asarray(h.h, dtype=complex)
-    return np.asarray(h, dtype=complex)
 
 
 def no_empty_line(mask: np.ndarray) -> np.ndarray:
@@ -135,7 +128,7 @@ def _zf_inverses(flat: np.ndarray):
     return live[well], inv[well], (inv_abs[well] ** 2).sum(axis=-2)
 
 
-def zero_forcing_gains(h, m: int):
+def zero_forcing_gains(chan: ChannelMatrix) -> np.ndarray | None:
     """Per-user gains g_m = 1 / (M [inv(H H^H)]_mm), or None if rank-deficient.
 
     The gains are computed as 1 / (M ||col_m(inv(H))||^2), the same quantity
@@ -143,31 +136,27 @@ def zero_forcing_gains(h, m: int):
     deficiency is an expected outcome under blockage, so it is signalled
     by returning None rather than raising.
     """
-    mat = _as_matrix(h)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("channel matrix must be square")
-    if mat.shape[0] != m:
-        raise ValueError(f"matrix is {mat.shape[0]}x{mat.shape[0]}, expected M={m}")
-    gains, ok = zf_gains_batch(mat)
-    if not bool(ok):
-        return None
-    return ZfGains(g=gains)
+    gains, ok = zf_gains_batch(chan.h)
+    return gains if ok else None
 
 
-def zero_forcing_precoder(h):
+def zero_forcing_precoder(chan: ChannelMatrix) -> np.ndarray | None:
     """Explicit precoding matrix inv(H) diag(sqrt(g)), or None if rank-deficient.
 
     Each column has squared norm 1/M, so the total transmit power across the
     M users equals the configured budget.
     """
-    mat = _as_matrix(h)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("channel matrix must be square")
-    m = mat.shape[0]
-    live, inv, col_sq = _zf_inverses(mat[None])
+    live, inv, col_sq = _zf_inverses(chan.h[None])
     if live.size == 0:
         return None
-    return inv[0] * np.sqrt(1.0 / (m * col_sq[0]))
+    return inv[0] * np.sqrt(1.0 / (chan.num_users * col_sq[0]))
+
+
+def design1_rates_from_gains(gains: np.ndarray, tx_power: float,
+                             noise_power: float) -> np.ndarray:
+    """Zero-forcing rates log2(1 + g P / sigma^2) from the gains of
+    :func:`zf_gains_batch`, any shape."""
+    return np.log1p(gains * tx_power / noise_power) / LN2
 
 
 def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
@@ -189,23 +178,18 @@ def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
 
 def design2_rates(chan: ChannelMatrix, cfg: SystemConfig) -> RateVector:
     """Low-complexity per-waveguide transmission (equal 1/sqrt(M) power split)."""
-    mat = _as_matrix(chan)
-    s_eff = np.abs(mat) ** 2
-    rates = design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power,
-                                     mat.shape[0])
+    rates = design2_rates_from_power(np.abs(chan.h) ** 2, cfg.tx_power,
+                                     cfg.noise_power, chan.num_users)
     return RateVector(rates=rates, scheme_used=SchemeUsed.DESIGN2)
 
 
 def design1_rates(chan: ChannelMatrix, cfg: SystemConfig) -> RateVector:
     """Zero forcing when the channel is invertible, Design II otherwise."""
-    mat = _as_matrix(chan)
-    m = mat.shape[0]
-    gains, ok = zf_gains_batch(mat)
-    if not bool(ok):
-        fallback = design2_rates(chan, cfg)
-        return RateVector(rates=fallback.rates,
+    gains = zero_forcing_gains(chan)
+    if gains is None:
+        return RateVector(rates=design2_rates(chan, cfg).rates,
                           scheme_used=SchemeUsed.DESIGN2_FALLBACK)
-    rates = np.log1p(gains * cfg.tx_power / cfg.noise_power) / LN2
+    rates = design1_rates_from_gains(gains, cfg.tx_power, cfg.noise_power)
     return RateVector(rates=rates, scheme_used=SchemeUsed.ZF)
 
 
@@ -214,11 +198,13 @@ def conventional_rates(placement: Placement, blockage: BlockageState,
     """Rates for the fixed half-wavelength array baseline.
 
     Element m serves user m with power P/M; all elements seen by one user
-    share that user's blockage state. For M = 1 this reduces to the single
-    fixed antenna with the full power budget.
+    share that user's blockage state, and a user's Design II rate reads only
+    its own row, so blockage applies to the rates. For M = 1 this reduces to
+    the single fixed antenna with the full power budget.
     """
-    chan = build_channel_matrix(placement, blockage, cfg, SystemKind.CONVENTIONAL)
-    s_eff = np.abs(chan.h) ** 2
-    rates = design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power,
-                                     chan.num_users)
+    _check_one_state(blockage, SystemKind.CONVENTIONAL)
+    x, y = _user_xy(placement, cfg)
+    s = power_gains(cfg, conv_distances_sq(cfg, x, y))
+    rates = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power,
+                                     cfg.num_users)[0] * blockage.alpha
     return RateVector(rates=rates, scheme_used=SchemeUsed.CONVENTIONAL)

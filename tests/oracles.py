@@ -1,27 +1,30 @@
 """Independent numerical oracles used to pin expected values in the tests.
 
-Everything here recomputes quantities from their defining integrals or from
-high-precision arithmetic, deliberately avoiding the closed forms under test.
+Everything here recomputes quantities from their defining integrals, from
+high-precision arithmetic, or link by link from the channel model's
+definition, deliberately avoiding the closed forms and batched kernels under
+test.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
 from scipy.integrate import quad
 
-from pinchsim import BlockageModel, OutageParams, SystemConfig, threshold_geometry
-from pinchsim.scenario import waveguide_y_offset
+from pinchsim import (
+    BlockageModel,
+    LossCase,
+    OutageParams,
+    SystemConfig,
+    threshold_geometry,
+)
+from pinchsim.scenario import waveguide_y_offsets
 
 _EPSABS = 1e-15
 _EPSREL = 1e-11
-
-
-def erf_highprec(x: float) -> float:
-    """Error function via 50-digit mpmath arithmetic."""
-    with mpmath.workdps(50):
-        return float(mpmath.erf(x))
 
 
 def zf_gains_highprec(h, dps: int = 60) -> list[float]:
@@ -35,6 +38,91 @@ def zf_gains_highprec(h, dps: int = 60) -> list[float]:
         return [float(1 / (m * mpmath.fsum(abs(inv[i, j]) ** 2
                                            for i in range(m))))
                 for j in range(m)]
+
+
+def waveguide_centers(cfg: SystemConfig) -> list[float]:
+    """y of each waveguide's center line: the middle of its d_w / M strip."""
+    m = cfg.num_users
+    return [(k + 0.5) * cfg.d_w / m - cfg.d_w / 2.0 for k in range(m)]
+
+
+def los_probability(cfg: SystemConfig, r: float) -> float:
+    """exp(-phi r) for MODEL_A, exp(-phi r^2) for MODEL_B."""
+    if cfg.blockage_model is BlockageModel.MODEL_A:
+        return math.exp(-cfg.phi * r)
+    return math.exp(-cfg.phi * r * r)
+
+
+def _constants(cfg: SystemConfig) -> tuple[float, float, float]:
+    """Carrier wavelength, guided wavelength and 1 m power gain (lambda/4pi)^2,
+    from the raw config fields."""
+    lam = cfg.light_speed / cfg.carrier_freq
+    return lam, lam / cfg.n_eff, (lam / (4.0 * math.pi)) ** 2
+
+
+def pin_link_distance(cfg: SystemConfig, x, y, u: int, k: int) -> float:
+    """User u on the floor to the antenna on waveguide k above x[k]."""
+    beta = waveguide_centers(cfg)
+    return math.sqrt((x[u] - x[k]) ** 2 + (y[u] - beta[k]) ** 2
+                     + cfg.height ** 2)
+
+
+def pin_channel(cfg: SystemConfig, x, y, alpha) -> list[list[complex]]:
+    """Pinching channel of one realization, link by link:
+    h[u][k] = alpha sqrt(G) / r a(l) exp(-2 pi j (r / lambda + l / lambda_g)),
+    with l = x[k] + d_l / 2 the in-waveguide run from the feed and a(l) its
+    dB/m amplitude loss (1 for CASE_I)."""
+    lam, lam_g, gain = _constants(cfg)
+    m = cfg.num_users
+    h = [[0j] * m for _ in range(m)]
+    for u in range(m):
+        for k in range(m):
+            r = pin_link_distance(cfg, x, y, u, k)
+            run = x[k] + cfg.d_l / 2.0
+            amp = 1.0
+            if cfg.loss_case is LossCase.CASE_II:
+                amp = 10.0 ** (-cfg.waveguide_loss_db_per_m * run / 20.0)
+            phase = -2.0 * math.pi * (r / lam + run / lam_g)
+            h[u][k] = alpha[u][k] * math.sqrt(gain) / r * amp * cmath.exp(1j * phase)
+    return h
+
+
+def design2_rates(cfg: SystemConfig, h) -> list[float]:
+    """Per-user Design II rates: antenna k sends user k's stream at power
+    P / M, and every other active antenna interferes."""
+    m = len(h)
+    p_each = cfg.tx_power / m
+    rates = []
+    for u in range(m):
+        signal = p_each * abs(h[u][u]) ** 2
+        interference = sum(p_each * abs(h[u][k]) ** 2 for k in range(m) if k != u)
+        rates.append(math.log2(1.0 + signal / (interference + cfg.noise_power)))
+    return rates
+
+
+def design1_rates(cfg: SystemConfig, h) -> list[float]:
+    """Per-user Design I rates: zero forcing with the high-precision gains,
+    or Design II when a blocked row or column makes H singular."""
+    m = len(h)
+    empty = (any(all(h[u][k] == 0 for k in range(m)) for u in range(m))
+             or any(all(h[u][k] == 0 for u in range(m)) for k in range(m)))
+    if empty:
+        return design2_rates(cfg, h)
+    return [math.log2(1.0 + g * cfg.tx_power / cfg.noise_power)
+            for g in zf_gains_highprec(h)]
+
+
+def conv_rates(cfg: SystemConfig, x, y, alpha) -> list[float]:
+    """Per-user conventional rates: element k of the half-wavelength array at
+    ((k - (M - 1) / 2) lambda / 2, 0, height) sends user k's stream at power
+    P / M, and user u's links share its indicator alpha[u]."""
+    lam, _, gain = _constants(cfg)
+    m = cfg.num_users
+    elem_x = [(k - (m - 1) / 2.0) * lam / 2.0 for k in range(m)]
+    h = [[alpha[u] * math.sqrt(gain)
+          / math.sqrt((x[u] - elem_x[k]) ** 2 + y[u] ** 2 + cfg.height ** 2)
+          for k in range(m)] for u in range(m)]
+    return design2_rates(cfg, h)
 
 
 def _quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL):
@@ -108,8 +196,7 @@ def outage_gap_quadrature(p: OutageParams) -> float:
 
 def two_user_bracket_quadrature(cfg: SystemConfig) -> float:
     """1/2 minus the triangular-weighted cross-link LoS mass, by quadrature."""
-    beta1 = waveguide_y_offset(1, cfg)
-    beta2 = waveguide_y_offset(2, cfg)
+    beta1, beta2 = waveguide_y_offsets(cfg).tolist()
     tau4 = (beta1 - beta2) ** 2 + cfg.height ** 2
     phi, d_l = cfg.phi, cfg.d_l
     val = _quad(lambda z: math.exp(-phi * (z * z + tau4)) * (d_l - z) / d_l ** 2,
@@ -122,8 +209,7 @@ def two_user_ergodic_constrained(cfg: SystemConfig) -> float:
     waveguides (2-D quadrature over the two x coordinates)."""
     assert cfg.num_users == 2
     assert cfg.blockage_model is BlockageModel.MODEL_B
-    beta1 = waveguide_y_offset(1, cfg)
-    beta2 = waveguide_y_offset(2, cfg)
+    beta1, beta2 = waveguide_y_offsets(cfg).tolist()
     d2 = cfg.height ** 2
     g1 = d2
     phi = cfg.phi
@@ -154,8 +240,7 @@ def two_user_ergodic_unconstrained(cfg: SystemConfig) -> float:
     uniformly in their strips (triple quadrature over y1, x1, x2)."""
     assert cfg.num_users == 2
     assert cfg.blockage_model is BlockageModel.MODEL_B
-    beta1 = waveguide_y_offset(1, cfg)
-    beta2 = waveguide_y_offset(2, cfg)
+    beta1, beta2 = waveguide_y_offsets(cfg).tolist()
     d2 = cfg.height ** 2
     phi = cfg.phi
     eta_p = cfg.path_gain_factor * cfg.tx_power

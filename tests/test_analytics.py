@@ -11,7 +11,6 @@ from pinchsim import (
     BlockageModel,
     OutageParams,
     SystemConfig,
-    erf,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
@@ -32,23 +31,6 @@ def make_cfg(model=BlockageModel.MODEL_A, **kw):
                 blockage_model=model)
     base.update(kw)
     return SystemConfig(**base)
-
-
-class TestErf:
-    def test_zero(self):
-        assert erf(0.0) == 0.0
-
-    def test_odd_symmetry(self):
-        for x in np.linspace(0.1, 4.0, 17):
-            assert erf(-x) == -erf(x)
-
-    def test_unit_value_against_high_precision(self):
-        assert abs(erf(1.0) - 0.842700792950) <= 1e-12
-        assert abs(erf(1.0) - oracles.erf_highprec(1.0)) <= 1e-15
-
-    def test_grid_against_high_precision(self):
-        for x in np.linspace(-5.0, 5.0, 41):
-            assert abs(erf(float(x)) - oracles.erf_highprec(float(x))) <= 1e-12
 
 
 class TestThresholdGeometry:
@@ -281,7 +263,7 @@ class TestOutageGapModelB:
         p = OutageParams(cfg=cfg, r_target=7.0)
         sqrt_phi = math.sqrt(cfg.phi)
         gamma1 = (math.sqrt(math.pi) * math.exp(-cfg.phi * 9.0)
-                  / (sqrt_phi * cfg.d_w) * erf(sqrt_phi * cfg.d_w / 2.0))
+                  / (sqrt_phi * cfg.d_w) * math.erf(sqrt_phi * cfg.d_w / 2.0))
         assert abs(outage_gap_model_b(p) - gamma1) <= 1e-5
 
     def test_strictly_increasing_in_area_length(self):

@@ -11,12 +11,18 @@ from pinchsim import (
     LossCase,
     SystemConfig,
     SystemKind,
-    blockage_probability,
     build_channel_matrix,
-    free_space_coefficient,
     sample_blockage,
     sample_placement,
-    waveguide_factor,
+    waveguide_y_offsets,
+)
+from pinchsim.channel import (
+    channel_coefficients,
+    conv_distances_sq,
+    pin_distances_sq,
+    power_gains,
+    unblocked_probability_sq,
+    waveguide_amplitude,
 )
 
 
@@ -27,29 +33,30 @@ def make_cfg(**kw):
     return SystemConfig(**base)
 
 
+def one_link(value):
+    """A scalar as the (1, 1, 1) array of one trial, one user, one antenna."""
+    return np.full((1, 1, 1), value)
+
+
 class TestBlockageProbability:
     def test_zero_distance_is_certain_los(self):
         for model in BlockageModel:
             cfg = make_cfg(blockage_model=model, phi=0.7)
-            assert blockage_probability(0.0, cfg) == 1.0
+            assert unblocked_probability_sq(0.0, cfg) == 1.0
 
     def test_exponential_examples(self):
         cfg_a = make_cfg(blockage_model=BlockageModel.MODEL_A, phi=0.1)
-        assert blockage_probability(10.0, cfg_a) == pytest.approx(
+        assert unblocked_probability_sq(100.0, cfg_a) == pytest.approx(
             0.36787944117144233, rel=1e-12)
         cfg_b = make_cfg(blockage_model=BlockageModel.MODEL_B, phi=0.1)
-        assert blockage_probability(3.0, cfg_b) == pytest.approx(
+        assert unblocked_probability_sq(9.0, cfg_b) == pytest.approx(
             0.4065696597405991, rel=1e-12)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            blockage_probability(-0.5, make_cfg())
 
     @pytest.mark.parametrize("model", list(BlockageModel))
     def test_strictly_decreasing_in_distance(self, model):
         cfg = make_cfg(blockage_model=model, phi=0.3)
         dists = np.linspace(0.0, 30.0, 50)
-        probs = blockage_probability(dists, cfg)
+        probs = unblocked_probability_sq(dists * dists, cfg)
         assert np.all(np.diff(probs) < 0)
         assert np.all((probs > 0) & (probs <= 1))
 
@@ -70,8 +77,8 @@ class TestSampleBlockage:
         cfg = make_cfg(phi=0.1)
         rng = np.random.default_rng(11)
         pl = sample_placement(cfg, rng)
-        dist = np.linalg.norm(pl.user_positions[0] - pl.pinch_positions[0])
-        p = blockage_probability(dist, cfg)
+        # one waveguide, on the center line; the antenna sits above the user
+        p = math.exp(-0.1 * math.sqrt(pl.y[0] ** 2 + 9.0))
         n = 1_000_000
         st = sample_blockage(pl, cfg, SystemKind.PINCHING, rng, size=n)
         hits = int(st.alpha[:, 0, 0].sum())
@@ -121,53 +128,64 @@ class TestSampleBlockage:
 
 
 class TestFreeSpaceCoefficient:
+    """The free-space part of a link: no waveguide, so no pinch_x."""
+
     def test_magnitude_at_three_meters(self):
         cfg = make_cfg()
-        h = free_space_coefficient([0.0, 0.0, 3.0], [0.0, 0.0, 0.0], cfg)
+        d_sq = one_link(9.0)
+        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq))[0, 0, 0]
         # sqrt(eta)/3 with eta = (lambda / 4 pi)^2 at 28 GHz
         assert abs(h) == pytest.approx(2.840086404307704e-04, rel=1e-12)
 
     def test_full_wavelength_phase_wraps(self):
         cfg = make_cfg()
-        h = free_space_coefficient([0.0, 0.0, 0.0], [cfg.wavelength, 0.0, 0.0], cfg)
+        d_sq = one_link(cfg.wavelength ** 2)
+        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq))[0, 0, 0]
         assert math.isclose(h.imag, 0.0, abs_tol=1e-12 * abs(h))
         assert h.real > 0
 
     def test_inverse_distance_law(self):
         cfg = make_cfg()
-        h1 = free_space_coefficient([0, 0, 0], [0, 0, 2.0], cfg)
-        h2 = free_space_coefficient([0, 0, 0], [0, 0, 4.0], cfg)
-        assert abs(h2) == abs(h1) / 2
+        # power falls as 1/r^2, so amplitude as 1/r
+        far, near = power_gains(cfg, one_link(16.0)), power_gains(cfg, one_link(4.0))
+        assert far == near / 4
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError):
-            free_space_coefficient([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], make_cfg())
+        # A zero-length link would make 1/r singular. Every link spans at
+        # least the height, from the floor up to an antenna, and a height of
+        # zero is rejected.
+        with pytest.raises(ValueError, match="^height"):
+            make_cfg(height=0.0)
+        cfg = make_cfg(num_users=3)
+        rng = np.random.default_rng(16)
+        x = rng.uniform(-20.0, 20.0, (50, 3))
+        y = rng.uniform(-5.0, 5.0, (50, 3))
+        for d_sq in (pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg)),
+                     conv_distances_sq(cfg, x, y)):
+            assert d_sq.min() >= cfg.height ** 2
 
 
 class TestWaveguideFactor:
     def test_lossless_case_has_unit_magnitude(self):
         cfg = make_cfg(loss_case=LossCase.CASE_I)
-        f = waveguide_factor([-20.0, 0.0, 3.0], [5.0, 0.0, 3.0], cfg)
-        assert abs(f) == pytest.approx(1.0, rel=1e-15)
+        assert np.all(waveguide_amplitude(cfg, np.array([[-20.0, 5.0]])) == 1.0)
 
     def test_db_per_meter_amplitude(self):
         cfg = make_cfg(loss_case=LossCase.CASE_II)
-        f = waveguide_factor([0.0, 0.0, 3.0], [10.0, 0.0, 3.0], cfg)
-        # 0.8 dB total -> 10^(-0.8/20)
-        assert abs(f) == pytest.approx(0.9120108393559098, rel=1e-12)
+        # 10 m from the feed at x = -20: 0.8 dB total -> 10^(-0.8/20)
+        amp = waveguide_amplitude(cfg, np.array([[-10.0]]))
+        assert amp[0, 0] == pytest.approx(0.9120108393559098, rel=1e-12)
 
     def test_guided_wavelength_phase_wraps(self):
-        cfg = make_cfg()
-        f = waveguide_factor([0.0, 0.0, 3.0], [cfg.guided_wavelength, 0.0, 3.0], cfg)
-        assert math.isclose(f.imag, 0.0, abs_tol=1e-12)
-        assert f.real > 0
-
-    def test_different_waveguides_rejected(self):
-        cfg = make_cfg()
-        with pytest.raises(ValueError):
-            waveguide_factor([0.0, 0.0, 3.0], [1.0, 2.5, 3.0], cfg)
-        with pytest.raises(ValueError):
-            waveguide_factor([0.0, 0.0, 3.0], [1.0, 0.0, 2.0], cfg)
+        # with d_l = 2 guided wavelengths, an antenna at x = 0 is exactly one
+        # guided wavelength from the feed, so the waveguide adds no phase
+        lam_g = make_cfg().guided_wavelength
+        cfg = make_cfg(d_l=2.0 * lam_g)
+        d_sq = one_link(9.0)
+        s = power_gains(cfg, d_sq)
+        pinch = channel_coefficients(cfg, d_sq, s, np.zeros((1, 1)))
+        free = channel_coefficients(cfg, d_sq, s)
+        assert abs(pinch[0, 0, 0] - free[0, 0, 0]) <= 1e-12 * abs(free[0, 0, 0])
 
 
 class TestBuildChannelMatrix:
@@ -178,7 +196,6 @@ class TestBuildChannelMatrix:
                            system=SystemKind.PINCHING)
         chan = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
         assert np.all(chan.h == 0)
-        assert np.all(chan.magnitudes > 0)  # diagnostics keep the raw gains
 
     def test_user_under_waveguide_hits_max_gain(self):
         cfg = make_cfg(constrain_under_waveguide=True)
@@ -230,10 +247,9 @@ class TestBuildChannelMatrix:
         ones = BlockageState(alpha=np.ones((1, 1), dtype=int),
                              system=SystemKind.PINCHING)
         best = np.abs(build_channel_matrix(pl, ones, cfg, SystemKind.PINCHING).h[0, 0])
-        user = pl.user_positions[0]
         for dx in (-3.0, -0.5, 0.7, 4.0):
-            moved = np.array([[user[0] + dx, 0.0, cfg.height]])
-            mag = abs(free_space_coefficient(moved[0], user, cfg))
+            moved_sq = one_link(dx * dx + pl.y[0] ** 2 + cfg.height ** 2)
+            mag = math.sqrt(power_gains(cfg, moved_sq)[0, 0, 0])
             assert mag <= best * (1 + 1e-12)
 
     def test_deterministic_given_inputs(self):
@@ -244,6 +260,17 @@ class TestBuildChannelMatrix:
         a = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
         b = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
         assert np.array_equal(a.h, b.h)
+
+    def test_placement_of_another_user_count_rejected(self):
+        pl = sample_placement(make_cfg(num_users=2), np.random.default_rng(11))
+        cfg = make_cfg(num_users=3)
+        ones = BlockageState(alpha=np.ones((3, 3), dtype=int),
+                             system=SystemKind.PINCHING)
+        with pytest.raises(ValueError, match="num_users"):
+            build_channel_matrix(pl, ones, cfg, SystemKind.PINCHING)
+        with pytest.raises(ValueError, match="num_users"):
+            sample_blockage(pl, cfg, SystemKind.CONVENTIONAL,
+                            np.random.default_rng(12))
 
     def test_mismatched_system_kind_rejected(self):
         cfg = make_cfg()

@@ -111,6 +111,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="system.blockage_model"):
             parse_config(doc)
 
+    def test_target_axis_needs_the_outage_metric(self):
+        doc = manual_doc("run.sweep_axis = R_TARGET", "run.axis_values = 5, 6")
+        with pytest.raises(ConfigError, match="^run.sweep_axis: R_TARGET"):
+            parse_config(doc)
+
 
 def manual_doc(*lines: str, out="x.csv") -> str:
     """MANUAL_DOC with each of ``lines`` replacing its key's line, if any."""
@@ -268,6 +273,12 @@ KEY_DOMAINS = {
 }
 
 
+# Sweep values each axis admits; KEY_DOMAINS has the TX_POWER_DBM ones.
+POSITIVE_AXIS_VALUES = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5,
+                                unique=True).map(
+    lambda v: ", ".join(repr(x) for x in sorted(v)))
+
+
 @st.composite
 def valid_documents(draw):
     """Every required key, a random subset of the optional ones."""
@@ -275,6 +286,10 @@ def valid_documents(draw):
     for k in cli._KEYS:
         if k.default is cli._REQUIRED or draw(st.booleans()):
             values[k.key] = draw(KEY_DOMAINS[k.key])
+    if values["run.sweep_axis"] != "TX_POWER_DBM":
+        values["run.axis_values"] = draw(POSITIVE_AXIS_VALUES)
+    if values["run.sweep_axis"] == "R_TARGET":
+        values["run.metric"] = "OUTAGE"
     if values["run.metric"] == "OUTAGE" and values["run.sweep_axis"] != "R_TARGET":
         values.setdefault("run.r_target", draw(KEY_DOMAINS["run.r_target"]))
     lines = draw(st.permutations([f"{k} = {v}" for k, v in values.items()]))
@@ -521,6 +536,42 @@ class TestMainEntryPoint:
         assert err.startswith(f"error: {key}: ")
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["exp.cfg"]
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("D_L", (-5.0, 10.0), "value -5.0 for system.d_l must be > 0"),
+        ("R_TARGET", (0.0, 5.0), "value 0.0 for run.r_target must be > 0"),
+        ("TX_POWER_DBM", (10.0, 4000.0),
+         "value 4000.0 for system.tx_power_dbm must be finite"),
+    ], ids=["D_L", "R_TARGET", "TX_POWER_DBM"])
+    @pytest.mark.parametrize("command", ["simulate", "figure"])
+    def test_axis_value_out_of_its_domain_fails_before_any_run(
+            self, tmp_path, capsys, monkeypatch, command, axis, values, message):
+        out_dir = tmp_path / "figs"
+        if command == "simulate":
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(manual_doc(
+                "run.metric = OUTAGE", "run.r_target = 5",
+                f"run.sweep_axis = {axis}",
+                "run.axis_values = " + ", ".join(map(str, values)),
+                out=tmp_path / "a.csv"))
+            argv = ["simulate", str(cfg_path)]
+        else:
+            # figure takes no axis values, so a preset is made to carry them
+            original = cli.preset_fields
+
+            def bad_values(preset):
+                return {**original(preset), "run.sweep_axis": SweepAxis(axis),
+                        "run.axis_values": values}
+            monkeypatch.setattr(cli, "preset_fields", bad_values)
+            argv = ["figure", "fig2a", "--out", str(out_dir)]
+        sweeps = []
+        monkeypatch.setattr(cli, "sweep", lambda *a, **kw: sweeps.append(a))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: run.axis_values: {message}\n"
+        assert sweeps == []
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == (
+            ["exp.cfg"] if command == "simulate" else [])
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_bad_config_returns_nonzero(self, tmp_path, capsys):

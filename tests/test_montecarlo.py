@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 import oracles
 from pinchsim import (
     BlockageModel,
-    BlockageState,
     LossCase,
     MetricKind,
     OutageParams,
-    Placement,
     Scheme,
+    SchemeUsed,
     SweepAxis,
     SystemConfig,
     SystemKind,
     build_channel_matrix,
-    conventional_array_positions,
     conventional_rates,
     dbm_to_watt,
     design1_rates,
@@ -30,17 +28,17 @@ from pinchsim import (
     estimate_conv_rate_bound,
     estimate_ergodic,
     estimate_outage,
+    parse_config,
+    run_experiment,
+    sample_blockage,
+    sample_placement,
     sweep,
 )
-from pinchsim.channel import blockage_probability
-from pinchsim import montecarlo
-from pinchsim.montecarlo import (
-    _pin_distances_sq,
-    _rates_chunk,
-    _sample_user_xy,
-    chunk_generator,
-)
+from pinchsim import cli, montecarlo
+from pinchsim.channel import pin_distances_sq
+from pinchsim.montecarlo import _rates_chunk, _sample_user_xy, chunk_generator
 from pinchsim.scenario import waveguide_y_offsets
+from pinchsim.transceiver import zf_gains_batch
 
 
 def make_cfg(**kw):
@@ -56,7 +54,7 @@ class TestDistanceKernel:
         rng = np.random.default_rng(0)
         beta = waveguide_y_offsets(cfg)
         x, y = _sample_user_xy(cfg, 16, rng, beta)
-        d_sq = _pin_distances_sq(x, y, beta, cfg.height)
+        d_sq = pin_distances_sq(cfg, x, y, beta)
         for t in range(16):
             users = np.column_stack([x[t], y[t], np.zeros(3)])
             pinch = np.column_stack([x[t], beta, np.full(3, cfg.height)])
@@ -65,8 +63,8 @@ class TestDistanceKernel:
 
 
 class TestKernelMatchesReferencePath:
-    """The vectorized chunk kernels reproduce the scalar channel/transceiver
-    computation trial by trial when replaying the same random draws."""
+    """The chunk kernels reproduce, trial by trial, the per-link oracle of
+    tests/oracles.py evaluated on the same random draws."""
 
     @pytest.fixture(autouse=True)
     def small_sub_batches(self, monkeypatch):
@@ -74,47 +72,52 @@ class TestKernelMatchesReferencePath:
         # six sub-batches, the last one short
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * 2 * 2)
 
-    def replay(self, cfg, n, seed):
-        rng = chunk_generator(seed, 0, 0)
+    @staticmethod
+    def replay_placement(cfg, n, rng):
+        """A chunk's user drop, as rng.uniform draws: every x, then every y."""
         m = cfg.num_users
-        beta = waveguide_y_offsets(cfg)
-        x, y = _sample_user_xy(cfg, n, rng, beta)
-        placements, states_pin = [], []
-        users = np.stack([x, y, np.zeros_like(x)], axis=-1)
-        pinch = np.stack([x, np.broadcast_to(beta, x.shape),
-                          np.full_like(x, cfg.height)], axis=-1)
-        dist = np.linalg.norm(users[:, :, None, :] - pinch[:, None, :, :],
-                              axis=-1)
-        u = rng.random((n, m, m))
-        alpha = (u < blockage_probability(dist, cfg)).astype(int)
-        conv = conventional_array_positions(cfg)
-        feeds = np.stack([np.full_like(beta, -cfg.d_l / 2), beta,
-                          np.full_like(beta, cfg.height)], axis=-1)
-        for t in range(n):
-            placements.append(Placement(user_positions=users[t],
-                                        pinch_positions=pinch[t],
-                                        conv_positions=conv,
-                                        feed_positions=feeds))
-            states_pin.append(BlockageState(alpha=alpha[t],
-                                            system=SystemKind.PINCHING))
-        return placements, states_pin
+        x = rng.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, (n, m))
+        beta = np.array(oracles.waveguide_centers(cfg))
+        half = cfg.d_w / m / 2.0
+        return x, rng.uniform(beta - half, beta + half, (n, m))
 
     @pytest.mark.parametrize("loss_case", list(LossCase))
-    def test_pin_kernels_match_scalar_rates(self, loss_case):
+    def test_pin_kernels_match_scalar_rates(self, monkeypatch, loss_case):
         cfg = make_cfg(num_users=2, tx_power=1.0, loss_case=loss_case)
         n, seed = 40, 314
-        (d2_rates,) = _rates_chunk((Scheme.PIN_D2,), cfg, n,
-                                   chunk_generator(seed, 0, 0))
-        (d1_rates,) = _rates_chunk((Scheme.PIN_D1,), cfg, n,
-                                   chunk_generator(seed, 0, 0))
-        placements, states = self.replay(cfg, n, seed)
+        seen = []
+
+        def recording(h):
+            seen.append(h.copy())
+            return zf_gains_batch(h)
+
+        # the complex channels the kernel zero-forces; realizations with an
+        # empty row or column stay all zero
+        monkeypatch.setattr(montecarlo, "zf_gains_batch", recording)
+        d2_rates, d1_rates = _rates_chunk((Scheme.PIN_D2, Scheme.PIN_D1), cfg,
+                                          n, chunk_generator(seed, 0, 0))
+        kernel_h = np.concatenate(seen)
+
+        rng = chunk_generator(seed, 0, 0)
+        x, y = self.replay_placement(cfg, n, rng)
+        u = rng.random((n, 2, 2))
+        zero_forced = 0
         for t in range(n):
-            chan = build_channel_matrix(placements[t], states[t], cfg,
-                                        SystemKind.PINCHING)
-            assert np.allclose(d2_rates[t], design2_rates(chan, cfg).rates,
+            alpha = [[int(u[t, i, k] < oracles.los_probability(
+                cfg, oracles.pin_link_distance(cfg, x[t], y[t], i, k)))
+                for k in range(2)] for i in range(2)]
+            h = oracles.pin_channel(cfg, x[t], y[t], alpha)
+            assert np.allclose(d2_rates[t], oracles.design2_rates(cfg, h),
                                rtol=1e-9)
-            assert np.allclose(d1_rates[t], design1_rates(chan, cfg).rates,
+            assert np.allclose(d1_rates[t], oracles.design1_rates(cfg, h),
                                rtol=1e-9)
+            a = np.array(alpha)
+            if a.any(axis=0).all() and a.any(axis=1).all():
+                assert np.allclose(kernel_h[t], h, rtol=1e-9, atol=0.0)
+                zero_forced += 1
+            else:
+                assert not kernel_h[t].any()
+        assert zero_forced >= 10
 
     def test_conv_kernel_matches_scalar_rates(self):
         cfg = make_cfg(num_users=2, tx_power=1.0)
@@ -123,22 +126,49 @@ class TestKernelMatchesReferencePath:
                                 chunk_generator(seed, 0, 0))
         # replay the conventional draw order: x, y, then per-user uniforms
         rng = chunk_generator(seed, 0, 0)
-        beta = waveguide_y_offsets(cfg)
-        x, y = _sample_user_xy(cfg, n, rng, beta)
-        center_dist = np.sqrt(x * x + y * y + cfg.height ** 2)
+        x, y = self.replay_placement(cfg, n, rng)
         u = rng.random((n, 2))
-        alpha = (u < blockage_probability(center_dist, cfg)).astype(int)
-        conv = conventional_array_positions(cfg)
-        feeds = np.stack([np.full_like(beta, -cfg.d_l / 2), beta,
-                          np.full_like(beta, cfg.height)], axis=-1)
         for t in range(n):
-            users = np.stack([x[t], y[t], np.zeros(2)], axis=-1)
-            pinch = np.stack([x[t], beta, np.full(2, cfg.height)], axis=-1)
-            pl = Placement(user_positions=users, pinch_positions=pinch,
-                           conv_positions=conv, feed_positions=feeds)
-            st = BlockageState(alpha=alpha[t], system=SystemKind.CONVENTIONAL)
-            assert np.allclose(rates[t], conventional_rates(pl, st, cfg).rates,
+            alpha = [int(u[t, i] < oracles.los_probability(
+                cfg, math.sqrt(x[t, i] ** 2 + y[t, i] ** 2 + cfg.height ** 2)))
+                for i in range(2)]
+            assert np.allclose(rates[t], oracles.conv_rates(cfg, x[t], y[t], alpha),
                                rtol=1e-9)
+
+
+class TestPerRealizationViews:
+    """The per-realization API is the one-trial chunk: the same draws from
+    the same stream, and the same functions on them."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_one_trial_chunk_equals_the_per_realization_path(self, m):
+        for model, loss in itertools.product(BlockageModel, LossCase):
+            cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05,
+                           blockage_model=model, loss_case=loss)
+            for seed in range(10):
+                d1, d2 = _rates_chunk((Scheme.PIN_D1, Scheme.PIN_D2), cfg, 1,
+                                      chunk_generator(seed, 0, 0))
+                (conv,) = _rates_chunk((Scheme.CONV,), cfg, 1,
+                                       chunk_generator(seed, 0, 0))
+                rng = chunk_generator(seed, 0, 0)
+                pl = sample_placement(cfg, rng)
+                after_placement = rng.bit_generator.state
+                pin = sample_blockage(pl, cfg, SystemKind.PINCHING, rng)
+                rng.bit_generator.state = after_placement
+                st = sample_blockage(pl, cfg, SystemKind.CONVENTIONAL, rng)
+
+                assert np.array_equal(conventional_rates(pl, st, cfg).rates,
+                                      conv[0])
+                chan = build_channel_matrix(pl, pin, cfg, SystemKind.PINCHING)
+                assert np.allclose(design2_rates(chan, cfg).rates, d2[0],
+                                   rtol=1e-12, atol=0.0)
+                zf = design1_rates(chan, cfg)
+                if zf.scheme_used is SchemeUsed.ZF and m > 1:
+                    # the same H, so the same gains, bit for bit (a single
+                    # user's kernel rate is its Design II rate)
+                    assert np.array_equal(zf.rates, d1[0])
+                else:
+                    assert np.allclose(zf.rates, d1[0], rtol=1e-12, atol=0.0)
 
 
 class TestSubBatches:
@@ -175,6 +205,50 @@ class TestSubBatches:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+class TestBenchmarkCallSites:
+    """perfbench/run.py times the estimators by re-binding these names in
+    pinchsim.montecarlo (and sweep in pinchsim.cli); a change that stops
+    calling them through the module namespace would make its per-layer
+    metrics read -1."""
+
+    NAMES = ("estimate_outage", "estimate_ergodic", "chunk_generator",
+             "zf_gains_batch", "design2_rates_from_power",
+             "unblocked_probability_sq", "waveguide_y_offsets")
+
+    def test_every_traced_name_is_called(self, monkeypatch, tmp_path):
+        calls = dict.fromkeys(self.NAMES + ("cli.sweep",), 0)
+
+        def counting(module, name, key):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in self.NAMES:
+            counting(montecarlo, name, name)
+        counting(cli, "sweep", "cli.sweep")
+        for metric in ("OUTAGE", "ERGODIC_SUM"):
+            run_experiment(parse_config(f"""
+                system.num_users = 2
+                system.d_w = 10
+                system.d_l = 40
+                system.tx_power_dbm = 30
+                system.phi = 0.1
+                system.blockage_model = MODEL_A
+                run.schemes = PIN_D1, PIN_D2, CONV
+                run.metric = {metric}
+                run.sweep_axis = TX_POWER_DBM
+                run.axis_values = 30
+                run.r_target = 5
+                run.n_trials = 64
+                run.master_seed = 1
+                run.output = {tmp_path / metric}.csv
+                """))
+        assert all(calls.values()), calls
 
 
 class TestPlacementDraw:

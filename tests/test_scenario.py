@@ -7,14 +7,15 @@ import pytest
 
 from pinchsim import (
     BlockageModel,
+    LossCase,
     SystemConfig,
     conventional_array_positions,
     dbm_to_watt,
     sample_placement,
     watt_to_dbm,
-    waveguide_y_offset,
     waveguide_y_offsets,
 )
+from pinchsim.channel import pin_distances_sq, waveguide_amplitude
 from pinchsim.montecarlo import _sample_user_xy
 
 
@@ -68,10 +69,10 @@ class TestSystemConfig:
 class TestWaveguideOffsets:
     def test_hand_evaluated_examples(self):
         cfg2 = make_cfg(num_users=2)
-        assert waveguide_y_offset(1, cfg2) == pytest.approx(-2.5, abs=1e-12)
-        assert waveguide_y_offset(2, cfg2) == pytest.approx(2.5, abs=1e-12)
+        assert waveguide_y_offsets(cfg2)[0] == pytest.approx(-2.5, abs=1e-12)
+        assert waveguide_y_offsets(cfg2)[1] == pytest.approx(2.5, abs=1e-12)
         # single waveguide is centered by symmetry
-        assert waveguide_y_offset(1, make_cfg()) == pytest.approx(0.0, abs=1e-12)
+        assert waveguide_y_offsets(make_cfg())[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_spacing_and_symmetry(self):
         cfg = make_cfg(num_users=5)
@@ -88,12 +89,6 @@ class TestWaveguideOffsets:
         assert edges[-1] == pytest.approx(cfg.d_w / 2, abs=1e-12)
         # adjacent strips share exactly one edge
         assert np.allclose(offs[:-1] + half, offs[1:] - half, atol=1e-12)
-
-    def test_index_out_of_range(self):
-        cfg = make_cfg(num_users=3)
-        for bad in (0, 4, -1):
-            with pytest.raises(ValueError):
-                waveguide_y_offset(bad, cfg)
 
 
 class TestConventionalArray:
@@ -122,51 +117,64 @@ class TestSamplePlacement:
         cfg = make_cfg(num_users=3)
         a = sample_placement(cfg, np.random.default_rng(123))
         b = sample_placement(cfg, np.random.default_rng(123))
-        assert np.array_equal(a.user_positions, b.user_positions)
-        assert np.array_equal(a.pinch_positions, b.pinch_positions)
-        assert np.array_equal(a.feed_positions, b.feed_positions)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
+    def test_is_the_one_trial_batch_draw(self, m, constrained):
+        cfg = make_cfg(num_users=m, constrain_under_waveguide=constrained)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            pl = sample_placement(cfg, rng)
+            ref = np.random.default_rng(seed)
+            x, y = _sample_user_xy(cfg, 1, ref, waveguide_y_offsets(cfg))
+            assert np.array_equal(pl.x.view(np.int64), x[0].view(np.int64))
+            assert np.array_equal(pl.y.view(np.int64), y[0].view(np.int64))
+            assert rng.random() == ref.random()
 
     def test_constrained_user_sits_under_waveguide(self):
         cfg = make_cfg(constrain_under_waveguide=True)
         pl = sample_placement(cfg, np.random.default_rng(0))
-        x, y, z = pl.user_positions[0]
-        assert y == 0.0 and z == 0.0
-        assert np.allclose(pl.pinch_positions[0], [x, 0.0, 3.0])
+        assert pl.y[0] == 0.0
         # pinch-to-user distance collapses to the height exactly
-        dist = np.linalg.norm(pl.pinch_positions[0] - pl.user_positions[0])
-        assert dist == pytest.approx(3.0, abs=1e-12)
+        d_sq = pin_distances_sq(cfg, pl.x[None], pl.y[None],
+                                waveguide_y_offsets(cfg))
+        assert d_sq[0, 0, 0] == 9.0
 
     def test_users_stay_inside_their_strips(self):
         cfg = make_cfg(num_users=2)
         rng = np.random.default_rng(7)
         for _ in range(200):
             pl = sample_placement(cfg, rng)
-            xs = pl.user_positions[:, 0]
-            ys = pl.user_positions[:, 1]
-            assert np.all(np.abs(xs) <= cfg.d_l / 2)
-            assert -5.0 <= ys[0] <= 0.0
-            assert 0.0 <= ys[1] <= 5.0
+            assert np.all(np.abs(pl.x) <= cfg.d_l / 2)
+            assert -5.0 <= pl.y[0] <= 0.0
+            assert 0.0 <= pl.y[1] <= 5.0
 
     def test_pinch_antenna_follows_user_x(self):
+        # antenna m sits at (x_m, beta_m, height), so user m's own link has
+        # no x component
         cfg = make_cfg(num_users=3)
         pl = sample_placement(cfg, np.random.default_rng(5))
-        assert np.array_equal(pl.pinch_positions[:, 0], pl.user_positions[:, 0])
-        assert np.allclose(pl.pinch_positions[:, 1], waveguide_y_offsets(cfg))
-        d_sq = np.sum((pl.pinch_positions - pl.user_positions) ** 2, axis=1)
-        expected = (pl.user_positions[:, 1] - pl.pinch_positions[:, 1]) ** 2 + 9.0
-        assert np.allclose(d_sq, expected, rtol=1e-12)
+        beta = waveguide_y_offsets(cfg)
+        d_sq = pin_distances_sq(cfg, pl.x[None], pl.y[None], beta)[0]
+        expected = (pl.y - beta) ** 2 + 9.0
+        assert np.allclose(np.diag(d_sq), expected, rtol=1e-12)
+        cross = (pl.x[0] - pl.x[1]) ** 2 + (pl.y[0] - beta[1]) ** 2 + 9.0
+        assert d_sq[0, 1] == pytest.approx(cross, rel=1e-12)
 
     def test_feed_points_at_near_edge(self):
-        cfg = make_cfg(num_users=2)
-        pl = sample_placement(cfg, np.random.default_rng(1))
-        assert np.allclose(pl.feed_positions[:, 0], -20.0)
-        assert np.allclose(pl.feed_positions[:, 1], waveguide_y_offsets(cfg))
-        assert np.allclose(pl.feed_positions[:, 2], 3.0)
+        # the in-waveguide run starts at x = -d_l/2, where an antenna sees no
+        # loss, and spans d_l at the far edge
+        cfg = make_cfg(num_users=2, loss_case=LossCase.CASE_II)
+        amp = waveguide_amplitude(cfg, np.array([[-20.0, 20.0]]))
+        assert amp[0, 0] == 1.0
+        assert amp[0, 1] == pytest.approx(10.0 ** (-0.08 * 40.0 / 20.0), rel=1e-12)
 
     def test_placement_arrays_are_readonly(self):
         pl = sample_placement(make_cfg(), np.random.default_rng(2))
         with pytest.raises(ValueError):
-            pl.user_positions[0, 0] = 99.0
+            pl.x[0] = 99.0
 
     def test_empirical_mean_matches_uniform_moments(self):
         # batch sampler: mean of y over 1e6 draws within 3 sigma of the

@@ -5,25 +5,160 @@ The single-user outage study splits the outage event into "link blocked" and
 tau1 = sqrt(gain * P / (eps * sigma^2)), which the strip geometry clamps to
 [tau2, tau3]. Under the distance-squared blockage law (MODEL_B) everything
 reduces to error functions; under MODEL_A the strip integral has no
-elementary antiderivative and is evaluated by adaptive quadrature.
+elementary antiderivative and is evaluated by adaptive composite
+Gauss-Legendre quadrature in numpy (``_integrate``), after the substitution
+y = height * sinh(t) that makes its integrand entire.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import erf
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .scenario import BlockageModel, SystemConfig, waveguide_y_offsets
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Quadrature tolerances: integrands here are smooth, so these are easily met.
-_EPSABS = 1e-13
-_EPSREL = 1e-11
+# Adaptive quadrature: every panel is integrated with an _ORDER-node and a
+# 2*_ORDER-node Gauss-Legendre rule. A panel is accepted, with the finer
+# value, once the two agree to _RTOL of its own value or of the whole
+# integral's share of its width, whichever is larger, so the accepted
+# panels' disagreements sum to at most 2 * _RTOL of the integral of |f|;
+# otherwise it is bisected. One integral evaluates at most _MAX_PANELS
+# panels.
+_ORDER = 16
+_RTOL = 1e-13
+_MAX_PANELS = 512
+# Growth of the exponent phi * distance past which the MODEL_A integrand is
+# dropped: there it has fallen below 41 * exp(-40) < 2e-16 of its value at
+# the interval's start (or at its peak), and it decays faster from there.
+_DECAY = 40.0
+
+
+@functools.cache
+def _gl_rules(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the n- and 2n-node Gauss-Legendre rules mapped to [0, 1],
+    concatenated, and the (2, 3n) matrix that weights the values at those
+    nodes into the 2n-node integral and its excess over the n-node one."""
+    x1, w1 = leggauss(n)
+    x2, w2 = leggauss(2 * n)
+    nodes = np.concatenate([x1, x2]) / 2.0 + 0.5
+    weights = np.zeros((2, 3 * n))
+    weights[:, n:] = w2 / 2.0
+    weights[1, :n] = -w1 / 2.0
+    return nodes, weights
+
+
+def _out_of_panels(where: str) -> ArithmeticError:
+    return ArithmeticError(f"{where}: quadrature did not converge within "
+                           f"{_MAX_PANELS} panels")
+
+
+def _integrate(f, where: str):
+    """Integral of ``f`` over [0, 1] by adaptive Gauss-Legendre.
+
+    ``f`` maps a 1-D array of points to their values along the first axis;
+    any trailing axes hold independent integrands that share the panels
+    (a panel is accepted when all of them agree). The result is an array of
+    the trailing shape, 0-d for a scalar integrand. All open panels are
+    evaluated together, one ``f`` call per round of bisection. Raises
+    ArithmeticError, naming ``where``, when the panel budget runs out.
+    """
+    nodes, weights = _gl_rules(_ORDER)
+    if _MAX_PANELS < 1:
+        raise _out_of_panels(where)
+    # Most integrands here are resolved by the first panel, so that round
+    # skips the general loop's bookkeeping.
+    vals = f(nodes)
+    fine, excess = weights @ vals.reshape(nodes.size, -1)
+    if (np.abs(excess) <= _RTOL * np.abs(fine)).all():
+        return fine.reshape(vals.shape[1:])
+
+    lo = np.array([0.0, 0.5])
+    width = np.array([0.5, 0.5])
+    done = 0.0   # sum of the accepted panels' values
+    mass = 0.0   # sum of their absolute values
+    used = 1
+    while True:
+        used += lo.size
+        if used > _MAX_PANELS:
+            raise _out_of_panels(where)
+        vals = f((lo[:, None] + width[:, None] * nodes).ravel())
+        # (panel, [2n-node value, its excess over the n-node one], integrand)
+        est = weights @ vals.reshape(lo.size, nodes.size, -1)
+        est *= width[:, None, None]
+        fine = est[:, 0]
+        abs_fine = np.abs(fine)
+        share = width[:, None] * (mass + abs_fine.sum(axis=0))
+        tol = _RTOL * np.maximum(abs_fine, share)
+        ok = (np.abs(est[:, 1]) <= tol).all(axis=1)
+        if ok.all():
+            return (done + fine.sum(axis=0)).reshape(vals.shape[1:])
+        done = done + fine[ok].sum(axis=0)
+        mass = mass + abs_fine[ok].sum(axis=0)
+        lo, half = lo[~ok], width[~ok] / 2.0
+        lo = np.concatenate([lo, lo + half])
+        width = np.concatenate([half, half])
+
+
+def _t_interval(phi: float, height: float, lo: float,
+                hi: float) -> tuple[float, float, float]:
+    """Start and length of the t interval that y = height * sinh(t) maps
+    onto [lo, hi], with 0 <= lo <= hi and hi > 0, and the integrand
+    exp(-phi * sqrt(lo^2 + height^2)) at its start.
+
+    The interval ends early where the exponent phi * sqrt(y^2 + height^2)
+    has grown by _DECAY past its value at lo (or past 1, where the MODEL_A
+    integrand peaks): the rest is below float precision.
+    """
+    r_lo = math.hypot(lo, height)
+    t0 = math.asinh(lo / height)
+    # asinh(hi / height) - t0, without the cancellation when lo is near hi
+    span = math.asinh((hi - lo) * (hi + lo)
+                      / (hi * r_lo + lo * math.hypot(hi, height)))
+    if phi > 0.0:
+        top = (max(phi * r_lo, 1.0) + _DECAY) / (phi * height)
+        span = min(span, math.acosh(top) - t0)
+    return t0, span, math.exp(-phi * r_lo)
+
+
+def _scaled_strip_integral(phi: float, height, t0, span, where: str):
+    """Integral of exp(-phi * sqrt(y^2 + height^2)) over the y interval that
+    y = height * sinh(t) maps from [t0, t0 + span], divided by the
+    integrand's value exp(-phi * height * cosh(t0)) at its start.
+
+    ``height``, ``t0`` and ``span`` broadcast to one shape, and all those
+    integrals come from one quadrature. In t, with r = height * cosh(t),
+    the scaled integrand is r * exp(-phi * (r - r(t0))), which is entire,
+    so the kink near y = 0 at small heights costs no extra panels. Its
+    exponent is formed from r - r(t0) = 2 height sinh(t0 + tau/2)
+    sinh(tau/2), tau = t - t0, so it carries no rounding error of the
+    size of phi * r, however far the strip is.
+    """
+    start = height * np.cosh(t0)
+    half_span = np.multiply(span, 0.5)
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        half = np.multiply.outer(u, half_span)
+        rise = np.sinh(t0 + half)
+        rise *= np.sinh(half)
+        rise *= 2.0 * height
+        return span * (start + rise) * np.exp(-phi * rise)
+
+    return _integrate(integrand, where)
+
+
+def _strip_integrals(cfg: SystemConfig, pieces, where: str) -> np.ndarray:
+    """Integral of exp(-phi * sqrt(y^2 + height^2)) over each y interval
+    (lo, hi) in ``pieces`` (0 <= lo <= hi, hi > 0), from one quadrature."""
+    t0, span, start = np.array([_t_interval(cfg.phi, cfg.height, lo, hi)
+                                for lo, hi in pieces]).T
+    return _scaled_strip_integral(cfg.phi, cfg.height, t0, span, where) * start
 
 
 @dataclass(frozen=True)
@@ -87,11 +222,14 @@ def strip_los_integral(a: float, b: float, cfg: SystemConfig) -> float:
         raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
         return 0.0
-    phi = cfg.phi
-    d = cfg.height
-    val, _ = quad(lambda y: math.exp(-phi * math.sqrt(y * y + d * d)),
-                  a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
-    return val / cfg.d_w
+    # The integrand is even: an interval across 0 is two intervals from 0,
+    # and a negative one is its mirror image.
+    if a < 0.0 < b:
+        pieces = [(0.0, -a), (0.0, b)]
+    else:
+        pieces = [sorted((abs(a), abs(b)))]
+    mass = _strip_integrals(cfg, pieces, "strip_los_integral")
+    return float(mass.sum()) / cfg.d_w
 
 
 def _check_model(cfg: SystemConfig, model: BlockageModel, where: str) -> None:
@@ -109,15 +247,17 @@ def outage_pin_model_a(p: OutageParams) -> float:
     """Exact single-user pinching outage probability under MODEL_A.
 
     Sum of the blockage mass over the strip and the unblocked mass of the
-    out-of-range tails beyond the distance threshold.
+    out-of-range tails beyond the distance threshold. Both are even in y,
+    so they come from the masses of [0, d_w/2] and [tau3, d_w/2], which one
+    quadrature evaluates together.
     """
     _check_model(p.cfg, BlockageModel.MODEL_A, "outage_pin_model_a")
     cfg = p.cfg
     t = threshold_geometry(p)
     half = cfg.d_w / 2.0
-    val = (1.0 - strip_los_integral(-half, half, cfg)
-           + strip_los_integral(-half, t.tau2, cfg)
-           + strip_los_integral(t.tau3, half, cfg))
+    whole, tail = _strip_integrals(cfg, [(0.0, half), (t.tau3, half)],
+                                   "outage_pin_model_a").tolist()
+    val = 1.0 - 2.0 * (whole - tail) / cfg.d_w
     return _check_probability(val, "outage_pin_model_a")
 
 
@@ -125,8 +265,9 @@ def outage_pin_model_a_highsnr(p: OutageParams) -> float:
     """High-SNR floor of the MODEL_A pinching outage: pure blockage mass."""
     _check_model(p.cfg, BlockageModel.MODEL_A, "outage_pin_model_a_highsnr")
     cfg = p.cfg
-    half = cfg.d_w / 2.0
-    val = 1.0 - strip_los_integral(-half, half, cfg)
+    whole = _strip_integrals(cfg, [(0.0, cfg.d_w / 2.0)],
+                             "outage_pin_model_a_highsnr")
+    val = 1.0 - 2.0 * float(whole[0]) / cfg.d_w
     return _check_probability(val, "outage_pin_model_a_highsnr")
 
 
@@ -134,22 +275,34 @@ def outage_conv_model_a_highsnr(p: OutageParams) -> float:
     """High-SNR conventional outage under MODEL_A by 2-D quadrature.
 
     Averages the blockage probability of the fixed center antenna over the
-    whole service area (symmetry reduces the domain to one quadrant).
+    whole service area (symmetry reduces the domain to one quadrant). With
+    x = height * sinh(s), the y integral at each x is the strip integral at
+    height c = sqrt(x^2 + height^2) = height * cosh(s), and dx = c ds; the
+    outer and inner nodes form one tensor grid per round. The factor
+    exp(-phi * height) stays outside both quadratures, and the outer
+    exponent uses c - height = 2 height sinh(s/2)^2.
     """
-    _check_model(p.cfg, BlockageModel.MODEL_A, "outage_conv_model_a_highsnr")
+    where = "outage_conv_model_a_highsnr"
+    _check_model(p.cfg, BlockageModel.MODEL_A, where)
     cfg = p.cfg
-    phi = cfg.phi
-    d2 = cfg.height ** 2
+    phi, height = cfg.phi, cfg.height
 
-    def inner(x: float) -> float:
-        val, _ = quad(lambda y: math.exp(-phi * math.sqrt(x * x + y * y + d2)),
-                      0.0, cfg.d_w / 2.0, epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
-        return val
+    def over_x(s: np.ndarray) -> np.ndarray:
+        rise = 2.0 * height * np.sinh(s / 2.0) ** 2
+        c = height + rise
+        # _t_interval(phi, c, 0, d_w / 2) for every c at once
+        span = np.arcsinh(cfg.d_w / 2.0 / c)
+        if phi > 0.0:
+            span = np.minimum(span, np.arccosh(
+                (np.maximum(phi * c, 1.0) + _DECAY) / (phi * c)))
+        inner = _scaled_strip_integral(phi, c, 0.0, span, where)
+        return c * np.exp(-phi * rise) * inner
 
-    outer, _ = quad(inner, 0.0, cfg.d_l / 2.0,
-                    epsabs=_EPSABS, epsrel=1e-9, limit=200)
-    val = 1.0 - 4.0 * outer / (cfg.d_w * cfg.d_l)
-    return _check_probability(val, "outage_conv_model_a_highsnr")
+    s_max = math.asinh(cfg.d_l / (2.0 * height))
+    mass = (math.exp(-phi * height) * s_max
+            * float(_integrate(lambda u: over_x(s_max * u), where)))
+    val = 1.0 - 4.0 * mass / (cfg.d_w * cfg.d_l)
+    return _check_probability(val, where)
 
 
 def outage_pin_model_b(p: OutageParams) -> float:

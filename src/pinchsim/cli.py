@@ -666,7 +666,6 @@ def reproduce_figure(figure_id, output_dir, *, n_trials: int | None = None,
             ) from None
 
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = preset.value.lower()
     overrides = {key: str(value) for key, value in (
         ("run.n_trials", n_trials), ("run.master_seed", master_seed),
@@ -689,6 +688,8 @@ def reproduce_figure(figure_id, output_dir, *, n_trials: int | None = None,
                       cfg.run.metric,
                       logscale=cfg.run.metric is MetricKind.OUTAGE)
     files.append((out_dir / f"{name}.gp", stub))
+    # Made only now, so a figure that fails leaves no directory behind.
+    out_dir.mkdir(parents=True, exist_ok=True)
     return _write_files(files)
 
 

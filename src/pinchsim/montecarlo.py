@@ -21,10 +21,15 @@ A chunk is evaluated in sub-batches of about SUB_LINKS links so that its
 temporaries stay cache-sized. Every random number is still drawn in trial
 order from the chunk's stream, so the sub-batch size never changes a draw,
 a rate or an estimate.
+
+Chunk memory stays mapped from one chunk to the next: before the first
+chunk of the process, one untouched block larger than a chunk's working set
+is allocated and freed (see ``_prime_heap``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -61,6 +66,13 @@ CHUNK_TRIALS = 8192
 # never changes the random draws (see _pin_rates), so it is free to tune
 # without changing any estimate.
 SUB_LINKS = 1 << 16
+
+# Bound on the heap one chunk uses at M <= 16: at most 8 float64
+# (CHUNK_TRIALS, M) per-user arrays and 16 float64 sub-batch temporaries of
+# SUB_LINKS links (tracemalloc peaks of _rates_chunk with all three schemes:
+# 0.64 MiB at M=1, 6.3 MiB at M=5, 10.5 MiB at M=16). It must stay below
+# 32 MiB, glibc's cap on its dynamic mmap threshold.
+_CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
 
 
 class Scheme(Enum):
@@ -117,7 +129,24 @@ def _chunk_sizes(n_trials: int) -> list[int]:
     return [min(CHUNK_TRIALS, n_trials - i * CHUNK_TRIALS) for i in range(n_chunks)]
 
 
+@functools.cache
+def _prime_heap() -> None:
+    """Keep chunk memory mapped between chunks, once per process.
+
+    glibc serves a request above its mmap threshold (128 KiB at start-up)
+    with a fresh mapping, and returns the free top of the heap to the OS
+    once it exceeds its trim threshold (also 128 KiB); either way the next
+    chunk faults its pages back in. Freeing a mapped block of up to 32 MiB
+    raises the mmap threshold to that block's size and the trim threshold
+    to twice it. A block just over _CHUNK_HEAP_BYTES, never touched, so
+    costing no page faults, lifts both above a chunk's working set. Other
+    allocators ignore it.
+    """
+    np.empty(_CHUNK_HEAP_BYTES, dtype=np.uint8)
+
+
 def _map_ordered(fn, n_chunks: int, workers: int) -> list:
+    _prime_heap()
     if workers <= 1 or n_chunks == 1:
         return [fn(i) for i in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

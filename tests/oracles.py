@@ -142,6 +142,68 @@ def pin_los_mass_model_b(cfg: SystemConfig, a: float, b: float) -> float:
     return _quad(lambda y: math.exp(-phi * (y * y + d * d)), a, b) / cfg.d_w
 
 
+def strip_los_mass_mp(cfg: SystemConfig, a: float, b: float,
+                      dps: int = 30) -> float:
+    """int_a^b exp(-phi sqrt(y^2 + d^2)) dy, 0 <= a <= b, by mpmath's
+    tanh-sinh quadrature in y itself, in ``dps``-digit arithmetic.
+
+    The interval is cut where the integrand changes scale: at d * 2^k
+    around its curvature near y = 0, and wherever the exponent
+    phi * sqrt(y^2 + d^2) has grown by another 2 over its value at a, for
+    the first 40.
+    """
+    phi, d = cfg.phi, cfg.height
+    cuts = {a, b}
+    r = d / 8.0
+    while r < b:
+        cuts.add(r)
+        r *= 2.0
+    if phi > 0:
+        r_a = math.hypot(a, d)
+        cuts.update(math.sqrt((r_a + 2.0 * j / phi) ** 2 - d * d)
+                    for j in range(1, 21))
+    cuts = sorted(c for c in cuts if a <= c <= b)
+    with mpmath.workdps(dps):
+        # mpmath's error target is absolute, so the integrand is scaled to
+        # 1 at y = a and the scale put back afterwards.
+        r_a = mpmath.sqrt(mpmath.mpf(a) ** 2 + mpmath.mpf(d) ** 2)
+        val = mpmath.quad(
+            lambda y: mpmath.exp(-phi * (mpmath.sqrt(y * y + d * d) - r_a)),
+            cuts)
+        return float(val * mpmath.exp(-phi * r_a))
+
+
+def conv_los_mass_model_a_mp(cfg: SystemConfig, dps: int = 30) -> float:
+    """Area-averaged MODEL_A unblocked probability of the center antenna,
+    in ``dps``-digit arithmetic and in polar coordinates.
+
+    Over a disc sector the radial integral is elementary:
+    int_0^R exp(-phi sqrt(r^2 + d^2)) r dr = int_d^U u exp(-phi u) du with
+    U = sqrt(R^2 + d^2). So one quadrant is a 1-D mpmath integral over the
+    angle, split where the ray leaves the rectangle through its corner.
+    The factor exp(-phi d) is kept outside the quadrature, whose error
+    target is absolute.
+    """
+    with mpmath.workdps(dps):
+        phi, d = mpmath.mpf(cfg.phi), mpmath.mpf(cfg.height)
+        half_l, half_w = mpmath.mpf(cfg.d_l) / 2, mpmath.mpf(cfg.d_w) / 2
+
+        def radial(rr):
+            # exp(phi d) * int_0^rr exp(-phi sqrt(r^2 + d^2)) r dr
+            u = mpmath.sqrt(rr * rr + d * d)
+            if phi == 0:
+                return rr * rr / 2
+            return ((phi * d + 1)
+                    - (phi * u + 1) * mpmath.exp(-phi * (u - d))) / phi ** 2
+
+        corner = mpmath.atan2(half_w, half_l)
+        quadrant = (mpmath.quad(lambda t: radial(half_l / mpmath.cos(t)),
+                                [0, corner])
+                    + mpmath.quad(lambda t: radial(half_w / mpmath.sin(t)),
+                                  [corner, mpmath.pi / 2]))
+        return float(quadrant * mpmath.exp(-phi * d) / (half_l * half_w))
+
+
 def outage_pin_quadrature(p: OutageParams) -> float:
     """Single-user pinching outage from its three defining integrals."""
     cfg = p.cfg

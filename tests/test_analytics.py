@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
+from pinchsim import analytics
 from pinchsim import (
     BlockageModel,
     OutageParams,
@@ -93,6 +94,89 @@ class TestStripIntegral:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
             strip_los_integral(1.0, 0.0, make_cfg())
+
+
+class TestQuadratureEngine:
+    """The adaptive Gauss-Legendre engine behind the MODEL_A analytics."""
+
+    def test_exact_for_polynomials_the_coarse_rule_integrates(self):
+        k = 2 * analytics._ORDER - 1
+        val = analytics._integrate(lambda x: (x - 0.25) ** k, "poly")
+        assert val.shape == ()
+        expected = (0.75 ** (k + 1) - (-0.25) ** (k + 1)) / (k + 1)
+        assert float(val) == pytest.approx(expected, rel=1e-14)
+
+    def test_bisects_to_a_kink(self):
+        val = analytics._integrate(lambda x: np.abs(x - 1.0 / 3.0), "kink")
+        assert float(val) == pytest.approx(5.0 / 18.0, rel=1e-12)
+
+    def test_integrands_on_trailing_axes_share_panels(self):
+        powers = np.arange(6.0).reshape(2, 3)
+        val = analytics._integrate(
+            lambda x: np.sqrt(np.multiply.outer(x, np.ones((2, 3)))) ** powers,
+            "powers")
+        assert val.shape == (2, 3)
+        np.testing.assert_allclose(val, 1.0 / (powers / 2.0 + 1.0),
+                                   rtol=1e-12)
+
+    def test_running_out_of_panels_raises_naming_the_caller(self, monkeypatch):
+        monkeypatch.setattr(analytics, "_MAX_PANELS", 4)
+        with pytest.raises(ArithmeticError, match="^sqrt: quadrature "):
+            analytics._integrate(np.sqrt, "sqrt")
+
+
+def target_placing_threshold(cfg, s):
+    """A target rate whose in-range half-width threshold_geometry(p).s is s."""
+    eps = (cfg.path_gain_factor * cfg.tx_power
+           / (cfg.noise_power * (s * s + cfg.height ** 2)))
+    return math.log2(1.0 + eps)
+
+
+# Corners of the range SystemConfig admits, far beyond the presets: heights
+# down to 1 cm, phi up to 5 / m, d_l up to 1 km, and strips from 0.5 to 200 m.
+WIDE_HEIGHTS = (0.01, 3.0, 30.0)
+WIDE_PHIS = (0.0, 0.1, 5.0)
+
+
+class TestModelAAnalyticsAcrossRange:
+    """The MODEL_A quadratures against mpmath references in y itself (1-D)
+    and in polar coordinates (2-D)."""
+
+    @pytest.mark.parametrize("phi", WIDE_PHIS)
+    @pytest.mark.parametrize("height", WIDE_HEIGHTS)
+    @pytest.mark.parametrize("d_w", (1.0, 200.0))
+    def test_strip_masses_and_pinching_outage(self, d_w, height, phi):
+        cfg = make_cfg(d_w=d_w, height=height, phi=phi)
+        half = d_w / 2.0
+        p = OutageParams(cfg=cfg, r_target=target_placing_threshold(
+            cfg, 0.4 * half))
+        tau3 = threshold_geometry(p).tau3
+        assert tau3 == pytest.approx(0.4 * half, rel=1e-9)
+        whole = oracles.strip_los_mass_mp(cfg, 0.0, half) / d_w
+        tail = oracles.strip_los_mass_mp(cfg, tau3, half) / d_w
+        edge = oracles.strip_los_mass_mp(cfg, (1.0 - 1e-6) * half, half) / d_w
+
+        for (a, b), ref in [((0.0, half), whole), ((tau3, half), tail),
+                            ((-half, -tau3), tail),
+                            ((-tau3, half), 2.0 * whole - tail),
+                            (((1.0 - 1e-6) * half, half), edge)]:
+            assert strip_los_integral(a, b, cfg) == pytest.approx(
+                ref, rel=1e-12, abs=0.0)
+        assert outage_pin_model_a(p) == pytest.approx(
+            1.0 - 2.0 * (whole - tail), rel=1e-12, abs=1e-14)
+        assert outage_pin_model_a_highsnr(p) == pytest.approx(
+            1.0 - 2.0 * whole, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("phi", WIDE_PHIS)
+    @pytest.mark.parametrize("height", WIDE_HEIGHTS)
+    @pytest.mark.parametrize("d_w, d_l", [(0.5, 1000.0), (10.0, 40.0),
+                                          (200.0, 1.0)])
+    def test_conventional_outage(self, d_w, d_l, height, phi):
+        cfg = make_cfg(d_w=d_w, d_l=d_l, height=height, phi=phi)
+        p = OutageParams(cfg=cfg, r_target=7.0)
+        ref = 1.0 - oracles.conv_los_mass_model_a_mp(cfg)
+        assert outage_conv_model_a_highsnr(p) == pytest.approx(
+            ref, rel=1e-12, abs=1e-14)
 
 
 class TestOutagePinModelA:

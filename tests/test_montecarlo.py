@@ -2,7 +2,12 @@
 
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +210,62 @@ class TestSubBatches:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+# Runs an M=1 outage estimate over 32 chunks and an M=16 ergodic estimate
+# over 8, each after a warm-up run, and prints the minor page faults per
+# chunk of each.
+_FAULTS_PER_CHUNK = """
+import resource, sys
+from pinchsim import (BlockageModel, OutageParams, Scheme, SystemConfig,
+                      estimate_ergodic, estimate_outage)
+from pinchsim.montecarlo import CHUNK_TRIALS
+assert "scipy" not in sys.modules
+schemes = (Scheme.PIN_D2, Scheme.CONV)
+one = OutageParams(cfg=SystemConfig(
+    num_users=1, d_w=10.0, d_l=40.0, tx_power=0.01, phi=0.1,
+    blockage_model=BlockageModel.MODEL_A), r_target=8.0)
+many = SystemConfig(num_users=16, d_w=10.0, d_l=40.0, tx_power=0.01, phi=0.1,
+                    blockage_model=BlockageModel.MODEL_B)
+for run, chunks in (
+        (lambda n: estimate_outage(schemes, one, n * CHUNK_TRIALS, 1), 32),
+        (lambda n: estimate_ergodic(schemes, many, n * CHUNK_TRIALS, 1), 8)):
+    run(2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(chunks)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / chunks)
+"""
+
+
+class TestChunkMemory:
+    """Chunk memory is allocated once and stays mapped between chunks."""
+
+    @pytest.mark.parametrize("m", [1, 5, 16])
+    def test_working_set_within_the_primed_heap(self, m):
+        cfg = make_cfg(num_users=m, tx_power=1.0, loss_case=LossCase.CASE_II)
+        tracemalloc.start()
+        try:
+            _rates_chunk(tuple(Scheme), cfg, montecarlo.CHUNK_TRIALS,
+                         chunk_generator(1, 0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo._CHUNK_HEAP_BYTES < 32 * 2 ** 20
+
+    @pytest.mark.skipif(sys.platform != "linux"
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="glibc malloc thresholds")
+    def test_chunks_take_no_page_faults_once_warm(self):
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTS_PER_CHUNK], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        per_chunk = [float(v) for v in proc.stdout.split()]
+        assert len(per_chunk) == 2
+        assert all(v < 10 for v in per_chunk), per_chunk
 
 
 class TestBenchmarkCallSites:

@@ -93,16 +93,22 @@ def pin_distances_sq(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     Antenna m sits at (x[:, m], beta[m], height); ``beta`` is
     ``waveguide_y_offsets(cfg)``.
     """
-    dx = x[:, :, None] - x[:, None, :]
+    d = x[:, :, None] - x[:, None, :]
+    d *= d
     dy = y[:, :, None] - beta[None, None, :]
-    return dx * dx + dy * dy + cfg.height * cfg.height
+    dy *= dy
+    d += dy
+    d += cfg.height * cfg.height
+    return d
 
 
 def conv_distances_sq(cfg: SystemConfig, x: np.ndarray,
                       y: np.ndarray) -> np.ndarray:
     """Squared user-to-element distances of the conventional array, (n, M, M)."""
-    dx = x[:, :, None] - conventional_array_positions(cfg)[None, None, :, 0]
-    return dx * dx + (y * y + cfg.height ** 2)[:, :, None]
+    d = x[:, :, None] - conventional_array_positions(cfg)[None, None, :, 0]
+    d *= d
+    d += (y * y + cfg.height ** 2)[:, :, None]
+    return d
 
 
 def center_distances_sq(cfg: SystemConfig, x: np.ndarray,
@@ -119,9 +125,15 @@ def unblocked_probability_sq(dist_sq, cfg: SystemConfig):
     which needs no square root.
     """
     dsq = np.asarray(dist_sq, dtype=float)
+    # Built in place in one array; a scalar input gives a scalar.
+    p = np.empty(dsq.shape)
     if cfg.blockage_model is BlockageModel.MODEL_A:
-        return np.exp(-cfg.phi * np.sqrt(dsq))
-    return np.exp(-cfg.phi * dsq)
+        np.sqrt(dsq, out=p)
+        p *= -cfg.phi
+    else:
+        np.multiply(dsq, -cfg.phi, out=p)
+    np.exp(p, out=p)
+    return p if p.ndim else p[()]
 
 
 def _guided_length(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
@@ -147,10 +159,11 @@ def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
     conventional array.
     """
     s = cfg.path_gain_factor / dist_sq
-    if pinch_x is None:
-        return s
-    amp = waveguide_amplitude(cfg, pinch_x)
-    return s * (amp * amp)[:, None, :]
+    if pinch_x is not None:
+        amp = waveguide_amplitude(cfg, pinch_x)
+        amp *= amp
+        s *= amp[:, None, :]
+    return s
 
 
 def channel_coefficients(cfg: SystemConfig, dist_sq: np.ndarray,

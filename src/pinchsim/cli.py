@@ -467,25 +467,31 @@ def _metric_label(kind: MetricKind, user_index: int | None = None) -> str:
 
 
 def _closed_form_entries(scheme: Scheme, cfg: ExperimentConfig,
-                         cfg_point: SystemConfig,
-                         r_target: float | None) -> list[tuple[str, float]]:
-    """Analytical counterparts of a simulated point, when one exists."""
+                         cfg_point: SystemConfig, r_target: float | None,
+                         floors: dict) -> list[tuple[str, float]]:
+    """Analytical counterparts of a simulated point, when one exists.
+
+    ``floors`` maps (analytic, point config) to a high-SNR outage floor
+    already evaluated in this run. The floors do not depend on the target
+    rate, so an R_TARGET sweep evaluates each once.
+    """
     metric = cfg.run.metric
     if metric is MetricKind.OUTAGE:
         if cfg_point.num_users != 1 or r_target is None:
             return []
         p = OutageParams(cfg=cfg_point, r_target=r_target)
-        if scheme in (Scheme.PIN_D1, Scheme.PIN_D2):
-            if cfg_point.blockage_model is BlockageModel.MODEL_A:
-                value = outage_pin_model_a_highsnr(p)
-            else:
-                value = outage_pin_model_b(p)
+        model_a = cfg_point.blockage_model is BlockageModel.MODEL_A
+        if scheme is Scheme.CONV:
+            floor = (outage_conv_model_a_highsnr if model_a
+                     else outage_conv_model_b_highsnr)
+        elif model_a:
+            floor = outage_pin_model_a_highsnr
         else:
-            if cfg_point.blockage_model is BlockageModel.MODEL_A:
-                value = outage_conv_model_a_highsnr(p)
-            else:
-                value = outage_conv_model_b_highsnr(p)
-        return [("OUTAGE", value)]
+            return [("OUTAGE", outage_pin_model_b(p))]
+        key = (floor, cfg_point)
+        if key not in floors:
+            floors[key] = floor(p)
+        return [("OUTAGE", floors[key])]
 
     two_user_case = (scheme is Scheme.PIN_D2
                      and cfg_point.num_users == 2
@@ -508,6 +514,7 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
     """
     run = cfg.run
     rows: list[dict] = []
+    floors: dict = {}
     per_scheme = sweep(cfg.system, run.schemes, run.sweep_axis, run.axis_values,
                        run.metric, run.n_trials, run.master_seed,
                        r_target=run.r_target, workers=run.workers)
@@ -520,7 +527,8 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
             if run.analytics:
                 cfg_point, rt = apply_axis(cfg.system, run.sweep_axis,
                                            point.axis_value, run.r_target)
-                for label, value in _closed_form_entries(scheme, cfg, cfg_point, rt):
+                for label, value in _closed_form_entries(scheme, cfg, cfg_point, rt,
+                                                         floors):
                     est = MetricEstimate(value=value, ci_half_width=0.0,
                                          n_trials=0, metric_kind=run.metric,
                                          provenance=Provenance.CLOSED_FORM)

@@ -14,8 +14,10 @@ scheme of an estimator call is evaluated from one pass over each chunk's
 stream. All schemes therefore see the same user placements, PIN_D1 and
 PIN_D2 also see the same blockage, and scheme comparisons are paired. A
 scheme's rates never depend on which other schemes run with it: the
-conventional scheme reads its blockage uniforms from the same point of the
-stream, right after the placement, as when it runs alone.
+conventional scheme's blockage uniforms are the first of the ones the
+pinching schemes draw right after the placement, so it reads them from that
+draw, without rewinding the stream, and reads the same uniforms as when it
+runs alone.
 
 A chunk is evaluated in sub-batches of about SUB_LINKS links so that its
 temporaries stay cache-sized. Every random number is still drawn in trial
@@ -69,9 +71,9 @@ SUB_LINKS = 1 << 16
 
 # Bound on the heap one chunk uses at M <= 16: at most 8 float64
 # (CHUNK_TRIALS, M) per-user arrays and 16 float64 sub-batch temporaries of
-# SUB_LINKS links (tracemalloc peaks of _rates_chunk with all three schemes:
-# 0.64 MiB at M=1, 6.3 MiB at M=5, 10.5 MiB at M=16). It must stay below
-# 32 MiB, glibc's cap on its dynamic mmap threshold.
+# SUB_LINKS links (tracemalloc peaks of _rates_chunk with all three schemes,
+# CASE_II: 1.5 MiB at M=1, 6.7 MiB at M=5, 12.0 MiB at M=16). It must stay
+# below 32 MiB, glibc's cap on its dynamic mmap threshold.
 _CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
 
 
@@ -160,13 +162,16 @@ def _sub_batches(n: int, m: int) -> list[slice]:
 
 
 def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-               beta: np.ndarray, rng: np.random.Generator,
-               zero_force: bool) -> tuple[np.ndarray, np.ndarray | None]:
+               beta: np.ndarray, rng: np.random.Generator, zero_force: bool,
+               conv_u: np.ndarray | None
+               ) -> tuple[np.ndarray, np.ndarray | None]:
     """Design II and Design I rates of the pinching system on one placement.
 
     Draws the (n, M, M) blockage uniforms, which both designs share. The
     Design I rates are None unless ``zero_force``; with one user they are
-    the Design II array itself.
+    the Design II array itself. ``conv_u``, an (n, M) array or None, is
+    filled with the first n M of those uniforms: the ones the conventional
+    scheme draws from the same point of the stream when it runs alone.
     """
     n, m = x.shape
     d2 = np.empty((n, m))
@@ -183,37 +188,41 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
         p_los = unblocked_probability_sq(dist_sq, cfg)
         # Blockage uniforms are drawn sub-batch by sub-batch in trial order,
         # which consumes the stream exactly as one (n, M, M) draw would.
-        alpha = rng.random(dist_sq.shape) < p_los
+        u = rng.random(dist_sq.shape)
+        lo = b.start * m * m
+        if conv_u is not None and lo < conv_u.size:
+            k = min(u.size, conv_u.size - lo)
+            conv_u.reshape(-1)[lo:lo + k] = u.reshape(-1)[:k]
+        alpha = u < p_los
         # The gains are finite and positive, so this equals where(alpha, s, 0).
-        s_eff = power_gains(cfg, dist_sq, xb) * alpha
+        s_eff = power_gains(cfg, dist_sq, xb)
+        s_eff *= alpha
         d2[b] = design2_rates_from_power(s_eff, cfg.tx_power,
                                          cfg.noise_power, m)
         if d1 is None or d1 is d2:
             continue
 
-        # A realization with an empty row or column cannot be zero-forced;
-        # its h stays zero, zf_gains_batch rejects it, and it keeps its
-        # Design II rate. Only the others need the complex phase.
-        live = no_empty_line(alpha)
-        h = np.zeros(dist_sq.shape, dtype=complex)
-        h[live] = channel_coefficients(cfg, dist_sq[live], s_eff[live],
-                                       xb[live])
+        # A realization with an empty row or column cannot be zero-forced
+        # and keeps its Design II rate; only the others are assembled and
+        # passed to zf_gains_batch.
+        live = np.flatnonzero(no_empty_line(alpha))
+        h = channel_coefficients(cfg, dist_sq[live], s_eff[live], xb[live])
         gains, ok = zf_gains_batch(h)
 
         out = d1[b]
         out[...] = d2[b]
-        if np.any(ok):
-            out[ok] = design1_rates_from_gains(gains[ok], cfg.tx_power,
-                                               cfg.noise_power)
+        out[live[ok]] = design1_rates_from_gains(gains[ok], cfg.tx_power,
+                                                 cfg.noise_power)
     return d2, d1
 
 
 def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    """Conventional-array rates on one placement; draws the (n, M) blockage."""
+                u: np.ndarray) -> np.ndarray:
+    """Conventional-array rates on one placement, given its (n, M) blockage
+    uniforms."""
     n, m = x.shape
     center_sq = center_distances_sq(cfg, x, y)
-    alpha = rng.random(center_sq.shape) < unblocked_probability_sq(center_sq, cfg)
+    alpha = u < unblocked_probability_sq(center_sq, cfg)
 
     rates = np.empty((n, m))
     for b in _sub_batches(n, m):
@@ -231,24 +240,25 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
 
     The placement is drawn once. The pinching schemes share the blockage
     draw that follows it and everything up to the Design II rates. The
-    conventional scheme rewinds the stream to the end of the placement
-    before its own blockage draw, so it reads the uniforms it reads alone.
-    A repeated scheme gets the same array again.
+    conventional scheme's (n, M) blockage uniforms are the first n M of
+    that draw, so with a pinching scheme it reads them from the pinching
+    draw, and alone it draws them itself: either way it reads the uniforms
+    it reads alone, and the stream is never rewound. A repeated scheme gets
+    the same array again.
     """
     beta = waveguide_y_offsets(cfg)
     x, y = _sample_user_xy(cfg, n, rng, beta)
     zero_force = Scheme.PIN_D1 in schemes
     pin = zero_force or Scheme.PIN_D2 in schemes
-    conv = Scheme.CONV in schemes
+    conv_u = None
     rates = {}
+    if Scheme.CONV in schemes:
+        conv_u = np.empty(x.shape) if pin else rng.random(x.shape)
     if pin:
-        after_placement = rng.bit_generator.state if conv else None
         rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = _pin_rates(
-            cfg, x, y, beta, rng, zero_force)
-        if conv:
-            rng.bit_generator.state = after_placement
-    if conv:
-        rates[Scheme.CONV] = _conv_rates(cfg, x, y, rng)
+            cfg, x, y, beta, rng, zero_force, conv_u)
+    if conv_u is not None:
+        rates[Scheme.CONV] = _conv_rates(cfg, x, y, conv_u)
     return tuple(rates[s] for s in schemes)
 
 

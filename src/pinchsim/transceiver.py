@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channel import (
     BlockageState,
@@ -37,7 +38,8 @@ LN2 = np.log(2.0)
 # Largest 1-norm condition number ||H||_1 ||H^-1||_1 at which zero forcing
 # is still applied. The 1-norm and 2-norm condition numbers of an M x M matrix
 # differ by at most a factor M. Blockage produces exact zero rows/columns,
-# which are rejected before any factorization, so this mostly guards
+# which are rejected before any factorization, and an exactly singular
+# matrix gets a NaN inverse, which fails this test, so it mostly guards
 # near-singular partially blocked matrices; the gains stay accurate across
 # the whole admitted range because they come from inv(H), never inv(H H^H).
 COND_LIMIT = 1e12
@@ -82,11 +84,12 @@ def zf_gains_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The gain of user m is g_m = 1 / (M ||col_m(inv(H))||^2), which equals
     1 / (M [inv(H H^H)]_mm) without squaring the condition number. Matrices
-    with an all-zero row or column are rejected without factorization,
-    exactly singular ones by the sign of a batched ``slogdet``, and the rest
-    take one batched inverse, whose 1-norm also gives the conditioning gate
+    with an all-zero row or column are rejected without factorization, and
+    the rest take one batched inverse, each factorized once: an exactly
+    singular matrix, flagged by a zero pivot of that inverse's own LU
+    factorization, gets a NaN inverse. The inverse's 1-norm gives the gate
     ||H||_1 ||inv(H)||_1 <= COND_LIMIT (within a factor M of the 2-norm
-    condition number).
+    condition number), which a NaN inverse fails.
 
     Args:
         h: (..., M, M) complex matrices, rows = users.
@@ -117,10 +120,14 @@ def _zf_inverses(flat: np.ndarray):
     those inverses.
     """
     live = np.flatnonzero(no_empty_line(flat != 0))
-    sign, _ = np.linalg.slogdet(flat[live])
-    live = live[sign != 0]
     mats = flat[live]
-    inv = np.linalg.inv(mats)
+    # np.linalg.inv's own gufunc, which np.linalg.inv turns into LinAlgError
+    # for the whole stack when one matrix hits an exact zero pivot in its LU
+    # factorization; called directly it returns NaN for that matrix alone,
+    # and a NaN inverse fails the conditioning gate below.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore",
+                     under="ignore"):
+        inv = _umath_linalg.inv(mats, signature="D->D")
     inv_abs = np.abs(inv)
     cond = (np.abs(mats).sum(axis=-2).max(axis=-1)
             * inv_abs.sum(axis=-2).max(axis=-1))

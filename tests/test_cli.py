@@ -464,6 +464,51 @@ class TestCollectRows:
         rows = cli.collect_rows(cfg)
         assert rows == one_by_one
 
+    def test_high_snr_floors_once_per_run_over_a_target_sweep(
+            self, monkeypatch):
+        # the MODEL_A floors do not depend on r_target; 8 points share them
+        cfg = parse_config("""
+            system.num_users = 1
+            system.d_w = 10
+            system.d_l = 40
+            system.tx_power_dbm = 10
+            system.phi = 0.1
+            system.blockage_model = MODEL_A
+            run.schemes = PIN_D2, CONV
+            run.metric = OUTAGE
+            run.sweep_axis = R_TARGET
+            run.axis_values = 1, 2, 3, 4, 5, 6, 7, 8
+            run.n_trials = 256
+            run.master_seed = 3
+            run.output = x.csv
+            """)
+        calls = {}
+
+        def counting(name):
+            inner = getattr(cli, name)
+
+            def wrapper(p):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(p)
+            monkeypatch.setattr(cli, name, wrapper)
+
+        floors = ("outage_pin_model_a_highsnr", "outage_conv_model_a_highsnr")
+        for name in floors:
+            counting(name)
+        rows = cli.collect_rows(cfg)
+        assert calls == dict.fromkeys(floors, 1)
+        closed = [r for r in rows if r["provenance"] == "CLOSED_FORM"]
+        assert len(closed) == 16
+        point = analytics.OutageParams(cfg=cfg.system, r_target=1.0)
+        for row in closed:
+            floor = (analytics.outage_conv_model_a_highsnr
+                     if row["scheme"] == "CONV"
+                     else analytics.outage_pin_model_a_highsnr)
+            assert row["value"] == floor(point)
+        # nothing is kept from one run to the next
+        cli.collect_rows(cfg)
+        assert calls == dict.fromkeys(floors, 2)
+
 
 class TestReproduceFigure:
     def test_unknown_figure_rejected(self, tmp_path):

@@ -316,6 +316,33 @@ class TestMixedBatch:
         assert np.array_equal(ok.ravel(), ~bad)
 
 
+class TestZeroForcingGate:
+    """One factorization per matrix: the inverse's own LU flags exact
+    singularity, and the 1-norm gate rejects the ill-conditioned."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_inverse_alone_gates_each_matrix(self, monkeypatch):
+        def no_slogdet(*args, **kwargs):
+            raise AssertionError("slogdet called")
+
+        monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
+        good = random_channels(1, 3, np.random.default_rng(5))[0]
+        # rows 1 and 2 are exactly proportional, so LU meets a zero pivot
+        singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                             [0.0, 1.0, 1.0]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(singular)
+        ill = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-14, 0.0],
+                        [0.0, 0.0, 1.0]], dtype=complex)
+        assert np.linalg.cond(ill, 1) > 1e12
+        gains, ok = zf_gains_batch(np.stack([good, singular, ill]))
+        assert ok.tolist() == [True, False, False]
+        assert np.all(np.isnan(gains[1:]))
+        expected = 1.0 / (3 * (np.abs(np.linalg.inv(good)) ** 2).sum(axis=-2))
+        assert np.array_equal(gains[0].view(np.int64),
+                              expected.view(np.int64))
+
+
 @st.composite
 def sparse_channel(draw):
     """A generic complex M x M matrix with a drawn zero pattern."""

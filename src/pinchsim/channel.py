@@ -156,10 +156,10 @@ def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
 
     ``pinch_x`` holds the (n, M) antenna x coordinates of a pinching system,
     whose waveguide amplitude then applies per column; None for the
-    conventional array.
+    conventional array. CASE_I's amplitude is 1, so it is not applied.
     """
     s = cfg.path_gain_factor / dist_sq
-    if pinch_x is not None:
+    if pinch_x is not None and cfg.loss_case is LossCase.CASE_II:
         amp = waveguide_amplitude(cfg, pinch_x)
         amp *= amp
         s *= amp[:, None, :]

@@ -17,7 +17,10 @@ scheme's rates never depend on which other schemes run with it: the
 conventional scheme's blockage uniforms are the first of the ones the
 pinching schemes draw right after the placement, so it reads them from that
 draw, without rewinding the stream, and reads the same uniforms as when it
-runs alone.
+runs alone. The conventional array is evaluated only where line of sight
+survives: a blocked user's rate is exactly 0.0 without its row of gains, so
+only the users that keep line of sight get one, which on dense, strongly
+blocked systems skips most of the conventional work.
 
 A chunk is evaluated in sub-batches of about SUB_LINKS links so that its
 temporaries stay cache-sized. Every random number is still drawn in trial
@@ -26,7 +29,8 @@ a rate or an estimate.
 
 Chunk memory stays mapped from one chunk to the next: before the first
 chunk of the process, one untouched block larger than a chunk's working set
-is allocated and freed (see ``_prime_heap``).
+is allocated and freed (see ``_prime_heap``), and what a chunk returns holds
+no numpy buffer (see ``_ergodic_sums``).
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .channel import (
 from .scenario import SystemConfig, _sample_user_xy, dbm_to_watt, waveguide_y_offsets
 from .transceiver import (
     LN2,
+    conventional_rates_batch,
     design1_rates_from_gains,
     design2_rates_from_power,
     no_empty_line,
@@ -72,8 +77,9 @@ SUB_LINKS = 1 << 16
 # Bound on the heap one chunk uses at M <= 16: at most 8 float64
 # (CHUNK_TRIALS, M) per-user arrays and 16 float64 sub-batch temporaries of
 # SUB_LINKS links (tracemalloc peaks of _rates_chunk with all three schemes,
-# CASE_II: 1.5 MiB at M=1, 6.7 MiB at M=5, 12.0 MiB at M=16). It must stay
-# below 32 MiB, glibc's cap on its dynamic mmap threshold.
+# CASE_II: 1.5 MiB at M=1, 6.7 MiB at M=5, 12.0 MiB at M=16; with phi = 0,
+# where the conventional array evaluates every user, 0.8, 8.9 and 12.1 MiB).
+# It must stay below 32 MiB, glibc's cap on its dynamic mmap threshold.
 _CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
 
 
@@ -219,19 +225,16 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
 def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
     """Conventional-array rates on one placement, given its (n, M) blockage
-    uniforms."""
-    n, m = x.shape
-    center_sq = center_distances_sq(cfg, x, y)
-    alpha = u < unblocked_probability_sq(center_sq, cfg)
+    uniforms.
 
-    rates = np.empty((n, m))
-    for b in _sub_batches(n, m):
-        s = power_gains(cfg, conv_distances_sq(cfg, x[b], y[b]))
-        # A user's Design II rate reads only its own row of s, and a blocked
-        # row gives exactly 0.0, so blockage can be applied to the rates.
-        rates[b] = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power,
-                                            m) * alpha[b]
-    return rates
+    The array is evaluated only where line of sight survives: a blocked
+    user's rate is exactly 0.0 without its row of gains, and the users that
+    keep line of sight are evaluated SUB_LINKS // M rows (SUB_LINKS links)
+    at a time.
+    """
+    alpha = u < unblocked_probability_sq(center_distances_sq(cfg, x, y), cfg)
+    return conventional_rates_batch(cfg, x, y, alpha,
+                                    max(1, SUB_LINKS // x.shape[1]))
 
 
 def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
@@ -313,10 +316,18 @@ def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
     return mean, 3.0 * math.sqrt(var / n)
 
 
-def _ergodic_sums(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Per-user and sum-rate first and second moments of one chunk's rates."""
-    per_sum = rates.sum(axis=0)
-    per_sq = (rates * rates).sum(axis=0)
+def _ergodic_sums(
+        rates: np.ndarray) -> tuple[list[float], list[float], float, float]:
+    """Per-user and sum-rate first and second moments of one chunk's rates.
+
+    They are Python floats, so the results kept until the reduction hold no
+    numpy buffers. Such small heap blocks would sit among the memory the
+    chunk frees and split it, and as the conventional array's allocation
+    sizes follow each chunk's line-of-sight count, a later chunk could then
+    find no free block large enough and grow the heap.
+    """
+    per_sum = rates.sum(axis=0).tolist()
+    per_sq = (rates * rates).sum(axis=0).tolist()
     totals = rates.sum(axis=1)
     return per_sum, per_sq, float(totals.sum()), float((totals * totals).sum())
 

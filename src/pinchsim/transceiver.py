@@ -9,9 +9,11 @@ half-wavelength array.
 
 The kernels (:func:`zf_gains_batch`, :func:`design1_rates_from_gains`,
 :func:`design2_rates_from_power`) take stacked (..., M, M) inputs, and the
-Monte-Carlo estimators call them on whole sub-batches. The per-realization
-functions are their n = 1 case, on one :class:`ChannelMatrix` or one
-placement.
+Monte-Carlo estimators call them on whole sub-batches;
+:func:`conventional_rates_batch` takes n placements and their blockage. The
+per-realization functions are their n = 1 case, on one
+:class:`ChannelMatrix` or one placement. Every Design II and conventional
+rate comes from one SINR formula, :func:`design2_rates_from_rows`.
 """
 
 from __future__ import annotations
@@ -166,6 +168,19 @@ def design1_rates_from_gains(gains: np.ndarray, tx_power: float,
     return np.log1p(gains * tx_power / noise_power) / LN2
 
 
+def design2_rates_from_rows(own: np.ndarray, row_total: np.ndarray,
+                            tx_power: float, noise_power: float,
+                            m: int) -> np.ndarray:
+    """Design II rates log2(1 + S P / (I P + M sigma^2)), any shape.
+
+    ``own`` is each user's own-link power gain S and ``row_total`` the sum
+    of its row of gains, so the interference is I = row_total - S.
+    """
+    interference = np.maximum(row_total - own, 0.0)
+    sinr = own * tx_power / (interference * tx_power + m * noise_power)
+    return np.log1p(sinr) / LN2
+
+
 def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
                              noise_power: float, m: int) -> np.ndarray:
     """Design II rates from effective squared channel magnitudes.
@@ -174,13 +189,41 @@ def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
         s_eff: (..., M, M) array of alpha * |h|^2 (zero where blocked).
 
     Returns:
-        (..., M) rates log2(1 + S P / (I P + M sigma^2)).
+        (..., M) rates, see :func:`design2_rates_from_rows`.
     """
     s_eff = np.asarray(s_eff, dtype=float)
-    own = np.diagonal(s_eff, axis1=-2, axis2=-1)
-    interference = np.maximum(s_eff.sum(axis=-1) - own, 0.0)
-    sinr = own * tx_power / (interference * tx_power + m * noise_power)
-    return np.log1p(sinr) / LN2
+    return design2_rates_from_rows(np.diagonal(s_eff, axis1=-2, axis2=-1),
+                                   s_eff.sum(axis=-1), tx_power, noise_power,
+                                   m)
+
+
+def conventional_rates_batch(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
+                             alpha: np.ndarray,
+                             batch_rows: int) -> np.ndarray:
+    """(n, M) conventional-array rates of n placements.
+
+    ``x`` and ``y`` are (n, M) user coordinates and ``alpha`` their (n, M)
+    line-of-sight indicators. A user's rate reads only its own row of
+    gains, and a blocked user's rate is 0, so rows are evaluated only for
+    the users that keep line of sight, at most ``batch_rows`` rows at a
+    time; the others stay exactly 0.0. Each evaluated rate is bit for bit
+    the one a full (n, M, M) evaluation gives.
+    """
+    n, m = x.shape
+    los = np.flatnonzero(alpha)
+    rates = np.zeros(n * m)
+    xs, ys = x.reshape(-1), y.reshape(-1)
+    for lo in range(0, los.size, batch_rows):
+        rows = los[lo:lo + batch_rows]
+        # (k, M) gains of the k rows, from (k, 1) user coordinates
+        s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows)[:, None],
+                                               ys.take(rows)[:, None]))[:, 0]
+        # row r's own element is column r % M (a lone user's is its only one)
+        own = (s[:, 0] if m == 1 else
+               s.reshape(-1).take(np.arange(0, s.size, m) + rows % m))
+        rates[rows] = design2_rates_from_rows(own, s.sum(axis=-1),
+                                              cfg.tx_power, cfg.noise_power, m)
+    return rates.reshape(n, m)
 
 
 def design2_rates(chan: ChannelMatrix, cfg: SystemConfig) -> RateVector:
@@ -207,11 +250,11 @@ def conventional_rates(placement: Placement, blockage: BlockageState,
     Element m serves user m with power P/M; all elements seen by one user
     share that user's blockage state, and a user's Design II rate reads only
     its own row, so blockage applies to the rates. For M = 1 this reduces to
-    the single fixed antenna with the full power budget.
+    the single fixed antenna with the full power budget. This is the n = 1
+    case of :func:`conventional_rates_batch`.
     """
     _check_one_state(blockage, SystemKind.CONVENTIONAL)
     x, y = _user_xy(placement, cfg)
-    s = power_gains(cfg, conv_distances_sq(cfg, x, y))
-    rates = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power,
-                                     cfg.num_users)[0] * blockage.alpha
+    rates = conventional_rates_batch(cfg, x, y, blockage.alpha[None],
+                                     cfg.num_users)[0]
     return RateVector(rates=rates, scheme_used=SchemeUsed.CONVENTIONAL)

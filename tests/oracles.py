@@ -12,6 +12,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 from scipy.integrate import quad
 
 from pinchsim import (
@@ -21,6 +22,7 @@ from pinchsim import (
     SystemConfig,
     threshold_geometry,
 )
+from pinchsim.channel import conv_distances_sq, power_gains
 from pinchsim.scenario import waveguide_y_offsets
 
 _EPSABS = 1e-15
@@ -123,6 +125,20 @@ def conv_rates(cfg: SystemConfig, x, y, alpha) -> list[float]:
           / math.sqrt((x[u] - elem_x[k]) ** 2 + y[u] ** 2 + cfg.height ** 2)
           for k in range(m)] for u in range(m)]
     return design2_rates(cfg, h)
+
+
+def conv_rates_dense(cfg: SystemConfig, x, y, alpha):
+    """(n, M) conventional rates with every user's row evaluated, blocked or
+    not: the full (n, M, M) gains, Design II's diagonal-and-row-sum SINR,
+    then the rates times the (n, M) indicators ``alpha``. This is the
+    evaluation the line-of-sight-gated kernel must reproduce bit for bit.
+    """
+    s = power_gains(cfg, conv_distances_sq(cfg, x, y))
+    own = np.diagonal(s, axis1=-2, axis2=-1)
+    interference = np.maximum(s.sum(axis=-1) - own, 0.0)
+    sinr = own * cfg.tx_power / (interference * cfg.tx_power
+                                 + cfg.num_users * cfg.noise_power)
+    return np.log1p(sinr) / np.log(2.0) * alpha
 
 
 def _quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL):

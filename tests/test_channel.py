@@ -16,6 +16,7 @@ from pinchsim import (
     sample_placement,
     waveguide_y_offsets,
 )
+from pinchsim import channel
 from pinchsim.channel import (
     channel_coefficients,
     conv_distances_sq,
@@ -175,6 +176,23 @@ class TestWaveguideFactor:
         # 10 m from the feed at x = -20: 0.8 dB total -> 10^(-0.8/20)
         amp = waveguide_amplitude(cfg, np.array([[-10.0]]))
         assert amp[0, 0] == pytest.approx(0.9120108393559098, rel=1e-12)
+
+    def test_lossless_pinching_gains_skip_the_amplitude(self, monkeypatch):
+        # CASE_I's amplitude is 1, so the pinching gains are the free-space
+        # gains bit for bit, without a pass over the ones
+        cfg = make_cfg(num_users=4, loss_case=LossCase.CASE_I)
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-20.0, 20.0, (30, 4))
+        y = rng.uniform(-5.0, 5.0, (30, 4))
+        d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
+        free = power_gains(cfg, d_sq)
+
+        def no_amplitude(*args, **kwargs):
+            raise AssertionError("waveguide_amplitude called for CASE_I")
+
+        monkeypatch.setattr(channel, "waveguide_amplitude", no_amplitude)
+        pinched = power_gains(cfg, d_sq, x)
+        assert np.array_equal(pinched.view(np.int64), free.view(np.int64))
 
     def test_guided_wavelength_phase_wraps(self):
         # with d_l = 2 guided wavelengths, an antenna at x = 0 is exactly one

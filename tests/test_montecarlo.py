@@ -39,8 +39,13 @@ from pinchsim import (
     sample_placement,
     sweep,
 )
-from pinchsim import cli, montecarlo
-from pinchsim.channel import pin_distances_sq
+from pinchsim import cli, montecarlo, transceiver
+from pinchsim.channel import (
+    center_distances_sq,
+    conv_distances_sq,
+    pin_distances_sq,
+    unblocked_probability_sq,
+)
 from pinchsim.montecarlo import _rates_chunk, _sample_user_xy, chunk_generator
 from pinchsim.scenario import waveguide_y_offsets
 from pinchsim.transceiver import zf_gains_batch
@@ -212,6 +217,87 @@ class TestSubBatches:
         assert peak < 16 * 2 ** 20
 
 
+class TestConventionalGate:
+    """The conventional array is evaluated only for the users that keep line
+    of sight, and its rates are bit for bit the full (n, M, M) evaluation
+    times the indicators."""
+
+    @staticmethod
+    def draw(cfg, n, seed):
+        """A chunk's placement and conventional blockage uniforms and
+        indicators, in the order the conventional scheme draws them."""
+        rng = chunk_generator(seed, 0, 0)
+        x, y = _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+        u = rng.random(x.shape)
+        alpha = u < unblocked_probability_sq(center_distances_sq(cfg, x, y),
+                                             cfg)
+        return x, y, u, alpha
+
+    # 8 and 9 users straddle numpy's switch from a sequential to a pairwise
+    # row sum; phi = 0 keeps every user, phi = 50 blocks every user.
+    @pytest.mark.parametrize("sub_links", [1 << 16, 37])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 16])
+    def test_gated_rates_equal_the_dense_evaluation(self, monkeypatch, m,
+                                                    sub_links):
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", sub_links)
+        for model, constrained, phi in itertools.product(
+                BlockageModel, (False, True), (0.0, 0.1, 50.0)):
+            cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi,
+                           blockage_model=model, loss_case=LossCase.CASE_II,
+                           constrain_under_waveguide=constrained)
+            x, y, u, alpha = self.draw(cfg, 200, 11)
+            rates = montecarlo._conv_rates(cfg, x, y, u)
+            expected = oracles.conv_rates_dense(cfg, x, y, alpha)
+            assert np.array_equal(rates.view(np.int64),
+                                  expected.view(np.int64)), (model, constrained,
+                                                             phi)
+            if phi == 0.0:
+                assert alpha.all()
+            if phi == 50.0:
+                assert not alpha.any()
+
+    @pytest.mark.parametrize("phi", [0.0, 0.1, 50.0])
+    def test_distances_only_for_users_with_line_of_sight(self, monkeypatch,
+                                                         phi):
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 37)
+        cfg = make_cfg(num_users=5, tx_power=1.0, phi=phi)
+        seen = []
+
+        def counting(cfg_, x, y):
+            seen.append((x.copy(), y.copy()))
+            return conv_distances_sq(cfg_, x, y)
+
+        monkeypatch.setattr(transceiver, "conv_distances_sq", counting)
+        x, y, u, alpha = self.draw(cfg, 300, 12)
+        montecarlo._conv_rates(cfg, x, y, u)
+        los = np.flatnonzero(alpha)
+        if los.size == 0:
+            assert seen == []
+            return
+        # batches of 37 // 5 = 7 rows of (k, 1) coordinates, in flat order
+        assert [len(sx) for sx, _ in seen[:-1]] == [7] * (len(seen) - 1)
+        assert all(sx.shape[1:] == (1,) for sx, _ in seen)
+        assert np.array_equal(np.concatenate([sx for sx, _ in seen])[:, 0],
+                              x.reshape(-1)[los])
+        assert np.array_equal(np.concatenate([sy for _, sy in seen])[:, 0],
+                              y.reshape(-1)[los])
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 17), model=st.sampled_from(list(BlockageModel)),
+           loss=st.sampled_from(list(LossCase)), constrained=st.booleans(),
+           phi=st.floats(0.0, 1.0), n=st.integers(1, 64),
+           sub_links=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32))
+    def test_gated_rates_equal_the_dense_evaluation_anywhere(
+            self, m, model, loss, constrained, phi, n, sub_links, seed):
+        cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi, blockage_model=model,
+                       loss_case=loss, constrain_under_waveguide=constrained)
+        x, y, u, alpha = self.draw(cfg, n, seed)
+        rates = transceiver.conventional_rates_batch(cfg, x, y, alpha,
+                                                     max(1, sub_links // m))
+        expected = oracles.conv_rates_dense(cfg, x, y, alpha)
+        assert np.array_equal(rates.view(np.int64), expected.view(np.int64))
+
+
 # Runs an M=1 outage estimate over 32 chunks and an M=16 ergodic estimate
 # over 8, each after a warm-up run, and prints the minor page faults per
 # chunk of each.
@@ -242,15 +328,19 @@ class TestChunkMemory:
 
     @pytest.mark.parametrize("m", [1, 5, 16])
     def test_working_set_within_the_primed_heap(self, m):
-        cfg = make_cfg(num_users=m, tx_power=1.0, loss_case=LossCase.CASE_II)
-        tracemalloc.start()
-        try:
-            _rates_chunk(tuple(Scheme), cfg, montecarlo.CHUNK_TRIALS,
-                         chunk_generator(1, 0, 0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= montecarlo._CHUNK_HEAP_BYTES < 32 * 2 ** 20
+        # phi = 0 keeps every user's line of sight: the conventional array
+        # then evaluates every row, its largest working set
+        for phi in (0.1, 0.0):
+            cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi,
+                           loss_case=LossCase.CASE_II)
+            tracemalloc.start()
+            try:
+                _rates_chunk(tuple(Scheme), cfg, montecarlo.CHUNK_TRIALS,
+                             chunk_generator(1, 0, 0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= montecarlo._CHUNK_HEAP_BYTES < 32 * 2 ** 20, phi
 
     @pytest.mark.skipif(sys.platform != "linux"
                         or platform.libc_ver()[0] != "glibc",

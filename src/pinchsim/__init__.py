@@ -23,13 +23,6 @@ from .analytics import (
     triangular_pdf,
     two_user_cross_blockage_factor,
 )
-from .channel import (
-    BlockageState,
-    ChannelMatrix,
-    SystemKind,
-    build_channel_matrix,
-    sample_blockage,
-)
 from .cli import (
     ExperimentConfig,
     OutputFormat,
@@ -56,22 +49,11 @@ from .scenario import (
     SPEED_OF_LIGHT,
     BlockageModel,
     LossCase,
-    Placement,
     SystemConfig,
     conventional_array_positions,
     dbm_to_watt,
-    sample_placement,
     watt_to_dbm,
     waveguide_y_offsets,
-)
-from .transceiver import (
-    RateVector,
-    SchemeUsed,
-    conventional_rates,
-    design1_rates,
-    design2_rates,
-    zero_forcing_gains,
-    zero_forcing_precoder,
 )
 
 __version__ = "0.1.0"
@@ -82,14 +64,11 @@ __all__ = [
     "outage_gap_model_b", "outage_pin_model_a", "outage_pin_model_a_highsnr",
     "outage_pin_model_b", "outage_pin_model_b_highsnr", "strip_los_integral",
     "threshold_geometry", "triangular_pdf", "two_user_cross_blockage_factor",
-    "BlockageState", "ChannelMatrix", "SystemKind", "build_channel_matrix",
-    "sample_blockage", "ExperimentConfig", "OutputFormat", "Preset", "RunSpec",
-    "parse_config", "parse_config_file", "reproduce_figure", "run_experiment",
+    "ExperimentConfig", "OutputFormat", "Preset", "RunSpec", "parse_config",
+    "parse_config_file", "reproduce_figure", "run_experiment",
     "MetricEstimate", "MetricKind", "Provenance", "Scheme", "SweepAxis",
     "SweepPoint", "estimate_conv_rate_bound", "estimate_ergodic",
     "estimate_outage", "sweep", "SPEED_OF_LIGHT", "BlockageModel", "LossCase",
-    "Placement", "SystemConfig", "conventional_array_positions", "dbm_to_watt",
-    "sample_placement", "watt_to_dbm", "waveguide_y_offsets", "RateVector",
-    "SchemeUsed", "conventional_rates", "design1_rates", "design2_rates",
-    "zero_forcing_gains", "zero_forcing_precoder",
+    "SystemConfig", "conventional_array_positions", "dbm_to_watt",
+    "watt_to_dbm", "waveguide_y_offsets",
 ]

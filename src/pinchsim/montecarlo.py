@@ -6,8 +6,8 @@ and chunk results are reduced in chunk order with exact summation, so an
 estimate is bit-identical for any worker count. This module owns only the
 streams, the sub-batching and the reductions: the rates inside a chunk come
 from the batched functions of :mod:`pinchsim.channel` and
-:mod:`pinchsim.transceiver`, i.e. from the same functions as the
-single-realization API, which is their n = 1 case.
+:mod:`pinchsim.transceiver`, the one implementation of the channel model
+and the rate formulas.
 
 Streams are keyed per sweep point and chunk, not per scheme, and every
 scheme of an estimator call is evaluated from one pass over each chunk's
@@ -55,10 +55,10 @@ from .channel import (
 )
 from .scenario import SystemConfig, _sample_user_xy, dbm_to_watt, waveguide_y_offsets
 from .transceiver import (
-    LN2,
     conventional_rates_batch,
     design1_rates_from_gains,
     design2_rates_from_power,
+    design2_rates_from_rows,
     no_empty_line,
     zf_gains_batch,
 )
@@ -403,9 +403,9 @@ def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
         rates = np.empty((n, m))
         for b in _sub_batches(n, m):
             s = power_gains(cfg, conv_distances_sq(cfg, x[b], y[b]))
-            own = np.diagonal(s, axis1=-2, axis2=-1)
-            interference = s.sum(axis=-1) - own
-            rates[b] = np.log1p(own / interference) / LN2
+            # unit power and no noise: the SINR is S / I
+            rates[b] = design2_rates_from_rows(
+                np.diagonal(s, axis1=-2, axis2=-1), s.sum(axis=-1), 1.0, 0.0, m)
         return _ergodic_sums(rates)
 
     return _ergodic_estimates(_map_ordered(one, len(sizes), workers), n_trials)

@@ -117,27 +117,6 @@ class SystemConfig:
         return self.d_w / self.num_users
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One realization of the user positions on the floor.
-
-    ``x`` and ``y`` are read-only (M,) arrays. The pinching antenna on
-    waveguide m sits at (x[m], waveguide_y_offsets(cfg)[m], height), by the
-    closest-point rule, and its feed at the near edge x = -d_l/2.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.x.ndim != 1 or self.x.shape != self.y.shape:
-            raise ValueError("x and y must be (M,) arrays")
-
-
 def waveguide_y_offsets(cfg: SystemConfig) -> np.ndarray:
     """Center-line y coordinates of the M waveguides, as an (M,) array.
 
@@ -192,8 +171,3 @@ def _sample_user_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
         y = _uniform(rng, beta - half, beta + half, (n, m))
     return x, y
 
-
-def sample_placement(cfg: SystemConfig, rng: np.random.Generator) -> Placement:
-    """Draw one random deployment realization: the n = 1 user drop."""
-    x, y = _sample_user_xy(cfg, 1, rng, waveguide_y_offsets(cfg))
-    return Placement(x=x[0], y=y[0])

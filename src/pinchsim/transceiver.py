@@ -7,33 +7,21 @@ an equal 1/sqrt(M) power split and treats cross links as interference. The
 conventional baseline applies the Design II power split to the fixed
 half-wavelength array.
 
-The kernels (:func:`zf_gains_batch`, :func:`design1_rates_from_gains`,
-:func:`design2_rates_from_power`) take stacked (..., M, M) inputs, and the
-Monte-Carlo estimators call them on whole sub-batches;
-:func:`conventional_rates_batch` takes n placements and their blockage. The
-per-realization functions are their n = 1 case, on one
-:class:`ChannelMatrix` or one placement. Every Design II and conventional
-rate comes from one SINR formula, :func:`design2_rates_from_rows`.
+The kernels (:func:`zf_gains_batch`, :func:`zf_precoders`,
+:func:`design1_rates_from_gains`, :func:`design2_rates_from_power`) take
+stacked (..., M, M) inputs, and the Monte-Carlo estimators call them on
+whole sub-batches; :func:`conventional_rates_batch` takes n placements and
+their blockage. One realization is the n = 1 case. Every Design II and
+conventional rate comes from one SINR formula, :func:`design2_rates_from_rows`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .channel import (
-    BlockageState,
-    ChannelMatrix,
-    SystemKind,
-    _check_one_state,
-    _user_xy,
-    conv_distances_sq,
-    power_gains,
-)
-from .scenario import Placement, SystemConfig
+from .channel import conv_distances_sq, power_gains
+from .scenario import SystemConfig
 
 LN2 = np.log(2.0)
 
@@ -45,26 +33,6 @@ LN2 = np.log(2.0)
 # near-singular partially blocked matrices; the gains stay accurate across
 # the whole admitted range because they come from inv(H), never inv(H H^H).
 COND_LIMIT = 1e12
-
-
-class SchemeUsed(Enum):
-    ZF = "ZF"
-    DESIGN2 = "DESIGN2"
-    DESIGN2_FALLBACK = "DESIGN2_FALLBACK"
-    CONVENTIONAL = "CONVENTIONAL"
-
-
-@dataclass(frozen=True)
-class RateVector:
-    """Per-user instantaneous rates in bits/s/Hz plus the path that made them."""
-
-    rates: np.ndarray
-    scheme_used: SchemeUsed
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.rates, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "rates", arr)
 
 
 def no_empty_line(mask: np.ndarray) -> np.ndarray:
@@ -103,24 +71,39 @@ def zf_gains_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     h = np.asarray(h, dtype=complex)
     m = h.shape[-1]
-    batch = h.shape[:-2]
-    flat = h.reshape(-1, m, m)
-    live, _, col_sq = _zf_inverses(flat)
-
-    ok = np.zeros(flat.shape[0], dtype=bool)
-    ok[live] = True
-    gains = np.full((flat.shape[0], m), np.nan)
+    ok, live, _, col_sq = _zf_inverses(h)
+    gains = np.full((ok.size, m), np.nan)
     gains[live] = 1.0 / (m * col_sq)
-    return gains.reshape(batch + (m,)), ok.reshape(batch)
+    return gains.reshape(ok.shape + (m,)), ok
 
 
-def _zf_inverses(flat: np.ndarray):
-    """The zero-forcing gate and inverse for an (N, M, M) stack.
+def zf_precoders(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit zero-forcing precoders inv(H) diag(sqrt(g)) for stacked
+    channel matrices, with the gains and the gate of :func:`zf_gains_batch`.
 
-    Returns the indices of the matrices that pass the gate described in
-    :func:`zf_gains_batch`, their inverses and the squared column norms of
-    those inverses.
+    Column m has squared norm g_m ||col_m(inv(H))||^2 = 1/M, so the total
+    transmit power across the M users equals the configured budget.
+
+    Returns:
+        (w, ok): w has the (..., M, M) shape of ``h`` and is NaN where
+        ``ok`` is False.
     """
+    h = np.asarray(h, dtype=complex)
+    ok, live, inv, col_sq = _zf_inverses(h)
+    w = np.full((ok.size,) + h.shape[-2:], np.nan, dtype=complex)
+    w[live] = inv * np.sqrt(1.0 / (h.shape[-1] * col_sq))[:, None, :]
+    return w.reshape(h.shape), ok
+
+
+def _zf_inverses(h: np.ndarray):
+    """The zero-forcing gate and inverse for stacked (..., M, M) matrices.
+
+    Returns ``ok``, in the batch shape of ``h``, for the gate described in
+    :func:`zf_gains_batch`, then the flat indices of the matrices that pass
+    it, their inverses and the squared column norms of those inverses.
+    """
+    m = h.shape[-1]
+    flat = h.reshape(-1, m, m)
     live = np.flatnonzero(no_empty_line(flat != 0))
     mats = flat[live]
     # np.linalg.inv's own gufunc, which np.linalg.inv turns into LinAlgError
@@ -134,31 +117,11 @@ def _zf_inverses(flat: np.ndarray):
     cond = (np.abs(mats).sum(axis=-2).max(axis=-1)
             * inv_abs.sum(axis=-2).max(axis=-1))
     well = cond <= COND_LIMIT
-    return live[well], inv[well], (inv_abs[well] ** 2).sum(axis=-2)
-
-
-def zero_forcing_gains(chan: ChannelMatrix) -> np.ndarray | None:
-    """Per-user gains g_m = 1 / (M [inv(H H^H)]_mm), or None if rank-deficient.
-
-    The gains are computed as 1 / (M ||col_m(inv(H))||^2), the same quantity
-    without forming H H^H; see :func:`zf_gains_batch` for the gate. Rank
-    deficiency is an expected outcome under blockage, so it is signalled
-    by returning None rather than raising.
-    """
-    gains, ok = zf_gains_batch(chan.h)
-    return gains if ok else None
-
-
-def zero_forcing_precoder(chan: ChannelMatrix) -> np.ndarray | None:
-    """Explicit precoding matrix inv(H) diag(sqrt(g)), or None if rank-deficient.
-
-    Each column has squared norm 1/M, so the total transmit power across the
-    M users equals the configured budget.
-    """
-    live, inv, col_sq = _zf_inverses(chan.h[None])
-    if live.size == 0:
-        return None
-    return inv[0] * np.sqrt(1.0 / (chan.num_users * col_sq[0]))
+    live = live[well]
+    ok = np.zeros(flat.shape[0], dtype=bool)
+    ok[live] = True
+    return (ok.reshape(h.shape[:-2]), live, inv[well],
+            (inv_abs[well] ** 2).sum(axis=-2))
 
 
 def design1_rates_from_gains(gains: np.ndarray, tx_power: float,
@@ -202,6 +165,10 @@ def conventional_rates_batch(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
                              batch_rows: int) -> np.ndarray:
     """(n, M) conventional-array rates of n placements.
 
+    Element m serves user m with power P/M, and all the elements one user
+    sees share that user's blockage; with M = 1 this is a single fixed
+    antenna with the whole budget.
+
     ``x`` and ``y`` are (n, M) user coordinates and ``alpha`` their (n, M)
     line-of-sight indicators. A user's rate reads only its own row of
     gains, and a blocked user's rate is 0, so rows are evaluated only for
@@ -225,36 +192,3 @@ def conventional_rates_batch(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
                                               cfg.tx_power, cfg.noise_power, m)
     return rates.reshape(n, m)
 
-
-def design2_rates(chan: ChannelMatrix, cfg: SystemConfig) -> RateVector:
-    """Low-complexity per-waveguide transmission (equal 1/sqrt(M) power split)."""
-    rates = design2_rates_from_power(np.abs(chan.h) ** 2, cfg.tx_power,
-                                     cfg.noise_power, chan.num_users)
-    return RateVector(rates=rates, scheme_used=SchemeUsed.DESIGN2)
-
-
-def design1_rates(chan: ChannelMatrix, cfg: SystemConfig) -> RateVector:
-    """Zero forcing when the channel is invertible, Design II otherwise."""
-    gains = zero_forcing_gains(chan)
-    if gains is None:
-        return RateVector(rates=design2_rates(chan, cfg).rates,
-                          scheme_used=SchemeUsed.DESIGN2_FALLBACK)
-    rates = design1_rates_from_gains(gains, cfg.tx_power, cfg.noise_power)
-    return RateVector(rates=rates, scheme_used=SchemeUsed.ZF)
-
-
-def conventional_rates(placement: Placement, blockage: BlockageState,
-                       cfg: SystemConfig) -> RateVector:
-    """Rates for the fixed half-wavelength array baseline.
-
-    Element m serves user m with power P/M; all elements seen by one user
-    share that user's blockage state, and a user's Design II rate reads only
-    its own row, so blockage applies to the rates. For M = 1 this reduces to
-    the single fixed antenna with the full power budget. This is the n = 1
-    case of :func:`conventional_rates_batch`.
-    """
-    _check_one_state(blockage, SystemKind.CONVENTIONAL)
-    x, y = _user_xy(placement, cfg)
-    rates = conventional_rates_batch(cfg, x, y, blockage.alpha[None],
-                                     cfg.num_users)[0]
-    return RateVector(rates=rates, scheme_used=SchemeUsed.CONVENTIONAL)

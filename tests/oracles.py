@@ -24,17 +24,36 @@ from pinchsim import (
 )
 from pinchsim.channel import conv_distances_sq, power_gains
 from pinchsim.scenario import waveguide_y_offsets
+from pinchsim.transceiver import COND_LIMIT
 
 _EPSABS = 1e-15
 _EPSREL = 1e-11
+
+
+def _mp_matrix(h) -> mpmath.matrix:
+    """The exact float matrix ``h`` as an mpmath matrix."""
+    return mpmath.matrix([[mpmath.mpc(complex(v).real, complex(v).imag)
+                           for v in row] for row in h])
+
+
+def zf_applies_highprec(h, dps: int = 60) -> bool:
+    """Whether zero forcing applies to the float matrix ``h`` with no empty
+    row or column: H is not singular at ``dps`` digits, and its 1-norm
+    condition number ||H||_1 ||inv(H)||_1 is at most COND_LIMIT."""
+    with mpmath.workdps(dps):
+        mat = _mp_matrix(h)
+        try:
+            inv = mat ** -1
+        except ZeroDivisionError:  # mpmath's LU met a zero pivot
+            return False
+        return mpmath.mnorm(mat, 1) * mpmath.mnorm(inv, 1) <= COND_LIMIT
 
 
 def zf_gains_highprec(h, dps: int = 60) -> list[float]:
     """Zero-forcing gains 1 / (M ||col_m(inv(H))||^2) of the exact float
     matrix ``h``, inverted in ``dps``-digit mpmath arithmetic."""
     with mpmath.workdps(dps):
-        mat = mpmath.matrix([[mpmath.mpc(complex(v).real, complex(v).imag)
-                              for v in row] for row in h])
+        mat = _mp_matrix(h)
         inv = mat ** -1
         m = mat.rows
         return [float(1 / (m * mpmath.fsum(abs(inv[i, j]) ** 2
@@ -104,11 +123,12 @@ def design2_rates(cfg: SystemConfig, h) -> list[float]:
 
 def design1_rates(cfg: SystemConfig, h) -> list[float]:
     """Per-user Design I rates: zero forcing with the high-precision gains,
-    or Design II when a blocked row or column makes H singular."""
+    or Design II where it does not apply: a blocked row or column, an
+    exactly singular H or one above the conditioning gate."""
     m = len(h)
     empty = (any(all(h[u][k] == 0 for k in range(m)) for u in range(m))
              or any(all(h[u][k] == 0 for u in range(m)) for k in range(m)))
-    if empty:
+    if empty or not zf_applies_highprec(h):
         return design2_rates(cfg, h)
     return [math.log2(1.0 + g * cfg.tx_power / cfg.noise_power)
             for g in zf_gains_highprec(h)]

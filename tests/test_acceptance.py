@@ -15,17 +15,12 @@ import pytest
 import oracles
 from pinchsim import (
     BlockageModel,
-    BlockageState,
     LossCase,
     MetricKind,
     OutageParams,
     Scheme,
     SweepAxis,
     SystemConfig,
-    SystemKind,
-    build_channel_matrix,
-    design1_rates,
-    design2_rates,
     dbm_to_watt,
     ergodic_pin_two_user_highsnr,
     estimate_ergodic,
@@ -38,14 +33,19 @@ from pinchsim import (
     outage_pin_model_b_highsnr,
     parse_config,
     run_experiment,
-    sample_placement,
     sweep,
     triangular_pdf,
     two_user_cross_blockage_factor,
-    zero_forcing_precoder,
 )
+from pinchsim.channel import channel_coefficients, pin_distances_sq, power_gains
 from pinchsim.montecarlo import _sample_user_xy
 from pinchsim.scenario import waveguide_y_offsets
+from pinchsim.transceiver import (
+    design1_rates_from_gains,
+    design2_rates_from_power,
+    zf_gains_batch,
+    zf_precoders,
+)
 
 
 @contextlib.contextmanager
@@ -227,25 +227,29 @@ def test_criterion_07_zero_forcing_correctness():
         for m, count in ((2, 600), (5, 400)):
             cfg = SystemConfig(num_users=m, d_w=10.0, d_l=40.0, tx_power=1.0,
                                phi=0.1, blockage_model=BlockageModel.MODEL_A)
-            ones = BlockageState(alpha=np.ones((m, m), dtype=int),
-                                 system=SystemKind.PINCHING)
+            beta = waveguide_y_offsets(cfg)
             for _ in range(count):
-                placement = sample_placement(cfg, rng)
-                chan = build_channel_matrix(placement, ones, cfg,
-                                            SystemKind.PINCHING)
-                w = zero_forcing_precoder(chan)
-                assert w is not None  # unblocked channels stay invertible
-                eff = chan.h @ w
+                # one placement, every link unblocked
+                x, y = _sample_user_xy(cfg, 1, rng, beta)
+                dist_sq = pin_distances_sq(cfg, x, y, beta)
+                h = channel_coefficients(cfg, dist_sq,
+                                         power_gains(cfg, dist_sq, x), x)[0]
+                w, ok = zf_precoders(h)
+                assert ok  # unblocked channels stay invertible
+                eff = h @ w
                 signal = np.abs(np.diag(eff)) ** 2
                 cross = np.abs(eff - np.diag(np.diag(eff))) ** 2
                 assert np.all(cross.max(axis=1) <= 1e-10 * signal)
                 col_power = np.sum(np.abs(w) ** 2, axis=0)
                 assert abs(col_power.sum() - 1.0) <= 1e-12
 
-                d1 = design1_rates(chan, cfg)
-                d2 = design2_rates(chan, cfg)
-                assert d1.scheme_used.value == "ZF"
-                assert d1.rates.sum() >= d2.rates.sum()
+                gains, ok = zf_gains_batch(h)
+                assert ok
+                d1 = design1_rates_from_gains(gains, cfg.tx_power,
+                                              cfg.noise_power)
+                d2 = design2_rates_from_power(np.abs(h) ** 2, cfg.tx_power,
+                                              cfg.noise_power, m)
+                assert d1.sum() >= d2.sum()
                 checked += 1
         assert checked == 1000
 

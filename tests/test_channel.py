@@ -5,19 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from pinchsim import (
-    BlockageModel,
-    BlockageState,
-    LossCase,
-    SystemConfig,
-    SystemKind,
-    build_channel_matrix,
-    sample_blockage,
-    sample_placement,
-    waveguide_y_offsets,
-)
+from pinchsim import BlockageModel, LossCase, SystemConfig, waveguide_y_offsets
 from pinchsim import channel
 from pinchsim.channel import (
+    center_distances_sq,
     channel_coefficients,
     conv_distances_sq,
     pin_distances_sq,
@@ -25,6 +16,8 @@ from pinchsim.channel import (
     unblocked_probability_sq,
     waveguide_amplitude,
 )
+from pinchsim.scenario import _sample_user_xy
+from pinchsim.transceiver import conventional_rates_batch, design2_rates_from_power
 
 
 def make_cfg(**kw):
@@ -37,6 +30,24 @@ def make_cfg(**kw):
 def one_link(value):
     """A scalar as the (1, 1, 1) array of one trial, one user, one antenna."""
     return np.full((1, 1, 1), value)
+
+
+def drop(cfg, rng, n=1):
+    """n user drops: (n, M) x and y coordinates."""
+    return _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+
+
+def pin_los_probability(cfg, x, y):
+    """(n, M, M) line-of-sight probabilities of the pinching links."""
+    d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
+    return unblocked_probability_sq(d_sq, cfg)
+
+
+def pin_channel(cfg, x, y, alpha):
+    """(n, M, M) pinching channels of (n, M) placements under the
+    line-of-sight indicators ``alpha``, assembled as the chunk kernel does."""
+    d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
+    return channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq, x) * alpha, x)
 
 
 class TestBlockageProbability:
@@ -63,26 +74,28 @@ class TestBlockageProbability:
 
 
 class TestSampleBlockage:
+    """Blockage indicators are Bernoulli draws rng.random(p.shape) < p of
+    the line-of-sight probabilities of the batched distances."""
+
     def test_phi_zero_always_clear(self):
         cfg = make_cfg(num_users=3, phi=0.0)
         rng = np.random.default_rng(0)
-        pl = sample_placement(cfg, rng)
-        for _ in range(50):
-            st = sample_blockage(pl, cfg, SystemKind.PINCHING, rng)
-            assert np.all(st.alpha == 1)
-        st = sample_blockage(pl, cfg, SystemKind.CONVENTIONAL, rng)
-        assert st.alpha.shape == (3,)
-        assert np.all(st.alpha == 1)
+        x, y = drop(cfg, rng)
+        p = pin_los_probability(cfg, x, y)
+        assert np.all(rng.random((50,) + p.shape[1:]) < p)
+        p = unblocked_probability_sq(center_distances_sq(cfg, x, y), cfg)
+        assert p.shape == (1, 3)
+        assert np.all(rng.random(p.shape) < p)
 
     def test_empirical_mean_matches_bernoulli(self):
         cfg = make_cfg(phi=0.1)
         rng = np.random.default_rng(11)
-        pl = sample_placement(cfg, rng)
+        x, y = drop(cfg, rng)
         # one waveguide, on the center line; the antenna sits above the user
-        p = math.exp(-0.1 * math.sqrt(pl.y[0] ** 2 + 9.0))
+        p = math.exp(-0.1 * math.sqrt(y[0, 0] ** 2 + 9.0))
         n = 1_000_000
-        st = sample_blockage(pl, cfg, SystemKind.PINCHING, rng, size=n)
-        hits = int(st.alpha[:, 0, 0].sum())
+        alpha = rng.random((n, 1, 1)) < pin_los_probability(cfg, x, y)
+        hits = int(alpha.sum())
         tol = 3.0 * math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) <= tol
 
@@ -90,42 +103,13 @@ class TestSampleBlockage:
         cfg = make_cfg(blockage_model=BlockageModel.MODEL_B, phi=0.1,
                        constrain_under_waveguide=True)
         rng = np.random.default_rng(3)
-        pl = sample_placement(cfg, rng)
+        x, y = drop(cfg, rng)
         n = 200_000
-        st = sample_blockage(pl, cfg, SystemKind.PINCHING, rng, size=n)
-        hits = int(st.alpha[:, 0, 0].sum())
+        alpha = rng.random((n, 1, 1)) < pin_los_probability(cfg, x, y)
+        hits = int(alpha.sum())
         p = math.exp(-0.1 * 9.0)
         tol = 3.0 * math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) <= tol
-
-    @pytest.mark.parametrize("system", list(SystemKind))
-    def test_batched_draw_equals_successive_draws(self, system):
-        cfg = make_cfg(num_users=3, phi=0.2)
-        pl = sample_placement(cfg, np.random.default_rng(12))
-        rng = np.random.default_rng(13)
-        single = [sample_blockage(pl, cfg, system, rng).alpha for _ in range(50)]
-        batch = sample_blockage(pl, cfg, system, np.random.default_rng(13),
-                                size=50)
-        assert batch.alpha.shape == (50,) + single[0].shape
-        assert np.array_equal(batch.alpha, np.stack(single))
-
-    def test_batched_state_rejected_by_channel_builder(self):
-        cfg = make_cfg(num_users=2)
-        pl = sample_placement(cfg, np.random.default_rng(14))
-        st = sample_blockage(pl, cfg, SystemKind.PINCHING,
-                             np.random.default_rng(15), size=4)
-        with pytest.raises(ValueError):
-            build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
-
-    def test_binary_entries_enforced(self):
-        with pytest.raises(ValueError):
-            BlockageState(alpha=np.array([[0.5]]), system=SystemKind.PINCHING)
-
-    def test_batch_axis_is_the_only_extra_axis(self):
-        with pytest.raises(ValueError):
-            BlockageState(alpha=np.ones((2, 2, 2, 2)), system=SystemKind.PINCHING)
-        with pytest.raises(ValueError):
-            BlockageState(alpha=np.ones((2, 2, 2)), system=SystemKind.CONVENTIONAL)
 
 
 class TestFreeSpaceCoefficient:
@@ -206,94 +190,70 @@ class TestWaveguideFactor:
         assert abs(pinch[0, 0, 0] - free[0, 0, 0]) <= 1e-12 * abs(free[0, 0, 0])
 
 
-class TestBuildChannelMatrix:
+class TestChannelAssembly:
     def test_full_blockage_gives_zero_matrix(self):
         cfg = make_cfg(num_users=2)
-        pl = sample_placement(cfg, np.random.default_rng(1))
-        st = BlockageState(alpha=np.zeros((2, 2), dtype=int),
-                           system=SystemKind.PINCHING)
-        chan = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
-        assert np.all(chan.h == 0)
+        x, y = drop(cfg, np.random.default_rng(1))
+        h = pin_channel(cfg, x, y, np.zeros((2, 2), dtype=bool))
+        assert np.all(h == 0)
 
     def test_user_under_waveguide_hits_max_gain(self):
         cfg = make_cfg(constrain_under_waveguide=True)
-        pl = sample_placement(cfg, np.random.default_rng(2))
-        st = BlockageState(alpha=np.ones((1, 1), dtype=int),
-                           system=SystemKind.PINCHING)
-        chan = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
+        x, y = drop(cfg, np.random.default_rng(2))
+        h = pin_channel(cfg, x, y, True)
         expected = math.sqrt(cfg.path_gain_factor) / cfg.height
-        assert abs(chan.h[0, 0]) == pytest.approx(expected, rel=1e-12)
+        assert abs(h[0, 0, 0]) == pytest.approx(expected, rel=1e-12)
 
     def test_magnitude_bounded_by_minimum_distance_gain(self):
         cfg = make_cfg(num_users=3)
         rng = np.random.default_rng(3)
         bound = math.sqrt(cfg.path_gain_factor) / cfg.height
-        for _ in range(20):
-            pl = sample_placement(cfg, rng)
-            st = sample_blockage(pl, cfg, SystemKind.PINCHING, rng)
-            chan = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
-            mags = np.abs(chan.h)
-            assert np.all(mags <= bound * (1 + 1e-12))
-            assert np.all((mags == 0) == (st.alpha == 0))
+        x, y = drop(cfg, rng, 20)
+        p = pin_los_probability(cfg, x, y)
+        alpha = rng.random(p.shape) < p
+        mags = np.abs(pin_channel(cfg, x, y, alpha))
+        assert np.all(mags <= bound * (1 + 1e-12))
+        assert np.all((mags == 0) == ~alpha)
 
     def test_waveguide_loss_only_attenuates(self):
         cfg1 = make_cfg(num_users=2, loss_case=LossCase.CASE_I)
         cfg2 = make_cfg(num_users=2, loss_case=LossCase.CASE_II)
-        rng = np.random.default_rng(4)
-        pl = sample_placement(cfg1, rng)
-        ones = BlockageState(alpha=np.ones((2, 2), dtype=int),
-                             system=SystemKind.PINCHING)
-        h1 = build_channel_matrix(pl, ones, cfg1, SystemKind.PINCHING)
-        h2 = build_channel_matrix(pl, ones, cfg2, SystemKind.PINCHING)
-        assert np.all(np.abs(h2.h) <= np.abs(h1.h))
+        x, y = drop(cfg1, np.random.default_rng(4))
+        h1 = pin_channel(cfg1, x, y, True)
+        h2 = pin_channel(cfg2, x, y, True)
+        assert np.all(np.abs(h2) <= np.abs(h1))
         # in-waveguide length is x + d_l/2 > 0 almost surely, so strictly less
-        assert np.all(np.abs(h2.h) < np.abs(h1.h))
+        assert np.all(np.abs(h2) < np.abs(h1))
 
     def test_conventional_rows_share_one_indicator(self):
+        # every element a user sees shares that user's one indicator: the
+        # (n, M) indicators give the rates of the (n, M, M) gains with each
+        # user's row blocked or clear as a whole
         cfg = make_cfg(num_users=2)
-        pl = sample_placement(cfg, np.random.default_rng(5))
-        st = BlockageState(alpha=np.array([1, 0]), system=SystemKind.CONVENTIONAL)
-        chan = build_channel_matrix(pl, st, cfg, SystemKind.CONVENTIONAL)
-        assert np.all(chan.h[1] == 0)
-        assert np.all(np.abs(chan.h[0]) > 0)
+        rng = np.random.default_rng(5)
+        x, y = drop(cfg, rng, 50)
+        alpha = rng.random((50, 2)) < 0.5
+        rates = conventional_rates_batch(cfg, x, y, alpha, 2)
+        s = power_gains(cfg, conv_distances_sq(cfg, x, y)) * alpha[:, :, None]
+        dense = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power, 2)
+        assert np.array_equal(rates, dense)
+        assert np.all((rates == 0) == ~alpha)
 
     def test_closest_point_rule_maximizes_own_gain(self):
         # moving the antenna away from the user's x only reduces |h_mm|
         cfg = make_cfg()
-        rng = np.random.default_rng(6)
-        pl = sample_placement(cfg, rng)
-        ones = BlockageState(alpha=np.ones((1, 1), dtype=int),
-                             system=SystemKind.PINCHING)
-        best = np.abs(build_channel_matrix(pl, ones, cfg, SystemKind.PINCHING).h[0, 0])
+        x, y = drop(cfg, np.random.default_rng(6))
+        best = np.abs(pin_channel(cfg, x, y, True)[0, 0, 0])
         for dx in (-3.0, -0.5, 0.7, 4.0):
-            moved_sq = one_link(dx * dx + pl.y[0] ** 2 + cfg.height ** 2)
+            moved_sq = one_link(dx * dx + y[0, 0] ** 2 + cfg.height ** 2)
             mag = math.sqrt(power_gains(cfg, moved_sq)[0, 0, 0])
             assert mag <= best * (1 + 1e-12)
 
     def test_deterministic_given_inputs(self):
         cfg = make_cfg(num_users=2, loss_case=LossCase.CASE_II)
-        pl = sample_placement(cfg, np.random.default_rng(8))
-        st = sample_blockage(pl, cfg, SystemKind.PINCHING,
-                             np.random.default_rng(9))
-        a = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
-        b = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
-        assert np.array_equal(a.h, b.h)
-
-    def test_placement_of_another_user_count_rejected(self):
-        pl = sample_placement(make_cfg(num_users=2), np.random.default_rng(11))
-        cfg = make_cfg(num_users=3)
-        ones = BlockageState(alpha=np.ones((3, 3), dtype=int),
-                             system=SystemKind.PINCHING)
-        with pytest.raises(ValueError, match="num_users"):
-            build_channel_matrix(pl, ones, cfg, SystemKind.PINCHING)
-        with pytest.raises(ValueError, match="num_users"):
-            sample_blockage(pl, cfg, SystemKind.CONVENTIONAL,
-                            np.random.default_rng(12))
-
-    def test_mismatched_system_kind_rejected(self):
-        cfg = make_cfg()
-        pl = sample_placement(cfg, np.random.default_rng(10))
-        st = BlockageState(alpha=np.ones(1, dtype=int),
-                           system=SystemKind.CONVENTIONAL)
-        with pytest.raises(ValueError):
-            build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
+        x, y = drop(cfg, np.random.default_rng(8))
+        p = pin_los_probability(cfg, x, y)
+        alpha = np.random.default_rng(9).random(p.shape) < p
+        a = pin_channel(cfg, x, y, alpha)
+        b = pin_channel(cfg, x, y, alpha)
+        assert np.array_equal(a, b)

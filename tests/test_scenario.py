@@ -11,7 +11,6 @@ from pinchsim import (
     SystemConfig,
     conventional_array_positions,
     dbm_to_watt,
-    sample_placement,
     watt_to_dbm,
     waveguide_y_offsets,
 )
@@ -112,55 +111,64 @@ class TestConventionalArray:
             assert np.allclose(spacing, make_cfg().wavelength / 2, rtol=1e-12)
 
 
+def drop(cfg, rng, n=1):
+    """n user drops: (n, M) x and y coordinates."""
+    return _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+
+
 class TestSamplePlacement:
     def test_same_seed_reproduces_bitwise(self):
         cfg = make_cfg(num_users=3)
-        a = sample_placement(cfg, np.random.default_rng(123))
-        b = sample_placement(cfg, np.random.default_rng(123))
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.y, b.y)
+        ax, ay = drop(cfg, np.random.default_rng(123))
+        bx, by = drop(cfg, np.random.default_rng(123))
+        assert np.array_equal(ax, bx)
+        assert np.array_equal(ay, by)
 
     @pytest.mark.parametrize("constrained", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 5, 16])
     def test_is_the_one_trial_batch_draw(self, m, constrained):
+        # one drop is rng.uniform's (1, M) draw of every x, then every y,
+        # and leaves the stream where rng.uniform leaves it
         cfg = make_cfg(num_users=m, constrain_under_waveguide=constrained)
+        beta = waveguide_y_offsets(cfg)
+        half = cfg.strip_width / 2.0
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            pl = sample_placement(cfg, rng)
+            x, y = drop(cfg, rng)
             ref = np.random.default_rng(seed)
-            x, y = _sample_user_xy(cfg, 1, ref, waveguide_y_offsets(cfg))
-            assert np.array_equal(pl.x.view(np.int64), x[0].view(np.int64))
-            assert np.array_equal(pl.y.view(np.int64), y[0].view(np.int64))
+            ref_x = ref.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, (1, m))
+            ref_y = (beta[None] if constrained
+                     else ref.uniform(beta - half, beta + half, (1, m)))
+            assert np.array_equal(x.view(np.int64), ref_x.view(np.int64))
+            assert np.array_equal(y.view(np.int64), ref_y.view(np.int64))
             assert rng.random() == ref.random()
 
     def test_constrained_user_sits_under_waveguide(self):
         cfg = make_cfg(constrain_under_waveguide=True)
-        pl = sample_placement(cfg, np.random.default_rng(0))
-        assert pl.y[0] == 0.0
+        x, y = drop(cfg, np.random.default_rng(0))
+        assert y[0, 0] == 0.0
         # pinch-to-user distance collapses to the height exactly
-        d_sq = pin_distances_sq(cfg, pl.x[None], pl.y[None],
-                                waveguide_y_offsets(cfg))
+        d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
         assert d_sq[0, 0, 0] == 9.0
 
     def test_users_stay_inside_their_strips(self):
         cfg = make_cfg(num_users=2)
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            pl = sample_placement(cfg, rng)
-            assert np.all(np.abs(pl.x) <= cfg.d_l / 2)
-            assert -5.0 <= pl.y[0] <= 0.0
-            assert 0.0 <= pl.y[1] <= 5.0
+        x, y = drop(cfg, np.random.default_rng(7), 200)
+        assert np.all(np.abs(x) <= cfg.d_l / 2)
+        assert np.all((-5.0 <= y[:, 0]) & (y[:, 0] <= 0.0))
+        assert np.all((0.0 <= y[:, 1]) & (y[:, 1] <= 5.0))
 
     def test_pinch_antenna_follows_user_x(self):
         # antenna m sits at (x_m, beta_m, height), so user m's own link has
         # no x component
         cfg = make_cfg(num_users=3)
-        pl = sample_placement(cfg, np.random.default_rng(5))
+        x, y = drop(cfg, np.random.default_rng(5))
         beta = waveguide_y_offsets(cfg)
-        d_sq = pin_distances_sq(cfg, pl.x[None], pl.y[None], beta)[0]
-        expected = (pl.y - beta) ** 2 + 9.0
+        d_sq = pin_distances_sq(cfg, x, y, beta)[0]
+        x, y = x[0], y[0]
+        expected = (y - beta) ** 2 + 9.0
         assert np.allclose(np.diag(d_sq), expected, rtol=1e-12)
-        cross = (pl.x[0] - pl.x[1]) ** 2 + (pl.y[0] - beta[1]) ** 2 + 9.0
+        cross = (x[0] - x[1]) ** 2 + (y[0] - beta[1]) ** 2 + 9.0
         assert d_sq[0, 1] == pytest.approx(cross, rel=1e-12)
 
     def test_feed_points_at_near_edge(self):
@@ -170,11 +178,6 @@ class TestSamplePlacement:
         amp = waveguide_amplitude(cfg, np.array([[-20.0, 20.0]]))
         assert amp[0, 0] == 1.0
         assert amp[0, 1] == pytest.approx(10.0 ** (-0.08 * 40.0 / 20.0), rel=1e-12)
-
-    def test_placement_arrays_are_readonly(self):
-        pl = sample_placement(make_cfg(), np.random.default_rng(2))
-        with pytest.raises(ValueError):
-            pl.x[0] = 99.0
 
     def test_empirical_mean_matches_uniform_moments(self):
         # batch sampler: mean of y over 1e6 draws within 3 sigma of the

@@ -8,21 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pinchsim import (
-    BlockageModel,
-    BlockageState,
-    ChannelMatrix,
-    SchemeUsed,
-    SystemConfig,
-    SystemKind,
-    conventional_rates,
-    design1_rates,
-    design2_rates,
-    sample_placement,
-    zero_forcing_gains,
-    zero_forcing_precoder,
+from pinchsim import BlockageModel, Scheme, SystemConfig, waveguide_y_offsets
+from pinchsim.channel import (
+    channel_coefficients,
+    pin_distances_sq,
+    power_gains,
+    unblocked_probability_sq,
 )
-from pinchsim.transceiver import design2_rates_from_power, zf_gains_batch
+from pinchsim.montecarlo import _rates_chunk, chunk_generator
+from pinchsim.scenario import _sample_user_xy
+from pinchsim.transceiver import (
+    conventional_rates_batch,
+    design1_rates_from_gains,
+    design2_rates_from_power,
+    zf_gains_batch,
+    zf_precoders,
+)
 
 
 def make_cfg(**kw):
@@ -32,49 +33,72 @@ def make_cfg(**kw):
     return SystemConfig(**base)
 
 
-def as_channel(h, system=SystemKind.PINCHING):
-    return ChannelMatrix(h=h, system=system)
-
-
 def random_channels(n, m, rng, scale=1e-4):
     """Random complex matrices at realistic channel magnitudes."""
     return scale * (rng.standard_normal((n, m, m))
                     + 1j * rng.standard_normal((n, m, m)))
 
 
+def design1(h, cfg):
+    """Zero-forcing rates of stacked channels, and where zero forcing
+    applies."""
+    gains, ok = zf_gains_batch(h)
+    return design1_rates_from_gains(gains, cfg.tx_power, cfg.noise_power), ok
+
+
+def design2(h, cfg):
+    """Design II rates of stacked (..., M, M) channels."""
+    return design2_rates_from_power(np.abs(h) ** 2, cfg.tx_power,
+                                    cfg.noise_power, np.shape(h)[-1])
+
+
+def pin_draw(cfg, rng, n=1):
+    """n placements with their (n, M, M) pinching distances and gains."""
+    beta = waveguide_y_offsets(cfg)
+    x, y = _sample_user_xy(cfg, n, rng, beta)
+    d_sq = pin_distances_sq(cfg, x, y, beta)
+    return x, y, d_sq, power_gains(cfg, d_sq, x)
+
+
 class TestZeroForcingGains:
     def test_single_antenna_gain_is_power_gain(self):
         h = 3e-4 * np.exp(1j * 0.7)
-        gains = zero_forcing_gains(as_channel([[h]]))
+        gains, ok = zf_gains_batch([[h]])
+        assert ok
         assert gains[0] == pytest.approx(abs(h) ** 2, rel=1e-12)
 
     def test_diagonal_two_user_example(self):
-        gains = zero_forcing_gains(as_channel(np.diag([1.0, 2.0])))
+        gains, ok = zf_gains_batch(np.diag([1.0, 2.0]))
+        assert ok
         assert np.allclose(gains, [0.5, 2.0], rtol=1e-12)
 
     def test_zero_row_signals_rank_deficiency(self):
         h = np.array([[0.0, 0.0], [1.0, 2.0]], dtype=complex)
-        assert zero_forcing_gains(as_channel(h)) is None
+        assert not zf_gains_batch(h)[1]
 
     def test_zero_column_signals_rank_deficiency(self):
         h = np.array([[0.0, 1.0], [0.0, 2.0]], dtype=complex)
-        assert zero_forcing_gains(as_channel(h)) is None
+        assert not zf_gains_batch(h)[1]
 
     def test_near_singular_signals_rank_deficiency(self):
         h = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
-        assert zero_forcing_gains(as_channel(h)) is None
+        assert not zf_gains_batch(h)[1]
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            zero_forcing_gains(as_channel(np.ones((2, 3), dtype=complex)))
+        for h in (np.ones((2, 3), dtype=complex), np.ones((4, 2, 3))):
+            with pytest.raises(ValueError):
+                zf_gains_batch(h)
+            with pytest.raises(ValueError):
+                zf_precoders(h)
 
 
 class TestZeroForcingPrecoder:
     def test_interference_nulling_and_power(self):
         rng = np.random.default_rng(42)
-        for h in random_channels(100, 3, rng):
-            w = zero_forcing_precoder(as_channel(h))
-            if w is None:
+        batch = random_channels(100, 3, rng)
+        ws, oks = zf_precoders(batch)
+        for h, w, ok in zip(batch, ws, oks):
+            if not ok:
                 continue
             eff = h @ w
             signal = np.abs(np.diag(eff)) ** 2
@@ -87,8 +111,8 @@ class TestZeroForcingPrecoder:
     def test_effective_gain_matches_reported_gains(self):
         rng = np.random.default_rng(1)
         h = random_channels(1, 2, rng)[0]
-        w = zero_forcing_precoder(as_channel(h))
-        gains = zero_forcing_gains(as_channel(h))
+        w, _ = zf_precoders(h)
+        gains, _ = zf_gains_batch(h)
         eff = h @ w
         assert np.allclose(np.abs(np.diag(eff)) ** 2, gains, rtol=1e-10)
 
@@ -97,33 +121,47 @@ class TestDesign1:
     def test_single_user_rate(self):
         cfg = make_cfg(num_users=1)
         h = 2.8e-4 * np.exp(-0.3j)
-        rv = design1_rates(as_channel([[h]]), cfg)
+        rates, ok = design1([[h]], cfg)
         expected = math.log2(1 + abs(h) ** 2 * cfg.tx_power / cfg.noise_power)
-        assert rv.rates[0] == pytest.approx(expected, rel=1e-12)
-        assert rv.scheme_used is SchemeUsed.ZF
+        assert rates[0] == pytest.approx(expected, rel=1e-12)
+        assert ok
 
     def test_diagonal_channel_splits_power(self):
         cfg = make_cfg()
         h = 3e-4
-        rv = design1_rates(as_channel(np.diag([h, h])), cfg)
+        rates, _ = design1(np.diag([h, h]), cfg)
         expected = math.log2(1 + h ** 2 * cfg.tx_power / (2 * cfg.noise_power))
-        assert np.allclose(rv.rates, expected, rtol=1e-12)
+        assert np.allclose(rates, expected, rtol=1e-12)
 
     def test_blocked_user_triggers_fallback(self):
-        cfg = make_cfg()
-        h = np.array([[0.0, 0.0], [0.0, 3e-4]], dtype=complex)
-        rv = design1_rates(as_channel(h), cfg)
-        assert rv.scheme_used is SchemeUsed.DESIGN2_FALLBACK
-        assert rv.rates[0] == 0.0
-        assert rv.rates[1] > 0.0
+        # Where zero forcing does not apply, the chunk kernel's Design I
+        # rates are its Design II rates, bit for bit; a user whose row is
+        # blocked then gets 0
+        cfg = make_cfg(tx_power=1.0, phi=0.1)
+        n = 200
+        d2, d1 = _rates_chunk((Scheme.PIN_D2, Scheme.PIN_D1), cfg, n,
+                              chunk_generator(3, 0, 0))
+        rng = chunk_generator(3, 0, 0)
+        x, y, d_sq, s = pin_draw(cfg, rng, n)
+        alpha = rng.random(d_sq.shape) < unblocked_probability_sq(d_sq, cfg)
+        h = channel_coefficients(cfg, d_sq, s * alpha, x)
+        gains, ok = zf_gains_batch(h)
+        assert ok.any() and not ok.all()
+        assert np.array_equal(d1[~ok].view(np.int64), d2[~ok].view(np.int64))
+        blocked_row = ~alpha.any(axis=-1)
+        assert blocked_row.any()
+        assert np.all(d1[blocked_row] == 0.0)
+        assert np.array_equal(
+            d1[ok], design1_rates_from_gains(gains[ok], cfg.tx_power,
+                                             cfg.noise_power))
 
     def test_row_phase_rotation_leaves_rates_unchanged(self):
         cfg = make_cfg(num_users=3)
         rng = np.random.default_rng(5)
         h = random_channels(1, 3, rng)[0]
-        base = design1_rates(as_channel(h), cfg).rates
+        base, _ = design1(h, cfg)
         rot = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))[:, None] * h
-        rotated = design1_rates(as_channel(rot), cfg).rates
+        rotated, _ = design1(rot, cfg)
         assert np.allclose(rotated, base, rtol=1e-11)
 
 
@@ -131,94 +169,82 @@ class TestDesign2:
     def test_interference_free_when_cross_links_blocked(self):
         cfg = make_cfg()
         h = np.diag([2e-4, 3e-4]).astype(complex)
-        rv = design2_rates(as_channel(h), cfg)
         expected = [math.log2(1 + (2e-4) ** 2 * cfg.tx_power / (2 * cfg.noise_power)),
                     math.log2(1 + (3e-4) ** 2 * cfg.tx_power / (2 * cfg.noise_power))]
-        assert np.allclose(rv.rates, expected, rtol=1e-12)
-        assert rv.scheme_used is SchemeUsed.DESIGN2
+        assert np.allclose(design2(h, cfg), expected, rtol=1e-12)
 
     def test_blocked_own_link_gives_zero_rate(self):
         cfg = make_cfg()
         h = np.array([[0.0, 2e-4], [1e-4, 3e-4]], dtype=complex)
-        rv = design2_rates(as_channel(h), cfg)
-        assert rv.rates[0] == 0.0
+        assert design2(h, cfg)[0] == 0.0
 
     def test_two_user_closed_expression(self):
         cfg = make_cfg()
         a, b = 2.5e-4, 0.8e-4
         h = np.array([[a, b], [0.0, 3e-4]], dtype=complex)
-        rv = design2_rates(as_channel(h), cfg)
         expected = math.log2(1 + a * a * cfg.tx_power
                              / (b * b * cfg.tx_power + 2 * cfg.noise_power))
-        assert rv.rates[0] == pytest.approx(expected, rel=1e-12)
+        assert design2(h, cfg)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_interference_and_signal(self):
         cfg = make_cfg()
         own = 2e-4
         cross = np.linspace(0.0, 3e-4, 15)
-        rates = [design2_rates(as_channel([[own, c], [0, own]]), cfg).rates[0]
-                 for c in cross]
+        rates = design2(np.array([[[own, c], [0, own]] for c in cross]),
+                        cfg)[:, 0]
         assert np.all(np.diff(rates) < 0)
         owns = np.linspace(1e-5, 4e-4, 15)
-        rates = [design2_rates(as_channel([[o, 1e-4], [0, own]]), cfg).rates[0]
-                 for o in owns]
+        rates = design2(np.array([[[o, 1e-4], [0, own]] for o in owns]),
+                        cfg)[:, 0]
         assert np.all(np.diff(rates) > 0)
 
     def test_entrywise_phase_rotation_is_exactly_invariant(self):
         cfg = make_cfg(num_users=3)
         rng = np.random.default_rng(9)
         h = random_channels(1, 3, rng)[0]
-        base = design2_rates(as_channel(h), cfg).rates
+        base = design2(h, cfg)
         rot = h * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 3)))
         # magnitudes unchanged -> identical rates up to rounding in abs()
-        assert np.allclose(design2_rates(as_channel(rot), cfg).rates, base,
-                           rtol=1e-12)
+        assert np.allclose(design2(rot, cfg), base, rtol=1e-12)
 
 
 class TestDesign1VersusDesign2:
     def test_zero_forcing_wins_at_high_snr_when_feasible(self):
         cfg = make_cfg(tx_power=1.0)
-        rng = np.random.default_rng(17)
-        pl = sample_placement(cfg, rng)
-        st = BlockageState(alpha=np.ones((2, 2), dtype=int),
-                           system=SystemKind.PINCHING)
-        from pinchsim import build_channel_matrix
-        chan = build_channel_matrix(pl, st, cfg, SystemKind.PINCHING)
-        r1 = design1_rates(chan, cfg)
-        r2 = design2_rates(chan, cfg)
-        assert r1.scheme_used is SchemeUsed.ZF
-        assert r1.rates.sum() >= r2.rates.sum()
+        x, _, d_sq, s = pin_draw(cfg, np.random.default_rng(17))
+        h = channel_coefficients(cfg, d_sq, s, x)[0]
+        r1, ok = design1(h, cfg)
+        assert ok
+        assert r1.sum() >= design2(h, cfg).sum()
 
 
 class TestConventional:
     def test_blocked_user_has_zero_rate(self):
         cfg = make_cfg()
-        pl = sample_placement(cfg, np.random.default_rng(3))
-        st = BlockageState(alpha=np.array([0, 1]), system=SystemKind.CONVENTIONAL)
-        rv = conventional_rates(pl, st, cfg)
-        assert rv.rates[0] == 0.0
-        assert rv.rates[1] > 0.0
-        assert rv.scheme_used is SchemeUsed.CONVENTIONAL
+        x, y, _, _ = pin_draw(cfg, np.random.default_rng(3))
+        rates = conventional_rates_batch(cfg, x, y, np.array([[False, True]]),
+                                         2)[0]
+        assert rates[0] == 0.0
+        assert rates[1] > 0.0
 
     def test_single_user_distance_law(self):
         cfg = make_cfg(num_users=1)
-        pl = sample_placement(cfg, np.random.default_rng(4))
-        st = BlockageState(alpha=np.array([1]), system=SystemKind.CONVENTIONAL)
-        rv = conventional_rates(pl, st, cfg)
-        r_sq = pl.x[0] ** 2 + pl.y[0] ** 2 + cfg.height ** 2
+        x, y, _, _ = pin_draw(cfg, np.random.default_rng(4))
+        rates = conventional_rates_batch(cfg, x, y, np.array([[True]]), 1)[0]
+        r_sq = x[0, 0] ** 2 + y[0, 0] ** 2 + cfg.height ** 2
         expected = math.log2(1 + cfg.path_gain_factor * cfg.tx_power
                              / (cfg.noise_power * r_sq))
-        assert rv.rates[0] == pytest.approx(expected, rel=1e-12)
+        assert rates[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rate_saturates_in_power(self):
         # 40 dBm vs 60 dBm on a fixed unblocked placement: < 1e-3 bits apart
         rng = np.random.default_rng(6)
         cfg_lo = make_cfg(tx_power=10.0)
         cfg_hi = make_cfg(tx_power=1000.0)
-        pl = sample_placement(cfg_lo, rng)
-        st = BlockageState(alpha=np.array([1, 1]), system=SystemKind.CONVENTIONAL)
-        lo = conventional_rates(pl, st, cfg_lo).rates
-        hi = conventional_rates(pl, st, cfg_hi).rates
+        x, y, _, _ = pin_draw(cfg_lo, rng)
+        clear = np.ones((1, 2), dtype=bool)
+        lo = conventional_rates_batch(cfg_lo, x, y, clear, 2)
+        hi = conventional_rates_batch(cfg_hi, x, y, clear, 2)
         assert np.all(hi >= lo)
         assert np.all(hi - lo < 1e-3)
 
@@ -230,12 +256,10 @@ class TestBatchConsistency:
         batch[5, 0, :] = 0.0  # inject a rank-deficient realization
         gains, ok = zf_gains_batch(batch)
         for i in range(64):
-            scalar = zero_forcing_gains(as_channel(batch[i]))
-            if scalar is None:
-                assert not ok[i]
-            else:
-                assert ok[i]
-                assert np.allclose(gains[i], scalar, rtol=1e-12)
+            one, one_ok = zf_gains_batch(batch[i])
+            assert one_ok == ok[i]
+            if one_ok:
+                assert np.allclose(gains[i], one, rtol=1e-12)
 
     def test_batch_design2_matches_scalar(self):
         cfg = make_cfg(num_users=3)
@@ -244,8 +268,7 @@ class TestBatchConsistency:
         s_eff = np.abs(batch) ** 2
         rates = design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power, 3)
         for i in range(32):
-            rv = design2_rates(as_channel(batch[i]), cfg)
-            assert np.allclose(rates[i], rv.rates, rtol=1e-12)
+            assert np.allclose(rates[i], design2(batch[i], cfg), rtol=1e-12)
 
 
 def conditioned_matrix(cond, m, rng, scale=3e-4):
@@ -304,16 +327,34 @@ class TestMixedBatch:
         batch, _ = self.mixed_batch()
         gains, ok = zf_gains_batch(batch)
         for i, h in enumerate(batch):
-            scalar = zero_forcing_gains(as_channel(h))
-            assert (scalar is None) == (not ok[i])
-            if scalar is not None:
-                assert np.allclose(gains[i], scalar, rtol=1e-12)
+            one, one_ok = zf_gains_batch(h)
+            assert one_ok == ok[i]
+            if one_ok:
+                assert np.allclose(gains[i], one, rtol=1e-12)
+
+    def test_precoders_share_the_gate(self):
+        batch, bad = self.mixed_batch()
+        gains, _ = zf_gains_batch(batch)
+        w, ok = zf_precoders(batch)
+        assert np.array_equal(ok, ~bad)
+        assert np.all(np.isnan(w[bad]))
+        # column m of the precoder delivers exactly gain g_m to user m
+        eff = np.abs(np.einsum("nij,nji->ni", batch[~bad], w[~bad])) ** 2
+        assert np.allclose(eff, gains[~bad], rtol=1e-10)
 
     def test_leading_batch_shape_is_kept(self):
         batch, bad = self.mixed_batch()
         gains, ok = zf_gains_batch(batch.reshape(2, 5, 3, 3))
         assert gains.shape == (2, 5, 3) and ok.shape == (2, 5)
         assert np.array_equal(ok.ravel(), ~bad)
+
+    def test_precoders_keep_the_leading_batch_shape(self):
+        batch, bad = self.mixed_batch()
+        w, ok = zf_precoders(batch.reshape(5, 2, 3, 3))
+        assert w.shape == (5, 2, 3, 3) and ok.shape == (5, 2)
+        assert np.array_equal(ok.ravel(), ~bad)
+        flat, _ = zf_precoders(batch)
+        assert np.array_equal(w.reshape(flat.shape), flat, equal_nan=True)
 
 
 class TestZeroForcingGate:
@@ -341,6 +382,27 @@ class TestZeroForcingGate:
         expected = 1.0 / (3 * (np.abs(np.linalg.inv(good)) ** 2).sum(axis=-2))
         assert np.array_equal(gains[0].view(np.int64),
                               expected.view(np.int64))
+
+    def test_reference_gate_agrees_on_hand_built_matrices(self):
+        # The kernel replay at M = 3 draws no matrix that is gated with
+        # every row and column nonempty, so the reference path's
+        # singularity and conditioning gates are checked here.
+        rng = np.random.default_rng(5)
+        good = random_channels(1, 3, rng)[0]
+        a, b, c, d, e = 1e-4 * (rng.standard_normal(5)
+                                + 1j * rng.standard_normal(5))
+        proportional = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                                 [0.0, 1.0, 1.0]], dtype=complex)
+        pattern = np.array([[a, 0, 0], [b, 0, 0], [c, d, e]])
+        ill = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-14, 0.0],
+                        [0.0, 0.0, 1.0]], dtype=complex)
+        batch = np.stack([good, proportional, pattern, ill])
+        _, ok = zf_gains_batch(batch)
+        assert ok.tolist() == [True, False, False, False]
+        assert [oracles.zf_applies_highprec(h) for h in batch] == ok.tolist()
+        cfg = make_cfg(num_users=3, tx_power=1.0)
+        for h in batch[1:]:
+            assert oracles.design1_rates(cfg, h) == oracles.design2_rates(cfg, h)
 
 
 @st.composite
@@ -379,3 +441,15 @@ class TestZeroForcingProperties:
         gains, ok = zf_gains_batch(np.stack([h, np.eye(m, dtype=complex)]))
         assert list(ok) == [False, True]
         assert np.all(np.isnan(gains[0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=sparse_channel())
+    def test_precoder_columns_carry_one_mth_of_the_power(self, h):
+        m = h.shape[0]
+        w, ok = zf_precoders(h)
+        assert ok == zf_gains_batch(h)[1]
+        if ok:
+            col_power = np.sum(np.abs(w) ** 2, axis=0)
+            assert np.allclose(col_power, 1.0 / m, rtol=1e-12)
+        else:
+            assert np.all(np.isnan(w))

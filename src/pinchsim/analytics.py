@@ -218,6 +218,8 @@ def strip_los_integral(a: float, b: float, cfg: SystemConfig) -> float:
 
     This is the unblocked-probability mass of a y interval under MODEL_A.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration bounds must be finite")
     if a > b:
         raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
@@ -373,8 +375,8 @@ def triangular_pdf(z, d_l: float):
 
     (d_l - |z|) / d_l^2 on [-d_l, d_l], zero outside. Accepts arrays.
     """
-    if not d_l > 0:
-        raise ValueError("d_l must be > 0")
+    if not 0 < d_l < math.inf:
+        raise ValueError("d_l must be finite and > 0")
     zz = np.asarray(z, dtype=float)
     out = np.where(np.abs(zz) <= d_l, (d_l - np.abs(zz)) / d_l ** 2, 0.0)
     return float(out) if out.ndim == 0 else out

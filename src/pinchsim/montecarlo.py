@@ -22,6 +22,11 @@ survives: a blocked user's rate is exactly 0.0 without its row of gains, so
 only the users that keep line of sight get one, which on dense, strongly
 blocked systems skips most of the conventional work.
 
+Every estimator maps its chunks through one function, ``_map_chunks``, and
+the conventional high-SNR bound is no separate simulator: it runs the same
+chunk map and the same conventional kernel, with every user in line of
+sight, unit power and no noise.
+
 A chunk is evaluated in sub-batches of about SUB_LINKS links so that its
 temporaries stay cache-sized. Every random number is still drawn in trial
 order from the chunk's stream, so the sub-batch size never changes a draw,
@@ -48,7 +53,6 @@ from .analytics import OutageParams
 from .channel import (
     center_distances_sq,
     channel_coefficients,
-    conv_distances_sq,
     pin_distances_sq,
     power_gains,
     unblocked_probability_sq,
@@ -58,7 +62,6 @@ from .transceiver import (
     conventional_rates_batch,
     design1_rates_from_gains,
     design2_rates_from_power,
-    design2_rates_from_rows,
     no_empty_line,
     zf_gains_batch,
 )
@@ -132,11 +135,6 @@ def chunk_generator(master_seed: int, axis_index: int,
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _chunk_sizes(n_trials: int) -> list[int]:
-    n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    return [min(CHUNK_TRIALS, n_trials - i * CHUNK_TRIALS) for i in range(n_chunks)]
-
-
 @functools.cache
 def _prime_heap() -> None:
     """Keep chunk memory mapped between chunks, once per process.
@@ -153,12 +151,27 @@ def _prime_heap() -> None:
     np.empty(_CHUNK_HEAP_BYTES, dtype=np.uint8)
 
 
-def _map_ordered(fn, n_chunks: int, workers: int) -> list:
+def _map_chunks(fn, n_trials: int, master_seed: int, axis_index: int,
+                workers: int) -> list:
+    """``fn(rng, n)`` for every chunk of ``n_trials`` trials, in chunk order.
+
+    Chunk i holds n = min(CHUNK_TRIALS, n_trials - i CHUNK_TRIALS) trials
+    and reads the stream chunk_generator(master_seed, axis_index, i), so the
+    results do not depend on ``workers``.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     _prime_heap()
+
+    def one(chunk: int):
+        return fn(chunk_generator(master_seed, axis_index, chunk),
+                  min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS))
+
     if workers <= 1 or n_chunks == 1:
-        return [fn(i) for i in range(n_chunks)]
+        return [one(i) for i in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+        return list(pool.map(one, range(n_chunks)))
 
 
 def _sub_batches(n: int, m: int) -> list[slice]:
@@ -233,7 +246,8 @@ def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     at a time.
     """
     alpha = u < unblocked_probability_sq(center_distances_sq(cfg, x, y), cfg)
-    return conventional_rates_batch(cfg, x, y, alpha,
+    return conventional_rates_batch(cfg, x, y, alpha, cfg.tx_power,
+                                    cfg.noise_power,
                                     max(1, SUB_LINKS // x.shape[1]))
 
 
@@ -286,17 +300,12 @@ def estimate_outage(schemes: Scheme | Sequence[Scheme], params: OutageParams,
     The confidence half-width is the 3-sigma binomial normal approximation.
     """
     schemes, single = _as_schemes(schemes)
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    cfg = params.cfg
-    sizes = _chunk_sizes(n_trials)
 
-    def one(chunk: int) -> list[int]:
-        rng = chunk_generator(master_seed, axis_index, chunk)
+    def outages(rng: np.random.Generator, n: int) -> list[int]:
         return [int(np.count_nonzero(rates[:, 0] <= params.r_target))
-                for rates in _rates_chunk(schemes, cfg, sizes[chunk], rng)]
+                for rates in _rates_chunk(schemes, params.cfg, n, rng)]
 
-    counts = _map_ordered(one, len(sizes), workers)
+    counts = _map_chunks(outages, n_trials, master_seed, axis_index, workers)
     estimates = []
     for hits in zip(*counts):
         value = sum(hits) / n_trials
@@ -364,16 +373,12 @@ def estimate_ergodic(schemes: Scheme | Sequence[Scheme], cfg: SystemConfig,
     Every trial resamples both the placement and the blockage state.
     """
     schemes, single = _as_schemes(schemes)
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    sizes = _chunk_sizes(n_trials)
 
-    def one(chunk: int) -> list[tuple]:
-        rng = chunk_generator(master_seed, axis_index, chunk)
+    def sums(rng: np.random.Generator, n: int) -> list[tuple]:
         return [_ergodic_sums(rates)
-                for rates in _rates_chunk(schemes, cfg, sizes[chunk], rng)]
+                for rates in _rates_chunk(schemes, cfg, n, rng)]
 
-    parts = _map_ordered(one, len(sizes), workers)
+    parts = _map_chunks(sums, n_trials, master_seed, axis_index, workers)
     estimates = [_ergodic_estimates(scheme_parts, n_trials)
                  for scheme_parts in zip(*parts)]
     return estimates[0] if single else estimates
@@ -386,29 +391,22 @@ def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
 
     This is the bounded ceiling the conventional baseline saturates to when
     the power budget grows; unlike the finite-SNR expectation it ignores
-    blockage (the indicator cancels between signal and interference).
+    blockage (the indicator cancels between signal and interference). The
+    rates come from the conventional kernel of the estimators, with every
+    user in line of sight, unit power and no noise, so the SINR is S / I.
     """
     if cfg.num_users < 2:
         raise ValueError("the conventional rate bound needs num_users >= 2")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    m = cfg.num_users
-    sizes = _chunk_sizes(n_trials)
     beta = waveguide_y_offsets(cfg)
 
-    def one(chunk: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-        rng = chunk_generator(master_seed, axis_index, chunk)
-        n = sizes[chunk]
+    def sums(rng: np.random.Generator, n: int) -> tuple:
         x, y = _sample_user_xy(cfg, n, rng, beta)
-        rates = np.empty((n, m))
-        for b in _sub_batches(n, m):
-            s = power_gains(cfg, conv_distances_sq(cfg, x[b], y[b]))
-            # unit power and no noise: the SINR is S / I
-            rates[b] = design2_rates_from_rows(
-                np.diagonal(s, axis1=-2, axis2=-1), s.sum(axis=-1), 1.0, 0.0, m)
-        return _ergodic_sums(rates)
+        return _ergodic_sums(conventional_rates_batch(
+            cfg, x, y, np.ones(x.shape, dtype=bool), 1.0, 0.0,
+            max(1, SUB_LINKS // cfg.num_users)))
 
-    return _ergodic_estimates(_map_ordered(one, len(sizes), workers), n_trials)
+    return _ergodic_estimates(
+        _map_chunks(sums, n_trials, master_seed, axis_index, workers), n_trials)
 
 
 def apply_axis(cfg: SystemConfig, axis: SweepAxis, value: float,

@@ -70,14 +70,13 @@ class SystemConfig:
     loss_case: LossCase = LossCase.CASE_I
     waveguide_loss_db_per_m: float = 0.08
     n_eff: float = 1.4
-    light_speed: float = SPEED_OF_LIGHT
     constrain_under_waveguide: bool = False
 
     def __post_init__(self) -> None:
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
         positive = ("d_w", "d_l", "height", "carrier_freq", "noise_power",
-                    "tx_power", "light_speed", "n_eff")
+                    "tx_power", "n_eff")
         for name in positive + ("phi", "waveguide_loss_db_per_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -96,7 +95,7 @@ class SystemConfig:
     @property
     def wavelength(self) -> float:
         """Carrier wavelength in meters."""
-        return self.light_speed / self.carrier_freq
+        return SPEED_OF_LIGHT / self.carrier_freq
 
     @property
     def guided_wavelength(self) -> float:
@@ -109,7 +108,7 @@ class SystemConfig:
 
         The received power at distance r is tx_power * path_gain_factor / r^2.
         """
-        return self.light_speed ** 2 / (16.0 * math.pi ** 2 * self.carrier_freq ** 2)
+        return SPEED_OF_LIGHT ** 2 / (16.0 * math.pi ** 2 * self.carrier_freq ** 2)
 
     @property
     def strip_width(self) -> float:

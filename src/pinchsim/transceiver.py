@@ -12,7 +12,9 @@ The kernels (:func:`zf_gains_batch`, :func:`zf_precoders`,
 stacked (..., M, M) inputs, and the Monte-Carlo estimators call them on
 whole sub-batches; :func:`conventional_rates_batch` takes n placements and
 their blockage. One realization is the n = 1 case. Every Design II and
-conventional rate comes from one SINR formula, :func:`design2_rates_from_rows`.
+conventional rate comes from one SINR formula, :func:`design2_rates_from_rows`,
+and every zero-forcing decision from one gate, the LU factorization and
+conditioning test of the matrix's own inverse.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ LN2 = np.log(2.0)
 
 # Largest 1-norm condition number ||H||_1 ||H^-1||_1 at which zero forcing
 # is still applied. The 1-norm and 2-norm condition numbers of an M x M matrix
-# differ by at most a factor M. Blockage produces exact zero rows/columns,
-# which are rejected before any factorization, and an exactly singular
-# matrix gets a NaN inverse, which fails this test, so it mostly guards
-# near-singular partially blocked matrices; the gains stay accurate across
-# the whole admitted range because they come from inv(H), never inv(H H^H).
+# differ by at most a factor M. An exactly singular matrix, such as one with
+# a zero row or column left by blockage, meets an exact zero pivot and gets
+# a NaN inverse, which fails this test, so it mostly guards near-singular
+# partially blocked matrices; the gains stay accurate across the whole
+# admitted range because they come from inv(H), never inv(H H^H).
 COND_LIMIT = 1e12
 
 
@@ -53,11 +55,11 @@ def zf_gains_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing gains for stacked channel matrices.
 
     The gain of user m is g_m = 1 / (M ||col_m(inv(H))||^2), which equals
-    1 / (M [inv(H H^H)]_mm) without squaring the condition number. Matrices
-    with an all-zero row or column are rejected without factorization, and
-    the rest take one batched inverse, each factorized once: an exactly
-    singular matrix, flagged by a zero pivot of that inverse's own LU
-    factorization, gets a NaN inverse. The inverse's 1-norm gives the gate
+    1 / (M [inv(H H^H)]_mm) without squaring the condition number. The
+    stack takes one batched inverse, each matrix factorized once: an exactly
+    singular matrix, including one with an all-zero row or column, meets a
+    zero pivot of that inverse's own LU factorization and gets a NaN
+    inverse. The inverse's 1-norm gives the gate
     ||H||_1 ||inv(H)||_1 <= COND_LIMIT (within a factor M of the 2-norm
     condition number), which a NaN inverse fails.
 
@@ -70,11 +72,10 @@ def zf_gains_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         exactly singular, or 1-norm condition number above COND_LIMIT).
     """
     h = np.asarray(h, dtype=complex)
-    m = h.shape[-1]
-    ok, live, _, col_sq = _zf_inverses(h)
-    gains = np.full((ok.size, m), np.nan)
-    gains[live] = 1.0 / (m * col_sq)
-    return gains.reshape(ok.shape + (m,)), ok
+    ok, _, col_sq = _zf_inverses(h)
+    gains = np.full(h.shape[:-1], np.nan)
+    gains[ok] = 1.0 / (h.shape[-1] * col_sq)
+    return gains, ok
 
 
 def zf_precoders(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,39 +90,31 @@ def zf_precoders(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ``ok`` is False.
     """
     h = np.asarray(h, dtype=complex)
-    ok, live, inv, col_sq = _zf_inverses(h)
-    w = np.full((ok.size,) + h.shape[-2:], np.nan, dtype=complex)
-    w[live] = inv * np.sqrt(1.0 / (h.shape[-1] * col_sq))[:, None, :]
-    return w.reshape(h.shape), ok
+    ok, inv, col_sq = _zf_inverses(h)
+    w = np.full(h.shape, np.nan, dtype=complex)
+    w[ok] = inv * np.sqrt(1.0 / (h.shape[-1] * col_sq))[:, None, :]
+    return w, ok
 
 
 def _zf_inverses(h: np.ndarray):
     """The zero-forcing gate and inverse for stacked (..., M, M) matrices.
 
     Returns ``ok``, in the batch shape of ``h``, for the gate described in
-    :func:`zf_gains_batch`, then the flat indices of the matrices that pass
-    it, their inverses and the squared column norms of those inverses.
+    :func:`zf_gains_batch`, then the inverses of the matrices that pass it,
+    stacked in batch order as (k, M, M), and their squared column norms.
     """
-    m = h.shape[-1]
-    flat = h.reshape(-1, m, m)
-    live = np.flatnonzero(no_empty_line(flat != 0))
-    mats = flat[live]
     # np.linalg.inv's own gufunc, which np.linalg.inv turns into LinAlgError
     # for the whole stack when one matrix hits an exact zero pivot in its LU
     # factorization; called directly it returns NaN for that matrix alone,
     # and a NaN inverse fails the conditioning gate below.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore",
                      under="ignore"):
-        inv = _umath_linalg.inv(mats, signature="D->D")
+        inv = _umath_linalg.inv(h, signature="D->D")
     inv_abs = np.abs(inv)
-    cond = (np.abs(mats).sum(axis=-2).max(axis=-1)
+    cond = (np.abs(h).sum(axis=-2).max(axis=-1)
             * inv_abs.sum(axis=-2).max(axis=-1))
-    well = cond <= COND_LIMIT
-    live = live[well]
-    ok = np.zeros(flat.shape[0], dtype=bool)
-    ok[live] = True
-    return (ok.reshape(h.shape[:-2]), live, inv[well],
-            (inv_abs[well] ** 2).sum(axis=-2))
+    ok = np.asarray(cond <= COND_LIMIT)
+    return ok, inv[ok], (inv_abs[ok] ** 2).sum(axis=-2)
 
 
 def design1_rates_from_gains(gains: np.ndarray, tx_power: float,
@@ -161,13 +154,14 @@ def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
 
 
 def conventional_rates_batch(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                             alpha: np.ndarray,
+                             alpha: np.ndarray, tx_power: float,
+                             noise_power: float,
                              batch_rows: int) -> np.ndarray:
     """(n, M) conventional-array rates of n placements.
 
-    Element m serves user m with power P/M, and all the elements one user
-    sees share that user's blockage; with M = 1 this is a single fixed
-    antenna with the whole budget.
+    Element m serves user m with power P/M (P = ``tx_power``, noise power
+    ``noise_power``), and all the elements one user sees share that user's
+    blockage; with M = 1 this is a single fixed antenna with the whole budget.
 
     ``x`` and ``y`` are (n, M) user coordinates and ``alpha`` their (n, M)
     line-of-sight indicators. A user's rate reads only its own row of
@@ -188,7 +182,7 @@ def conventional_rates_batch(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
         # row r's own element is column r % M (a lone user's is its only one)
         own = (s[:, 0] if m == 1 else
                s.reshape(-1).take(np.arange(0, s.size, m) + rows % m))
-        rates[rows] = design2_rates_from_rows(own, s.sum(axis=-1),
-                                              cfg.tx_power, cfg.noise_power, m)
+        rates[rows] = design2_rates_from_rows(own, s.sum(axis=-1), tx_power,
+                                              noise_power, m)
     return rates.reshape(n, m)
 

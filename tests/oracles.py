@@ -23,7 +23,7 @@ from pinchsim import (
     threshold_geometry,
 )
 from pinchsim.channel import conv_distances_sq, power_gains
-from pinchsim.scenario import waveguide_y_offsets
+from pinchsim.scenario import SPEED_OF_LIGHT, waveguide_y_offsets
 from pinchsim.transceiver import COND_LIMIT
 
 _EPSABS = 1e-15
@@ -77,7 +77,7 @@ def los_probability(cfg: SystemConfig, r: float) -> float:
 def _constants(cfg: SystemConfig) -> tuple[float, float, float]:
     """Carrier wavelength, guided wavelength and 1 m power gain (lambda/4pi)^2,
     from the raw config fields."""
-    lam = cfg.light_speed / cfg.carrier_freq
+    lam = SPEED_OF_LIGHT / cfg.carrier_freq
     return lam, lam / cfg.n_eff, (lam / (4.0 * math.pi)) ** 2
 
 
@@ -147,17 +147,18 @@ def conv_rates(cfg: SystemConfig, x, y, alpha) -> list[float]:
     return design2_rates(cfg, h)
 
 
-def conv_rates_dense(cfg: SystemConfig, x, y, alpha):
+def conv_rates_dense(cfg: SystemConfig, x, y, alpha, tx_power, noise_power):
     """(n, M) conventional rates with every user's row evaluated, blocked or
-    not: the full (n, M, M) gains, Design II's diagonal-and-row-sum SINR,
-    then the rates times the (n, M) indicators ``alpha``. This is the
-    evaluation the line-of-sight-gated kernel must reproduce bit for bit.
+    not: the full (n, M, M) gains, Design II's diagonal-and-row-sum SINR at
+    ``tx_power`` and ``noise_power``, then the rates times the (n, M)
+    indicators ``alpha``. This is the evaluation the line-of-sight-gated
+    kernel must reproduce bit for bit.
     """
     s = power_gains(cfg, conv_distances_sq(cfg, x, y))
     own = np.diagonal(s, axis1=-2, axis2=-1)
     interference = np.maximum(s.sum(axis=-1) - own, 0.0)
-    sinr = own * cfg.tx_power / (interference * cfg.tx_power
-                                 + cfg.num_users * cfg.noise_power)
+    sinr = own * tx_power / (interference * tx_power
+                             + cfg.num_users * noise_power)
     return np.log1p(sinr) / np.log(2.0) * alpha
 
 

@@ -95,6 +95,16 @@ class TestStripIntegral:
         with pytest.raises(ValueError):
             strip_los_integral(1.0, 0.0, make_cfg())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [(-math.inf, 1.0), (0.0, math.inf),
+                                      (math.nan, 1.0), (0.0, math.nan),
+                                      (-math.inf, math.inf)])
+    def test_non_finite_bounds_rejected(self, a, b):
+        # checked before any quadrature, not reported as non-convergence
+        with pytest.raises(ValueError,
+                           match="^integration bounds must be finite$"):
+            strip_los_integral(a, b, make_cfg())
+
 
 class TestQuadratureEngine:
     """The adaptive Gauss-Legendre engine behind the MODEL_A analytics."""
@@ -372,6 +382,12 @@ class TestTriangularPdf:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             triangular_pdf(0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d_l", [math.inf, math.nan, -math.inf, -1.0])
+    def test_non_finite_width_rejected(self, d_l):
+        with pytest.raises(ValueError, match="^d_l must be finite and > 0$"):
+            triangular_pdf(1.0, d_l)
 
 
 class TestTwoUserErgodic:

@@ -233,7 +233,8 @@ class TestChannelAssembly:
         rng = np.random.default_rng(5)
         x, y = drop(cfg, rng, 50)
         alpha = rng.random((50, 2)) < 0.5
-        rates = conventional_rates_batch(cfg, x, y, alpha, 2)
+        rates = conventional_rates_batch(cfg, x, y, alpha, cfg.tx_power,
+                                         cfg.noise_power, 2)
         s = power_gains(cfg, conv_distances_sq(cfg, x, y)) * alpha[:, :, None]
         dense = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power, 2)
         assert np.array_equal(rates, dense)

@@ -1,5 +1,7 @@
 """Monte-Carlo engine: determinism, confidence intervals, oracle agreement."""
 
+import ast
+import importlib
 import itertools
 import math
 import os
@@ -31,7 +33,7 @@ from pinchsim import (
     run_experiment,
     sweep,
 )
-from pinchsim import cli, montecarlo, transceiver
+from pinchsim import montecarlo, transceiver
 from pinchsim.channel import (
     center_distances_sq,
     conv_distances_sq,
@@ -207,7 +209,8 @@ class TestConventionalGate:
                            constrain_under_waveguide=constrained)
             x, y, u, alpha = self.draw(cfg, 200, 11)
             rates = montecarlo._conv_rates(cfg, x, y, u)
-            expected = oracles.conv_rates_dense(cfg, x, y, alpha)
+            expected = oracles.conv_rates_dense(cfg, x, y, alpha, cfg.tx_power,
+                                                cfg.noise_power)
             assert np.array_equal(rates.view(np.int64),
                                   expected.view(np.int64)), (model, constrained,
                                                              phi)
@@ -246,15 +249,22 @@ class TestConventionalGate:
     @given(m=st.integers(1, 17), model=st.sampled_from(list(BlockageModel)),
            loss=st.sampled_from(list(LossCase)), constrained=st.booleans(),
            phi=st.floats(0.0, 1.0), n=st.integers(1, 64),
-           sub_links=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32))
+           sub_links=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32),
+           bound=st.booleans())
     def test_gated_rates_equal_the_dense_evaluation_anywhere(
-            self, m, model, loss, constrained, phi, n, sub_links, seed):
+            self, m, model, loss, constrained, phi, n, sub_links, seed, bound):
         cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi, blockage_model=model,
                        loss_case=loss, constrain_under_waveguide=constrained)
         x, y, u, alpha = self.draw(cfg, n, seed)
-        rates = transceiver.conventional_rates_batch(cfg, x, y, alpha,
+        power, noise = cfg.tx_power, cfg.noise_power
+        if bound and m >= 2:
+            # estimate_conv_rate_bound's case: every user in line of sight,
+            # unit power and no noise
+            alpha, power, noise = np.ones_like(alpha), 1.0, 0.0
+        rates = transceiver.conventional_rates_batch(cfg, x, y, alpha, power,
+                                                     noise,
                                                      max(1, sub_links // m))
-        expected = oracles.conv_rates_dense(cfg, x, y, alpha)
+        expected = oracles.conv_rates_dense(cfg, x, y, alpha, power, noise)
         assert np.array_equal(rates.view(np.int64), expected.view(np.int64))
 
 
@@ -318,48 +328,76 @@ class TestChunkMemory:
         assert all(v < 10 for v in per_chunk), per_chunk
 
 
-class TestBenchmarkCallSites:
-    """perfbench/run.py times the estimators by re-binding these names in
-    pinchsim.montecarlo (and sweep in pinchsim.cli); a change that stops
-    calling them through the module namespace would make its per-layer
-    metrics read -1."""
+def _benchmark_call_sites() -> list[tuple[str, str]]:
+    """(module, name) of every function perfbench/run.py re-binds to time
+    it: the first two fields of each CALL_SITE_SPANS entry, and each of
+    CLI_ANALYTICS on pinchsim.cli. The file is parsed, not imported, so no
+    bytecode is written under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    values = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            values[getattr(node.targets[0], "id", None)] = node.value
+    sites = [tuple(ast.literal_eval(field) for field in entry.elts[:2])
+             for entry in values["CALL_SITE_SPANS"].elts]
+    sites += [("pinchsim.cli", name)
+              for name in ast.literal_eval(values["CLI_ANALYTICS"])]
+    return sites
 
-    NAMES = ("estimate_outage", "estimate_ergodic", "chunk_generator",
-             "zf_gains_batch", "design2_rates_from_power",
-             "unblocked_probability_sq", "waveguide_y_offsets")
+
+class TestBenchmarkCallSites:
+    """perfbench/run.py times the estimators and the analytics by
+    re-binding names in pinchsim.montecarlo and pinchsim.cli; a change that
+    stops calling one of them through its module namespace would make its
+    per-layer metrics read -1."""
+
+    # num_users, blockage model, constrained, schemes, metric: together
+    # they reach every estimator, kernel and CLI analytic
+    CONFIGS = (
+        (2, "MODEL_A", False, "PIN_D1, PIN_D2, CONV", "OUTAGE"),
+        (2, "MODEL_A", False, "PIN_D1, PIN_D2, CONV", "ERGODIC_SUM"),
+        (1, "MODEL_A", False, "PIN_D2, CONV", "OUTAGE"),
+        (1, "MODEL_B", False, "PIN_D2, CONV", "OUTAGE"),
+        (2, "MODEL_B", True, "PIN_D2", "ERGODIC_SUM"),
+    )
 
     def test_every_traced_name_is_called(self, monkeypatch, tmp_path):
-        calls = dict.fromkeys(self.NAMES + ("cli.sweep",), 0)
+        sites = _benchmark_call_sites()
+        assert ("pinchsim.montecarlo", "zf_gains_batch") in sites
+        assert ("pinchsim.cli", "ergodic_pin_two_user_highsnr") in sites
+        calls = dict.fromkeys(sites, 0)
 
-        def counting(module, name, key):
-            inner = getattr(module, name)
+        def counting(site):
+            module = importlib.import_module(site[0])
+            inner = getattr(module, site[1])
 
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                calls[site] += 1
                 return inner(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(module, site[1], wrapper)
 
-        for name in self.NAMES:
-            counting(montecarlo, name, name)
-        counting(cli, "sweep", "cli.sweep")
-        for metric in ("OUTAGE", "ERGODIC_SUM"):
+        for site in sites:
+            counting(site)
+        for i, (m, model, constrained, schemes, metric) in enumerate(
+                self.CONFIGS):
             run_experiment(parse_config(f"""
-                system.num_users = 2
+                system.num_users = {m}
                 system.d_w = 10
                 system.d_l = 40
                 system.tx_power_dbm = 30
                 system.phi = 0.1
-                system.blockage_model = MODEL_A
-                run.schemes = PIN_D1, PIN_D2, CONV
+                system.blockage_model = {model}
+                system.constrain_under_waveguide = {str(constrained).lower()}
+                run.schemes = {schemes}
                 run.metric = {metric}
                 run.sweep_axis = TX_POWER_DBM
                 run.axis_values = 30
                 run.r_target = 5
                 run.n_trials = 64
                 run.master_seed = 1
-                run.output = {tmp_path / metric}.csv
+                run.output = {tmp_path / str(i)}.csv
                 """))
-        assert all(calls.values()), calls
+        assert [site for site, count in calls.items() if count == 0] == []
 
 
 class TestPlacementDraw:
@@ -513,9 +551,17 @@ class TestEstimateOutage:
         assert est.metric_kind is MetricKind.OUTAGE
 
     def test_rejects_empty_budget(self):
-        with pytest.raises(ValueError):
-            estimate_outage(Scheme.PIN_D2,
-                            OutageParams(cfg=make_cfg(), r_target=1.0), 0, 1)
+        cfg = make_cfg(num_users=2)
+        for estimate in (
+                lambda n: estimate_outage(Scheme.PIN_D2,
+                                          OutageParams(cfg=cfg, r_target=1.0),
+                                          n, 1),
+                lambda n: estimate_ergodic(Scheme.PIN_D2, cfg, n, 1),
+                lambda n: estimate_conv_rate_bound(cfg, n, 1)):
+            for n_trials in (0, -1):
+                with pytest.raises(ValueError,
+                                   match="^n_trials must be >= 1$"):
+                    estimate(n_trials)
 
 
 class TestDeterminism:
@@ -626,6 +672,15 @@ class TestConvRateBound:
                                   for e in ests]).view(np.int64))
         assert np.array_equal(bits[0], bits[1])
         assert np.array_equal(bits[0], bits[2])
+
+    def test_worker_count_does_not_change_values(self):
+        cfg = make_cfg(num_users=3, tx_power=1.0)
+        n = 2 * montecarlo.CHUNK_TRIALS + 5
+        bits = [np.array([(e.value, e.ci_half_width)
+                          for e in estimate_conv_rate_bound(
+                              cfg, n, 8, workers=w)]).view(np.int64)
+                for w in (1, 3)]
+        assert np.array_equal(bits[0], bits[1])
 
     def test_temporaries_stay_small_at_sixteen_users(self):
         # whole-chunk (8192, 16, 16) float64 temporaries would be 16 MiB each

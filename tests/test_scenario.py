@@ -46,8 +46,7 @@ class TestSystemConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["d_w", "d_l", "height", "carrier_freq",
                                        "noise_power", "tx_power", "n_eff",
-                                       "light_speed", "phi",
-                                       "waveguide_loss_db_per_m"])
+                                       "phi", "waveguide_loss_db_per_m"])
     def test_non_finite_parameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             make_cfg(**{field: value})

@@ -1,5 +1,6 @@
 """Zero forcing, the low-complexity design, and the conventional baseline."""
 
+import itertools
 import math
 
 import numpy as np
@@ -223,14 +224,15 @@ class TestConventional:
         cfg = make_cfg()
         x, y, _, _ = pin_draw(cfg, np.random.default_rng(3))
         rates = conventional_rates_batch(cfg, x, y, np.array([[False, True]]),
-                                         2)[0]
+                                         cfg.tx_power, cfg.noise_power, 2)[0]
         assert rates[0] == 0.0
         assert rates[1] > 0.0
 
     def test_single_user_distance_law(self):
         cfg = make_cfg(num_users=1)
         x, y, _, _ = pin_draw(cfg, np.random.default_rng(4))
-        rates = conventional_rates_batch(cfg, x, y, np.array([[True]]), 1)[0]
+        rates = conventional_rates_batch(cfg, x, y, np.array([[True]]),
+                                         cfg.tx_power, cfg.noise_power, 1)[0]
         r_sq = x[0, 0] ** 2 + y[0, 0] ** 2 + cfg.height ** 2
         expected = math.log2(1 + cfg.path_gain_factor * cfg.tx_power
                              / (cfg.noise_power * r_sq))
@@ -243,8 +245,10 @@ class TestConventional:
         cfg_hi = make_cfg(tx_power=1000.0)
         x, y, _, _ = pin_draw(cfg_lo, rng)
         clear = np.ones((1, 2), dtype=bool)
-        lo = conventional_rates_batch(cfg_lo, x, y, clear, 2)
-        hi = conventional_rates_batch(cfg_hi, x, y, clear, 2)
+        lo = conventional_rates_batch(cfg_lo, x, y, clear, cfg_lo.tx_power,
+                                      cfg_lo.noise_power, 2)
+        hi = conventional_rates_batch(cfg_hi, x, y, clear, cfg_hi.tx_power,
+                                      cfg_hi.noise_power, 2)
         assert np.all(hi >= lo)
         assert np.all(hi - lo < 1e-3)
 
@@ -382,6 +386,24 @@ class TestZeroForcingGate:
         expected = 1.0 / (3 * (np.abs(np.linalg.inv(good)) ** 2).sum(axis=-2))
         assert np.array_equal(gains[0].view(np.int64),
                               expected.view(np.int64))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_empty_line_pattern_is_rejected(self, m):
+        # A zero row or column meets an exact zero LU pivot, so the NaN
+        # inverse fails the gate whatever the other entries are.
+        patterns = np.array(list(itertools.product((False, True),
+                                                   repeat=m * m)))
+        patterns = patterns.reshape(-1, m, m)
+        empty = ~(patterns.any(axis=-1).all(axis=-1)
+                  & patterns.any(axis=-2).all(axis=-1))
+        rng = np.random.default_rng(m)
+        h = np.where(patterns[empty],
+                     random_channels(int(empty.sum()), m, rng), 0.0)
+        gains, ok = zf_gains_batch(h)
+        w, w_ok = zf_precoders(h)
+        assert not ok.any() and not w_ok.any()
+        assert np.all(np.isnan(gains)) and np.all(np.isnan(w))
 
     def test_reference_gate_agrees_on_hand_built_matrices(self):
         # The kernel replay at M = 3 draws no matrix that is gated with

@@ -20,7 +20,13 @@ draw, without rewinding the stream, and reads the same uniforms as when it
 runs alone. The conventional array is evaluated only where line of sight
 survives: a blocked user's rate is exactly 0.0 without its row of gains, so
 only the users that keep line of sight get one, which on dense, strongly
-blocked systems skips most of the conventional work.
+blocked systems skips most of the conventional work. Pinching Design II is
+gated the same way on each user's own link: its distance, probability and
+uniform come first, for every user, and only the users whose own link is
+clear get their row of links. Design I's zero-forcing gate needs every link
+of every matrix, so when PIN_D1 runs with two or more users both designs
+read the full arrays instead. The uniforms are drawn as before either way,
+so the gates change no draw and no rate.
 
 Every estimator maps its chunks through one function, ``_map_chunks``, and
 the conventional high-SNR bound is no separate simulator: it runs the same
@@ -62,6 +68,7 @@ from .transceiver import (
     conventional_rates_batch,
     design1_rates_from_gains,
     design2_rates_from_power,
+    design2_rates_of_rows,
     no_empty_line,
     zf_gains_batch,
 )
@@ -79,9 +86,11 @@ SUB_LINKS = 1 << 16
 
 # Bound on the heap one chunk uses at M <= 16: at most 8 float64
 # (CHUNK_TRIALS, M) per-user arrays and 16 float64 sub-batch temporaries of
-# SUB_LINKS links (tracemalloc peaks of _rates_chunk with all three schemes,
-# CASE_II: 1.5 MiB at M=1, 6.7 MiB at M=5, 12.0 MiB at M=16; with phi = 0,
-# where the conventional array evaluates every user, 0.8, 8.9 and 12.1 MiB).
+# SUB_LINKS links. tracemalloc peaks of _rates_chunk, CASE_II, at M = 1, 5
+# and 16: with all three schemes 1.5, 6.7 and 12.0 MiB, and with phi = 0,
+# where every link keeps line of sight, 0.8, 8.9 and 12.1 MiB; with PIN_D2
+# and CONV, whose Design II takes the row path and its four row buffers,
+# 0.7, 4.3 and 7.0 MiB, and with phi = 0 0.8, 5.0 and 7.6 MiB.
 # It must stay below 32 MiB, glibc's cap on its dynamic mmap threshold.
 _CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
 
@@ -191,35 +200,55 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     the Design II array itself. ``conv_u``, an (n, M) array or None, is
     filled with the first n M of those uniforms: the ones the conventional
     scheme draws from the same point of the stream when it runs alone.
+
+    Design I's zero-forcing gate needs every link of every matrix, so with
+    two or more users it gets the full (n, M, M) arrays, and Design II its
+    rates from the same arrays. Otherwise each sub-batch evaluates its
+    users' own links first, and then the rows of links of only the users
+    whose own link is clear (see ``_design2_rows``).
     """
     n, m = x.shape
-    d2 = np.empty((n, m))
-    if not zero_force:
-        d1 = None
-    elif m == 1:
-        # A single user sees no interference, so zero forcing is Design II.
-        d1 = d2
+    dense = zero_force and m > 1
+    batches = _sub_batches(n, m)
+    if dense:
+        d2, d1, work = np.empty((n, m)), np.empty((n, m)), None
     else:
-        d1 = np.empty((n, m))
-    for b in _sub_batches(n, m):
-        xb = x[b]
-        dist_sq = pin_distances_sq(cfg, xb, y[b], beta)
-        p_los = unblocked_probability_sq(dist_sq, cfg)
+        # A single user sees no interference, so zero forcing is Design II.
+        d2 = np.empty((n, m))
+        d1 = d2 if zero_force else None
+        # one set of row buffers for the chunk, sized for its largest
+        # sub-batch, so that no allocation follows a sub-batch's LoS count
+        rows = (batches[0].stop - batches[0].start) * m
+        work = (None if m == 1 else
+                (np.empty((rows, m)), np.empty((rows, m)),
+                 np.empty((rows, m)), np.empty((rows, m), dtype=bool)))
+    for b in batches:
+        xb, yb = x[b], y[b]
+        if dense:
+            dist_sq = pin_distances_sq(cfg, xb, yb, beta)
+            p_los = unblocked_probability_sq(dist_sq, cfg)
+        else:
+            # own links only: x - x = +0.0, so these are bit for bit the
+            # diagonals of the full arrays
+            own_sq = pin_distances_sq(cfg, xb, yb, beta, xb)
+            own_p = unblocked_probability_sq(own_sq, cfg)
         # Blockage uniforms are drawn sub-batch by sub-batch in trial order,
         # which consumes the stream exactly as one (n, M, M) draw would.
-        u = rng.random(dist_sq.shape)
+        u = rng.random((xb.shape[0], m, m))
         lo = b.start * m * m
         if conv_u is not None and lo < conv_u.size:
             k = min(u.size, conv_u.size - lo)
             conv_u.reshape(-1)[lo:lo + k] = u.reshape(-1)[:k]
+        if not dense:
+            _design2_rows(cfg, xb, yb, beta, u, own_sq, own_p, d2[b], work)
+            continue
+
         alpha = u < p_los
         # The gains are finite and positive, so this equals where(alpha, s, 0).
         s_eff = power_gains(cfg, dist_sq, xb)
         s_eff *= alpha
         d2[b] = design2_rates_from_power(s_eff, cfg.tx_power,
                                          cfg.noise_power, m)
-        if d1 is None or d1 is d2:
-            continue
 
         # A realization with an empty row or column cannot be zero-forced
         # and keeps its Design II rate; only the others are assembled and
@@ -233,6 +262,63 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
         out[live[ok]] = design1_rates_from_gains(gains[ok], cfg.tx_power,
                                                  cfg.noise_power)
     return d2, d1
+
+
+def _design2_rows(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
+                  beta: np.ndarray, u: np.ndarray, own_sq: np.ndarray,
+                  own_p: np.ndarray, rates: np.ndarray, work) -> None:
+    """Design II rates of one sub-batch's (nb, M) users, written to
+    ``rates``.
+
+    ``u`` holds the sub-batch's (nb, M, M) blockage uniforms, ``own_sq`` and
+    ``own_p`` its users' own-link squared distances and LoS probabilities.
+    A user whose own link is blocked has rate +0.0 whatever its
+    interference, so only the users whose own link is clear get their row
+    of M links (distance, probability, indicator, gain and row sum), each
+    bit for bit the row of the full (nb, M, M) evaluation. A lone user's
+    row is its own link, so it reuses ``own_sq`` and needs no indicator.
+    ``work`` holds the chunk's four (rows, M) buffers (None at M = 1), and
+    the rows are [:k] views of them.
+    """
+    nb, m = x.shape
+    clear = np.diagonal(u, axis1=1, axis2=2) < own_p
+    if clear.all():
+        # Every own link is clear: the sub-batch's arrays are read in place.
+        if m == 1:
+            s = power_gains(cfg, own_sq[:, :, None], x)
+        else:
+            dist = pin_distances_sq(cfg, x, y, beta)
+            s = power_gains(cfg, dist, x)
+            # the distances are read for the last time: p overwrites them
+            s *= u < unblocked_probability_sq(dist, cfg, out=dist)
+        rates[...] = design2_rates_from_power(s, cfg.tx_power,
+                                              cfg.noise_power, m)
+        return
+    rates[...] = 0.0  # the rate of a blocked own link
+    users = np.flatnonzero(clear)
+    k = users.size
+    if k == 0:
+        return
+    if m == 1:
+        # as k one-user trials, so the amplitude is computed for those only
+        s = power_gains(cfg, own_sq.reshape(-1).take(users)[:, None, None],
+                        x.reshape(-1).take(users)[:, None])[:, 0]
+    else:
+        trials = users // m
+        dist, p, s, mask = (w[:k] for w in work)
+        # The antenna x and the uniforms are gathered into the buffers that
+        # p and s overwrite once they are read; mode="clip" (the indices
+        # are in range) lets take write there without an intermediate copy.
+        pin_distances_sq(cfg, x.reshape(-1).take(users)[:, None],
+                         y.reshape(-1).take(users)[:, None], beta,
+                         x.take(trials, axis=0, out=p, mode="clip"), out=dist)
+        np.less(u.reshape(-1, m).take(users, axis=0, out=s, mode="clip"),
+                unblocked_probability_sq(dist, cfg, out=p), out=mask)
+        # The gains are finite and positive, so this equals where(mask, s, 0).
+        power_gains(cfg, dist, x, trials, out=s)
+        s *= mask
+    rates.reshape(-1)[users] = design2_rates_of_rows(s, users, cfg.tx_power,
+                                                     cfg.noise_power)
 
 
 def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,

@@ -10,7 +10,8 @@ half-wavelength array.
 The kernels (:func:`zf_gains_batch`, :func:`zf_precoders`,
 :func:`design1_rates_from_gains`, :func:`design2_rates_from_power`) take
 stacked (..., M, M) inputs, and the Monte-Carlo estimators call them on
-whole sub-batches; :func:`conventional_rates_batch` takes n placements and
+whole sub-batches; :func:`design2_rates_of_rows` takes the rows of chosen
+users only, and :func:`conventional_rates_batch` takes n placements and
 their blockage. One realization is the n = 1 case. Every Design II and
 conventional rate comes from one SINR formula, :func:`design2_rates_from_rows`,
 and every zero-forcing decision from one gate, the LU factorization and
@@ -137,6 +138,23 @@ def design2_rates_from_rows(own: np.ndarray, row_total: np.ndarray,
     return np.log1p(sinr) / LN2
 
 
+def design2_rates_of_rows(s: np.ndarray, users: np.ndarray, tx_power: float,
+                          noise_power: float) -> np.ndarray:
+    """Design II rates of k users from their (k, M) rows of blocked gains.
+
+    Row j holds the links of user ``users[j]``, a flat index into (trial,
+    user) order, so its own element is column users[j] % M. Each rate is bit
+    for bit the one :func:`design2_rates_from_power` gives that user from
+    its trial's full matrix.
+    """
+    m = s.shape[-1]
+    # a lone user's own element is its only one
+    own = (s[:, 0] if m == 1 else
+           s.reshape(-1).take(np.arange(0, s.size, m) + users % m))
+    return design2_rates_from_rows(own, s.sum(axis=-1), tx_power, noise_power,
+                                   m)
+
+
 def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
                              noise_power: float, m: int) -> np.ndarray:
     """Design II rates from effective squared channel magnitudes.
@@ -179,10 +197,6 @@ def conventional_rates_batch(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
         # (k, M) gains of the k rows, from (k, 1) user coordinates
         s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows)[:, None],
                                                ys.take(rows)[:, None]))[:, 0]
-        # row r's own element is column r % M (a lone user's is its only one)
-        own = (s[:, 0] if m == 1 else
-               s.reshape(-1).take(np.arange(0, s.size, m) + rows % m))
-        rates[rows] = design2_rates_from_rows(own, s.sum(axis=-1), tx_power,
-                                              noise_power, m)
+        rates[rows] = design2_rates_of_rows(s, rows, tx_power, noise_power)
     return rates.reshape(n, m)
 

@@ -22,7 +22,12 @@ from pinchsim import (
     SystemConfig,
     threshold_geometry,
 )
-from pinchsim.channel import conv_distances_sq, power_gains
+from pinchsim.channel import (
+    conv_distances_sq,
+    pin_distances_sq,
+    power_gains,
+    unblocked_probability_sq,
+)
 from pinchsim.scenario import SPEED_OF_LIGHT, waveguide_y_offsets
 from pinchsim.transceiver import COND_LIMIT
 
@@ -160,6 +165,22 @@ def conv_rates_dense(cfg: SystemConfig, x, y, alpha, tx_power, noise_power):
     sinr = own * tx_power / (interference * tx_power
                              + cfg.num_users * noise_power)
     return np.log1p(sinr) / np.log(2.0) * alpha
+
+
+def pin_d2_rates_dense(cfg: SystemConfig, x, y, u):
+    """(n, M) pinching Design II rates with every link of every matrix
+    evaluated, whatever its user's own link: the full (n, M, M) distances,
+    LoS probabilities, indicators ``u < p`` on the (n, M, M) uniforms ``u``
+    and blocked gains, then Design II's diagonal-and-row-sum SINR. This is
+    the evaluation the own-link-gated kernel must reproduce bit for bit.
+    """
+    d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
+    s = power_gains(cfg, d_sq, x) * (u < unblocked_probability_sq(d_sq, cfg))
+    own = np.diagonal(s, axis1=-2, axis2=-1)
+    interference = np.maximum(s.sum(axis=-1) - own, 0.0)
+    sinr = own * cfg.tx_power / (interference * cfg.tx_power
+                                 + cfg.num_users * cfg.noise_power)
+    return np.log1p(sinr) / np.log(2.0)
 
 
 def _quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL):

@@ -85,6 +85,19 @@ class TestKernelMatchesReferencePath:
         half = cfg.d_w / m / 2.0
         return x, rng.uniform(beta - half, beta + half, (n, m))
 
+    def replay_pin_channels(self, cfg, n, seed):
+        """Each trial's pinching LoS indicators and channel, link by link,
+        from a chunk's draws: the user drop, then the (n, M, M) uniforms."""
+        m = cfg.num_users
+        rng = chunk_generator(seed, 0, 0)
+        x, y = self.replay_placement(cfg, n, rng)
+        u = rng.random((n, m, m))
+        for t in range(n):
+            alpha = [[int(u[t, i, k] < oracles.los_probability(
+                cfg, oracles.pin_link_distance(cfg, x[t], y[t], i, k)))
+                for k in range(m)] for i in range(m)]
+            yield alpha, oracles.pin_channel(cfg, x[t], y[t], alpha)
+
     # At M = 2 a zero pattern with no empty row or column is always
     # invertible; M = 3 also admits structurally singular patterns.
     @pytest.mark.parametrize("m", [2, 3])
@@ -105,15 +118,8 @@ class TestKernelMatchesReferencePath:
                                           n, chunk_generator(seed, 0, 0))
         kernel_h = np.concatenate(seen)
 
-        rng = chunk_generator(seed, 0, 0)
-        x, y = self.replay_placement(cfg, n, rng)
-        u = rng.random((n, m, m))
         zero_forced = []
-        for t in range(n):
-            alpha = [[int(u[t, i, k] < oracles.los_probability(
-                cfg, oracles.pin_link_distance(cfg, x[t], y[t], i, k)))
-                for k in range(m)] for i in range(m)]
-            h = oracles.pin_channel(cfg, x[t], y[t], alpha)
+        for t, (alpha, h) in enumerate(self.replay_pin_channels(cfg, n, seed)):
             assert np.allclose(d2_rates[t], oracles.design2_rates(cfg, h),
                                rtol=1e-9)
             assert np.allclose(d1_rates[t], oracles.design1_rates(cfg, h),
@@ -125,6 +131,26 @@ class TestKernelMatchesReferencePath:
         assert len(kernel_h) == len(zero_forced)
         for kernel, h in zip(kernel_h, zero_forced):
             assert np.allclose(kernel, h, rtol=1e-9, atol=0.0)
+
+    # Design II alone evaluates only the rows of users whose own link is
+    # clear, a path the pair above, which zero-forces, never takes
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("loss_case", list(LossCase))
+    def test_pin_d2_kernel_matches_scalar_rates(self, loss_case, m):
+        cfg = make_cfg(num_users=m, tx_power=1.0, loss_case=loss_case)
+        n, seed = 40, 314
+        (rates,) = _rates_chunk((Scheme.PIN_D2,), cfg, n,
+                                chunk_generator(seed, 0, 0))
+        blocked_own = 0
+        for t, (alpha, h) in enumerate(self.replay_pin_channels(cfg, n, seed)):
+            assert np.allclose(rates[t], oracles.design2_rates(cfg, h),
+                               rtol=1e-9)
+            for i in range(m):
+                if not alpha[i][i]:
+                    blocked_own += 1
+                    assert rates[t, i] == 0.0
+                    assert math.copysign(1.0, rates[t, i]) == 1.0
+        assert 0 < blocked_own < n * m
 
     def test_conv_kernel_matches_scalar_rates(self):
         cfg = make_cfg(num_users=2, tx_power=1.0)
@@ -268,6 +294,99 @@ class TestConventionalGate:
         assert np.array_equal(rates.view(np.int64), expected.view(np.int64))
 
 
+class TestPinchingGate:
+    """Design II gets a row of links only for the users whose own pinching
+    link keeps line of sight, and its rates are bit for bit the full
+    (n, M, M) evaluation of the same draws."""
+
+    @staticmethod
+    def draw(cfg, n, seed):
+        """A chunk's placement and (n, M, M) pinching blockage uniforms, in
+        the order the pinching schemes draw them."""
+        rng = chunk_generator(seed, 0, 0)
+        x, y = _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+        return x, y, rng.random((n, cfg.num_users, cfg.num_users))
+
+    # 8 and 9 users straddle numpy's switch from a sequential to a pairwise
+    # row sum; phi = 0 keeps every link, phi = 50 blocks every link.
+    @pytest.mark.parametrize("sub_links", [1 << 16, 37])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 16, 17])
+    def test_gated_rates_equal_the_dense_evaluation(self, monkeypatch, m,
+                                                    sub_links):
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", sub_links)
+        for model, loss, constrained, phi in itertools.product(
+                BlockageModel, LossCase, (False, True), (0.0, 0.1, 50.0)):
+            cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi,
+                           blockage_model=model, loss_case=loss,
+                           constrain_under_waveguide=constrained)
+            (rates,) = _rates_chunk((Scheme.PIN_D2,), cfg, 200,
+                                    chunk_generator(11, 0, 0))
+            expected = oracles.pin_d2_rates_dense(cfg, *self.draw(cfg, 200, 11))
+            assert np.array_equal(rates.view(np.int64),
+                                  expected.view(np.int64)), (model, loss,
+                                                             constrained, phi)
+            if phi == 0.0:
+                assert (rates > 0.0).all()
+            if phi == 50.0:
+                assert not rates.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 17), model=st.sampled_from(list(BlockageModel)),
+           loss=st.sampled_from(list(LossCase)), constrained=st.booleans(),
+           phi=st.floats(0.0, 1.0), n=st.integers(1, 64),
+           sub_links=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32))
+    def test_gated_rates_equal_the_dense_evaluation_anywhere(
+            self, m, model, loss, constrained, phi, n, sub_links, seed):
+        cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi, blockage_model=model,
+                       loss_case=loss, constrain_under_waveguide=constrained)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "SUB_LINKS", sub_links)
+            (rates,) = _rates_chunk((Scheme.PIN_D2,), cfg, n,
+                                    chunk_generator(seed, 0, 0))
+        expected = oracles.pin_d2_rates_dense(cfg, *self.draw(cfg, n, seed))
+        assert np.array_equal(rates.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("phi", [0.0, 0.1, 50.0])
+    def test_row_distances_only_for_users_with_line_of_sight(
+            self, monkeypatch, m, phi):
+        # 37 // 9 = 4 trials of 3 users per sub-batch; 37 trials at M = 1
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 37)
+        cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi)
+        own, rows = [], []
+
+        def recording(cfg_, x, y, beta, pinch_x=None, out=None):
+            # an own-link call passes the users' x as the antennas' x
+            (own if pinch_x is x else rows).append(
+                (x.copy(), y.copy(), pinch_x is None))
+            return pin_distances_sq(cfg_, x, y, beta, pinch_x, out)
+
+        monkeypatch.setattr(montecarlo, "pin_distances_sq", recording)
+        n = 300
+        _rates_chunk((Scheme.PIN_D2,), cfg, n, chunk_generator(12, 0, 0))
+        x, y, u = self.draw(cfg, n, 12)
+        own_sq = np.diagonal(pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg)),
+                             axis1=1, axis2=2)
+        clear = (np.diagonal(u, axis1=1, axis2=2)
+                 < unblocked_probability_sq(own_sq, cfg)).reshape(-1)
+        # every user's own link once, sub-batch by sub-batch
+        assert np.array_equal(np.concatenate([ox for ox, _, _ in own]), x)
+        assert np.array_equal(np.concatenate([oy for _, oy, _ in own]), y)
+        if m == 1 or not clear.any():
+            # a lone user's row is its own link, so no row is built
+            assert rows == []
+            return
+        # a row call takes (k, 1) users; a sub-batch whose own links are all
+        # clear is read whole, (nb, M) users with no antenna x
+        assert all(whole or rx.shape[1:] == (1,) for rx, _, whole in rows)
+        assert np.array_equal(np.concatenate([rx.reshape(-1) for rx, _, _ in rows]),
+                              x.reshape(-1)[clear])
+        assert np.array_equal(np.concatenate([ry.reshape(-1) for _, ry, _ in rows]),
+                              y.reshape(-1)[clear])
+        if phi == 0.0:
+            assert all(whole for _, _, whole in rows)
+
+
 # Runs an M=1 outage estimate over 32 chunks and an M=16 ergodic estimate
 # over 8, each after a warm-up run, and prints the minor page faults per
 # chunk of each.
@@ -300,17 +419,20 @@ class TestChunkMemory:
     def test_working_set_within_the_primed_heap(self, m):
         # phi = 0 keeps every user's line of sight: the conventional array
         # then evaluates every row, its largest working set
-        for phi in (0.1, 0.0):
+        # PIN_D1 takes every link; without it Design II takes the row path
+        for phi, schemes in itertools.product(
+                (0.1, 0.0), (tuple(Scheme), (Scheme.PIN_D2, Scheme.CONV))):
             cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi,
                            loss_case=LossCase.CASE_II)
             tracemalloc.start()
             try:
-                _rates_chunk(tuple(Scheme), cfg, montecarlo.CHUNK_TRIALS,
+                _rates_chunk(schemes, cfg, montecarlo.CHUNK_TRIALS,
                              chunk_generator(1, 0, 0))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= montecarlo._CHUNK_HEAP_BYTES < 32 * 2 ** 20, phi
+            assert peak <= montecarlo._CHUNK_HEAP_BYTES < 32 * 2 ** 20, (
+                phi, schemes)
 
     @pytest.mark.skipif(sys.platform != "linux"
                         or platform.libc_ver()[0] != "glibc",

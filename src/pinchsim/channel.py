@@ -2,11 +2,17 @@
 complex coefficients.
 
 Every function here takes n realizations at once, as (n, M) user
-coordinates, and returns (n, M, M) arrays indexed [trial, user, antenna].
-The Monte-Carlo estimators call them on whole sub-batches; one realization
-is the n = 1 case. The distances and gains also come as (k, M) rows, the
-links of k chosen users, so that only the users whose rate needs its links
-get them.
+coordinates, and returns a new (n, M, M) array indexed [trial, user,
+antenna]: the squared distances (:func:`pin_distances_sq`,
+:func:`conv_distances_sq`), their LoS probabilities
+(:func:`unblocked_probability_sq`), the unblocked gains
+(:func:`power_gains`) and the complex coefficients
+(:func:`channel_coefficients`). The Monte-Carlo estimators call them on
+whole sub-batches; one realization is the n = 1 case. The distances and
+gains also come as (k, M) rows, the links of k chosen users, so that only
+the users whose rate needs its links get them, and
+:func:`center_distances_sq` gives the (n, M) length of the one link whose
+blockage all of a user's conventional elements share.
 
 A link of length r has free-space power gain path_gain_factor / r^2. The
 pinching system adds the in-waveguide path of length l = x + d_l/2 from the
@@ -29,8 +35,8 @@ from .scenario import (
 
 
 def pin_distances_sq(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                     beta: np.ndarray, pinch_x: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     beta: np.ndarray,
+                     pinch_x: np.ndarray | None = None) -> np.ndarray:
     """Squared user-to-pinching-antenna distances.
 
     Antenna m sits at (pinch_x[..., m], beta[m], height); ``beta`` is
@@ -38,11 +44,11 @@ def pin_distances_sq(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     the antennas along the last axis: (k, 1) users and (k, M) antennas give
     k rows of links, and (n, M) users and antennas give each user's own
     link. Without ``pinch_x`` the antennas follow the (n, M) users
-    themselves, giving every link, (n, M, M). ``out`` receives the result.
+    themselves, giving every link, (n, M, M).
     """
     if pinch_x is None:
         x, y, pinch_x = x[:, :, None], y[:, :, None], x[:, None, :]
-    d = np.subtract(x, pinch_x, out=out)
+    d = x - pinch_x
     d *= d
     dy = y - beta
     dy *= dy
@@ -67,16 +73,15 @@ def center_distances_sq(cfg: SystemConfig, x: np.ndarray,
     return x * x + y * y + cfg.height ** 2
 
 
-def unblocked_probability_sq(dist_sq, cfg: SystemConfig,
-                             out: np.ndarray | None = None):
+def unblocked_probability_sq(dist_sq, cfg: SystemConfig):
     """Probability that a link keeps line of sight, from its squared length.
 
     MODEL_A uses exp(-phi * distance); MODEL_B uses exp(-phi * distance^2),
-    which needs no square root. ``out`` receives the result.
+    which needs no square root.
     """
     dsq = np.asarray(dist_sq, dtype=float)
     # Built in place in one array; a scalar input gives a scalar.
-    p = np.empty(dsq.shape) if out is None else out
+    p = np.empty(dsq.shape)
     if cfg.blockage_model is BlockageModel.MODEL_A:
         np.sqrt(dsq, out=p)
         p *= -cfg.phi
@@ -102,8 +107,7 @@ def waveguide_amplitude(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
 
 def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
                 pinch_x: np.ndarray | None = None,
-                trials: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
+                trials: np.ndarray | None = None) -> np.ndarray:
     """Unblocked |h|^2 of every link: (n, M, M), or (k, M) for k rows.
 
     ``pinch_x`` holds the (n, M) antenna x coordinates of a pinching system,
@@ -111,9 +115,8 @@ def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
     conventional array. CASE_I's amplitude is 1, so it is not applied. For
     (k, M) rows, ``trials`` gives the trial of each row, its row of
     ``pinch_x``; the amplitude is computed once per trial, not per row.
-    ``out`` receives the result.
     """
-    s = np.divide(cfg.path_gain_factor, dist_sq, out=out)
+    s = cfg.path_gain_factor / dist_sq
     if pinch_x is not None and cfg.loss_case is LossCase.CASE_II:
         amp = waveguide_amplitude(cfg, pinch_x)
         amp *= amp

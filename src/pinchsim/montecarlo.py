@@ -4,10 +4,10 @@ Trials are evaluated in fixed-size chunks. Each chunk owns an independent
 counter-based random stream derived from (master_seed, axis_index, chunk),
 and chunk results are reduced in chunk order with exact summation, so an
 estimate is bit-identical for any worker count. This module owns only the
-streams, the sub-batching and the reductions: the rates inside a chunk come
-from the batched functions of :mod:`pinchsim.channel` and
-:mod:`pinchsim.transceiver`, the one implementation of the channel model
-and the rate formulas.
+streams, the sub-batching, the choice of which users' links are evaluated
+and the reductions: the rates inside a chunk come from the batched
+functions of :mod:`pinchsim.channel` and :mod:`pinchsim.transceiver`, the
+one implementation of the channel model and the rate formulas.
 
 Streams are keyed per sweep point and chunk, not per scheme, and every
 scheme of an estimator call is evaluated from one pass over each chunk's
@@ -23,15 +23,18 @@ only the users that keep line of sight get one, which on dense, strongly
 blocked systems skips most of the conventional work. Pinching Design II is
 gated the same way on each user's own link: its distance, probability and
 uniform come first, for every user, and only the users whose own link is
-clear get their row of links. Design I's zero-forcing gate needs every link
-of every matrix, so when PIN_D1 runs with two or more users both designs
-read the full arrays instead. The uniforms are drawn as before either way,
-so the gates change no draw and no rate.
+clear get their row of links, in one row stage per sub-batch whatever the
+share of clear links. Design I's zero-forcing gate needs every link of
+every matrix, so when PIN_D1 runs with two or more users both designs read
+the full arrays instead. The uniforms are drawn as before either way, so
+the gates change no draw and no rate.
 
 Every estimator maps its chunks through one function, ``_map_chunks``, and
 the conventional high-SNR bound is no separate simulator: it runs the same
 chunk map and the same conventional kernel, with every user in line of
-sight, unit power and no noise.
+sight, unit power and no noise. An ergodic estimate whose reduced total is
+not finite raises ArithmeticError, naming the scheme, and ``sweep`` adds
+the sweep point, so no NaN or infinite rate reaches a result.
 
 A chunk is evaluated in sub-batches of about SUB_LINKS links so that its
 temporaries stay cache-sized. Every random number is still drawn in trial
@@ -59,13 +62,13 @@ from .analytics import OutageParams
 from .channel import (
     center_distances_sq,
     channel_coefficients,
+    conv_distances_sq,
     pin_distances_sq,
     power_gains,
     unblocked_probability_sq,
 )
 from .scenario import SystemConfig, _sample_user_xy, dbm_to_watt, waveguide_y_offsets
 from .transceiver import (
-    conventional_rates_batch,
     design1_rates_from_gains,
     design2_rates_from_power,
     design2_rates_of_rows,
@@ -87,10 +90,10 @@ SUB_LINKS = 1 << 16
 # Bound on the heap one chunk uses at M <= 16: at most 8 float64
 # (CHUNK_TRIALS, M) per-user arrays and 16 float64 sub-batch temporaries of
 # SUB_LINKS links. tracemalloc peaks of _rates_chunk, CASE_II, at M = 1, 5
-# and 16: with all three schemes 1.5, 6.7 and 12.0 MiB, and with phi = 0,
-# where every link keeps line of sight, 0.8, 8.9 and 12.1 MiB; with PIN_D2
-# and CONV, whose Design II takes the row path and its four row buffers,
-# 0.7, 4.3 and 7.0 MiB, and with phi = 0 0.8, 5.0 and 7.6 MiB.
+# and 16: with all three schemes 1.6, 6.7 and 12.0 MiB, and with phi = 0,
+# where every link keeps line of sight, 1.0, 8.9 and 12.1 MiB; with PIN_D2
+# and CONV, whose Design II takes the row path, 0.8, 3.6 and 7.0 MiB, and
+# with phi = 0, where every user gets its row, 1.0, 4.1 and 7.6 MiB.
 # It must stay below 32 MiB, glibc's cap on its dynamic mmap threshold.
 _CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
 
@@ -204,25 +207,18 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     Design I's zero-forcing gate needs every link of every matrix, so with
     two or more users it gets the full (n, M, M) arrays, and Design II its
     rates from the same arrays. Otherwise each sub-batch evaluates its
-    users' own links first, and then the rows of links of only the users
-    whose own link is clear (see ``_design2_rows``).
+    users' own links, and then the rows of links of only the users whose
+    own link is clear (see ``_design2_rows``).
     """
     n, m = x.shape
     dense = zero_force and m > 1
-    batches = _sub_batches(n, m)
+    d2 = np.empty((n, m))
     if dense:
-        d2, d1, work = np.empty((n, m)), np.empty((n, m)), None
+        d1 = np.empty((n, m))
     else:
         # A single user sees no interference, so zero forcing is Design II.
-        d2 = np.empty((n, m))
         d1 = d2 if zero_force else None
-        # one set of row buffers for the chunk, sized for its largest
-        # sub-batch, so that no allocation follows a sub-batch's LoS count
-        rows = (batches[0].stop - batches[0].start) * m
-        work = (None if m == 1 else
-                (np.empty((rows, m)), np.empty((rows, m)),
-                 np.empty((rows, m)), np.empty((rows, m), dtype=bool)))
-    for b in batches:
+    for b in _sub_batches(n, m):
         xb, yb = x[b], y[b]
         if dense:
             dist_sq = pin_distances_sq(cfg, xb, yb, beta)
@@ -240,7 +236,7 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
             k = min(u.size, conv_u.size - lo)
             conv_u.reshape(-1)[lo:lo + k] = u.reshape(-1)[:k]
         if not dense:
-            _design2_rows(cfg, xb, yb, beta, u, own_sq, own_p, d2[b], work)
+            d2[b] = _design2_rows(cfg, xb, yb, beta, u, own_sq, own_p)
             continue
 
         alpha = u < p_los
@@ -266,75 +262,70 @@ def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
 
 def _design2_rows(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
                   beta: np.ndarray, u: np.ndarray, own_sq: np.ndarray,
-                  own_p: np.ndarray, rates: np.ndarray, work) -> None:
-    """Design II rates of one sub-batch's (nb, M) users, written to
-    ``rates``.
+                  own_p: np.ndarray) -> np.ndarray:
+    """(nb, M) Design II rates of one sub-batch's users.
 
     ``u`` holds the sub-batch's (nb, M, M) blockage uniforms, ``own_sq`` and
     ``own_p`` its users' own-link squared distances and LoS probabilities.
     A user whose own link is blocked has rate +0.0 whatever its
-    interference, so only the users whose own link is clear get their row
-    of M links (distance, probability, indicator, gain and row sum), each
-    bit for bit the row of the full (nb, M, M) evaluation. A lone user's
-    row is its own link, so it reuses ``own_sq`` and needs no indicator.
-    ``work`` holds the chunk's four (rows, M) buffers (None at M = 1), and
-    the rows are [:k] views of them.
+    interference, so only the k users whose own link is clear get their
+    (k, M) rows of links (distance, probability, indicator, gain and row
+    sum), each bit for bit the row of the full (nb, M, M) evaluation. A
+    lone user's row is its own link, so it reuses ``own_sq`` and needs no
+    indicator.
     """
     nb, m = x.shape
-    clear = np.diagonal(u, axis1=1, axis2=2) < own_p
-    if clear.all():
-        # Every own link is clear: the sub-batch's arrays are read in place.
-        if m == 1:
-            s = power_gains(cfg, own_sq[:, :, None], x)
-        else:
-            dist = pin_distances_sq(cfg, x, y, beta)
-            s = power_gains(cfg, dist, x)
-            # the distances are read for the last time: p overwrites them
-            s *= u < unblocked_probability_sq(dist, cfg, out=dist)
-        rates[...] = design2_rates_from_power(s, cfg.tx_power,
-                                              cfg.noise_power, m)
-        return
-    rates[...] = 0.0  # the rate of a blocked own link
-    users = np.flatnonzero(clear)
-    k = users.size
-    if k == 0:
-        return
+    rates = np.zeros((nb, m))  # +0.0, the rate of a blocked own link
+    users = np.flatnonzero(np.diagonal(u, axis1=1, axis2=2) < own_p)
+    if users.size == 0:
+        return rates
+    xs = x.reshape(-1).take(users)[:, None]
     if m == 1:
         # as k one-user trials, so the amplitude is computed for those only
         s = power_gains(cfg, own_sq.reshape(-1).take(users)[:, None, None],
-                        x.reshape(-1).take(users)[:, None])[:, 0]
+                        xs)[:, 0]
     else:
         trials = users // m
-        dist, p, s, mask = (w[:k] for w in work)
-        # The antenna x and the uniforms are gathered into the buffers that
-        # p and s overwrite once they are read; mode="clip" (the indices
-        # are in range) lets take write there without an intermediate copy.
-        pin_distances_sq(cfg, x.reshape(-1).take(users)[:, None],
-                         y.reshape(-1).take(users)[:, None], beta,
-                         x.take(trials, axis=0, out=p, mode="clip"), out=dist)
-        np.less(u.reshape(-1, m).take(users, axis=0, out=s, mode="clip"),
-                unblocked_probability_sq(dist, cfg, out=p), out=mask)
+        dist = pin_distances_sq(cfg, xs, y.reshape(-1).take(users)[:, None],
+                                beta, x.take(trials, axis=0))
+        p = unblocked_probability_sq(dist, cfg)
+        mask = u.reshape(-1, m).take(users, axis=0) < p
         # The gains are finite and positive, so this equals where(mask, s, 0).
-        power_gains(cfg, dist, x, trials, out=s)
+        s = power_gains(cfg, dist, x, trials)
         s *= mask
     rates.reshape(-1)[users] = design2_rates_of_rows(s, users, cfg.tx_power,
                                                      cfg.noise_power)
+    return rates
 
 
 def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-    """Conventional-array rates on one placement, given its (n, M) blockage
-    uniforms.
+                alpha: np.ndarray, tx_power: float,
+                noise_power: float) -> np.ndarray:
+    """(n, M) conventional-array rates of n placements.
 
-    The array is evaluated only where line of sight survives: a blocked
-    user's rate is exactly 0.0 without its row of gains, and the users that
-    keep line of sight are evaluated SUB_LINKS // M rows (SUB_LINKS links)
-    at a time.
+    Element m serves user m with power P/M (P = ``tx_power``, noise power
+    ``noise_power``), and all the elements one user sees share that user's
+    blockage; with M = 1 this is a single fixed antenna with the whole budget.
+
+    ``x`` and ``y`` are (n, M) user coordinates and ``alpha`` their (n, M)
+    line-of-sight indicators. A user's rate reads only its own row of
+    gains, and a blocked user's rate is 0, so rows are evaluated only for
+    the users that keep line of sight, SUB_LINKS // M rows (SUB_LINKS links)
+    at a time; the others stay exactly 0.0. Each evaluated rate is bit for
+    bit the one a full (n, M, M) evaluation gives.
     """
-    alpha = u < unblocked_probability_sq(center_distances_sq(cfg, x, y), cfg)
-    return conventional_rates_batch(cfg, x, y, alpha, cfg.tx_power,
-                                    cfg.noise_power,
-                                    max(1, SUB_LINKS // x.shape[1]))
+    n, m = x.shape
+    los = np.flatnonzero(alpha)
+    rates = np.zeros(n * m)
+    xs, ys = x.reshape(-1), y.reshape(-1)
+    step = max(1, SUB_LINKS // m)
+    for lo in range(0, los.size, step):
+        rows = los[lo:lo + step]
+        # (k, M) gains of the k rows, from (k, 1) user coordinates
+        s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows)[:, None],
+                                               ys.take(rows)[:, None]))[:, 0]
+        rates[rows] = design2_rates_of_rows(s, rows, tx_power, noise_power)
+    return rates.reshape(n, m)
 
 
 def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
@@ -361,7 +352,10 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
         rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = _pin_rates(
             cfg, x, y, beta, rng, zero_force, conv_u)
     if conv_u is not None:
-        rates[Scheme.CONV] = _conv_rates(cfg, x, y, conv_u)
+        alpha = conv_u < unblocked_probability_sq(
+            center_distances_sq(cfg, x, y), cfg)
+        rates[Scheme.CONV] = _conv_rates(cfg, x, y, alpha, cfg.tx_power,
+                                         cfg.noise_power)
     return tuple(rates[s] for s in schemes)
 
 
@@ -427,25 +421,31 @@ def _ergodic_sums(
     return per_sum, per_sq, float(totals.sum()), float((totals * totals).sum())
 
 
-def _ergodic_estimates(parts, n_trials: int) -> list[MetricEstimate]:
+def _ergodic_estimates(parts, n_trials: int,
+                       name: str) -> list[MetricEstimate]:
     """Per-user means then the sum-rate mean from ``_ergodic_sums`` of every
-    chunk, reduced in chunk order with exact summation."""
-    estimates = []
-    for u in range(len(parts[0][0])):
-        total = math.fsum(p[0][u] for p in parts)
-        total_sq = math.fsum(p[1][u] for p in parts)
+    chunk, reduced in chunk order with exact summation.
+
+    Raises ArithmeticError, naming ``name``, when a reduced total is not
+    finite, so that no NaN or infinite rate reaches an estimate.
+    """
+    def estimate(total: float, total_sq: float, what: str,
+                 kind: MetricKind) -> MetricEstimate:
+        if not (math.isfinite(total) and math.isfinite(total_sq)):
+            raise ArithmeticError(f"{name}: the ergodic {what} is not finite "
+                                  f"(total {total!r} over {n_trials} trials)")
         mean, ci = _mean_ci(total, total_sq, n_trials)
-        estimates.append(MetricEstimate(value=mean, ci_half_width=ci,
-                                        n_trials=n_trials,
-                                        metric_kind=MetricKind.ERGODIC_PER_USER,
-                                        provenance=Provenance.SIMULATED))
-    total = math.fsum(p[2] for p in parts)
-    total_sq = math.fsum(p[3] for p in parts)
-    mean, ci = _mean_ci(total, total_sq, n_trials)
-    estimates.append(MetricEstimate(value=mean, ci_half_width=ci,
-                                    n_trials=n_trials,
-                                    metric_kind=MetricKind.ERGODIC_SUM,
-                                    provenance=Provenance.SIMULATED))
+        return MetricEstimate(value=mean, ci_half_width=ci, n_trials=n_trials,
+                              metric_kind=kind,
+                              provenance=Provenance.SIMULATED)
+
+    estimates = [estimate(math.fsum(p[0][u] for p in parts),
+                          math.fsum(p[1][u] for p in parts),
+                          f"rate of user {u + 1}", MetricKind.ERGODIC_PER_USER)
+                 for u in range(len(parts[0][0]))]
+    estimates.append(estimate(math.fsum(p[2] for p in parts),
+                              math.fsum(p[3] for p in parts), "sum rate",
+                              MetricKind.ERGODIC_SUM))
     return estimates
 
 
@@ -457,6 +457,8 @@ def estimate_ergodic(schemes: Scheme | Sequence[Scheme], cfg: SystemConfig,
     ``schemes`` is one Scheme, giving that list of estimates, or a sequence
     of them, giving one such list per scheme from one pass over the trials.
     Every trial resamples both the placement and the blockage state.
+    Raises ArithmeticError, naming the scheme, when an estimate is not
+    finite.
     """
     schemes, single = _as_schemes(schemes)
 
@@ -465,8 +467,8 @@ def estimate_ergodic(schemes: Scheme | Sequence[Scheme], cfg: SystemConfig,
                 for rates in _rates_chunk(schemes, cfg, n, rng)]
 
     parts = _map_chunks(sums, n_trials, master_seed, axis_index, workers)
-    estimates = [_ergodic_estimates(scheme_parts, n_trials)
-                 for scheme_parts in zip(*parts)]
+    estimates = [_ergodic_estimates(scheme_parts, n_trials, scheme.value)
+                 for scheme, scheme_parts in zip(schemes, zip(*parts))]
     return estimates[0] if single else estimates
 
 
@@ -487,12 +489,12 @@ def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
 
     def sums(rng: np.random.Generator, n: int) -> tuple:
         x, y = _sample_user_xy(cfg, n, rng, beta)
-        return _ergodic_sums(conventional_rates_batch(
-            cfg, x, y, np.ones(x.shape, dtype=bool), 1.0, 0.0,
-            max(1, SUB_LINKS // cfg.num_users)))
+        return _ergodic_sums(_conv_rates(
+            cfg, x, y, np.ones(x.shape, dtype=bool), 1.0, 0.0))
 
     return _ergodic_estimates(
-        _map_chunks(sums, n_trials, master_seed, axis_index, workers), n_trials)
+        _map_chunks(sums, n_trials, master_seed, axis_index, workers), n_trials,
+        "the conventional rate bound")
 
 
 def apply_axis(cfg: SystemConfig, axis: SweepAxis, value: float,
@@ -537,8 +539,12 @@ def sweep(cfg: SystemConfig, schemes: Scheme | Sequence[Scheme],
                                    axis_index=i)
             chosen = [(est,) for est in ests]
         else:
-            ests = estimate_ergodic(schemes, cfg_i, n_trials, master_seed,
-                                    workers=workers, axis_index=i)
+            try:
+                ests = estimate_ergodic(schemes, cfg_i, n_trials, master_seed,
+                                        workers=workers, axis_index=i)
+            except ArithmeticError as exc:
+                raise ArithmeticError(
+                    f"{sweep_axis.value} = {v!r}: {exc}") from exc
             if metric is MetricKind.ERGODIC_SUM:
                 chosen = [(e[-1],) for e in ests]
             else:

@@ -10,12 +10,13 @@ half-wavelength array.
 The kernels (:func:`zf_gains_batch`, :func:`zf_precoders`,
 :func:`design1_rates_from_gains`, :func:`design2_rates_from_power`) take
 stacked (..., M, M) inputs, and the Monte-Carlo estimators call them on
-whole sub-batches; :func:`design2_rates_of_rows` takes the rows of chosen
-users only, and :func:`conventional_rates_batch` takes n placements and
-their blockage. One realization is the n = 1 case. Every Design II and
-conventional rate comes from one SINR formula, :func:`design2_rates_from_rows`,
-and every zero-forcing decision from one gate, the LU factorization and
-conditioning test of the matrix's own inverse.
+whole sub-batches; :func:`design2_rates_of_rows` takes the (k, M) rows of
+chosen users only, which is how the estimators evaluate pinching Design II
+without zero forcing and the conventional array. One realization is the
+n = 1 case. Every Design II and conventional rate comes from one SINR
+formula, :func:`design2_rates_from_rows`, and every zero-forcing decision
+from one gate, the LU factorization and conditioning test of the matrix's
+own inverse.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .channel import conv_distances_sq, power_gains
-from .scenario import SystemConfig
 
 LN2 = np.log(2.0)
 
@@ -169,34 +168,3 @@ def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
     return design2_rates_from_rows(np.diagonal(s_eff, axis1=-2, axis2=-1),
                                    s_eff.sum(axis=-1), tx_power, noise_power,
                                    m)
-
-
-def conventional_rates_batch(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                             alpha: np.ndarray, tx_power: float,
-                             noise_power: float,
-                             batch_rows: int) -> np.ndarray:
-    """(n, M) conventional-array rates of n placements.
-
-    Element m serves user m with power P/M (P = ``tx_power``, noise power
-    ``noise_power``), and all the elements one user sees share that user's
-    blockage; with M = 1 this is a single fixed antenna with the whole budget.
-
-    ``x`` and ``y`` are (n, M) user coordinates and ``alpha`` their (n, M)
-    line-of-sight indicators. A user's rate reads only its own row of
-    gains, and a blocked user's rate is 0, so rows are evaluated only for
-    the users that keep line of sight, at most ``batch_rows`` rows at a
-    time; the others stay exactly 0.0. Each evaluated rate is bit for bit
-    the one a full (n, M, M) evaluation gives.
-    """
-    n, m = x.shape
-    los = np.flatnonzero(alpha)
-    rates = np.zeros(n * m)
-    xs, ys = x.reshape(-1), y.reshape(-1)
-    for lo in range(0, los.size, batch_rows):
-        rows = los[lo:lo + batch_rows]
-        # (k, M) gains of the k rows, from (k, 1) user coordinates
-        s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows)[:, None],
-                                               ys.take(rows)[:, None]))[:, 0]
-        rates[rows] = design2_rates_of_rows(s, rows, tx_power, noise_power)
-    return rates.reshape(n, m)
-

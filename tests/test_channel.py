@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pinchsim import BlockageModel, LossCase, SystemConfig, waveguide_y_offsets
-from pinchsim import channel
+from pinchsim import channel, montecarlo
 from pinchsim.channel import (
     center_distances_sq,
     channel_coefficients,
@@ -17,7 +17,7 @@ from pinchsim.channel import (
     waveguide_amplitude,
 )
 from pinchsim.scenario import _sample_user_xy
-from pinchsim.transceiver import conventional_rates_batch, design2_rates_from_power
+from pinchsim.transceiver import design2_rates_from_power
 
 
 def make_cfg(**kw):
@@ -225,7 +225,7 @@ class TestChannelAssembly:
         # in-waveguide length is x + d_l/2 > 0 almost surely, so strictly less
         assert np.all(np.abs(h2) < np.abs(h1))
 
-    def test_conventional_rows_share_one_indicator(self):
+    def test_conventional_rows_share_one_indicator(self, monkeypatch):
         # every element a user sees shares that user's one indicator: the
         # (n, M) indicators give the rates of the (n, M, M) gains with each
         # user's row blocked or clear as a whole
@@ -233,8 +233,9 @@ class TestChannelAssembly:
         rng = np.random.default_rng(5)
         x, y = drop(cfg, rng, 50)
         alpha = rng.random((50, 2)) < 0.5
-        rates = conventional_rates_batch(cfg, x, y, alpha, cfg.tx_power,
-                                         cfg.noise_power, 2)
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
+        rates = montecarlo._conv_rates(cfg, x, y, alpha, cfg.tx_power,
+                                       cfg.noise_power)
         s = power_gains(cfg, conv_distances_sq(cfg, x, y)) * alpha[:, :, None]
         dense = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power, 2)
         assert np.array_equal(rates, dense)

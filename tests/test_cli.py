@@ -687,6 +687,22 @@ class TestModuleEntryPoint:
         assert proc.stderr == ""
         assert (tmp_path / "fig2b.csv").exists()
 
+    def test_non_finite_ergodic_estimate_is_an_error(self, tmp_path):
+        # 3100 dBm parses as finite watts, but P |h|^2 overflows, so the
+        # pinching rates sum to inf or nan at that sweep point
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(manual_doc(
+            "run.schemes = PIN_D1, PIN_D2, CONV", "run.axis_values = 10, 3100",
+            "run.n_trials = 64", out=tmp_path / "r.csv"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinchsim", "simulate", str(cfg_path)],
+            capture_output=True, text=True, env=_env_with_src(), timeout=300)
+        assert proc.returncode == 1
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("error: TX_POWER_DBM = 3100.0: PIN_D"), last
+        assert "PIN_D1" in last or "PIN_D2" in last
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
     def test_scipy_is_not_a_runtime_dependency(self, tmp_path):
         env = _env_with_src()
         proc = subprocess.run(

@@ -233,8 +233,9 @@ class TestConventionalGate:
             cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi,
                            blockage_model=model, loss_case=LossCase.CASE_II,
                            constrain_under_waveguide=constrained)
-            x, y, u, alpha = self.draw(cfg, 200, 11)
-            rates = montecarlo._conv_rates(cfg, x, y, u)
+            x, y, _, alpha = self.draw(cfg, 200, 11)
+            rates = montecarlo._conv_rates(cfg, x, y, alpha, cfg.tx_power,
+                                           cfg.noise_power)
             expected = oracles.conv_rates_dense(cfg, x, y, alpha, cfg.tx_power,
                                                 cfg.noise_power)
             assert np.array_equal(rates.view(np.int64),
@@ -256,9 +257,9 @@ class TestConventionalGate:
             seen.append((x.copy(), y.copy()))
             return conv_distances_sq(cfg_, x, y)
 
-        monkeypatch.setattr(transceiver, "conv_distances_sq", counting)
-        x, y, u, alpha = self.draw(cfg, 300, 12)
-        montecarlo._conv_rates(cfg, x, y, u)
+        monkeypatch.setattr(montecarlo, "conv_distances_sq", counting)
+        x, y, _, alpha = self.draw(cfg, 300, 12)
+        montecarlo._conv_rates(cfg, x, y, alpha, cfg.tx_power, cfg.noise_power)
         los = np.flatnonzero(alpha)
         if los.size == 0:
             assert seen == []
@@ -287,9 +288,9 @@ class TestConventionalGate:
             # estimate_conv_rate_bound's case: every user in line of sight,
             # unit power and no noise
             alpha, power, noise = np.ones_like(alpha), 1.0, 0.0
-        rates = transceiver.conventional_rates_batch(cfg, x, y, alpha, power,
-                                                     noise,
-                                                     max(1, sub_links // m))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "SUB_LINKS", sub_links)
+            rates = montecarlo._conv_rates(cfg, x, y, alpha, power, noise)
         expected = oracles.conv_rates_dense(cfg, x, y, alpha, power, noise)
         assert np.array_equal(rates.view(np.int64), expected.view(np.int64))
 
@@ -355,11 +356,11 @@ class TestPinchingGate:
         cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi)
         own, rows = [], []
 
-        def recording(cfg_, x, y, beta, pinch_x=None, out=None):
+        def recording(cfg_, x, y, beta, pinch_x=None):
             # an own-link call passes the users' x as the antennas' x
             (own if pinch_x is x else rows).append(
-                (x.copy(), y.copy(), pinch_x is None))
-            return pin_distances_sq(cfg_, x, y, beta, pinch_x, out)
+                (x.copy(), y.copy(), pinch_x))
+            return pin_distances_sq(cfg_, x, y, beta, pinch_x)
 
         monkeypatch.setattr(montecarlo, "pin_distances_sq", recording)
         n = 300
@@ -376,15 +377,20 @@ class TestPinchingGate:
             # a lone user's row is its own link, so no row is built
             assert rows == []
             return
-        # a row call takes (k, 1) users; a sub-batch whose own links are all
-        # clear is read whole, (nb, M) users with no antenna x
-        assert all(whole or rx.shape[1:] == (1,) for rx, _, whole in rows)
-        assert np.array_equal(np.concatenate([rx.reshape(-1) for rx, _, _ in rows]),
+        # a row call takes (k, 1) users and the (k, M) antenna x of their
+        # trials, in flat (trial, user) order
+        assert all(rx.shape[1:] == (1,) and px.shape == (rx.shape[0], m)
+                   for rx, _, px in rows)
+        assert np.array_equal(np.concatenate([rx[:, 0] for rx, _, _ in rows]),
                               x.reshape(-1)[clear])
-        assert np.array_equal(np.concatenate([ry.reshape(-1) for _, ry, _ in rows]),
+        assert np.array_equal(np.concatenate([ry[:, 0] for _, ry, _ in rows]),
                               y.reshape(-1)[clear])
+        assert np.array_equal(np.concatenate([px for _, _, px in rows]),
+                              x[np.flatnonzero(clear) // m])
         if phi == 0.0:
-            assert all(whole for _, _, whole in rows)
+            # every own link is clear: one row call per sub-batch, for all
+            # of its users
+            assert clear.all() and len(rows) == len(own)
 
 
 # Runs an M=1 outage estimate over 32 chunks and an M=16 ergodic estimate

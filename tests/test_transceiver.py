@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pinchsim import BlockageModel, Scheme, SystemConfig, waveguide_y_offsets
+from pinchsim import montecarlo
 from pinchsim.channel import (
     channel_coefficients,
     pin_distances_sq,
@@ -19,7 +20,6 @@ from pinchsim.channel import (
 from pinchsim.montecarlo import _rates_chunk, chunk_generator
 from pinchsim.scenario import _sample_user_xy
 from pinchsim.transceiver import (
-    conventional_rates_batch,
     design1_rates_from_gains,
     design2_rates_from_power,
     zf_gains_batch,
@@ -220,35 +220,38 @@ class TestDesign1VersusDesign2:
 
 
 class TestConventional:
-    def test_blocked_user_has_zero_rate(self):
+    def test_blocked_user_has_zero_rate(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
         cfg = make_cfg()
         x, y, _, _ = pin_draw(cfg, np.random.default_rng(3))
-        rates = conventional_rates_batch(cfg, x, y, np.array([[False, True]]),
-                                         cfg.tx_power, cfg.noise_power, 2)[0]
+        rates = montecarlo._conv_rates(cfg, x, y, np.array([[False, True]]),
+                                       cfg.tx_power, cfg.noise_power)[0]
         assert rates[0] == 0.0
         assert rates[1] > 0.0
 
-    def test_single_user_distance_law(self):
+    def test_single_user_distance_law(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 1)  # 1 row at a time
         cfg = make_cfg(num_users=1)
         x, y, _, _ = pin_draw(cfg, np.random.default_rng(4))
-        rates = conventional_rates_batch(cfg, x, y, np.array([[True]]),
-                                         cfg.tx_power, cfg.noise_power, 1)[0]
+        rates = montecarlo._conv_rates(cfg, x, y, np.array([[True]]),
+                                       cfg.tx_power, cfg.noise_power)[0]
         r_sq = x[0, 0] ** 2 + y[0, 0] ** 2 + cfg.height ** 2
         expected = math.log2(1 + cfg.path_gain_factor * cfg.tx_power
                              / (cfg.noise_power * r_sq))
         assert rates[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_rate_saturates_in_power(self):
+    def test_rate_saturates_in_power(self, monkeypatch):
         # 40 dBm vs 60 dBm on a fixed unblocked placement: < 1e-3 bits apart
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
         rng = np.random.default_rng(6)
         cfg_lo = make_cfg(tx_power=10.0)
         cfg_hi = make_cfg(tx_power=1000.0)
         x, y, _, _ = pin_draw(cfg_lo, rng)
         clear = np.ones((1, 2), dtype=bool)
-        lo = conventional_rates_batch(cfg_lo, x, y, clear, cfg_lo.tx_power,
-                                      cfg_lo.noise_power, 2)
-        hi = conventional_rates_batch(cfg_hi, x, y, clear, cfg_hi.tx_power,
-                                      cfg_hi.noise_power, 2)
+        lo = montecarlo._conv_rates(cfg_lo, x, y, clear, cfg_lo.tx_power,
+                                    cfg_lo.noise_power)
+        hi = montecarlo._conv_rates(cfg_hi, x, y, clear, cfg_hi.tx_power,
+                                    cfg_hi.noise_power)
         assert np.all(hi >= lo)
         assert np.all(hi - lo < 1e-3)
 

@@ -12,34 +12,38 @@ one implementation of the channel model and the rate formulas.
 Streams are keyed per sweep point and chunk, not per scheme, and every
 scheme of an estimator call is evaluated from one pass over each chunk's
 stream. All schemes therefore see the same user placements, PIN_D1 and
-PIN_D2 also see the same blockage, and scheme comparisons are paired. A
-scheme's rates never depend on which other schemes run with it: the
-conventional scheme's blockage uniforms are the first of the ones the
-pinching schemes draw right after the placement, so it reads them from that
-draw, without rewinding the stream, and reads the same uniforms as when it
-runs alone. The conventional array is evaluated only where line of sight
-survives: a blocked user's rate is exactly 0.0 without its row of gains, so
-only the users that keep line of sight get one, which on dense, strongly
-blocked systems skips most of the conventional work. Pinching Design II is
-gated the same way on each user's own link: its distance, probability and
-uniform come first, for every user, and only the users whose own link is
-clear get their row of links, in one row stage per sub-batch whatever the
-share of clear links. Design I's zero-forcing gate needs every link of
-every matrix, so when PIN_D1 runs with two or more users both designs read
-the full arrays instead. The uniforms are drawn as before either way, so
-the gates change no draw and no rate.
+PIN_D2 also see the same blockage, and scheme comparisons are paired. One
+function, ``_rates_chunk``, draws every random number of a chunk, so that
+contract lives in one place; the kernels it calls are pure functions of
+their draws. A scheme's rates never depend on which other schemes run with
+it: the conventional scheme's blockage uniforms are the first of the ones
+the pinching schemes draw right after the placement, so it reads them from
+that draw, without rewinding the stream, and reads the same uniforms as
+when it runs alone. The conventional array is evaluated only where line of
+sight survives: a blocked user's rate is exactly 0.0 without its row of
+gains, so only the users that keep line of sight get one, which on dense,
+strongly blocked systems skips most of the conventional work. Pinching
+Design II is gated the same way on each user's own link: its distance,
+probability and uniform come first, for every user, and only the users
+whose own link is clear get their row of links, in one row stage per
+sub-batch whatever the share of clear links. Design I's zero-forcing gate
+needs every link of every matrix, so when PIN_D1 runs with two or more
+users both designs read the full arrays instead. The gates change no draw
+and no rate.
 
 Every estimator maps its chunks through one function, ``_map_chunks``, and
 the conventional high-SNR bound is no separate simulator: it runs the same
 chunk map and the same conventional kernel, with every user in line of
-sight, unit power and no noise. An ergodic estimate whose reduced total is
+sight, unit power and no noise. A rate whose SNR overflows is +inf, which
+an outage counts as no outage; an ergodic estimate whose reduced total is
 not finite raises ArithmeticError, naming the scheme, and ``sweep`` adds
 the sweep point, so no NaN or infinite rate reaches a result.
 
-A chunk is evaluated in sub-batches of about SUB_LINKS links so that its
-temporaries stay cache-sized. Every random number is still drawn in trial
-order from the chunk's stream, so the sub-batch size never changes a draw,
-a rate or an estimate.
+A chunk is evaluated in batches of about SUB_LINKS links so that its
+temporaries stay cache-sized: the pinching sub-batches of ``_rates_chunk``
+and the conventional rows of ``_conv_rates``. The sub-batches draw their
+blockage uniforms in trial order from the chunk's stream, so the batch size
+never changes a draw, a rate or an estimate.
 
 Chunk memory stays mapped from one chunk to the next: before the first
 chunk of the process, one untouched block larger than a chunk's working set
@@ -83,17 +87,17 @@ CHUNK_TRIALS = 8192
 # Links (trial x user x antenna entries) evaluated at once inside a chunk:
 # max(1, SUB_LINKS // M^2) trials, so an (n, M, M) float64 temporary is at
 # most 512 KiB and a sub-batch's working set stays in cache. Sub-batching
-# never changes the random draws (see _pin_rates), so it is free to tune
+# never changes the random draws (see _rates_chunk), so it is free to tune
 # without changing any estimate.
 SUB_LINKS = 1 << 16
 
 # Bound on the heap one chunk uses at M <= 16: at most 8 float64
 # (CHUNK_TRIALS, M) per-user arrays and 16 float64 sub-batch temporaries of
 # SUB_LINKS links. tracemalloc peaks of _rates_chunk, CASE_II, at M = 1, 5
-# and 16: with all three schemes 1.6, 6.7 and 12.0 MiB, and with phi = 0,
-# where every link keeps line of sight, 1.0, 8.9 and 12.1 MiB; with PIN_D2
-# and CONV, whose Design II takes the row path, 0.8, 3.6 and 7.0 MiB, and
-# with phi = 0, where every user gets its row, 1.0, 4.1 and 7.6 MiB.
+# and 16: with all three schemes 1.5, 5.7 and 10.5 MiB, and with phi = 0,
+# where every link keeps line of sight, 0.9, 7.4 and 10.6 MiB; with PIN_D2
+# and CONV, whose Design II takes the row path, 0.8, 3.8 and 7.0 MiB, and
+# with phi = 0, where every user gets its row, 0.9, 4.4 and 7.6 MiB.
 # It must stay below 32 MiB, glibc's cap on its dynamic mmap threshold.
 _CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
 
@@ -192,91 +196,52 @@ def _sub_batches(n: int, m: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _pin_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-               beta: np.ndarray, rng: np.random.Generator, zero_force: bool,
-               conv_u: np.ndarray | None
-               ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Design II and Design I rates of the pinching system on one placement.
+def _zf_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
+              beta: np.ndarray,
+              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nb, M) Design II and Design I rates of one sub-batch, from every link.
 
-    Draws the (n, M, M) blockage uniforms, which both designs share. The
-    Design I rates are None unless ``zero_force``; with one user they are
-    the Design II array itself. ``conv_u``, an (n, M) array or None, is
-    filled with the first n M of those uniforms: the ones the conventional
-    scheme draws from the same point of the stream when it runs alone.
-
-    Design I's zero-forcing gate needs every link of every matrix, so with
-    two or more users it gets the full (n, M, M) arrays, and Design II its
-    rates from the same arrays. Otherwise each sub-batch evaluates its
-    users' own links, and then the rows of links of only the users whose
-    own link is clear (see ``_design2_rows``).
+    ``u`` holds the sub-batch's (nb, M, M) blockage uniforms. Design I's
+    zero-forcing gate needs every link of every matrix, so both designs
+    read the full (nb, M, M) arrays. A realization with an empty row or
+    column cannot be zero-forced and keeps its Design II rate, and so does
+    one zf_gains_batch rejects.
     """
-    n, m = x.shape
-    dense = zero_force and m > 1
-    d2 = np.empty((n, m))
-    if dense:
-        d1 = np.empty((n, m))
-    else:
-        # A single user sees no interference, so zero forcing is Design II.
-        d1 = d2 if zero_force else None
-    for b in _sub_batches(n, m):
-        xb, yb = x[b], y[b]
-        if dense:
-            dist_sq = pin_distances_sq(cfg, xb, yb, beta)
-            p_los = unblocked_probability_sq(dist_sq, cfg)
-        else:
-            # own links only: x - x = +0.0, so these are bit for bit the
-            # diagonals of the full arrays
-            own_sq = pin_distances_sq(cfg, xb, yb, beta, xb)
-            own_p = unblocked_probability_sq(own_sq, cfg)
-        # Blockage uniforms are drawn sub-batch by sub-batch in trial order,
-        # which consumes the stream exactly as one (n, M, M) draw would.
-        u = rng.random((xb.shape[0], m, m))
-        lo = b.start * m * m
-        if conv_u is not None and lo < conv_u.size:
-            k = min(u.size, conv_u.size - lo)
-            conv_u.reshape(-1)[lo:lo + k] = u.reshape(-1)[:k]
-        if not dense:
-            d2[b] = _design2_rows(cfg, xb, yb, beta, u, own_sq, own_p)
-            continue
+    m = x.shape[1]
+    dist_sq = pin_distances_sq(cfg, x, y, beta)
+    alpha = u < unblocked_probability_sq(dist_sq, cfg)
+    # The gains are finite and positive, so this equals where(alpha, s, 0).
+    s_eff = power_gains(cfg, dist_sq, x)
+    s_eff *= alpha
+    d2 = design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power, m)
 
-        alpha = u < p_los
-        # The gains are finite and positive, so this equals where(alpha, s, 0).
-        s_eff = power_gains(cfg, dist_sq, xb)
-        s_eff *= alpha
-        d2[b] = design2_rates_from_power(s_eff, cfg.tx_power,
-                                         cfg.noise_power, m)
-
-        # A realization with an empty row or column cannot be zero-forced
-        # and keeps its Design II rate; only the others are assembled and
-        # passed to zf_gains_batch.
-        live = np.flatnonzero(no_empty_line(alpha))
-        h = channel_coefficients(cfg, dist_sq[live], s_eff[live], xb[live])
-        gains, ok = zf_gains_batch(h)
-
-        out = d1[b]
-        out[...] = d2[b]
-        out[live[ok]] = design1_rates_from_gains(gains[ok], cfg.tx_power,
-                                                 cfg.noise_power)
+    # only the realizations with no empty row or column are assembled
+    live = np.flatnonzero(no_empty_line(alpha))
+    h = channel_coefficients(cfg, dist_sq[live], s_eff[live], x[live])
+    gains, ok = zf_gains_batch(h)
+    d1 = d2.copy()
+    d1[live[ok]] = design1_rates_from_gains(gains[ok], cfg.tx_power,
+                                            cfg.noise_power)
     return d2, d1
 
 
 def _design2_rows(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                  beta: np.ndarray, u: np.ndarray, own_sq: np.ndarray,
-                  own_p: np.ndarray) -> np.ndarray:
+                  beta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(nb, M) Design II rates of one sub-batch's users.
 
-    ``u`` holds the sub-batch's (nb, M, M) blockage uniforms, ``own_sq`` and
-    ``own_p`` its users' own-link squared distances and LoS probabilities.
-    A user whose own link is blocked has rate +0.0 whatever its
-    interference, so only the k users whose own link is clear get their
-    (k, M) rows of links (distance, probability, indicator, gain and row
-    sum), each bit for bit the row of the full (nb, M, M) evaluation. A
-    lone user's row is its own link, so it reuses ``own_sq`` and needs no
-    indicator.
+    ``u`` holds the sub-batch's (nb, M, M) blockage uniforms. Every user's
+    own link is evaluated first. A user whose own link is blocked has rate
+    +0.0 whatever its interference, so only the k users whose own link is
+    clear get their (k, M) rows of links (distance, probability, indicator,
+    gain and row sum), each bit for bit the row of the full (nb, M, M)
+    evaluation. A lone user's row is its own link, so it needs no indicator.
     """
     nb, m = x.shape
+    # x - x = +0.0, so these are bit for bit the diagonals of the full arrays
+    own_sq = pin_distances_sq(cfg, x, y, beta, x)
     rates = np.zeros((nb, m))  # +0.0, the rate of a blocked own link
-    users = np.flatnonzero(np.diagonal(u, axis1=1, axis2=2) < own_p)
+    users = np.flatnonzero(np.diagonal(u, axis1=1, axis2=2)
+                           < unblocked_probability_sq(own_sq, cfg))
     if users.size == 0:
         return rates
     xs = x.reshape(-1).take(users)[:, None]
@@ -332,30 +297,51 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """(n, M) rates of each of ``schemes`` from one pass over a chunk's stream.
 
-    The placement is drawn once. The pinching schemes share the blockage
-    draw that follows it and everything up to the Design II rates. The
-    conventional scheme's (n, M) blockage uniforms are the first n M of
-    that draw, so with a pinching scheme it reads them from the pinching
-    draw, and alone it draws them itself: either way it reads the uniforms
-    it reads alone, and the stream is never rewound. A repeated scheme gets
-    the same array again.
+    This is the one function that draws a chunk's random numbers: the
+    placement, then the pinching schemes' (n, M, M) blockage uniforms,
+    sub-batch by sub-batch in trial order, which consumes the stream
+    exactly as one (n, M, M) draw would. Both pinching designs read the
+    same uniforms, through ``_zf_rates`` when PIN_D1 runs with two or more
+    users and through ``_design2_rows`` otherwise. The conventional
+    scheme's (n, M) blockage uniforms are the first n M of that draw, so
+    with a pinching scheme it copies them out of it, and alone it draws
+    them itself: either way it reads the uniforms it reads alone, and the
+    stream is never rewound. A repeated scheme gets the same array again.
     """
     beta = waveguide_y_offsets(cfg)
     x, y = _sample_user_xy(cfg, n, rng, beta)
+    m = x.shape[1]
     zero_force = Scheme.PIN_D1 in schemes
-    pin = zero_force or Scheme.PIN_D2 in schemes
-    conv_u = None
+    dense = zero_force and m > 1
+    conv = Scheme.CONV in schemes
     rates = {}
-    if Scheme.CONV in schemes:
-        conv_u = np.empty(x.shape) if pin else rng.random(x.shape)
-    if pin:
-        rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = _pin_rates(
-            cfg, x, y, beta, rng, zero_force, conv_u)
-    if conv_u is not None:
-        alpha = conv_u < unblocked_probability_sq(
-            center_distances_sq(cfg, x, y), cfg)
-        rates[Scheme.CONV] = _conv_rates(cfg, x, y, alpha, cfg.tx_power,
-                                         cfg.noise_power)
+    # An overflowing SNR gives the rate +inf, which an outage counts
+    # correctly and _ergodic_estimates rejects, so overflow is not reported.
+    # errstate is per thread, and chunks run on pool threads.
+    with np.errstate(over="ignore"):
+        if zero_force or Scheme.PIN_D2 in schemes:
+            d2 = np.empty((n, m))
+            # A single user sees no interference, so zero forcing is Design II.
+            d1 = np.empty((n, m)) if dense else d2
+            conv_u = np.empty(n * m) if conv else None
+            for b in _sub_batches(n, m):
+                u = rng.random((b.stop - b.start, m, m))
+                lo = b.start * m * m
+                if conv and lo < conv_u.size:
+                    conv_u[lo:lo + u.size] = u.reshape(-1)[:conv_u.size - lo]
+                if dense:
+                    d2[b], d1[b] = _zf_rates(cfg, x[b], y[b], beta, u)
+                else:
+                    d2[b] = _design2_rows(cfg, x[b], y[b], beta, u)
+            del u  # not held through the conventional rows
+            rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = d2, d1
+        elif conv:
+            conv_u = rng.random(n * m)
+        if conv:
+            alpha = conv_u.reshape(n, m) < unblocked_probability_sq(
+                center_distances_sq(cfg, x, y), cfg)
+            rates[Scheme.CONV] = _conv_rates(cfg, x, y, alpha, cfg.tx_power,
+                                             cfg.noise_power)
     return tuple(rates[s] for s in schemes)
 
 

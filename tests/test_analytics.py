@@ -1,5 +1,6 @@
 """Closed forms against independent quadrature and high-precision oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -345,6 +346,18 @@ class TestOutageGapModelB:
                 diff = (outage_conv_model_b_highsnr(p)
                         - outage_pin_model_b_highsnr(p))
                 assert abs(outage_gap_model_b(p) - diff) <= 1e-12
+
+    def test_matches_quadrature_of_masses(self):
+        # The absolute check above says nothing at phi = 2, where the gap is
+        # below 4e-9. phi = 10 is left out: there the gap is about 1e-41 and
+        # the quadrature oracle itself is off by up to 8e-4.
+        for phi, d_l, d_w in itertools.product(
+                (1e-3, 0.01, 0.1, 0.5, 2.0), (5.0, 40.0, 160.0), (5.0, 10.0)):
+            p = OutageParams(cfg=make_cfg(BlockageModel.MODEL_B, phi=phi,
+                                          d_l=d_l, d_w=d_w), r_target=7.0)
+            expected = oracles.outage_gap_quadrature(p)
+            assert abs(outage_gap_model_b(p) - expected) <= 1e-12 * expected, (
+                phi, d_l, d_w)
 
     def test_positive_for_positive_phi(self):
         for phi in (0.01, 0.1, 1.0):

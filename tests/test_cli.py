@@ -698,10 +698,31 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "pinchsim", "simulate", str(cfg_path)],
             capture_output=True, text=True, env=_env_with_src(), timeout=300)
         assert proc.returncode == 1
-        last = proc.stderr.splitlines()[-1]
-        assert last.startswith("error: TX_POWER_DBM = 3100.0: PIN_D"), last
-        assert "PIN_D1" in last or "PIN_D2" in last
+        # the one-line error is the whole of stderr: no overflow warnings
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: TX_POWER_DBM = 3100.0: PIN_D"), line
+        assert "PIN_D1" in line or "PIN_D2" in line
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_overflowing_snr_outage_is_quiet_and_valid(self, tmp_path):
+        # the same overflow as above gives rates of +inf, which are not in
+        # outage, so an OUTAGE run succeeds without warnings
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "r.csv"
+        cfg_path.write_text(manual_doc(
+            "run.schemes = PIN_D1, PIN_D2, CONV", "run.axis_values = 10, 3100",
+            "run.metric = OUTAGE", "run.r_target = 2", "run.n_trials = 64",
+            out=out))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinchsim", "simulate", str(cfg_path)],
+            capture_output=True, text=True, env=_env_with_src(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        values = [float(r["value"]) for r in rows
+                  if r["provenance"] == "SIMULATED"]
+        assert len(values) == 6
+        assert all(0.0 <= v <= 1.0 for v in values), values
 
     def test_scipy_is_not_a_runtime_dependency(self, tmp_path):
         env = _env_with_src()

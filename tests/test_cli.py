@@ -207,6 +207,92 @@ class TestPresetTables:
         assert f["system.constrain_under_waveguide"] is True
         assert f["run.metric"] is MetricKind.ERGODIC_PER_USER
 
+    def test_every_field_of_every_preset(self):
+        # Spelled out key by key, so that a typo in the preset table fails.
+        shared = {
+            "system.height": 3.0,
+            "system.carrier_freq_hz": 28e9,
+            "system.noise_dbm": -90.0,
+            "system.n_eff": 1.4,
+            "system.waveguide_loss_db_per_m": 0.08,
+            "system.phi": 0.1,
+            "system.d_l": 40.0,
+            "system.tx_power_dbm": 10.0,
+            "run.master_seed": 12345,
+            "run.analytics": True,
+        }
+        powers = (10.0, 20.0, 30.0, 40.0)
+        lengths = (10.0, 20.0, 40.0, 80.0)
+        pin_d2_conv = (Scheme.PIN_D2, Scheme.CONV)
+        all_three = (Scheme.PIN_D1, Scheme.PIN_D2, Scheme.CONV)
+        expected = {
+            Preset.FIG1: {
+                "system.num_users": 1, "system.d_w": 10.0,
+                "system.blockage_model": BlockageModel.MODEL_A,
+                "system.loss_case": LossCase.CASE_I,
+                "system.constrain_under_waveguide": False,
+                "run.schemes": pin_d2_conv,
+                "run.metric": MetricKind.ERGODIC_SUM,
+                "run.sweep_axis": SweepAxis.TX_POWER_DBM,
+                "run.axis_values": powers,
+                "run.n_trials": 100000, "run.output": "fig1.csv"},
+            Preset.FIG2A: {
+                "system.num_users": 1, "system.d_w": 10.0,
+                "system.blockage_model": BlockageModel.MODEL_A,
+                "system.loss_case": LossCase.CASE_II,
+                "system.constrain_under_waveguide": False,
+                "run.schemes": pin_d2_conv,
+                "run.metric": MetricKind.OUTAGE,
+                "run.sweep_axis": SweepAxis.D_L,
+                "run.axis_values": lengths,
+                "run.r_target": 7.662862522672084,
+                "run.n_trials": 200000, "run.output": "fig2a.csv"},
+            Preset.FIG2B: {
+                "system.num_users": 1, "system.d_w": 5.0,
+                "system.blockage_model": BlockageModel.MODEL_B,
+                "system.loss_case": LossCase.CASE_II,
+                "system.constrain_under_waveguide": False,
+                "run.schemes": pin_d2_conv,
+                "run.metric": MetricKind.OUTAGE,
+                "run.sweep_axis": SweepAxis.D_L,
+                "run.axis_values": lengths,
+                "run.r_target": 7.662862522672084,
+                "run.n_trials": 200000, "run.output": "fig2b.csv"},
+            Preset.FIG3A: {
+                "system.num_users": 2, "system.d_w": 10.0,
+                "system.blockage_model": BlockageModel.MODEL_A,
+                "system.loss_case": LossCase.CASE_I,
+                "system.constrain_under_waveguide": False,
+                "run.schemes": all_three,
+                "run.metric": MetricKind.ERGODIC_SUM,
+                "run.sweep_axis": SweepAxis.TX_POWER_DBM,
+                "run.axis_values": powers,
+                "run.n_trials": 100000, "run.output": "fig3a.csv"},
+            Preset.FIG3B: {
+                "system.num_users": 5, "system.d_w": 10.0,
+                "system.blockage_model": BlockageModel.MODEL_A,
+                "system.loss_case": LossCase.CASE_I,
+                "system.constrain_under_waveguide": False,
+                "run.schemes": all_three,
+                "run.metric": MetricKind.ERGODIC_SUM,
+                "run.sweep_axis": SweepAxis.TX_POWER_DBM,
+                "run.axis_values": powers,
+                "run.n_trials": 100000, "run.output": "fig3b.csv"},
+            Preset.FIG4: {
+                "system.num_users": 2, "system.d_w": 10.0,
+                "system.blockage_model": BlockageModel.MODEL_B,
+                "system.loss_case": LossCase.CASE_I,
+                "system.constrain_under_waveguide": True,
+                "run.schemes": pin_d2_conv,
+                "run.metric": MetricKind.ERGODIC_PER_USER,
+                "run.sweep_axis": SweepAxis.TX_POWER_DBM,
+                "run.axis_values": powers,
+                "run.n_trials": 100000, "run.output": "fig4.csv"},
+        }
+        assert list(expected) == list(Preset)
+        for preset, own in expected.items():
+            assert preset_fields(preset) == {**shared, **own}, preset
+
 
 class TestRoundTrip:
     def test_effective_config_reparses_identically(self, tmp_path):
@@ -512,8 +598,10 @@ class TestCollectRows:
 
 class TestReproduceFigure:
     def test_unknown_figure_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="fig9"):
+        with pytest.raises(ConfigError, match="'fig9'") as info:
             reproduce_figure("fig9", tmp_path)
+        message = str(info.value).lower()
+        assert all(p.value.lower() in message for p in Preset)
 
     def test_fig2a_outputs(self, tmp_path):
         paths = reproduce_figure("fig2a", tmp_path, n_trials=2000)

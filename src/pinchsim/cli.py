@@ -277,79 +277,51 @@ def _fig2_default_r_target() -> float:
     return math.log2(1.0 + gain * dbm_to_watt(10.0) / (1e-12 * (2.0 * 3.0) ** 2))
 
 
+# The reference deployment every preset pins (fig1's). It restates schema
+# defaults on purpose: a preset is frozen and must not move with a default.
+_PRESET_BASE = {
+    "system.num_users": 1, "system.d_w": 10.0, "system.d_l": 40.0,
+    "system.height": 3.0, "system.carrier_freq_hz": 28e9,
+    "system.noise_dbm": -90.0, "system.tx_power_dbm": 10.0,
+    "system.blockage_model": BlockageModel.MODEL_A, "system.phi": 0.1,
+    "system.loss_case": LossCase.CASE_I,
+    "system.waveguide_loss_db_per_m": 0.08, "system.n_eff": 1.4,
+    "system.constrain_under_waveguide": False,
+    "run.schemes": (Scheme.PIN_D2, Scheme.CONV),
+    "run.metric": MetricKind.ERGODIC_SUM,
+    "run.sweep_axis": SweepAxis.TX_POWER_DBM,
+    "run.axis_values": (10.0, 20.0, 30.0, 40.0),
+    "run.n_trials": 100000, "run.master_seed": 12345, "run.analytics": True,
+}
+_OUTAGE_OVER_D_L = {
+    "system.loss_case": LossCase.CASE_II,
+    "run.metric": MetricKind.OUTAGE,
+    "run.sweep_axis": SweepAxis.D_L,
+    "run.axis_values": (10.0, 20.0, 40.0, 80.0),
+    "run.r_target": _fig2_default_r_target(),
+    "run.n_trials": 200000,
+}
+# What each preset changes in the reference deployment.
+_PRESET_ROWS = {
+    Preset.FIG1: {},
+    Preset.FIG2A: _OUTAGE_OVER_D_L,
+    Preset.FIG2B: {**_OUTAGE_OVER_D_L, "system.d_w": 5.0,
+                   "system.blockage_model": BlockageModel.MODEL_B},
+    Preset.FIG3A: {"system.num_users": 2,
+                   "run.schemes": (Scheme.PIN_D1, Scheme.PIN_D2, Scheme.CONV)},
+    Preset.FIG3B: {"system.num_users": 5,
+                   "run.schemes": (Scheme.PIN_D1, Scheme.PIN_D2, Scheme.CONV)},
+    Preset.FIG4: {"system.num_users": 2,
+                  "system.blockage_model": BlockageModel.MODEL_B,
+                  "system.constrain_under_waveguide": True,
+                  "run.metric": MetricKind.ERGODIC_PER_USER},
+}
+
+
 def preset_fields(preset: Preset) -> dict[str, object]:
     """Typed config fields a preset pins (preset fields beat manual ones)."""
-    base = {
-        "system.height": 3.0,
-        "system.carrier_freq_hz": 28e9,
-        "system.noise_dbm": -90.0,
-        "system.n_eff": 1.4,
-        "system.waveguide_loss_db_per_m": 0.08,
-        "system.phi": 0.1,
-        "system.constrain_under_waveguide": False,
-        "run.n_trials": 100000,
-        "run.master_seed": 12345,
-        "run.analytics": True,
-    }
-    if preset is Preset.FIG1:
-        base.update({
-            "system.num_users": 1, "system.d_w": 10.0, "system.d_l": 40.0,
-            "system.blockage_model": BlockageModel.MODEL_A,
-            "system.loss_case": LossCase.CASE_I,
-            "system.tx_power_dbm": 10.0,
-            "run.schemes": (Scheme.PIN_D2, Scheme.CONV),
-            "run.metric": MetricKind.ERGODIC_SUM,
-            "run.sweep_axis": SweepAxis.TX_POWER_DBM,
-            "run.axis_values": (10.0, 20.0, 30.0, 40.0),
-            "run.output": "fig1.csv",
-        })
-    elif preset in (Preset.FIG2A, Preset.FIG2B):
-        base.update({
-            "system.num_users": 1,
-            "system.d_w": 10.0 if preset is Preset.FIG2A else 5.0,
-            "system.d_l": 40.0,
-            "system.blockage_model": (BlockageModel.MODEL_A
-                                      if preset is Preset.FIG2A
-                                      else BlockageModel.MODEL_B),
-            "system.loss_case": LossCase.CASE_II,
-            "system.tx_power_dbm": 10.0,
-            "run.schemes": (Scheme.PIN_D2, Scheme.CONV),
-            "run.metric": MetricKind.OUTAGE,
-            "run.sweep_axis": SweepAxis.D_L,
-            "run.axis_values": (10.0, 20.0, 40.0, 80.0),
-            "run.r_target": _fig2_default_r_target(),
-            "run.n_trials": 200000,
-            "run.output": f"{preset.value.lower()}.csv",
-        })
-    elif preset in (Preset.FIG3A, Preset.FIG3B):
-        base.update({
-            "system.num_users": 2 if preset is Preset.FIG3A else 5,
-            "system.d_w": 10.0, "system.d_l": 40.0,
-            "system.blockage_model": BlockageModel.MODEL_A,
-            "system.loss_case": LossCase.CASE_I,
-            "system.tx_power_dbm": 10.0,
-            "run.schemes": (Scheme.PIN_D1, Scheme.PIN_D2, Scheme.CONV),
-            "run.metric": MetricKind.ERGODIC_SUM,
-            "run.sweep_axis": SweepAxis.TX_POWER_DBM,
-            "run.axis_values": (10.0, 20.0, 30.0, 40.0),
-            "run.output": f"{preset.value.lower()}.csv",
-        })
-    elif preset is Preset.FIG4:
-        base.update({
-            "system.num_users": 2, "system.d_w": 10.0, "system.d_l": 40.0,
-            "system.blockage_model": BlockageModel.MODEL_B,
-            "system.loss_case": LossCase.CASE_I,
-            "system.tx_power_dbm": 10.0,
-            "system.constrain_under_waveguide": True,
-            "run.schemes": (Scheme.PIN_D2, Scheme.CONV),
-            "run.metric": MetricKind.ERGODIC_PER_USER,
-            "run.sweep_axis": SweepAxis.TX_POWER_DBM,
-            "run.axis_values": (10.0, 20.0, 30.0, 40.0),
-            "run.output": "fig4.csv",
-        })
-    else:  # pragma: no cover - exhaustive over Preset
-        raise ConfigError(f"unknown preset: {preset}")
-    return base
+    return {**_PRESET_BASE, **_PRESET_ROWS[preset],
+            "run.output": f"{preset.value.lower()}.csv"}
 
 
 def _build_config(values: dict[str, object],
@@ -557,11 +529,8 @@ def _render_csv(rows: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([
-            row["scheme"], row["axis_name"], repr(row["axis_value"]),
-            row["metric"], repr(row["value"]), repr(row["ci_half_width"]),
-            row["n_trials"], row["provenance"], row["seed"],
-        ])
+        # csv writes a float as its repr, so every value round-trips.
+        writer.writerow([row[c] for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -662,17 +631,8 @@ def reproduce_figure(figure_id, output_dir, *, n_trials: int | None = None,
     The first bundled figure compares the lossless and lossy waveguide cases,
     so it produces one CSV per case; the others produce a single CSV.
     """
-    if isinstance(figure_id, Preset):
-        preset = figure_id
-    else:
-        try:
-            preset = Preset(str(figure_id).upper())
-        except ValueError:
-            known = ", ".join(p.value.lower() for p in Preset)
-            raise ConfigError(
-                f"unknown figure id {figure_id!r} (expected one of {known})"
-            ) from None
-
+    preset = (figure_id if isinstance(figure_id, Preset)
+              else _parse("preset", str(figure_id)))
     out_dir = Path(output_dir)
     name = preset.value.lower()
     overrides = {key: str(value) for key, value in (

@@ -177,6 +177,8 @@ def _map_chunks(fn, n_trials: int, master_seed: int, axis_index: int,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     _prime_heap()
 
@@ -503,7 +505,9 @@ def sweep(cfg: SystemConfig, schemes: Scheme | Sequence[Scheme],
     scheme; a single-value sweep is therefore bit-identical to a direct
     estimate call. ``schemes`` is one Scheme, giving its list of points, or
     a sequence of them, giving one list of points per scheme; every scheme
-    of a point is evaluated from one pass over that point's streams.
+    of a point is evaluated from one pass over that point's streams. Every
+    point's config (and target rate) is checked before the first estimate,
+    so a value outside its axis' domain fails before any trial runs.
     """
     schemes, single = _as_schemes(schemes)
     values = [float(v) for v in axis_values]
@@ -511,22 +515,33 @@ def sweep(cfg: SystemConfig, schemes: Scheme | Sequence[Scheme],
         raise ValueError("axis_values must be nonempty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("axis_values must be strictly increasing")
-    if metric is not MetricKind.OUTAGE and sweep_axis is SweepAxis.R_TARGET:
-        raise ValueError("R_TARGET sweeps only apply to the OUTAGE metric")
+    outage = metric is MetricKind.OUTAGE
+    if sweep_axis is SweepAxis.R_TARGET:
+        if not outage:
+            raise ValueError("R_TARGET sweeps only apply to the OUTAGE metric")
+    elif outage:
+        # A fixed target rate is checked once, not at every point.
+        if r_target is None:
+            raise ValueError("OUTAGE sweeps need r_target (or an R_TARGET axis)")
+        OutageParams(cfg=cfg, r_target=r_target)
 
+    def point_input(v: float) -> SystemConfig | OutageParams:
+        try:
+            cfg_v, rt_v = apply_axis(cfg, sweep_axis, v, r_target)
+            return OutageParams(cfg=cfg_v, r_target=rt_v) if outage else cfg_v
+        except ValueError as exc:
+            raise ValueError(f"{sweep_axis.value} = {v!r}: {exc}") from exc
+
+    inputs = [point_input(v) for v in values]
     points = [[] for _ in schemes]
-    for i, v in enumerate(values):
-        cfg_i, rt_i = apply_axis(cfg, sweep_axis, v, r_target)
-        if metric is MetricKind.OUTAGE:
-            if rt_i is None:
-                raise ValueError("OUTAGE sweeps need r_target (or an R_TARGET axis)")
-            ests = estimate_outage(schemes, OutageParams(cfg=cfg_i, r_target=rt_i),
-                                   n_trials, master_seed, workers=workers,
-                                   axis_index=i)
+    for i, (v, point) in enumerate(zip(values, inputs)):
+        if outage:
+            ests = estimate_outage(schemes, point, n_trials, master_seed,
+                                   workers=workers, axis_index=i)
             chosen = [(est,) for est in ests]
         else:
             try:
-                ests = estimate_ergodic(schemes, cfg_i, n_trials, master_seed,
+                ests = estimate_ergodic(schemes, point, n_trials, master_seed,
                                         workers=workers, axis_index=i)
             except ArithmeticError as exc:
                 raise ArithmeticError(

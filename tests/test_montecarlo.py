@@ -6,9 +6,11 @@ import itertools
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from pinchsim import (
     estimate_conv_rate_bound,
     estimate_ergodic,
     estimate_outage,
+    outage_pin_model_a,
     parse_config,
     run_experiment,
     sweep,
@@ -652,6 +655,19 @@ class TestEstimateOutage:
         est = estimate_outage(Scheme.PIN_D2, p, 200_000, 31)
         assert abs(est.value - oracles.outage_pin_quadrature(p)) <= est.ci_half_width
 
+    def test_d_l_sweep_matches_exact_model_a(self):
+        # fig2a geometry on a lossless waveguide: the pinching antenna sits
+        # above the user, so the exact outage does not depend on d_l
+        cfg = make_cfg(tx_power=dbm_to_watt(10.0), loss_case=LossCase.CASE_I)
+        r_target = 7.662862522672084
+        pts = sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [10.0, 20.0, 40.0, 80.0],
+                    MetricKind.OUTAGE, 1_000_000, 7, r_target=r_target)
+        for pt in pts:
+            est = pt.estimates[0]
+            exact = outage_pin_model_a(OutageParams(
+                cfg=replace(cfg, d_l=pt.axis_value), r_target=r_target))
+            assert abs(est.value - exact) <= est.ci_half_width
+
     def test_conventional_matches_its_quadrature_at_high_snr(self):
         p = OutageParams(cfg=make_cfg(tx_power=10.0), r_target=7.0)
         est = estimate_outage(Scheme.CONV, p, 200_000, 32)
@@ -690,6 +706,22 @@ class TestEstimateOutage:
                 with pytest.raises(ValueError,
                                    match="^n_trials must be >= 1$"):
                     estimate(n_trials)
+
+    def test_rejects_fewer_than_one_worker(self):
+        cfg = make_cfg(num_users=2)
+        for estimate in (
+                lambda w: estimate_outage(Scheme.PIN_D2,
+                                          OutageParams(cfg=cfg, r_target=1.0),
+                                          100, 1, workers=w),
+                lambda w: estimate_ergodic(Scheme.PIN_D2, cfg, 100, 1,
+                                           workers=w),
+                lambda w: estimate_conv_rate_bound(cfg, 100, 1, workers=w),
+                lambda w: sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [40.0],
+                                MetricKind.ERGODIC_SUM, 100, 1, workers=w)):
+            for workers in (0, -1):
+                with pytest.raises(ValueError,
+                                   match="^workers must be >= 1$"):
+                    estimate(workers)
 
 
 class TestDeterminism:
@@ -876,6 +908,47 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [20.0, 10.0],
                   MetricKind.ERGODIC_SUM, 100, 1)
+
+    @staticmethod
+    def _record_estimates(monkeypatch) -> list[str]:
+        calls = []
+        for name in ("estimate_ergodic", "estimate_outage"):
+            def record(*args, _name=name, _real=getattr(montecarlo, name),
+                       **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(montecarlo, name, record)
+        return calls
+
+    @pytest.mark.parametrize("axis, metric, values, message", [
+        (SweepAxis.D_L, MetricKind.ERGODIC_SUM, [10.0, 20.0, math.inf],
+         "D_L = inf: d_l must be finite"),
+        (SweepAxis.TX_POWER_DBM, MetricKind.OUTAGE, [10.0, 20.0, 4000.0],
+         "TX_POWER_DBM = 4000.0: tx_power must be finite"),
+        (SweepAxis.R_TARGET, MetricKind.OUTAGE, [1.0, 2.0, math.nan],
+         "R_TARGET = nan: r_target must be > 0"),
+    ], ids=["D_L", "TX_POWER_DBM", "R_TARGET"])
+    def test_bad_last_point_fails_before_any_estimate(
+            self, monkeypatch, axis, metric, values, message):
+        calls = self._record_estimates(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(make_cfg(num_users=2),
+                  (Scheme.PIN_D1, Scheme.PIN_D2, Scheme.CONV), axis, values,
+                  metric, 400, 1, r_target=5.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("r_target, message", [
+        (None, "OUTAGE sweeps need r_target (or an R_TARGET axis)"),
+        (0.0, "r_target must be > 0"),
+        (-1.0, "r_target must be > 0"),
+    ])
+    def test_fixed_target_checked_before_any_estimate(
+            self, monkeypatch, r_target, message):
+        calls = self._record_estimates(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(make_cfg(), Scheme.PIN_D2, SweepAxis.D_L, [10.0, 20.0],
+                  MetricKind.OUTAGE, 400, 1, r_target=r_target)
+        assert calls == []
 
     def test_outage_requires_target(self):
         with pytest.raises(ValueError):

@@ -36,11 +36,10 @@ from .montecarlo import (
     Provenance,
     Scheme,
     SweepAxis,
-    apply_axis,
     sweep,
+    sweep_inputs,
 )
 from .scenario import (
-    SPEED_OF_LIGHT,
     BlockageModel,
     LossCase,
     SystemConfig,
@@ -217,31 +216,16 @@ _KEYS = (
 _SCHEMA = {k.key: k for k in _KEYS}
 _FIELD_KEYS = [k for k in _KEYS if k.target is not None]
 # SystemConfig or RunSpec field -> config key, to name the key in a range
-# error (the two classes share no field name).
+# error. The two classes share no field name, and each RunSpec field has
+# the name of the ``sweep`` parameter it feeds.
 _FIELD_KEY = {k.target: k.key for k in _FIELD_KEYS}
 
 
-def _check_run(values: dict[str, object]) -> None:
-    """Run-level checks; SystemConfig checks the physical fields itself."""
-    for key, low in (("run.n_trials", 1), ("run.workers", 1),
-                     ("run.master_seed", 0)):
-        if values[key] < low:
-            raise ConfigError(f"{key}: must be >= {low}")
-    axis_values = values["run.axis_values"]
-    if any(b <= a for a, b in zip(axis_values, axis_values[1:])):
-        raise ConfigError("run.axis_values: must be strictly increasing")
-    if (values["run.sweep_axis"] is SweepAxis.R_TARGET
-            and values["run.metric"] is not MetricKind.OUTAGE):
-        raise ConfigError("run.sweep_axis: R_TARGET applies only to the "
-                          "OUTAGE metric")
-    r_target = values["run.r_target"]
-    if r_target is None:
-        if (values["run.metric"] is MetricKind.OUTAGE
-                and values["run.sweep_axis"] is not SweepAxis.R_TARGET):
-            raise ConfigError("missing required config key: 'run.r_target' "
-                              "(needed for the OUTAGE metric)")
-    elif not r_target > 0:
-        raise ConfigError("run.r_target: must be > 0")
+def _fields(values: dict[str, object], section: str) -> dict[str, object]:
+    """The SystemConfig (``system``) or RunSpec (``run``) fields of typed
+    config values, with each dBm value in watts."""
+    return {k.target: dbm_to_watt(values[k.key]) if k.dbm else values[k.key]
+            for k in _FIELD_KEYS if k.key.startswith(section + ".")}
 
 
 def _parse(key: str, raw: str):
@@ -270,13 +254,6 @@ def _read_flat_document(text: str) -> dict[str, str]:
     return raw
 
 
-def _fig2_default_r_target() -> float:
-    """Target rate placing the distance threshold at twice the height for
-    the 10 dBm figure presets."""
-    gain = SPEED_OF_LIGHT ** 2 / (16.0 * math.pi ** 2 * 28e9 ** 2)
-    return math.log2(1.0 + gain * dbm_to_watt(10.0) / (1e-12 * (2.0 * 3.0) ** 2))
-
-
 # The reference deployment every preset pins (fig1's). It restates schema
 # defaults on purpose: a preset is frozen and must not move with a default.
 _PRESET_BASE = {
@@ -293,6 +270,16 @@ _PRESET_BASE = {
     "run.axis_values": (10.0, 20.0, 30.0, 40.0),
     "run.n_trials": 100000, "run.master_seed": 12345, "run.analytics": True,
 }
+
+
+def _fig2_default_r_target() -> float:
+    """Target rate placing the distance threshold at twice the height in
+    the reference deployment."""
+    cfg = SystemConfig(**_fields(_PRESET_BASE, "system"))
+    return math.log2(1.0 + cfg.path_gain_factor * cfg.tx_power
+                     / (cfg.noise_power * (2.0 * cfg.height) ** 2))
+
+
 _OUTAGE_OVER_D_L = {
     "system.loss_case": LossCase.CASE_II,
     "run.metric": MetricKind.OUTAGE,
@@ -329,43 +316,20 @@ def _build_config(values: dict[str, object],
     for k in _KEYS:
         if values[k.key] is _REQUIRED:
             raise ConfigError(f"missing required config key: {k.key!r}")
-    _check_run(values)
-    fields: dict[str, dict[str, object]] = {"system": {}, "run": {}}
-    dbm: dict[str, float] = {}
-    for k in _FIELD_KEYS:
-        section, _, leaf = k.key.partition(".")
-        value = values[k.key]
-        if k.dbm:
-            dbm[leaf] = value
-            value = dbm_to_watt(value)
-        fields[section][k.target] = value
     try:
-        system = SystemConfig(**fields["system"])
+        system = SystemConfig(**_fields(values, "system"))
+        run = RunSpec(**_fields(values, "run"))
+        sweep_inputs(system, run.sweep_axis, run.axis_values, run.metric,
+                     run.n_trials, run.master_seed, r_target=run.r_target,
+                     workers=run.workers)
     except ValueError as exc:
-        # SystemConfig's messages begin with the offending field's name.
+        # SystemConfig's and sweep_inputs' messages begin with the name of
+        # the offending field or parameter.
         field_name, _, reason = str(exc).partition(" ")
         raise ConfigError(f"{_FIELD_KEY[field_name]}: {reason}") from None
-    run = RunSpec(**fields["run"])
-    _check_axis_values(system, run)
+    dbm = {k.key.partition(".")[2]: values[k.key] for k in _FIELD_KEYS if k.dbm}
     return ExperimentConfig(system=system, run=run, preset_name=preset_name,
                             **dbm)
-
-
-def _check_axis_values(system: SystemConfig, run: RunSpec) -> None:
-    """Build every sweep point's config and target rate as ``sweep`` will,
-    so that a value outside its axis' domain fails here, naming
-    run.axis_values, and not when the sweep reaches it."""
-    for value in run.axis_values:
-        try:
-            cfg, r_target = apply_axis(system, run.sweep_axis, value,
-                                       run.r_target)
-            if r_target is not None:
-                OutageParams(cfg=cfg, r_target=r_target)
-        except ValueError as exc:
-            # Both classes' messages begin with the offending field's name.
-            field_name, _, reason = str(exc).partition(" ")
-            raise ConfigError(f"run.axis_values: value {value!r} for "
-                              f"{_FIELD_KEY[field_name]} {reason}") from None
 
 
 def _resolve(document: dict[str, str],
@@ -438,40 +402,39 @@ def _metric_label(kind: MetricKind, user_index: int | None = None) -> str:
     return kind.value
 
 
-def _closed_form_entries(scheme: Scheme, cfg: ExperimentConfig,
-                         cfg_point: SystemConfig, r_target: float | None,
+def _closed_form_entries(scheme: Scheme, metric: MetricKind,
+                         point: SystemConfig | OutageParams,
                          floors: dict) -> list[tuple[str, float]]:
     """Analytical counterparts of a simulated point, when one exists.
 
+    ``point`` is the point's estimator input from ``sweep_inputs``.
     ``floors`` maps (analytic, point config) to a high-SNR outage floor
     already evaluated in this run. The floors do not depend on the target
     rate, so an R_TARGET sweep evaluates each once.
     """
-    metric = cfg.run.metric
     if metric is MetricKind.OUTAGE:
-        if cfg_point.num_users != 1 or r_target is None:
+        if point.cfg.num_users != 1:
             return []
-        p = OutageParams(cfg=cfg_point, r_target=r_target)
-        model_a = cfg_point.blockage_model is BlockageModel.MODEL_A
+        model_a = point.cfg.blockage_model is BlockageModel.MODEL_A
         if scheme is Scheme.CONV:
             floor = (outage_conv_model_a_highsnr if model_a
                      else outage_conv_model_b_highsnr)
         elif model_a:
             floor = outage_pin_model_a_highsnr
         else:
-            return [("OUTAGE", outage_pin_model_b(p))]
-        key = (floor, cfg_point)
+            return [("OUTAGE", outage_pin_model_b(point))]
+        key = (floor, point.cfg)
         if key not in floors:
-            floors[key] = floor(p)
+            floors[key] = floor(point)
         return [("OUTAGE", floors[key])]
 
     two_user_case = (scheme is Scheme.PIN_D2
-                     and cfg_point.num_users == 2
-                     and cfg_point.blockage_model is BlockageModel.MODEL_B
-                     and cfg_point.constrain_under_waveguide)
+                     and point.num_users == 2
+                     and point.blockage_model is BlockageModel.MODEL_B
+                     and point.constrain_under_waveguide)
     if not two_user_case:
         return []
-    value = ergodic_pin_two_user_highsnr(cfg_point)
+    value = ergodic_pin_two_user_highsnr(point)
     if metric is MetricKind.ERGODIC_SUM:
         # The two users are mirror images, so the sum is twice user 1's rate.
         return [("ERGODIC_SUM", 2.0 * value)]
@@ -487,20 +450,21 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
     run = cfg.run
     rows: list[dict] = []
     floors: dict = {}
+    inputs = sweep_inputs(cfg.system, run.sweep_axis, run.axis_values,
+                          run.metric, run.n_trials, run.master_seed,
+                          r_target=run.r_target, workers=run.workers)
     per_scheme = sweep(cfg.system, run.schemes, run.sweep_axis, run.axis_values,
                        run.metric, run.n_trials, run.master_seed,
                        r_target=run.r_target, workers=run.workers)
     for scheme, points in zip(run.schemes, per_scheme):
-        for point in points:
+        for point, (_, point_input) in zip(points, inputs):
             for idx, est in enumerate(point.estimates):
                 user = idx if run.metric is MetricKind.ERGODIC_PER_USER else None
                 rows.append(_row(scheme, run, point.axis_value,
                                  _metric_label(est.metric_kind, user), est))
             if run.analytics:
-                cfg_point, rt = apply_axis(cfg.system, run.sweep_axis,
-                                           point.axis_value, run.r_target)
-                for label, value in _closed_form_entries(scheme, cfg, cfg_point, rt,
-                                                         floors):
+                for label, value in _closed_form_entries(
+                        scheme, run.metric, point_input, floors):
                     est = MetricEstimate(value=value, ci_half_width=0.0,
                                          n_trials=0, metric_kind=run.metric,
                                          provenance=Provenance.CLOSED_FORM)
@@ -665,6 +629,17 @@ def reproduce_figure(figure_id, output_dir, *, n_trials: int | None = None,
 # Command-line interface
 # --------------------------------------------------------------------------
 
+# Flags that override one run key: (flag, key, help). Both subcommands take
+# the first three; figure's own --out names a directory.
+_OVERRIDE_FLAGS = (
+    ("--trials", "run.n_trials", "override run.n_trials"),
+    ("--seed", "run.master_seed", "override run.master_seed"),
+    ("--workers", "run.workers", "override run.workers"),
+    ("--format", "run.format", "override run.format (csv or json)"),
+    ("--out", "run.output", "override run.output"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinchsim",
@@ -674,42 +649,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run an experiment from a config file")
     sim.add_argument("config", help="path to a flat key-value config document")
-    sim.add_argument("--trials", default=None,
-                     help="override run.n_trials")
-    sim.add_argument("--seed", default=None,
-                     help="override run.master_seed")
-    sim.add_argument("--workers", default=None,
-                     help="override run.workers")
-    sim.add_argument("--format", default=None,
-                     help="override run.format (csv or json)")
-    sim.add_argument("--out", default=None, help="override run.output")
 
     fig = sub.add_parser("figure", help="reproduce a bundled figure preset")
     fig.add_argument("figure_id",
                      help="one of " + ", ".join(p.value.lower() for p in Preset))
     fig.add_argument("--out", required=True, help="output directory")
-    fig.add_argument("--trials", default=None)
-    fig.add_argument("--seed", default=None)
-    fig.add_argument("--workers", default=None)
+    for command, flags in ((sim, _OVERRIDE_FLAGS), (fig, _OVERRIDE_FLAGS[:3])):
+        for flag, key, help_text in flags:
+            command.add_argument(flag, dest=key, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    given = vars(args)
     try:
         if args.command == "simulate":
-            overrides = {key: value for key, value in (
-                ("run.n_trials", args.trials), ("run.master_seed", args.seed),
-                ("run.workers", args.workers), ("run.format", args.format),
-                ("run.output", args.out)) if value is not None}
+            overrides = {key: given[key] for _, key, _ in _OVERRIDE_FLAGS
+                         if given[key] is not None}
             text = Path(args.config).read_text(encoding="utf-8")
             paths = run_experiment(
                 _resolve(_read_flat_document(text), overrides))
         else:
             paths = reproduce_figure(args.figure_id, args.out,
-                                     n_trials=args.trials,
-                                     master_seed=args.seed,
-                                     workers=args.workers)
+                                     n_trials=given["run.n_trials"],
+                                     master_seed=given["run.master_seed"],
+                                     workers=given["run.workers"])
         for path in paths:
             print(path)
     except (OSError, ValueError, ArithmeticError) as exc:

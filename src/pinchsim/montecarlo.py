@@ -167,6 +167,16 @@ def _prime_heap() -> None:
     np.empty(_CHUNK_HEAP_BYTES, dtype=np.uint8)
 
 
+def _check_budget(n_trials: int, master_seed: int, workers: int) -> None:
+    """Reject a trial count, seed or worker count out of its range, by name."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if master_seed < 0:
+        raise ValueError("master_seed must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def _map_chunks(fn, n_trials: int, master_seed: int, axis_index: int,
                 workers: int) -> list:
     """``fn(rng, n)`` for every chunk of ``n_trials`` trials, in chunk order.
@@ -175,10 +185,7 @@ def _map_chunks(fn, n_trials: int, master_seed: int, axis_index: int,
     and reads the stream chunk_generator(master_seed, axis_index, i), so the
     results do not depend on ``workers``.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_budget(n_trials, master_seed, workers)
     n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     _prime_heap()
 
@@ -485,14 +492,47 @@ def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
         "the conventional rate bound")
 
 
-def apply_axis(cfg: SystemConfig, axis: SweepAxis, value: float,
-               r_target: float | None) -> tuple[SystemConfig, float | None]:
-    """Return the config and target rate for one sweep point."""
-    if axis is SweepAxis.TX_POWER_DBM:
-        return replace(cfg, tx_power=dbm_to_watt(value)), r_target
-    if axis is SweepAxis.D_L:
-        return replace(cfg, d_l=value), r_target
-    return cfg, value
+def sweep_inputs(cfg: SystemConfig, sweep_axis: SweepAxis, axis_values,
+                 metric: MetricKind, n_trials: int, master_seed: int, *,
+                 r_target: float | None = None, workers: int = 1
+                 ) -> list[tuple[float, SystemConfig | OutageParams]]:
+    """Check a sweep's arguments, as ``sweep`` takes them, before any trial.
+
+    Returns each point's axis value and estimator input: its config, or
+    for OUTAGE its OutageParams. This is the one check of a sweep: every
+    message begins with the name of the offending ``sweep`` parameter, and
+    a point's error also names the axis and the value.
+    """
+    _check_budget(n_trials, master_seed, workers)
+    values = [float(v) for v in axis_values]
+    if not values:
+        raise ValueError("axis_values must be nonempty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("axis_values must be strictly increasing")
+    outage = metric is MetricKind.OUTAGE
+    if sweep_axis is SweepAxis.R_TARGET and not outage:
+        raise ValueError("sweep_axis R_TARGET applies only to the OUTAGE metric")
+    if r_target is not None and not r_target > 0:
+        raise ValueError("r_target must be > 0")
+    if outage and r_target is None and sweep_axis is not SweepAxis.R_TARGET:
+        raise ValueError("r_target must be given for the OUTAGE metric "
+                         "unless the axis is R_TARGET")
+    inputs = []
+    for v in values:
+        try:
+            cfg_v, rt_v = cfg, r_target
+            if sweep_axis is SweepAxis.TX_POWER_DBM:
+                cfg_v = replace(cfg, tx_power=dbm_to_watt(v))
+            elif sweep_axis is SweepAxis.D_L:
+                cfg_v = replace(cfg, d_l=v)
+            else:
+                rt_v = v
+            inputs.append((v, OutageParams(cfg=cfg_v, r_target=rt_v)
+                           if outage else cfg_v))
+        except ValueError as exc:
+            raise ValueError(f"axis_values at {sweep_axis.value} = {v!r}: "
+                             f"{exc}") from exc
+    return inputs
 
 
 def sweep(cfg: SystemConfig, schemes: Scheme | Sequence[Scheme],
@@ -506,36 +546,16 @@ def sweep(cfg: SystemConfig, schemes: Scheme | Sequence[Scheme],
     estimate call. ``schemes`` is one Scheme, giving its list of points, or
     a sequence of them, giving one list of points per scheme; every scheme
     of a point is evaluated from one pass over that point's streams. Every
-    point's config (and target rate) is checked before the first estimate,
-    so a value outside its axis' domain fails before any trial runs.
+    argument and every point is checked by ``sweep_inputs`` before the
+    first estimate, so a value outside its axis' domain fails before any
+    trial runs.
     """
     schemes, single = _as_schemes(schemes)
-    values = [float(v) for v in axis_values]
-    if not values:
-        raise ValueError("axis_values must be nonempty")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("axis_values must be strictly increasing")
-    outage = metric is MetricKind.OUTAGE
-    if sweep_axis is SweepAxis.R_TARGET:
-        if not outage:
-            raise ValueError("R_TARGET sweeps only apply to the OUTAGE metric")
-    elif outage:
-        # A fixed target rate is checked once, not at every point.
-        if r_target is None:
-            raise ValueError("OUTAGE sweeps need r_target (or an R_TARGET axis)")
-        OutageParams(cfg=cfg, r_target=r_target)
-
-    def point_input(v: float) -> SystemConfig | OutageParams:
-        try:
-            cfg_v, rt_v = apply_axis(cfg, sweep_axis, v, r_target)
-            return OutageParams(cfg=cfg_v, r_target=rt_v) if outage else cfg_v
-        except ValueError as exc:
-            raise ValueError(f"{sweep_axis.value} = {v!r}: {exc}") from exc
-
-    inputs = [point_input(v) for v in values]
+    inputs = sweep_inputs(cfg, sweep_axis, axis_values, metric, n_trials,
+                          master_seed, r_target=r_target, workers=workers)
     points = [[] for _ in schemes]
-    for i, (v, point) in enumerate(zip(values, inputs)):
-        if outage:
+    for i, (v, point) in enumerate(inputs):
+        if metric is MetricKind.OUTAGE:
             ests = estimate_outage(schemes, point, n_trials, master_seed,
                                    workers=workers, axis_index=i)
             chosen = [(est,) for est in ests]

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchsim import analytics, cli
+from pinchsim import analytics, cli, montecarlo
 from pinchsim import (
     BlockageModel,
     LossCase,
@@ -393,6 +394,74 @@ class TestRoundTripProperty:
         assert parse_config(effective_config_text(cfg)) == cfg
 
 
+# Run keys set outside their domain, as raw tokens (None drops the key),
+# with the keys that make the change the document's only fault.
+OUT_OF_DOMAIN_RUN = st.one_of(
+    st.builds(lambda axis, v: {"run.metric": "OUTAGE", "run.r_target": "5",
+                               "run.sweep_axis": axis,
+                               "run.axis_values": f"{v!r}, 1000.5"},
+              st.sampled_from(["D_L", "R_TARGET"]), st.floats(-1e3, 0.0)),
+    # 10 ** ((v - 30) / 10) W overflows a float
+    st.builds(lambda v: {"run.r_target": "5", "run.sweep_axis": "TX_POWER_DBM",
+                         "run.axis_values": f"10.0, {v!r}"},
+              st.floats(3200.0, 1e300)),
+    st.builds(lambda metric, r: {"run.metric": metric, "run.r_target": r},
+              _tokens(MetricKind), st.just(None) | _num(-1e3, 0.0)),
+    st.builds(lambda metric: {"run.metric": metric, "run.sweep_axis": "R_TARGET",
+                              "run.axis_values": "1.5, 2.5"},
+              st.sampled_from(["ERGODIC_SUM", "ERGODIC_PER_USER"])),
+    st.sampled_from([{"run.n_trials": "0"}, {"run.workers": "0"},
+                     {"run.master_seed": "-1"}]),
+)
+
+
+class _Reached(Exception):
+    """Raised by a stubbed estimator: the sweep passed its checks."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+class TestLibraryAgreement:
+    """parse_config rejects a document exactly when montecarlo.sweep rejects
+    its values before the first estimate, and names the key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=valid_documents(), change=OUT_OF_DOMAIN_RUN)
+    def test_parse_config_rejects_what_sweep_rejects(self, doc, change):
+        values = dict(line.split(" = ", 1) for line in doc.splitlines())
+        values.pop("preset", None)  # its fields would replace the change
+        system = parse_config(
+            "\n".join(f"{k} = {v}" for k, v in values.items())).system
+        values.update(change)
+        values = {k: v for k, v in values.items() if v is not None}
+        run = {k.target: k.parse(values[k.key]) if k.key in values
+               else k.default for k in cli._KEYS if k.key.startswith("run.")}
+        with mock.patch.object(montecarlo, "estimate_outage", _reached), \
+                mock.patch.object(montecarlo, "estimate_ergodic", _reached):
+            try:
+                montecarlo.sweep(system, run["schemes"], run["sweep_axis"],
+                                 run["axis_values"], run["metric"],
+                                 run["n_trials"], run["master_seed"],
+                                 r_target=run["r_target"],
+                                 workers=run["workers"])
+            except _Reached:
+                library_error = None
+            except ValueError as exc:
+                library_error = exc
+        try:
+            parse_config("\n".join(f"{k} = {v}" for k, v in values.items()))
+            cli_error = None
+        except ConfigError as exc:
+            cli_error = str(exc)
+        assert (cli_error is None) == (library_error is None), (
+            cli_error, library_error)
+        if cli_error is not None:
+            key, sep, _ = cli_error.partition(": ")
+            assert sep and key in cli._SCHEMA, cli_error
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -651,6 +720,17 @@ class TestMainEntryPoint:
             (tmp_path / "fig3a.csv").read_text().splitlines()[1:]))
         assert {r["scheme"] for r in rows} == {"PIN_D1", "PIN_D2", "CONV"}
 
+    @pytest.mark.parametrize("command", ["simulate", "figure"])
+    def test_help_documents_every_shared_override(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        for flag, key in (("--trials", "run.n_trials"),
+                          ("--seed", "run.master_seed"),
+                          ("--workers", "run.workers")):
+            assert f"override {key}" in out and flag in out
+
     @pytest.mark.parametrize("flag, value, key", [
         ("--workers", "0", "run.workers"),
         ("--seed", "-1", "run.master_seed"),
@@ -672,10 +752,10 @@ class TestMainEntryPoint:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("axis, values, message", [
-        ("D_L", (-5.0, 10.0), "value -5.0 for system.d_l must be > 0"),
-        ("R_TARGET", (0.0, 5.0), "value 0.0 for run.r_target must be > 0"),
+        ("D_L", (-5.0, 10.0), "at D_L = -5.0: d_l must be > 0"),
+        ("R_TARGET", (0.0, 5.0), "at R_TARGET = 0.0: r_target must be > 0"),
         ("TX_POWER_DBM", (10.0, 4000.0),
-         "value 4000.0 for system.tx_power_dbm must be finite"),
+         "at TX_POWER_DBM = 4000.0: tx_power must be finite"),
     ], ids=["D_L", "R_TARGET", "TX_POWER_DBM"])
     @pytest.mark.parametrize("command", ["simulate", "figure"])
     def test_axis_value_out_of_its_domain_fails_before_any_run(

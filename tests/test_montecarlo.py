@@ -723,6 +723,21 @@ class TestEstimateOutage:
                                    match="^workers must be >= 1$"):
                     estimate(workers)
 
+    def test_rejects_a_negative_seed(self):
+        cfg = make_cfg(num_users=2)
+        for estimate in (
+                lambda s: estimate_outage(Scheme.PIN_D2,
+                                          OutageParams(cfg=cfg, r_target=1.0),
+                                          100, s),
+                lambda s: estimate_ergodic(Scheme.PIN_D2, cfg, 100, s),
+                lambda s: estimate_conv_rate_bound(cfg, 100, s),
+                lambda s: sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [40.0],
+                                MetricKind.ERGODIC_SUM, 100, s)):
+            for seed in (-1, -2 ** 40):
+                with pytest.raises(ValueError,
+                                   match="^master_seed must be >= 0$"):
+                    estimate(seed)
+
 
 class TestDeterminism:
     def test_same_seed_same_estimate(self):
@@ -922,11 +937,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis, metric, values, message", [
         (SweepAxis.D_L, MetricKind.ERGODIC_SUM, [10.0, 20.0, math.inf],
-         "D_L = inf: d_l must be finite"),
+         "axis_values at D_L = inf: d_l must be finite"),
         (SweepAxis.TX_POWER_DBM, MetricKind.OUTAGE, [10.0, 20.0, 4000.0],
-         "TX_POWER_DBM = 4000.0: tx_power must be finite"),
+         "axis_values at TX_POWER_DBM = 4000.0: tx_power must be finite"),
         (SweepAxis.R_TARGET, MetricKind.OUTAGE, [1.0, 2.0, math.nan],
-         "R_TARGET = nan: r_target must be > 0"),
+         "axis_values at R_TARGET = nan: r_target must be > 0"),
     ], ids=["D_L", "TX_POWER_DBM", "R_TARGET"])
     def test_bad_last_point_fails_before_any_estimate(
             self, monkeypatch, axis, metric, values, message):
@@ -937,17 +952,20 @@ class TestSweep:
                   metric, 400, 1, r_target=5.0)
         assert calls == []
 
-    @pytest.mark.parametrize("r_target, message", [
-        (None, "OUTAGE sweeps need r_target (or an R_TARGET axis)"),
-        (0.0, "r_target must be > 0"),
-        (-1.0, "r_target must be > 0"),
+    @pytest.mark.parametrize("r_target, metric, message", [
+        (None, MetricKind.OUTAGE, "r_target must be given for the OUTAGE "
+         "metric unless the axis is R_TARGET"),
+        (0.0, MetricKind.OUTAGE, "r_target must be > 0"),
+        (-1.0, MetricKind.OUTAGE, "r_target must be > 0"),
+        (-1.0, MetricKind.ERGODIC_SUM, "r_target must be > 0"),
+        (0.0, MetricKind.ERGODIC_PER_USER, "r_target must be > 0"),
     ])
     def test_fixed_target_checked_before_any_estimate(
-            self, monkeypatch, r_target, message):
+            self, monkeypatch, r_target, metric, message):
         calls = self._record_estimates(monkeypatch)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sweep(make_cfg(), Scheme.PIN_D2, SweepAxis.D_L, [10.0, 20.0],
-                  MetricKind.OUTAGE, 400, 1, r_target=r_target)
+                  metric, 400, 1, r_target=r_target)
         assert calls == []
 
     def test_outage_requires_target(self):

@@ -19,7 +19,9 @@ pinching system adds the in-waveguide path of length l = x + d_l/2 from the
 feed at the near edge to the antenna: a phase over the guided wavelength and,
 for CASE_II, a dB/m amplitude loss a(l). So
 h = alpha sqrt(path_gain_factor) / r a(l) exp(-2 pi j (r / wavelength
-+ l / guided_wavelength)), with alpha the line-of-sight indicator.
++ l / guided_wavelength)), with alpha the line-of-sight indicator. A
+blocked link's h is an exact zero, so :func:`channel_coefficients` takes
+the square root and the complex exponential of the clear links only.
 """
 
 from __future__ import annotations
@@ -129,12 +131,32 @@ def channel_coefficients(cfg: SystemConfig, dist_sq: np.ndarray,
                          pinch_x: np.ndarray | None = None) -> np.ndarray:
     """Complex h = sqrt(s_eff) exp(-2 pi j (r / wavelength + l / guided_wavelength)).
 
-    ``s_eff`` is the blocked power gain alpha |h|^2. ``pinch_x`` is as in
-    :func:`power_gains`; without it there is no in-waveguide phase.
+    ``s_eff`` is the blocked power gain alpha |h|^2, in the shape of
+    ``dist_sq``. ``pinch_x`` is as in :func:`power_gains`; without it there
+    is no in-waveguide phase.
+
+    The square root and the complex exponential are taken only where
+    ``s_eff`` is nonzero; every other entry is an exact +0j. A clear entry
+    sees the same operations, in the same order, as in a dense evaluation,
+    so it is bit for bit the same; a blocked one differs from it at most in
+    the sign of its zeros.
     """
-    cycles = np.sqrt(dist_sq) / cfg.wavelength
+    cycles = np.sqrt(dist_sq)
+    cycles /= cfg.wavelength
     if pinch_x is not None:
-        cycles = (cycles + _guided_length(cfg, pinch_x)[:, None, :]
-                  / cfg.guided_wavelength)
-    return np.sqrt(s_eff) * np.exp(1j * (-2.0 * np.pi * cycles))
+        cycles += (_guided_length(cfg, pinch_x)[:, None, :]
+                   / cfg.guided_wavelength)
+    clear = np.flatnonzero(s_eff != 0)
+    # In place on the gathered copies, which at M = 16 and phi = 0 made a
+    # chunk about 8% faster than fresh temporaries. The complex product
+    # keeps the operand order of sqrt(s_eff) * exp(1j * (-2 pi cycles)).
+    phase = cycles.reshape(-1).take(clear)
+    phase *= -2.0 * np.pi
+    coef = 1j * phase
+    np.exp(coef, out=coef)
+    amp = s_eff.reshape(-1).take(clear)
+    np.multiply(np.sqrt(amp, out=amp), coef, out=coef)
+    h = np.zeros(cycles.shape, dtype=complex)
+    h.reshape(-1)[clear] = coef
+    return h
 

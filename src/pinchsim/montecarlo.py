@@ -28,8 +28,11 @@ probability and uniform come first, for every user, and only the users
 whose own link is clear get their row of links, in one row stage per
 sub-batch whatever the share of clear links. Design I's zero-forcing gate
 needs every link of every matrix, so when PIN_D1 runs with two or more
-users both designs read the full arrays instead. The gates change no draw
-and no rate.
+users both designs read the full arrays instead. Even then only the
+realizations with no empty row or column get a complex channel matrix, and
+in it a blocked link is an exact zero without a phase: only the clear
+links get their square root and complex exponential. The gates change no
+draw and no rate.
 
 Every estimator maps its chunks through one function, ``_map_chunks``, and
 the conventional high-SNR bound is no separate simulator: it runs the same
@@ -94,8 +97,8 @@ SUB_LINKS = 1 << 16
 # Bound on the heap one chunk uses at M <= 16: at most 8 float64
 # (CHUNK_TRIALS, M) per-user arrays and 16 float64 sub-batch temporaries of
 # SUB_LINKS links. tracemalloc peaks of _rates_chunk, CASE_II, at M = 1, 5
-# and 16: with all three schemes 1.5, 5.7 and 10.5 MiB, and with phi = 0,
-# where every link keeps line of sight, 0.9, 7.4 and 10.6 MiB; with PIN_D2
+# and 16: with all three schemes 1.5, 5.4 and 9.9 MiB, and with phi = 0,
+# where every link keeps line of sight, 0.9, 8.3 and 11.6 MiB; with PIN_D2
 # and CONV, whose Design II takes the row path, 0.8, 3.8 and 7.0 MiB, and
 # with phi = 0, where every user gets its row, 0.9, 4.4 and 7.6 MiB.
 # It must stay below 32 MiB, glibc's cap on its dynamic mmap threshold.

@@ -11,8 +11,11 @@ leaves every rate bit for bit as it was:
 unchanged against any checkout. Each line names one cell, M x blockage model
 x loss case x constrained x phi x SUB_LINKS x ordered scheme tuple, and
 hashes the int64 view of what ``montecarlo._rates_chunk`` returns for 45
-trials; the last line hashes ``estimate_conv_rate_bound`` results over
-two chunks. The file is not named ``test_*``, so pytest does not collect it.
+trials. The ``full`` lines hash whole 8192-trial chunks of every scheme for
+zero forcing (PIN_D1) at M x phi x loss case, MODEL_A, which run several
+sub-batches and meet exact zero LU pivots and 1-norm rejections; the last
+line hashes ``estimate_conv_rate_bound`` results over two chunks. The file
+is not named ``test_*``, so pytest does not collect it.
 """
 
 import hashlib
@@ -34,6 +37,8 @@ PHIS = (0.0, 0.05, 0.1, 50.0)
 SUB_LINKS = (1 << 16, 37)
 SCHEME_TUPLES = [t for k in (1, 2, 3)
                  for t in itertools.permutations(Scheme, k)]
+FULL_USERS = (2, 5, 16)
+FULL_PHIS = (0.0, 0.1)
 
 
 def digest(arrays) -> str:
@@ -66,6 +71,12 @@ def main() -> None:
                       f"sub_links={sub_links} {names} {digest(rates)}")
     finally:
         montecarlo.SUB_LINKS = default
+    for m, phi, loss in itertools.product(FULL_USERS, FULL_PHIS, LossCase):
+        cfg = config(m, BlockageModel.MODEL_A, loss, False, phi)
+        rates = _rates_chunk(tuple(Scheme), cfg, montecarlo.CHUNK_TRIALS,
+                             chunk_generator(8, 0, 1))
+        print(f"full M={m} {BlockageModel.MODEL_A.value} {loss.value} "
+              f"phi={phi} {digest(rates)}")
     bounds = [(e.value, e.ci_half_width)
               for m, model in itertools.product((2, 5, 16), BlockageModel)
               for e in estimate_conv_rate_bound(

@@ -183,6 +183,20 @@ def pin_d2_rates_dense(cfg: SystemConfig, x, y, u):
     return np.log1p(sinr) / np.log(2.0)
 
 
+def channel_coefficients_dense(cfg: SystemConfig, dist_sq, s_eff,
+                               pinch_x=None):
+    """Complex coefficients sqrt(s_eff) exp(-2 pi j cycles) of every link,
+    blocked or not, as one dense expression over the whole array. This is
+    the evaluation the line-of-sight-gated ``channel_coefficients`` must
+    reproduce bit for bit on every clear link.
+    """
+    cycles = np.sqrt(dist_sq) / cfg.wavelength
+    if pinch_x is not None:
+        cycles = (cycles + (pinch_x + cfg.d_l / 2.0)[:, None, :]
+                  / cfg.guided_wavelength)
+    return np.sqrt(s_eff) * np.exp(1j * (-2.0 * np.pi * cycles))
+
+
 def _quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL):
     val, _ = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
     return val

@@ -1,11 +1,21 @@
 """Blockage draws and channel coefficient assembly."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinchsim import BlockageModel, LossCase, SystemConfig, waveguide_y_offsets
+import oracles
+from pinchsim import (
+    BlockageModel,
+    LossCase,
+    Scheme,
+    SystemConfig,
+    waveguide_y_offsets,
+)
 from pinchsim import channel, montecarlo
 from pinchsim.channel import (
     center_distances_sq,
@@ -259,3 +269,59 @@ class TestChannelAssembly:
         a = pin_channel(cfg, x, y, alpha)
         b = pin_channel(cfg, x, y, alpha)
         assert np.array_equal(a, b)
+
+
+class TestGatedCoefficients:
+    """channel_coefficients takes the square root and the exponential only
+    on clear links: each is bit for bit the dense evaluation, and each
+    blocked link is an exact +0j."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 5, 16]),
+           phi=st.sampled_from([0.0, 0.1, 50.0]),
+           loss=st.sampled_from(list(LossCase)), pinched=st.booleans(),
+           n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_clear_links_equal_the_dense_evaluation(self, m, phi, loss,
+                                                    pinched, n, seed):
+        cfg = make_cfg(num_users=m, phi=phi, loss_case=loss)
+        rng = np.random.default_rng(seed)
+        x, y = drop(cfg, rng, n)
+        d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
+        alpha = rng.random(d_sq.shape) < unblocked_probability_sq(d_sq, cfg)
+        pinch_x = x if pinched else None
+        s = power_gains(cfg, d_sq, pinch_x) * alpha
+        h = channel_coefficients(cfg, d_sq, s, pinch_x)
+        dense = oracles.channel_coefficients_dense(cfg, d_sq, s, pinch_x)
+        assert h.shape == dense.shape and h.dtype == dense.dtype
+        bits, dense_bits = h.view(np.int64), dense.view(np.int64)
+        clear = np.repeat(alpha, 2, axis=-1)  # real and imaginary parts
+        assert np.array_equal(bits[clear], dense_bits[clear])
+        assert not bits[~clear].any()  # +0.0, not -0.0
+        if phi == 50.0:
+            assert not alpha.any()
+
+    @pytest.mark.parametrize("sub_links", [1 << 16, 37])
+    def test_zero_forcing_rates_equal_the_dense_evaluation(self, monkeypatch,
+                                                           sub_links):
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", sub_links)
+        calls = []
+
+        def dense(*args):
+            calls.append(None)
+            return oracles.channel_coefficients_dense(*args)
+
+        def zero_forcing_bits(cfg):
+            (rates,) = montecarlo._rates_chunk(
+                (Scheme.PIN_D1,), cfg, 2048 // cfg.num_users,
+                montecarlo.chunk_generator(13, 0, 0))
+            return rates.view(np.int64)
+
+        for m, phi, loss in itertools.product((2, 5, 16), (0.0, 0.1, 50.0),
+                                              LossCase):
+            cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi, loss_case=loss)
+            gated = zero_forcing_bits(cfg)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "channel_coefficients", dense)
+                expected = zero_forcing_bits(cfg)
+            assert np.array_equal(gated, expected), (m, phi, loss)
+        assert calls

@@ -441,7 +441,44 @@ def sparse_channel(draw):
     return np.where(mask, h, 0.0)
 
 
+@st.composite
+def signed_zero_twins(draw):
+    """A matrix with zero entries, and a copy of it in which the real and
+    imaginary part of each zero entry has a drawn sign: a generic sparse
+    matrix, one with an empty row, or a near-singular one."""
+    kind = draw(st.sampled_from(["sparse", "empty row", "near singular"]))
+    if kind == "near singular":
+        # rows 0 and 1 are proportional up to eps; the 1-norm condition
+        # number grows like 1 / eps across COND_LIMIT
+        eps = 10.0 ** draw(st.floats(-16.0, -8.0))
+        a, b, c = draw(st.lists(st.complex_numbers(min_magnitude=1e-6,
+                                                   max_magnitude=1e-3),
+                                min_size=3, max_size=3))
+        h = np.array([[a, b, 0], [a, b * (1 + eps), 0], [0, c, a]])
+    else:
+        h = draw(sparse_channel())
+        if kind == "empty row":
+            h[draw(st.integers(0, h.shape[0] - 1))] = 0.0
+    twin = h.copy()
+    parts = twin.view(np.float64)
+    negative = np.array(draw(st.lists(st.booleans(), min_size=parts.size,
+                                      max_size=parts.size)))
+    parts[(parts == 0.0) & negative.reshape(parts.shape)] = -0.0
+    return h, twin
+
+
 class TestZeroForcingProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=signed_zero_twins())
+    def test_gate_and_gains_ignore_the_sign_of_zeros(self, pair):
+        # channel_coefficients leaves a blocked link +0j where the dense
+        # product gave zeros of either sign; nothing downstream may see it
+        h, twin = pair
+        gains, ok = zf_gains_batch(np.stack([h, twin]))
+        assert ok[0] == ok[1]
+        assert np.array_equal(gains[0].view(np.int64),
+                              gains[1].view(np.int64))
+
     @settings(max_examples=60, deadline=None)
     @given(h=sparse_channel(), data=st.data())
     def test_joint_user_waveguide_permutation(self, h, data):

@@ -27,6 +27,7 @@ from .cli import (
     ExperimentConfig,
     OutputFormat,
     Preset,
+    Provenance,
     RunSpec,
     parse_config,
     parse_config_file,
@@ -36,7 +37,6 @@ from .cli import (
 from .montecarlo import (
     MetricEstimate,
     MetricKind,
-    Provenance,
     Scheme,
     SweepAxis,
     SweepPoint,
@@ -64,11 +64,11 @@ __all__ = [
     "outage_gap_model_b", "outage_pin_model_a", "outage_pin_model_a_highsnr",
     "outage_pin_model_b", "outage_pin_model_b_highsnr", "strip_los_integral",
     "threshold_geometry", "triangular_pdf", "two_user_cross_blockage_factor",
-    "ExperimentConfig", "OutputFormat", "Preset", "RunSpec", "parse_config",
-    "parse_config_file", "reproduce_figure", "run_experiment",
-    "MetricEstimate", "MetricKind", "Provenance", "Scheme", "SweepAxis",
-    "SweepPoint", "estimate_conv_rate_bound", "estimate_ergodic",
-    "estimate_outage", "sweep", "SPEED_OF_LIGHT", "BlockageModel", "LossCase",
-    "SystemConfig", "conventional_array_positions", "dbm_to_watt",
-    "watt_to_dbm", "waveguide_y_offsets",
+    "ExperimentConfig", "OutputFormat", "Preset", "Provenance", "RunSpec",
+    "parse_config", "parse_config_file", "reproduce_figure", "run_experiment",
+    "MetricEstimate", "MetricKind", "Scheme", "SweepAxis", "SweepPoint",
+    "estimate_conv_rate_bound", "estimate_ergodic", "estimate_outage",
+    "sweep", "SPEED_OF_LIGHT", "BlockageModel", "LossCase", "SystemConfig",
+    "conventional_array_positions", "dbm_to_watt", "watt_to_dbm",
+    "waveguide_y_offsets",
 ]

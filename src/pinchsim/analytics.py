@@ -174,8 +174,11 @@ class OutageParams:
 
     @property
     def epsilon(self) -> float:
-        """SINR threshold 2**r_target - 1."""
-        return 2.0 ** self.r_target - 1.0
+        """SINR threshold 2**r_target - 1 (inf beyond the float range)."""
+        try:
+            return 2.0 ** self.r_target - 1.0
+        except OverflowError:
+            return math.inf
 
     @property
     def tau1(self) -> float:

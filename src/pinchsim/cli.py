@@ -31,9 +31,7 @@ from .analytics import (
     outage_pin_model_b,
 )
 from .montecarlo import (
-    MetricEstimate,
     MetricKind,
-    Provenance,
     Scheme,
     SweepAxis,
     sweep,
@@ -54,6 +52,13 @@ CSV_COLUMNS = ("scheme", "axis_name", "axis_value", "metric", "value",
 class OutputFormat(Enum):
     CSV = "csv"
     JSON = "json"
+
+
+class Provenance(Enum):
+    """Where a row's value comes from: the simulator or an analytic."""
+
+    SIMULATED = "SIMULATED"
+    CLOSED_FORM = "CLOSED_FORM"
 
 
 class Preset(Enum):
@@ -396,9 +401,10 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
 # Experiment execution
 # --------------------------------------------------------------------------
 
-def _metric_label(kind: MetricKind, user_index: int | None = None) -> str:
+def _metric_label(kind: MetricKind, index: int) -> str:
+    """Label of a sweep point's ``index``-th estimate of metric ``kind``."""
     if kind is MetricKind.ERGODIC_PER_USER:
-        return f"ERGODIC_USER_{user_index + 1}"
+        return f"ERGODIC_USER_{index + 1}"
     return kind.value
 
 
@@ -459,30 +465,30 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
     for scheme, points in zip(run.schemes, per_scheme):
         for point, (_, point_input) in zip(points, inputs):
             for idx, est in enumerate(point.estimates):
-                user = idx if run.metric is MetricKind.ERGODIC_PER_USER else None
                 rows.append(_row(scheme, run, point.axis_value,
-                                 _metric_label(est.metric_kind, user), est))
+                                 _metric_label(run.metric, idx), est.value,
+                                 est.ci_half_width, run.n_trials,
+                                 Provenance.SIMULATED))
             if run.analytics:
                 for label, value in _closed_form_entries(
                         scheme, run.metric, point_input, floors):
-                    est = MetricEstimate(value=value, ci_half_width=0.0,
-                                         n_trials=0, metric_kind=run.metric,
-                                         provenance=Provenance.CLOSED_FORM)
-                    rows.append(_row(scheme, run, point.axis_value, label, est))
+                    rows.append(_row(scheme, run, point.axis_value, label,
+                                     value, 0.0, 0, Provenance.CLOSED_FORM))
     return rows
 
 
 def _row(scheme: Scheme, run: RunSpec, axis_value: float, label: str,
-         est: MetricEstimate) -> dict:
+         value: float, ci_half_width: float, n_trials: int,
+         provenance: Provenance) -> dict:
     return {
         "scheme": scheme.value,
         "axis_name": run.sweep_axis.value,
         "axis_value": axis_value,
         "metric": label,
-        "value": est.value,
-        "ci_half_width": est.ci_half_width,
-        "n_trials": est.n_trials,
-        "provenance": est.provenance.value,
+        "value": value,
+        "ci_half_width": ci_half_width,
+        "n_trials": n_trials,
+        "provenance": provenance.value,
         "seed": run.master_seed,
     }
 
@@ -677,7 +683,7 @@ def main(argv=None) -> int:
                                      workers=given["run.workers"])
         for path in paths:
             print(path)
-    except (OSError, ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

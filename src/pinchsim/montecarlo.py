@@ -117,11 +117,6 @@ class MetricKind(Enum):
     ERGODIC_SUM = "ERGODIC_SUM"
 
 
-class Provenance(Enum):
-    SIMULATED = "SIMULATED"
-    CLOSED_FORM = "CLOSED_FORM"
-
-
 class SweepAxis(Enum):
     TX_POWER_DBM = "TX_POWER_DBM"
     D_L = "D_L"
@@ -134,9 +129,6 @@ class MetricEstimate:
 
     value: float
     ci_half_width: float
-    n_trials: int
-    metric_kind: MetricKind
-    provenance: Provenance
 
 
 @dataclass(frozen=True)
@@ -357,27 +349,24 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
     return tuple(rates[s] for s in schemes)
 
 
-def _as_schemes(schemes) -> tuple[tuple[Scheme, ...], bool]:
-    """``schemes`` as a nonempty tuple, and whether it was one bare Scheme."""
-    if isinstance(schemes, Scheme):
-        return (schemes,), True
+def _as_schemes(schemes: Sequence[Scheme]) -> tuple[Scheme, ...]:
+    """``schemes`` as a nonempty tuple."""
     schemes = tuple(schemes)
     if not schemes:
         raise ValueError("schemes must be nonempty")
-    return schemes, False
+    return schemes
 
 
-def estimate_outage(schemes: Scheme | Sequence[Scheme], params: OutageParams,
+def estimate_outage(schemes: Sequence[Scheme], params: OutageParams,
                     n_trials: int, master_seed: int, *, workers: int = 1,
-                    axis_index: int = 0):
+                    axis_index: int = 0) -> list[MetricEstimate]:
     """Fraction of trials in which user 1's rate falls at or below the target.
 
-    ``schemes`` is one Scheme, giving one estimate, or a sequence of them,
-    giving a list with one estimate per scheme from one pass over the trials
-    (each equal to the one-scheme estimate).
-    The confidence half-width is the 3-sigma binomial normal approximation.
+    Returns one estimate per scheme, in order, from one pass over the
+    trials (each equal to the one-scheme estimate). The confidence
+    half-width is the 3-sigma binomial normal approximation.
     """
-    schemes, single = _as_schemes(schemes)
+    schemes = _as_schemes(schemes)
 
     def outages(rng: np.random.Generator, n: int) -> list[int]:
         return [int(np.count_nonzero(rates[:, 0] <= params.r_target))
@@ -388,11 +377,8 @@ def estimate_outage(schemes: Scheme | Sequence[Scheme], params: OutageParams,
     for hits in zip(*counts):
         value = sum(hits) / n_trials
         sigma = math.sqrt(value * (1.0 - value) / n_trials)
-        estimates.append(MetricEstimate(value=value, ci_half_width=3.0 * sigma,
-                                        n_trials=n_trials,
-                                        metric_kind=MetricKind.OUTAGE,
-                                        provenance=Provenance.SIMULATED))
-    return estimates[0] if single else estimates
+        estimates.append(MetricEstimate(value=value, ci_half_width=3.0 * sigma))
+    return estimates
 
 
 def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -427,47 +413,40 @@ def _ergodic_estimates(parts, n_trials: int,
     Raises ArithmeticError, naming ``name``, when a reduced total is not
     finite, so that no NaN or infinite rate reaches an estimate.
     """
-    def estimate(total: float, total_sq: float, what: str,
-                 kind: MetricKind) -> MetricEstimate:
+    def estimate(total: float, total_sq: float, what: str) -> MetricEstimate:
         if not (math.isfinite(total) and math.isfinite(total_sq)):
             raise ArithmeticError(f"{name}: the ergodic {what} is not finite "
                                   f"(total {total!r} over {n_trials} trials)")
-        mean, ci = _mean_ci(total, total_sq, n_trials)
-        return MetricEstimate(value=mean, ci_half_width=ci, n_trials=n_trials,
-                              metric_kind=kind,
-                              provenance=Provenance.SIMULATED)
+        return MetricEstimate(*_mean_ci(total, total_sq, n_trials))
 
     estimates = [estimate(math.fsum(p[0][u] for p in parts),
                           math.fsum(p[1][u] for p in parts),
-                          f"rate of user {u + 1}", MetricKind.ERGODIC_PER_USER)
+                          f"rate of user {u + 1}")
                  for u in range(len(parts[0][0]))]
     estimates.append(estimate(math.fsum(p[2] for p in parts),
-                              math.fsum(p[3] for p in parts), "sum rate",
-                              MetricKind.ERGODIC_SUM))
+                              math.fsum(p[3] for p in parts), "sum rate"))
     return estimates
 
 
-def estimate_ergodic(schemes: Scheme | Sequence[Scheme], cfg: SystemConfig,
+def estimate_ergodic(schemes: Sequence[Scheme], cfg: SystemConfig,
                      n_trials: int, master_seed: int, *, workers: int = 1,
-                     axis_index: int = 0):
+                     axis_index: int = 0) -> list[list[MetricEstimate]]:
     """Per-user ergodic rates followed by the sum rate, each with 3-sigma CIs.
 
-    ``schemes`` is one Scheme, giving that list of estimates, or a sequence
-    of them, giving one such list per scheme from one pass over the trials.
-    Every trial resamples both the placement and the blockage state.
-    Raises ArithmeticError, naming the scheme, when an estimate is not
-    finite.
+    Returns one such list per scheme, in order, from one pass over the
+    trials. Every trial resamples both the placement and the blockage
+    state. Raises ArithmeticError, naming the scheme, when an estimate is
+    not finite.
     """
-    schemes, single = _as_schemes(schemes)
+    schemes = _as_schemes(schemes)
 
     def sums(rng: np.random.Generator, n: int) -> list[tuple]:
         return [_ergodic_sums(rates)
                 for rates in _rates_chunk(schemes, cfg, n, rng)]
 
     parts = _map_chunks(sums, n_trials, master_seed, axis_index, workers)
-    estimates = [_ergodic_estimates(scheme_parts, n_trials, scheme.value)
-                 for scheme, scheme_parts in zip(schemes, zip(*parts))]
-    return estimates[0] if single else estimates
+    return [_ergodic_estimates(scheme_parts, n_trials, scheme.value)
+            for scheme, scheme_parts in zip(schemes, zip(*parts))]
 
 
 def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
@@ -538,22 +517,21 @@ def sweep_inputs(cfg: SystemConfig, sweep_axis: SweepAxis, axis_values,
     return inputs
 
 
-def sweep(cfg: SystemConfig, schemes: Scheme | Sequence[Scheme],
+def sweep(cfg: SystemConfig, schemes: Sequence[Scheme],
           sweep_axis: SweepAxis, axis_values, metric: MetricKind, n_trials: int,
           master_seed: int, *, r_target: float | None = None,
-          workers: int = 1):
+          workers: int = 1) -> list[list[SweepPoint]]:
     """One estimate per axis value with per-point deterministic seeding.
 
     Point i uses streams derived from (master_seed, i, chunk) for every
     scheme; a single-value sweep is therefore bit-identical to a direct
-    estimate call. ``schemes`` is one Scheme, giving its list of points, or
-    a sequence of them, giving one list of points per scheme; every scheme
-    of a point is evaluated from one pass over that point's streams. Every
-    argument and every point is checked by ``sweep_inputs`` before the
-    first estimate, so a value outside its axis' domain fails before any
-    trial runs.
+    estimate call. Returns one list of points per scheme, in order; every
+    scheme of a point is evaluated from one pass over that point's streams.
+    Every argument and every point is checked by ``sweep_inputs`` before
+    the first estimate, so a value outside its axis' domain fails before
+    any trial runs.
     """
-    schemes, single = _as_schemes(schemes)
+    schemes = _as_schemes(schemes)
     inputs = sweep_inputs(cfg, sweep_axis, axis_values, metric, n_trials,
                           master_seed, r_target=r_target, workers=workers)
     points = [[] for _ in schemes]
@@ -575,4 +553,4 @@ def sweep(cfg: SystemConfig, schemes: Scheme | Sequence[Scheme],
                 chosen = [tuple(e[:-1]) for e in ests]
         for scheme_points, estimates in zip(points, chosen):
             scheme_points.append(SweepPoint(axis_value=v, estimates=estimates))
-    return points[0] if single else points
+    return points

@@ -123,9 +123,9 @@ def test_criterion_02_analytics_match_simulation():
         cfg = fig_preset_cfg("fig2b")
         system = replace(cfg.system, loss_case=LossCase.CASE_I)
         r_target = cfg.run.r_target
-        points = sweep(system, Scheme.PIN_D2, SweepAxis.D_L,
+        points = sweep(system, [Scheme.PIN_D2], SweepAxis.D_L,
                        [10.0, 20.0, 40.0, 80.0], MetricKind.OUTAGE,
-                       1_000_000, 20250810, r_target=r_target)
+                       1_000_000, 20250810, r_target=r_target)[0]
         for point in points:
             est = point.estimates[0]
             p = OutageParams(cfg=replace(system, d_l=point.axis_value),
@@ -182,8 +182,8 @@ def test_criterion_05_two_user_rate_matches_analytics():
         base = fig_preset_cfg("fig4").system
         for dbm in (30.0, 40.0):
             cfg = replace(base, tx_power=dbm_to_watt(dbm))
-            est = estimate_ergodic(Scheme.PIN_D2, cfg, 100_000,
-                                   20250811)[0]
+            est = estimate_ergodic([Scheme.PIN_D2], cfg, 100_000,
+                                   20250811)[0][0]
             closed = ergodic_pin_two_user_highsnr(cfg)
             assert rel_err(est.value, closed) <= 0.05, (
                 f"P={dbm} dBm: {est.value} vs {closed}")
@@ -199,10 +199,10 @@ def test_criterion_06_multiuser_gain_grows_conventional_saturates():
         gaps, cis = [], []
         for i, dbm in enumerate((10.0, 20.0, 30.0, 40.0)):
             point = replace(cfg, tx_power=dbm_to_watt(dbm))
-            pin = estimate_ergodic(Scheme.PIN_D2, point, n, seed,
-                                   axis_index=i)[-1]
-            conv = estimate_ergodic(Scheme.CONV, point, n, seed,
-                                    axis_index=i)[-1]
+            pin = estimate_ergodic([Scheme.PIN_D2], point, n, seed,
+                                   axis_index=i)[0][-1]
+            conv = estimate_ergodic([Scheme.CONV], point, n, seed,
+                                    axis_index=i)[0][-1]
             gaps.append(pin.value - conv.value)
             cis.append(math.hypot(pin.ci_half_width, conv.ci_half_width))
         for i in range(3):
@@ -210,12 +210,12 @@ def test_criterion_06_multiuser_gain_grows_conventional_saturates():
             assert gaps[i + 1] - gaps[i] > combined, (gaps, cis)
 
         # conventional saturation: paired draws at 40 and 60 dBm
-        conv40 = estimate_ergodic(Scheme.CONV,
+        conv40 = estimate_ergodic([Scheme.CONV],
                                   replace(cfg, tx_power=dbm_to_watt(40.0)),
-                                  n, seed)[-1]
-        conv60 = estimate_ergodic(Scheme.CONV,
+                                  n, seed)[0][-1]
+        conv60 = estimate_ergodic([Scheme.CONV],
                                   replace(cfg, tx_power=dbm_to_watt(60.0)),
-                                  n, seed)[-1]
+                                  n, seed)[0][-1]
         combined = math.hypot(conv40.ci_half_width, conv60.ci_half_width)
         assert conv60.value - conv40.value < combined
 
@@ -293,9 +293,9 @@ def test_criterion_10_waveguide_loss_is_insignificant():
                                loss_case=LossCase.CASE_I)
             lossy = replace(lossless, loss_case=LossCase.CASE_II)
             # paired seeds: the same placements and blockage draws
-            a = estimate_ergodic(Scheme.PIN_D2, lossless, 100_000, 20250815,
-                                 axis_index=i)[-1]
-            b = estimate_ergodic(Scheme.PIN_D2, lossy, 100_000, 20250815,
-                                 axis_index=i)[-1]
+            a = estimate_ergodic([Scheme.PIN_D2], lossless, 100_000, 20250815,
+                                 axis_index=i)[0][-1]
+            b = estimate_ergodic([Scheme.PIN_D2], lossy, 100_000, 20250815,
+                                 axis_index=i)[0][-1]
             assert b.value <= a.value
             assert a.value - b.value <= 0.5, (dbm, a.value, b.value)

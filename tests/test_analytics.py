@@ -72,6 +72,20 @@ class TestThresholdGeometry:
         with pytest.raises(ValueError):
             OutageParams(cfg=make_cfg(), r_target=0.0)
 
+    def test_target_beyond_the_float_range(self):
+        # 2**r_target overflows from 1024 on; the threshold is then inf, so
+        # no distance meets the target and both exact outages are certain
+        for model in BlockageModel:
+            exact = (outage_pin_model_a if model is BlockageModel.MODEL_A
+                     else outage_pin_model_b)
+            for rt in (1023.9, 1024.0, 1030.0, 1e6):
+                p = OutageParams(cfg=make_cfg(model), r_target=rt)
+                if rt < 1024:
+                    assert p.epsilon == 2.0 ** rt - 1 and 0.0 < p.tau1 < 1e-150
+                else:
+                    assert p.epsilon == math.inf and p.tau1 == 0.0
+                assert exact(p) == 1.0
+
 
 class TestStripIntegral:
     def test_unit_integrand_at_phi_zero(self):

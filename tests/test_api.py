@@ -3,7 +3,7 @@
 import pytest
 
 import pinchsim
-from pinchsim import channel, scenario, transceiver
+from pinchsim import channel, montecarlo, scenario, transceiver
 
 EXPORTED = [
     "BlockageModel", "ExperimentConfig", "LossCase", "MetricEstimate",
@@ -44,3 +44,9 @@ def test_every_export_resolves():
                          ids=lambda module: module.__name__)
 def test_removed_names_stay_gone(module):
     assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+def test_row_provenance_lives_in_cli():
+    # the CLI alone writes rows; the estimators return values and CIs only
+    assert pinchsim.Provenance.__module__ == "pinchsim.cli"
+    assert not hasattr(montecarlo, "Provenance")

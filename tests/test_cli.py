@@ -544,6 +544,8 @@ class TestRunExperiment:
         sim = [r for r in rows if r["provenance"] == "SIMULATED"]
         closed = [r for r in rows if r["provenance"] == "CLOSED_FORM"]
         assert len(sim) == 8 and len(closed) == 8  # 2 schemes x 4 lengths
+        assert all(int(r["n_trials"]) == 2000 for r in sim)
+        assert all(int(r["n_trials"]) == 0 for r in closed)
         assert all(float(r["ci_half_width"]) == 0.0 for r in closed)
         for r in closed:
             assert 0.0 <= float(r["value"]) <= 1.0
@@ -812,6 +814,48 @@ class TestMainEntryPoint:
         assert err.startswith("error: outage_pin_model_b produced 1.5")
         assert err.count("\n") == 1
         assert not (tmp_path / "fig2b.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "figure"])
+    def test_memory_error_is_one_line_and_no_file(
+            self, tmp_path, capsys, monkeypatch, command):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(montecarlo, "_rates_chunk", out_of_memory)
+        out_dir = tmp_path / "figs"
+        if command == "simulate":
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(MANUAL_DOC.format(out=tmp_path / "a.csv"))
+            argv = ["simulate", str(cfg_path)]
+        else:
+            argv = ["figure", "fig3b", "--out", str(out_dir), "--trials", "64"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Unable to allocate 74.5 GiB "
+                                "for an array\n")
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["exp.cfg"] if command == "simulate" else [])
+
+    def test_target_beyond_the_float_range_is_certain_outage(
+            self, tmp_path, capsys):
+        # 2**2000 overflows a float; every rate is then in outage
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "r.csv"
+        cfg_path.write_text(manual_doc(
+            "system.num_users = 1", "system.blockage_model = MODEL_B",
+            "run.metric = OUTAGE", "run.sweep_axis = R_TARGET",
+            "run.axis_values = 5, 2000", "run.n_trials = 500", out=out))
+        assert main(["simulate", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        at_2000 = {(r["scheme"], r["provenance"]): float(r["value"])
+                   for r in rows if float(r["axis_value"]) == 2000.0}
+        # CONV's closed form is a high-SNR floor, which ignores the target
+        assert {k: v for k, v in at_2000.items()
+                if k != ("CONV", "CLOSED_FORM")} == {
+            ("PIN_D2", "SIMULATED"): 1.0, ("PIN_D2", "CLOSED_FORM"): 1.0,
+            ("CONV", "SIMULATED"): 1.0}
 
     def test_quadrature_out_of_panels_is_one_line_and_no_file(
             self, tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ import oracles
 from pinchsim import (
     BlockageModel,
     LossCase,
+    MetricEstimate,
     MetricKind,
     OutageParams,
     Scheme,
@@ -619,10 +620,10 @@ class TestFusedSchemes:
             # 64-trial chunks, so n_trials spans several, the last partial
             mp.setattr(montecarlo, "CHUNK_TRIALS", 64)
             assert (estimate(schemes, workers=workers)
-                    == [estimate(s) for s in schemes])
+                    == [estimate([s])[0] for s in schemes])
             assert (sweep(cfg, schemes, axis, values, metric, n_trials, seed,
                           workers=workers)
-                    == [sweep(cfg, s, axis, values, metric, n_trials, seed)
+                    == [sweep(cfg, [s], axis, values, metric, n_trials, seed)[0]
                         for s in schemes])
 
     def test_empty_scheme_tuple_rejected(self):
@@ -632,6 +633,23 @@ class TestFusedSchemes:
         with pytest.raises(ValueError, match="schemes"):
             sweep(cfg, [], SweepAxis.D_L, [40.0], MetricKind.ERGODIC_SUM, 100, 1)
 
+    def test_bare_scheme_is_not_a_sequence(self):
+        cfg = make_cfg()
+        for call in (
+                lambda: estimate_outage(Scheme.PIN_D2,
+                                        OutageParams(cfg=cfg, r_target=1.0),
+                                        100, 1),
+                lambda: estimate_ergodic(Scheme.PIN_D2, cfg, 100, 1),
+                lambda: sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [40.0],
+                              MetricKind.ERGODIC_SUM, 100, 1)):
+            with pytest.raises(TypeError,
+                               match="^'Scheme' object is not iterable$"):
+                call()
+
+    def test_an_estimate_is_a_value_and_its_ci(self):
+        assert ([f.name for f in fields(MetricEstimate)]
+                == ["value", "ci_half_width"])
+
 
 class TestEstimateOutage:
     def test_impossible_outage_is_exactly_zero(self):
@@ -640,19 +658,19 @@ class TestEstimateOutage:
         p = OutageParams(cfg=cfg, r_target=1.0)
         assert p.tau1 > math.sqrt((cfg.d_l / 2) ** 2 + (cfg.d_w / 2) ** 2
                                   + cfg.height ** 2)
-        est = estimate_outage(Scheme.PIN_D2, p, 20000, 7)
+        est = estimate_outage([Scheme.PIN_D2], p, 20000, 7)[0]
         assert est.value == 0.0
         assert est.ci_half_width == 0.0
 
     def test_vanishing_target_with_clear_links(self):
         cfg = make_cfg(phi=0.0)
-        est = estimate_outage(Scheme.PIN_D2,
-                              OutageParams(cfg=cfg, r_target=1e-9), 20000, 7)
+        est = estimate_outage([Scheme.PIN_D2],
+                              OutageParams(cfg=cfg, r_target=1e-9), 20000, 7)[0]
         assert est.value == 0.0
 
     def test_matches_model_a_quadrature(self):
         p = OutageParams(cfg=make_cfg(), r_target=9.0)
-        est = estimate_outage(Scheme.PIN_D2, p, 200_000, 31)
+        est = estimate_outage([Scheme.PIN_D2], p, 200_000, 31)[0]
         assert abs(est.value - oracles.outage_pin_quadrature(p)) <= est.ci_half_width
 
     def test_d_l_sweep_matches_exact_model_a(self):
@@ -660,8 +678,8 @@ class TestEstimateOutage:
         # above the user, so the exact outage does not depend on d_l
         cfg = make_cfg(tx_power=dbm_to_watt(10.0), loss_case=LossCase.CASE_I)
         r_target = 7.662862522672084
-        pts = sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [10.0, 20.0, 40.0, 80.0],
-                    MetricKind.OUTAGE, 1_000_000, 7, r_target=r_target)
+        pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [10.0, 20.0, 40.0, 80.0],
+                    MetricKind.OUTAGE, 1_000_000, 7, r_target=r_target)[0]
         for pt in pts:
             est = pt.estimates[0]
             exact = outage_pin_model_a(OutageParams(
@@ -670,7 +688,7 @@ class TestEstimateOutage:
 
     def test_conventional_matches_its_quadrature_at_high_snr(self):
         p = OutageParams(cfg=make_cfg(tx_power=10.0), r_target=7.0)
-        est = estimate_outage(Scheme.CONV, p, 200_000, 32)
+        est = estimate_outage([Scheme.CONV], p, 200_000, 32)[0]
         assert abs(est.value - oracles.outage_conv_quadrature(p)) <= est.ci_half_width
 
     def test_lossy_case_still_tracks_lossless_analytics(self):
@@ -680,7 +698,7 @@ class TestEstimateOutage:
         cfg = make_cfg(d_w=5.0, blockage_model=BlockageModel.MODEL_B,
                        loss_case=LossCase.CASE_II)
         p = OutageParams(cfg=cfg, r_target=7.662862522672084)
-        est = estimate_outage(Scheme.PIN_D2, p, 200_000, 55)
+        est = estimate_outage([Scheme.PIN_D2], p, 200_000, 55)[0]
         lossless = OutageParams(cfg=make_cfg(d_w=5.0,
                                              blockage_model=BlockageModel.MODEL_B),
                                 r_target=p.r_target)
@@ -689,18 +707,18 @@ class TestEstimateOutage:
 
     def test_multi_user_outage_reports_user_one(self):
         cfg = make_cfg(num_users=2)
-        est = estimate_outage(Scheme.PIN_D2, OutageParams(cfg=cfg, r_target=7.0),
-                              5000, 3)
-        assert 0.0 <= est.value <= 1.0
-        assert est.metric_kind is MetricKind.OUTAGE
+        ests = estimate_outage([Scheme.PIN_D2],
+                               OutageParams(cfg=cfg, r_target=7.0), 5000, 3)
+        assert len(ests) == 1
+        assert 0.0 <= ests[0].value <= 1.0
 
     def test_rejects_empty_budget(self):
         cfg = make_cfg(num_users=2)
         for estimate in (
-                lambda n: estimate_outage(Scheme.PIN_D2,
+                lambda n: estimate_outage([Scheme.PIN_D2],
                                           OutageParams(cfg=cfg, r_target=1.0),
-                                          n, 1),
-                lambda n: estimate_ergodic(Scheme.PIN_D2, cfg, n, 1),
+                                          n, 1)[0],
+                lambda n: estimate_ergodic([Scheme.PIN_D2], cfg, n, 1)[0],
                 lambda n: estimate_conv_rate_bound(cfg, n, 1)):
             for n_trials in (0, -1):
                 with pytest.raises(ValueError,
@@ -710,14 +728,14 @@ class TestEstimateOutage:
     def test_rejects_fewer_than_one_worker(self):
         cfg = make_cfg(num_users=2)
         for estimate in (
-                lambda w: estimate_outage(Scheme.PIN_D2,
+                lambda w: estimate_outage([Scheme.PIN_D2],
                                           OutageParams(cfg=cfg, r_target=1.0),
-                                          100, 1, workers=w),
-                lambda w: estimate_ergodic(Scheme.PIN_D2, cfg, 100, 1,
-                                           workers=w),
+                                          100, 1, workers=w)[0],
+                lambda w: estimate_ergodic([Scheme.PIN_D2], cfg, 100, 1,
+                                           workers=w)[0],
                 lambda w: estimate_conv_rate_bound(cfg, 100, 1, workers=w),
-                lambda w: sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [40.0],
-                                MetricKind.ERGODIC_SUM, 100, 1, workers=w)):
+                lambda w: sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [40.0],
+                                MetricKind.ERGODIC_SUM, 100, 1, workers=w)[0]):
             for workers in (0, -1):
                 with pytest.raises(ValueError,
                                    match="^workers must be >= 1$"):
@@ -726,13 +744,13 @@ class TestEstimateOutage:
     def test_rejects_a_negative_seed(self):
         cfg = make_cfg(num_users=2)
         for estimate in (
-                lambda s: estimate_outage(Scheme.PIN_D2,
+                lambda s: estimate_outage([Scheme.PIN_D2],
                                           OutageParams(cfg=cfg, r_target=1.0),
-                                          100, s),
-                lambda s: estimate_ergodic(Scheme.PIN_D2, cfg, 100, s),
+                                          100, s)[0],
+                lambda s: estimate_ergodic([Scheme.PIN_D2], cfg, 100, s)[0],
                 lambda s: estimate_conv_rate_bound(cfg, 100, s),
-                lambda s: sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [40.0],
-                                MetricKind.ERGODIC_SUM, 100, s)):
+                lambda s: sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [40.0],
+                                MetricKind.ERGODIC_SUM, 100, s)[0]):
             for seed in (-1, -2 ** 40):
                 with pytest.raises(ValueError,
                                    match="^master_seed must be >= 0$"):
@@ -742,28 +760,28 @@ class TestEstimateOutage:
 class TestDeterminism:
     def test_same_seed_same_estimate(self):
         p = OutageParams(cfg=make_cfg(), r_target=8.0)
-        a = estimate_outage(Scheme.PIN_D2, p, 30000, 99)
-        b = estimate_outage(Scheme.PIN_D2, p, 30000, 99)
+        a = estimate_outage([Scheme.PIN_D2], p, 30000, 99)[0]
+        b = estimate_outage([Scheme.PIN_D2], p, 30000, 99)[0]
         assert a == b
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_worker_count_does_not_change_results(self, scheme):
         cfg = make_cfg(num_users=2, tx_power=1.0)
-        serial = estimate_ergodic(scheme, cfg, 40000, 11, workers=1)
-        threaded = estimate_ergodic(scheme, cfg, 40000, 11, workers=5)
+        serial = estimate_ergodic([scheme], cfg, 40000, 11, workers=1)[0]
+        threaded = estimate_ergodic([scheme], cfg, 40000, 11, workers=5)[0]
         assert serial == threaded
 
     def test_different_seeds_differ(self):
         p = OutageParams(cfg=make_cfg(), r_target=8.0)
-        a = estimate_outage(Scheme.PIN_D2, p, 30000, 1)
-        b = estimate_outage(Scheme.PIN_D2, p, 30000, 2)
+        a = estimate_outage([Scheme.PIN_D2], p, 30000, 1)[0]
+        b = estimate_outage([Scheme.PIN_D2], p, 30000, 2)[0]
         assert a.value != b.value
 
 
 class TestConfidenceIntervals:
     def test_ci_shrinks_like_root_n(self):
         cfg = make_cfg(tx_power=1.0)
-        widths = [estimate_ergodic(Scheme.PIN_D2, cfg, n, 5)[-1].ci_half_width
+        widths = [estimate_ergodic([Scheme.PIN_D2], cfg, n, 5)[0][-1].ci_half_width
                   for n in (20000, 40000, 80000, 160000)]
         assert all(b < a for a, b in zip(widths, widths[1:]))
         for a, b in zip(widths, widths[1:]):
@@ -771,44 +789,44 @@ class TestConfidenceIntervals:
 
     def test_outage_ci_is_binomial(self):
         p = OutageParams(cfg=make_cfg(), r_target=8.0)
-        est = estimate_outage(Scheme.PIN_D2, p, 50000, 12)
-        sigma = math.sqrt(est.value * (1 - est.value) / est.n_trials)
+        n = 50000
+        est = estimate_outage([Scheme.PIN_D2], p, n, 12)[0]
+        sigma = math.sqrt(est.value * (1 - est.value) / n)
         assert est.ci_half_width == pytest.approx(3 * sigma, rel=1e-12)
 
 
 class TestEstimateErgodic:
     def test_total_blockage_gives_zero_rate(self):
         cfg = make_cfg(phi=1e6)
-        ests = estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 21)
+        ests = estimate_ergodic([Scheme.PIN_D2], cfg, 20000, 21)[0]
         assert ests[-1].value == 0.0
 
     def test_single_user_no_blockage_matches_quadrature(self):
         cfg = make_cfg(phi=0.0, tx_power=0.1)
-        ests = estimate_ergodic(Scheme.PIN_D2, cfg, 300_000, 4)
+        ests = estimate_ergodic([Scheme.PIN_D2], cfg, 300_000, 4)[0]
         expected = oracles.single_user_pin_ergodic_no_blockage(cfg)
         assert abs(ests[0].value - expected) <= ests[0].ci_half_width
 
     def test_returns_per_user_then_sum(self):
         cfg = make_cfg(num_users=3, tx_power=1.0)
-        ests = estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 8)
+        ests = estimate_ergodic([Scheme.PIN_D2], cfg, 20000, 8)[0]
+        # by position: users 1, 2 and 3, then the sum
         assert len(ests) == 4
-        assert [e.metric_kind for e in ests[:3]] == [MetricKind.ERGODIC_PER_USER] * 3
-        assert ests[-1].metric_kind is MetricKind.ERGODIC_SUM
         assert ests[-1].value == pytest.approx(sum(e.value for e in ests[:3]),
                                                rel=1e-9)
 
     def test_two_user_unconstrained_matches_triple_quadrature(self):
         cfg = SystemConfig(num_users=2, d_w=10.0, d_l=40.0, tx_power=1.0,
                            phi=0.1, blockage_model=BlockageModel.MODEL_B)
-        ests = estimate_ergodic(Scheme.PIN_D2, cfg, 300_000, 13)
+        ests = estimate_ergodic([Scheme.PIN_D2], cfg, 300_000, 13)[0]
         expected = oracles.two_user_ergodic_unconstrained(cfg)
         assert abs(ests[0].value - expected) <= ests[0].ci_half_width + 1e-3
 
     def test_design1_at_least_design2_at_preset_points(self):
         for dbm in (10.0, 20.0, 30.0, 40.0):
             cfg = make_cfg(num_users=2, tx_power=dbm_to_watt(dbm))
-            d1 = estimate_ergodic(Scheme.PIN_D1, cfg, 40000, 2)[-1]
-            d2 = estimate_ergodic(Scheme.PIN_D2, cfg, 40000, 2)[-1]
+            d1 = estimate_ergodic([Scheme.PIN_D1], cfg, 40000, 2)[0][-1]
+            d2 = estimate_ergodic([Scheme.PIN_D2], cfg, 40000, 2)[0][-1]
             assert (d1.value - d2.value) >= -(d1.ci_half_width + d2.ci_half_width)
 
     def test_design1_is_design2_for_one_user(self):
@@ -817,20 +835,20 @@ class TestEstimateErgodic:
         assert np.array_equal(
             _rates_chunk((Scheme.PIN_D1,), cfg, 4096, chunk_generator(11, 0, 0)),
             _rates_chunk((Scheme.PIN_D2,), cfg, 4096, chunk_generator(11, 0, 0)))
-        assert (estimate_ergodic(Scheme.PIN_D1, cfg, 20000, 11)
-                == estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 11))
-        rate = estimate_ergodic(Scheme.PIN_D2, cfg, 20000, 11)[0].value
+        assert (estimate_ergodic([Scheme.PIN_D1], cfg, 20000, 11)[0]
+                == estimate_ergodic([Scheme.PIN_D2], cfg, 20000, 11)[0])
+        rate = estimate_ergodic([Scheme.PIN_D2], cfg, 20000, 11)[0][0].value
         p = OutageParams(cfg=cfg, r_target=rate)
-        d1 = estimate_outage(Scheme.PIN_D1, p, 20000, 11)
+        d1 = estimate_outage([Scheme.PIN_D1], p, 20000, 11)[0]
         assert 0.0 < d1.value < 1.0
-        assert d1 == estimate_outage(Scheme.PIN_D2, p, 20000, 11)
+        assert d1 == estimate_outage([Scheme.PIN_D2], p, 20000, 11)[0]
 
     def test_conv_bound_dominates_finite_snr_rate(self):
         # the noise-free limit ignores blockage, so it upper-bounds the
         # finite-SNR expectation that zeroes out blocked realizations
         cfg = make_cfg(num_users=2, tx_power=1000.0)
         bound = estimate_conv_rate_bound(cfg, 60000, 3)[-1]
-        finite = estimate_ergodic(Scheme.CONV, cfg, 60000, 3)[-1]
+        finite = estimate_ergodic([Scheme.CONV], cfg, 60000, 3)[0][-1]
         assert bound.value > finite.value
         assert bound.value == pytest.approx(2.0, abs=0.02)
 
@@ -872,15 +890,15 @@ class TestConvRateBound:
 class TestSweep:
     def test_single_point_equals_direct_estimate(self):
         cfg = make_cfg(tx_power=1.0)
-        pts = sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [40.0],
-                    MetricKind.ERGODIC_SUM, 30000, 17)
-        direct = estimate_ergodic(Scheme.PIN_D2, cfg, 30000, 17, axis_index=0)[-1]
+        pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [40.0],
+                    MetricKind.ERGODIC_SUM, 30000, 17)[0]
+        direct = estimate_ergodic([Scheme.PIN_D2], cfg, 30000, 17, axis_index=0)[0][-1]
         assert pts[0].estimates[0] == direct
 
     def test_power_sweep_is_monotone_within_ci(self):
         cfg = make_cfg(num_users=2)
-        pts = sweep(cfg, Scheme.PIN_D2, SweepAxis.TX_POWER_DBM,
-                    [10.0, 20.0, 30.0, 40.0], MetricKind.ERGODIC_SUM, 30000, 9)
+        pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.TX_POWER_DBM,
+                    [10.0, 20.0, 30.0, 40.0], MetricKind.ERGODIC_SUM, 30000, 9)[0]
         vals = [p.estimates[0].value for p in pts]
         cis = [p.estimates[0].ci_half_width for p in pts]
         for i in range(3):
@@ -892,10 +910,10 @@ class TestSweep:
         from pinchsim import outage_gap_model_b
         r_target = 7.662862522672084
         values = [10.0, 20.0, 40.0]
-        pin = sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, values, MetricKind.OUTAGE,
-                    150_000, 23, r_target=r_target)
-        conv = sweep(cfg, Scheme.CONV, SweepAxis.D_L, values, MetricKind.OUTAGE,
-                     150_000, 24, r_target=r_target)
+        pin = sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, values, MetricKind.OUTAGE,
+                    150_000, 23, r_target=r_target)[0]
+        conv = sweep(cfg, [Scheme.CONV], SweepAxis.D_L, values, MetricKind.OUTAGE,
+                     150_000, 24, r_target=r_target)[0]
         for pp, cc, dl in zip(pin, conv, values):
             p = OutageParams(cfg=SystemConfig(num_users=1, d_w=5.0, d_l=dl,
                                               tx_power=0.01, phi=0.1,
@@ -908,8 +926,8 @@ class TestSweep:
     def test_r_target_axis(self):
         # targets chosen so the distance threshold moves through the strip
         cfg = make_cfg()
-        pts = sweep(cfg, Scheme.PIN_D2, SweepAxis.R_TARGET, [8.0, 9.5, 12.0],
-                    MetricKind.OUTAGE, 20000, 5)
+        pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.R_TARGET, [8.0, 9.5, 12.0],
+                    MetricKind.OUTAGE, 20000, 5)[0]
         vals = [p.estimates[0].value for p in pts]
         cis = [p.estimates[0].ci_half_width for p in pts]
         for i in range(2):
@@ -918,11 +936,11 @@ class TestSweep:
     def test_bad_axis_values_rejected(self):
         cfg = make_cfg()
         with pytest.raises(ValueError):
-            sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [], MetricKind.ERGODIC_SUM,
-                  100, 1)
+            sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [], MetricKind.ERGODIC_SUM,
+                  100, 1)[0]
         with pytest.raises(ValueError):
-            sweep(cfg, Scheme.PIN_D2, SweepAxis.D_L, [20.0, 10.0],
-                  MetricKind.ERGODIC_SUM, 100, 1)
+            sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [20.0, 10.0],
+                  MetricKind.ERGODIC_SUM, 100, 1)[0]
 
     @staticmethod
     def _record_estimates(monkeypatch) -> list[str]:
@@ -964,19 +982,19 @@ class TestSweep:
             self, monkeypatch, r_target, metric, message):
         calls = self._record_estimates(monkeypatch)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            sweep(make_cfg(), Scheme.PIN_D2, SweepAxis.D_L, [10.0, 20.0],
-                  metric, 400, 1, r_target=r_target)
+            sweep(make_cfg(), [Scheme.PIN_D2], SweepAxis.D_L, [10.0, 20.0],
+                  metric, 400, 1, r_target=r_target)[0]
         assert calls == []
 
     def test_outage_requires_target(self):
         with pytest.raises(ValueError):
-            sweep(make_cfg(), Scheme.PIN_D2, SweepAxis.D_L, [10.0],
-                  MetricKind.OUTAGE, 100, 1)
+            sweep(make_cfg(), [Scheme.PIN_D2], SweepAxis.D_L, [10.0],
+                  MetricKind.OUTAGE, 100, 1)[0]
 
     def test_ergodic_rejects_target_axis(self):
         with pytest.raises(ValueError):
-            sweep(make_cfg(), Scheme.PIN_D2, SweepAxis.R_TARGET, [1.0, 2.0],
-                  MetricKind.ERGODIC_SUM, 100, 1)
+            sweep(make_cfg(), [Scheme.PIN_D2], SweepAxis.R_TARGET, [1.0, 2.0],
+                  MetricKind.ERGODIC_SUM, 100, 1)[0]
 
 
 class TestSmallRunProperties:
@@ -1018,7 +1036,7 @@ class TestWaveguideLossEffect:
         cfg_i = make_cfg(loss_case=LossCase.CASE_I, tx_power=1.0)
         cfg_ii = make_cfg(loss_case=LossCase.CASE_II, tx_power=1.0)
         # paired seeds: identical placements and blockage draws
-        a = estimate_ergodic(Scheme.PIN_D2, cfg_i, 60000, 77)[-1]
-        b = estimate_ergodic(Scheme.PIN_D2, cfg_ii, 60000, 77)[-1]
+        a = estimate_ergodic([Scheme.PIN_D2], cfg_i, 60000, 77)[0][-1]
+        b = estimate_ergodic([Scheme.PIN_D2], cfg_ii, 60000, 77)[0][-1]
         assert b.value < a.value
         assert a.value - b.value < 0.5

@@ -9,7 +9,6 @@ so the two routes can cross-validate each other.
 
 from .analytics import (
     OutageParams,
-    ThresholdGeometry,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
@@ -19,7 +18,6 @@ from .analytics import (
     outage_pin_model_b,
     outage_pin_model_b_highsnr,
     strip_los_integral,
-    threshold_geometry,
     triangular_pdf,
     two_user_cross_blockage_factor,
 )
@@ -30,7 +28,6 @@ from .cli import (
     Provenance,
     RunSpec,
     parse_config,
-    parse_config_file,
     reproduce_figure,
     run_experiment,
 )
@@ -39,7 +36,6 @@ from .montecarlo import (
     MetricKind,
     Scheme,
     SweepAxis,
-    SweepPoint,
     estimate_conv_rate_bound,
     estimate_ergodic,
     estimate_outage,
@@ -52,23 +48,21 @@ from .scenario import (
     SystemConfig,
     conventional_array_positions,
     dbm_to_watt,
-    watt_to_dbm,
     waveguide_y_offsets,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "OutageParams", "ThresholdGeometry", "ergodic_pin_two_user_highsnr",
+    "OutageParams", "ergodic_pin_two_user_highsnr",
     "outage_conv_model_a_highsnr", "outage_conv_model_b_highsnr",
     "outage_gap_model_b", "outage_pin_model_a", "outage_pin_model_a_highsnr",
     "outage_pin_model_b", "outage_pin_model_b_highsnr", "strip_los_integral",
-    "threshold_geometry", "triangular_pdf", "two_user_cross_blockage_factor",
+    "triangular_pdf", "two_user_cross_blockage_factor",
     "ExperimentConfig", "OutputFormat", "Preset", "Provenance", "RunSpec",
-    "parse_config", "parse_config_file", "reproduce_figure", "run_experiment",
-    "MetricEstimate", "MetricKind", "Scheme", "SweepAxis", "SweepPoint",
+    "parse_config", "reproduce_figure", "run_experiment",
+    "MetricEstimate", "MetricKind", "Scheme", "SweepAxis",
     "estimate_conv_rate_bound", "estimate_ergodic", "estimate_outage",
     "sweep", "SPEED_OF_LIGHT", "BlockageModel", "LossCase", "SystemConfig",
-    "conventional_array_positions", "dbm_to_watt", "watt_to_dbm",
-    "waveguide_y_offsets",
+    "conventional_array_positions", "dbm_to_watt", "waveguide_y_offsets",
 ]

@@ -2,12 +2,13 @@
 
 The single-user outage study splits the outage event into "link blocked" and
 "link clear but too long": a rate target translates into a distance threshold
-tau1 = sqrt(gain * P / (eps * sigma^2)), which the strip geometry clamps to
-[tau2, tau3]. Under the distance-squared blockage law (MODEL_B) everything
-reduces to error functions; under MODEL_A the strip integral has no
-elementary antiderivative and is evaluated by adaptive composite
-Gauss-Legendre quadrature in numpy (``_integrate``), after the substitution
-y = height * sinh(t) that makes its integrand entire.
+tau1 = sqrt(gain * P / (eps * sigma^2)), whose in-range y interval
+[-tau3, tau3] the strip geometry clamps to [-d_w/2, d_w/2]. Under the
+distance-squared blockage law (MODEL_B) everything reduces to error
+functions; under MODEL_A the strip integral has no elementary antiderivative
+and is evaluated by adaptive composite Gauss-Legendre quadrature in numpy
+(``_integrate``), after the substitution y = height * sinh(t) that makes its
+integrand entire.
 """
 
 from __future__ import annotations
@@ -182,38 +183,23 @@ class OutageParams:
 
     @property
     def tau1(self) -> float:
-        """Maximum link distance that still meets the target rate."""
+        """Maximum link distance that still meets the target rate (inf
+        where the SINR threshold rounds to 0)."""
         cfg = self.cfg
-        return math.sqrt(cfg.path_gain_factor * cfg.tx_power
-                         / (self.epsilon * cfg.noise_power))
+        floor = self.epsilon * cfg.noise_power
+        if floor == 0.0:
+            return math.inf
+        return math.sqrt(cfg.path_gain_factor * cfg.tx_power / floor)
 
-
-@dataclass(frozen=True)
-class ThresholdGeometry:
-    """Strip-clamped distance thresholds for the single-user outage integral.
-
-    ``s`` is the half-width of the in-range y interval; ``tau2``/``tau3`` are
-    its clamps to the strip [-d_w/2, d_w/2], with tau2 = -tau3 by symmetry.
-    """
-
-    s: float
-    tau2: float
-    tau3: float
-
-
-def threshold_geometry(p: OutageParams) -> ThresholdGeometry:
-    """Clamp the distance threshold into the service strip.
-
-    When tau1 <= height no floor position is close enough, s collapses to 0
-    and the two out-of-range integrals tile the whole strip (certain outage
-    of the distance test).
-    """
-    cfg = p.cfg
-    s_sq = p.tau1 ** 2 - cfg.height ** 2
-    s = math.sqrt(s_sq) if s_sq > 0 else 0.0
-    tau2 = max(-cfg.d_w / 2.0, -s)
-    tau3 = min(cfg.d_w / 2.0, s)
-    return ThresholdGeometry(s=s, tau2=tau2, tau3=tau3)
+    @property
+    def tau3(self) -> float:
+        """Half-width of the in-range y interval, sqrt(tau1^2 - height^2),
+        clamped to the strip [0, d_w/2]. It is 0 when tau1 <= height: no
+        floor position is close enough, and the out-of-range tails tile the
+        whole strip."""
+        cfg = self.cfg
+        s_sq = self.tau1 ** 2 - cfg.height ** 2
+        return min(cfg.d_w / 2.0, math.sqrt(s_sq) if s_sq > 0 else 0.0)
 
 
 def strip_los_integral(a: float, b: float, cfg: SystemConfig) -> float:
@@ -258,9 +244,8 @@ def outage_pin_model_a(p: OutageParams) -> float:
     """
     _check_model(p.cfg, BlockageModel.MODEL_A, "outage_pin_model_a")
     cfg = p.cfg
-    t = threshold_geometry(p)
     half = cfg.d_w / 2.0
-    whole, tail = _strip_integrals(cfg, [(0.0, half), (t.tau3, half)],
+    whole, tail = _strip_integrals(cfg, [(0.0, half), (p.tau3, half)],
                                    "outage_pin_model_a").tolist()
     val = 1.0 - 2.0 * (whole - tail) / cfg.d_w
     return _check_probability(val, "outage_pin_model_a")
@@ -318,15 +303,15 @@ def outage_pin_model_b(p: OutageParams) -> float:
     """
     _check_model(p.cfg, BlockageModel.MODEL_B, "outage_pin_model_b")
     cfg = p.cfg
-    t = threshold_geometry(p)
+    tau3 = p.tau3
     if cfg.phi == 0.0:
         # No blockage: outage is the out-of-range probability alone.
-        val = 1.0 - (t.tau3 - t.tau2) / cfg.d_w
+        val = 1.0 - 2.0 * tau3 / cfg.d_w
         return _check_probability(val, "outage_pin_model_b")
     sqrt_phi = math.sqrt(cfg.phi)
     val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2)
                  * SQRT_PI / (2.0 * sqrt_phi * cfg.d_w)
-                 * (erf(-sqrt_phi * t.tau2) + erf(sqrt_phi * t.tau3)))
+                 * (2.0 * erf(sqrt_phi * tau3)))
     return _check_probability(val, "outage_pin_model_b")
 
 

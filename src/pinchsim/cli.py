@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -363,10 +364,6 @@ def parse_config(document: str) -> ExperimentConfig:
     return _resolve(_read_flat_document(document), {})
 
 
-def parse_config_file(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
 # --------------------------------------------------------------------------
 # Effective-config echo
 # --------------------------------------------------------------------------
@@ -463,16 +460,16 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
                        run.metric, run.n_trials, run.master_seed,
                        r_target=run.r_target, workers=run.workers)
     for scheme, points in zip(run.schemes, per_scheme):
-        for point, (_, point_input) in zip(points, inputs):
-            for idx, est in enumerate(point.estimates):
-                rows.append(_row(scheme, run, point.axis_value,
+        for estimates, (axis_value, point_input) in zip(points, inputs):
+            for idx, est in enumerate(estimates):
+                rows.append(_row(scheme, run, axis_value,
                                  _metric_label(run.metric, idx), est.value,
                                  est.ci_half_width, run.n_trials,
                                  Provenance.SIMULATED))
             if run.analytics:
                 for label, value in _closed_form_entries(
                         scheme, run.metric, point_input, floors):
-                    rows.append(_row(scheme, run, point.axis_value, label,
+                    rows.append(_row(scheme, run, axis_value, label,
                                      value, 0.0, 0, Provenance.CLOSED_FORM))
     return rows
 
@@ -524,8 +521,12 @@ def _write_files(files: list[tuple[Path, str]]) -> list[Path]:
     Each text goes to a temp file in its target's directory first; only when
     all are written is each moved into place with ``os.replace``. So no
     reader sees a half-written file, and a failed write leaves every target
-    as it was, never a result without its echo.
+    as it was, never a result without its echo. A target that is a
+    directory, which ``os.replace`` would meet only midway, fails first.
     """
+    for path, _ in files:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp")
              for path, _ in files]
     try:

@@ -131,14 +131,6 @@ class MetricEstimate:
     ci_half_width: float
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Estimates at one axis value; several entries only for per-user metrics."""
-
-    axis_value: float
-    estimates: tuple[MetricEstimate, ...]
-
-
 def chunk_generator(master_seed: int, axis_index: int,
                     chunk_index: int) -> np.random.Generator:
     """Independent counter-based stream for one chunk of trials."""
@@ -520,13 +512,15 @@ def sweep_inputs(cfg: SystemConfig, sweep_axis: SweepAxis, axis_values,
 def sweep(cfg: SystemConfig, schemes: Sequence[Scheme],
           sweep_axis: SweepAxis, axis_values, metric: MetricKind, n_trials: int,
           master_seed: int, *, r_target: float | None = None,
-          workers: int = 1) -> list[list[SweepPoint]]:
+          workers: int = 1) -> list[list[tuple[MetricEstimate, ...]]]:
     """One estimate per axis value with per-point deterministic seeding.
 
     Point i uses streams derived from (master_seed, i, chunk) for every
     scheme; a single-value sweep is therefore bit-identical to a direct
-    estimate call. Returns one list of points per scheme, in order; every
-    scheme of a point is evaluated from one pass over that point's streams.
+    estimate call. Returns, per scheme in order, one tuple of estimates per
+    point in axis order: one estimate, or one per user for
+    ERGODIC_PER_USER. Every scheme of a point is evaluated from one pass
+    over that point's streams.
     Every argument and every point is checked by ``sweep_inputs`` before
     the first estimate, so a value outside its axis' domain fails before
     any trial runs.
@@ -552,5 +546,5 @@ def sweep(cfg: SystemConfig, schemes: Sequence[Scheme],
             else:
                 chosen = [tuple(e[:-1]) for e in ests]
         for scheme_points, estimates in zip(points, chosen):
-            scheme_points.append(SweepPoint(axis_value=v, estimates=estimates))
+            scheme_points.append(estimates)
     return points

@@ -40,13 +40,6 @@ def dbm_to_watt(dbm: float) -> float:
         return math.inf
 
 
-def watt_to_dbm(watt: float) -> float:
-    """Convert a power in watts to dBm."""
-    if watt <= 0:
-        raise ValueError("power must be > 0 to express in dBm")
-    return 10.0 * math.log10(watt) + 30.0
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """All physical and deployment parameters, validated eagerly.

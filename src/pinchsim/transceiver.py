@@ -7,8 +7,8 @@ an equal 1/sqrt(M) power split and treats cross links as interference. The
 conventional baseline applies the Design II power split to the fixed
 half-wavelength array.
 
-The kernels (:func:`zf_gains_batch`, :func:`zf_precoders`,
-:func:`design1_rates_from_gains`, :func:`design2_rates_from_power`) take
+The kernels (:func:`zf_gains_batch`, :func:`design1_rates_from_gains`,
+:func:`design2_rates_from_power`) take
 stacked (..., M, M) inputs, and the Monte-Carlo estimators call them on
 whole sub-batches; :func:`design2_rates_of_rows` takes the (k, M) rows of
 chosen users only, which is how the estimators evaluate pinching Design II
@@ -72,38 +72,6 @@ def zf_gains_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         exactly singular, or 1-norm condition number above COND_LIMIT).
     """
     h = np.asarray(h, dtype=complex)
-    ok, _, col_sq = _zf_inverses(h)
-    gains = np.full(h.shape[:-1], np.nan)
-    gains[ok] = 1.0 / (h.shape[-1] * col_sq)
-    return gains, ok
-
-
-def zf_precoders(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit zero-forcing precoders inv(H) diag(sqrt(g)) for stacked
-    channel matrices, with the gains and the gate of :func:`zf_gains_batch`.
-
-    Column m has squared norm g_m ||col_m(inv(H))||^2 = 1/M, so the total
-    transmit power across the M users equals the configured budget.
-
-    Returns:
-        (w, ok): w has the (..., M, M) shape of ``h`` and is NaN where
-        ``ok`` is False.
-    """
-    h = np.asarray(h, dtype=complex)
-    ok, inv, col_sq = _zf_inverses(h)
-    w = np.full(h.shape, np.nan, dtype=complex)
-    w[ok] = inv[ok] * np.sqrt(1.0 / (h.shape[-1] * col_sq))[:, None, :]
-    return w, ok
-
-
-def _zf_inverses(h: np.ndarray):
-    """The zero-forcing gate and inverse for stacked (..., M, M) matrices.
-
-    Returns ``ok``, in the batch shape of ``h``, for the gate described in
-    :func:`zf_gains_batch`, then every inverse, in the shape of ``h`` and
-    NaN where LU met a zero pivot, and the squared column norms of the
-    inverses that pass the gate, stacked in batch order as (k, M).
-    """
     # np.linalg.inv's own gufunc, which np.linalg.inv turns into LinAlgError
     # for the whole stack when one matrix hits an exact zero pivot in its LU
     # factorization; called directly it returns NaN for that matrix alone,
@@ -115,9 +83,12 @@ def _zf_inverses(h: np.ndarray):
     cond = (_last_axis_max(_column_sums(np.abs(h)))
             * _last_axis_max(_column_sums(inv_abs)))
     ok = np.asarray(cond <= COND_LIMIT)
+    # squared column norms of the inverses that pass the gate, (k, M)
     sq = inv_abs[ok]
     sq *= sq
-    return ok, inv, _column_sums(sq)
+    gains = np.full(h.shape[:-1], np.nan)
+    gains[ok] = 1.0 / (h.shape[-1] * _column_sums(sq))
+    return gains, ok
 
 
 # The reductions over the short matrix axes are unrolled into whole-stack

@@ -20,7 +20,6 @@ from pinchsim import (
     LossCase,
     OutageParams,
     SystemConfig,
-    threshold_geometry,
 )
 from pinchsim.channel import (
     conv_distances_sq,
@@ -279,7 +278,6 @@ def conv_los_mass_model_a_mp(cfg: SystemConfig, dps: int = 30) -> float:
 def outage_pin_quadrature(p: OutageParams) -> float:
     """Single-user pinching outage from its three defining integrals."""
     cfg = p.cfg
-    t = threshold_geometry(p)
     half = cfg.d_w / 2.0
     phi, d = cfg.phi, cfg.height
     if cfg.blockage_model is BlockageModel.MODEL_A:
@@ -287,7 +285,7 @@ def outage_pin_quadrature(p: OutageParams) -> float:
     else:
         los = lambda y: math.exp(-phi * (y * y + d * d))  # noqa: E731
     blocked = _quad(lambda y: 1.0 - los(y), -half, half) / cfg.d_w
-    tails = (_quad(los, -half, t.tau2) + _quad(los, t.tau3, half)) / cfg.d_w
+    tails = (_quad(los, -half, -p.tau3) + _quad(los, p.tau3, half)) / cfg.d_w
     return blocked + tails
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
@@ -22,7 +24,6 @@ from pinchsim import (
     outage_pin_model_b,
     outage_pin_model_b_highsnr,
     strip_los_integral,
-    threshold_geometry,
     triangular_pdf,
     two_user_cross_blockage_factor,
 )
@@ -41,13 +42,11 @@ class TestThresholdGeometry:
         cfg = make_cfg()
         p = OutageParams(cfg=cfg, r_target=14.0)
         assert p.tau1 < cfg.height
-        t = threshold_geometry(p)
-        assert t.s == 0.0 and t.tau2 == 0.0 and t.tau3 == 0.0
+        assert p.tau3 == 0.0
 
     def test_high_snr_saturates_clamps(self):
         cfg = make_cfg(tx_power=1e6)
-        t = threshold_geometry(OutageParams(cfg=cfg, r_target=1.0))
-        assert t.tau2 == -5.0 and t.tau3 == 5.0
+        assert OutageParams(cfg=cfg, r_target=1.0).tau3 == 5.0
 
     def test_numeric_example(self):
         cfg = make_cfg(d_w=5.0)
@@ -57,16 +56,16 @@ class TestThresholdGeometry:
         tau1_sq = cfg.path_gain_factor * 0.01 / (eps * 1e-12)
         assert p.tau1 ** 2 == pytest.approx(tau1_sq, rel=1e-12)
         assert p.tau1 ** 2 == pytest.approx(12.37, abs=0.01)
-        t = threshold_geometry(p)
-        assert t.s == pytest.approx(math.sqrt(tau1_sq - 9.0), rel=1e-12)
-        assert t.s == pytest.approx(1.836, abs=0.005)
-        assert t.tau2 == -t.tau3
+        # inside the strip, so the clamp leaves it alone
+        assert p.tau3 == pytest.approx(math.sqrt(tau1_sq - 9.0), rel=1e-12)
+        assert p.tau3 == pytest.approx(1.836, abs=0.005)
 
     def test_symmetry_invariant(self):
         for rt in (0.5, 3.0, 7.7, 11.0):
-            t = threshold_geometry(OutageParams(cfg=make_cfg(), r_target=rt))
-            assert t.tau2 == -t.tau3
-            assert -5.0 <= t.tau2 <= 0.0 <= t.tau3 <= 5.0
+            # the in-range interval is [-tau3, tau3], symmetric by
+            # construction, and lies in the strip
+            p = OutageParams(cfg=make_cfg(), r_target=rt)
+            assert 0.0 <= p.tau3 <= 5.0
 
     def test_target_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -84,6 +83,70 @@ class TestThresholdGeometry:
                     assert p.epsilon == 2.0 ** rt - 1 and 0.0 < p.tau1 < 1e-150
                 else:
                     assert p.epsilon == math.inf and p.tau1 == 0.0
+                assert exact(p) == 1.0
+
+    def test_vanishing_target(self):
+        # Below about 1.1e-16, 2**r_target - 1 rounds to 0: the threshold
+        # is then inf, and both exact outages reach their high-SNR floors,
+        # as they already do at 1e-15.
+        for model in BlockageModel:
+            exact, floor = ((outage_pin_model_a, outage_pin_model_a_highsnr)
+                            if model is BlockageModel.MODEL_A else
+                            (outage_pin_model_b, outage_pin_model_b_highsnr))
+            cfg = make_cfg(model, d_w=5.0)
+            at_1e15 = exact(OutageParams(cfg=cfg, r_target=1e-15))
+            for rt in (1e-16, 1e-300, 5e-324):
+                p = OutageParams(cfg=cfg, r_target=rt)
+                assert p.epsilon == 0.0 and p.tau1 == math.inf
+                assert p.tau3 == 2.5
+                assert exact(p) == at_1e15
+                assert exact(p) == pytest.approx(floor(p), rel=1e-12)
+        p = OutageParams(cfg=make_cfg(BlockageModel.MODEL_B, d_w=5.0),
+                         r_target=1e-16)
+        assert outage_pin_model_b(p) == 0.6643538237983995
+
+
+# Targets from 1e-300 to 20 bits/s/Hz: log-uniform across the whole range,
+# and uniform over the few bits where tau3 moves through the strip.
+TARGETS = st.one_of(
+    st.floats(-300.0, math.log10(20.0)).map(lambda e: min(10.0 ** e, 20.0)),
+    st.floats(1e-3, 20.0))
+
+
+@st.composite
+def outage_configs(draw):
+    model = draw(st.sampled_from(BlockageModel))
+    phi = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+    return make_cfg(model, phi=phi, d_w=draw(st.floats(0.5, 50.0)),
+                    height=draw(st.floats(0.1, 10.0)),
+                    tx_power=draw(st.floats(1e-4, 10.0)))
+
+
+class TestTau3Property:
+    """tau3 over both blockage models and targets from 1e-300 to 20."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=outage_configs(), targets=st.lists(TARGETS, min_size=2,
+                                                  max_size=2))
+    def test_clamped_monotone_and_consistent(self, cfg, targets):
+        exact, floor = ((outage_pin_model_a, outage_pin_model_a_highsnr)
+                        if cfg.blockage_model is BlockageModel.MODEL_A else
+                        (outage_pin_model_b, outage_pin_model_b_highsnr))
+        lo, hi = sorted(targets)
+        p_lo = OutageParams(cfg=cfg, r_target=lo)
+        p_hi = OutageParams(cfg=cfg, r_target=hi)
+        # the threshold never grows with the target
+        assert p_lo.tau3 >= p_hi.tau3
+        for p in (p_lo, p_hi):
+            assert 0.0 <= p.tau3 <= cfg.d_w / 2.0
+            if p.tau3 == cfg.d_w / 2.0:
+                # every in-strip position is in range: blockage alone.
+                # Both are formed as 1 - mass, so near 0 their rounding is
+                # absolute, about 1e-16.
+                assert exact(p) == pytest.approx(floor(p), rel=1e-12,
+                                                 abs=1e-15)
+            elif p.tau3 == 0.0:
+                # no position is in range: certain outage
                 assert exact(p) == 1.0
 
 
@@ -151,7 +214,8 @@ class TestQuadratureEngine:
 
 
 def target_placing_threshold(cfg, s):
-    """A target rate whose in-range half-width threshold_geometry(p).s is s."""
+    """A target rate whose in-range half-width p.tau3 is s, for
+    0 < s <= d_w/2."""
     eps = (cfg.path_gain_factor * cfg.tx_power
            / (cfg.noise_power * (s * s + cfg.height ** 2)))
     return math.log2(1.0 + eps)
@@ -175,7 +239,7 @@ class TestModelAAnalyticsAcrossRange:
         half = d_w / 2.0
         p = OutageParams(cfg=cfg, r_target=target_placing_threshold(
             cfg, 0.4 * half))
-        tau3 = threshold_geometry(p).tau3
+        tau3 = p.tau3
         assert tau3 == pytest.approx(0.4 * half, rel=1e-9)
         whole = oracles.strip_los_mass_mp(cfg, 0.0, half) / d_w
         tail = oracles.strip_los_mass_mp(cfg, tau3, half) / d_w
@@ -300,8 +364,7 @@ class TestOutagePinModelB:
     def test_phi_zero_limit_branch(self):
         cfg = make_cfg(BlockageModel.MODEL_B, phi=0.0, d_w=5.0)
         p = OutageParams(cfg=cfg, r_target=9.2)
-        t = threshold_geometry(p)
-        expected = 1.0 - (t.tau3 - t.tau2) / cfg.d_w
+        expected = 1.0 - 2.0 * p.tau3 / cfg.d_w
         assert outage_pin_model_b(p) == pytest.approx(expected, rel=1e-12)
         assert outage_pin_model_b(p) == pytest.approx(
             oracles.outage_pin_quadrature(p), rel=1e-10)
@@ -325,7 +388,7 @@ class TestOutagePinModelBHighSnr:
         # with s >= d_w/2 the clamps hit the strip edge and the forms coincide
         cfg = make_cfg(BlockageModel.MODEL_B, d_w=5.0, tx_power=10.0)
         p = OutageParams(cfg=cfg, r_target=2.0)
-        assert threshold_geometry(p).s >= cfg.d_w / 2
+        assert p.tau3 == cfg.d_w / 2
         assert outage_pin_model_b(p) == pytest.approx(
             outage_pin_model_b_highsnr(p), rel=1e-14)
 

@@ -1,6 +1,7 @@
 """Config parsing, presets, output schema, CLI entry point."""
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -856,6 +857,53 @@ class TestMainEntryPoint:
                 if k != ("CONV", "CLOSED_FORM")} == {
             ("PIN_D2", "SIMULATED"): 1.0, ("PIN_D2", "CLOSED_FORM"): 1.0,
             ("CONV", "SIMULATED"): 1.0}
+
+    def test_vanishing_target_gives_the_high_snr_floor(self, tmp_path,
+                                                       capsys):
+        # 2**1e-300 - 1 rounds to 0; the threshold is then unbounded
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "r.csv"
+        cfg_path.write_text(manual_doc(
+            "system.num_users = 1", "system.blockage_model = MODEL_B",
+            "run.metric = OUTAGE", "run.sweep_axis = R_TARGET",
+            "run.axis_values = 1e-300, 5", "run.n_trials = 500", out=out))
+        assert main(["simulate", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert len(rows) == 8
+        system = parse_config(cfg_path.read_text()).system
+        floor = analytics.outage_pin_model_b_highsnr(
+            analytics.OutageParams(cfg=system, r_target=1e-300))
+        assert [float(r["value"]) for r in rows
+                if r["scheme"] == "PIN_D2"
+                and r["provenance"] == "CLOSED_FORM"] == [
+            pytest.approx(floor, rel=1e-12)] * 2
+
+    @pytest.mark.parametrize("command", ["simulate", "figure"])
+    def test_directory_target_leaves_every_file_as_it_was(
+            self, tmp_path, capsys, command):
+        # A target that is a directory fails before any file is replaced,
+        # so no result is left without its echo.
+        if command == "simulate":
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(MANUAL_DOC.format(out=tmp_path / "r.csv"))
+            argv = ["simulate", str(cfg_path), "--trials", "200"]
+            result, blocker = tmp_path / "r.csv", tmp_path / "r.csv.config"
+        else:
+            argv = ["figure", "fig2a", "--out", str(tmp_path), "--trials",
+                    "200"]
+            result, blocker = tmp_path / "fig2a.csv", tmp_path / "fig2a.gp"
+        result.write_bytes(b"old results\n")
+        blocker.mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: [Errno {errno.EISDIR}] Is a directory: "
+                                f"'{blocker}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert result.read_bytes() == b"old results\n"
+        assert list(blocker.iterdir()) == []
 
     def test_quadrature_out_of_panels_is_one_line_and_no_file(
             self, tmp_path, capsys, monkeypatch):

@@ -678,12 +678,12 @@ class TestEstimateOutage:
         # above the user, so the exact outage does not depend on d_l
         cfg = make_cfg(tx_power=dbm_to_watt(10.0), loss_case=LossCase.CASE_I)
         r_target = 7.662862522672084
-        pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [10.0, 20.0, 40.0, 80.0],
+        lengths = [10.0, 20.0, 40.0, 80.0]
+        pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, lengths,
                     MetricKind.OUTAGE, 1_000_000, 7, r_target=r_target)[0]
-        for pt in pts:
-            est = pt.estimates[0]
+        for d_l, (est,) in zip(lengths, pts, strict=True):
             exact = outage_pin_model_a(OutageParams(
-                cfg=replace(cfg, d_l=pt.axis_value), r_target=r_target))
+                cfg=replace(cfg, d_l=d_l), r_target=r_target))
             assert abs(est.value - exact) <= est.ci_half_width
 
     def test_conventional_matches_its_quadrature_at_high_snr(self):
@@ -893,14 +893,14 @@ class TestSweep:
         pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [40.0],
                     MetricKind.ERGODIC_SUM, 30000, 17)[0]
         direct = estimate_ergodic([Scheme.PIN_D2], cfg, 30000, 17, axis_index=0)[0][-1]
-        assert pts[0].estimates[0] == direct
+        assert pts == [(direct,)]
 
     def test_power_sweep_is_monotone_within_ci(self):
         cfg = make_cfg(num_users=2)
         pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.TX_POWER_DBM,
                     [10.0, 20.0, 30.0, 40.0], MetricKind.ERGODIC_SUM, 30000, 9)[0]
-        vals = [p.estimates[0].value for p in pts]
-        cis = [p.estimates[0].ci_half_width for p in pts]
+        vals = [p[0].value for p in pts]
+        cis = [p[0].ci_half_width for p in pts]
         for i in range(3):
             assert vals[i + 1] >= vals[i] - (cis[i] + cis[i + 1])
 
@@ -919,8 +919,8 @@ class TestSweep:
                                               tx_power=0.01, phi=0.1,
                                               blockage_model=BlockageModel.MODEL_B),
                              r_target=r_target)
-            gap = cc.estimates[0].value - pp.estimates[0].value
-            ci = cc.estimates[0].ci_half_width + pp.estimates[0].ci_half_width
+            gap = cc[0].value - pp[0].value
+            ci = cc[0].ci_half_width + pp[0].ci_half_width
             assert abs(gap - outage_gap_model_b(p)) <= ci + 2e-3
 
     def test_r_target_axis(self):
@@ -928,8 +928,8 @@ class TestSweep:
         cfg = make_cfg()
         pts = sweep(cfg, [Scheme.PIN_D2], SweepAxis.R_TARGET, [8.0, 9.5, 12.0],
                     MetricKind.OUTAGE, 20000, 5)[0]
-        vals = [p.estimates[0].value for p in pts]
-        cis = [p.estimates[0].ci_half_width for p in pts]
+        vals = [p[0].value for p in pts]
+        cis = [p[0].ci_half_width for p in pts]
         for i in range(2):
             assert vals[i + 1] >= vals[i] + 0.01 - (cis[i] + cis[i + 1])
 

@@ -23,7 +23,6 @@ from pinchsim.transceiver import (
     design1_rates_from_gains,
     design2_rates_from_power,
     zf_gains_batch,
-    zf_precoders,
 )
 
 
@@ -38,6 +37,13 @@ def random_channels(n, m, rng, scale=1e-4):
     """Random complex matrices at realistic channel magnitudes."""
     return scale * (rng.standard_normal((n, m, m))
                     + 1j * rng.standard_normal((n, m, m)))
+
+
+def column_power(h, gains):
+    """g_m ||col_m(inv(H))||^2 of stacked full-rank matrices: the power of
+    column m of the zero-forcing precoder inv(H) diag(sqrt(g)), which the
+    gains normalize to 1/M."""
+    return gains * (np.abs(np.linalg.inv(h)) ** 2).sum(axis=-2)
 
 
 def design1(h, cfg):
@@ -89,18 +95,17 @@ class TestZeroForcingGains:
         for h in (np.ones((2, 3), dtype=complex), np.ones((4, 2, 3))):
             with pytest.raises(ValueError):
                 zf_gains_batch(h)
-            with pytest.raises(ValueError):
-                zf_precoders(h)
 
 
 class TestZeroForcingPrecoder:
     def test_interference_nulling_and_power(self):
         rng = np.random.default_rng(42)
         batch = random_channels(100, 3, rng)
-        ws, oks = zf_precoders(batch)
-        for h, w, ok in zip(batch, ws, oks):
+        gains, oks = zf_gains_batch(batch)
+        for h, g, ok in zip(batch, gains, oks):
             if not ok:
                 continue
+            w = np.linalg.inv(h) * np.sqrt(g)
             eff = h @ w
             signal = np.abs(np.diag(eff)) ** 2
             cross = np.abs(eff - np.diag(np.diag(eff))) ** 2
@@ -109,13 +114,12 @@ class TestZeroForcingPrecoder:
             assert np.allclose(col_power, 1.0 / 3.0, rtol=1e-12)
             assert abs(col_power.sum() - 1.0) <= 1e-12
 
-    def test_effective_gain_matches_reported_gains(self):
+    def test_gains_normalize_the_precoder_columns(self):
         rng = np.random.default_rng(1)
         h = random_channels(1, 2, rng)[0]
-        w, _ = zf_precoders(h)
-        gains, _ = zf_gains_batch(h)
-        eff = h @ w
-        assert np.allclose(np.abs(np.diag(eff)) ** 2, gains, rtol=1e-10)
+        gains, ok = zf_gains_batch(h)
+        assert ok
+        assert np.allclose(column_power(h, gains), 0.5, rtol=1e-10)
 
 
 class TestDesign1:
@@ -339,29 +343,18 @@ class TestMixedBatch:
             if one_ok:
                 assert np.allclose(gains[i], one, rtol=1e-12)
 
-    def test_precoders_share_the_gate(self):
+    def test_gains_normalize_every_admitted_matrix(self):
         batch, bad = self.mixed_batch()
-        gains, _ = zf_gains_batch(batch)
-        w, ok = zf_precoders(batch)
+        gains, ok = zf_gains_batch(batch)
         assert np.array_equal(ok, ~bad)
-        assert np.all(np.isnan(w[bad]))
-        # column m of the precoder delivers exactly gain g_m to user m
-        eff = np.abs(np.einsum("nij,nji->ni", batch[~bad], w[~bad])) ** 2
-        assert np.allclose(eff, gains[~bad], rtol=1e-10)
+        assert np.allclose(column_power(batch[ok], gains[ok]), 1.0 / 3.0,
+                           rtol=1e-10)
 
     def test_leading_batch_shape_is_kept(self):
         batch, bad = self.mixed_batch()
         gains, ok = zf_gains_batch(batch.reshape(2, 5, 3, 3))
         assert gains.shape == (2, 5, 3) and ok.shape == (2, 5)
         assert np.array_equal(ok.ravel(), ~bad)
-
-    def test_precoders_keep_the_leading_batch_shape(self):
-        batch, bad = self.mixed_batch()
-        w, ok = zf_precoders(batch.reshape(5, 2, 3, 3))
-        assert w.shape == (5, 2, 3, 3) and ok.shape == (5, 2)
-        assert np.array_equal(ok.ravel(), ~bad)
-        flat, _ = zf_precoders(batch)
-        assert np.array_equal(w.reshape(flat.shape), flat, equal_nan=True)
 
 
 class TestZeroForcingGate:
@@ -404,9 +397,8 @@ class TestZeroForcingGate:
         h = np.where(patterns[empty],
                      random_channels(int(empty.sum()), m, rng), 0.0)
         gains, ok = zf_gains_batch(h)
-        w, w_ok = zf_precoders(h)
-        assert not ok.any() and not w_ok.any()
-        assert np.all(np.isnan(gains)) and np.all(np.isnan(w))
+        assert not ok.any()
+        assert np.all(np.isnan(gains))
 
     def test_reference_gate_agrees_on_hand_built_matrices(self):
         # The kernel replay at M = 3 draws no matrix that is gated with
@@ -508,10 +500,8 @@ class TestZeroForcingProperties:
     @given(h=sparse_channel())
     def test_precoder_columns_carry_one_mth_of_the_power(self, h):
         m = h.shape[0]
-        w, ok = zf_precoders(h)
-        assert ok == zf_gains_batch(h)[1]
+        gains, ok = zf_gains_batch(h)
         if ok:
-            col_power = np.sum(np.abs(w) ** 2, axis=0)
-            assert np.allclose(col_power, 1.0 / m, rtol=1e-12)
+            assert np.allclose(column_power(h, gains), 1.0 / m, rtol=1e-12)
         else:
-            assert np.all(np.isnan(w))
+            assert np.all(np.isnan(gains))

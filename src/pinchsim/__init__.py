@@ -9,6 +9,7 @@ so the two routes can cross-validate each other.
 
 from .analytics import (
     OutageParams,
+    ergodic_conv_highsnr,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
@@ -36,7 +37,6 @@ from .montecarlo import (
     MetricKind,
     Scheme,
     SweepAxis,
-    estimate_conv_rate_bound,
     estimate_ergodic,
     estimate_outage,
     sweep,
@@ -54,7 +54,7 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "OutageParams", "ergodic_pin_two_user_highsnr",
+    "OutageParams", "ergodic_conv_highsnr", "ergodic_pin_two_user_highsnr",
     "outage_conv_model_a_highsnr", "outage_conv_model_b_highsnr",
     "outage_gap_model_b", "outage_pin_model_a", "outage_pin_model_a_highsnr",
     "outage_pin_model_b", "outage_pin_model_b_highsnr", "strip_los_integral",
@@ -62,7 +62,7 @@ __all__ = [
     "ExperimentConfig", "OutputFormat", "Preset", "Provenance", "RunSpec",
     "parse_config", "reproduce_figure", "run_experiment",
     "MetricEstimate", "MetricKind", "Scheme", "SweepAxis",
-    "estimate_conv_rate_bound", "estimate_ergodic", "estimate_outage",
-    "sweep", "SPEED_OF_LIGHT", "BlockageModel", "LossCase", "SystemConfig",
+    "estimate_ergodic", "estimate_outage", "sweep", "SPEED_OF_LIGHT",
+    "BlockageModel", "LossCase", "SystemConfig",
     "conventional_array_positions", "dbm_to_watt", "waveguide_y_offsets",
 ]

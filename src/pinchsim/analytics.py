@@ -21,7 +21,9 @@ from math import erf
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .channel import conv_distances_sq, power_gains
 from .scenario import BlockageModel, SystemConfig, waveguide_y_offsets
+from .transceiver import design2_rates_from_power
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -413,3 +415,31 @@ def ergodic_pin_two_user_highsnr(cfg: SystemConfig) -> float:
     rate_clear = math.log2(1.0 + snr)
     return (2.0 * rate_clear * math.exp(-cfg.phi * cfg.height ** 2)
             * two_user_cross_blockage_factor(cfg))
+
+
+def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
+    """High-SNR limit of the conventional rates, E[log2(1 + S/I)]: each
+    user's bound, then their sum. Blockage drops out, as a user's elements
+    share its indicator. User m's bound integrates x, and y over strip m
+    unless ``constrain_under_waveguide``, of the estimators' own channel and
+    SINR at unit power and no noise.
+    """
+    if cfg.num_users < 2:
+        raise ValueError("the conventional rate bound needs num_users >= 2")
+    where, m = "ergodic_conv_highsnr", cfg.num_users
+    beta = waveguide_y_offsets(cfg)
+
+    def rates(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # every user at x = d_l (u - 1/2) and at its own y along the last axis
+        x, y = np.broadcast_arrays(cfg.d_l * (u[..., None] - 0.5), y)
+        s = power_gains(cfg, conv_distances_sq(cfg, x.reshape(-1, m),
+                                               y.reshape(-1, m)))
+        return design2_rates_from_power(s, 1.0, 0.0, m).reshape(x.shape)
+
+    if cfg.constrain_under_waveguide:
+        bounds = _integrate(lambda u: rates(u, beta), where).tolist()
+    else:
+        bounds = _integrate(lambda u: _integrate(lambda v: rates(
+            u, beta + cfg.strip_width * (v[:, None, None] - 0.5)), where),
+            where).tolist()
+    return bounds + [math.fsum(bounds)]

@@ -127,13 +127,12 @@ def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
 
 
 def channel_coefficients(cfg: SystemConfig, dist_sq: np.ndarray,
-                         s_eff: np.ndarray,
-                         pinch_x: np.ndarray | None = None) -> np.ndarray:
+                         s_eff: np.ndarray, pinch_x: np.ndarray) -> np.ndarray:
     """Complex h = sqrt(s_eff) exp(-2 pi j (r / wavelength + l / guided_wavelength)).
 
     ``s_eff`` is the blocked power gain alpha |h|^2, in the shape of
-    ``dist_sq``. ``pinch_x`` is as in :func:`power_gains`; without it there
-    is no in-waveguide phase.
+    ``dist_sq``, and ``pinch_x`` the (n, M) antenna x coordinates, which
+    give the in-waveguide run l of each column.
 
     The square root and the complex exponential are taken only where
     ``s_eff`` is nonzero; every other entry is an exact +0j. A clear entry
@@ -143,9 +142,7 @@ def channel_coefficients(cfg: SystemConfig, dist_sq: np.ndarray,
     """
     cycles = np.sqrt(dist_sq)
     cycles /= cfg.wavelength
-    if pinch_x is not None:
-        cycles += (_guided_length(cfg, pinch_x)[:, None, :]
-                   / cfg.guided_wavelength)
+    cycles += _guided_length(cfg, pinch_x)[:, None, :] / cfg.guided_wavelength
     clear = np.flatnonzero(s_eff != 0)
     # In place on the gathered copies, which at M = 16 and phi = 0 made a
     # chunk about 8% faster than fresh temporaries. The complex product

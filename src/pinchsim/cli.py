@@ -505,14 +505,25 @@ def _render_json(rows: list[dict]) -> str:
     return json.dumps({"schema": SCHEMA_VERSION, "rows": rows}, indent=2) + "\n"
 
 
+def _targets(cfg: ExperimentConfig) -> list[Path]:
+    """The results file and its config echo."""
+    out_path = Path(cfg.run.output)
+    return [out_path, Path(f"{out_path}.config")]
+
+
+def _check_targets(paths: list[Path]) -> None:
+    """Fail on a target that is a directory: ``os.replace`` meets it midway."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+
+
 def _outputs(cfg: ExperimentConfig) -> list[tuple[Path, str]]:
     """Run the experiment and render its results file and config echo."""
     rows = collect_rows(cfg)
-    out_path = Path(cfg.run.output)
     text = (_render_csv(rows) if cfg.run.fmt is OutputFormat.CSV
             else _render_json(rows))
-    return [(out_path, text),
-            (Path(str(out_path) + ".config"), effective_config_text(cfg))]
+    return list(zip(_targets(cfg), (text, effective_config_text(cfg))))
 
 
 def _write_files(files: list[tuple[Path, str]]) -> list[Path]:
@@ -521,12 +532,10 @@ def _write_files(files: list[tuple[Path, str]]) -> list[Path]:
     Each text goes to a temp file in its target's directory first; only when
     all are written is each moved into place with ``os.replace``. So no
     reader sees a half-written file, and a failed write leaves every target
-    as it was, never a result without its echo. A target that is a
-    directory, which ``os.replace`` would meet only midway, fails first.
+    as it was, never a result without its echo. The targets are checked
+    again here, as a directory may have appeared since the callers did.
     """
-    for path, _ in files:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    _check_targets([path for path, _ in files])
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp")
              for path, _ in files]
     try:
@@ -543,8 +552,10 @@ def _write_files(files: list[tuple[Path, str]]) -> list[Path]:
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute the experiment and write results plus the config echo.
 
-    Returns the written paths; raises OSError if the output is unwritable.
+    Returns the written paths; raises OSError if the output is unwritable
+    (before any trial runs if a target is a directory).
     """
+    _check_targets(_targets(cfg))
     return _write_files(_outputs(cfg))
 
 
@@ -565,22 +576,21 @@ _METRIC_TITLES = {
 }
 
 
-def _plot_stub(csv_names: list[str], schemes: tuple[Scheme, ...],
-               axis: SweepAxis, metric: MetricKind, logscale: bool) -> str:
+def _plot_stub(csv_names: list[str], run: RunSpec) -> str:
     lines = [
         "# gnuplot stub: value (column 5) vs axis_value (column 3),",
         "# one curve per scheme (column 1); CLOSED_FORM rows overlay as lines.",
         "set datafile separator ','",
         "set datafile commentschars '#'",
-        f"set xlabel '{_AXIS_TITLES[axis]}'",
-        f"set ylabel '{_METRIC_TITLES[metric]}'",
+        f"set xlabel '{_AXIS_TITLES[run.sweep_axis]}'",
+        f"set ylabel '{_METRIC_TITLES[run.metric]}'",
         "set key bottom right",
     ]
-    if logscale:
+    if run.metric is MetricKind.OUTAGE:
         lines.append("set logscale y")
     plots = []
     for name in csv_names:
-        for scheme in schemes:
+        for scheme in run.schemes:
             token = scheme.value
             plots.append(
                 f"'{name}' using 3:(strcol(1) eq '{token}' && "
@@ -615,18 +625,16 @@ def reproduce_figure(figure_id, output_dir, *, n_trials: int | None = None,
     else:
         cases = {f"{name}.csv": {}}
 
-    files: list[tuple[Path, str]] = []
-    for csv_name, case in cases.items():
-        cfg = _resolve({"preset": preset.value},
-                       {**overrides, **case,
-                        "run.output": str(out_dir / csv_name)})
-        files += _outputs(cfg)
+    cfgs = [_resolve({"preset": preset.value},
+                     {**overrides, **case,
+                      "run.output": str(out_dir / csv_name)})
+            for csv_name, case in cases.items()]
+    stub_path = out_dir / f"{name}.gp"
+    _check_targets([p for cfg in cfgs for p in _targets(cfg)] + [stub_path])
+    files = [file for cfg in cfgs for file in _outputs(cfg)]
     # The cases differ only in loss case and output, so any one of them
     # gives the schemes, axis and metric.
-    stub = _plot_stub(list(cases), cfg.run.schemes, cfg.run.sweep_axis,
-                      cfg.run.metric,
-                      logscale=cfg.run.metric is MetricKind.OUTAGE)
-    files.append((out_dir / f"{name}.gp", stub))
+    files.append((stub_path, _plot_stub(list(cases), cfgs[0].run)))
     # Made only now, so a figure that fails leaves no directory behind.
     out_dir.mkdir(parents=True, exist_ok=True)
     return _write_files(files)

@@ -34,13 +34,12 @@ in it a blocked link is an exact zero without a phase: only the clear
 links get their square root and complex exponential. The gates change no
 draw and no rate.
 
-Every estimator maps its chunks through one function, ``_map_chunks``, and
-the conventional high-SNR bound is no separate simulator: it runs the same
-chunk map and the same conventional kernel, with every user in line of
-sight, unit power and no noise. A rate whose SNR overflows is +inf, which
-an outage counts as no outage; an ergodic estimate whose reduced total is
-not finite raises ArithmeticError, naming the scheme, and ``sweep`` adds
-the sweep point, so no NaN or infinite rate reaches a result.
+Both estimators map their chunks through ``_map_chunks``; the conventional
+high-SNR bound is a quadrature, ``analytics.ergodic_conv_highsnr``. A rate
+whose SNR overflows is +inf, which an outage counts as no outage; an
+ergodic estimate whose reduced total is not finite raises ArithmeticError,
+naming the scheme, and ``sweep`` adds the sweep point, so no NaN or
+infinite rate reaches a result.
 
 A chunk is evaluated in batches of about SUB_LINKS links so that its
 temporaries stay cache-sized: the pinching sub-batches of ``_rates_chunk``
@@ -164,9 +163,10 @@ def _check_budget(n_trials: int, master_seed: int, workers: int) -> None:
         raise ValueError("workers must be >= 1")
 
 
-def _map_chunks(fn, n_trials: int, master_seed: int, axis_index: int,
-                workers: int) -> list:
-    """``fn(rng, n)`` for every chunk of ``n_trials`` trials, in chunk order.
+def _map_chunks(reduce, schemes: tuple[Scheme, ...], cfg: SystemConfig,
+                n_trials: int, master_seed: int, axis_index: int,
+                workers: int) -> list[list]:
+    """``reduce`` of each scheme's ``_rates_chunk`` rates, chunk by chunk.
 
     Chunk i holds n = min(CHUNK_TRIALS, n_trials - i CHUNK_TRIALS) trials
     and reads the stream chunk_generator(master_seed, axis_index, i), so the
@@ -176,9 +176,10 @@ def _map_chunks(fn, n_trials: int, master_seed: int, axis_index: int,
     n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     _prime_heap()
 
-    def one(chunk: int):
-        return fn(chunk_generator(master_seed, axis_index, chunk),
-                  min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS))
+    def one(chunk: int) -> list:
+        rng = chunk_generator(master_seed, axis_index, chunk)
+        n = min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS)
+        return [reduce(rates) for rates in _rates_chunk(schemes, cfg, n, rng)]
 
     if workers <= 1 or n_chunks == 1:
         return [one(i) for i in range(n_chunks)]
@@ -260,13 +261,12 @@ def _design2_rows(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
 
 
 def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                alpha: np.ndarray, tx_power: float,
-                noise_power: float) -> np.ndarray:
+                alpha: np.ndarray) -> np.ndarray:
     """(n, M) conventional-array rates of n placements.
 
-    Element m serves user m with power P/M (P = ``tx_power``, noise power
-    ``noise_power``), and all the elements one user sees share that user's
-    blockage; with M = 1 this is a single fixed antenna with the whole budget.
+    Element m serves user m with power P/M, and all the elements one user
+    sees share that user's blockage; with M = 1 this is a single fixed
+    antenna with the whole budget.
 
     ``x`` and ``y`` are (n, M) user coordinates and ``alpha`` their (n, M)
     line-of-sight indicators. A user's rate reads only its own row of
@@ -285,7 +285,8 @@ def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
         # (k, M) gains of the k rows, from (k, 1) user coordinates
         s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows)[:, None],
                                                ys.take(rows)[:, None]))[:, 0]
-        rates[rows] = design2_rates_of_rows(s, rows, tx_power, noise_power)
+        rates[rows] = design2_rates_of_rows(s, rows, cfg.tx_power,
+                                            cfg.noise_power)
     return rates.reshape(n, m)
 
 
@@ -336,8 +337,7 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
         if conv:
             alpha = conv_u.reshape(n, m) < unblocked_probability_sq(
                 center_distances_sq(cfg, x, y), cfg)
-            rates[Scheme.CONV] = _conv_rates(cfg, x, y, alpha, cfg.tx_power,
-                                             cfg.noise_power)
+            rates[Scheme.CONV] = _conv_rates(cfg, x, y, alpha)
     return tuple(rates[s] for s in schemes)
 
 
@@ -358,27 +358,13 @@ def estimate_outage(schemes: Sequence[Scheme], params: OutageParams,
     trials (each equal to the one-scheme estimate). The confidence
     half-width is the 3-sigma binomial normal approximation.
     """
-    schemes = _as_schemes(schemes)
-
-    def outages(rng: np.random.Generator, n: int) -> list[int]:
-        return [int(np.count_nonzero(rates[:, 0] <= params.r_target))
-                for rates in _rates_chunk(schemes, params.cfg, n, rng)]
-
-    counts = _map_chunks(outages, n_trials, master_seed, axis_index, workers)
-    estimates = []
-    for hits in zip(*counts):
-        value = sum(hits) / n_trials
-        sigma = math.sqrt(value * (1.0 - value) / n_trials)
-        estimates.append(MetricEstimate(value=value, ci_half_width=3.0 * sigma))
-    return estimates
-
-
-def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    mean = total / n
-    if n < 2:
-        return mean, 0.0
-    var = max((total_sq - n * mean * mean) / (n - 1), 0.0)
-    return mean, 3.0 * math.sqrt(var / n)
+    counts = _map_chunks(
+        lambda rates: int(np.count_nonzero(rates[:, 0] <= params.r_target)),
+        _as_schemes(schemes), params.cfg, n_trials, master_seed, axis_index,
+        workers)
+    values = [sum(hits) / n_trials for hits in zip(*counts)]
+    return [MetricEstimate(v, 3.0 * math.sqrt(v * (1.0 - v) / n_trials))
+            for v in values]
 
 
 def _ergodic_sums(
@@ -409,7 +395,10 @@ def _ergodic_estimates(parts, n_trials: int,
         if not (math.isfinite(total) and math.isfinite(total_sq)):
             raise ArithmeticError(f"{name}: the ergodic {what} is not finite "
                                   f"(total {total!r} over {n_trials} trials)")
-        return MetricEstimate(*_mean_ci(total, total_sq, n_trials))
+        mean = total / n_trials
+        var = (max((total_sq - n_trials * mean * mean) / (n_trials - 1), 0.0)
+               if n_trials > 1 else 0.0)
+        return MetricEstimate(mean, 3.0 * math.sqrt(var / n_trials))
 
     estimates = [estimate(math.fsum(p[0][u] for p in parts),
                           math.fsum(p[1][u] for p in parts),
@@ -431,39 +420,10 @@ def estimate_ergodic(schemes: Sequence[Scheme], cfg: SystemConfig,
     not finite.
     """
     schemes = _as_schemes(schemes)
-
-    def sums(rng: np.random.Generator, n: int) -> list[tuple]:
-        return [_ergodic_sums(rates)
-                for rates in _rates_chunk(schemes, cfg, n, rng)]
-
-    parts = _map_chunks(sums, n_trials, master_seed, axis_index, workers)
+    parts = _map_chunks(_ergodic_sums, schemes, cfg, n_trials, master_seed,
+                        axis_index, workers)
     return [_ergodic_estimates(scheme_parts, n_trials, scheme.value)
             for scheme, scheme_parts in zip(schemes, zip(*parts))]
-
-
-def estimate_conv_rate_bound(cfg: SystemConfig, n_trials: int, master_seed: int,
-                             *, workers: int = 1,
-                             axis_index: int = 0) -> list[MetricEstimate]:
-    """High-SNR limit of the conventional rates: E[log2(1 + S/I)].
-
-    This is the bounded ceiling the conventional baseline saturates to when
-    the power budget grows; unlike the finite-SNR expectation it ignores
-    blockage (the indicator cancels between signal and interference). The
-    rates come from the conventional kernel of the estimators, with every
-    user in line of sight, unit power and no noise, so the SINR is S / I.
-    """
-    if cfg.num_users < 2:
-        raise ValueError("the conventional rate bound needs num_users >= 2")
-    beta = waveguide_y_offsets(cfg)
-
-    def sums(rng: np.random.Generator, n: int) -> tuple:
-        x, y = _sample_user_xy(cfg, n, rng, beta)
-        return _ergodic_sums(_conv_rates(
-            cfg, x, y, np.ones(x.shape, dtype=bool), 1.0, 0.0))
-
-    return _ergodic_estimates(
-        _map_chunks(sums, n_trials, master_seed, axis_index, workers), n_trials,
-        "the conventional rate bound")
 
 
 def sweep_inputs(cfg: SystemConfig, sweep_axis: SweepAxis, axis_values,

@@ -13,8 +13,7 @@ x loss case x constrained x phi x SUB_LINKS x ordered scheme tuple, and
 hashes the int64 view of what ``montecarlo._rates_chunk`` returns for 45
 trials. The ``full`` lines hash whole 8192-trial chunks of every scheme for
 zero forcing (PIN_D1) at M x phi x loss case, MODEL_A, which run several
-sub-batches and meet exact zero LU pivots and 1-norm rejections; the last
-line hashes ``estimate_conv_rate_bound`` results over two chunks. The file
+sub-batches and meet exact zero LU pivots and 1-norm rejections. The file
 is not named ``test_*``, so pytest does not collect it.
 """
 
@@ -24,11 +23,7 @@ import itertools
 import numpy as np
 
 from pinchsim import BlockageModel, LossCase, Scheme, SystemConfig, montecarlo
-from pinchsim.montecarlo import (
-    _rates_chunk,
-    chunk_generator,
-    estimate_conv_rate_bound,
-)
+from pinchsim.montecarlo import _rates_chunk, chunk_generator
 
 N = 45  # trials per chunk; SUB_LINKS = 37 leaves short last sub-batches
 USERS = (1, 2, 3, 5, 8, 9, 16, 17)
@@ -77,12 +72,6 @@ def main() -> None:
                              chunk_generator(8, 0, 1))
         print(f"full M={m} {BlockageModel.MODEL_A.value} {loss.value} "
               f"phi={phi} {digest(rates)}")
-    bounds = [(e.value, e.ci_half_width)
-              for m, model in itertools.product((2, 5, 16), BlockageModel)
-              for e in estimate_conv_rate_bound(
-                  config(m, model, LossCase.CASE_II, False, 0.1),
-                  montecarlo.CHUNK_TRIALS + N, 7)]
-    print(f"estimate_conv_rate_bound {digest([np.array(bounds)])}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from pinchsim import (
     BlockageModel,
@@ -166,6 +166,63 @@ def conv_rates_dense(cfg: SystemConfig, x, y, alpha, tx_power, noise_power):
     return np.log1p(sinr) / np.log(2.0) * alpha
 
 
+def conv_rate_bound_mc(cfg: SystemConfig, n_trials: int,
+                       seed: int) -> list[tuple[float, float]]:
+    """Monte-Carlo high-SNR conventional rates E[log2(1 + S/I)]: per user,
+    then their sum, each as (mean, standard error of the mean).
+
+    ``n_trials`` placements, x uniform over the service area and y uniform
+    over each user's strip (or on its center line when constrained), from
+    ``np.random.default_rng(seed)``; their rates are ``conv_rates_dense``
+    with every user in line of sight, unit power and no noise.
+    """
+    rng = np.random.default_rng(seed)
+    m = cfg.num_users
+    x = rng.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, (n_trials, m))
+    y = np.broadcast_to(waveguide_centers(cfg), (n_trials, m)).copy()
+    if not cfg.constrain_under_waveguide:
+        y += rng.uniform(-cfg.strip_width / 2.0, cfg.strip_width / 2.0,
+                         (n_trials, m))
+    rates = conv_rates_dense(cfg, x, y, np.ones((n_trials, m), dtype=bool),
+                             1.0, 0.0)
+    columns = np.column_stack([rates, rates.sum(axis=1)])
+    return [(float(c.mean()), float(c.std(ddof=1)) / math.sqrt(n_trials))
+            for c in columns.T]
+
+
+def conv_rate_bound_quadrature(cfg: SystemConfig) -> list[float]:
+    """High-SNR conventional rates E[log2(1 + S/I)] by scipy quadrature:
+    per user, then their sum.
+
+    User u at (x, y) sees element k of the half-wavelength array at
+    ((k - (M - 1) / 2) lambda / 2, 0, height) with power gain proportional
+    to 1 / r_uk^2, so S/I = r_uu^-2 / sum_{k != u} r_uk^-2. The mean is a
+    ``dblquad`` over x and the user's strip, or a ``quad`` over x alone
+    with the user on its waveguide's center line.
+    """
+    lam, _, _ = _constants(cfg)
+    m = cfg.num_users
+    elem_x = [(k - (m - 1) / 2.0) * lam / 2.0 for k in range(m)]
+    half_l, half_s = cfg.d_l / 2.0, cfg.strip_width / 2.0
+
+    def rate(u: int, x: float, y: float) -> float:
+        inv = [1.0 / ((x - e) ** 2 + y * y + cfg.height ** 2) for e in elem_x]
+        return math.log2(1.0 + inv[u] / math.fsum(inv[:u] + inv[u + 1:]))
+
+    bounds = []
+    for u, center in enumerate(waveguide_centers(cfg)):
+        if cfg.constrain_under_waveguide:
+            val, _ = quad(lambda x: rate(u, x, center), -half_l, half_l,
+                          epsabs=0.0, epsrel=1e-12, limit=200)
+            bounds.append(val / cfg.d_l)
+        else:
+            val, _ = dblquad(lambda y, x: rate(u, x, y), -half_l, half_l,
+                             center - half_s, center + half_s, epsabs=0.0,
+                             epsrel=1e-12)
+            bounds.append(val / (cfg.d_l * cfg.strip_width))
+    return bounds + [math.fsum(bounds)]
+
+
 def pin_d2_rates_dense(cfg: SystemConfig, x, y, u):
     """(n, M) pinching Design II rates with every link of every matrix
     evaluated, whatever its user's own link: the full (n, M, M) distances,
@@ -182,17 +239,14 @@ def pin_d2_rates_dense(cfg: SystemConfig, x, y, u):
     return np.log1p(sinr) / np.log(2.0)
 
 
-def channel_coefficients_dense(cfg: SystemConfig, dist_sq, s_eff,
-                               pinch_x=None):
+def channel_coefficients_dense(cfg: SystemConfig, dist_sq, s_eff, pinch_x):
     """Complex coefficients sqrt(s_eff) exp(-2 pi j cycles) of every link,
     blocked or not, as one dense expression over the whole array. This is
     the evaluation the line-of-sight-gated ``channel_coefficients`` must
     reproduce bit for bit on every clear link.
     """
-    cycles = np.sqrt(dist_sq) / cfg.wavelength
-    if pinch_x is not None:
-        cycles = (cycles + (pinch_x + cfg.d_l / 2.0)[:, None, :]
-                  / cfg.guided_wavelength)
+    cycles = (np.sqrt(dist_sq) / cfg.wavelength
+              + (pinch_x + cfg.d_l / 2.0)[:, None, :] / cfg.guided_wavelength)
     return np.sqrt(s_eff) * np.exp(1j * (-2.0 * np.pi * cycles))
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from pinchsim import analytics
 from pinchsim import (
     BlockageModel,
     OutageParams,
+    LossCase,
     SystemConfig,
+    ergodic_conv_highsnr,
     ergodic_pin_two_user_highsnr,
+    parse_config,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
     outage_gap_model_b,
@@ -518,3 +522,61 @@ class TestTwoUserErgodic:
         exact = oracles.two_user_ergodic_constrained(cfg)
         approx = ergodic_pin_two_user_highsnr(cfg)
         assert abs(approx - exact) / exact < 5e-3
+
+
+class TestConvHighSnrBound:
+    """The conventional array's high-SNR ceiling E[log2(1 + S/I)], per user
+    and summed, at the geometry of the multi-user figures."""
+
+    @staticmethod
+    def geometries():
+        fig3a = parse_config("preset = fig3a").system
+        fig3b = parse_config("preset = fig3b").system
+        return {"fig3a": fig3a, "fig3b": fig3b,
+                "constrained": replace(fig3a, constrain_under_waveguide=True)}
+
+    def test_per_user_values_then_their_sum(self):
+        for cfg in self.geometries().values():
+            bounds = ergodic_conv_highsnr(cfg)
+            assert len(bounds) == cfg.num_users + 1
+            assert all(isinstance(b, float) and b > 0 for b in bounds)
+            assert bounds[-1] == math.fsum(bounds[:-1])
+
+    def test_requires_two_users(self):
+        with pytest.raises(ValueError, match="num_users >= 2"):
+            ergodic_conv_highsnr(make_cfg())
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b", "constrained"])
+    def test_matches_scipy_quadrature(self, name):
+        # The geometry moves each bound only about 1e-7 to 1e-6 (relative)
+        # from log2(M / (M - 1)), its value for a distant user: a relative
+        # 1e-9 would not tell the strip from its center line (7e-10 apart at
+        # fig3a), 1e-12 does.
+        cfg = self.geometries()[name]
+        assert ergodic_conv_highsnr(cfg) == pytest.approx(
+            oracles.conv_rate_bound_quadrature(cfg), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b", "constrained"])
+    def test_two_sided_against_monte_carlo(self, name):
+        cfg = self.geometries()[name]
+        sampled = oracles.conv_rate_bound_mc(cfg, 50_000, 2113)
+        for bound, (mean, sigma) in zip(ergodic_conv_highsnr(cfg), sampled,
+                                        strict=True):
+            assert abs(mean - bound) <= 4.0 * sigma, (bound, mean, sigma)
+
+    def test_blockage_noise_and_power_drop_out(self):
+        # the shared indicator and the power cancel between signal and
+        # interference, and the noise is taken to zero
+        cfg = self.geometries()["fig3b"]
+        bounds = ergodic_conv_highsnr(cfg)
+        for changed in (replace(cfg, phi=0.0),
+                        replace(cfg, blockage_model=BlockageModel.MODEL_B),
+                        replace(cfg, tx_power=1e-6, noise_power=1.0),
+                        replace(cfg, loss_case=LossCase.CASE_II)):
+            assert ergodic_conv_highsnr(changed) == bounds
+
+    def test_out_of_panels_names_the_caller(self, monkeypatch):
+        monkeypatch.setattr(analytics, "_MAX_PANELS", 0)
+        with pytest.raises(ArithmeticError,
+                           match="^ergodic_conv_highsnr: quadrature"):
+            ergodic_conv_highsnr(self.geometries()["fig3a"])

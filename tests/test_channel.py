@@ -122,20 +122,29 @@ class TestSampleBlockage:
         assert abs(hits / n - p) <= tol
 
 
+def at_feed(cfg):
+    """(1, 1) antenna x at the feed, x = -d_l/2, where the in-waveguide run
+    is exactly 0.0 and adds no phase."""
+    return np.full((1, 1), -cfg.d_l / 2.0)
+
+
 class TestFreeSpaceCoefficient:
-    """The free-space part of a link: no waveguide, so no pinch_x."""
+    """The free-space part of a link: an antenna at the feed, so no
+    in-waveguide phase."""
 
     def test_magnitude_at_three_meters(self):
         cfg = make_cfg()
         d_sq = one_link(9.0)
-        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq))[0, 0, 0]
+        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq),
+                                 at_feed(cfg))[0, 0, 0]
         # sqrt(eta)/3 with eta = (lambda / 4 pi)^2 at 28 GHz
         assert abs(h) == pytest.approx(2.840086404307704e-04, rel=1e-12)
 
     def test_full_wavelength_phase_wraps(self):
         cfg = make_cfg()
         d_sq = one_link(cfg.wavelength ** 2)
-        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq))[0, 0, 0]
+        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq),
+                                 at_feed(cfg))[0, 0, 0]
         assert math.isclose(h.imag, 0.0, abs_tol=1e-12 * abs(h))
         assert h.real > 0
 
@@ -196,7 +205,7 @@ class TestWaveguideFactor:
         d_sq = one_link(9.0)
         s = power_gains(cfg, d_sq)
         pinch = channel_coefficients(cfg, d_sq, s, np.zeros((1, 1)))
-        free = channel_coefficients(cfg, d_sq, s)
+        free = channel_coefficients(cfg, d_sq, s, at_feed(cfg))
         assert abs(pinch[0, 0, 0] - free[0, 0, 0]) <= 1e-12 * abs(free[0, 0, 0])
 
 
@@ -244,8 +253,7 @@ class TestChannelAssembly:
         x, y = drop(cfg, rng, 50)
         alpha = rng.random((50, 2)) < 0.5
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
-        rates = montecarlo._conv_rates(cfg, x, y, alpha, cfg.tx_power,
-                                       cfg.noise_power)
+        rates = montecarlo._conv_rates(cfg, x, y, alpha)
         s = power_gains(cfg, conv_distances_sq(cfg, x, y)) * alpha[:, :, None]
         dense = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power, 2)
         assert np.array_equal(rates, dense)
@@ -288,7 +296,8 @@ class TestGatedCoefficients:
         x, y = drop(cfg, rng, n)
         d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
         alpha = rng.random(d_sq.shape) < unblocked_probability_sq(d_sq, cfg)
-        pinch_x = x if pinched else None
+        # the antennas above the users, or all at the feed (no guided phase)
+        pinch_x = x if pinched else np.full_like(x, -cfg.d_l / 2.0)
         s = power_gains(cfg, d_sq, pinch_x) * alpha
         h = channel_coefficients(cfg, d_sq, s, pinch_x)
         dense = oracles.channel_coefficients_dense(cfg, d_sq, s, pinch_x)

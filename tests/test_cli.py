@@ -881,9 +881,16 @@ class TestMainEntryPoint:
 
     @pytest.mark.parametrize("command", ["simulate", "figure"])
     def test_directory_target_leaves_every_file_as_it_was(
-            self, tmp_path, capsys, command):
-        # A target that is a directory fails before any file is replaced,
-        # so no result is left without its echo.
+            self, tmp_path, capsys, monkeypatch, command):
+        # A target that is a directory fails before any trial runs and
+        # before any file is replaced, so no result is left without its echo.
+        chunks = []
+
+        def no_trials(*args):
+            chunks.append(args)
+            raise AssertionError("a trial ran before the targets were checked")
+
+        monkeypatch.setattr(montecarlo, "_rates_chunk", no_trials)
         if command == "simulate":
             cfg_path = tmp_path / "exp.cfg"
             cfg_path.write_text(MANUAL_DOC.format(out=tmp_path / "r.csv"))
@@ -904,6 +911,7 @@ class TestMainEntryPoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert result.read_bytes() == b"old results\n"
         assert list(blocker.iterdir()) == []
+        assert chunks == []
 
     def test_quadrature_out_of_panels_is_one_line_and_no_file(
             self, tmp_path, capsys, monkeypatch):

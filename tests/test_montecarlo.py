@@ -29,7 +29,7 @@ from pinchsim import (
     SweepAxis,
     SystemConfig,
     dbm_to_watt,
-    estimate_conv_rate_bound,
+    ergodic_conv_highsnr,
     estimate_ergodic,
     estimate_outage,
     outage_pin_model_a,
@@ -238,8 +238,7 @@ class TestConventionalGate:
                            blockage_model=model, loss_case=LossCase.CASE_II,
                            constrain_under_waveguide=constrained)
             x, y, _, alpha = self.draw(cfg, 200, 11)
-            rates = montecarlo._conv_rates(cfg, x, y, alpha, cfg.tx_power,
-                                           cfg.noise_power)
+            rates = montecarlo._conv_rates(cfg, x, y, alpha)
             expected = oracles.conv_rates_dense(cfg, x, y, alpha, cfg.tx_power,
                                                 cfg.noise_power)
             assert np.array_equal(rates.view(np.int64),
@@ -263,7 +262,7 @@ class TestConventionalGate:
 
         monkeypatch.setattr(montecarlo, "conv_distances_sq", counting)
         x, y, _, alpha = self.draw(cfg, 300, 12)
-        montecarlo._conv_rates(cfg, x, y, alpha, cfg.tx_power, cfg.noise_power)
+        montecarlo._conv_rates(cfg, x, y, alpha)
         los = np.flatnonzero(alpha)
         if los.size == 0:
             assert seen == []
@@ -280,22 +279,17 @@ class TestConventionalGate:
     @given(m=st.integers(1, 17), model=st.sampled_from(list(BlockageModel)),
            loss=st.sampled_from(list(LossCase)), constrained=st.booleans(),
            phi=st.floats(0.0, 1.0), n=st.integers(1, 64),
-           sub_links=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32),
-           bound=st.booleans())
+           sub_links=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32))
     def test_gated_rates_equal_the_dense_evaluation_anywhere(
-            self, m, model, loss, constrained, phi, n, sub_links, seed, bound):
+            self, m, model, loss, constrained, phi, n, sub_links, seed):
         cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi, blockage_model=model,
                        loss_case=loss, constrain_under_waveguide=constrained)
         x, y, u, alpha = self.draw(cfg, n, seed)
-        power, noise = cfg.tx_power, cfg.noise_power
-        if bound and m >= 2:
-            # estimate_conv_rate_bound's case: every user in line of sight,
-            # unit power and no noise
-            alpha, power, noise = np.ones_like(alpha), 1.0, 0.0
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "SUB_LINKS", sub_links)
-            rates = montecarlo._conv_rates(cfg, x, y, alpha, power, noise)
-        expected = oracles.conv_rates_dense(cfg, x, y, alpha, power, noise)
+            rates = montecarlo._conv_rates(cfg, x, y, alpha)
+        expected = oracles.conv_rates_dense(cfg, x, y, alpha, cfg.tx_power,
+                                            cfg.noise_power)
         assert np.array_equal(rates.view(np.int64), expected.view(np.int64))
 
 
@@ -718,8 +712,7 @@ class TestEstimateOutage:
                 lambda n: estimate_outage([Scheme.PIN_D2],
                                           OutageParams(cfg=cfg, r_target=1.0),
                                           n, 1)[0],
-                lambda n: estimate_ergodic([Scheme.PIN_D2], cfg, n, 1)[0],
-                lambda n: estimate_conv_rate_bound(cfg, n, 1)):
+                lambda n: estimate_ergodic([Scheme.PIN_D2], cfg, n, 1)[0]):
             for n_trials in (0, -1):
                 with pytest.raises(ValueError,
                                    match="^n_trials must be >= 1$"):
@@ -733,7 +726,6 @@ class TestEstimateOutage:
                                           100, 1, workers=w)[0],
                 lambda w: estimate_ergodic([Scheme.PIN_D2], cfg, 100, 1,
                                            workers=w)[0],
-                lambda w: estimate_conv_rate_bound(cfg, 100, 1, workers=w),
                 lambda w: sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [40.0],
                                 MetricKind.ERGODIC_SUM, 100, 1, workers=w)[0]):
             for workers in (0, -1):
@@ -748,7 +740,6 @@ class TestEstimateOutage:
                                           OutageParams(cfg=cfg, r_target=1.0),
                                           100, s)[0],
                 lambda s: estimate_ergodic([Scheme.PIN_D2], cfg, 100, s)[0],
-                lambda s: estimate_conv_rate_bound(cfg, 100, s),
                 lambda s: sweep(cfg, [Scheme.PIN_D2], SweepAxis.D_L, [40.0],
                                 MetricKind.ERGODIC_SUM, 100, s)[0]):
             for seed in (-1, -2 ** 40):
@@ -847,44 +838,10 @@ class TestEstimateErgodic:
         # the noise-free limit ignores blockage, so it upper-bounds the
         # finite-SNR expectation that zeroes out blocked realizations
         cfg = make_cfg(num_users=2, tx_power=1000.0)
-        bound = estimate_conv_rate_bound(cfg, 60000, 3)[-1]
+        bound = ergodic_conv_highsnr(cfg)[-1]
         finite = estimate_ergodic([Scheme.CONV], cfg, 60000, 3)[0][-1]
-        assert bound.value > finite.value
-        assert bound.value == pytest.approx(2.0, abs=0.02)
-
-
-class TestConvRateBound:
-    def test_sub_batches_do_not_change_values(self, monkeypatch):
-        cfg = make_cfg(num_users=3, tx_power=1.0)
-        n = 45  # not a multiple of 7
-        bits = []
-        for trials in (1, 7, n):
-            monkeypatch.setattr(montecarlo, "SUB_LINKS", trials * 3 * 3)
-            ests = estimate_conv_rate_bound(cfg, n, 5)
-            bits.append(np.array([(e.value, e.ci_half_width)
-                                  for e in ests]).view(np.int64))
-        assert np.array_equal(bits[0], bits[1])
-        assert np.array_equal(bits[0], bits[2])
-
-    def test_worker_count_does_not_change_values(self):
-        cfg = make_cfg(num_users=3, tx_power=1.0)
-        n = 2 * montecarlo.CHUNK_TRIALS + 5
-        bits = [np.array([(e.value, e.ci_half_width)
-                          for e in estimate_conv_rate_bound(
-                              cfg, n, 8, workers=w)]).view(np.int64)
-                for w in (1, 3)]
-        assert np.array_equal(bits[0], bits[1])
-
-    def test_temporaries_stay_small_at_sixteen_users(self):
-        # whole-chunk (8192, 16, 16) float64 temporaries would be 16 MiB each
-        cfg = make_cfg(num_users=16, tx_power=1.0)
-        tracemalloc.start()
-        try:
-            estimate_conv_rate_bound(cfg, montecarlo.CHUNK_TRIALS, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert bound > finite.value
+        assert bound == pytest.approx(2.0, abs=0.02)
 
 
 class TestSweep:

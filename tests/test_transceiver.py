@@ -228,8 +228,8 @@ class TestConventional:
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
         cfg = make_cfg()
         x, y, _, _ = pin_draw(cfg, np.random.default_rng(3))
-        rates = montecarlo._conv_rates(cfg, x, y, np.array([[False, True]]),
-                                       cfg.tx_power, cfg.noise_power)[0]
+        rates = montecarlo._conv_rates(cfg, x, y,
+                                       np.array([[False, True]]))[0]
         assert rates[0] == 0.0
         assert rates[1] > 0.0
 
@@ -237,8 +237,7 @@ class TestConventional:
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 1)  # 1 row at a time
         cfg = make_cfg(num_users=1)
         x, y, _, _ = pin_draw(cfg, np.random.default_rng(4))
-        rates = montecarlo._conv_rates(cfg, x, y, np.array([[True]]),
-                                       cfg.tx_power, cfg.noise_power)[0]
+        rates = montecarlo._conv_rates(cfg, x, y, np.array([[True]]))[0]
         r_sq = x[0, 0] ** 2 + y[0, 0] ** 2 + cfg.height ** 2
         expected = math.log2(1 + cfg.path_gain_factor * cfg.tx_power
                              / (cfg.noise_power * r_sq))
@@ -252,10 +251,8 @@ class TestConventional:
         cfg_hi = make_cfg(tx_power=1000.0)
         x, y, _, _ = pin_draw(cfg_lo, rng)
         clear = np.ones((1, 2), dtype=bool)
-        lo = montecarlo._conv_rates(cfg_lo, x, y, clear, cfg_lo.tx_power,
-                                    cfg_lo.noise_power)
-        hi = montecarlo._conv_rates(cfg_hi, x, y, clear, cfg_hi.tx_power,
-                                    cfg_hi.noise_power)
+        lo = montecarlo._conv_rates(cfg_lo, x, y, clear)
+        hi = montecarlo._conv_rates(cfg_hi, x, y, clear)
         assert np.all(hi >= lo)
         assert np.all(hi - lo < 1e-3)
 

@@ -67,20 +67,26 @@ def _integrate(f, where: str):
 
     ``f`` maps a 1-D array of points to their values along the first axis;
     any trailing axes hold independent integrands that share the panels
-    (a panel is accepted when all of them agree). The result is an array of
-    the trailing shape, 0-d for a scalar integrand. All open panels are
-    evaluated together, one ``f`` call per round of bisection. Raises
-    ArithmeticError, naming ``where``, when the panel budget runs out.
+    (a panel is accepted when all of them agree). The result has the
+    trailing shape: a numpy float64 or a 0-d array for a scalar integrand.
+    All open panels are evaluated together, one ``f`` call per round of
+    bisection. Raises ArithmeticError, naming ``where``, when the panel
+    budget runs out.
     """
     nodes, weights = _gl_rules(_ORDER)
     if _MAX_PANELS < 1:
         raise _out_of_panels(where)
     # Most integrands here are resolved by the first panel, so that round
-    # skips the general loop's bookkeeping.
+    # skips the general loop's bookkeeping; a scalar integrand's check runs
+    # on Python floats, which round as numpy does.
     vals = f(nodes)
-    fine, excess = weights @ vals.reshape(nodes.size, -1)
-    if (np.abs(excess) <= _RTOL * np.abs(fine)).all():
-        return fine.reshape(vals.shape[1:])
+    est = weights @ vals.reshape(nodes.size, -1)
+    if vals.ndim == 1:
+        (fine,), (excess,) = est.tolist()
+        if abs(excess) <= _RTOL * abs(fine):
+            return np.float64(fine)
+    elif (np.abs(est[1]) <= _RTOL * np.abs(est[0])).all():
+        return est[0].reshape(vals.shape[1:])
 
     lo = np.array([0.0, 0.5])
     width = np.array([0.5, 0.5])
@@ -156,12 +162,13 @@ def _scaled_strip_integral(phi: float, height, t0, span, where: str):
     return _integrate(integrand, where)
 
 
-def _strip_integrals(cfg: SystemConfig, pieces, where: str) -> np.ndarray:
-    """Integral of exp(-phi * sqrt(y^2 + height^2)) over each y interval
-    (lo, hi) in ``pieces`` (0 <= lo <= hi, hi > 0), from one quadrature."""
-    t0, span, start = np.array([_t_interval(cfg.phi, cfg.height, lo, hi)
-                                for lo, hi in pieces]).T
-    return _scaled_strip_integral(cfg.phi, cfg.height, t0, span, where) * start
+def _strip_integral(cfg: SystemConfig, lo: float, hi: float,
+                    where: str) -> float:
+    """Integral of exp(-phi * sqrt(y^2 + height^2)) over one y interval
+    [lo, hi] (0 <= lo <= hi, hi > 0), from a scalar quadrature."""
+    t0, span, start = _t_interval(cfg.phi, cfg.height, lo, hi)
+    return float(_scaled_strip_integral(cfg.phi, cfg.height, t0, span,
+                                        where)) * start
 
 
 @dataclass(frozen=True)
@@ -217,12 +224,13 @@ def strip_los_integral(a: float, b: float, cfg: SystemConfig) -> float:
         return 0.0
     # The integrand is even: an interval across 0 is two intervals from 0,
     # and a negative one is its mirror image.
+    where = "strip_los_integral"
     if a < 0.0 < b:
-        pieces = [(0.0, -a), (0.0, b)]
+        mass = (_strip_integral(cfg, 0.0, -a, where)
+                + _strip_integral(cfg, 0.0, b, where))
     else:
-        pieces = [sorted((abs(a), abs(b)))]
-    mass = _strip_integrals(cfg, pieces, "strip_los_integral")
-    return float(mass.sum()) / cfg.d_w
+        mass = _strip_integral(cfg, *sorted((abs(a), abs(b))), where)
+    return mass / cfg.d_w
 
 
 def _check_model(cfg: SystemConfig, model: BlockageModel, where: str) -> None:
@@ -236,31 +244,33 @@ def _check_probability(value: float, where: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _pin_outage_model_a(cfg: SystemConfig, reach: float, where: str) -> float:
+    """1 - (2/d_w) * the unblocked mass of [0, reach], the pinching outage
+    when the users in range are those with |y| <= reach; 1.0 at reach = 0,
+    with no quadrature."""
+    _check_model(cfg, BlockageModel.MODEL_A, where)
+    if reach == 0.0:
+        return 1.0
+    val = 1.0 - 2.0 * _strip_integral(cfg, 0.0, reach, where) / cfg.d_w
+    return _check_probability(val, where)
+
+
 def outage_pin_model_a(p: OutageParams) -> float:
     """Exact single-user pinching outage probability under MODEL_A.
 
-    Sum of the blockage mass over the strip and the unblocked mass of the
-    out-of-range tails beyond the distance threshold. Both are even in y,
-    so they come from the masses of [0, d_w/2] and [tau3, d_w/2], which one
-    quadrature evaluates together.
+    A user escapes outage when its link is clear and its y lies in the
+    in-range interval [-tau3, tau3]. That mass is even in y, so the outage
+    is 1 - (2/d_w) * the unblocked mass of [0, tau3], from one quadrature;
+    at tau3 = d_w/2 it is the high-SNR floor, bit for bit, and at tau3 = 0
+    it is 1.0 without one.
     """
-    _check_model(p.cfg, BlockageModel.MODEL_A, "outage_pin_model_a")
-    cfg = p.cfg
-    half = cfg.d_w / 2.0
-    whole, tail = _strip_integrals(cfg, [(0.0, half), (p.tau3, half)],
-                                   "outage_pin_model_a").tolist()
-    val = 1.0 - 2.0 * (whole - tail) / cfg.d_w
-    return _check_probability(val, "outage_pin_model_a")
+    return _pin_outage_model_a(p.cfg, p.tau3, "outage_pin_model_a")
 
 
 def outage_pin_model_a_highsnr(p: OutageParams) -> float:
     """High-SNR floor of the MODEL_A pinching outage: pure blockage mass."""
-    _check_model(p.cfg, BlockageModel.MODEL_A, "outage_pin_model_a_highsnr")
-    cfg = p.cfg
-    whole = _strip_integrals(cfg, [(0.0, cfg.d_w / 2.0)],
-                             "outage_pin_model_a_highsnr")
-    val = 1.0 - 2.0 * float(whole[0]) / cfg.d_w
-    return _check_probability(val, "outage_pin_model_a_highsnr")
+    return _pin_outage_model_a(p.cfg, p.cfg.d_w / 2.0,
+                               "outage_pin_model_a_highsnr")
 
 
 def outage_conv_model_a_highsnr(p: OutageParams) -> float:

@@ -145,10 +145,14 @@ class TestTau3Property:
             assert 0.0 <= p.tau3 <= cfg.d_w / 2.0
             if p.tau3 == cfg.d_w / 2.0:
                 # every in-strip position is in range: blockage alone.
-                # Both are formed as 1 - mass, so near 0 their rounding is
-                # absolute, about 1e-16.
-                assert exact(p) == pytest.approx(floor(p), rel=1e-12,
-                                                 abs=1e-15)
+                if cfg.blockage_model is BlockageModel.MODEL_A:
+                    # the same quadrature over [0, d_w/2]
+                    assert exact(p) == floor(p)
+                else:
+                    # Both are formed as 1 - mass, so near 0 their rounding
+                    # is absolute, about 1e-16.
+                    assert exact(p) == pytest.approx(floor(p), rel=1e-12,
+                                                     abs=1e-15)
             elif p.tau3 == 0.0:
                 # no position is in range: certain outage
                 assert exact(p) == 1.0
@@ -276,6 +280,45 @@ class TestOutagePinModelA:
     def test_certain_outage_when_target_unreachable(self):
         p = OutageParams(cfg=make_cfg(), r_target=14.0)
         assert outage_pin_model_a(p) == pytest.approx(1.0, abs=1e-12)
+
+    def test_certain_outage_needs_no_quadrature(self, monkeypatch):
+        def no_quadrature(f, where):
+            raise AssertionError(f"{where} ran a quadrature")
+
+        monkeypatch.setattr(analytics, "_integrate", no_quadrature)
+        cfg = make_cfg()
+        for rt in (target_placing_threshold(cfg, 0.0) * (1.0 + 1e-9), 14.0,
+                   1030.0):
+            p = OutageParams(cfg=cfg, r_target=rt)
+            assert p.tau3 == 0.0
+            assert outage_pin_model_a(p) == 1.0
+        with pytest.raises(ValueError, match="requires blockage model"):
+            outage_pin_model_a(OutageParams(
+                cfg=make_cfg(BlockageModel.MODEL_B), r_target=14.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=st.builds(make_cfg, phi=st.one_of(st.just(0.0),
+                                                 st.floats(1e-3, 5.0)),
+                         d_w=st.floats(0.5, 200.0),
+                         height=st.floats(0.01, 30.0),
+                         tx_power=st.floats(1e-4, 10.0)),
+           near_edge=st.lists(st.floats(0.0, 1e-3), min_size=1, max_size=4),
+           inside=st.lists(st.floats(0.0, 1.0), max_size=4),
+           beyond=st.lists(st.floats(1e-12, 0.5), min_size=1, max_size=3))
+    def test_non_decreasing_in_target_across_regime_edges(
+            self, cfg, near_edge, inside, beyond):
+        # tau3 near 0 and near d_w/2, through the strip, and past both
+        # edges (certain outage, clamped threshold)
+        half = cfg.d_w / 2.0
+        fractions = near_edge + [1.0 - f for f in near_edge] + inside
+        targets = [target_placing_threshold(cfg, f * half) for f in fractions]
+        certain = target_placing_threshold(cfg, 0.0)
+        clamped = target_placing_threshold(cfg, half)
+        targets += [r for b in beyond for r in (certain * (1.0 + b),
+                                                clamped * (1.0 - b))]
+        outs = [outage_pin_model_a(OutageParams(cfg=cfg, r_target=r))
+                for r in sorted(targets)]
+        assert all(b >= a - 1e-15 for a, b in zip(outs, outs[1:])), outs
 
     def test_no_blockage_no_distance_outage(self):
         p = OutageParams(cfg=make_cfg(phi=0.0, tx_power=1e6), r_target=1.0)

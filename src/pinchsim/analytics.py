@@ -216,6 +216,8 @@ def strip_los_integral(a: float, b: float, cfg: SystemConfig) -> float:
 
     This is the unblocked-probability mass of a y interval under MODEL_A.
     """
+    where = "strip_los_integral"
+    _check_model(cfg, BlockageModel.MODEL_A, where)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
     if a > b:
@@ -224,7 +226,6 @@ def strip_los_integral(a: float, b: float, cfg: SystemConfig) -> float:
         return 0.0
     # The integrand is even: an interval across 0 is two intervals from 0,
     # and a negative one is its mirror image.
-    where = "strip_los_integral"
     if a < 0.0 < b:
         mass = (_strip_integral(cfg, 0.0, -a, where)
                 + _strip_integral(cfg, 0.0, b, where))
@@ -244,14 +245,23 @@ def _check_probability(value: float, where: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _pin_outage_model_a(cfg: SystemConfig, reach: float, where: str) -> float:
-    """1 - (2/d_w) * the unblocked mass of [0, reach], the pinching outage
-    when the users in range are those with |y| <= reach; 1.0 at reach = 0,
-    with no quadrature."""
-    _check_model(cfg, BlockageModel.MODEL_A, where)
+def _pin_outage(cfg: SystemConfig, model: BlockageModel, reach: float,
+                where: str) -> float:
+    """1 - (2/d_w) * the unblocked mass of [0, reach] under blockage law
+    ``model``: the single-user pinching outage when the users in range are
+    those with |y| <= reach. 1.0 at reach = 0, with no quadrature."""
+    _check_model(cfg, model, where)
     if reach == 0.0:
         return 1.0
-    val = 1.0 - 2.0 * _strip_integral(cfg, 0.0, reach, where) / cfg.d_w
+    if model is BlockageModel.MODEL_A:
+        val = 1.0 - 2.0 * _strip_integral(cfg, 0.0, reach, where) / cfg.d_w
+    elif cfg.phi == 0.0:
+        val = 1.0 - 2.0 * reach / cfg.d_w  # no blockage: out of range alone
+    else:
+        sqrt_phi = math.sqrt(cfg.phi)
+        val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2)
+                     * SQRT_PI / (2.0 * sqrt_phi * cfg.d_w)
+                     * (2.0 * erf(sqrt_phi * reach)))
     return _check_probability(val, where)
 
 
@@ -262,15 +272,17 @@ def outage_pin_model_a(p: OutageParams) -> float:
     in-range interval [-tau3, tau3]. That mass is even in y, so the outage
     is 1 - (2/d_w) * the unblocked mass of [0, tau3], from one quadrature;
     at tau3 = d_w/2 it is the high-SNR floor, bit for bit, and at tau3 = 0
-    it is 1.0 without one.
+    it is 1.0 without one. Exact for a lossless waveguide (CASE_I); under
+    CASE_II, whose loss only lowers the gains, it is a lower bound.
     """
-    return _pin_outage_model_a(p.cfg, p.tau3, "outage_pin_model_a")
+    return _pin_outage(p.cfg, BlockageModel.MODEL_A, p.tau3,
+                       "outage_pin_model_a")
 
 
 def outage_pin_model_a_highsnr(p: OutageParams) -> float:
     """High-SNR floor of the MODEL_A pinching outage: pure blockage mass."""
-    return _pin_outage_model_a(p.cfg, p.cfg.d_w / 2.0,
-                               "outage_pin_model_a_highsnr")
+    return _pin_outage(p.cfg, BlockageModel.MODEL_A, p.cfg.d_w / 2.0,
+                       "outage_pin_model_a_highsnr")
 
 
 def outage_conv_model_a_highsnr(p: OutageParams) -> float:
@@ -311,32 +323,18 @@ def outage_pin_model_b(p: OutageParams) -> float:
     """Exact single-user pinching outage under MODEL_B, in closed form.
 
     The strip integral of exp(-phi y^2) becomes an error function, so no
-    high-SNR approximation is needed.
+    high-SNR approximation is needed; at tau3 = d_w/2 it is the floor, bit
+    for bit. Exact for a lossless waveguide (CASE_I); under CASE_II, whose
+    loss only lowers the gains, it is a lower bound.
     """
-    _check_model(p.cfg, BlockageModel.MODEL_B, "outage_pin_model_b")
-    cfg = p.cfg
-    tau3 = p.tau3
-    if cfg.phi == 0.0:
-        # No blockage: outage is the out-of-range probability alone.
-        val = 1.0 - 2.0 * tau3 / cfg.d_w
-        return _check_probability(val, "outage_pin_model_b")
-    sqrt_phi = math.sqrt(cfg.phi)
-    val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2)
-                 * SQRT_PI / (2.0 * sqrt_phi * cfg.d_w)
-                 * (2.0 * erf(sqrt_phi * tau3)))
-    return _check_probability(val, "outage_pin_model_b")
+    return _pin_outage(p.cfg, BlockageModel.MODEL_B, p.tau3,
+                       "outage_pin_model_b")
 
 
 def outage_pin_model_b_highsnr(p: OutageParams) -> float:
     """High-SNR floor of the MODEL_B pinching outage."""
-    _check_model(p.cfg, BlockageModel.MODEL_B, "outage_pin_model_b_highsnr")
-    cfg = p.cfg
-    if cfg.phi == 0.0:
-        return 0.0
-    sqrt_phi = math.sqrt(cfg.phi)
-    val = 1.0 - (SQRT_PI * math.exp(-cfg.phi * cfg.height ** 2)
-                 / (sqrt_phi * cfg.d_w) * erf(sqrt_phi * cfg.d_w / 2.0))
-    return _check_probability(val, "outage_pin_model_b_highsnr")
+    return _pin_outage(p.cfg, BlockageModel.MODEL_B, p.cfg.d_w / 2.0,
+                       "outage_pin_model_b_highsnr")
 
 
 def outage_conv_model_b_highsnr(p: OutageParams) -> float:
@@ -440,11 +438,17 @@ def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
     beta = waveguide_y_offsets(cfg)
 
     def rates(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # every user at x = d_l (u - 1/2) and at its own y along the last axis
+        # every user at x = d_l (u - 1/2) and at its own y along the last
+        # axis; 2^16 links at a time, so memory does not grow as M^2
         x, y = np.broadcast_arrays(cfg.d_l * (u[..., None] - 0.5), y)
-        s = power_gains(cfg, conv_distances_sq(cfg, x.reshape(-1, m),
-                                               y.reshape(-1, m)))
-        return design2_rates_from_power(s, 1.0, 0.0, m).reshape(x.shape)
+        xs, ys = x.reshape(-1, m), y.reshape(-1, m)
+        out = np.empty(xs.shape)
+        step = max(1, (1 << 16) // (m * m))
+        for lo in range(0, len(out), step):
+            rows = slice(lo, lo + step)
+            s = power_gains(cfg, conv_distances_sq(cfg, xs[rows], ys[rows]))
+            out[rows] = design2_rates_from_power(s, 1.0, 0.0, m)
+        return out.reshape(x.shape)
 
     if cfg.constrain_under_waveguide:
         bounds = _integrate(lambda u: rates(u, beta), where).tolist()

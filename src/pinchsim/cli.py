@@ -405,10 +405,10 @@ def _metric_label(kind: MetricKind, index: int) -> str:
     return kind.value
 
 
-def _closed_form_entries(scheme: Scheme, metric: MetricKind,
-                         point: SystemConfig | OutageParams,
-                         floors: dict) -> list[tuple[str, float]]:
-    """Analytical counterparts of a simulated point, when one exists.
+def _closed_form_value(scheme: Scheme, metric: MetricKind,
+                       point: SystemConfig | OutageParams,
+                       floors: dict) -> float | None:
+    """Analytical counterpart of a simulated point's first estimate, or None.
 
     ``point`` is the point's estimator input from ``sweep_inputs``.
     ``floors`` maps (analytic, point config) to a high-SNR outage floor
@@ -417,7 +417,7 @@ def _closed_form_entries(scheme: Scheme, metric: MetricKind,
     """
     if metric is MetricKind.OUTAGE:
         if point.cfg.num_users != 1:
-            return []
+            return None
         model_a = point.cfg.blockage_model is BlockageModel.MODEL_A
         if scheme is Scheme.CONV:
             floor = (outage_conv_model_a_highsnr if model_a
@@ -425,23 +425,19 @@ def _closed_form_entries(scheme: Scheme, metric: MetricKind,
         elif model_a:
             floor = outage_pin_model_a_highsnr
         else:
-            return [("OUTAGE", outage_pin_model_b(point))]
+            return outage_pin_model_b(point)
         key = (floor, point.cfg)
         if key not in floors:
             floors[key] = floor(point)
-        return [("OUTAGE", floors[key])]
+        return floors[key]
 
-    two_user_case = (scheme is Scheme.PIN_D2
-                     and point.num_users == 2
-                     and point.blockage_model is BlockageModel.MODEL_B
-                     and point.constrain_under_waveguide)
-    if not two_user_case:
-        return []
+    if not (scheme is Scheme.PIN_D2 and point.num_users == 2
+            and point.blockage_model is BlockageModel.MODEL_B
+            and point.constrain_under_waveguide):
+        return None
     value = ergodic_pin_two_user_highsnr(point)
-    if metric is MetricKind.ERGODIC_SUM:
-        # The two users are mirror images, so the sum is twice user 1's rate.
-        return [("ERGODIC_SUM", 2.0 * value)]
-    return [("ERGODIC_USER_1", value)]
+    # The two users are mirror images, so the sum is twice user 1's rate.
+    return 2.0 * value if metric is MetricKind.ERGODIC_SUM else value
 
 
 def collect_rows(cfg: ExperimentConfig) -> list[dict]:
@@ -462,26 +458,26 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
     for scheme, points in zip(run.schemes, per_scheme):
         for estimates, (axis_value, point_input) in zip(points, inputs):
             for idx, est in enumerate(estimates):
-                rows.append(_row(scheme, run, axis_value,
-                                 _metric_label(run.metric, idx), est.value,
+                rows.append(_row(scheme, run, axis_value, idx, est.value,
                                  est.ci_half_width, run.n_trials,
                                  Provenance.SIMULATED))
-            if run.analytics:
-                for label, value in _closed_form_entries(
-                        scheme, run.metric, point_input, floors):
-                    rows.append(_row(scheme, run, axis_value, label,
-                                     value, 0.0, 0, Provenance.CLOSED_FORM))
+            value = (_closed_form_value(scheme, run.metric, point_input,
+                                        floors) if run.analytics else None)
+            if value is not None:
+                rows.append(_row(scheme, run, axis_value, 0, value, 0.0, 0,
+                                 Provenance.CLOSED_FORM))
     return rows
 
 
-def _row(scheme: Scheme, run: RunSpec, axis_value: float, label: str,
+def _row(scheme: Scheme, run: RunSpec, axis_value: float, index: int,
          value: float, ci_half_width: float, n_trials: int,
          provenance: Provenance) -> dict:
+    """The row of a sweep point's ``index``-th value of ``run.metric``."""
     return {
         "scheme": scheme.value,
         "axis_name": run.sweep_axis.value,
         "axis_value": axis_value,
-        "metric": label,
+        "metric": _metric_label(run.metric, index),
         "value": value,
         "ci_half_width": ci_half_width,
         "n_trials": n_trials,

@@ -16,8 +16,10 @@ in-range half-width tau3 at 0, near 0, inside the strip, near its edge and
 clamped to it. Each line reads ``<function> <count> <sha256>`` and
 hashes the float64 bits of each value in order (a raised exception is
 hashed by its type and message). ``strip_los_integral`` has one line for
-intervals on one side of 0 and one for intervals across it. The file is not
-named ``test_*``, so pytest does not collect it.
+intervals on one side of 0, one for intervals across it and one for MODEL_B
+configs, which it rejects. ``ergodic_conv_highsnr`` runs up to M = 32 users,
+where its integrand is evaluated in several batches of links. The file is
+not named ``test_*``, so pytest does not collect it.
 """
 
 import hashlib
@@ -56,7 +58,9 @@ WIDE_AREAS = ((0.5, 1000.0), (10.0, 40.0), (200.0, 1.0))  # (d_w, d_l)
 TAU3_FRACTIONS = (0.0, 1e-9, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0)
 FIXED_TARGETS = (1e-300, 1e-16, 1e-3, 2.0, 7.0, 9.2, 14.0, 1030.0)
 MULTI_USER = ((2, 10.0, 40.0, False), (3, 12.0, 30.0, False),
-              (5, 10.0, 10.0, False), (3, 12.0, 30.0, True))
+              (5, 10.0, 10.0, False), (3, 12.0, 30.0, True),
+              (16, 10.0, 40.0, False), (17, 10.0, 40.0, False),
+              (32, 10.0, 40.0, False))
 
 
 def digest(values) -> str:
@@ -149,6 +153,8 @@ def main() -> None:
                 for fn in (outage_pin_model_b_highsnr,
                            outage_conv_model_b_highsnr, outage_gap_model_b):
                     record(fn.__name__, evaluate(fn, params[0]))
+                record("strip_los_integral[model B]",
+                       evaluate(strip_los_integral, 0.0, cfg.d_w / 2.0, cfg))
                 two = SystemConfig(num_users=2, d_w=cfg.d_w, d_l=cfg.d_l,
                                    tx_power=cfg.tx_power, phi=cfg.phi,
                                    height=cfg.height, blockage_model=model,

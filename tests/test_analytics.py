@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -144,15 +145,9 @@ class TestTau3Property:
         for p in (p_lo, p_hi):
             assert 0.0 <= p.tau3 <= cfg.d_w / 2.0
             if p.tau3 == cfg.d_w / 2.0:
-                # every in-strip position is in range: blockage alone.
-                if cfg.blockage_model is BlockageModel.MODEL_A:
-                    # the same quadrature over [0, d_w/2]
-                    assert exact(p) == floor(p)
-                else:
-                    # Both are formed as 1 - mass, so near 0 their rounding
-                    # is absolute, about 1e-16.
-                    assert exact(p) == pytest.approx(floor(p), rel=1e-12,
-                                                     abs=1e-15)
+                # every in-strip position is in range: blockage alone, from
+                # the same evaluation over [0, d_w/2]
+                assert exact(p) == floor(p)
             elif p.tau3 == 0.0:
                 # no position is in range: certain outage
                 assert exact(p) == 1.0
@@ -180,6 +175,11 @@ class TestStripIntegral:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
             strip_los_integral(1.0, 0.0, make_cfg())
+
+    def test_model_b_config_rejected(self):
+        # its mass is another integral, not this one's
+        with pytest.raises(ValueError, match="requires blockage model"):
+            strip_los_integral(0.0, 5.0, make_cfg(BlockageModel.MODEL_B))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a, b", [(-math.inf, 1.0), (0.0, math.inf),
@@ -287,11 +287,13 @@ class TestOutagePinModelA:
 
         monkeypatch.setattr(analytics, "_integrate", no_quadrature)
         cfg = make_cfg()
+        cfg_b = replace(cfg, blockage_model=BlockageModel.MODEL_B)
         for rt in (target_placing_threshold(cfg, 0.0) * (1.0 + 1e-9), 14.0,
                    1030.0):
             p = OutageParams(cfg=cfg, r_target=rt)
             assert p.tau3 == 0.0
             assert outage_pin_model_a(p) == 1.0
+            assert outage_pin_model_b(replace(p, cfg=cfg_b)) == 1.0
         with pytest.raises(ValueError, match="requires blockage model"):
             outage_pin_model_a(OutageParams(
                 cfg=make_cfg(BlockageModel.MODEL_B), r_target=14.0))
@@ -623,3 +625,14 @@ class TestConvHighSnrBound:
         with pytest.raises(ArithmeticError,
                            match="^ergodic_conv_highsnr: quadrature"):
             ergodic_conv_highsnr(self.geometries()["fig3a"])
+
+    def test_memory_stays_flat_at_thirty_two_users(self):
+        # a whole round's (nodes, 32, 32) link grid at once peaked at 144 MiB
+        cfg = make_cfg(num_users=32, tx_power=1.0)
+        tracemalloc.start()
+        try:
+            ergodic_conv_highsnr(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20

@@ -18,7 +18,6 @@ from .analytics import (
     outage_pin_model_a_highsnr,
     outage_pin_model_b,
     outage_pin_model_b_highsnr,
-    strip_los_integral,
     triangular_pdf,
     two_user_cross_blockage_factor,
 )
@@ -57,8 +56,8 @@ __all__ = [
     "OutageParams", "ergodic_conv_highsnr", "ergodic_pin_two_user_highsnr",
     "outage_conv_model_a_highsnr", "outage_conv_model_b_highsnr",
     "outage_gap_model_b", "outage_pin_model_a", "outage_pin_model_a_highsnr",
-    "outage_pin_model_b", "outage_pin_model_b_highsnr", "strip_los_integral",
-    "triangular_pdf", "two_user_cross_blockage_factor",
+    "outage_pin_model_b", "outage_pin_model_b_highsnr", "triangular_pdf",
+    "two_user_cross_blockage_factor",
     "ExperimentConfig", "OutputFormat", "Preset", "Provenance", "RunSpec",
     "parse_config", "reproduce_figure", "run_experiment",
     "MetricEstimate", "MetricKind", "Scheme", "SweepAxis",

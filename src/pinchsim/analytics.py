@@ -39,7 +39,7 @@ _RTOL = 1e-13
 _MAX_PANELS = 512
 # Growth of the exponent phi * distance past which the MODEL_A integrand is
 # dropped: there it has fallen below 41 * exp(-40) < 2e-16 of its value at
-# the interval's start (or at its peak), and it decays faster from there.
+# y = 0 (or at its peak), and it decays faster from there.
 _DECAY = 40.0
 
 
@@ -115,60 +115,48 @@ def _integrate(f, where: str):
         width = np.concatenate([half, half])
 
 
-def _t_interval(phi: float, height: float, lo: float,
-                hi: float) -> tuple[float, float, float]:
-    """Start and length of the t interval that y = height * sinh(t) maps
-    onto [lo, hi], with 0 <= lo <= hi and hi > 0, and the integrand
-    exp(-phi * sqrt(lo^2 + height^2)) at its start.
+def _scaled_strip_integral(phi: float, height, span, where: str):
+    """Integral of exp(-phi * sqrt(y^2 + height^2)) over the y interval
+    [0, height * sinh(span)], divided by the integrand's value
+    exp(-phi * height) at y = 0.
 
-    The interval ends early where the exponent phi * sqrt(y^2 + height^2)
-    has grown by _DECAY past its value at lo (or past 1, where the MODEL_A
-    integrand peaks): the rest is below float precision.
+    ``height`` and ``span`` broadcast to one shape, and all those integrals
+    come from one quadrature. In t, with y = height * sinh(t) and
+    r = height * cosh(t), the scaled integrand is
+    r * exp(-phi * (r - height)), which is entire, so the kink near y = 0 at
+    small heights costs no extra panels. Its exponent is formed from
+    r - height = 2 height sinh(t/2)^2, so it carries no rounding error of
+    the size of phi * r.
     """
-    r_lo = math.hypot(lo, height)
-    t0 = math.asinh(lo / height)
-    # asinh(hi / height) - t0, without the cancellation when lo is near hi
-    span = math.asinh((hi - lo) * (hi + lo)
-                      / (hi * r_lo + lo * math.hypot(hi, height)))
-    if phi > 0.0:
-        top = (max(phi * r_lo, 1.0) + _DECAY) / (phi * height)
-        span = min(span, math.acosh(top) - t0)
-    return t0, span, math.exp(-phi * r_lo)
-
-
-def _scaled_strip_integral(phi: float, height, t0, span, where: str):
-    """Integral of exp(-phi * sqrt(y^2 + height^2)) over the y interval that
-    y = height * sinh(t) maps from [t0, t0 + span], divided by the
-    integrand's value exp(-phi * height * cosh(t0)) at its start.
-
-    ``height``, ``t0`` and ``span`` broadcast to one shape, and all those
-    integrals come from one quadrature. In t, with r = height * cosh(t),
-    the scaled integrand is r * exp(-phi * (r - r(t0))), which is entire,
-    so the kink near y = 0 at small heights costs no extra panels. Its
-    exponent is formed from r - r(t0) = 2 height sinh(t0 + tau/2)
-    sinh(tau/2), tau = t - t0, so it carries no rounding error of the
-    size of phi * r, however far the strip is.
-    """
-    start = height * np.cosh(t0)
     half_span = np.multiply(span, 0.5)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        half = np.multiply.outer(u, half_span)
-        rise = np.sinh(t0 + half)
-        rise *= np.sinh(half)
+        rise = np.sinh(np.multiply.outer(u, half_span))
+        rise *= rise
         rise *= 2.0 * height
-        return span * (start + rise) * np.exp(-phi * rise)
+        return span * (height + rise) * np.exp(-phi * rise)
 
     return _integrate(integrand, where)
 
 
-def _strip_integral(cfg: SystemConfig, lo: float, hi: float,
-                    where: str) -> float:
-    """Integral of exp(-phi * sqrt(y^2 + height^2)) over one y interval
-    [lo, hi] (0 <= lo <= hi, hi > 0), from a scalar quadrature."""
-    t0, span, start = _t_interval(cfg.phi, cfg.height, lo, hi)
-    return float(_scaled_strip_integral(cfg.phi, cfg.height, t0, span,
-                                        where)) * start
+def _strip_integral(cfg: SystemConfig, reach: float, where: str) -> float:
+    """Integral of exp(-phi * sqrt(y^2 + height^2)) over [0, reach],
+    reach > 0, from a scalar quadrature.
+
+    The t interval ends early where the exponent phi * sqrt(y^2 + height^2)
+    has grown by _DECAY past its value at y = 0 (or past 1, where the MODEL_A
+    integrand peaks): the rest is below float precision.
+    """
+    phi, height = cfg.phi, cfg.height
+    # asinh(reach / height), kept as the quotient reach^2 / (reach * height):
+    # the plain one differs from it in the last bit for about one (reach,
+    # height) pair in nine, which would move the MODEL_A outages by an ulp.
+    span = math.asinh(reach * reach / (reach * height))
+    if phi > 0.0:
+        span = min(span, math.acosh(
+            (max(phi * height, 1.0) + _DECAY) / (phi * height)))
+    return (float(_scaled_strip_integral(phi, height, span, where))
+            * math.exp(-phi * height))
 
 
 @dataclass(frozen=True)
@@ -211,29 +199,6 @@ class OutageParams:
         return min(cfg.d_w / 2.0, math.sqrt(s_sq) if s_sq > 0 else 0.0)
 
 
-def strip_los_integral(a: float, b: float, cfg: SystemConfig) -> float:
-    """(1/d_w) * integral of exp(-phi * sqrt(y^2 + height^2)) over [a, b].
-
-    This is the unblocked-probability mass of a y interval under MODEL_A.
-    """
-    where = "strip_los_integral"
-    _check_model(cfg, BlockageModel.MODEL_A, where)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite")
-    if a > b:
-        raise ValueError("integration bounds must satisfy a <= b")
-    if a == b:
-        return 0.0
-    # The integrand is even: an interval across 0 is two intervals from 0,
-    # and a negative one is its mirror image.
-    if a < 0.0 < b:
-        mass = (_strip_integral(cfg, 0.0, -a, where)
-                + _strip_integral(cfg, 0.0, b, where))
-    else:
-        mass = _strip_integral(cfg, *sorted((abs(a), abs(b))), where)
-    return mass / cfg.d_w
-
-
 def _check_model(cfg: SystemConfig, model: BlockageModel, where: str) -> None:
     if cfg.blockage_model is not model:
         raise ValueError(f"{where} requires blockage model {model.value}")
@@ -254,7 +219,7 @@ def _pin_outage(cfg: SystemConfig, model: BlockageModel, reach: float,
     if reach == 0.0:
         return 1.0
     if model is BlockageModel.MODEL_A:
-        val = 1.0 - 2.0 * _strip_integral(cfg, 0.0, reach, where) / cfg.d_w
+        val = 1.0 - 2.0 * _strip_integral(cfg, reach, where) / cfg.d_w
     elif cfg.phi == 0.0:
         val = 1.0 - 2.0 * reach / cfg.d_w  # no blockage: out of range alone
     else:
@@ -304,12 +269,13 @@ def outage_conv_model_a_highsnr(p: OutageParams) -> float:
     def over_x(s: np.ndarray) -> np.ndarray:
         rise = 2.0 * height * np.sinh(s / 2.0) ** 2
         c = height + rise
-        # _t_interval(phi, c, 0, d_w / 2) for every c at once
+        # _strip_integral's span over [0, d_w / 2] for every c at once, with
+        # the quotient d_w / 2 / c, whose last bits these outages carry
         span = np.arcsinh(cfg.d_w / 2.0 / c)
         if phi > 0.0:
             span = np.minimum(span, np.arccosh(
                 (np.maximum(phi * c, 1.0) + _DECAY) / (phi * c)))
-        inner = _scaled_strip_integral(phi, c, 0.0, span, where)
+        inner = _scaled_strip_integral(phi, c, span, where)
         return c * np.exp(-phi * rise) * inner
 
     s_max = math.asinh(cfg.d_l / (2.0 * height))

@@ -82,10 +82,10 @@ class RunSpec:
     n_trials: int
     master_seed: int
     output: str
-    fmt: OutputFormat = OutputFormat.CSV
-    r_target: float | None = None
-    workers: int = 1
-    analytics: bool = True
+    fmt: OutputFormat
+    r_target: float | None
+    workers: int
+    analytics: bool
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class ExperimentConfig:
     run: RunSpec
     tx_power_dbm: float
     noise_dbm: float
-    preset_name: str | None = field(default=None, compare=False)
+    preset_name: str | None = field(compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +145,11 @@ def _parse_float(raw: str) -> float:
 def _parse_path(raw: str) -> str:
     if not raw:
         raise ConfigError("expected a path")
+    # The config echo strips each value and reads one key per line, so it
+    # could not hold such a path.
+    if raw != raw.strip() or raw.splitlines() != [raw]:
+        raise ConfigError("expected a path without surrounding whitespace "
+                          f"or line breaks, got {raw!r}")
     return raw
 
 
@@ -693,6 +698,3 @@ def main(argv=None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,11 +15,9 @@ from a fixed seed. Every outage function runs at targets that place the
 in-range half-width tau3 at 0, near 0, inside the strip, near its edge and
 clamped to it. Each line reads ``<function> <count> <sha256>`` and
 hashes the float64 bits of each value in order (a raised exception is
-hashed by its type and message). ``strip_los_integral`` has one line for
-intervals on one side of 0, one for intervals across it and one for MODEL_B
-configs, which it rejects. ``ergodic_conv_highsnr`` runs up to M = 32 users,
-where its integrand is evaluated in several batches of links. The file is
-not named ``test_*``, so pytest does not collect it.
+hashed by its type and message). ``ergodic_conv_highsnr`` runs up to
+M = 32 users, where its integrand is evaluated in several batches of links.
+The file is not named ``test_*``, so pytest does not collect it.
 """
 
 import hashlib
@@ -43,7 +41,6 @@ from pinchsim import (
     outage_pin_model_a_highsnr,
     outage_pin_model_b,
     outage_pin_model_b_highsnr,
-    strip_los_integral,
     triangular_pdf,
     two_user_cross_blockage_factor,
 )
@@ -112,19 +109,6 @@ def targets(cfg: SystemConfig) -> list[float]:
     return placed + beyond + list(FIXED_TARGETS)
 
 
-def intervals(cfg: SystemConfig, rng: random.Random):
-    """(one-sided, across-0) lists of (a, b) intervals inside the strip."""
-    half = cfg.d_w / 2.0
-    one_sided, across = [(0.0, half), (-half, 0.0), (0.5 * half, half),
-                         ((1.0 - 1e-6) * half, half)], [(-half, half)]
-    for _ in range(6):
-        a, b = sorted(rng.uniform(0.0, half) for _ in range(2))
-        sign = rng.choice((-1.0, 1.0))
-        one_sided.append(tuple(sorted((sign * a, sign * b))))
-        across.append((-rng.uniform(0.0, half), rng.uniform(0.0, half)))
-    return one_sided, across
-
-
 def main() -> None:
     rng = random.Random(SEED)
     lines: dict[str, list] = {}
@@ -141,20 +125,12 @@ def main() -> None:
                 for fn in (outage_pin_model_a_highsnr,
                            outage_conv_model_a_highsnr):
                     record(fn.__name__, evaluate(fn, params[0]))
-                one_sided, across = intervals(cfg, rng)
-                for case, pairs in (("one side", one_sided),
-                                    ("across 0", across)):
-                    for a, b in pairs:
-                        record(f"strip_los_integral[{case}]",
-                               evaluate(strip_los_integral, a, b, cfg))
             else:
                 for p in params:
                     record("outage_pin_model_b", evaluate(outage_pin_model_b, p))
                 for fn in (outage_pin_model_b_highsnr,
                            outage_conv_model_b_highsnr, outage_gap_model_b):
                     record(fn.__name__, evaluate(fn, params[0]))
-                record("strip_los_integral[model B]",
-                       evaluate(strip_los_integral, 0.0, cfg.d_w / 2.0, cfg))
                 two = SystemConfig(num_users=2, d_w=cfg.d_w, d_l=cfg.d_l,
                                    tx_power=cfg.tx_power, phi=cfg.phi,
                                    height=cfg.height, blockage_model=model,

@@ -28,7 +28,6 @@ from pinchsim import (
     outage_pin_model_a_highsnr,
     outage_pin_model_b,
     outage_pin_model_b_highsnr,
-    strip_los_integral,
     triangular_pdf,
     two_user_cross_blockage_factor,
 )
@@ -153,45 +152,6 @@ class TestTau3Property:
                 assert exact(p) == 1.0
 
 
-class TestStripIntegral:
-    def test_unit_integrand_at_phi_zero(self):
-        cfg = make_cfg(phi=0.0)
-        assert strip_los_integral(-2.0, 3.0, cfg) == pytest.approx(0.5, rel=1e-12)
-
-    def test_additivity(self):
-        cfg = make_cfg()
-        whole = strip_los_integral(-5.0, 5.0, cfg)
-        parts = strip_los_integral(-5.0, 1.3, cfg) + strip_los_integral(1.3, 5.0, cfg)
-        assert parts == pytest.approx(whole, rel=1e-11)
-
-    def test_bounds_and_oracle_value(self):
-        cfg = make_cfg()
-        val = strip_los_integral(-5.0, 5.0, cfg)
-        # integrand bounds exp(-phi*sqrt(34)) < f < exp(-phi*3)
-        assert math.exp(-0.1 * math.sqrt(34.0)) < val < math.exp(-0.3)
-        assert val == pytest.approx(oracles.pin_los_mass_model_a(cfg, -5.0, 5.0),
-                                    rel=1e-10)
-
-    def test_reversed_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            strip_los_integral(1.0, 0.0, make_cfg())
-
-    def test_model_b_config_rejected(self):
-        # its mass is another integral, not this one's
-        with pytest.raises(ValueError, match="requires blockage model"):
-            strip_los_integral(0.0, 5.0, make_cfg(BlockageModel.MODEL_B))
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("a, b", [(-math.inf, 1.0), (0.0, math.inf),
-                                      (math.nan, 1.0), (0.0, math.nan),
-                                      (-math.inf, math.inf)])
-    def test_non_finite_bounds_rejected(self, a, b):
-        # checked before any quadrature, not reported as non-convergence
-        with pytest.raises(ValueError,
-                           match="^integration bounds must be finite$"):
-            strip_los_integral(a, b, make_cfg())
-
-
 class TestQuadratureEngine:
     """The adaptive Gauss-Legendre engine behind the MODEL_A analytics."""
 
@@ -251,14 +211,6 @@ class TestModelAAnalyticsAcrossRange:
         assert tau3 == pytest.approx(0.4 * half, rel=1e-9)
         whole = oracles.strip_los_mass_mp(cfg, 0.0, half) / d_w
         tail = oracles.strip_los_mass_mp(cfg, tau3, half) / d_w
-        edge = oracles.strip_los_mass_mp(cfg, (1.0 - 1e-6) * half, half) / d_w
-
-        for (a, b), ref in [((0.0, half), whole), ((tau3, half), tail),
-                            ((-half, -tau3), tail),
-                            ((-tau3, half), 2.0 * whole - tail),
-                            (((1.0 - 1e-6) * half, half), edge)]:
-            assert strip_los_integral(a, b, cfg) == pytest.approx(
-                ref, rel=1e-12, abs=0.0)
         assert outage_pin_model_a(p) == pytest.approx(
             1.0 - 2.0 * (whole - tail), rel=1e-12, abs=1e-14)
         assert outage_pin_model_a_highsnr(p) == pytest.approx(
@@ -505,6 +457,15 @@ class TestOutageGapModelB:
             for dl in (5.0, 10.0, 20.0, 40.0, 80.0)]
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
+    def test_no_blockage_is_no_gap(self):
+        # both high-SNR floors are 0 at phi = 0, the limit of small phi
+        gap = outage_gap_model_b(OutageParams(
+            cfg=make_cfg(BlockageModel.MODEL_B, phi=0.0), r_target=7.0))
+        assert gap == 0.0
+        assert outage_gap_model_b(OutageParams(
+            cfg=make_cfg(BlockageModel.MODEL_B, phi=1e-9),
+            r_target=7.0)) == pytest.approx(0.0, abs=1e-6)
+
 
 class TestTriangularPdf:
     def test_peak_and_edges(self):
@@ -536,15 +497,26 @@ class TestTwoUserErgodic:
                             constrain_under_waveguide=True)
 
     def test_requires_two_users(self):
-        cfg = make_cfg(BlockageModel.MODEL_B)
-        with pytest.raises(ValueError):
-            ergodic_pin_two_user_highsnr(cfg)
+        for num_users in (1, 3):
+            cfg = replace(self.two_user_cfg(), num_users=num_users)
+            for fn in (ergodic_pin_two_user_highsnr,
+                       two_user_cross_blockage_factor):
+                with pytest.raises(ValueError,
+                                   match="requires num_users == 2$"):
+                    fn(cfg)
 
     def test_requires_model_b(self):
         cfg = SystemConfig(num_users=2, d_w=10.0, d_l=40.0, tx_power=1.0,
                            phi=0.1, blockage_model=BlockageModel.MODEL_A)
         with pytest.raises(ValueError):
             ergodic_pin_two_user_highsnr(cfg)
+
+    def test_no_blockage_gives_zero(self):
+        # the cross link is never blocked, the limit of small phi
+        assert two_user_cross_blockage_factor(self.two_user_cfg(phi=0.0)) == 0.0
+        assert ergodic_pin_two_user_highsnr(self.two_user_cfg(phi=0.0)) == 0.0
+        assert two_user_cross_blockage_factor(
+            self.two_user_cfg(phi=1e-9)) == pytest.approx(0.0, abs=1e-6)
 
     def test_bracket_matches_quadrature(self):
         for d_w, d_l, phi in [(10.0, 40.0, 0.1), (5.0, 20.0, 0.02),

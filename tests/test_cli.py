@@ -113,6 +113,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="system.blockage_model"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("line, message", [
+        ("system.constrain_under_waveguide = yes",
+         "^system.constrain_under_waveguide: expected true or false, "
+         "got 'yes'$"),
+        ("run.schemes = ,", "^run.schemes: expected at least one scheme$"),
+        ("run.output =", "^run.output: expected a path$"),
+    ], ids=["bool", "schemes", "output"])
+    def test_bad_or_empty_value_is_named(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(manual_doc(line))
+
     def test_target_axis_needs_the_outage_metric(self):
         doc = manual_doc("run.sweep_axis = R_TARGET", "run.axis_values = 5, 6")
         with pytest.raises(ConfigError, match="^run.sweep_axis: R_TARGET"):
@@ -753,6 +764,25 @@ class TestMainEntryPoint:
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["exp.cfg"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, out", [
+        ("simulate", " r.csv"), ("simulate", "r.csv\t"),
+        ("simulate", "r\n.csv"), ("simulate", "r\u2028.csv"),
+        ("simulate", "r\x1c.csv"), ("figure", " figs"),
+        ("figure", "figs\nx"), ("figure", "figs\rx"),
+    ])
+    def test_output_path_the_echo_cannot_hold_is_rejected(
+            self, tmp_path, capsys, monkeypatch, command, out):
+        # the echo strips each value and reads one key per line
+        monkeypatch.chdir(tmp_path)
+        Path("exp.cfg").write_text(MANUAL_DOC.format(out="a.csv"))
+        argv = (["simulate", "exp.cfg"] if command == "simulate"
+                else ["figure", "fig2b", "--trials", "100"])
+        assert main(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.output: expected a path without ")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     @pytest.mark.parametrize("axis, values, message", [
         ("D_L", (-5.0, 10.0), "at D_L = -5.0: d_l must be > 0"),

@@ -55,6 +55,16 @@ class TestSystemConfig:
             make_cfg(num_users=0)
         with pytest.raises(ValueError):
             make_cfg(phi=-0.1)
+        with pytest.raises(ValueError,
+                           match="^waveguide_loss_db_per_m must be >= 0$"):
+            make_cfg(waveguide_loss_db_per_m=-0.01)
+
+    @pytest.mark.parametrize("field, value", [("blockage_model", "MODEL_A"),
+                                              ("loss_case", "CASE_I")])
+    def test_non_enum_model_or_loss_case_rejected(self, field, value):
+        # a raw token is not parsed here: only the config parser does that
+        with pytest.raises(TypeError, match=f"^{field} must be a "):
+            make_cfg(**{field: value})
 
     def test_dbm_conversions(self):
         assert np.isclose(dbm_to_watt(10.0), 0.01, rtol=1e-12)

@@ -27,6 +27,11 @@ from .transceiver import design2_rates_from_power
 
 SQRT_PI = math.sqrt(math.pi)
 
+# The blockage laws as module names: an Enum member lookup costs several
+# times a global one, on every pinching outage.
+_MODEL_A = BlockageModel.MODEL_A
+_MODEL_B = BlockageModel.MODEL_B
+
 # Adaptive quadrature: every panel is integrated with an _ORDER-node and a
 # 2*_ORDER-node Gauss-Legendre rule. A panel is accepted, with the finer
 # value, once the two agree to _RTOL of its own value or of the whole
@@ -120,21 +125,28 @@ def _scaled_strip_integral(phi: float, height, span, where: str):
     [0, height * sinh(span)], divided by the integrand's value
     exp(-phi * height) at y = 0.
 
-    ``height`` and ``span`` broadcast to one shape, and all those integrals
-    come from one quadrature. In t, with y = height * sinh(t) and
+    ``height`` broadcasts against ``span``, and all those integrals come
+    from one quadrature. In t, with y = height * sinh(t) and
     r = height * cosh(t), the scaled integrand is
     r * exp(-phi * (r - height)), which is entire, so the kink near y = 0 at
     small heights costs no extra panels. Its exponent is formed from
     r - height = 2 height sinh(t/2)^2, so it carries no rounding error of
     the size of phi * r.
     """
-    half_span = np.multiply(span, 0.5)
+    half_span = span * 0.5
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        rise = np.sinh(np.multiply.outer(u, half_span))
+        # span * (height + rise) * exp(-phi * rise), built in place
+        rise = np.multiply.outer(u, half_span)
+        np.sinh(rise, out=rise)
         rise *= rise
         rise *= 2.0 * height
-        return span * (height + rise) * np.exp(-phi * rise)
+        decay = -phi * rise
+        np.exp(decay, out=decay)
+        rise += height
+        rise *= span
+        rise *= decay
+        return rise
 
     return _integrate(integrand, where)
 
@@ -218,7 +230,7 @@ def _pin_outage(cfg: SystemConfig, model: BlockageModel, reach: float,
     _check_model(cfg, model, where)
     if reach == 0.0:
         return 1.0
-    if model is BlockageModel.MODEL_A:
+    if model is _MODEL_A:
         val = 1.0 - 2.0 * _strip_integral(cfg, reach, where) / cfg.d_w
     elif cfg.phi == 0.0:
         val = 1.0 - 2.0 * reach / cfg.d_w  # no blockage: out of range alone
@@ -240,13 +252,13 @@ def outage_pin_model_a(p: OutageParams) -> float:
     it is 1.0 without one. Exact for a lossless waveguide (CASE_I); under
     CASE_II, whose loss only lowers the gains, it is a lower bound.
     """
-    return _pin_outage(p.cfg, BlockageModel.MODEL_A, p.tau3,
+    return _pin_outage(p.cfg, _MODEL_A, p.tau3,
                        "outage_pin_model_a")
 
 
 def outage_pin_model_a_highsnr(p: OutageParams) -> float:
     """High-SNR floor of the MODEL_A pinching outage: pure blockage mass."""
-    return _pin_outage(p.cfg, BlockageModel.MODEL_A, p.cfg.d_w / 2.0,
+    return _pin_outage(p.cfg, _MODEL_A, p.cfg.d_w / 2.0,
                        "outage_pin_model_a_highsnr")
 
 
@@ -262,7 +274,7 @@ def outage_conv_model_a_highsnr(p: OutageParams) -> float:
     exponent uses c - height = 2 height sinh(s/2)^2.
     """
     where = "outage_conv_model_a_highsnr"
-    _check_model(p.cfg, BlockageModel.MODEL_A, where)
+    _check_model(p.cfg, _MODEL_A, where)
     cfg = p.cfg
     phi, height = cfg.phi, cfg.height
 
@@ -293,19 +305,19 @@ def outage_pin_model_b(p: OutageParams) -> float:
     for bit. Exact for a lossless waveguide (CASE_I); under CASE_II, whose
     loss only lowers the gains, it is a lower bound.
     """
-    return _pin_outage(p.cfg, BlockageModel.MODEL_B, p.tau3,
+    return _pin_outage(p.cfg, _MODEL_B, p.tau3,
                        "outage_pin_model_b")
 
 
 def outage_pin_model_b_highsnr(p: OutageParams) -> float:
     """High-SNR floor of the MODEL_B pinching outage."""
-    return _pin_outage(p.cfg, BlockageModel.MODEL_B, p.cfg.d_w / 2.0,
+    return _pin_outage(p.cfg, _MODEL_B, p.cfg.d_w / 2.0,
                        "outage_pin_model_b_highsnr")
 
 
 def outage_conv_model_b_highsnr(p: OutageParams) -> float:
     """High-SNR conventional outage under MODEL_B, in closed form."""
-    _check_model(p.cfg, BlockageModel.MODEL_B, "outage_conv_model_b_highsnr")
+    _check_model(p.cfg, _MODEL_B, "outage_conv_model_b_highsnr")
     cfg = p.cfg
     if cfg.phi == 0.0:
         return 0.0
@@ -323,7 +335,7 @@ def outage_gap_model_b(p: OutageParams) -> float:
     Equals outage_conv_model_b_highsnr - outage_pin_model_b_highsnr exactly;
     the factored form makes its positivity and growth with d_l explicit.
     """
-    _check_model(p.cfg, BlockageModel.MODEL_B, "outage_gap_model_b")
+    _check_model(p.cfg, _MODEL_B, "outage_gap_model_b")
     cfg = p.cfg
     if cfg.phi == 0.0:
         return 0.0
@@ -356,10 +368,12 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
     """
     if cfg.num_users != 2:
         raise ValueError("the two-user analysis requires num_users == 2")
-    _check_model(cfg, BlockageModel.MODEL_B, "two_user_cross_blockage_factor")
+    _check_model(cfg, _MODEL_B, "two_user_cross_blockage_factor")
     if cfg.phi == 0.0:
         return 0.0
-    beta1, beta2 = waveguide_y_offsets(cfg).tolist()
+    # waveguide_y_offsets(cfg), as Python floats from the same expression
+    beta1, beta2 = (-cfg.d_w / 2.0 + k * cfg.d_w / 2 + cfg.d_w / (2.0 * 2)
+                    for k in (0, 1))
     tau4 = (beta1 - beta2) ** 2 + cfg.height ** 2
     phi = cfg.phi
     d_l = cfg.d_l
@@ -381,7 +395,7 @@ def ergodic_pin_two_user_highsnr(cfg: SystemConfig) -> float:
     """
     if cfg.num_users != 2:
         raise ValueError("the two-user analysis requires num_users == 2")
-    _check_model(cfg, BlockageModel.MODEL_B, "ergodic_pin_two_user_highsnr")
+    _check_model(cfg, _MODEL_B, "ergodic_pin_two_user_highsnr")
     if cfg.phi == 0.0:
         return 0.0
     snr = (cfg.path_gain_factor * cfg.tx_power

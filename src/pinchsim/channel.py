@@ -10,7 +10,8 @@ antenna]: the squared distances (:func:`pin_distances_sq`,
 (:func:`channel_coefficients`). The Monte-Carlo estimators call them on
 whole sub-batches; one realization is the n = 1 case. The distances and
 gains also come as (k, M) rows, the links of k chosen users, so that only
-the users whose rate needs its links get them, and
+the users whose rate needs its links get them; each user's own link comes
+as (n, M) from :func:`pin_distances_sq` without any x difference, and
 :func:`center_distances_sq` gives the (n, M) length of the one link whose
 blockage all of a user's conventional elements share.
 
@@ -45,9 +46,17 @@ def pin_distances_sq(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     ``waveguide_y_offsets(cfg)``. Users at ``x``, ``y`` broadcast against
     the antennas along the last axis: (k, 1) users and (k, M) antennas give
     k rows of links, and (n, M) users and antennas give each user's own
-    link. Without ``pinch_x`` the antennas follow the (n, M) users
-    themselves, giving every link, (n, M, M).
+    link. Passing ``x`` itself as ``pinch_x`` asks for those own links
+    directly, (y - beta)^2 + height^2, bit for bit the same without the
+    x - x = +0.0 pass. Without ``pinch_x`` the antennas follow the (n, M)
+    users themselves, giving every link, (n, M, M).
     """
+    if pinch_x is x:
+        # each user's own link: x - x is +0.0, and +0.0 + dy is dy
+        d = y - beta
+        d *= d
+        d += cfg.height * cfg.height
+        return d
     if pinch_x is None:
         x, y, pinch_x = x[:, :, None], y[:, :, None], x[:, None, :]
     d = x - pinch_x

@@ -698,3 +698,9 @@ def main(argv=None) -> int:
         return 1
     return 0
 
+
+if __name__ == "__main__":
+    # ``python -m pinchsim.cli`` is not an entry point; say which ones are
+    print("error: pinchsim.cli is not runnable; use `python -m pinchsim` "
+          "or the `pinchsim` script", file=sys.stderr)
+    sys.exit(2)

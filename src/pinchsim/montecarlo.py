@@ -75,6 +75,7 @@ from .channel import (
 )
 from .scenario import SystemConfig, _sample_user_xy, dbm_to_watt, waveguide_y_offsets
 from .transceiver import (
+    _row_sums,
     design1_rates_from_gains,
     design2_rates_from_power,
     design2_rates_of_rows,
@@ -379,7 +380,7 @@ def _ergodic_sums(
     """
     per_sum = rates.sum(axis=0).tolist()
     per_sq = (rates * rates).sum(axis=0).tolist()
-    totals = rates.sum(axis=1)
+    totals = _row_sums(rates)
     return per_sum, per_sq, float(totals.sum()), float((totals * totals).sum())
 
 

@@ -13,7 +13,10 @@ x loss case x constrained x phi x SUB_LINKS x ordered scheme tuple, and
 hashes the int64 view of what ``montecarlo._rates_chunk`` returns for 45
 trials. The ``full`` lines hash whole 8192-trial chunks of every scheme for
 zero forcing (PIN_D1) at M x phi x loss case, MODEL_A, which run several
-sub-batches and meet exact zero LU pivots and 1-norm rejections. The file
+sub-batches and meet exact zero LU pivots and 1-norm rejections. Each cell's
+line is followed by a ``sums`` line that hashes ``montecarlo._ergodic_sums``
+of each scheme's rates, the per-user and sum-rate moments an ergodic
+estimate reduces, so a change to those reductions shows as well. The file
 is not named ``test_*``, so pytest does not collect it.
 """
 
@@ -23,7 +26,7 @@ import itertools
 import numpy as np
 
 from pinchsim import BlockageModel, LossCase, Scheme, SystemConfig, montecarlo
-from pinchsim.montecarlo import _rates_chunk, chunk_generator
+from pinchsim.montecarlo import _ergodic_sums, _rates_chunk, chunk_generator
 
 N = 45  # trials per chunk; SUB_LINKS = 37 leaves short last sub-batches
 USERS = (1, 2, 3, 5, 8, 9, 16, 17)
@@ -44,6 +47,20 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
+def sums_digest(rates) -> str:
+    """Digest of ``_ergodic_sums`` of each scheme's rates, in order."""
+    sums = []
+    for r in rates:
+        per_sum, per_sq, total, total_sq = _ergodic_sums(r)
+        sums.append(per_sum + per_sq + [total, total_sq])
+    return digest(sums)
+
+
+def report(cell: str, rates) -> None:
+    print(f"{cell} {digest(rates)}")
+    print(f"{cell} sums {sums_digest(rates)}")
+
+
 def config(m, model, loss, constrained, phi) -> SystemConfig:
     return SystemConfig(num_users=m, d_w=10.0, d_l=40.0, tx_power=1.0,
                         phi=phi,
@@ -61,17 +78,17 @@ def main() -> None:
             for schemes in SCHEME_TUPLES:
                 rates = _rates_chunk(schemes, cfg, N, chunk_generator(6, 0, 3))
                 names = "+".join(s.value for s in schemes)
-                print(f"M={m} {model.value} {loss.value} "
-                      f"constrained={constrained} phi={phi} "
-                      f"sub_links={sub_links} {names} {digest(rates)}")
+                report(f"M={m} {model.value} {loss.value} "
+                       f"constrained={constrained} phi={phi} "
+                       f"sub_links={sub_links} {names}", rates)
     finally:
         montecarlo.SUB_LINKS = default
     for m, phi, loss in itertools.product(FULL_USERS, FULL_PHIS, LossCase):
         cfg = config(m, BlockageModel.MODEL_A, loss, False, phi)
         rates = _rates_chunk(tuple(Scheme), cfg, montecarlo.CHUNK_TRIALS,
                              chunk_generator(8, 0, 1))
-        print(f"full M={m} {BlockageModel.MODEL_A.value} {loss.value} "
-              f"phi={phi} {digest(rates)}")
+        report(f"full M={m} {BlockageModel.MODEL_A.value} {loss.value} "
+               f"phi={phi}", rates)
 
 
 if __name__ == "__main__":

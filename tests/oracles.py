@@ -151,6 +151,16 @@ def conv_rates(cfg: SystemConfig, x, y, alpha) -> list[float]:
     return design2_rates(cfg, h)
 
 
+def design2_rates_formula(own, row_total, tx_power, noise_power, m):
+    """Design II rates log2(1 + S P / (I P + M sigma^2)) as one numpy
+    expression, I = max(row_total - S, 0): the reference that the in-place
+    ``transceiver.design2_rates_from_rows`` must reproduce bit for bit.
+    """
+    interference = np.maximum(row_total - own, 0.0)
+    sinr = own * tx_power / (interference * tx_power + m * noise_power)
+    return np.log1p(sinr) / np.log(2.0)
+
+
 def conv_rates_dense(cfg: SystemConfig, x, y, alpha, tx_power, noise_power):
     """(n, M) conventional rates with every user's row evaluated, blocked or
     not: the full (n, M, M) gains, Design II's diagonal-and-row-sum SINR at
@@ -159,11 +169,9 @@ def conv_rates_dense(cfg: SystemConfig, x, y, alpha, tx_power, noise_power):
     kernel must reproduce bit for bit.
     """
     s = power_gains(cfg, conv_distances_sq(cfg, x, y))
-    own = np.diagonal(s, axis1=-2, axis2=-1)
-    interference = np.maximum(s.sum(axis=-1) - own, 0.0)
-    sinr = own * tx_power / (interference * tx_power
-                             + cfg.num_users * noise_power)
-    return np.log1p(sinr) / np.log(2.0) * alpha
+    return design2_rates_formula(np.diagonal(s, axis1=-2, axis2=-1),
+                                 s.sum(axis=-1), tx_power, noise_power,
+                                 cfg.num_users) * alpha
 
 
 def conv_rate_bound_mc(cfg: SystemConfig, n_trials: int,
@@ -232,11 +240,9 @@ def pin_d2_rates_dense(cfg: SystemConfig, x, y, u):
     """
     d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
     s = power_gains(cfg, d_sq, x) * (u < unblocked_probability_sq(d_sq, cfg))
-    own = np.diagonal(s, axis1=-2, axis2=-1)
-    interference = np.maximum(s.sum(axis=-1) - own, 0.0)
-    sinr = own * cfg.tx_power / (interference * cfg.tx_power
-                                 + cfg.num_users * cfg.noise_power)
-    return np.log1p(sinr) / np.log(2.0)
+    return design2_rates_formula(np.diagonal(s, axis1=-2, axis2=-1),
+                                 s.sum(axis=-1), cfg.tx_power,
+                                 cfg.noise_power, cfg.num_users)
 
 
 def channel_coefficients_dense(cfg: SystemConfig, dist_sq, s_eff, pinch_x):

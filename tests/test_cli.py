@@ -985,6 +985,19 @@ class TestModuleEntryPoint:
         assert proc.stderr == ""
         assert (tmp_path / "fig2b.csv").exists()
 
+    def test_python_dash_m_pinchsim_cli_points_to_the_entry_points(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinchsim.cli", "--help"],
+            capture_output=True, text=True, env=_env_with_src(), timeout=300)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        # runpy's RuntimeWarning about the already imported module may
+        # come first; the one error line is the last line
+        *before, line = proc.stderr.splitlines()
+        assert all("RuntimeWarning" in b for b in before), before
+        assert line.startswith("error: "), line
+        assert "python -m pinchsim`" in line and "`pinchsim` script" in line
+
     def test_non_finite_ergodic_estimate_is_an_error(self, tmp_path):
         # 3100 dBm parses as finite watts, but P |h|^2 overflows, so the
         # pinching rates sum to inf or nan at that sweep point

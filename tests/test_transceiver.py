@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from pinchsim import BlockageModel, Scheme, SystemConfig, waveguide_y_offsets
@@ -20,8 +21,12 @@ from pinchsim.channel import (
 from pinchsim.montecarlo import _rates_chunk, chunk_generator
 from pinchsim.scenario import _sample_user_xy
 from pinchsim.transceiver import (
+    _column_sums,
+    _row_sums,
     design1_rates_from_gains,
     design2_rates_from_power,
+    design2_rates_from_rows,
+    design2_rates_of_rows,
     zf_gains_batch,
 )
 
@@ -502,3 +507,84 @@ class TestZeroForcingProperties:
             assert np.allclose(column_power(h, gains), 1.0 / m, rtol=1e-12)
         else:
             assert np.all(np.isnan(gains))
+
+
+def same_bits(a, b):
+    """True when two float64 arrays hold the same bits, entry by entry."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+# Edge values of a sum of gains: signed zeros, the smallest subnormal, the
+# smallest normal, a value whose doubling overflows, and +inf.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, math.inf)
+
+
+@st.composite
+def short_axis_stack(draw):
+    """A (k, M) or (k, M, M) float64 array, M = 1-17, of edge values and
+    finite floats of either sign."""
+    m = draw(st.integers(min_value=1, max_value=17))
+    k = draw(st.integers(min_value=1, max_value=6))
+    shape = draw(st.sampled_from([(k, m), (k, m, m)]))
+    elements = st.one_of(st.sampled_from(EDGE_FLOATS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@st.composite
+def gain_rows(draw):
+    """(k, M) nonnegative finite gains, M = 1-17, with their users' flat
+    (trial, user) indices, and a power and a noise power; powers up to
+    1e300 make S P overflow to +inf."""
+    m = draw(st.integers(min_value=1, max_value=17))
+    k = draw(st.integers(min_value=1, max_value=6))
+    gains = st.one_of(st.sampled_from((0.0, 5e-324, 1e-300, 1e308)),
+                      st.floats(min_value=0.0, max_value=1e10))
+    s = draw(hnp.arrays(np.float64, (k, m), elements=gains))
+    users = np.array(draw(st.lists(st.integers(0, 10 ** 6), min_size=k,
+                                   max_size=k)))
+    tx_power = draw(st.sampled_from((1.0, 0.01, 1e300)))
+    noise_power = draw(st.sampled_from((0.0, 1e-13, 4e-14)))
+    return s, users, tx_power, noise_power
+
+
+class TestSinrStepBitForBit:
+    @settings(max_examples=300, deadline=None)
+    @given(a=short_axis_stack())
+    def test_short_axis_sums_are_numpys_bit_for_bit(self, a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(_row_sums(a), a.sum(axis=-1))
+            if a.ndim == 3:
+                assert same_bits(_column_sums(a), a.sum(axis=-2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=gain_rows())
+    def test_rates_of_rows_are_the_one_expression(self, case):
+        s, users, tx_power, noise_power = case
+        m = s.shape[-1]
+        own = s[np.arange(len(s)), users % m]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            expected = oracles.design2_rates_formula(
+                own, s.sum(axis=-1), tx_power, noise_power, m)
+            assert same_bits(design2_rates_of_rows(s, users, tx_power,
+                                                   noise_power), expected)
+            # the same rates from the rows' own gains and totals
+            assert same_bits(design2_rates_from_rows(
+                own, s.sum(axis=-1), tx_power, noise_power, m), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=gain_rows(), data=st.data())
+    def test_rates_from_any_row_total_are_the_one_expression(self, case,
+                                                              data):
+        # below the own gain, the interference is clamped to +0.0
+        s, users, tx_power, noise_power = case
+        m = data.draw(st.integers(min_value=2, max_value=17))
+        own, row_total = s[:, 0], s[:, -1]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert same_bits(
+                design2_rates_from_rows(own, row_total, tx_power,
+                                        noise_power, m),
+                oracles.design2_rates_formula(own, row_total, tx_power,
+                                              noise_power, m))

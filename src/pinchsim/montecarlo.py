@@ -45,12 +45,17 @@ A chunk is evaluated in batches of about SUB_LINKS links so that its
 temporaries stay cache-sized: the pinching sub-batches of ``_rates_chunk``
 and the conventional rows of ``_conv_rates``. The sub-batches draw their
 blockage uniforms in trial order from the chunk's stream, so the batch size
-never changes a draw, a rate or an estimate.
+never changes a draw, a rate or an estimate. Where a chunk is smaller than
+a sub-batch, as at M = 1 and 2, ``_map_chunks`` hands consecutive chunks
+to one ``_rates_chunk`` call, as many as fit in one sub-batch, so that
+they share the fixed cost of the kernel's numpy calls. Each chunk of such
+a group still draws from its own stream in its own order and is reduced
+on its own, so grouping changes no draw, rate or estimate either.
 
-Chunk memory stays mapped from one chunk to the next: before the first
-chunk of the process, one untouched block larger than a chunk's working set
-is allocated and freed (see ``_prime_heap``), and what a chunk returns holds
-no numpy buffer (see ``_ergodic_sums``).
+Chunk memory stays mapped from one kernel call to the next: before the
+first chunk of the process, one untouched block larger than a call's
+working set is allocated and freed (see ``_prime_heap``), and what a chunk
+returns holds no numpy buffer (see ``_ergodic_sums``).
 """
 
 from __future__ import annotations
@@ -89,18 +94,23 @@ CHUNK_TRIALS = 8192
 
 # Links (trial x user x antenna entries) evaluated at once inside a chunk:
 # max(1, SUB_LINKS // M^2) trials, so an (n, M, M) float64 temporary is at
-# most 512 KiB and a sub-batch's working set stays in cache. Sub-batching
-# never changes the random draws (see _rates_chunk), so it is free to tune
-# without changing any estimate.
+# most 512 KiB and a sub-batch's working set stays in cache. It also sets
+# how many whole chunks _map_chunks evaluates in one kernel call: as many
+# as fit in one sub-batch, 8 at M = 1, 2 at M = 2 and 1 from M = 3 on.
+# Neither sub-batching nor grouping changes the random draws (see
+# _rates_chunk), so it is free to tune without changing any estimate.
 SUB_LINKS = 1 << 16
 
-# Bound on the heap one chunk uses at M <= 16: at most 8 float64
-# (CHUNK_TRIALS, M) per-user arrays and 16 float64 sub-batch temporaries of
-# SUB_LINKS links. tracemalloc peaks of _rates_chunk, CASE_II, at M = 1, 5
-# and 16: with all three schemes 1.5, 5.4 and 9.9 MiB, and with phi = 0,
-# where every link keeps line of sight, 0.9, 8.3 and 11.6 MiB; with PIN_D2
-# and CONV, whose Design II takes the row path, 0.8, 3.8 and 7.0 MiB, and
-# with phi = 0, where every user gets its row, 0.9, 4.4 and 7.6 MiB.
+# Bound on the heap one _rates_chunk call uses at M <= 16: at most 8 float64
+# (n, M) per-user arrays, n M <= 16 CHUNK_TRIALS (a group of chunks fills
+# at most one sub-batch, so there n M <= SUB_LINKS / M), and 16 float64
+# sub-batch temporaries of SUB_LINKS links. tracemalloc peaks of one full
+# group (8 chunks at M = 1, 2 at M = 2, 1 at M = 5 and 16), CASE_II, at
+# M = 1, 2, 5 and 16: with all three schemes 5.1, 5.6, 5.4 and 9.9 MiB, and
+# with phi = 0, where every link keeps line of sight, 5.5, 8.4, 8.3 and
+# 11.6 MiB; with PIN_D2 and CONV, whose Design II takes the row path, 4.4,
+# 3.9, 3.6 and 7.0 MiB, and with phi = 0, where every user gets its row,
+# 5.5, 4.8, 4.2 and 7.6 MiB.
 # It must stay below 32 MiB, glibc's cap on its dynamic mmap threshold.
 _CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
 
@@ -148,8 +158,8 @@ def _prime_heap() -> None:
     chunk faults its pages back in. Freeing a mapped block of up to 32 MiB
     raises the mmap threshold to that block's size and the trim threshold
     to twice it. A block just over _CHUNK_HEAP_BYTES, never touched, so
-    costing no page faults, lifts both above a chunk's working set. Other
-    allocators ignore it.
+    costing no page faults, lifts both above a kernel call's working set.
+    Other allocators ignore it.
     """
     np.empty(_CHUNK_HEAP_BYTES, dtype=np.uint8)
 
@@ -171,21 +181,34 @@ def _map_chunks(reduce, schemes: tuple[Scheme, ...], cfg: SystemConfig,
 
     Chunk i holds n = min(CHUNK_TRIALS, n_trials - i CHUNK_TRIALS) trials
     and reads the stream chunk_generator(master_seed, axis_index, i), so the
-    results do not depend on ``workers``.
+    results do not depend on ``workers``. Consecutive chunks are evaluated
+    in groups, one ``_rates_chunk`` call each: as many whole chunks as fit
+    in one sub-batch of SUB_LINKS links, at least one, and no more than
+    give every worker a group. ``reduce`` still sees each chunk's rows
+    alone.
     """
     _check_budget(n_trials, master_seed, workers)
     n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    m = cfg.num_users
+    size = min(max(1, SUB_LINKS // (m * m * CHUNK_TRIALS)),
+               -(-n_chunks // workers))
     _prime_heap()
 
-    def one(chunk: int) -> list:
-        rng = chunk_generator(master_seed, axis_index, chunk)
-        n = min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS)
-        return [reduce(rates) for rates in _rates_chunk(schemes, cfg, n, rng)]
+    def group(first: int) -> list[list]:
+        chunks = range(first, min(first + size, n_chunks))
+        n = min(len(chunks) * CHUNK_TRIALS, n_trials - first * CHUNK_TRIALS)
+        rates = _rates_chunk(schemes, cfg, n, *(
+            chunk_generator(master_seed, axis_index, c) for c in chunks))
+        return [[reduce(r[lo:lo + CHUNK_TRIALS]) for r in rates]
+                for lo in range(0, n, CHUNK_TRIALS)]
 
-    if workers <= 1 or n_chunks == 1:
-        return [one(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(n_chunks)))
+    firsts = range(0, n_chunks, size)
+    if workers <= 1 or len(firsts) == 1:
+        groups = [group(f) for f in firsts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(group, firsts))
+    return [part for parts in groups for part in parts]
 
 
 def _sub_batches(n: int, m: int) -> list[slice]:
@@ -224,29 +247,31 @@ def _zf_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
 
 
 def _design2_rows(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                  beta: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(nb, M) Design II rates of one sub-batch's users.
+                  beta: np.ndarray, u: np.ndarray, rates: np.ndarray) -> None:
+    """Fill ``rates`` with the (nb, M) Design II rates of one sub-batch.
 
-    ``u`` holds the sub-batch's (nb, M, M) blockage uniforms. Every user's
-    own link is evaluated first. A user whose own link is blocked has rate
-    +0.0 whatever its interference, so only the k users whose own link is
-    clear get their (k, M) rows of links (distance, probability, indicator,
-    gain and row sum), each bit for bit the row of the full (nb, M, M)
-    evaluation. A lone user's row is its own link, so it needs no indicator.
+    ``u`` holds the sub-batch's (nb, M, M) blockage uniforms and ``rates``
+    is a contiguous (nb, M) array. Every user's own link is evaluated
+    first. A user whose own link is blocked has rate +0.0 whatever its
+    interference, so only the k users whose own link is clear get their
+    (k, M) rows of links (distance, probability, indicator, gain and row
+    sum), each bit for bit the row of the full (nb, M, M) evaluation. A
+    lone user's row is its own link, so it needs no indicator.
     """
-    nb, m = x.shape
+    m = x.shape[1]
     # x - x = +0.0, so these are bit for bit the diagonals of the full arrays
     own_sq = pin_distances_sq(cfg, x, y, beta, x)
-    rates = np.zeros((nb, m))  # +0.0, the rate of a blocked own link
+    rates.fill(0.0)  # +0.0, the rate of a blocked own link
     users = np.flatnonzero(np.diagonal(u, axis1=1, axis2=2)
                            < unblocked_probability_sq(own_sq, cfg))
     if users.size == 0:
-        return rates
+        return
     xs = x.reshape(-1).take(users)[:, None]
     if m == 1:
-        # as k one-user trials, so the amplitude is computed for those only
-        s = power_gains(cfg, own_sq.reshape(-1).take(users)[:, None, None],
-                        xs)[:, 0]
+        # as k one-user trials, so the amplitude is computed for those only;
+        # the n-trial own_sq is freed before the gains are built
+        own_sq = own_sq.reshape(-1).take(users)[:, None, None]
+        s = power_gains(cfg, own_sq, xs)[:, 0]
     else:
         trials = users // m
         dist = pin_distances_sq(cfg, xs, y.reshape(-1).take(users)[:, None],
@@ -258,7 +283,6 @@ def _design2_rows(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
         s *= mask
     rates.reshape(-1)[users] = design2_rates_of_rows(s, users, cfg.tx_power,
                                                      cfg.noise_power)
-    return rates
 
 
 def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
@@ -291,27 +315,69 @@ def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     return rates.reshape(n, m)
 
 
-def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """(n, M) rates of each of ``schemes`` from one pass over a chunk's stream.
+def _blockage_uniforms(chunks, b: slice, m: int,
+                       conv_u: np.ndarray | None) -> np.ndarray:
+    """Sub-batch b's (nb, M, M) pinching blockage uniforms.
 
-    This is the one function that draws a chunk's random numbers: the
-    placement, then the pinching schemes' (n, M, M) blockage uniforms,
-    sub-batch by sub-batch in trial order, which consumes the stream
-    exactly as one (n, M, M) draw would. Both pinching designs read the
-    same uniforms, through ``_zf_rates`` when PIN_D1 runs with two or more
-    users and through ``_design2_rows`` otherwise. The conventional
-    scheme's (n, M) blockage uniforms are the first n M of that draw, so
-    with a pinching scheme it copies them out of it, and alone it draws
+    ``chunks`` pairs each chunk's generator with its rows. Each chunk that
+    b overlaps draws its part of b from its own stream, in trial order. The
+    conventional scheme's uniforms of a chunk of n_c trials are the first
+    n_c M of that chunk's draw, so those go to the chunk's entries of
+    ``conv_u`` as well, unless it is None; at M = 1 they are all of it, so
+    the draw goes into ``conv_u`` itself.
+    """
+    if conv_u is not None and m == 1:
+        u, conv_u = conv_u[b].reshape(-1, 1, 1), None
+    else:
+        u = np.empty((b.stop - b.start, m, m))
+    for g, rows in chunks:
+        lo, hi = max(rows.start, b.start), min(rows.stop, b.stop)
+        if lo >= hi:
+            continue
+        part = u[lo - b.start:hi - b.start]
+        g.random(out=part)
+        if conv_u is not None:
+            # where the part starts in its chunk's draw, and how much of it
+            # falls among the chunk's first n_c M uniforms
+            first = (lo - rows.start) * m * m
+            k = min(part.size, (rows.stop - rows.start) * m - first)
+            if k > 0:
+                at = rows.start * m + first
+                conv_u[at:at + k] = part.reshape(-1)[:k]
+    return u
+
+
+def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
+                 rng: np.random.Generator,
+                 *more: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """(n, M) rates of each of ``schemes`` from one pass over chunk streams.
+
+    ``rng`` is the stream of one chunk of n trials. With ``more``, it and
+    each further generator are the streams of consecutive chunks, which are
+    evaluated together: each holds CHUNK_TRIALS trials but the last, which
+    holds the rest of the n. This is the one function that draws a chunk's
+    random numbers: the placement, then the pinching schemes' (n_c, M, M)
+    blockage uniforms, sub-batch by sub-batch in trial order, which
+    consumes the stream exactly as one (n_c, M, M) draw would. Every chunk
+    reads only its own stream, in that order, so its rates do not depend on
+    the chunks evaluated with it. Both pinching designs read the same
+    uniforms, through ``_zf_rates`` when PIN_D1 runs with two or more users
+    and through ``_design2_rows`` otherwise. The conventional scheme's
+    (n_c, M) blockage uniforms are the first n_c M of its chunk's draw, so
+    with a pinching scheme it reads them from that draw, and alone it draws
     them itself: either way it reads the uniforms it reads alone, and the
     stream is never rewound. A repeated scheme gets the same array again.
     """
+    chunks = [(g, slice(c * CHUNK_TRIALS,
+                        n if c == len(more) else (c + 1) * CHUNK_TRIALS))
+              for c, g in enumerate((rng, *more))]
     beta = waveguide_y_offsets(cfg)
-    x, y = _sample_user_xy(cfg, n, rng, beta)
+    x, y = _sample_user_xy(cfg, n, chunks, beta)
     m = x.shape[1]
     zero_force = Scheme.PIN_D1 in schemes
     dense = zero_force and m > 1
     conv = Scheme.CONV in schemes
+    conv_u = np.empty(n * m) if conv else None
     rates = {}
     # An overflowing SNR gives the rate +inf, which an outage counts
     # correctly and _ergodic_estimates rejects, so overflow is not reported.
@@ -321,20 +387,17 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
             d2 = np.empty((n, m))
             # A single user sees no interference, so zero forcing is Design II.
             d1 = np.empty((n, m)) if dense else d2
-            conv_u = np.empty(n * m) if conv else None
             for b in _sub_batches(n, m):
-                u = rng.random((b.stop - b.start, m, m))
-                lo = b.start * m * m
-                if conv and lo < conv_u.size:
-                    conv_u[lo:lo + u.size] = u.reshape(-1)[:conv_u.size - lo]
+                u = _blockage_uniforms(chunks, b, m, conv_u)
                 if dense:
                     d2[b], d1[b] = _zf_rates(cfg, x[b], y[b], beta, u)
                 else:
-                    d2[b] = _design2_rows(cfg, x[b], y[b], beta, u)
+                    _design2_rows(cfg, x[b], y[b], beta, u, d2[b])
             del u  # not held through the conventional rows
             rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = d2, d1
         elif conv:
-            conv_u = rng.random(n * m)
+            for g, rows in chunks:
+                g.random(out=conv_u[rows.start * m:rows.stop * m])
         if conv:
             alpha = conv_u.reshape(n, m) < unblocked_probability_sq(
                 center_distances_sq(cfg, x, y), cfg)

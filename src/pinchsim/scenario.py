@@ -132,34 +132,43 @@ def conventional_array_positions(cfg: SystemConfig) -> np.ndarray:
     return pos
 
 
-def _uniform(rng: np.random.Generator, low, high, shape) -> np.ndarray:
-    """``rng.uniform(low, high, shape)`` bit for bit, at ``rng.random`` speed.
+def _to_uniform(u: np.ndarray, low, high) -> None:
+    """Turn ``random()`` doubles into ``uniform(low, high)`` ones, in place.
 
-    numpy computes ``low + (high - low) * u`` from one ``random()`` double
-    per entry, but with array bounds it runs about twice as slow as scaling
-    the ``random`` output in place.
+    numpy's ``uniform`` computes ``low + (high - low) * u`` from one
+    ``random()`` double per entry, so this is its draw bit for bit; with
+    array bounds it runs about twice as fast.
     """
-    u = rng.random(shape)
     u *= high - low
     u += low
-    return u
 
 
-def _sample_user_xy(cfg: SystemConfig, n: int, rng: np.random.Generator,
+def _sample_user_xy(cfg: SystemConfig, n: int, rng,
                     beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """n user drops at once: (n, M) x and y coordinates.
 
     User m gets x ~ U(-d_l/2, d_l/2) and y uniform in its strip, unless
-    ``constrain_under_waveguide`` pins y to the waveguide center line. All
-    x are drawn before any y. ``beta`` is ``waveguide_y_offsets(cfg)``,
-    which callers also need for the distances and so compute once.
+    ``constrain_under_waveguide`` pins y to the waveguide center line.
+    ``rng`` is one generator, or a sequence of (generator, rows) pairs
+    whose row slices split the n drops into runs; each generator draws all
+    x of its rows before any y, ``rng.uniform``'s draw bit for bit, and the
+    uniforms are scaled once over all n rows. ``beta`` is
+    ``waveguide_y_offsets(cfg)``, which callers also need for the distances
+    and so compute once.
     """
-    m = cfg.num_users
-    x = _uniform(rng, -cfg.d_l / 2.0, cfg.d_l / 2.0, (n, m))
-    if cfg.constrain_under_waveguide:
-        y = np.broadcast_to(beta, (n, m)).copy()
+    if isinstance(rng, np.random.Generator):
+        rng = [(rng, slice(0, n))]
+    constrained = cfg.constrain_under_waveguide
+    x, y = np.empty((n, cfg.num_users)), np.empty((n, cfg.num_users))
+    for g, rows in rng:
+        g.random(out=x[rows])
+        if not constrained:
+            g.random(out=y[rows])
+    _to_uniform(x, -cfg.d_l / 2.0, cfg.d_l / 2.0)
+    if constrained:
+        y[...] = beta
     else:
         half = cfg.strip_width / 2.0
-        y = _uniform(rng, beta - half, beta + half, (n, m))
+        _to_uniform(y, beta - half, beta + half)
     return x, y
 

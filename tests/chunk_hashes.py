@@ -16,8 +16,12 @@ zero forcing (PIN_D1) at M x phi x loss case, MODEL_A, which run several
 sub-batches and meet exact zero LU pivots and 1-norm rejections. Each cell's
 line is followed by a ``sums`` line that hashes ``montecarlo._ergodic_sums``
 of each scheme's rates, the per-user and sum-rate moments an ergodic
-estimate reduces, so a change to those reductions shows as well. The file
-is not named ``test_*``, so pytest does not collect it.
+estimate reduces, so a change to those reductions shows as well. The
+``estimates`` lines hash the values and half-widths that the public
+``estimate_outage`` and ``estimate_ergodic`` return for every scheme over
+several chunks, the last one partial, at M = 1 and 2 and with ``workers`` 1
+and 2, so a change to how chunks are scheduled and reduced shows too. The
+file is not named ``test_*``, so pytest does not collect it.
 """
 
 import hashlib
@@ -25,7 +29,16 @@ import itertools
 
 import numpy as np
 
-from pinchsim import BlockageModel, LossCase, Scheme, SystemConfig, montecarlo
+from pinchsim import (
+    BlockageModel,
+    LossCase,
+    OutageParams,
+    Scheme,
+    SystemConfig,
+    estimate_ergodic,
+    estimate_outage,
+    montecarlo,
+)
 from pinchsim.montecarlo import _ergodic_sums, _rates_chunk, chunk_generator
 
 N = 45  # trials per chunk; SUB_LINKS = 37 leaves short last sub-batches
@@ -37,6 +50,9 @@ SCHEME_TUPLES = [t for k in (1, 2, 3)
                  for t in itertools.permutations(Scheme, k)]
 FULL_USERS = (2, 5, 16)
 FULL_PHIS = (0.0, 0.1)
+# whole chunks, then a partial one: 6 chunks at M = 1 and 4 at M = 2
+ESTIMATE_CHUNKS = {1: 5, 2: 3}
+ESTIMATE_EXTRA = 777
 
 
 def digest(arrays) -> str:
@@ -89,6 +105,19 @@ def main() -> None:
                              chunk_generator(8, 0, 1))
         report(f"full M={m} {BlockageModel.MODEL_A.value} {loss.value} "
                f"phi={phi}", rates)
+    for (m, chunks), model, loss, workers in itertools.product(
+            ESTIMATE_CHUNKS.items(), BlockageModel, LossCase, (1, 2)):
+        cfg = config(m, model, loss, False, 0.1)
+        n = chunks * montecarlo.CHUNK_TRIALS + ESTIMATE_EXTRA
+        outage = estimate_outage(tuple(Scheme),
+                                 OutageParams(cfg=cfg, r_target=14.0), n, 21,
+                                 workers=workers)
+        ergodic = estimate_ergodic(tuple(Scheme), cfg, n, 21, workers=workers)
+        cell = f"estimates M={m} {model.value} {loss.value} workers={workers}"
+        print(f"{cell} outage "
+              f"{digest([[e.value, e.ci_half_width] for e in outage])}")
+        print(f"{cell} ergodic "
+              f"{digest([[e.value, e.ci_half_width] for s in ergodic for e in s])}")
 
 
 if __name__ == "__main__":

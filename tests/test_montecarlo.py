@@ -393,12 +393,15 @@ class TestPinchingGate:
 
 # Runs an M=1 outage estimate over 32 chunks and an M=16 ergodic estimate
 # over 8, each after a warm-up run, and prints the minor page faults per
-# chunk of each.
+# chunk of each. The warm-up evaluates at least one full group of chunks:
+# at M = 1 that is SUB_LINKS // CHUNK_TRIALS chunks in one kernel call, so
+# a shorter warm-up would leave the larger group's pages to the measured
+# run; at M = 16 every chunk is a group of its own.
 _FAULTS_PER_CHUNK = """
 import resource, sys
 from pinchsim import (BlockageModel, OutageParams, Scheme, SystemConfig,
                       estimate_ergodic, estimate_outage)
-from pinchsim.montecarlo import CHUNK_TRIALS
+from pinchsim.montecarlo import CHUNK_TRIALS, SUB_LINKS
 assert "scipy" not in sys.modules
 schemes = (Scheme.PIN_D2, Scheme.CONV)
 one = OutageParams(cfg=SystemConfig(
@@ -406,10 +409,11 @@ one = OutageParams(cfg=SystemConfig(
     blockage_model=BlockageModel.MODEL_A), r_target=8.0)
 many = SystemConfig(num_users=16, d_w=10.0, d_l=40.0, tx_power=0.01, phi=0.1,
                     blockage_model=BlockageModel.MODEL_B)
-for run, chunks in (
-        (lambda n: estimate_outage(schemes, one, n * CHUNK_TRIALS, 1), 32),
-        (lambda n: estimate_ergodic(schemes, many, n * CHUNK_TRIALS, 1), 8)):
-    run(2)
+for run, warm, chunks in (
+        (lambda n: estimate_outage(schemes, one, n * CHUNK_TRIALS, 1),
+         SUB_LINKS // CHUNK_TRIALS, 32),
+        (lambda n: estimate_ergodic(schemes, many, n * CHUNK_TRIALS, 1), 2, 8)):
+    run(warm)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run(chunks)
     print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / chunks)
@@ -419,8 +423,12 @@ for run, chunks in (
 class TestChunkMemory:
     """Chunk memory is allocated once and stays mapped between chunks."""
 
-    @pytest.mark.parametrize("m", [1, 5, 16])
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
     def test_working_set_within_the_primed_heap(self, m):
+        # one full group of chunks, as _map_chunks forms it: 8 chunks at
+        # M = 1, 2 at M = 2 and one from M = 3 on
+        group = max(1, montecarlo.SUB_LINKS
+                    // (m * m * montecarlo.CHUNK_TRIALS))
         # phi = 0 keeps every user's line of sight: the conventional array
         # then evaluates every row, its largest working set
         # PIN_D1 takes every link; without it Design II takes the row path
@@ -430,8 +438,8 @@ class TestChunkMemory:
                            loss_case=LossCase.CASE_II)
             tracemalloc.start()
             try:
-                _rates_chunk(schemes, cfg, montecarlo.CHUNK_TRIALS,
-                             chunk_generator(1, 0, 0))
+                _rates_chunk(schemes, cfg, group * montecarlo.CHUNK_TRIALS,
+                             *(chunk_generator(1, 0, c) for c in range(group)))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -643,6 +651,88 @@ class TestFusedSchemes:
     def test_an_estimate_is_a_value_and_its_ci(self):
         assert ([f.name for f in fields(MetricEstimate)]
                 == ["value", "ci_half_width"])
+
+
+class TestChunkGroups:
+    """Consecutive chunks evaluated in one kernel call get exactly the rates
+    and estimates they get one chunk at a time."""
+
+    # 16-trial chunks and 128-link sub-batches keep the real ratio of
+    # SUB_LINKS to CHUNK_TRIALS, so groups hold 8 chunks at M = 1, 2 at
+    # M = 2 and 1 at M = 3
+    CHUNK, SUB = 16, 128
+
+    @settings(max_examples=40, deadline=None)
+    @given(schemes=st.sampled_from(SCHEME_TUPLES), m=st.sampled_from([1, 2, 3]),
+           model=st.sampled_from(list(BlockageModel)),
+           loss=st.sampled_from(list(LossCase)), constrained=st.booleans(),
+           phi=st.sampled_from([0.0, 0.1, 50.0]), chunks=st.integers(1, 5),
+           last=st.integers(1, 16), sub_links=st.integers(1, 5 * 16 * 9),
+           seed=st.integers(0, 2 ** 32))
+    def test_grouped_rates_equal_each_chunks_own(
+            self, schemes, m, model, loss, constrained, phi, chunks, last,
+            sub_links, seed):
+        # any sub-batch size, so sub-batches straddle chunk boundaries
+        cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi, blockage_model=model,
+                       loss_case=loss, constrain_under_waveguide=constrained)
+        n = (chunks - 1) * self.CHUNK + last
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "CHUNK_TRIALS", self.CHUNK)
+            patch.setattr(montecarlo, "SUB_LINKS", sub_links)
+            grouped = _rates_chunk(schemes, cfg, n, *(
+                chunk_generator(seed, 1, c) for c in range(chunks)))
+            for c in range(chunks):
+                rows = slice(c * self.CHUNK, min(n, (c + 1) * self.CHUNK))
+                alone = _rates_chunk(schemes, cfg, rows.stop - rows.start,
+                                     chunk_generator(seed, 1, c))
+                for together, own in zip(grouped, alone):
+                    assert np.array_equal(together[rows].view(np.int64),
+                                          own.view(np.int64)), (c, schemes)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]),
+           n_trials=st.integers(1, 20 * 16),
+           metric=st.sampled_from([MetricKind.OUTAGE, MetricKind.ERGODIC_SUM]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_estimates_equal_chunk_by_chunk_for_any_worker_count(
+            self, m, n_trials, metric, seed):
+        cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05)
+        schemes = list(Scheme)
+        if metric is MetricKind.OUTAGE:
+            params = OutageParams(cfg=cfg, r_target=9.0)
+
+            def estimate(workers):
+                return estimate_outage(schemes, params, n_trials, seed,
+                                       workers=workers)
+        else:
+            def estimate(workers):
+                return estimate_ergodic(schemes, cfg, n_trials, seed,
+                                        workers=workers)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "CHUNK_TRIALS", self.CHUNK)
+            # one link per sub-batch makes every group a single chunk
+            patch.setattr(montecarlo, "SUB_LINKS", 1)
+            chunk_by_chunk = estimate(1)
+            patch.setattr(montecarlo, "SUB_LINKS", self.SUB)
+            for workers in (1, 2, 3):
+                assert estimate(workers) == chunk_by_chunk, workers
+
+    # 4 chunks: at M = 1 up to 8 fit in one sub-batch, at M = 2 up to 2
+    @pytest.mark.parametrize("m, workers, groups", [
+        (1, 1, [4]), (1, 2, [2, 2]), (1, 3, [2, 2]), (1, 4, [1, 1, 1, 1]),
+        (2, 1, [2, 2]), (3, 1, [1, 1, 1, 1])])
+    def test_every_worker_gets_a_group(self, monkeypatch, m, workers, groups):
+        calls = []
+
+        def counting(schemes, cfg, n, *streams):
+            calls.append(len(streams))
+            return _rates_chunk(schemes, cfg, n, *streams)
+
+        monkeypatch.setattr(montecarlo, "_rates_chunk", counting)
+        params = OutageParams(cfg=make_cfg(num_users=m), r_target=8.0)
+        estimate_outage([Scheme.PIN_D2], params, 4 * montecarlo.CHUNK_TRIALS,
+                        5, workers=workers)
+        assert sorted(calls) == groups
 
 
 class TestEstimateOutage:

@@ -111,8 +111,11 @@ def waveguide_amplitude(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
     """In-waveguide amplitude factor of antennas at x: the dB/m loss for
     CASE_II, ones for CASE_I."""
     if cfg.loss_case is LossCase.CASE_II:
+        # 10 ** (-loss * length / 20), in place on the fresh length array
         length = _guided_length(cfg, x)
-        return 10.0 ** (-cfg.waveguide_loss_db_per_m * length / 20.0)
+        length *= -cfg.waveguide_loss_db_per_m
+        length /= 20.0
+        return np.power(10.0, length, out=length)
     return np.ones_like(x)
 
 

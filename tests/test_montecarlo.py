@@ -37,7 +37,7 @@ from pinchsim import (
     run_experiment,
     sweep,
 )
-from pinchsim import montecarlo, transceiver
+from pinchsim import analytics, montecarlo, transceiver
 from pinchsim.channel import (
     center_distances_sq,
     conv_distances_sq,
@@ -733,6 +733,65 @@ class TestChunkGroups:
         estimate_outage([Scheme.PIN_D2], params, 4 * montecarlo.CHUNK_TRIALS,
                         5, workers=workers)
         assert sorted(calls) == groups
+
+
+class TestErgodicSums:
+    """The chunk moments an ergodic estimate reduces are numpy's own sums."""
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 20000])
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 16, 17])
+    def test_per_user_sums_are_numpys_bit_for_bit(self, m, n):
+        # n = 8191-8193 straddles einsum's iterator buffer; magnitudes over
+        # 16 decades make every summation order round differently
+        rng = np.random.default_rng(100 * m + n % 97)
+        rates = rng.random((n, m)) * 10.0 ** rng.integers(-8, 8, (n, m))
+        flat = rates.reshape(-1)
+        flat[::7] = 0.0
+        flat[3::11] = 5e-324
+        flat[5::13] = 2.2250738585072014e-308
+        rates[n // 2, 0] = 1e308  # its square overflows to +inf
+        with np.errstate(over="ignore"):
+            # row-offset slices as a grouped chunk's rows are
+            for r in (rates, rates[1:]):
+                if len(r) == 0:
+                    continue
+                per_sum, per_sq, _, _ = montecarlo._ergodic_sums(r)
+                for got, expected in ((per_sum, r.sum(axis=0)),
+                                      (per_sq, (r * r).sum(axis=0))):
+                    assert np.array_equal(np.array(got).view(np.int64),
+                                          expected.view(np.int64))
+        assert math.isinf(per_sq[0])
+
+
+class TestOwnLinkRouteCheck:
+    """The two routes at M >= 2: the Monte-Carlo share of users whose own
+    link is clear against its exact mean E[p_uu]."""
+
+    SEED, CHUNKS = 2028, 12  # 98304 placements per geometry
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig3b", "fig4"])
+    def test_clear_fraction_matches_the_strip_mean(self, preset):
+        cfg = parse_config(f"preset = {preset}").system
+        m = cfg.num_users
+        if cfg.constrain_under_waveguide:
+            # every own link is the height: p(h)
+            law = (cfg.height if cfg.blockage_model is BlockageModel.MODEL_A
+                   else cfg.height ** 2)
+            p = math.exp(-cfg.phi * law)
+        else:
+            # user u's y - beta_u is uniform over its strip, d_w / M wide
+            p = 1.0 - analytics._pin_outage(
+                replace(cfg, d_w=cfg.d_w / m), cfg.blockage_model,
+                cfg.d_w / (2 * m), "own-link clear fraction")
+        # a clear own link has a positive finite gain, so a positive Design
+        # II rate, and a blocked one has rate +0.0
+        clear = sum(np.count_nonzero(
+            _rates_chunk((Scheme.PIN_D2,), cfg, montecarlo.CHUNK_TRIALS,
+                         chunk_generator(self.SEED, 0, c))[0])
+            for c in range(self.CHUNKS))
+        n = self.CHUNKS * montecarlo.CHUNK_TRIALS * m
+        z = (clear / n - p) / math.sqrt(p * (1.0 - p) / n)
+        assert abs(z) <= 4.0, (preset, p, clear / n, z)
 
 
 class TestEstimateOutage:

@@ -371,9 +371,7 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
     _check_model(cfg, _MODEL_B, "two_user_cross_blockage_factor")
     if cfg.phi == 0.0:
         return 0.0
-    # waveguide_y_offsets(cfg), as Python floats from the same expression
-    beta1, beta2 = (-cfg.d_w / 2.0 + k * cfg.d_w / 2 + cfg.d_w / (2.0 * 2)
-                    for k in (0, 1))
+    beta1, beta2 = waveguide_y_offsets(cfg).tolist()
     tau4 = (beta1 - beta2) ** 2 + cfg.height ** 2
     phi = cfg.phi
     d_l = cfg.d_l
@@ -427,7 +425,7 @@ def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
         for lo in range(0, len(out), step):
             rows = slice(lo, lo + step)
             s = power_gains(cfg, conv_distances_sq(cfg, xs[rows], ys[rows]))
-            out[rows] = design2_rates_from_power(s, 1.0, 0.0, m)
+            out[rows] = design2_rates_from_power(s, 1.0, 0.0)
         return out.reshape(x.shape)
 
     if cfg.constrain_under_waveguide:

@@ -11,14 +11,15 @@ antenna]: the squared distances (:func:`pin_distances_sq`,
 whole sub-batches; one realization is the n = 1 case. The distances and
 gains also come as (k, M) rows, the links of k chosen users, so that only
 the users whose rate needs its links get them; each user's own link comes
-as (n, M) from :func:`pin_distances_sq` without any x difference, and
+as (n, M) from :func:`own_distances_sq` without any x difference, and
 :func:`center_distances_sq` gives the (n, M) length of the one link whose
 blockage all of a user's conventional elements share.
 
 A link of length r has free-space power gain path_gain_factor / r^2. The
 pinching system adds the in-waveguide path of length l = x + d_l/2 from the
 feed at the near edge to the antenna: a phase over the guided wavelength and,
-for CASE_II, a dB/m amplitude loss a(l). So
+for CASE_II, a dB/m amplitude loss a(l), which :func:`power_gains` applies
+squared. So
 h = alpha sqrt(path_gain_factor) / r a(l) exp(-2 pi j (r / wavelength
 + l / guided_wavelength)), with alpha the line-of-sight indicator. A
 blocked link's h is an exact zero, so :func:`channel_coefficients` takes
@@ -45,18 +46,9 @@ def pin_distances_sq(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     Antenna m sits at (pinch_x[..., m], beta[m], height); ``beta`` is
     ``waveguide_y_offsets(cfg)``. Users at ``x``, ``y`` broadcast against
     the antennas along the last axis: (k, 1) users and (k, M) antennas give
-    k rows of links, and (n, M) users and antennas give each user's own
-    link. Passing ``x`` itself as ``pinch_x`` asks for those own links
-    directly, (y - beta)^2 + height^2, bit for bit the same without the
-    x - x = +0.0 pass. Without ``pinch_x`` the antennas follow the (n, M)
+    k rows of links. Without ``pinch_x`` the antennas follow the (n, M)
     users themselves, giving every link, (n, M, M).
     """
-    if pinch_x is x:
-        # each user's own link: x - x is +0.0, and +0.0 + dy is dy
-        d = y - beta
-        d *= d
-        d += cfg.height * cfg.height
-        return d
     if pinch_x is None:
         x, y, pinch_x = x[:, :, None], y[:, :, None], x[:, None, :]
     d = x - pinch_x
@@ -64,6 +56,20 @@ def pin_distances_sq(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     dy = y - beta
     dy *= dy
     d += dy
+    d += cfg.height * cfg.height
+    return d
+
+
+def own_distances_sq(cfg: SystemConfig, y: np.ndarray,
+                     beta: np.ndarray) -> np.ndarray:
+    """Squared distance of each of (n, M) users to its own pinching antenna,
+    (y - beta)^2 + height^2, as (n, M).
+
+    The antenna sits at the user's x, so x - x = +0.0, and +0.0 + dy is
+    dy: this is bit for bit the diagonal of :func:`pin_distances_sq`.
+    """
+    d = y - beta
+    d *= d
     d += cfg.height * cfg.height
     return d
 
@@ -84,39 +90,26 @@ def center_distances_sq(cfg: SystemConfig, x: np.ndarray,
     return x * x + y * y + cfg.height ** 2
 
 
-def unblocked_probability_sq(dist_sq, cfg: SystemConfig):
+def unblocked_probability_sq(dist_sq: np.ndarray,
+                             cfg: SystemConfig) -> np.ndarray:
     """Probability that a link keeps line of sight, from its squared length.
 
     MODEL_A uses exp(-phi * distance); MODEL_B uses exp(-phi * distance^2),
-    which needs no square root.
+    which needs no square root. Built in place in one new array.
     """
-    dsq = np.asarray(dist_sq, dtype=float)
-    # Built in place in one array; a scalar input gives a scalar.
-    p = np.empty(dsq.shape)
+    p = np.empty(dist_sq.shape)
     if cfg.blockage_model is BlockageModel.MODEL_A:
-        np.sqrt(dsq, out=p)
+        np.sqrt(dist_sq, out=p)
         p *= -cfg.phi
     else:
-        np.multiply(dsq, -cfg.phi, out=p)
+        np.multiply(dist_sq, -cfg.phi, out=p)
     np.exp(p, out=p)
-    return p if p.ndim else p[()]
+    return p
 
 
 def _guided_length(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
     """In-waveguide distance from the feed at x = -d_l/2 to antennas at x."""
     return x + cfg.d_l / 2.0
-
-
-def waveguide_amplitude(cfg: SystemConfig, x: np.ndarray) -> np.ndarray:
-    """In-waveguide amplitude factor of antennas at x: the dB/m loss for
-    CASE_II, ones for CASE_I."""
-    if cfg.loss_case is LossCase.CASE_II:
-        # 10 ** (-loss * length / 20), in place on the fresh length array
-        length = _guided_length(cfg, x)
-        length *= -cfg.waveguide_loss_db_per_m
-        length /= 20.0
-        return np.power(10.0, length, out=length)
-    return np.ones_like(x)
 
 
 def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
@@ -125,14 +118,20 @@ def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
     """Unblocked |h|^2 of every link: (n, M, M), or (k, M) for k rows.
 
     ``pinch_x`` holds the (n, M) antenna x coordinates of a pinching system,
-    whose waveguide amplitude then applies per column; None for the
-    conventional array. CASE_I's amplitude is 1, so it is not applied. For
-    (k, M) rows, ``trials`` gives the trial of each row, its row of
-    ``pinch_x``; the amplitude is computed once per trial, not per row.
+    whose in-waveguide amplitude then applies per column; None for the
+    conventional array. CASE_II's amplitude is the dB/m loss
+    10^(-loss l / 20) over the run l from the feed; CASE_I's is 1, so it is
+    not applied. For (k, M) rows, ``trials`` gives the trial of each row,
+    its row of ``pinch_x``; the amplitude is computed once per trial, not
+    per row.
     """
     s = cfg.path_gain_factor / dist_sq
     if pinch_x is not None and cfg.loss_case is LossCase.CASE_II:
-        amp = waveguide_amplitude(cfg, pinch_x)
+        # the squared amplitude, in place on the fresh length array
+        amp = _guided_length(cfg, pinch_x)
+        amp *= -cfg.waveguide_loss_db_per_m
+        amp /= 20.0
+        np.power(10.0, amp, out=amp)
         amp *= amp
         s *= amp[:, None, :] if trials is None else amp.take(trials, axis=0)
     return s

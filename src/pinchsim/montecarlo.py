@@ -13,8 +13,10 @@ Streams are keyed per sweep point and chunk, not per scheme, and every
 scheme of an estimator call is evaluated from one pass over each chunk's
 stream. All schemes therefore see the same user placements, PIN_D1 and
 PIN_D2 also see the same blockage, and scheme comparisons are paired. One
-function, ``_rates_chunk``, draws every random number of a chunk, so that
-contract lives in one place; the kernels it calls are pure functions of
+function, ``_rates_chunk``, draws every random number of a chunk (the
+blockage of each sub-batch through its helper ``_blockage_uniforms``), so
+that contract lives in one place; no other module draws, and the kernels
+it calls, ``scenario._place_users`` among them, are pure functions of
 their draws. A scheme's rates never depend on which other schemes run with
 it: the conventional scheme's blockage uniforms are the first of the ones
 the pinching schemes draw right after the placement, so it reads them from
@@ -74,11 +76,12 @@ from .channel import (
     center_distances_sq,
     channel_coefficients,
     conv_distances_sq,
+    own_distances_sq,
     pin_distances_sq,
     power_gains,
     unblocked_probability_sq,
 )
-from .scenario import SystemConfig, _sample_user_xy, dbm_to_watt, waveguide_y_offsets
+from .scenario import SystemConfig, _place_users, dbm_to_watt, waveguide_y_offsets
 from .transceiver import (
     _column_sums,
     _row_sums,
@@ -229,13 +232,12 @@ def _zf_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     column cannot be zero-forced and keeps its Design II rate, and so does
     one zf_gains_batch rejects.
     """
-    m = x.shape[1]
     dist_sq = pin_distances_sq(cfg, x, y, beta)
     alpha = u < unblocked_probability_sq(dist_sq, cfg)
     # The gains are finite and positive, so this equals where(alpha, s, 0).
     s_eff = power_gains(cfg, dist_sq, x)
     s_eff *= alpha
-    d2 = design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power, m)
+    d2 = design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power)
 
     # only the realizations with no empty row or column are assembled
     live = np.flatnonzero(no_empty_line(alpha))
@@ -260,8 +262,7 @@ def _design2_rows(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     lone user's row is its own link, so it needs no indicator.
     """
     m = x.shape[1]
-    # x - x = +0.0, so these are bit for bit the diagonals of the full arrays
-    own_sq = pin_distances_sq(cfg, x, y, beta, x)
+    own_sq = own_distances_sq(cfg, y, beta)
     rates.fill(0.0)  # +0.0, the rate of a blocked own link
     users = np.flatnonzero(np.diagonal(u, axis1=1, axis2=2)
                            < unblocked_probability_sq(own_sq, cfg))
@@ -357,34 +358,45 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
     each further generator are the streams of consecutive chunks, which are
     evaluated together: each holds CHUNK_TRIALS trials but the last, which
     holds the rest of the n. This is the one function that draws a chunk's
-    random numbers: the placement, then the pinching schemes' (n_c, M, M)
-    blockage uniforms, sub-batch by sub-batch in trial order, which
-    consumes the stream exactly as one (n_c, M, M) draw would. Every chunk
-    reads only its own stream, in that order, so its rates do not depend on
-    the chunks evaluated with it. Both pinching designs read the same
+    random numbers, and it fixes their layout. Each chunk of n_c trials
+    draws from its own stream every x, then every y of its (n_c, M)
+    placement (no y when users are constrained under their waveguides),
+    which ``_place_users`` scales to positions; then the pinching schemes'
+    (n_c, M, M) blockage uniforms, which ``_blockage_uniforms`` draws
+    sub-batch by sub-batch in trial order, consuming the stream exactly as
+    one (n_c, M, M) draw would. So a chunk's rates do not depend on the
+    chunks evaluated with it. Both pinching designs read the same
     uniforms, through ``_zf_rates`` when PIN_D1 runs with two or more users
     and through ``_design2_rows`` otherwise. The conventional scheme's
-    (n_c, M) blockage uniforms are the first n_c M of its chunk's draw, so
-    with a pinching scheme it reads them from that draw, and alone it draws
-    them itself: either way it reads the uniforms it reads alone, and the
+    (n_c, M) blockage uniforms are the first n_c M after the placement:
+    with a pinching scheme it reads them from the pinching draw, and alone
+    it draws them itself, so it reads the same uniforms either way and the
     stream is never rewound. A repeated scheme gets the same array again.
     """
     chunks = [(g, slice(c * CHUNK_TRIALS,
                         n if c == len(more) else (c + 1) * CHUNK_TRIALS))
               for c, g in enumerate((rng, *more))]
-    beta = waveguide_y_offsets(cfg)
-    x, y = _sample_user_xy(cfg, n, chunks, beta)
-    m = x.shape[1]
+    m = cfg.num_users
     zero_force = Scheme.PIN_D1 in schemes
+    pinching = zero_force or Scheme.PIN_D2 in schemes
     dense = zero_force and m > 1
     conv = Scheme.CONV in schemes
+    beta = waveguide_y_offsets(cfg)
+    x, y = np.empty((n, m)), np.empty((n, m))
     conv_u = np.empty(n * m) if conv else None
+    for g, rows in chunks:
+        g.random(out=x[rows])
+        if not cfg.constrain_under_waveguide:
+            g.random(out=y[rows])
+        if conv and not pinching:
+            g.random(out=conv_u[rows.start * m:rows.stop * m])
+    _place_users(cfg, x, y, beta)
     rates = {}
     # An overflowing SNR gives the rate +inf, which an outage counts
     # correctly and _ergodic_estimates rejects, so overflow is not reported.
     # errstate is per thread, and chunks run on pool threads.
     with np.errstate(over="ignore"):
-        if zero_force or Scheme.PIN_D2 in schemes:
+        if pinching:
             d2 = np.empty((n, m))
             # A single user sees no interference, so zero forcing is Design II.
             d1 = np.empty((n, m)) if dense else d2
@@ -396,9 +408,6 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
                     _design2_rows(cfg, x[b], y[b], beta, u, d2[b])
             del u  # not held through the conventional rows
             rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = d2, d1
-        elif conv:
-            for g, rows in chunks:
-                g.random(out=conv_u[rows.start * m:rows.stop * m])
         if conv:
             alpha = conv_u.reshape(n, m) < unblocked_probability_sq(
                 center_distances_sq(cfg, x, y), cfg)

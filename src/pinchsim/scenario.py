@@ -5,6 +5,9 @@ covered by ``num_users`` parallel waveguides at height ``height``. Waveguide m
 runs along the x-axis at the center line of strip m, and serves the single
 user dropped uniformly inside that strip. One pinching antenna per waveguide
 is activated at the in-waveguide position closest to its user.
+
+This module draws no random numbers. :mod:`pinchsim.montecarlo` draws a
+chunk's uniforms, and ``_place_users`` maps them to user positions.
 """
 
 from __future__ import annotations
@@ -143,32 +146,19 @@ def _to_uniform(u: np.ndarray, low, high) -> None:
     u += low
 
 
-def _sample_user_xy(cfg: SystemConfig, n: int, rng,
-                    beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n user drops at once: (n, M) x and y coordinates.
+def _place_users(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
+                 beta: np.ndarray) -> None:
+    """Turn (n, M) ``random()`` doubles into user coordinates, in place.
 
-    User m gets x ~ U(-d_l/2, d_l/2) and y uniform in its strip, unless
-    ``constrain_under_waveguide`` pins y to the waveguide center line.
-    ``rng`` is one generator, or a sequence of (generator, rows) pairs
-    whose row slices split the n drops into runs; each generator draws all
-    x of its rows before any y, ``rng.uniform``'s draw bit for bit, and the
-    uniforms are scaled once over all n rows. ``beta`` is
-    ``waveguide_y_offsets(cfg)``, which callers also need for the distances
-    and so compute once.
+    User m gets x ~ U(-d_l/2, d_l/2) and y uniform in its strip, each
+    ``rng.uniform``'s draw bit for bit from the same doubles. With
+    ``constrain_under_waveguide``, y is pinned to the waveguide center line
+    and its doubles are not read. ``beta`` is ``waveguide_y_offsets(cfg)``,
+    which callers also need for the distances and so compute once.
     """
-    if isinstance(rng, np.random.Generator):
-        rng = [(rng, slice(0, n))]
-    constrained = cfg.constrain_under_waveguide
-    x, y = np.empty((n, cfg.num_users)), np.empty((n, cfg.num_users))
-    for g, rows in rng:
-        g.random(out=x[rows])
-        if not constrained:
-            g.random(out=y[rows])
     _to_uniform(x, -cfg.d_l / 2.0, cfg.d_l / 2.0)
-    if constrained:
+    if cfg.constrain_under_waveguide:
         y[...] = beta
     else:
         half = cfg.strip_width / 2.0
         _to_uniform(y, beta - half, beta + half)
-    return x, y
-

@@ -199,7 +199,7 @@ def design2_rates_of_rows(s: np.ndarray, users: np.ndarray, tx_power: float,
 
 
 def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
-                             noise_power: float, m: int) -> np.ndarray:
+                             noise_power: float) -> np.ndarray:
     """Design II rates from effective squared channel magnitudes.
 
     Args:
@@ -208,7 +208,6 @@ def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
     Returns:
         (..., M) rates, see :func:`design2_rates_from_rows`.
     """
-    s_eff = np.asarray(s_eff, dtype=float)
     return design2_rates_from_rows(np.diagonal(s_eff, axis1=-2, axis2=-1),
                                    _row_sums(s_eff), tx_power, noise_power,
-                                   m)
+                                   s_eff.shape[-1])

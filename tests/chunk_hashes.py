@@ -18,10 +18,13 @@ line is followed by a ``sums`` line that hashes ``montecarlo._ergodic_sums``
 of each scheme's rates, the per-user and sum-rate moments an ergodic
 estimate reduces, so a change to those reductions shows as well. The
 ``estimates`` lines hash the values and half-widths that the public
-``estimate_outage`` and ``estimate_ergodic`` return for every scheme over
-several chunks, the last one partial, at M = 1 and 2 and with ``workers`` 1
-and 2, so a change to how chunks are scheduled and reduced shows too. The
-file is not named ``test_*``, so pytest does not collect it.
+``estimate_outage`` and ``estimate_ergodic`` return over several chunks,
+the last one partial, at M = 1 and 2 and with ``workers`` 1 and 2, so a
+change to how chunks are scheduled, drawn and reduced shows too: for every
+scheme, for the conventional array alone (``CONV``), which draws its own
+blockage uniforms, and for every scheme with users constrained under their
+waveguides (``constrained``), which draw no y. The file is not named
+``test_*``, so pytest does not collect it.
 """
 
 import hashlib
@@ -53,6 +56,10 @@ FULL_PHIS = (0.0, 0.1)
 # whole chunks, then a partial one: 6 chunks at M = 1 and 4 at M = 2
 ESTIMATE_CHUNKS = {1: 5, 2: 3}
 ESTIMATE_EXTRA = 777
+# (label, schemes, constrained) of the estimates lines
+ESTIMATE_CASES = (("", tuple(Scheme), False),
+                  (" CONV", (Scheme.CONV,), False),
+                  (" constrained", tuple(Scheme), True))
 
 
 def digest(arrays) -> str:
@@ -105,15 +112,17 @@ def main() -> None:
                              chunk_generator(8, 0, 1))
         report(f"full M={m} {BlockageModel.MODEL_A.value} {loss.value} "
                f"phi={phi}", rates)
-    for (m, chunks), model, loss, workers in itertools.product(
-            ESTIMATE_CHUNKS.items(), BlockageModel, LossCase, (1, 2)):
-        cfg = config(m, model, loss, False, 0.1)
+    for (label, schemes, constrained), (m, chunks), model, loss, workers in (
+            itertools.product(ESTIMATE_CASES, ESTIMATE_CHUNKS.items(),
+                              BlockageModel, LossCase, (1, 2))):
+        cfg = config(m, model, loss, constrained, 0.1)
         n = chunks * montecarlo.CHUNK_TRIALS + ESTIMATE_EXTRA
-        outage = estimate_outage(tuple(Scheme),
+        outage = estimate_outage(schemes,
                                  OutageParams(cfg=cfg, r_target=14.0), n, 21,
                                  workers=workers)
-        ergodic = estimate_ergodic(tuple(Scheme), cfg, n, 21, workers=workers)
-        cell = f"estimates M={m} {model.value} {loss.value} workers={workers}"
+        ergodic = estimate_ergodic(schemes, cfg, n, 21, workers=workers)
+        cell = (f"estimates{label} M={m} {model.value} {loss.value} "
+                f"workers={workers}")
         print(f"{cell} outage "
               f"{digest([[e.value, e.ci_half_width] for e in outage])}")
         print(f"{cell} ergodic "

@@ -71,6 +71,19 @@ def waveguide_centers(cfg: SystemConfig) -> list[float]:
     return [(k + 0.5) * cfg.d_w / m - cfg.d_w / 2.0 for k in range(m)]
 
 
+def placement(cfg: SystemConfig, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n user drops as ``rng.uniform`` draws, in a chunk's order: (n, M) x,
+    then (n, M) y uniform in each user's strip. Users constrained under
+    their waveguides draw no y and sit on the center lines."""
+    m = cfg.num_users
+    beta = waveguide_y_offsets(cfg)
+    x = rng.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, (n, m))
+    if cfg.constrain_under_waveguide:
+        return x, np.tile(beta, (n, 1))
+    half = cfg.strip_width / 2.0
+    return x, rng.uniform(beta - half, beta + half, (n, m))
+
+
 def los_probability(cfg: SystemConfig, r: float) -> float:
     """exp(-phi r) for MODEL_A, exp(-phi r^2) for MODEL_B."""
     if cfg.blockage_model is BlockageModel.MODEL_A:

@@ -38,7 +38,6 @@ from pinchsim import (
     two_user_cross_blockage_factor,
 )
 from pinchsim.channel import channel_coefficients, pin_distances_sq, power_gains
-from pinchsim.montecarlo import _sample_user_xy
 from pinchsim.scenario import waveguide_y_offsets
 from pinchsim.transceiver import (
     design1_rates_from_gains,
@@ -228,7 +227,7 @@ def test_criterion_07_zero_forcing_correctness():
             beta = waveguide_y_offsets(cfg)
             for _ in range(count):
                 # one placement, every link unblocked
-                x, y = _sample_user_xy(cfg, 1, rng, beta)
+                x, y = oracles.placement(cfg, 1, rng)
                 dist_sq = pin_distances_sq(cfg, x, y, beta)
                 h = channel_coefficients(cfg, dist_sq,
                                          power_gains(cfg, dist_sq, x), x)[0]
@@ -245,7 +244,7 @@ def test_criterion_07_zero_forcing_correctness():
                 d1 = design1_rates_from_gains(gains, cfg.tx_power,
                                               cfg.noise_power)
                 d2 = design2_rates_from_power(np.abs(h) ** 2, cfg.tx_power,
-                                              cfg.noise_power, m)
+                                              cfg.noise_power)
                 assert d1.sum() >= d2.sum()
                 checked += 1
         assert checked == 1000
@@ -256,7 +255,7 @@ def test_criterion_08_triangular_distribution():
         cfg = fig_preset_cfg("fig3a").system
         rng = np.random.default_rng(20250814)
         n = 1_000_000
-        x, _ = _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+        x, _ = oracles.placement(cfg, n, rng)
         z = x[:, 0] - x[:, 1]
         d_l = cfg.d_l
         counts, edges = np.histogram(z, bins=50, range=(-d_l, d_l))

@@ -24,9 +24,7 @@ from pinchsim.channel import (
     pin_distances_sq,
     power_gains,
     unblocked_probability_sq,
-    waveguide_amplitude,
 )
-from pinchsim.scenario import _sample_user_xy
 from pinchsim.transceiver import design2_rates_from_power
 
 
@@ -44,7 +42,7 @@ def one_link(value):
 
 def drop(cfg, rng, n=1):
     """n user drops: (n, M) x and y coordinates."""
-    return _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+    return oracles.placement(cfg, n, rng)
 
 
 def pin_los_probability(cfg, x, y):
@@ -64,15 +62,15 @@ class TestBlockageProbability:
     def test_zero_distance_is_certain_los(self):
         for model in BlockageModel:
             cfg = make_cfg(blockage_model=model, phi=0.7)
-            assert unblocked_probability_sq(0.0, cfg) == 1.0
+            assert unblocked_probability_sq(np.zeros(1), cfg)[0] == 1.0
 
     def test_exponential_examples(self):
         cfg_a = make_cfg(blockage_model=BlockageModel.MODEL_A, phi=0.1)
-        assert unblocked_probability_sq(100.0, cfg_a) == pytest.approx(
-            0.36787944117144233, rel=1e-12)
+        assert unblocked_probability_sq(np.array([100.0]), cfg_a)[0] == (
+            pytest.approx(0.36787944117144233, rel=1e-12))
         cfg_b = make_cfg(blockage_model=BlockageModel.MODEL_B, phi=0.1)
-        assert unblocked_probability_sq(9.0, cfg_b) == pytest.approx(
-            0.4065696597405991, rel=1e-12)
+        assert unblocked_probability_sq(np.array([9.0]), cfg_b)[0] == (
+            pytest.approx(0.4065696597405991, rel=1e-12))
 
     @pytest.mark.parametrize("model", list(BlockageModel))
     def test_strictly_decreasing_in_distance(self, model):
@@ -170,19 +168,28 @@ class TestFreeSpaceCoefficient:
 
 
 class TestWaveguideFactor:
+    @staticmethod
+    def amplitude_sq(cfg, pinch_x):
+        """(1, M) squared in-waveguide amplitude of antennas at ``pinch_x``:
+        power_gains' ratio to the lossless gains of the same links."""
+        d_sq = np.full((1, 1) + pinch_x.shape, 9.0)
+        lossless = power_gains(cfg, d_sq)
+        return (power_gains(cfg, d_sq, np.array([pinch_x])) / lossless)[0]
+
     def test_lossless_case_has_unit_magnitude(self):
         cfg = make_cfg(loss_case=LossCase.CASE_I)
-        assert np.all(waveguide_amplitude(cfg, np.array([[-20.0, 5.0]])) == 1.0)
+        assert np.all(self.amplitude_sq(cfg, np.array([-20.0, 5.0])) == 1.0)
 
     def test_db_per_meter_amplitude(self):
         cfg = make_cfg(loss_case=LossCase.CASE_II)
         # 10 m from the feed at x = -20: 0.8 dB total -> 10^(-0.8/20)
-        amp = waveguide_amplitude(cfg, np.array([[-10.0]]))
-        assert amp[0, 0] == pytest.approx(0.9120108393559098, rel=1e-12)
+        amp_sq = self.amplitude_sq(cfg, np.array([-10.0]))
+        assert amp_sq[0, 0] == pytest.approx(0.9120108393559098 ** 2,
+                                             rel=1e-12)
 
     def test_lossless_pinching_gains_skip_the_amplitude(self, monkeypatch):
         # CASE_I's amplitude is 1, so the pinching gains are the free-space
-        # gains bit for bit, without a pass over the ones
+        # gains bit for bit, without a pass over the in-waveguide lengths
         cfg = make_cfg(num_users=4, loss_case=LossCase.CASE_I)
         rng = np.random.default_rng(17)
         x = rng.uniform(-20.0, 20.0, (30, 4))
@@ -190,10 +197,10 @@ class TestWaveguideFactor:
         d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
         free = power_gains(cfg, d_sq)
 
-        def no_amplitude(*args, **kwargs):
-            raise AssertionError("waveguide_amplitude called for CASE_I")
+        def no_length(*args, **kwargs):
+            raise AssertionError("in-waveguide length computed for CASE_I")
 
-        monkeypatch.setattr(channel, "waveguide_amplitude", no_amplitude)
+        monkeypatch.setattr(channel, "_guided_length", no_length)
         pinched = power_gains(cfg, d_sq, x)
         assert np.array_equal(pinched.view(np.int64), free.view(np.int64))
 
@@ -255,7 +262,7 @@ class TestChannelAssembly:
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
         rates = montecarlo._conv_rates(cfg, x, y, alpha)
         s = power_gains(cfg, conv_distances_sq(cfg, x, y)) * alpha[:, :, None]
-        dense = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power, 2)
+        dense = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power)
         assert np.array_equal(rates, dense)
         assert np.all((rates == 0) == ~alpha)
 

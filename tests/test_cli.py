@@ -148,6 +148,7 @@ class TestNonFiniteValues:
         ("system.d_l = -inf",),
         ("run.axis_values = 10, nan",),
         ("run.metric = OUTAGE", "run.r_target = inf"),
+        ("system.d_w = ten",),
     ])
     def test_rejected_naming_the_key(self, lines):
         key = lines[-1].split("=")[0].strip()

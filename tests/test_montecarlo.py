@@ -6,7 +6,9 @@ import itertools
 import math
 import os
 import platform
+import random
 import re
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +35,7 @@ from pinchsim import (
     estimate_ergodic,
     estimate_outage,
     outage_pin_model_a,
+    outage_pin_model_b,
     parse_config,
     run_experiment,
     sweep,
@@ -41,11 +44,12 @@ from pinchsim import analytics, montecarlo, transceiver
 from pinchsim.channel import (
     center_distances_sq,
     conv_distances_sq,
+    own_distances_sq,
     pin_distances_sq,
     unblocked_probability_sq,
 )
-from pinchsim.montecarlo import _rates_chunk, _sample_user_xy, chunk_generator
-from pinchsim.scenario import waveguide_y_offsets
+from pinchsim.montecarlo import _rates_chunk, chunk_generator
+from pinchsim.scenario import _place_users, waveguide_y_offsets
 from pinchsim.transceiver import zf_gains_batch
 
 
@@ -61,7 +65,7 @@ class TestDistanceKernel:
         cfg = make_cfg(num_users=3)
         rng = np.random.default_rng(0)
         beta = waveguide_y_offsets(cfg)
-        x, y = _sample_user_xy(cfg, 16, rng, beta)
+        x, y = oracles.placement(cfg, 16, rng)
         d_sq = pin_distances_sq(cfg, x, y, beta)
         for t in range(16):
             users = np.column_stack([x[t], y[t], np.zeros(3)])
@@ -80,21 +84,12 @@ class TestKernelMatchesReferencePath:
         # replayed trials span several sub-batches, the last one short
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * 2 * 2)
 
-    @staticmethod
-    def replay_placement(cfg, n, rng):
-        """A chunk's user drop, as rng.uniform draws: every x, then every y."""
-        m = cfg.num_users
-        x = rng.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, (n, m))
-        beta = np.array(oracles.waveguide_centers(cfg))
-        half = cfg.d_w / m / 2.0
-        return x, rng.uniform(beta - half, beta + half, (n, m))
-
     def replay_pin_channels(self, cfg, n, seed):
         """Each trial's pinching LoS indicators and channel, link by link,
         from a chunk's draws: the user drop, then the (n, M, M) uniforms."""
         m = cfg.num_users
         rng = chunk_generator(seed, 0, 0)
-        x, y = self.replay_placement(cfg, n, rng)
+        x, y = oracles.placement(cfg, n, rng)
         u = rng.random((n, m, m))
         for t in range(n):
             alpha = [[int(u[t, i, k] < oracles.los_probability(
@@ -163,7 +158,7 @@ class TestKernelMatchesReferencePath:
                                 chunk_generator(seed, 0, 0))
         # replay the conventional draw order: x, y, then per-user uniforms
         rng = chunk_generator(seed, 0, 0)
-        x, y = self.replay_placement(cfg, n, rng)
+        x, y = oracles.placement(cfg, n, rng)
         u = rng.random((n, 2))
         for t in range(n):
             alpha = [int(u[t, i] < oracles.los_probability(
@@ -219,7 +214,7 @@ class TestConventionalGate:
         """A chunk's placement and conventional blockage uniforms and
         indicators, in the order the conventional scheme draws them."""
         rng = chunk_generator(seed, 0, 0)
-        x, y = _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+        x, y = oracles.placement(cfg, n, rng)
         u = rng.random(x.shape)
         alpha = u < unblocked_probability_sq(center_distances_sq(cfg, x, y),
                                              cfg)
@@ -303,7 +298,7 @@ class TestPinchingGate:
         """A chunk's placement and (n, M, M) pinching blockage uniforms, in
         the order the pinching schemes draw them."""
         rng = chunk_generator(seed, 0, 0)
-        x, y = _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+        x, y = oracles.placement(cfg, n, rng)
         return x, y, rng.random((n, cfg.num_users, cfg.num_users))
 
     # 8 and 9 users straddle numpy's switch from a sequential to a pairwise
@@ -354,13 +349,16 @@ class TestPinchingGate:
         cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi)
         own, rows = [], []
 
-        def recording(cfg_, x, y, beta, pinch_x=None):
-            # an own-link call passes the users' x as the antennas' x
-            (own if pinch_x is x else rows).append(
-                (x.copy(), y.copy(), pinch_x))
+        def own_recording(cfg_, y, beta):
+            own.append(y.copy())
+            return own_distances_sq(cfg_, y, beta)
+
+        def row_recording(cfg_, x, y, beta, pinch_x=None):
+            rows.append((x.copy(), y.copy(), pinch_x))
             return pin_distances_sq(cfg_, x, y, beta, pinch_x)
 
-        monkeypatch.setattr(montecarlo, "pin_distances_sq", recording)
+        monkeypatch.setattr(montecarlo, "own_distances_sq", own_recording)
+        monkeypatch.setattr(montecarlo, "pin_distances_sq", row_recording)
         n = 300
         _rates_chunk((Scheme.PIN_D2,), cfg, n, chunk_generator(12, 0, 0))
         x, y, u = self.draw(cfg, n, 12)
@@ -369,8 +367,7 @@ class TestPinchingGate:
         clear = (np.diagonal(u, axis1=1, axis2=2)
                  < unblocked_probability_sq(own_sq, cfg)).reshape(-1)
         # every user's own link once, sub-batch by sub-batch
-        assert np.array_equal(np.concatenate([ox for ox, _, _ in own]), x)
-        assert np.array_equal(np.concatenate([oy for _, oy, _ in own]), y)
+        assert np.array_equal(np.concatenate(own), y)
         if m == 1 or not clear.any():
             # a lone user's row is its own link, so no row is built
             assert rows == []
@@ -535,22 +532,21 @@ class TestBenchmarkCallSites:
 
 
 class TestPlacementDraw:
-    """The placement is rng.uniform's draw bit for bit, with the stream left
+    """The placement _place_users makes of a chunk's random() doubles, every
+    x then every y, is rng.uniform's draw bit for bit, with the stream left
     where rng.uniform leaves it."""
 
     @pytest.mark.parametrize("constrained", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 5, 16])
     def test_equals_rng_uniform(self, m, constrained):
         cfg = make_cfg(num_users=m, constrain_under_waveguide=constrained)
-        beta = waveguide_y_offsets(cfg)
         n = 37
         rng = chunk_generator(4, 2, 1)
-        x, y = _sample_user_xy(cfg, n, rng, beta)
+        x = rng.random((n, m))
+        y = np.empty((n, m)) if constrained else rng.random((n, m))
+        _place_users(cfg, x, y, waveguide_y_offsets(cfg))
         ref = chunk_generator(4, 2, 1)
-        ref_x = ref.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, size=(n, m))
-        half = cfg.strip_width / 2.0
-        ref_y = (np.broadcast_to(beta, (n, m)).copy() if constrained
-                 else ref.uniform(beta - half, beta + half, size=(n, m)))
+        ref_x, ref_y = oracles.placement(cfg, n, ref)
         assert np.array_equal(x.view(np.int64), ref_x.view(np.int64))
         assert np.array_equal(y.view(np.int64), ref_y.view(np.int64))
         assert rng.random() == ref.random()
@@ -794,6 +790,57 @@ class TestOwnLinkRouteCheck:
         assert abs(z) <= 4.0, (preset, p, clear / n, z)
 
 
+class TestCrossRouteFuzz:
+    """The two routes across the admitted config range: the M = 1 PIN_D2
+    outage estimate against the exact outage of its blockage law, on CASE_I
+    configs drawn from a fixed seed. K, the ranges, the trials and the pass
+    rule were fixed before the first run; the set is not to be re-drawn or
+    shrunk to make it pass."""
+
+    K, SEED, TRIALS = 60, 2029, 100_000
+    # Bonferroni: family-wise level 1e-3 over K two-sided tests, about 4.31
+    Z_MAX = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * K))
+
+    @staticmethod
+    def configs():
+        """K outage inputs, MODEL_A and MODEL_B alternating. d_w, d_l, the
+        height and phi are log-uniform, the power is uniform in dBm, and
+        the target rate puts the distance threshold tau1 at k times the
+        height, k uniform in [1, 3]."""
+        rnd = random.Random(TestCrossRouteFuzz.SEED)
+
+        def log_uniform(lo, hi):
+            return math.exp(rnd.uniform(math.log(lo), math.log(hi)))
+
+        for i in range(TestCrossRouteFuzz.K):
+            d_w, d_l = log_uniform(0.3, 30.0), log_uniform(1.0, 200.0)
+            height, phi = log_uniform(0.3, 10.0), log_uniform(1e-3, 1.0)
+            dbm, k = rnd.uniform(-20.0, 40.0), rnd.uniform(1.0, 3.0)
+            cfg = SystemConfig(num_users=1, d_w=d_w, d_l=d_l, height=height,
+                               phi=phi, tx_power=dbm_to_watt(dbm),
+                               noise_power=dbm_to_watt(-90.0),
+                               blockage_model=list(BlockageModel)[i % 2])
+            snr = (cfg.tx_power * cfg.path_gain_factor
+                   / (cfg.noise_power * (k * height) ** 2))
+            yield OutageParams(cfg=cfg, r_target=math.log2(1.0 + snr))
+
+    def test_pin_outage_matches_the_exact_value(self):
+        exact_of = {BlockageModel.MODEL_A: outage_pin_model_a,
+                    BlockageModel.MODEL_B: outage_pin_model_b}
+        failures = []
+        for i, p in enumerate(self.configs()):
+            exact = exact_of[p.cfg.blockage_model](p)
+            est = estimate_outage([Scheme.PIN_D2], p, self.TRIALS, 1000 + i)[0]
+            sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+            # strong blockage can round the exact value to 1.0, and then
+            # every trial must be in outage
+            z = ((est.value - exact) / sigma if sigma > 0.0
+                 else 0.0 if est.value == exact else math.inf)
+            if not abs(z) <= self.Z_MAX:
+                failures.append((i, p, exact, est.value, z))
+        assert failures == []
+
+
 class TestEstimateOutage:
     def test_impossible_outage_is_exactly_zero(self):
         # no blockage and a reach beyond the largest in-area distance
@@ -991,6 +1038,20 @@ class TestEstimateErgodic:
         finite = estimate_ergodic([Scheme.CONV], cfg, 60000, 3)[0][-1]
         assert bound > finite.value
         assert bound == pytest.approx(2.0, abs=0.02)
+
+    def test_non_finite_estimate_names_the_scheme_and_the_point(self):
+        # 3100 dBm is a finite power, but P |h|^2 overflows, so a Design II
+        # rate is +inf and the per-user total is not finite
+        cfg = make_cfg(num_users=2, tx_power=dbm_to_watt(3100.0))
+        schemes = [Scheme.PIN_D2, Scheme.CONV]
+        message = ("PIN_D2: the ergodic rate of user 1 is not finite "
+                   "(total inf over 100 trials)")
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            estimate_ergodic(schemes, cfg, 100, 1)
+        with pytest.raises(ArithmeticError, match="^" + re.escape(
+                f"TX_POWER_DBM = 3100.0: {message}") + "$"):
+            sweep(cfg, schemes, SweepAxis.TX_POWER_DBM, [10.0, 3100.0],
+                  MetricKind.ERGODIC_SUM, 100, 1)
 
 
 class TestSweep:

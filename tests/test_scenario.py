@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from pinchsim import (
     BlockageModel,
     LossCase,
@@ -13,8 +14,8 @@ from pinchsim import (
     dbm_to_watt,
     waveguide_y_offsets,
 )
-from pinchsim.channel import pin_distances_sq, waveguide_amplitude
-from pinchsim.montecarlo import _sample_user_xy
+from pinchsim.channel import pin_distances_sq, power_gains
+from pinchsim.scenario import _place_users
 
 
 def make_cfg(**kw):
@@ -120,8 +121,13 @@ class TestConventionalArray:
 
 
 def drop(cfg, rng, n=1):
-    """n user drops: (n, M) x and y coordinates."""
-    return _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+    """n user drops: (n, M) x and y coordinates that _place_users makes of
+    (n, M) random() doubles, every x then every y, as a chunk draws them."""
+    x = rng.random((n, cfg.num_users))
+    y = (np.empty(x.shape) if cfg.constrain_under_waveguide
+         else rng.random(x.shape))
+    _place_users(cfg, x, y, waveguide_y_offsets(cfg))
+    return x, y
 
 
 class TestSamplePlacement:
@@ -138,15 +144,11 @@ class TestSamplePlacement:
         # one drop is rng.uniform's (1, M) draw of every x, then every y,
         # and leaves the stream where rng.uniform leaves it
         cfg = make_cfg(num_users=m, constrain_under_waveguide=constrained)
-        beta = waveguide_y_offsets(cfg)
-        half = cfg.strip_width / 2.0
         for seed in range(5):
             rng = np.random.default_rng(seed)
             x, y = drop(cfg, rng)
             ref = np.random.default_rng(seed)
-            ref_x = ref.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, (1, m))
-            ref_y = (beta[None] if constrained
-                     else ref.uniform(beta - half, beta + half, (1, m)))
+            ref_x, ref_y = oracles.placement(cfg, 1, ref)
             assert np.array_equal(x.view(np.int64), ref_x.view(np.int64))
             assert np.array_equal(y.view(np.int64), ref_y.view(np.int64))
             assert rng.random() == ref.random()
@@ -183,9 +185,14 @@ class TestSamplePlacement:
         # the in-waveguide run starts at x = -d_l/2, where an antenna sees no
         # loss, and spans d_l at the far edge
         cfg = make_cfg(num_users=2, loss_case=LossCase.CASE_II)
-        amp = waveguide_amplitude(cfg, np.array([[-20.0, 20.0]]))
-        assert amp[0, 0] == 1.0
-        assert amp[0, 1] == pytest.approx(10.0 ** (-0.08 * 40.0 / 20.0), rel=1e-12)
+        lossless = make_cfg(num_users=2)
+        d_sq = np.full((1, 2, 2), 9.0)
+        pinch_x = np.array([[-20.0, 20.0]])
+        ratio = (power_gains(cfg, d_sq, pinch_x)
+                 / power_gains(lossless, d_sq, pinch_x))[0]
+        assert np.all(ratio[:, 0] == 1.0)
+        assert np.allclose(ratio[:, 1], 10.0 ** (-0.08 * 40.0 / 10.0),
+                           rtol=1e-12, atol=0.0)
 
     def test_empirical_mean_matches_uniform_moments(self):
         # batch sampler: mean of y over 1e6 draws within 3 sigma of the
@@ -193,7 +200,7 @@ class TestSamplePlacement:
         cfg = make_cfg(num_users=2)
         rng = np.random.default_rng(2024)
         n = 1_000_000
-        x, y = _sample_user_xy(cfg, n, rng, waveguide_y_offsets(cfg))
+        x, y = drop(cfg, rng, n)
         beta = np.array([-2.5, 2.5])
         tol = 3.0 * cfg.strip_width / math.sqrt(12.0 * n)
         assert np.all(np.abs(y.mean(axis=0) - beta) <= tol)

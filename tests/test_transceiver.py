@@ -19,7 +19,6 @@ from pinchsim.channel import (
     unblocked_probability_sq,
 )
 from pinchsim.montecarlo import _rates_chunk, chunk_generator
-from pinchsim.scenario import _sample_user_xy
 from pinchsim.transceiver import (
     _column_sums,
     _row_sums,
@@ -61,13 +60,13 @@ def design1(h, cfg):
 def design2(h, cfg):
     """Design II rates of stacked (..., M, M) channels."""
     return design2_rates_from_power(np.abs(h) ** 2, cfg.tx_power,
-                                    cfg.noise_power, np.shape(h)[-1])
+                                    cfg.noise_power)
 
 
 def pin_draw(cfg, rng, n=1):
     """n placements with their (n, M, M) pinching distances and gains."""
     beta = waveguide_y_offsets(cfg)
-    x, y = _sample_user_xy(cfg, n, rng, beta)
+    x, y = oracles.placement(cfg, n, rng)
     d_sq = pin_distances_sq(cfg, x, y, beta)
     return x, y, d_sq, power_gains(cfg, d_sq, x)
 
@@ -279,7 +278,7 @@ class TestBatchConsistency:
         rng = np.random.default_rng(22)
         batch = random_channels(32, 3, rng)
         s_eff = np.abs(batch) ** 2
-        rates = design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power, 3)
+        rates = design2_rates_from_power(s_eff, cfg.tx_power, cfg.noise_power)
         for i in range(32):
             assert np.allclose(rates[i], design2(batch[i], cfg), rtol=1e-12)
 

@@ -13,28 +13,28 @@ Streams are keyed per sweep point and chunk, not per scheme, and every
 scheme of an estimator call is evaluated from one pass over each chunk's
 stream. All schemes therefore see the same user placements, PIN_D1 and
 PIN_D2 also see the same blockage, and scheme comparisons are paired. One
-function, ``_rates_chunk``, draws every random number of a chunk (the
-blockage of each sub-batch through its helper ``_blockage_uniforms``), so
+function, ``_rates_chunk``, draws every random number of a chunk (the rest
+of each sub-batch's blockage through its helper ``_blockage_uniforms``), so
 that contract lives in one place; no other module draws, and the kernels
 it calls, ``scenario._place_users`` among them, are pure functions of
-their draws. A scheme's rates never depend on which other schemes run with
-it: the conventional scheme's blockage uniforms are the first of the ones
-the pinching schemes draw right after the placement, so it reads them from
-that draw, without rewinding the stream, and reads the same uniforms as
-when it runs alone. The conventional array is evaluated only where line of
-sight survives: a blocked user's rate is exactly 0.0 without its row of
-gains, so only the users that keep line of sight get one, which on dense,
-strongly blocked systems skips most of the conventional work. Pinching
-Design II is gated the same way on each user's own link: its distance,
-probability and uniform come first, for every user, and only the users
-whose own link is clear get their row of links, in one row stage per
-sub-batch whatever the share of clear links. Design I's zero-forcing gate
-needs every link of every matrix, so when PIN_D1 runs with two or more
-users both designs read the full arrays instead. Even then only the
-realizations with no empty row or column get a complex channel matrix, and
-in it a blocked link is an exact zero without a phase: only the clear
-links get their square root and complex exponential. The gates change no
-draw and no rate.
+their draws. Whatever schemes run, a chunk's stream has one layout: its
+placement, then the pinching schemes' blockage uniforms, whose first ones,
+the chunk's lead, are the conventional scheme's. So a scheme's rates never
+depend on which other schemes run with it.
+
+The conventional array is evaluated only where line of sight survives: a
+blocked user's rate is exactly 0.0 without its row of gains, so only the
+users that keep line of sight get one, which on dense, strongly blocked
+systems skips most of the conventional work. Pinching Design II is gated
+the same way on each user's own link: its distance, probability and
+uniform come first, for every user, and only the users whose own link is
+clear get their row of links, in one row stage per sub-batch whatever the
+share of clear links. Design I's zero-forcing gate needs every link of
+every matrix, so when PIN_D1 runs with two or more users both designs read
+the full arrays instead. Even then only the realizations with no empty row
+or column get a complex channel matrix, and in it a blocked link is an
+exact zero without a phase: only the clear links get their square root
+and complex exponential. The gates change no draw and no rate.
 
 Both estimators map their chunks through ``_map_chunks``; the conventional
 high-SNR bound is a quadrature, ``analytics.ergodic_conv_highsnr``. A rate
@@ -45,14 +45,15 @@ infinite rate reaches a result.
 
 A chunk is evaluated in batches of about SUB_LINKS links so that its
 temporaries stay cache-sized: the pinching sub-batches of ``_rates_chunk``
-and the conventional rows of ``_conv_rates``. The sub-batches draw their
-blockage uniforms in trial order from the chunk's stream, so the batch size
-never changes a draw, a rate or an estimate. Where a chunk is smaller than
-a sub-batch, as at M = 1 and 2, ``_map_chunks`` hands consecutive chunks
-to one ``_rates_chunk`` call, as many as fit in one sub-batch, so that
-they share the fixed cost of the kernel's numpy calls. Each chunk of such
-a group still draws from its own stream in its own order and is reduced
-on its own, so grouping changes no draw, rate or estimate either.
+and the conventional rows of ``_conv_rates``. The sub-batches take their
+blockage uniforms in trial order, from the chunk's lead and then its
+stream, so the batch size never changes a draw, a rate or an estimate.
+Where a chunk is smaller than a sub-batch, as at M = 1 and 2,
+``_map_chunks`` hands consecutive chunks to one ``_rates_chunk`` call, as
+many as fit in one sub-batch, so that they share the fixed cost of the
+kernel's numpy calls. Each chunk of such a group still draws from its own
+stream in its own order and is reduced on its own, so grouping changes no
+draw, rate or estimate either.
 
 Chunk memory stays mapped from one kernel call to the next: before the
 first chunk of the process, one untouched block larger than a call's
@@ -318,34 +319,28 @@ def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
 
 
 def _blockage_uniforms(chunks, b: slice, m: int,
-                       conv_u: np.ndarray | None) -> np.ndarray:
+                       lead: np.ndarray) -> np.ndarray:
     """Sub-batch b's (nb, M, M) pinching blockage uniforms.
 
-    ``chunks`` pairs each chunk's generator with its rows. Each chunk that
-    b overlaps draws its part of b from its own stream, in trial order. The
-    conventional scheme's uniforms of a chunk of n_c trials are the first
-    n_c M of that chunk's draw, so those go to the chunk's entries of
-    ``conv_u`` as well, unless it is None; at M = 1 they are all of it, so
-    the draw goes into ``conv_u`` itself.
+    ``chunks`` pairs each chunk's generator with its rows, and ``lead``
+    holds the (n, M) uniforms each chunk drew right after its placement,
+    the first of its pinching draw. Each chunk that b overlaps takes its
+    part of b from its lead as far as that reaches and draws the rest from
+    its own stream, in trial order. At M = 1 the lead is the whole draw.
     """
-    if conv_u is not None and m == 1:
-        u, conv_u = conv_u[b].reshape(-1, 1, 1), None
-    else:
-        u = np.empty((b.stop - b.start, m, m))
+    if m == 1:
+        return lead[b].reshape(-1, 1, 1)
+    u = np.empty((b.stop - b.start, m, m))
     for g, rows in chunks:
         lo, hi = max(rows.start, b.start), min(rows.stop, b.stop)
         if lo >= hi:
             continue
-        part = u[lo - b.start:hi - b.start]
-        g.random(out=part)
-        if conv_u is not None:
-            # where the part starts in its chunk's draw, and how much of it
-            # falls among the chunk's first n_c M uniforms
-            first = (lo - rows.start) * m * m
-            k = min(part.size, (rows.stop - rows.start) * m - first)
-            if k > 0:
-                at = rows.start * m + first
-                conv_u[at:at + k] = part.reshape(-1)[:k]
+        part = u[lo - b.start:hi - b.start].reshape(-1)
+        # the lead entries at the part's place in its chunk's draw
+        start = (lo - rows.start) * m * m
+        known = lead[rows].reshape(-1)[start:start + part.size]
+        part[:known.size] = known
+        g.random(out=part[known.size:])
     return u
 
 
@@ -358,58 +353,53 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
     each further generator are the streams of consecutive chunks, which are
     evaluated together: each holds CHUNK_TRIALS trials but the last, which
     holds the rest of the n. This is the one function that draws a chunk's
-    random numbers, and it fixes their layout. Each chunk of n_c trials
-    draws from its own stream every x, then every y of its (n_c, M)
-    placement (no y when users are constrained under their waveguides),
-    which ``_place_users`` scales to positions; then the pinching schemes'
-    (n_c, M, M) blockage uniforms, which ``_blockage_uniforms`` draws
-    sub-batch by sub-batch in trial order, consuming the stream exactly as
-    one (n_c, M, M) draw would. So a chunk's rates do not depend on the
-    chunks evaluated with it. Both pinching designs read the same
+    random numbers, and it fixes their layout, the same whatever schemes
+    run: each chunk of n_c trials draws from its own stream every x, then
+    every y of its (n_c, M) placement (no y when users are constrained
+    under their waveguides), then its lead, the first n_c M of its
+    (n_c, M, M) blockage uniforms, then the rest of them, which
+    ``_blockage_uniforms`` draws only when a pinching scheme runs,
+    sub-batch by sub-batch in trial order. So a chunk's rates do not depend
+    on the chunks or the schemes evaluated with it. ``_place_users`` scales
+    the placement to positions. Both pinching designs read the same
     uniforms, through ``_zf_rates`` when PIN_D1 runs with two or more users
-    and through ``_design2_rows`` otherwise. The conventional scheme's
-    (n_c, M) blockage uniforms are the first n_c M after the placement:
-    with a pinching scheme it reads them from the pinching draw, and alone
-    it draws them itself, so it reads the same uniforms either way and the
-    stream is never rewound. A repeated scheme gets the same array again.
+    and through ``_design2_rows`` otherwise, and the conventional scheme
+    reads the lead as its (n_c, M) uniforms. A repeated scheme gets the
+    same array again.
     """
     chunks = [(g, slice(c * CHUNK_TRIALS,
                         n if c == len(more) else (c + 1) * CHUNK_TRIALS))
               for c, g in enumerate((rng, *more))]
     m = cfg.num_users
     zero_force = Scheme.PIN_D1 in schemes
-    pinching = zero_force or Scheme.PIN_D2 in schemes
     dense = zero_force and m > 1
-    conv = Scheme.CONV in schemes
     beta = waveguide_y_offsets(cfg)
-    x, y = np.empty((n, m)), np.empty((n, m))
-    conv_u = np.empty(n * m) if conv else None
+    x, y, lead = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
     for g, rows in chunks:
         g.random(out=x[rows])
         if not cfg.constrain_under_waveguide:
             g.random(out=y[rows])
-        if conv and not pinching:
-            g.random(out=conv_u[rows.start * m:rows.stop * m])
+        g.random(out=lead[rows])
     _place_users(cfg, x, y, beta)
     rates = {}
     # An overflowing SNR gives the rate +inf, which an outage counts
     # correctly and _ergodic_estimates rejects, so overflow is not reported.
     # errstate is per thread, and chunks run on pool threads.
     with np.errstate(over="ignore"):
-        if pinching:
+        if zero_force or Scheme.PIN_D2 in schemes:
             d2 = np.empty((n, m))
             # A single user sees no interference, so zero forcing is Design II.
             d1 = np.empty((n, m)) if dense else d2
             for b in _sub_batches(n, m):
-                u = _blockage_uniforms(chunks, b, m, conv_u)
+                u = _blockage_uniforms(chunks, b, m, lead)
                 if dense:
                     d2[b], d1[b] = _zf_rates(cfg, x[b], y[b], beta, u)
                 else:
                     _design2_rows(cfg, x[b], y[b], beta, u, d2[b])
             del u  # not held through the conventional rows
             rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = d2, d1
-        if conv:
-            alpha = conv_u.reshape(n, m) < unblocked_probability_sq(
+        if Scheme.CONV in schemes:
+            alpha = lead < unblocked_probability_sq(
                 center_distances_sq(cfg, x, y), cfg)
             rates[Scheme.CONV] = _conv_rates(cfg, x, y, alpha)
     return tuple(rates[s] for s in schemes)

@@ -21,10 +21,12 @@ estimate reduces, so a change to those reductions shows as well. The
 ``estimate_outage`` and ``estimate_ergodic`` return over several chunks,
 the last one partial, at M = 1 and 2 and with ``workers`` 1 and 2, so a
 change to how chunks are scheduled, drawn and reduced shows too: for every
-scheme, for the conventional array alone (``CONV``), which draws its own
-blockage uniforms, and for every scheme with users constrained under their
-waveguides (``constrained``), which draw no y. The file is not named
-``test_*``, so pytest does not collect it.
+scheme, for the conventional array alone (``CONV``), which draws only its
+chunks' lead blockage uniforms, for Design II alone (``PIN_D2``), which
+takes its uniforms from the lead and draws the rest, and for every scheme
+with users constrained under their waveguides (``constrained``), which
+draw no y. The file is not named ``test_*``, so pytest does not collect
+it.
 """
 
 import hashlib
@@ -59,6 +61,7 @@ ESTIMATE_EXTRA = 777
 # (label, schemes, constrained) of the estimates lines
 ESTIMATE_CASES = (("", tuple(Scheme), False),
                   (" CONV", (Scheme.CONV,), False),
+                  (" PIN_D2", (Scheme.PIN_D2,), False),
                   (" constrained", tuple(Scheme), True))
 
 

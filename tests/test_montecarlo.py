@@ -34,6 +34,8 @@ from pinchsim import (
     ergodic_conv_highsnr,
     estimate_ergodic,
     estimate_outage,
+    outage_conv_model_a_highsnr,
+    outage_conv_model_b_highsnr,
     outage_pin_model_a,
     outage_pin_model_b,
     parse_config,
@@ -561,8 +563,8 @@ class TestFusedSchemes:
 
     @pytest.mark.parametrize("m", [1, 2, 5, 16])
     def test_any_scheme_tuple_gives_the_single_scheme_rates(self, monkeypatch, m):
-        # 7 trials per sub-batch, so the conventional uniforms are handed
-        # over from a pinching draw that spans several sub-batches
+        # 7 trials per sub-batch, so the pinching draw that starts with the
+        # conventional uniforms, the lead, spans several sub-batches
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * m * m)
         n = 45
         for model, loss, constrained in itertools.product(
@@ -647,6 +649,40 @@ class TestFusedSchemes:
     def test_an_estimate_is_a_value_and_its_ci(self):
         assert ([f.name for f in fields(MetricEstimate)]
                 == ["value", "ci_half_width"])
+
+
+class TestStreamLayout:
+    """Every chunk's stream has one layout whatever schemes run: its x, its
+    y unless users are constrained, then its (n_c, M, M) blockage uniforms
+    when a pinching scheme runs, else only their first n_c M, the
+    conventional scheme's. A kernel call leaves each stream right after
+    them."""
+
+    CHUNK = 16
+
+    @pytest.mark.parametrize("chunks", [1, 3])
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_each_stream_left_after_its_draws(self, monkeypatch, m,
+                                              constrained, chunks):
+        monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", self.CHUNK)
+        # 7 trials per sub-batch, so sub-batches straddle the chunks and
+        # their leads
+        monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * m * m)
+        cfg = make_cfg(num_users=m, tx_power=1.0, phi=0.05,
+                       constrain_under_waveguide=constrained)
+        # whole chunks, then a short last one
+        sizes = [self.CHUNK] * (chunks - 1) + [11]
+        for schemes in SCHEME_TUPLES:
+            streams = [chunk_generator(7, 2, c) for c in range(chunks)]
+            _rates_chunk(schemes, cfg, sum(sizes), *streams)
+            pinching = {Scheme.PIN_D1, Scheme.PIN_D2} & set(schemes)
+            blockage = m * m if pinching else m
+            for c, (g, n_c) in enumerate(zip(streams, sizes)):
+                ref = chunk_generator(7, 2, c)
+                ref.random(n_c * m * (1 if constrained else 2)
+                           + n_c * blockage)
+                assert g.random() == ref.random(), (schemes, c)
 
 
 class TestChunkGroups:
@@ -791,15 +827,37 @@ class TestOwnLinkRouteCheck:
 
 
 class TestCrossRouteFuzz:
-    """The two routes across the admitted config range: the M = 1 PIN_D2
-    outage estimate against the exact outage of its blockage law, on CASE_I
-    configs drawn from a fixed seed. K, the ranges, the trials and the pass
-    rule were fixed before the first run; the set is not to be re-drawn or
-    shrunk to make it pass."""
+    """The two routes across the admitted config range, at M = 1 on CASE_I:
+    the PIN_D2 outage estimate against the exact outage of its blockage
+    law, two-sided, and the conventional estimate of the same call against
+    its high-SNR floor, one-sided, as a finite SNR only adds outage. The
+    configs are K drawn from a fixed seed, then EDGES under both laws. K,
+    the ranges, the edges, the trials and the pass rules were fixed before
+    the first run; the set is not to be re-drawn or shrunk to make it
+    pass."""
 
     K, SEED, TRIALS = 60, 2029, 100_000
     # Bonferroni: family-wise level 1e-3 over K two-sided tests, about 4.31
     Z_MAX = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * K))
+    # and over K one-sided tests, about 4.15
+    Z_FLOOR = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / K)
+    # (config fields, dBm, r_target or None for tau1 = 2 heights) of the
+    # edges: no blockage, a low height on a wide strip, a long strip on a
+    # short area, an SNR that overflows to +inf, and a target whose SINR
+    # threshold 2^r - 1 rounds to 0
+    EDGES = (({"phi": 0.0}, 20.0, None),
+             ({"height": 0.05, "d_w": 20.0}, 20.0, None),
+             ({"d_w": 400.0, "d_l": 2.0}, 20.0, None),
+             ({}, 3100.0, None),
+             ({}, 20.0, 1e-300))
+
+    @staticmethod
+    def target(cfg, k):
+        """The target rate that puts the distance threshold tau1 at k
+        times the height of ``cfg``."""
+        snr = (cfg.tx_power * cfg.path_gain_factor
+               / (cfg.noise_power * (k * cfg.height) ** 2))
+        return math.log2(1.0 + snr)
 
     @staticmethod
     def configs():
@@ -820,24 +878,50 @@ class TestCrossRouteFuzz:
                                phi=phi, tx_power=dbm_to_watt(dbm),
                                noise_power=dbm_to_watt(-90.0),
                                blockage_model=list(BlockageModel)[i % 2])
-            snr = (cfg.tx_power * cfg.path_gain_factor
-                   / (cfg.noise_power * (k * height) ** 2))
-            yield OutageParams(cfg=cfg, r_target=math.log2(1.0 + snr))
+            yield OutageParams(cfg=cfg, r_target=TestCrossRouteFuzz.target(
+                cfg, k))
+
+    @staticmethod
+    def edge_configs():
+        """The EDGES, each under MODEL_A then MODEL_B, on a 10 x 40 m area
+        with height 3 and phi 0.1 where a field is not set. A target left
+        None puts tau1 at 2 heights of that base at 20 dBm, so it stays
+        finite at 3100 dBm."""
+        base = dict(num_users=1, d_w=10.0, d_l=40.0, height=3.0, phi=0.1,
+                    tx_power=dbm_to_watt(20.0), noise_power=dbm_to_watt(-90.0),
+                    blockage_model=BlockageModel.MODEL_A)
+        two_heights = TestCrossRouteFuzz.target(SystemConfig(**base), 2.0)
+        for changes, dbm, r_target in TestCrossRouteFuzz.EDGES:
+            for model in BlockageModel:
+                cfg = SystemConfig(**(base | changes | {
+                    "tx_power": dbm_to_watt(dbm), "blockage_model": model}))
+                yield OutageParams(cfg=cfg, r_target=r_target or two_heights)
+
+    def z(self, est, ref):
+        """(est - ref) / sigma at ref's binomial sigma. Strong blockage can
+        round ref to 1.0 and no blockage to 0.0; sigma is 0 there, and
+        only an estimate equal to ref scores 0."""
+        sigma = math.sqrt(ref * (1.0 - ref) / self.TRIALS)
+        if sigma > 0.0:
+            return (est - ref) / sigma
+        return 0.0 if est == ref else math.copysign(math.inf, est - ref)
 
     def test_pin_outage_matches_the_exact_value(self):
         exact_of = {BlockageModel.MODEL_A: outage_pin_model_a,
                     BlockageModel.MODEL_B: outage_pin_model_b}
+        floor_of = {BlockageModel.MODEL_A: outage_conv_model_a_highsnr,
+                    BlockageModel.MODEL_B: outage_conv_model_b_highsnr}
         failures = []
-        for i, p in enumerate(self.configs()):
-            exact = exact_of[p.cfg.blockage_model](p)
-            est = estimate_outage([Scheme.PIN_D2], p, self.TRIALS, 1000 + i)[0]
-            sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
-            # strong blockage can round the exact value to 1.0, and then
-            # every trial must be in outage
-            z = ((est.value - exact) / sigma if sigma > 0.0
-                 else 0.0 if est.value == exact else math.inf)
-            if not abs(z) <= self.Z_MAX:
-                failures.append((i, p, exact, est.value, z))
+        for i, p in enumerate(itertools.chain(self.configs(),
+                                              self.edge_configs())):
+            model = p.cfg.blockage_model
+            exact, floor = exact_of[model](p), floor_of[model](p)
+            pin, conv = estimate_outage([Scheme.PIN_D2, Scheme.CONV], p,
+                                        self.TRIALS, 1000 + i)
+            z_pin, z_conv = self.z(pin.value, exact), self.z(conv.value, floor)
+            if not (abs(z_pin) <= self.Z_MAX and z_conv >= -self.Z_FLOOR):
+                failures.append((i, p, exact, pin.value, z_pin, floor,
+                                 conv.value, z_conv))
         assert failures == []
 
 

@@ -33,8 +33,6 @@ from .cli import (
 )
 from .montecarlo import (
     MetricEstimate,
-    MetricKind,
-    Scheme,
     SweepAxis,
     estimate_ergodic,
     estimate_outage,
@@ -44,6 +42,8 @@ from .scenario import (
     SPEED_OF_LIGHT,
     BlockageModel,
     LossCase,
+    MetricKind,
+    Scheme,
     SystemConfig,
     conventional_array_positions,
     dbm_to_watt,

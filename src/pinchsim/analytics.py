@@ -9,20 +9,33 @@ functions; under MODEL_A the strip integral has no elementary antiderivative
 and is evaluated by adaptive composite Gauss-Legendre quadrature in numpy
 (``_integrate``), after the substitution y = height * sinh(t) that makes its
 integrand entire.
+
+``counterparts`` is the one table of which analytic stands beside each
+simulated row, and whether it is exact, a lower bound or an approximation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from enum import Enum
 from math import erf
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .channel import conv_distances_sq, power_gains
-from .scenario import BlockageModel, SystemConfig, waveguide_y_offsets
+from .scenario import (
+    BlockageModel,
+    LossCase,
+    MetricKind,
+    Scheme,
+    SystemConfig,
+    waveguide_y_offsets,
+)
 from .transceiver import design2_rates_from_power
 
 SQRT_PI = math.sqrt(math.pi)
@@ -249,8 +262,8 @@ def outage_pin_model_a(p: OutageParams) -> float:
     in-range interval [-tau3, tau3]. That mass is even in y, so the outage
     is 1 - (2/d_w) * the unblocked mass of [0, tau3], from one quadrature;
     at tau3 = d_w/2 it is the high-SNR floor, bit for bit, and at tau3 = 0
-    it is 1.0 without one. Exact for a lossless waveguide (CASE_I); under
-    CASE_II, whose loss only lowers the gains, it is a lower bound.
+    it is 1.0 without one. Which simulated rows it stands beside, and as
+    what, is ``counterparts``' table (README, "Analytic counterparts").
     """
     return _pin_outage(p.cfg, _MODEL_A, p.tau3,
                        "outage_pin_model_a")
@@ -302,8 +315,8 @@ def outage_pin_model_b(p: OutageParams) -> float:
 
     The strip integral of exp(-phi y^2) becomes an error function, so no
     high-SNR approximation is needed; at tau3 = d_w/2 it is the floor, bit
-    for bit. Exact for a lossless waveguide (CASE_I); under CASE_II, whose
-    loss only lowers the gains, it is a lower bound.
+    for bit. Which simulated rows it stands beside, and as what, is
+    ``counterparts``' table (README, "Analytic counterparts").
     """
     return _pin_outage(p.cfg, _MODEL_B, p.tau3,
                        "outage_pin_model_b")
@@ -435,3 +448,69 @@ def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
             u, beta + cfg.strip_width * (v[:, None, None] - 0.5)), where),
             where).tolist()
     return bounds + [math.fsum(bounds)]
+
+
+class Kind(Enum):
+    """What an analytic counterpart is to the quantity it stands beside."""
+
+    EXACT = "EXACT"    # the same quantity by another route
+    LOWER = "LOWER"    # a lower bound on it
+    APPROX = "APPROX"  # an approximation that bounds it on no known side
+
+
+def _floor(analytic, p: OutageParams, memo: dict) -> float:
+    """``analytic(p)`` for a high-SNR outage floor, which does not depend
+    on the target rate: evaluated once per (analytic, config) in ``memo``."""
+    key = (analytic, p.cfg)
+    if key not in memo:
+        memo[key] = analytic(p)
+    return memo[key]
+
+
+def counterparts(scheme: Scheme, metric: MetricKind,
+                 point: SystemConfig | OutageParams, memo: dict,
+                 source=None) -> Iterator[tuple[Kind, float]]:
+    """The analytic counterparts of a simulated sweep point's first
+    estimate, as (kind, value) pairs: the one table of them.
+
+    ``point`` is the point's estimator input from ``montecarlo.sweep_inputs``
+    and ``memo`` a dict kept for one run (see ``_floor``). The first pair
+    is the one the CLI writes as the point's CLOSED_FORM row; a check of
+    the simulation takes the tightest. Each value is evaluated when its
+    pair is read, so a caller that takes the first evaluates only that.
+    The analytics are read from ``source`` by name, this module by
+    default; the CLI passes its own, where the benchmark re-binds them to
+    time them.
+
+    A high-SNR floor is a lower bound, as a finite SNR only adds outage.
+    Waveguide loss (CASE_II) only lowers the pinching gains, so there an
+    outage exact for a lossless waveguide is a lower bound. Every outage
+    analytic spreads the user over its strip, so with users constrained
+    to the waveguide's center line none is exact or a bound.
+    """
+    fns = source or sys.modules[__name__]
+    if metric is MetricKind.OUTAGE:
+        cfg = point.cfg
+        if cfg.num_users != 1:
+            return
+        model_a = cfg.blockage_model is _MODEL_A
+        floor = Kind.LOWER
+        exact = Kind.EXACT if cfg.loss_case is LossCase.CASE_I else Kind.LOWER
+        if cfg.constrain_under_waveguide:
+            floor = exact = Kind.APPROX
+        if scheme is Scheme.CONV:
+            yield floor, _floor(fns.outage_conv_model_a_highsnr if model_a
+                                else fns.outage_conv_model_b_highsnr,
+                                point, memo)
+        elif model_a:
+            yield floor, _floor(fns.outage_pin_model_a_highsnr, point, memo)
+            yield exact, fns.outage_pin_model_a(point)
+        else:
+            yield exact, fns.outage_pin_model_b(point)
+    elif (scheme is Scheme.PIN_D2 and point.num_users == 2
+          and point.blockage_model is _MODEL_B
+          and point.constrain_under_waveguide):
+        rate = fns.ergodic_pin_two_user_highsnr(point)
+        # The two users are mirror images, so the sum is twice user 1's rate.
+        yield Kind.APPROX, (2.0 * rate if metric is MetricKind.ERGODIC_SUM
+                            else rate)

@@ -23,24 +23,23 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+# The analytics that ``counterparts`` reads from this module, where the
+# benchmark re-binds them to time the CLI's calls.
 from .analytics import (
-    OutageParams,
+    counterparts,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
+    outage_pin_model_a,
     outage_pin_model_a_highsnr,
     outage_pin_model_b,
 )
-from .montecarlo import (
-    MetricKind,
-    Scheme,
-    SweepAxis,
-    sweep,
-    sweep_inputs,
-)
+from .montecarlo import SweepAxis, sweep, sweep_inputs
 from .scenario import (
     BlockageModel,
     LossCase,
+    MetricKind,
+    Scheme,
     SystemConfig,
     dbm_to_watt,
 )
@@ -410,41 +409,6 @@ def _metric_label(kind: MetricKind, index: int) -> str:
     return kind.value
 
 
-def _closed_form_value(scheme: Scheme, metric: MetricKind,
-                       point: SystemConfig | OutageParams,
-                       floors: dict) -> float | None:
-    """Analytical counterpart of a simulated point's first estimate, or None.
-
-    ``point`` is the point's estimator input from ``sweep_inputs``.
-    ``floors`` maps (analytic, point config) to a high-SNR outage floor
-    already evaluated in this run. The floors do not depend on the target
-    rate, so an R_TARGET sweep evaluates each once.
-    """
-    if metric is MetricKind.OUTAGE:
-        if point.cfg.num_users != 1:
-            return None
-        model_a = point.cfg.blockage_model is BlockageModel.MODEL_A
-        if scheme is Scheme.CONV:
-            floor = (outage_conv_model_a_highsnr if model_a
-                     else outage_conv_model_b_highsnr)
-        elif model_a:
-            floor = outage_pin_model_a_highsnr
-        else:
-            return outage_pin_model_b(point)
-        key = (floor, point.cfg)
-        if key not in floors:
-            floors[key] = floor(point)
-        return floors[key]
-
-    if not (scheme is Scheme.PIN_D2 and point.num_users == 2
-            and point.blockage_model is BlockageModel.MODEL_B
-            and point.constrain_under_waveguide):
-        return None
-    value = ergodic_pin_two_user_highsnr(point)
-    # The two users are mirror images, so the sum is twice user 1's rate.
-    return 2.0 * value if metric is MetricKind.ERGODIC_SUM else value
-
-
 def collect_rows(cfg: ExperimentConfig) -> list[dict]:
     """Run the configured sweep and return output rows in a frozen order.
 
@@ -453,7 +417,7 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
     """
     run = cfg.run
     rows: list[dict] = []
-    floors: dict = {}
+    memo: dict = {}
     inputs = sweep_inputs(cfg.system, run.sweep_axis, run.axis_values,
                           run.metric, run.n_trials, run.master_seed,
                           r_target=run.r_target, workers=run.workers)
@@ -466,10 +430,11 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
                 rows.append(_row(scheme, run, axis_value, idx, est.value,
                                  est.ci_half_width, run.n_trials,
                                  Provenance.SIMULATED))
-            value = (_closed_form_value(scheme, run.metric, point_input,
-                                        floors) if run.analytics else None)
-            if value is not None:
-                rows.append(_row(scheme, run, axis_value, 0, value, 0.0, 0,
+            first = (next(counterparts(scheme, run.metric, point_input,
+                                       memo, sys.modules[__name__]), None)
+                     if run.analytics else None)
+            if first is not None:
+                rows.append(_row(scheme, run, axis_value, 0, first[1], 0.0, 0,
                                  Provenance.CLOSED_FORM))
     return rows
 

@@ -82,7 +82,14 @@ from .channel import (
     power_gains,
     unblocked_probability_sq,
 )
-from .scenario import SystemConfig, _place_users, dbm_to_watt, waveguide_y_offsets
+from .scenario import (
+    MetricKind,
+    Scheme,
+    SystemConfig,
+    _place_users,
+    dbm_to_watt,
+    waveguide_y_offsets,
+)
 from .transceiver import (
     _column_sums,
     _row_sums,
@@ -118,18 +125,6 @@ SUB_LINKS = 1 << 16
 # 5.5, 4.8, 4.2 and 7.6 MiB.
 # It must stay below 32 MiB, glibc's cap on its dynamic mmap threshold.
 _CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
-
-
-class Scheme(Enum):
-    PIN_D1 = "PIN_D1"
-    PIN_D2 = "PIN_D2"
-    CONV = "CONV"
-
-
-class MetricKind(Enum):
-    OUTAGE = "OUTAGE"
-    ERGODIC_PER_USER = "ERGODIC_PER_USER"
-    ERGODIC_SUM = "ERGODIC_SUM"
 
 
 class SweepAxis(Enum):

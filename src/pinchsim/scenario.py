@@ -35,6 +35,23 @@ class LossCase(Enum):
     CASE_II = "CASE_II"  # dB/m amplitude loss between feed point and antenna
 
 
+class Scheme(Enum):
+    """Transmission scheme: pinching Design I (zero forcing) or Design II
+    (one antenna per user), or the fixed conventional array."""
+
+    PIN_D1 = "PIN_D1"
+    PIN_D2 = "PIN_D2"
+    CONV = "CONV"
+
+
+class MetricKind(Enum):
+    """Quantity estimated at each sweep point."""
+
+    OUTAGE = "OUTAGE"
+    ERGODIC_PER_USER = "ERGODIC_PER_USER"
+    ERGODIC_SUM = "ERGODIC_SUM"
+
+
 def dbm_to_watt(dbm: float) -> float:
     """Convert a power level in dBm to watts (inf beyond the float range)."""
     try:

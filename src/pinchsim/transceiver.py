@@ -43,6 +43,16 @@ LN2 = np.log(2.0)
 # admitted range because they come from inv(H), never inv(H H^H).
 COND_LIMIT = 1e12
 
+# Largest ratio of a Design II SINR's numerator S P to its denominator
+# (row_total - S) P + M sigma^2 at which the interference is read from the
+# row total. The subtraction loses about eps S, which moves the denominator
+# by about eps S P: past this ratio more than 2^-32 of it, and all of the
+# interference once S passes about 2^53 I, as when an own link of a 10 nm
+# antenna meets metre-long cross links. Such a user's cross gains are
+# summed instead. Below it, a lost interference moves no rate by more than
+# that, even where the noise dominates.
+CANCEL = 2.0 ** 20
+
 
 def no_empty_line(mask: np.ndarray) -> np.ndarray:
     """True where a stacked (..., M, M) boolean pattern has no all-False row
@@ -143,6 +153,13 @@ def _last_axis_max(a: np.ndarray) -> np.ndarray:
     return top
 
 
+def _cross_sums(rows: np.ndarray, own_col: np.ndarray) -> np.ndarray:
+    """``_row_sums`` of a (k, M) copy of gains with the own element of each
+    row, at column ``own_col``, set to +0.0: the rows' interference."""
+    rows[np.arange(len(rows)), own_col] = 0.0
+    return _row_sums(rows)
+
+
 def design1_rates_from_gains(gains: np.ndarray, tx_power: float,
                              noise_power: float) -> np.ndarray:
     """Zero-forcing rates log2(1 + g P / sigma^2) from the gains of
@@ -151,8 +168,8 @@ def design1_rates_from_gains(gains: np.ndarray, tx_power: float,
 
 
 def design2_rates_from_rows(own: np.ndarray, row_total: np.ndarray,
-                            tx_power: float, noise_power: float,
-                            m: int) -> np.ndarray:
+                            tx_power: float, noise_power: float, m: int,
+                            cross=None) -> np.ndarray:
     """Design II rates log2(1 + S P / (I P + M sigma^2)) of arrays of one
     shape.
 
@@ -160,10 +177,14 @@ def design2_rates_from_rows(own: np.ndarray, row_total: np.ndarray,
     of its row of gains, so the interference is I = row_total - S. The
     steps are those of the one expression
     log1p(S P / (max(row_total - S, 0) P + M sigma^2)) / ln 2, in its
-    order, run in place on its numerator and denominator. A lone user's row
-    total is its own finite gain, so at m = 1 the interference is exactly
-    +0.0 and the denominator M sigma^2: neither is computed, and
-    ``row_total`` is not read.
+    order, run in place on its numerator and denominator. Given ``cross``,
+    a function from flat indices into ``own`` to those users' sums of
+    cross gains, a user whose numerator S P exceeds that denominator by
+    more than CANCEL takes its I from ``cross`` instead, as the
+    subtraction may have lost it to rounding. A lone user's row total is
+    its own finite gain, so at m = 1 the interference is exactly +0.0 and
+    the denominator M sigma^2: neither is computed, and neither
+    ``row_total`` nor ``cross`` is read.
     """
     sinr = np.multiply(own, tx_power)
     if m == 1:
@@ -173,6 +194,11 @@ def design2_rates_from_rows(own: np.ndarray, row_total: np.ndarray,
         np.maximum(den, 0.0, out=den)
         den *= tx_power
         den += m * noise_power
+        if cross is not None:
+            # S P > CANCEL den, without overflowing
+            lost = np.flatnonzero(np.multiply(sinr, 1.0 / CANCEL) > den)
+            if lost.size:
+                den.flat[lost] = cross(lost) * tx_power + m * noise_power
         sinr /= den
     np.log1p(sinr, out=sinr)
     sinr /= LN2
@@ -194,8 +220,9 @@ def design2_rates_of_rows(s: np.ndarray, users: np.ndarray, tx_power: float,
         own = s[:, 0]
         return design2_rates_from_rows(own, own, tx_power, noise_power, m)
     own = s.reshape(-1).take(np.arange(0, s.size, m) + users % m)
-    return design2_rates_from_rows(own, _row_sums(s), tx_power, noise_power,
-                                   m)
+    return design2_rates_from_rows(
+        own, _row_sums(s), tx_power, noise_power, m,
+        lambda lost: _cross_sums(s[lost], users[lost] % m))
 
 
 def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
@@ -208,6 +235,10 @@ def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,
     Returns:
         (..., M) rates, see :func:`design2_rates_from_rows`.
     """
-    return design2_rates_from_rows(np.diagonal(s_eff, axis1=-2, axis2=-1),
-                                   _row_sums(s_eff), tx_power, noise_power,
-                                   s_eff.shape[-1])
+    m = s_eff.shape[-1]
+    # flat user j is row j % M of matrix j // M
+    return design2_rates_from_rows(
+        np.diagonal(s_eff, axis1=-2, axis2=-1), _row_sums(s_eff), tx_power,
+        noise_power, m, lambda lost: _cross_sums(s_eff.reshape(-1, m)[lost],
+                                                 lost % m))
+

@@ -164,14 +164,35 @@ def conv_rates(cfg: SystemConfig, x, y, alpha) -> list[float]:
     return design2_rates(cfg, h)
 
 
-def design2_rates_formula(own, row_total, tx_power, noise_power, m):
+def design2_rates_formula(own, row_total, tx_power, noise_power, m,
+                          cross=None):
     """Design II rates log2(1 + S P / (I P + M sigma^2)) as one numpy
     expression, I = max(row_total - S, 0): the reference that the in-place
     ``transceiver.design2_rates_from_rows`` must reproduce bit for bit.
+    Given ``cross``, the users' sums of cross gains, I is ``cross`` where
+    S P exceeds I P + M sigma^2 by more than 2^20, as there.
     """
     interference = np.maximum(row_total - own, 0.0)
+    if cross is not None:
+        lost = (own * tx_power * 2.0 ** -20
+                > interference * tx_power + m * noise_power)
+        interference = np.where(lost, cross, interference)
     sinr = own * tx_power / (interference * tx_power + m * noise_power)
     return np.log1p(sinr) / np.log(2.0)
+
+
+def design2_rates_cross_sum(s, tx_power, noise_power) -> np.ndarray:
+    """(..., M) Design II rates of (..., M, M) power gains, user by user,
+    with each interference the correctly rounded sum (``math.fsum``) of the
+    user's cross gains, never a row total less the own gain."""
+    m = s.shape[-1]
+    rates = np.empty(s.shape[:-1])
+    for idx in np.ndindex(rates.shape):
+        row, u = s[idx].tolist(), idx[-1]
+        interference = math.fsum(row[:u] + row[u + 1:])
+        rates[idx] = math.log1p(row[u] * tx_power / (
+            interference * tx_power + m * noise_power)) / math.log(2.0)
+    return rates
 
 
 def conv_rates_dense(cfg: SystemConfig, x, y, alpha, tx_power, noise_power):

@@ -15,9 +15,12 @@ import oracles
 from pinchsim import analytics
 from pinchsim import (
     BlockageModel,
+    MetricKind,
     OutageParams,
     LossCase,
+    Scheme,
     SystemConfig,
+    dbm_to_watt,
     ergodic_conv_highsnr,
     ergodic_pin_two_user_highsnr,
     parse_config,
@@ -608,3 +611,95 @@ class TestConvHighSnrBound:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2 ** 20
+
+
+A, B = BlockageModel.MODEL_A, BlockageModel.MODEL_B
+CASE_I, CASE_II = LossCase.CASE_I, LossCase.CASE_II
+OUT, PER, SUM = (MetricKind.OUTAGE, MetricKind.ERGODIC_PER_USER,
+                 MetricKind.ERGODIC_SUM)
+EXACT, LOWER, APPROX = (analytics.Kind.EXACT, analytics.Kind.LOWER,
+                        analytics.Kind.APPROX)
+
+# analytics.counterparts as it stands, cell by cell: (scheme, metric, M,
+# blockage law, constrained, loss case) -> its (kind, analytic) pairs in
+# order. The first is the CLI's CLOSED_FORM row. A cell not listed has none.
+COUNTERPARTS = {
+    (Scheme.PIN_D2, OUT, 1, A, False, CASE_I):
+        [(LOWER, outage_pin_model_a_highsnr), (EXACT, outage_pin_model_a)],
+    (Scheme.PIN_D2, OUT, 1, A, False, CASE_II):
+        [(LOWER, outage_pin_model_a_highsnr), (LOWER, outage_pin_model_a)],
+    (Scheme.PIN_D2, OUT, 1, A, True, CASE_I):
+        [(APPROX, outage_pin_model_a_highsnr), (APPROX, outage_pin_model_a)],
+    (Scheme.PIN_D2, OUT, 1, A, True, CASE_II):
+        [(APPROX, outage_pin_model_a_highsnr), (APPROX, outage_pin_model_a)],
+    (Scheme.PIN_D2, OUT, 1, B, False, CASE_I): [(EXACT, outage_pin_model_b)],
+    (Scheme.PIN_D2, OUT, 1, B, False, CASE_II): [(LOWER, outage_pin_model_b)],
+    (Scheme.PIN_D2, OUT, 1, B, True, CASE_I): [(APPROX, outage_pin_model_b)],
+    (Scheme.PIN_D2, OUT, 1, B, True, CASE_II): [(APPROX, outage_pin_model_b)],
+    (Scheme.CONV, OUT, 1, A, False, CASE_I):
+        [(LOWER, outage_conv_model_a_highsnr)],
+    (Scheme.CONV, OUT, 1, A, False, CASE_II):
+        [(LOWER, outage_conv_model_a_highsnr)],
+    (Scheme.CONV, OUT, 1, A, True, CASE_I):
+        [(APPROX, outage_conv_model_a_highsnr)],
+    (Scheme.CONV, OUT, 1, A, True, CASE_II):
+        [(APPROX, outage_conv_model_a_highsnr)],
+    (Scheme.CONV, OUT, 1, B, False, CASE_I):
+        [(LOWER, outage_conv_model_b_highsnr)],
+    (Scheme.CONV, OUT, 1, B, False, CASE_II):
+        [(LOWER, outage_conv_model_b_highsnr)],
+    (Scheme.CONV, OUT, 1, B, True, CASE_I):
+        [(APPROX, outage_conv_model_b_highsnr)],
+    (Scheme.CONV, OUT, 1, B, True, CASE_II):
+        [(APPROX, outage_conv_model_b_highsnr)],
+    # fig4's shape: user 1's rate, and twice it for the sum
+    (Scheme.PIN_D2, PER, 2, B, True, CASE_I):
+        [(APPROX, ergodic_pin_two_user_highsnr)],
+    (Scheme.PIN_D2, PER, 2, B, True, CASE_II):
+        [(APPROX, ergodic_pin_two_user_highsnr)],
+    (Scheme.PIN_D2, SUM, 2, B, True, CASE_I):
+        [(APPROX, lambda cfg: 2.0 * ergodic_pin_two_user_highsnr(cfg))],
+    (Scheme.PIN_D2, SUM, 2, B, True, CASE_II):
+        [(APPROX, lambda cfg: 2.0 * ergodic_pin_two_user_highsnr(cfg))],
+}
+# A lone user sees no interference, so PIN_D1 is PIN_D2 at M = 1.
+COUNTERPARTS |= {(Scheme.PIN_D1, *cell[1:]): pairs
+                 for cell, pairs in COUNTERPARTS.items()
+                 if cell[0] is Scheme.PIN_D2 and cell[2] == 1}
+# Above R_CLAMPED (7.7449) and below R_CERTAIN (9.6575) at 10 dBm on a
+# 10 x 40 m area, so tau3 falls inside the strip and every outage analytic
+# of a law gives its own value (TestCounterpartTable checks that).
+R_INSIDE = 8.5
+
+
+def table_point(metric, m, law, constrained, loss):
+    cfg = SystemConfig(num_users=m, d_w=10.0, d_l=40.0, height=3.0, phi=0.1,
+                       tx_power=dbm_to_watt(10.0),
+                       noise_power=dbm_to_watt(-90.0), blockage_model=law,
+                       loss_case=loss, constrain_under_waveguide=constrained)
+    return OutageParams(cfg=cfg, r_target=R_INSIDE) if metric is OUT else cfg
+
+
+class TestCounterpartTable:
+    @pytest.mark.parametrize("cell", list(itertools.product(
+        Scheme, MetricKind, (1, 2, 5), BlockageModel, (False, True),
+        LossCase)), ids=lambda cell: "-".join(
+            str(v.value if hasattr(v, "value") else v) for v in cell))
+    def test_each_cell_gives_todays_counterparts(self, cell):
+        scheme, metric, *rest = cell
+        point = table_point(metric, *rest)
+        got = list(analytics.counterparts(scheme, metric, point, {}))
+        expected = [(kind, analytic(point))
+                    for kind, analytic in COUNTERPARTS.get(cell, [])]
+        assert got == expected
+
+    def test_the_point_tells_the_outage_analytics_apart(self):
+        for law, analytics_of_law in (
+                (A, (outage_pin_model_a, outage_pin_model_a_highsnr,
+                     outage_conv_model_a_highsnr)),
+                (B, (outage_pin_model_b, outage_pin_model_b_highsnr,
+                     outage_conv_model_b_highsnr))):
+            point = table_point(OUT, 1, law, False, CASE_I)
+            values = {f(point) for f in analytics_of_law}
+            assert len(values) == len(analytics_of_law)
+            assert 0.0 < min(values) and max(values) < 1.0

@@ -10,10 +10,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from pinchsim import BlockageModel, Scheme, SystemConfig, waveguide_y_offsets
+from pinchsim import (
+    BlockageModel,
+    LossCase,
+    Scheme,
+    SystemConfig,
+    dbm_to_watt,
+    waveguide_y_offsets,
+)
 from pinchsim import montecarlo
 from pinchsim.channel import (
     channel_coefficients,
+    conv_distances_sq,
     pin_distances_sq,
     power_gains,
     unblocked_probability_sq,
@@ -565,13 +573,16 @@ class TestSinrStepBitForBit:
         m = s.shape[-1]
         own = s[np.arange(len(s)), users % m]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cross = np.where(np.arange(m) == (users % m)[:, None], 0.0,
+                             s).sum(axis=-1)
             expected = oracles.design2_rates_formula(
-                own, s.sum(axis=-1), tx_power, noise_power, m)
+                own, s.sum(axis=-1), tx_power, noise_power, m, cross)
             assert same_bits(design2_rates_of_rows(s, users, tx_power,
                                                    noise_power), expected)
-            # the same rates from the rows' own gains and totals
+            # the same rates from the rows' own gains, totals and cross sums
             assert same_bits(design2_rates_from_rows(
-                own, s.sum(axis=-1), tx_power, noise_power, m), expected)
+                own, s.sum(axis=-1), tx_power, noise_power, m,
+                lambda lost: cross[lost]), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(case=gain_rows(), data=st.data())
@@ -587,3 +598,56 @@ class TestSinrStepBitForBit:
                                         noise_power, m),
                 oracles.design2_rates_formula(own, row_total, tx_power,
                                               noise_power, m))
+
+
+class TestInterferenceAcrossHeights:
+    """Design II rates of both row routes and of the conventional array
+    against ``oracles.design2_rates_cross_sum``, for antennas down to 1 nm
+    above the floor, where a user under its waveguide has an own link up
+    to about 10^20 times stronger than its cross links.
+
+    REL_PER_USER was fixed before the first run. Where S P exceeds the
+    denominator I P + M sigma^2 by more than CANCEL, the kernel sums the
+    cross gains itself. Elsewhere its row total carries M - 1 roundings of
+    at most 2^-53 of S + I, which move the denominator by at most about
+    2^-33 of itself each, so the rate is within (M - 1) 2^-33 plus a few
+    ulps: the bound, M 2^-32, is twice that.
+    """
+
+    REL_PER_USER = 2.0 ** -32
+    N = 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(2, 5), log_height=st.floats(-9.0, 1.0),
+           d_w=st.floats(0.5, 50.0), d_l=st.floats(1.0, 200.0),
+           dbm=st.floats(-20.0, 40.0), loss=st.sampled_from(LossCase),
+           constrained=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rates_match_the_cross_sum_reference(
+            self, m, log_height, d_w, d_l, dbm, loss, constrained, seed):
+        cfg = SystemConfig(num_users=m, d_w=d_w, d_l=d_l,
+                           height=10.0 ** log_height, phi=0.1,
+                           tx_power=dbm_to_watt(dbm),
+                           noise_power=dbm_to_watt(-90.0),
+                           blockage_model=BlockageModel.MODEL_B,
+                           loss_case=loss,
+                           constrain_under_waveguide=constrained)
+        rng = np.random.default_rng(seed)
+        beta = waveguide_y_offsets(cfg)
+        x = rng.uniform(-d_l / 2.0, d_l / 2.0, (self.N, m))
+        y = (np.broadcast_to(beta, x.shape) if constrained
+             else beta + cfg.strip_width * (rng.random(x.shape) - 0.5))
+        # blocked pinching links as exact zeros, some of them own links
+        clear = rng.random((self.N, m, m)) < 0.7
+        pin = power_gains(cfg, pin_distances_sq(cfg, x, y, beta), x) * clear
+        conv = power_gains(cfg, conv_distances_sq(cfg, x, y))
+        for s in (pin, conv):
+            ref = oracles.design2_rates_cross_sum(s, cfg.tx_power,
+                                                  cfg.noise_power)
+            dense = design2_rates_from_power(s, cfg.tx_power,
+                                             cfg.noise_power)
+            rows = design2_rates_of_rows(
+                s.reshape(-1, m), np.arange(self.N * m), cfg.tx_power,
+                cfg.noise_power).reshape(self.N, m)
+            for rates in (dense, rows):
+                assert (np.abs(rates - ref)
+                        <= self.REL_PER_USER * m * ref).all()

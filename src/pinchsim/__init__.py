@@ -45,7 +45,6 @@ from .scenario import (
     MetricKind,
     Scheme,
     SystemConfig,
-    conventional_array_positions,
     dbm_to_watt,
     waveguide_y_offsets,
 )
@@ -62,6 +61,6 @@ __all__ = [
     "parse_config", "reproduce_figure", "run_experiment",
     "MetricEstimate", "MetricKind", "Scheme", "SweepAxis",
     "estimate_ergodic", "estimate_outage", "sweep", "SPEED_OF_LIGHT",
-    "BlockageModel", "LossCase", "SystemConfig",
-    "conventional_array_positions", "dbm_to_watt", "waveguide_y_offsets",
+    "BlockageModel", "LossCase", "SystemConfig", "dbm_to_watt",
+    "waveguide_y_offsets",
 ]

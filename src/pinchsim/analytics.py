@@ -36,7 +36,7 @@ from .scenario import (
     SystemConfig,
     waveguide_y_offsets,
 )
-from .transceiver import design2_rates_from_power
+from .transceiver import design2_rates_of_rows
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -416,6 +416,23 @@ def ergodic_pin_two_user_highsnr(cfg: SystemConfig) -> float:
             * two_user_cross_blockage_factor(cfg))
 
 
+def _conv_rates_noise_free(cfg: SystemConfig, x: np.ndarray,
+                           y: np.ndarray) -> np.ndarray:
+    """Conventional rates log2(1 + S/I) at unit power and no noise of users
+    at ``x``, ``y``, arrays of one (..., M) shape with the M users along the
+    last axis: the estimators' own channel and SINR, on rows of 2^16 links
+    at a time, so memory does not grow as M^2."""
+    xs, ys = x.reshape(-1), y.reshape(-1)
+    out = np.empty(xs.shape)
+    step = max(1, (1 << 16) // cfg.num_users)
+    for lo in range(0, out.size, step):
+        s = power_gains(cfg, conv_distances_sq(cfg, xs[lo:lo + step],
+                                               ys[lo:lo + step]))
+        out[lo:lo + step] = design2_rates_of_rows(
+            s, np.arange(lo, lo + len(s)), 1.0, 0.0)
+    return out.reshape(x.shape)
+
+
 def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
     """High-SNR limit of the conventional rates, E[log2(1 + S/I)]: each
     user's bound, then their sum. Blockage drops out, as a user's elements
@@ -425,21 +442,13 @@ def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
     """
     if cfg.num_users < 2:
         raise ValueError("the conventional rate bound needs num_users >= 2")
-    where, m = "ergodic_conv_highsnr", cfg.num_users
+    where = "ergodic_conv_highsnr"
     beta = waveguide_y_offsets(cfg)
 
     def rates(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # every user at x = d_l (u - 1/2) and at its own y along the last
-        # axis; 2^16 links at a time, so memory does not grow as M^2
-        x, y = np.broadcast_arrays(cfg.d_l * (u[..., None] - 0.5), y)
-        xs, ys = x.reshape(-1, m), y.reshape(-1, m)
-        out = np.empty(xs.shape)
-        step = max(1, (1 << 16) // (m * m))
-        for lo in range(0, len(out), step):
-            rows = slice(lo, lo + step)
-            s = power_gains(cfg, conv_distances_sq(cfg, xs[rows], ys[rows]))
-            out[rows] = design2_rates_from_power(s, 1.0, 0.0)
-        return out.reshape(x.shape)
+        # every user at x = d_l (u - 1/2) and at its own y along the last axis
+        return _conv_rates_noise_free(cfg, *np.broadcast_arrays(
+            cfg.d_l * (u[..., None] - 0.5), y))
 
     if cfg.constrain_under_waveguide:
         bounds = _integrate(lambda u: rates(u, beta), where).tolist()
@@ -486,24 +495,22 @@ def counterparts(scheme: Scheme, metric: MetricKind,
     Waveguide loss (CASE_II) only lowers the pinching gains, so there an
     outage exact for a lossless waveguide is a lower bound. Every outage
     analytic spreads the user over its strip, so with users constrained
-    to the waveguide's center line none is exact or a bound.
+    to the waveguide's center line an outage has no counterpart.
     """
     fns = source or sys.modules[__name__]
     if metric is MetricKind.OUTAGE:
         cfg = point.cfg
-        if cfg.num_users != 1:
+        if cfg.num_users != 1 or cfg.constrain_under_waveguide:
             return
         model_a = cfg.blockage_model is _MODEL_A
-        floor = Kind.LOWER
         exact = Kind.EXACT if cfg.loss_case is LossCase.CASE_I else Kind.LOWER
-        if cfg.constrain_under_waveguide:
-            floor = exact = Kind.APPROX
         if scheme is Scheme.CONV:
-            yield floor, _floor(fns.outage_conv_model_a_highsnr if model_a
-                                else fns.outage_conv_model_b_highsnr,
-                                point, memo)
+            yield Kind.LOWER, _floor(
+                fns.outage_conv_model_a_highsnr if model_a
+                else fns.outage_conv_model_b_highsnr, point, memo)
         elif model_a:
-            yield floor, _floor(fns.outage_pin_model_a_highsnr, point, memo)
+            yield Kind.LOWER, _floor(fns.outage_pin_model_a_highsnr, point,
+                                     memo)
             yield exact, fns.outage_pin_model_a(point)
         else:
             yield exact, fns.outage_pin_model_b(point)

@@ -1,19 +1,20 @@
 """The channel model: distances, line-of-sight probability, power gains and
 complex coefficients.
 
-Every function here takes n realizations at once, as (n, M) user
-coordinates, and returns a new (n, M, M) array indexed [trial, user,
-antenna]: the squared distances (:func:`pin_distances_sq`,
-:func:`conv_distances_sq`), their LoS probabilities
-(:func:`unblocked_probability_sq`), the unblocked gains
+The pinching functions take n realizations at once, as (n, M) user
+coordinates, and return a new (n, M, M) array indexed [trial, user,
+antenna]: the squared distances (:func:`pin_distances_sq`), their LoS
+probabilities (:func:`unblocked_probability_sq`), the unblocked gains
 (:func:`power_gains`) and the complex coefficients
 (:func:`channel_coefficients`). The Monte-Carlo estimators call them on
 whole sub-batches; one realization is the n = 1 case. The distances and
 gains also come as (k, M) rows, the links of k chosen users, so that only
 the users whose rate needs its links get them; each user's own link comes
-as (n, M) from :func:`own_distances_sq` without any x difference, and
-:func:`center_distances_sq` gives the (n, M) length of the one link whose
-blockage all of a user's conventional elements share.
+as (n, M) from :func:`own_distances_sq` without any x difference. The
+conventional array's geometry lives here alone, and its links come only
+as rows: :func:`conv_distances_sq` gives k users' (k, M) rows and
+:func:`center_distances_sq` the one link whose blockage all of a user's
+elements share. Every link length adds height * height.
 
 A link of length r has free-space power gain path_gain_factor / r^2. The
 pinching system adds the in-waveguide path of length l = x + d_l/2 from the
@@ -30,12 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import (
-    BlockageModel,
-    LossCase,
-    SystemConfig,
-    conventional_array_positions,
-)
+from .scenario import BlockageModel, LossCase, SystemConfig
 
 
 def pin_distances_sq(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
@@ -74,12 +70,20 @@ def own_distances_sq(cfg: SystemConfig, y: np.ndarray,
     return d
 
 
+def _conv_element_x(cfg: SystemConfig) -> np.ndarray:
+    """x coordinates of the M conventional elements, (M,): half a
+    wavelength apart and centered, so their mean is exactly zero."""
+    m = cfg.num_users
+    return (np.arange(m) - (m - 1) / 2.0) * (cfg.wavelength / 2.0)
+
+
 def conv_distances_sq(cfg: SystemConfig, x: np.ndarray,
                       y: np.ndarray) -> np.ndarray:
-    """Squared user-to-element distances of the conventional array, (n, M, M)."""
-    d = x[:, :, None] - conventional_array_positions(cfg)[None, None, :, 0]
+    """Squared distances of k users at (k,) coordinates ``x``, ``y`` to the
+    conventional elements at (x_m, 0, height), as their (k, M) rows."""
+    d = x[:, None] - _conv_element_x(cfg)
     d *= d
-    d += (y * y + cfg.height ** 2)[:, :, None]
+    d += (y * y + cfg.height * cfg.height)[:, None]
     return d
 
 
@@ -87,7 +91,7 @@ def center_distances_sq(cfg: SystemConfig, x: np.ndarray,
                         y: np.ndarray) -> np.ndarray:
     """Squared user-to-array-center distances, (n, M): the length of the one
     link whose blockage every conventional element shares."""
-    return x * x + y * y + cfg.height ** 2
+    return x * x + y * y + cfg.height * cfg.height
 
 
 def unblocked_probability_sq(dist_sq: np.ndarray,

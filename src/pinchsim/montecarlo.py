@@ -305,9 +305,8 @@ def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
     step = max(1, SUB_LINKS // m)
     for lo in range(0, los.size, step):
         rows = los[lo:lo + step]
-        # (k, M) gains of the k rows, from (k, 1) user coordinates
-        s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows)[:, None],
-                                               ys.take(rows)[:, None]))[:, 0]
+        s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows),
+                                               ys.take(rows)))
         rates[rows] = design2_rates_of_rows(s, rows, cfg.tx_power,
                                             cfg.noise_power)
     return rates.reshape(n, m)

@@ -138,20 +138,6 @@ def waveguide_y_offsets(cfg: SystemConfig) -> np.ndarray:
             + cfg.d_w / (2.0 * cfg.num_users))
 
 
-def conventional_array_positions(cfg: SystemConfig) -> np.ndarray:
-    """Positions of the fixed half-wavelength-spaced array, (M, 3).
-
-    The array sits at the area center at waveguide height, spaced along x,
-    and is centered so the mean x coordinate is exactly zero.
-    """
-    m = cfg.num_users
-    xs = (np.arange(m) - (m - 1) / 2.0) * (cfg.wavelength / 2.0)
-    pos = np.zeros((m, 3))
-    pos[:, 0] = xs
-    pos[:, 2] = cfg.height
-    return pos
-
-
 def _to_uniform(u: np.ndarray, low, high) -> None:
     """Turn ``random()`` doubles into ``uniform(low, high)`` ones, in place.
 

@@ -7,16 +7,18 @@ an equal 1/sqrt(M) power split and treats cross links as interference. The
 conventional baseline applies the Design II power split to the fixed
 half-wavelength array.
 
-The kernels (:func:`zf_gains_batch`, :func:`design1_rates_from_gains`,
-:func:`design2_rates_from_power`) take
-stacked (..., M, M) inputs, and the Monte-Carlo estimators call them on
-whole sub-batches; :func:`design2_rates_of_rows` takes the (k, M) rows of
-chosen users only, which is how the estimators evaluate pinching Design II
-without zero forcing and the conventional array. One realization is the
-n = 1 case. Every Design II and conventional rate comes from one SINR
-formula, :func:`design2_rates_from_rows`, and every zero-forcing decision
-from one gate, the LU factorization and conditioning test of the matrix's
-own inverse.
+The zero-forcing kernels (:func:`zf_gains_batch`,
+:func:`design1_rates_from_gains`, and :func:`design2_rates_from_power`,
+Design II and the fallback from the same full matrices) take stacked
+(..., M, M) inputs, and the Monte-Carlo estimators call them on whole
+sub-batches when Design I runs. :func:`design2_rates_of_rows` takes the
+(k, M) rows of chosen users only, which is how every other rate is
+evaluated: pinching Design II without zero forcing, the conventional
+array, and the conventional high-SNR bound. One realization is the n = 1
+case. Every Design II and conventional rate comes from one SINR formula,
+:func:`design2_rates_from_rows`, and every zero-forcing decision from one
+gate, the LU factorization and conditioning test of the matrix's own
+inverse.
 
 The reductions over the short matrix axes are bit for bit numpy's own
 reductions but skip its one inner loop per M-element row: the column sums

@@ -1,20 +1,25 @@
 """Show that a change leaves every hashed result bit for bit as it was.
 
-    python tests/bitwise_diff.py PARENT_SRC
+    python tests/bitwise_diff.py PARENT
 
 runs each hash harness next to this file (``chunk_hashes.py``,
 ``preset_hashes.py`` and ``analytic_hashes.py``) twice, with PYTHONPATH at
-``PARENT_SRC`` (the ``src`` directory of the checkout to compare against)
-and at this checkout's ``src``, the two runs side by side. It prints, per
-harness, either the number of identical lines or every line that differs,
-and exits nonzero on any difference or on a harness that fails. The file
-is not named ``test_*``, so pytest does not collect it.
+the parent's ``src`` and at this checkout's ``src``, the two runs side by
+side. ``PARENT`` is either the ``src`` directory of the checkout to compare
+against or a git revision of this repository (``HEAD``, a branch, a commit),
+whose ``src`` is extracted with ``git archive`` into a temporary directory.
+It prints, per harness, either the number of identical lines or every line
+that differs, and exits nonzero on any difference or on a harness that
+fails. The file is not named ``test_*``, so pytest does not collect it.
 """
 
 import difflib
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -34,30 +39,50 @@ def outputs(harness: str, parent: Path) -> list[list[str]]:
     procs = [start(harness, src) for src in (parent, HERE.parent / "src")]
     results = [proc.communicate() for proc in procs]
     for proc, (_, err), label in zip(procs, results,
-                                     ("PARENT_SRC", "this checkout")):
+                                     ("PARENT", "this checkout")):
         if proc.returncode != 0:
             raise SystemExit(f"{harness} on {label} failed with exit code "
                              f"{proc.returncode}:\n{err}")
     return [out.splitlines() for out, _ in results]
 
 
+def parent_src(parent: str, scratch: str) -> Path:
+    """``parent`` as a ``src`` directory, or the ``src`` of the git revision
+    ``parent``, extracted under ``scratch``."""
+    path = Path(parent)
+    if path.is_dir():
+        if not (path / "pinchsim").is_dir():
+            raise SystemExit(f"{path} holds no pinchsim package")
+        return path.resolve()
+    archive = subprocess.run(["git", "-C", str(HERE.parent), "archive",
+                              parent, "src"], capture_output=True)
+    if archive.returncode != 0:
+        raise SystemExit(f"{parent} is neither a directory nor a git "
+                         f"revision with a src tree:\n"
+                         f"{archive.stderr.decode(errors='replace')}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(scratch, filter="data")
+    return Path(scratch) / "src"
+
+
 def main() -> int:
     if len(sys.argv) != 2:
-        raise SystemExit(f"usage: {sys.argv[0]} PARENT_SRC")
-    parent = Path(sys.argv[1]).resolve()
-    if not (parent / "pinchsim").is_dir():
-        raise SystemExit(f"{parent} holds no pinchsim package")
+        raise SystemExit(f"usage: {sys.argv[0]} PARENT  (a src directory "
+                         f"or a git revision)")
     differs = False
-    for harness in HARNESSES:
-        old, new = outputs(harness, parent)
-        diff = list(difflib.unified_diff(old, new, "parent", "this checkout",
-                                         n=0, lineterm=""))
-        if diff:
-            differs = True
-            print(f"{harness}: differs")
-            print("\n".join(diff))
-        else:
-            print(f"{harness}: {len(new)} lines identical")
+    with tempfile.TemporaryDirectory() as scratch:
+        parent = parent_src(sys.argv[1], scratch)
+        for harness in HARNESSES:
+            old, new = outputs(harness, parent)
+            diff = list(difflib.unified_diff(old, new, "parent",
+                                             "this checkout", n=0,
+                                             lineterm=""))
+            if diff:
+                differs = True
+                print(f"{harness}: differs")
+                print("\n".join(diff))
+            else:
+                print(f"{harness}: {len(new)} lines identical")
     return 1 if differs else 0
 
 

@@ -22,7 +22,6 @@ from pinchsim import (
     SystemConfig,
 )
 from pinchsim.channel import (
-    conv_distances_sq,
     pin_distances_sq,
     power_gains,
     unblocked_probability_sq,
@@ -195,14 +194,24 @@ def design2_rates_cross_sum(s, tx_power, noise_power) -> np.ndarray:
     return rates
 
 
+def conv_distances_dense(cfg: SystemConfig, x, y) -> np.ndarray:
+    """(n, M, M) squared distances of (n, M) users to the conventional
+    elements, from the array's definition: M elements at waveguide height
+    on the x-axis, half a wavelength apart and centered on the origin."""
+    m = cfg.num_users
+    elements = (np.arange(m) - (m - 1) / 2.0) * (cfg.wavelength / 2.0)
+    return ((x[:, :, None] - elements) ** 2
+            + (y * y + cfg.height * cfg.height)[:, :, None])
+
+
 def conv_rates_dense(cfg: SystemConfig, x, y, alpha, tx_power, noise_power):
     """(n, M) conventional rates with every user's row evaluated, blocked or
     not: the full (n, M, M) gains, Design II's diagonal-and-row-sum SINR at
     ``tx_power`` and ``noise_power``, then the rates times the (n, M)
     indicators ``alpha``. This is the evaluation the line-of-sight-gated
-    kernel must reproduce bit for bit.
+    kernel and the high-SNR bound's row route must reproduce bit for bit.
     """
-    s = power_gains(cfg, conv_distances_sq(cfg, x, y))
+    s = power_gains(cfg, conv_distances_dense(cfg, x, y))
     return design2_rates_formula(np.diagonal(s, axis1=-2, axis2=-1),
                                  s.sum(axis=-1), tx_power, noise_power,
                                  cfg.num_users) * alpha

@@ -18,9 +18,11 @@ from pinchsim import (
 )
 from pinchsim import channel, montecarlo
 from pinchsim.channel import (
+    _conv_element_x,
     center_distances_sq,
     channel_coefficients,
     conv_distances_sq,
+    own_distances_sq,
     pin_distances_sq,
     power_gains,
     unblocked_probability_sq,
@@ -163,8 +165,48 @@ class TestFreeSpaceCoefficient:
         x = rng.uniform(-20.0, 20.0, (50, 3))
         y = rng.uniform(-5.0, 5.0, (50, 3))
         for d_sq in (pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg)),
-                     conv_distances_sq(cfg, x, y)):
+                     conv_distances_sq(cfg, x.reshape(-1), y.reshape(-1))):
             assert d_sq.min() >= cfg.height ** 2
+
+
+class TestOneHeightSquared:
+    """Every link length adds the height squared as one product, h * h, so
+    the pinching and conventional links of one height cannot differ in the
+    last bit (h ** 2 is not always h * h)."""
+
+    # the first heights of a log-uniform scan over [1e-3, 1e3] m
+    # (random.Random(0)) at which h ** 2 != h * h
+    HEIGHTS = [1.7785812796077343, 36.793717724346855, 493.4887502838317,
+               945.1791793404582, 0.013695539435403397, 0.02871738502599837]
+
+    @staticmethod
+    def assert_lengths_are_h_times_h(height):
+        # each length with all its other terms exactly zero
+        cfg = make_cfg(num_users=3, height=height)
+        beta = waveguide_y_offsets(cfg)
+        x = np.array([[-7.5, 0.25, 12.0]])
+        elements = _conv_element_x(cfg)
+        lengths = {
+            "own": own_distances_sq(cfg, beta[None, :], beta),
+            "pin": pin_distances_sq(cfg, x, beta, beta, x),
+            "center": center_distances_sq(cfg, np.zeros((1, 3)),
+                                          np.zeros((1, 3))),
+            "conv": np.diagonal(conv_distances_sq(cfg, elements,
+                                                  np.zeros(3))),
+        }
+        for name, d_sq in lengths.items():
+            assert d_sq.size == 3, name
+            assert (d_sq == height * height).all(), (name, height)
+
+    def test_scanned_heights_where_the_two_squarings_differ(self):
+        for height in self.HEIGHTS:
+            assert height ** 2 != height * height
+            self.assert_lengths_are_h_times_h(height)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_height=st.floats(-3.0, 3.0))
+    def test_any_height(self, log_height):
+        self.assert_lengths_are_h_times_h(10.0 ** log_height)
 
 
 class TestWaveguideFactor:
@@ -261,7 +303,8 @@ class TestChannelAssembly:
         alpha = rng.random((50, 2)) < 0.5
         monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
         rates = montecarlo._conv_rates(cfg, x, y, alpha)
-        s = power_gains(cfg, conv_distances_sq(cfg, x, y)) * alpha[:, :, None]
+        s = (power_gains(cfg, oracles.conv_distances_dense(cfg, x, y))
+             * alpha[:, :, None])
         dense = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power)
         assert np.array_equal(rates, dense)
         assert np.all((rates == 0) == ~alpha)

@@ -563,6 +563,24 @@ class TestRunExperiment:
         for r in closed:
             assert 0.0 <= float(r["value"]) <= 1.0
 
+    @pytest.mark.parametrize("model", list(BlockageModel))
+    def test_pinned_single_user_outage_writes_simulated_rows_only(
+            self, tmp_path, model):
+        # every outage analytic spreads the user over its strip, so a user
+        # pinned under its waveguide gets no CLOSED_FORM row beside it
+        out = tmp_path / "pinned.csv"
+        cfg = parse_config(f"preset = fig2a\nrun.output = {out}")
+        cfg = replace(cfg, system=replace(cfg.system, blockage_model=model,
+                                          constrain_under_waveguide=True),
+                      run=replace(cfg.run, n_trials=2000,
+                                  schemes=tuple(Scheme), output=str(out)))
+        assert cfg.system.num_users == 1
+        assert cfg.run.metric is MetricKind.OUTAGE
+        paths = run_experiment(cfg)
+        rows = list(csv.DictReader(paths[0].read_text().splitlines()[1:]))
+        assert len(rows) == 3 * len(cfg.run.axis_values)
+        assert {r["provenance"] for r in rows} == {"SIMULATED"}
+
     def test_per_user_metric_rows(self, tmp_path):
         doc = f"preset = fig4\nrun.output = {tmp_path / 'f4.csv'}"
         cfg = parse_config(doc)

@@ -264,12 +264,12 @@ class TestConventionalGate:
         if los.size == 0:
             assert seen == []
             return
-        # batches of 37 // 5 = 7 rows of (k, 1) coordinates, in flat order
+        # batches of 37 // 5 = 7 rows of (k,) coordinates, in flat order
         assert [len(sx) for sx, _ in seen[:-1]] == [7] * (len(seen) - 1)
-        assert all(sx.shape[1:] == (1,) for sx, _ in seen)
-        assert np.array_equal(np.concatenate([sx for sx, _ in seen])[:, 0],
+        assert all(sx.ndim == 1 for sx, _ in seen)
+        assert np.array_equal(np.concatenate([sx for sx, _ in seen]),
                               x.reshape(-1)[los])
-        assert np.array_equal(np.concatenate([sy for _, sy in seen])[:, 0],
+        assert np.array_equal(np.concatenate([sy for _, sy in seen]),
                               y.reshape(-1)[los])
 
     @settings(max_examples=40, deadline=None)

@@ -10,11 +10,15 @@ from pinchsim import (
     BlockageModel,
     LossCase,
     SystemConfig,
-    conventional_array_positions,
     dbm_to_watt,
     waveguide_y_offsets,
 )
-from pinchsim.channel import pin_distances_sq, power_gains
+from pinchsim.channel import (
+    _conv_element_x,
+    conv_distances_sq,
+    pin_distances_sq,
+    power_gains,
+)
 from pinchsim.scenario import _place_users
 
 
@@ -100,24 +104,34 @@ class TestWaveguideOffsets:
 
 
 class TestConventionalArray:
+    """The conventional elements' geometry, which channel alone holds."""
+
     def test_single_antenna_at_center(self):
-        pos = conventional_array_positions(make_cfg())
-        assert np.allclose(pos, [[0.0, 0.0, 3.0]])
+        cfg = make_cfg()
+        assert _conv_element_x(cfg).tolist() == [0.0]
+        # straight above the origin, at waveguide height
+        assert conv_distances_sq(cfg, np.zeros(1), np.zeros(1)).tolist() == [
+            [cfg.height * cfg.height]]
 
     def test_two_antennas_quarter_wavelength(self):
-        pos = conventional_array_positions(make_cfg(num_users=2))
+        cfg = make_cfg(num_users=2)
+        xs = _conv_element_x(cfg)
         # lambda/4 at 28 GHz with the exact SI speed of light
-        assert np.allclose(pos[:, 0], [-0.002676718375, 0.002676718375], rtol=1e-12)
-        assert np.allclose(pos[:, 1], 0.0)
-        assert np.allclose(pos[:, 2], 3.0)
+        assert np.allclose(xs, [-0.002676718375, 0.002676718375], rtol=1e-12)
+        # each element sits on the x-axis at waveguide height: a user at its
+        # x and at y is sqrt(y^2 + height^2) from it
+        y = np.array([1.5, -2.0])
+        assert np.diagonal(conv_distances_sq(cfg, xs, y)).tolist() == [
+            1.5 * 1.5 + 9.0, 2.0 * 2.0 + 9.0]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     def test_centered_for_any_size(self, m):
-        pos = conventional_array_positions(make_cfg(num_users=m))
-        assert abs(pos[:, 0].mean()) < 1e-15
-        spacing = np.diff(pos[:, 0])
+        xs = _conv_element_x(make_cfg(num_users=m))
+        assert xs.shape == (m,)
+        assert abs(xs.mean()) < 1e-15
         if m > 1:
-            assert np.allclose(spacing, make_cfg().wavelength / 2, rtol=1e-12)
+            assert np.allclose(np.diff(xs), make_cfg().wavelength / 2,
+                               rtol=1e-12)
 
 
 def drop(cfg, rng, n=1):

@@ -21,7 +21,6 @@ from pinchsim import (
 from pinchsim import montecarlo
 from pinchsim.channel import (
     channel_coefficients,
-    conv_distances_sq,
     pin_distances_sq,
     power_gains,
     unblocked_probability_sq,
@@ -639,7 +638,7 @@ class TestInterferenceAcrossHeights:
         # blocked pinching links as exact zeros, some of them own links
         clear = rng.random((self.N, m, m)) < 0.7
         pin = power_gains(cfg, pin_distances_sq(cfg, x, y, beta), x) * clear
-        conv = power_gains(cfg, conv_distances_sq(cfg, x, y))
+        conv = power_gains(cfg, oracles.conv_distances_dense(cfg, x, y))
         for s in (pin, conv):
             ref = oracles.design2_rates_cross_sum(s, cfg.tx_power,
                                                   cfg.noise_power)

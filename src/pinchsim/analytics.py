@@ -27,7 +27,6 @@ from math import erf
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .channel import conv_distances_sq, power_gains
 from .scenario import (
     BlockageModel,
     LossCase,
@@ -36,7 +35,7 @@ from .scenario import (
     SystemConfig,
     waveguide_y_offsets,
 )
-from .transceiver import design2_rates_of_rows
+from .transceiver import conv_rates
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -388,6 +387,16 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
     tau4 = (beta1 - beta2) ** 2 + cfg.height ** 2
     phi = cfg.phi
     d_l = cfg.d_l
+    x = phi * d_l * d_l
+    if x < 0.1:
+        # 1/2 - exp(-phi tau4) E / 2, E = E_z[exp(-phi z^2)], cancels here,
+        # so it is (exp(-phi tau4) gap - expm1(-phi tau4)) / 2, gap = 1 - E
+        # from its series in x: E[z^2k] = 2 d_l^2k / ((2k + 1)(2k + 2)).
+        gap, term = 0.0, -1.0
+        for k in range(1, 12):
+            term *= -x / k
+            gap += 2.0 * term / ((2 * k + 1) * (2 * k + 2))
+        return 0.5 * (math.exp(-phi * tau4) * gap - math.expm1(-phi * tau4))
     sqrt_phi = math.sqrt(phi)
     return (0.5
             - math.exp(-phi * tau4) / d_l * SQRT_PI / (2.0 * sqrt_phi)
@@ -416,29 +425,12 @@ def ergodic_pin_two_user_highsnr(cfg: SystemConfig) -> float:
             * two_user_cross_blockage_factor(cfg))
 
 
-def _conv_rates_noise_free(cfg: SystemConfig, x: np.ndarray,
-                           y: np.ndarray) -> np.ndarray:
-    """Conventional rates log2(1 + S/I) at unit power and no noise of users
-    at ``x``, ``y``, arrays of one (..., M) shape with the M users along the
-    last axis: the estimators' own channel and SINR, on rows of 2^16 links
-    at a time, so memory does not grow as M^2."""
-    xs, ys = x.reshape(-1), y.reshape(-1)
-    out = np.empty(xs.shape)
-    step = max(1, (1 << 16) // cfg.num_users)
-    for lo in range(0, out.size, step):
-        s = power_gains(cfg, conv_distances_sq(cfg, xs[lo:lo + step],
-                                               ys[lo:lo + step]))
-        out[lo:lo + step] = design2_rates_of_rows(
-            s, np.arange(lo, lo + len(s)), 1.0, 0.0)
-    return out.reshape(x.shape)
-
-
 def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
     """High-SNR limit of the conventional rates, E[log2(1 + S/I)]: each
     user's bound, then their sum. Blockage drops out, as a user's elements
     share its indicator. User m's bound integrates x, and y over strip m
-    unless ``constrain_under_waveguide``, of the estimators' own channel and
-    SINR at unit power and no noise.
+    unless ``constrain_under_waveguide``, of the estimators' own rate
+    routine, ``transceiver.conv_rates``, at unit power and no noise.
     """
     if cfg.num_users < 2:
         raise ValueError("the conventional rate bound needs num_users >= 2")
@@ -447,8 +439,10 @@ def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
 
     def rates(u: np.ndarray, y: np.ndarray) -> np.ndarray:
         # every user at x = d_l (u - 1/2) and at its own y along the last axis
-        return _conv_rates_noise_free(cfg, *np.broadcast_arrays(
-            cfg.d_l * (u[..., None] - 0.5), y))
+        x, y = np.broadcast_arrays(cfg.d_l * (u[..., None] - 0.5), y)
+        out = np.empty(x.size)
+        conv_rates(cfg, x, y, np.arange(x.size), 1.0, 0.0, out)
+        return out.reshape(x.shape)
 
     if cfg.constrain_under_waveguide:
         bounds = _integrate(lambda u: rates(u, beta), where).tolist()

@@ -36,16 +36,16 @@ or column get a complex channel matrix, and in it a blocked link is an
 exact zero without a phase: only the clear links get their square root
 and complex exponential. The gates change no draw and no rate.
 
-Both estimators map their chunks through ``_map_chunks``; the conventional
-high-SNR bound is a quadrature, ``analytics.ergodic_conv_highsnr``. A rate
-whose SNR overflows is +inf, which an outage counts as no outage; an
-ergodic estimate whose reduced total is not finite raises ArithmeticError,
-naming the scheme, and ``sweep`` adds the sweep point, so no NaN or
-infinite rate reaches a result.
+Both estimators map their chunks through ``_map_chunks``, and their
+conventional rates, like those of ``analytics.ergodic_conv_highsnr``, come
+from ``transceiver.conv_rates``. A rate whose SNR overflows is +inf, which
+an outage counts as no outage; an ergodic estimate whose reduced total is
+not finite raises ArithmeticError, naming the scheme, and ``sweep`` adds
+the sweep point, so no NaN or infinite rate reaches a result.
 
 A chunk is evaluated in batches of about SUB_LINKS links so that its
 temporaries stay cache-sized: the pinching sub-batches of ``_rates_chunk``
-and the conventional rows of ``_conv_rates``. The sub-batches take their
+and the conventional rows of ``conv_rates``. The sub-batches take their
 blockage uniforms in trial order, from the chunk's lead and then its
 stream, so the batch size never changes a draw, a rate or an estimate.
 Where a chunk is smaller than a sub-batch, as at M = 1 and 2,
@@ -76,7 +76,6 @@ from .analytics import OutageParams
 from .channel import (
     center_distances_sq,
     channel_coefficients,
-    conv_distances_sq,
     own_distances_sq,
     pin_distances_sq,
     power_gains,
@@ -91,8 +90,10 @@ from .scenario import (
     waveguide_y_offsets,
 )
 from .transceiver import (
+    SUB_LINKS,
     _column_sums,
     _row_sums,
+    conv_rates,
     design1_rates_from_gains,
     design2_rates_from_power,
     design2_rates_of_rows,
@@ -103,15 +104,6 @@ from .transceiver import (
 # Trials per random-stream chunk. Fixed so that the set of random draws, and
 # therefore every estimate, is independent of how chunks are scheduled.
 CHUNK_TRIALS = 8192
-
-# Links (trial x user x antenna entries) evaluated at once inside a chunk:
-# max(1, SUB_LINKS // M^2) trials, so an (n, M, M) float64 temporary is at
-# most 512 KiB and a sub-batch's working set stays in cache. It also sets
-# how many whole chunks _map_chunks evaluates in one kernel call: as many
-# as fit in one sub-batch, 8 at M = 1, 2 at M = 2 and 1 from M = 3 on.
-# Neither sub-batching nor grouping changes the random draws (see
-# _rates_chunk), so it is free to tune without changing any estimate.
-SUB_LINKS = 1 << 16
 
 # Bound on the heap one _rates_chunk call uses at M <= 16: at most 8 float64
 # (n, M) per-user arrays, n M <= 16 CHUNK_TRIALS (a group of chunks fills
@@ -283,35 +275,6 @@ def _design2_rows(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
                                                      cfg.noise_power)
 
 
-def _conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
-                alpha: np.ndarray) -> np.ndarray:
-    """(n, M) conventional-array rates of n placements.
-
-    Element m serves user m with power P/M, and all the elements one user
-    sees share that user's blockage; with M = 1 this is a single fixed
-    antenna with the whole budget.
-
-    ``x`` and ``y`` are (n, M) user coordinates and ``alpha`` their (n, M)
-    line-of-sight indicators. A user's rate reads only its own row of
-    gains, and a blocked user's rate is 0, so rows are evaluated only for
-    the users that keep line of sight, SUB_LINKS // M rows (SUB_LINKS links)
-    at a time; the others stay exactly 0.0. Each evaluated rate is bit for
-    bit the one a full (n, M, M) evaluation gives.
-    """
-    n, m = x.shape
-    los = np.flatnonzero(alpha)
-    rates = np.zeros(n * m)
-    xs, ys = x.reshape(-1), y.reshape(-1)
-    step = max(1, SUB_LINKS // m)
-    for lo in range(0, los.size, step):
-        rows = los[lo:lo + step]
-        s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows),
-                                               ys.take(rows)))
-        rates[rows] = design2_rates_of_rows(s, rows, cfg.tx_power,
-                                            cfg.noise_power)
-    return rates.reshape(n, m)
-
-
 def _blockage_uniforms(chunks, b: slice, m: int,
                        lead: np.ndarray) -> np.ndarray:
     """Sub-batch b's (nb, M, M) pinching blockage uniforms.
@@ -393,9 +356,11 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
             del u  # not held through the conventional rows
             rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = d2, d1
         if Scheme.CONV in schemes:
-            alpha = lead < unblocked_probability_sq(
-                center_distances_sq(cfg, x, y), cfg)
-            rates[Scheme.CONV] = _conv_rates(cfg, x, y, alpha)
+            los = np.flatnonzero(lead < unblocked_probability_sq(
+                center_distances_sq(cfg, x, y), cfg))
+            rates[Scheme.CONV] = conv = np.zeros((n, m))
+            conv_rates(cfg, x, y, los, cfg.tx_power, cfg.noise_power,
+                       conv.reshape(-1))
     return tuple(rates[s] for s in schemes)
 
 

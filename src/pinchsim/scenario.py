@@ -96,6 +96,16 @@ class SystemConfig:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        try:
+            gain = self.path_gain_factor
+        except (OverflowError, ZeroDivisionError):
+            gain = math.nan
+        if not 0 < gain < math.inf:
+            raise ValueError("carrier_freq must give a finite gain > 0")
+        h_sq = self.height * self.height
+        if not (0 < h_sq < math.inf and math.isfinite(gain / h_sq)):
+            raise ValueError("height must have a finite nonzero square and "
+                             "a finite gain at that distance")
         if self.phi < 0:
             raise ValueError("phi must be >= 0")
         if self.waveguide_loss_db_per_m < 0:

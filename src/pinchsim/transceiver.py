@@ -13,12 +13,12 @@ Design II and the fallback from the same full matrices) take stacked
 (..., M, M) inputs, and the Monte-Carlo estimators call them on whole
 sub-batches when Design I runs. :func:`design2_rates_of_rows` takes the
 (k, M) rows of chosen users only, which is how every other rate is
-evaluated: pinching Design II without zero forcing, the conventional
-array, and the conventional high-SNR bound. One realization is the n = 1
-case. Every Design II and conventional rate comes from one SINR formula,
-:func:`design2_rates_from_rows`, and every zero-forcing decision from one
-gate, the LU factorization and conditioning test of the matrix's own
-inverse.
+evaluated: pinching Design II without zero forcing, and, through
+:func:`conv_rates`, every conventional rate of the estimators and of the
+high-SNR bound. One realization is the n = 1 case. Every Design II and
+conventional rate comes from one SINR formula, :func:`design2_rates_from_rows`,
+and every zero-forcing decision from one gate, the LU factorization and
+conditioning test of the matrix's own inverse.
 
 The reductions over the short matrix axes are bit for bit numpy's own
 reductions but skip its one inner loop per M-element row: the column sums
@@ -32,6 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+from .channel import conv_distances_sq, power_gains
+from .scenario import SystemConfig
 
 
 LN2 = np.log(2.0)
@@ -54,6 +57,12 @@ COND_LIMIT = 1e12
 # summed instead. Below it, a lost interference moves no rate by more than
 # that, even where the noise dominates.
 CANCEL = 2.0 ** 20
+
+# Links evaluated at once: conv_rates' rows of SUB_LINKS // M users and the
+# Monte-Carlo sub-batches of SUB_LINKS // M^2 trials, so that a float64
+# temporary stays at most 512 KiB and a batch's working set in cache. No
+# batch size changes a draw or a rate, so it is free to tune.
+SUB_LINKS = 1 << 16
 
 
 def no_empty_line(mask: np.ndarray) -> np.ndarray:
@@ -225,6 +234,27 @@ def design2_rates_of_rows(s: np.ndarray, users: np.ndarray, tx_power: float,
     return design2_rates_from_rows(
         own, _row_sums(s), tx_power, noise_power, m,
         lambda lost: _cross_sums(s[lost], users[lost] % m))
+
+
+def conv_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
+               users: np.ndarray, tx_power: float, noise_power: float,
+               out: np.ndarray) -> None:
+    """Write the conventional-array rates of ``users`` into ``out[users]``.
+
+    ``users`` are flat indices into ``x`` and ``y``, user coordinates of one
+    (..., M) shape, and ``out`` is flat. Element m serves user m with power
+    P/M, and every element shares the user's blockage, which the caller
+    applies by its choice of ``users``. The users' (k, M) rows of links run
+    SUB_LINKS // M at a time, and each rate is bit for bit the one of a
+    full (..., M, M) evaluation.
+    """
+    xs, ys = x.reshape(-1), y.reshape(-1)
+    step = max(1, SUB_LINKS // cfg.num_users)
+    for lo in range(0, users.size, step):
+        rows = users[lo:lo + step]
+        s = power_gains(cfg, conv_distances_sq(cfg, xs.take(rows),
+                                               ys.take(rows)))
+        out[rows] = design2_rates_of_rows(s, rows, tx_power, noise_power)
 
 
 def design2_rates_from_power(s_eff: np.ndarray, tx_power: float,

@@ -15,9 +15,12 @@ from a fixed seed. Every outage function runs at targets that place the
 in-range half-width tau3 at 0, near 0, inside the strip, near its edge and
 clamped to it. Each line reads ``<function> <count> <sha256>`` and
 hashes the float64 bits of each value in order (a raised exception is
-hashed by its type and message). ``ergodic_conv_highsnr`` runs up to
-M = 32 users, where its integrand is evaluated in several batches of links.
-The file is not named ``test_*``, so pytest does not collect it.
+hashed by its type and message). The two-user functions also run on each
+MODEL_B configuration at the tiny phis SMALL_PHIS, where the bracket's
+closed form cancels, on lines of their own (``<function> small_phi``).
+``ergodic_conv_highsnr`` runs up to M = 32 users, where its integrand is
+evaluated in several batches of links. The file is not named ``test_*``,
+so pytest does not collect it.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ import itertools
 import math
 import random
 import struct
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,6 +58,7 @@ WIDE_AREAS = ((0.5, 1000.0), (10.0, 40.0), (200.0, 1.0))  # (d_w, d_l)
 # tau3 as a fraction of d_w / 2; 0 is the edge of certain outage.
 TAU3_FRACTIONS = (0.0, 1e-9, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0)
 FIXED_TARGETS = (1e-300, 1e-16, 1e-3, 2.0, 7.0, 9.2, 14.0, 1030.0)
+SMALL_PHIS = (1e-18, 1e-14, 1e-10)
 MULTI_USER = ((2, 10.0, 40.0, False), (3, 12.0, 30.0, False),
               (5, 10.0, 10.0, False), (3, 12.0, 30.0, True),
               (16, 10.0, 40.0, False), (17, 10.0, 40.0, False),
@@ -138,6 +143,9 @@ def main() -> None:
                 for fn in (two_user_cross_blockage_factor,
                            ergodic_pin_two_user_highsnr):
                     record(fn.__name__, evaluate(fn, two))
+                    for phi in SMALL_PHIS:
+                        record(f"{fn.__name__} small_phi",
+                               evaluate(fn, replace(two, phi=phi)))
                 z = np.linspace(-1.25 * cfg.d_l, 1.25 * cfg.d_l, 11)
                 record("triangular_pdf", evaluate(triangular_pdf, z, cfg.d_l))
     for m, d_w, d_l, constrained in MULTI_USER:

@@ -9,7 +9,8 @@ leaves every rate bit for bit as it was:
 
 ``pinchsim`` is imported from PYTHONPATH, so the script itself runs
 unchanged against any checkout. Each line names one cell, M x blockage model
-x loss case x constrained x phi x SUB_LINKS x ordered scheme tuple, and
+x loss case x constrained x phi x SUB_LINKS (the pinching sub-batches and
+the conventional rows) x ordered scheme tuple, and
 hashes the int64 view of what ``montecarlo._rates_chunk`` returns for 45
 trials. The ``full`` lines hash whole 8192-trial chunks of every scheme for
 zero forcing (PIN_D1) at M x phi x loss case, MODEL_A, which run several
@@ -43,6 +44,7 @@ from pinchsim import (
     estimate_ergodic,
     estimate_outage,
     montecarlo,
+    transceiver,
 )
 from pinchsim.montecarlo import _ergodic_sums, _rates_chunk, chunk_generator
 
@@ -99,7 +101,7 @@ def main() -> None:
     try:
         for sub_links, m, model, loss, constrained, phi in itertools.product(
                 SUB_LINKS, USERS, BlockageModel, LossCase, (False, True), PHIS):
-            montecarlo.SUB_LINKS = sub_links
+            montecarlo.SUB_LINKS = transceiver.SUB_LINKS = sub_links
             cfg = config(m, model, loss, constrained, phi)
             for schemes in SCHEME_TUPLES:
                 rates = _rates_chunk(schemes, cfg, N, chunk_generator(6, 0, 3))
@@ -108,7 +110,7 @@ def main() -> None:
                        f"constrained={constrained} phi={phi} "
                        f"sub_links={sub_links} {names}", rates)
     finally:
-        montecarlo.SUB_LINKS = default
+        montecarlo.SUB_LINKS = transceiver.SUB_LINKS = default
     for m, phi, loss in itertools.product(FULL_USERS, FULL_PHIS, LossCase):
         cfg = config(m, BlockageModel.MODEL_A, loss, False, phi)
         rates = _rates_chunk(tuple(Scheme), cfg, montecarlo.CHUNK_TRIALS,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
-from pinchsim import analytics
+from pinchsim import analytics, transceiver
 from pinchsim import (
     BlockageModel,
     MetricKind,
@@ -196,6 +197,7 @@ def target_placing_threshold(cfg, s):
 # down to 1 cm, phi up to 5 / m, d_l up to 1 km, and strips from 0.5 to 200 m.
 WIDE_HEIGHTS = (0.01, 3.0, 30.0)
 WIDE_PHIS = (0.0, 0.1, 5.0)
+WIDE_AREAS = ((0.5, 1000.0), (10.0, 40.0), (200.0, 1.0))  # (d_w, d_l)
 
 
 class TestModelAAnalyticsAcrossRange:
@@ -221,8 +223,7 @@ class TestModelAAnalyticsAcrossRange:
 
     @pytest.mark.parametrize("phi", WIDE_PHIS)
     @pytest.mark.parametrize("height", WIDE_HEIGHTS)
-    @pytest.mark.parametrize("d_w, d_l", [(0.5, 1000.0), (10.0, 40.0),
-                                          (200.0, 1.0)])
+    @pytest.mark.parametrize("d_w, d_l", WIDE_AREAS)
     def test_conventional_outage(self, d_w, d_l, height, phi):
         cfg = make_cfg(d_w=d_w, d_l=d_l, height=height, phi=phi)
         p = OutageParams(cfg=cfg, r_target=7.0)
@@ -536,6 +537,40 @@ class TestTwoUserErgodic:
     def test_heavy_blockage_kills_rate(self):
         assert ergodic_pin_two_user_highsnr(self.two_user_cfg(phi=1e3)) == 0.0
 
+    @staticmethod
+    def check_against_mpmath(cfg):
+        # relative 1e-12, fixed before the first run; a rate whose exact
+        # value is below the normal float range must round below it too
+        bracket = two_user_cross_blockage_factor(cfg)
+        rate = ergodic_pin_two_user_highsnr(cfg)
+        assert bracket >= 0.0 and rate >= 0.0
+        assert bracket == pytest.approx(
+            float(oracles.two_user_bracket_mp(cfg)), rel=1e-12, abs=0.0)
+        exact = float(oracles.two_user_rate_mp(cfg))
+        if exact < sys.float_info.min:
+            assert rate < sys.float_info.min
+        else:
+            assert rate == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    # At fig4's geometry and 40 dBm the closed form alone was off by 8.7e-5
+    # (relative) at phi = 1e-9, gave 7.2e-9 for 1.5e-10 at 1e-12, and went
+    # negative from 1e-14 on: a bracket of -0.0143 and a rate of -0.53 at
+    # 1e-18.
+    @pytest.mark.parametrize("phi", [1e-9, 1e-12, 1e-14, 1e-16, 1e-18])
+    def test_tiny_phi_at_fig4(self, phi):
+        self.check_against_mpmath(
+            self.two_user_cfg(tx_power=dbm_to_watt(40.0), phi=phi))
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_phi=st.floats(-300.0, 1.0), area=st.sampled_from(WIDE_AREAS),
+           height=st.sampled_from(WIDE_HEIGHTS))
+    def test_matches_mpmath_down_to_phi_1e_300(self, log_phi, area, height):
+        d_w, d_l = area
+        self.check_against_mpmath(SystemConfig(
+            num_users=2, d_w=d_w, d_l=d_l, tx_power=1.0, phi=10.0 ** log_phi,
+            height=height, blockage_model=BlockageModel.MODEL_B,
+            constrain_under_waveguide=True))
+
     def test_close_to_exact_constrained_expectation(self):
         # the approximation only drops the bounded both-links-clear term
         cfg = self.two_user_cfg()
@@ -603,19 +638,22 @@ class TestConvHighSnrBound:
 
     @pytest.mark.parametrize("m", [2, 5, 17])
     def test_row_route_is_the_dense_evaluation_bit_for_bit(self, m):
-        # the bound's integrand, (k, M) rows of 2^16 links, here two
-        # batches, against the dense (n, M, M) gains and every row's
-        # diagonal and sum, at unit power and no noise
+        # the bound's integrand, transceiver.conv_rates for every user at
+        # unit power and no noise on (k, M) rows of SUB_LINKS links, here
+        # two batches, against the dense (n, M, M) gains and every row's
+        # diagonal and sum
         cfg = make_cfg(num_users=m, tx_power=1.0)
-        n = (1 << 16) // (m * m) + 9
+        n = transceiver.SUB_LINKS // (m * m) + 9
         rng = np.random.default_rng(2400 + m)
         x = rng.uniform(-cfg.d_l / 2.0, cfg.d_l / 2.0, (n, m))
         y = (analytics.waveguide_y_offsets(cfg)
              + cfg.strip_width * (rng.random((n, m)) - 0.5))
-        rows = analytics._conv_rates_noise_free(cfg, x, y)
+        rows = np.empty(n * m)
+        transceiver.conv_rates(cfg, x, y, np.arange(n * m), 1.0, 0.0, rows)
         dense = oracles.conv_rates_dense(cfg, x, y, np.ones((n, m), bool),
                                          1.0, 0.0)
-        assert np.array_equal(rows.view(np.int64), dense.view(np.int64))
+        assert np.array_equal(rows.view(np.int64),
+                              dense.reshape(-1).view(np.int64))
 
     def test_memory_stays_flat_at_thirty_two_users(self):
         # a whole round's (nodes, 32, 32) link grid at once peaked at 144 MiB

@@ -16,7 +16,7 @@ from pinchsim import (
     SystemConfig,
     waveguide_y_offsets,
 )
-from pinchsim import channel, montecarlo
+from pinchsim import channel, montecarlo, transceiver
 from pinchsim.channel import (
     _conv_element_x,
     center_distances_sq,
@@ -301,8 +301,10 @@ class TestChannelAssembly:
         rng = np.random.default_rng(5)
         x, y = drop(cfg, rng, 50)
         alpha = rng.random((50, 2)) < 0.5
-        monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
-        rates = montecarlo._conv_rates(cfg, x, y, alpha)
+        monkeypatch.setattr(transceiver, "SUB_LINKS", 4)  # 2 rows at a time
+        rates = np.zeros((50, 2))
+        transceiver.conv_rates(cfg, x, y, np.flatnonzero(alpha), cfg.tx_power,
+                               cfg.noise_power, rates.reshape(-1))
         s = (power_gains(cfg, oracles.conv_distances_dense(cfg, x, y))
              * alpha[:, :, None])
         dense = design2_rates_from_power(s, cfg.tx_power, cfg.noise_power)

@@ -839,6 +839,35 @@ class TestMainEntryPoint:
             ["exp.cfg"] if command == "simulate" else [])
         assert not out_dir.exists()
 
+    # The free-space gain or the gain at distance height beyond the float
+    # range: 1e300 Hz and heights of 1e300 and 1e160 m raised an unnamed
+    # "(34, 'Numerical result out of range')", 1e-300 Hz a division by zero,
+    # and 1e-160 Hz and a height of 1e-200 m ran on NaN rates, the outage
+    # reading 0.0, with RuntimeWarnings (which this suite makes errors).
+    @pytest.mark.parametrize("lines, key", [
+        (("system.carrier_freq_hz = 1e300",), "system.carrier_freq_hz"),
+        (("system.carrier_freq_hz = 1e-300",), "system.carrier_freq_hz"),
+        (("system.carrier_freq_hz = 1e-160", "run.schemes = PIN_D1, PIN_D2",
+          "run.metric = OUTAGE", "run.r_target = 2"),
+         "system.carrier_freq_hz"),
+        (("system.height = 1e-200", "system.constrain_under_waveguide = true"),
+         "system.height"),
+        (("system.height = 1e300", "system.blockage_model = MODEL_B",
+          "run.metric = OUTAGE", "run.r_target = 2"), "system.height"),
+        (("system.height = 1e160", "system.blockage_model = MODEL_B",
+          "run.metric = OUTAGE", "run.r_target = 2"), "system.height"),
+    ])
+    def test_gain_beyond_the_float_range_is_one_line_naming_the_key(
+            self, tmp_path, capsys, lines, key):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(manual_doc(*lines, "run.n_trials = 64",
+                                       out=tmp_path / "r.csv"))
+        assert main(["simulate", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: must ")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
     def test_bad_config_returns_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("nonsense = 1")

@@ -62,6 +62,14 @@ def make_cfg(**kw):
     return SystemConfig(**base)
 
 
+def set_sub_links(patch, links):
+    """Batch both the pinching sub-batches and the conventional rows by
+    ``links``: montecarlo imports transceiver's SUB_LINKS under its own
+    name, so each module's binding is set."""
+    patch.setattr(montecarlo, "SUB_LINKS", links)
+    patch.setattr(transceiver, "SUB_LINKS", links)
+
+
 class TestDistanceKernel:
     def test_matches_scalar_norms(self):
         cfg = make_cfg(num_users=3)
@@ -83,8 +91,9 @@ class TestKernelMatchesReferencePath:
     @pytest.fixture(autouse=True)
     def small_sub_batches(self, monkeypatch):
         # 7 trials per sub-batch at M = 2 and 3 at M = 3, so the 40
-        # replayed trials span several sub-batches, the last one short
-        monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * 2 * 2)
+        # replayed trials span several sub-batches, the last one short, and
+        # 14 conventional rows at a time at M = 2
+        set_sub_links(monkeypatch, 7 * 2 * 2)
 
     def replay_pin_channels(self, cfg, n, seed):
         """Each trial's pinching LoS indicators and channel, link by link,
@@ -184,7 +193,7 @@ class TestSubBatches:
                            constrain_under_waveguide=constrained)
             results = []
             for trials in (1, 7, n):
-                monkeypatch.setattr(montecarlo, "SUB_LINKS", trials * m * m)
+                set_sub_links(monkeypatch, trials * m * m)
                 results.append(_rates_chunk((scheme,), cfg, n,
                                             chunk_generator(6, 0, 3))[0])
             first = results[0].view(np.int64)
@@ -209,7 +218,8 @@ class TestSubBatches:
 class TestConventionalGate:
     """The conventional array is evaluated only for the users that keep line
     of sight, and its rates are bit for bit the full (n, M, M) evaluation
-    times the indicators."""
+    times the indicators. Its rows come from transceiver.conv_rates, the
+    routine the high-SNR bound also calls."""
 
     @staticmethod
     def draw(cfg, n, seed):
@@ -228,14 +238,15 @@ class TestConventionalGate:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 16])
     def test_gated_rates_equal_the_dense_evaluation(self, monkeypatch, m,
                                                     sub_links):
-        monkeypatch.setattr(montecarlo, "SUB_LINKS", sub_links)
+        monkeypatch.setattr(transceiver, "SUB_LINKS", sub_links)
         for model, constrained, phi in itertools.product(
                 BlockageModel, (False, True), (0.0, 0.1, 50.0)):
             cfg = make_cfg(num_users=m, tx_power=1.0, phi=phi,
                            blockage_model=model, loss_case=LossCase.CASE_II,
                            constrain_under_waveguide=constrained)
             x, y, _, alpha = self.draw(cfg, 200, 11)
-            rates = montecarlo._conv_rates(cfg, x, y, alpha)
+            (rates,) = _rates_chunk((Scheme.CONV,), cfg, 200,
+                                    chunk_generator(11, 0, 0))
             expected = oracles.conv_rates_dense(cfg, x, y, alpha, cfg.tx_power,
                                                 cfg.noise_power)
             assert np.array_equal(rates.view(np.int64),
@@ -249,7 +260,7 @@ class TestConventionalGate:
     @pytest.mark.parametrize("phi", [0.0, 0.1, 50.0])
     def test_distances_only_for_users_with_line_of_sight(self, monkeypatch,
                                                          phi):
-        monkeypatch.setattr(montecarlo, "SUB_LINKS", 37)
+        monkeypatch.setattr(transceiver, "SUB_LINKS", 37)
         cfg = make_cfg(num_users=5, tx_power=1.0, phi=phi)
         seen = []
 
@@ -257,9 +268,9 @@ class TestConventionalGate:
             seen.append((x.copy(), y.copy()))
             return conv_distances_sq(cfg_, x, y)
 
-        monkeypatch.setattr(montecarlo, "conv_distances_sq", counting)
+        monkeypatch.setattr(transceiver, "conv_distances_sq", counting)
         x, y, _, alpha = self.draw(cfg, 300, 12)
-        montecarlo._conv_rates(cfg, x, y, alpha)
+        _rates_chunk((Scheme.CONV,), cfg, 300, chunk_generator(12, 0, 0))
         los = np.flatnonzero(alpha)
         if los.size == 0:
             assert seen == []
@@ -283,11 +294,33 @@ class TestConventionalGate:
                        loss_case=loss, constrain_under_waveguide=constrained)
         x, y, u, alpha = self.draw(cfg, n, seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "SUB_LINKS", sub_links)
-            rates = montecarlo._conv_rates(cfg, x, y, alpha)
+            patch.setattr(transceiver, "SUB_LINKS", sub_links)
+            (rates,) = _rates_chunk((Scheme.CONV,), cfg, n,
+                                    chunk_generator(seed, 0, 0))
         expected = oracles.conv_rates_dense(cfg, x, y, alpha, cfg.tx_power,
                                             cfg.noise_power)
         assert np.array_equal(rates.view(np.int64), expected.view(np.int64))
+
+    def test_the_estimators_and_the_bound_share_one_routine(self,
+                                                            monkeypatch):
+        # both reach transceiver.conv_rates, whose loop alone calls
+        # transceiver's conv_distances_sq
+        assert montecarlo.conv_rates is transceiver.conv_rates
+        assert analytics.conv_rates is transceiver.conv_rates
+        rows = []
+
+        def counting(cfg_, x, y):
+            rows.append(len(x))
+            return conv_distances_sq(cfg_, x, y)
+
+        monkeypatch.setattr(transceiver, "conv_distances_sq", counting)
+        cfg = make_cfg(num_users=2, tx_power=1.0, phi=0.0)
+        _rates_chunk((Scheme.CONV,), cfg, 10, chunk_generator(1, 0, 0))
+        assert sum(rows) == 20  # phi = 0: every user keeps line of sight
+        rows.clear()
+        ergodic_conv_highsnr(replace(cfg, constrain_under_waveguide=True))
+        # every user at the 16 + 32 nodes of the first round, then more
+        assert rows[0] == 2 * 48
 
 
 class TestPinchingGate:
@@ -565,7 +598,7 @@ class TestFusedSchemes:
     def test_any_scheme_tuple_gives_the_single_scheme_rates(self, monkeypatch, m):
         # 7 trials per sub-batch, so the pinching draw that starts with the
         # conventional uniforms, the lead, spans several sub-batches
-        monkeypatch.setattr(montecarlo, "SUB_LINKS", 7 * m * m)
+        set_sub_links(monkeypatch, 7 * m * m)
         n = 45
         for model, loss, constrained in itertools.product(
                 BlockageModel, LossCase, (False, True)):
@@ -710,7 +743,7 @@ class TestChunkGroups:
         n = (chunks - 1) * self.CHUNK + last
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "CHUNK_TRIALS", self.CHUNK)
-            patch.setattr(montecarlo, "SUB_LINKS", sub_links)
+            set_sub_links(patch, sub_links)
             grouped = _rates_chunk(schemes, cfg, n, *(
                 chunk_generator(seed, 1, c) for c in range(chunks)))
             for c in range(chunks):

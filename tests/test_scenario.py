@@ -64,6 +64,24 @@ class TestSystemConfig:
                            match="^waveguide_loss_db_per_m must be >= 0$"):
             make_cfg(waveguide_loss_db_per_m=-0.01)
 
+    # 1e300 Hz overflowed carrier_freq ** 2, 1e-300 Hz divided by zero and
+    # 1e-160 Hz gave an infinite gain; a height of 1e-200 squares to zero,
+    # 1e160 to inf, and at 1e-160 the gain at that distance is infinite
+    @pytest.mark.parametrize("field, value", [
+        ("carrier_freq", 1e300), ("carrier_freq", 1e-300),
+        ("carrier_freq", 1e-160), ("height", 1e-200), ("height", 1e160),
+        ("height", 1e300), ("height", 1e-160)])
+    def test_gains_beyond_the_float_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            make_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("carrier_freq", 1e150), ("carrier_freq", 1e-100), ("height", 1e150),
+        ("height", 1e-150)])
+    def test_gains_within_the_float_range_admitted(self, field, value):
+        cfg = make_cfg(**{field: value})
+        assert 0.0 < cfg.path_gain_factor / (cfg.height * cfg.height) < math.inf
+
     @pytest.mark.parametrize("field, value", [("blockage_model", "MODEL_A"),
                                               ("loss_case", "CASE_I")])
     def test_non_enum_model_or_loss_case_rejected(self, field, value):

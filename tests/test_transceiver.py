@@ -18,7 +18,7 @@ from pinchsim import (
     dbm_to_watt,
     waveguide_y_offsets,
 )
-from pinchsim import montecarlo
+from pinchsim import transceiver
 from pinchsim.channel import (
     channel_coefficients,
     pin_distances_sq,
@@ -29,6 +29,7 @@ from pinchsim.montecarlo import _rates_chunk, chunk_generator
 from pinchsim.transceiver import (
     _column_sums,
     _row_sums,
+    conv_rates,
     design1_rates_from_gains,
     design2_rates_from_power,
     design2_rates_from_rows,
@@ -235,20 +236,28 @@ class TestDesign1VersusDesign2:
 
 
 class TestConventional:
+    @staticmethod
+    def rates(cfg, x, y, alpha):
+        """(n, M) conventional rates of the users ``alpha`` keeps, as the
+        estimators gate them: 0.0 for every other user."""
+        out = np.zeros(x.shape)
+        conv_rates(cfg, x, y, np.flatnonzero(alpha), cfg.tx_power,
+                   cfg.noise_power, out.reshape(-1))
+        return out
+
     def test_blocked_user_has_zero_rate(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
+        monkeypatch.setattr(transceiver, "SUB_LINKS", 4)  # 2 rows at a time
         cfg = make_cfg()
         x, y, _, _ = pin_draw(cfg, np.random.default_rng(3))
-        rates = montecarlo._conv_rates(cfg, x, y,
-                                       np.array([[False, True]]))[0]
+        rates = self.rates(cfg, x, y, np.array([[False, True]]))[0]
         assert rates[0] == 0.0
         assert rates[1] > 0.0
 
     def test_single_user_distance_law(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "SUB_LINKS", 1)  # 1 row at a time
+        monkeypatch.setattr(transceiver, "SUB_LINKS", 1)  # 1 row at a time
         cfg = make_cfg(num_users=1)
         x, y, _, _ = pin_draw(cfg, np.random.default_rng(4))
-        rates = montecarlo._conv_rates(cfg, x, y, np.array([[True]]))[0]
+        rates = self.rates(cfg, x, y, np.array([[True]]))[0]
         r_sq = x[0, 0] ** 2 + y[0, 0] ** 2 + cfg.height ** 2
         expected = math.log2(1 + cfg.path_gain_factor * cfg.tx_power
                              / (cfg.noise_power * r_sq))
@@ -256,14 +265,14 @@ class TestConventional:
 
     def test_rate_saturates_in_power(self, monkeypatch):
         # 40 dBm vs 60 dBm on a fixed unblocked placement: < 1e-3 bits apart
-        monkeypatch.setattr(montecarlo, "SUB_LINKS", 2 * 2)  # 2 rows at a time
+        monkeypatch.setattr(transceiver, "SUB_LINKS", 4)  # 2 rows at a time
         rng = np.random.default_rng(6)
         cfg_lo = make_cfg(tx_power=10.0)
         cfg_hi = make_cfg(tx_power=1000.0)
         x, y, _, _ = pin_draw(cfg_lo, rng)
         clear = np.ones((1, 2), dtype=bool)
-        lo = montecarlo._conv_rates(cfg_lo, x, y, clear)
-        hi = montecarlo._conv_rates(cfg_hi, x, y, clear)
+        lo = self.rates(cfg_lo, x, y, clear)
+        hi = self.rates(cfg_hi, x, y, clear)
         assert np.all(hi >= lo)
         assert np.all(hi - lo < 1e-3)
 

@@ -18,7 +18,6 @@ from .analytics import (
     outage_pin_model_a_highsnr,
     outage_pin_model_b,
     outage_pin_model_b_highsnr,
-    triangular_pdf,
     two_user_cross_blockage_factor,
 )
 from .cli import (
@@ -55,7 +54,7 @@ __all__ = [
     "OutageParams", "ergodic_conv_highsnr", "ergodic_pin_two_user_highsnr",
     "outage_conv_model_a_highsnr", "outage_conv_model_b_highsnr",
     "outage_gap_model_b", "outage_pin_model_a", "outage_pin_model_a_highsnr",
-    "outage_pin_model_b", "outage_pin_model_b_highsnr", "triangular_pdf",
+    "outage_pin_model_b", "outage_pin_model_b_highsnr",
     "two_user_cross_blockage_factor",
     "ExperimentConfig", "OutputFormat", "Preset", "Provenance", "RunSpec",
     "parse_config", "reproduce_figure", "run_experiment",

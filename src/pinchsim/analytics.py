@@ -358,25 +358,14 @@ def outage_gap_model_b(p: OutageParams) -> float:
                      * erf(sqrt_phi * cfg.d_l / 2.0))
 
 
-def triangular_pdf(z, d_l: float):
-    """Density of the difference of two independent U(-d_l/2, d_l/2) draws.
-
-    (d_l - |z|) / d_l^2 on [-d_l, d_l], zero outside. Accepts arrays.
-    """
-    if not 0 < d_l < math.inf:
-        raise ValueError("d_l must be finite and > 0")
-    zz = np.asarray(z, dtype=float)
-    out = np.where(np.abs(zz) <= d_l, (d_l - np.abs(zz)) / d_l ** 2, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
     """Bracket term of the two-user ergodic approximation.
 
     Half the triangular-averaged probability that the cross-waveguide link is
     blocked, with both users pinned under their waveguides:
     1/2 - E_z[exp(-phi (z^2 + tau4))] / 2 where z = x_1 - x_2 and
-    tau4 = (beta_1 - beta_2)^2 + height^2.
+    tau4 = (beta_1 - beta_2)^2 + height^2. A square past the float range
+    is not formed: phi times it is, and the bracket then tends to 1/2.
     """
     if cfg.num_users != 2:
         raise ValueError("the two-user analysis requires num_users == 2")
@@ -384,9 +373,12 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
     if cfg.phi == 0.0:
         return 0.0
     beta1, beta2 = waveguide_y_offsets(cfg).tolist()
-    tau4 = (beta1 - beta2) ** 2 + cfg.height ** 2
     phi = cfg.phi
     d_l = cfg.d_l
+    try:
+        decay = phi * ((beta1 - beta2) ** 2 + cfg.height ** 2)
+    except OverflowError:
+        decay = phi * (beta1 - beta2) * (beta1 - beta2) + phi * cfg.height ** 2
     x = phi * d_l * d_l
     if x < 0.1:
         # 1/2 - exp(-phi tau4) E / 2, E = E_z[exp(-phi z^2)], cancels here,
@@ -396,13 +388,17 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
         for k in range(1, 12):
             term *= -x / k
             gap += 2.0 * term / ((2 * k + 1) * (2 * k + 2))
-        return 0.5 * (math.exp(-phi * tau4) * gap - math.expm1(-phi * tau4))
+        return 0.5 * (math.exp(-decay) * gap - math.expm1(-decay))
     sqrt_phi = math.sqrt(phi)
+    try:
+        tail = (math.exp(-decay) / (2.0 * phi * d_l ** 2)
+                * (1.0 - math.exp(-phi * d_l ** 2)))
+    except OverflowError:
+        tail = math.exp(-decay) / (2.0 * x) * (1.0 - math.exp(-x))
     return (0.5
-            - math.exp(-phi * tau4) / d_l * SQRT_PI / (2.0 * sqrt_phi)
+            - math.exp(-decay) / d_l * SQRT_PI / (2.0 * sqrt_phi)
             * erf(sqrt_phi * d_l)
-            + math.exp(-phi * tau4) / (2.0 * phi * d_l ** 2)
-            * (1.0 - math.exp(-phi * d_l ** 2)))
+            + tail)
 
 
 def ergodic_pin_two_user_highsnr(cfg: SystemConfig) -> float:
@@ -411,16 +407,24 @@ def ergodic_pin_two_user_highsnr(cfg: SystemConfig) -> float:
     Keeps the dominant blockage pattern (own link clear, cross link blocked),
     where user 1 sees the interference-free rate at the minimum distance
     ``height``. Requires MODEL_B; the phi -> 0 limit is 0 because the cross
-    link is then never blocked.
+    link is then never blocked. An SNR past the float's normal range is
+    taken in logs, so a pattern of probability 0 gives 0.0.
     """
     if cfg.num_users != 2:
         raise ValueError("the two-user analysis requires num_users == 2")
     _check_model(cfg, _MODEL_B, "ergodic_pin_two_user_highsnr")
     if cfg.phi == 0.0:
         return 0.0
-    snr = (cfg.path_gain_factor * cfg.tx_power
-           / (cfg.num_users * cfg.noise_power * cfg.height ** 2))
-    rate_clear = math.log2(1.0 + snr)
+    noise = cfg.num_users * cfg.noise_power * cfg.height ** 2
+    snr = (cfg.path_gain_factor * cfg.tx_power / noise
+           if noise >= sys.float_info.min else math.inf)
+    if math.isfinite(snr):
+        rate_clear = math.log2(1.0 + snr)
+    else:
+        log_snr = (math.log2(cfg.path_gain_factor) + math.log2(cfg.tx_power)
+                   - math.log2(cfg.num_users) - math.log2(cfg.noise_power)
+                   - 2.0 * math.log2(cfg.height))
+        rate_clear = float(np.logaddexp2(0.0, log_snr))
     return (2.0 * rate_clear * math.exp(-cfg.phi * cfg.height ** 2)
             * two_user_cross_blockage_factor(cfg))
 
@@ -489,7 +493,8 @@ def counterparts(scheme: Scheme, metric: MetricKind,
     Waveguide loss (CASE_II) only lowers the pinching gains, so there an
     outage exact for a lossless waveguide is a lower bound. Every outage
     analytic spreads the user over its strip, so with users constrained
-    to the waveguide's center line an outage has no counterpart.
+    to the waveguide's center line an outage has no counterpart. A value
+    that is not finite raises ArithmeticError naming its analytic.
     """
     fns = source or sys.modules[__name__]
     if metric is MetricKind.OUTAGE:
@@ -512,6 +517,9 @@ def counterparts(scheme: Scheme, metric: MetricKind,
           and point.blockage_model is _MODEL_B
           and point.constrain_under_waveguide):
         rate = fns.ergodic_pin_two_user_highsnr(point)
+        if not math.isfinite(rate):
+            raise ArithmeticError(f"ergodic_pin_two_user_highsnr produced "
+                                  f"{rate}")
         # The two users are mirror images, so the sum is twice user 1's rate.
         yield Kind.APPROX, (2.0 * rate if metric is MetricKind.ERGODIC_SUM
                             else rate)

@@ -16,15 +16,17 @@ as rows: :func:`conv_distances_sq` gives k users' (k, M) rows and
 :func:`center_distances_sq` the one link whose blockage all of a user's
 elements share. Every link length adds height * height.
 
-A link of length r has free-space power gain path_gain_factor / r^2. The
-pinching system adds the in-waveguide path of length l = x + d_l/2 from the
-feed at the near edge to the antenna: a phase over the guided wavelength and,
-for CASE_II, a dB/m amplitude loss a(l), which :func:`power_gains` applies
-squared. So
-h = alpha sqrt(path_gain_factor) / r a(l) exp(-2 pi j (r / wavelength
-+ l / guided_wavelength)), with alpha the line-of-sight indicator. A
-blocked link's h is an exact zero, so :func:`channel_coefficients` takes
-the square root and the complex exponential of the clear links only.
+A link of length r has free-space power gain path_gain_factor / r^2. For
+CASE_II the pinching system adds a dB/m amplitude loss a(l) over the
+in-waveguide run l = x + d_l/2 from the feed at the near edge to the
+antenna, which :func:`power_gains` applies squared. So
+h = alpha sqrt(path_gain_factor) / r a(l) exp(-2 pi j r / wavelength), with
+alpha the line-of-sight indicator. The run's phase is left out: it is the
+same for every link of one antenna, a unit-modulus factor per column of
+H = A D. Design II and CONV read |h| only, and zero forcing's
+H^-1 = D^-1 A^-1 has the column norms and 1-norm of A^-1. A blocked link's
+h is an exact zero, so :func:`channel_coefficients` takes the square root
+and the complex exponential of the clear links only.
 """
 
 from __future__ import annotations
@@ -142,33 +144,29 @@ def power_gains(cfg: SystemConfig, dist_sq: np.ndarray,
 
 
 def channel_coefficients(cfg: SystemConfig, dist_sq: np.ndarray,
-                         s_eff: np.ndarray, pinch_x: np.ndarray) -> np.ndarray:
-    """Complex h = sqrt(s_eff) exp(-2 pi j (r / wavelength + l / guided_wavelength)).
+                         s_eff: np.ndarray) -> np.ndarray:
+    """Complex h = sqrt(s_eff) exp(-2 pi j r / wavelength).
 
     ``s_eff`` is the blocked power gain alpha |h|^2, in the shape of
-    ``dist_sq``, and ``pinch_x`` the (n, M) antenna x coordinates, which
-    give the in-waveguide run l of each column.
+    ``dist_sq``, the squared link lengths r^2.
 
-    The square root and the complex exponential are taken only where
-    ``s_eff`` is nonzero; every other entry is an exact +0j. A clear entry
-    sees the same operations, in the same order, as in a dense evaluation,
-    so it is bit for bit the same; a blocked one differs from it at most in
-    the sign of its zeros.
+    Every step is taken only where ``s_eff`` is nonzero; every other entry
+    is an exact +0j. A clear entry sees the same operations, in the same
+    order, as in a dense evaluation, so it is bit for bit the same; a
+    blocked one differs from it at most in the sign of its zeros.
     """
-    cycles = np.sqrt(dist_sq)
-    cycles /= cfg.wavelength
-    cycles += _guided_length(cfg, pinch_x)[:, None, :] / cfg.guided_wavelength
     clear = np.flatnonzero(s_eff != 0)
     # In place on the gathered copies, which at M = 16 and phi = 0 made a
     # chunk about 8% faster than fresh temporaries. The complex product
-    # keeps the operand order of sqrt(s_eff) * exp(1j * (-2 pi cycles)).
-    phase = cycles.reshape(-1).take(clear)
+    # keeps the operand order of sqrt(s_eff) * exp(1j * (-2 pi r / lambda)).
+    phase = dist_sq.reshape(-1).take(clear)
+    np.sqrt(phase, out=phase)
+    phase /= cfg.wavelength
     phase *= -2.0 * np.pi
     coef = 1j * phase
     np.exp(coef, out=coef)
     amp = s_eff.reshape(-1).take(clear)
     np.multiply(np.sqrt(amp, out=amp), coef, out=coef)
-    h = np.zeros(cycles.shape, dtype=complex)
+    h = np.zeros(dist_sq.shape, dtype=complex)
     h.reshape(-1)[clear] = coef
     return h
-

@@ -207,7 +207,6 @@ _KEYS = (
     _Key("system.loss_case", _enum(LossCase), LossCase.CASE_I, "loss_case"),
     _Key("system.waveguide_loss_db_per_m", _parse_float, 0.08,
          "waveguide_loss_db_per_m"),
-    _Key("system.n_eff", _parse_float, 1.4, "n_eff"),
     _Key("system.constrain_under_waveguide", _parse_bool, False,
          "constrain_under_waveguide"),
     _Key("run.schemes", _list(_enum(Scheme), "scheme"), _REQUIRED, "schemes"),
@@ -272,7 +271,7 @@ _PRESET_BASE = {
     "system.noise_dbm": -90.0, "system.tx_power_dbm": 10.0,
     "system.blockage_model": BlockageModel.MODEL_A, "system.phi": 0.1,
     "system.loss_case": LossCase.CASE_I,
-    "system.waveguide_loss_db_per_m": 0.08, "system.n_eff": 1.4,
+    "system.waveguide_loss_db_per_m": 0.08,
     "system.constrain_under_waveguide": False,
     "run.schemes": (Scheme.PIN_D2, Scheme.CONV),
     "run.metric": MetricKind.ERGODIC_SUM,

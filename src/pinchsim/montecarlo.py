@@ -229,7 +229,7 @@ def _zf_rates(cfg: SystemConfig, x: np.ndarray, y: np.ndarray,
 
     # only the realizations with no empty row or column are assembled
     live = np.flatnonzero(no_empty_line(alpha))
-    h = channel_coefficients(cfg, dist_sq[live], s_eff[live], x[live])
+    h = channel_coefficients(cfg, dist_sq[live], s_eff[live])
     gains, ok = zf_gains_batch(h)
     d1 = d2.copy()
     d1[live[ok]] = design1_rates_from_gains(gains[ok], cfg.tx_power,

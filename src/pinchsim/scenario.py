@@ -66,7 +66,7 @@ class SystemConfig:
 
     Powers are linear watts; frequencies in Hz; lengths in meters. Every
     float field must be finite, and each error message begins with the name
-    of the offending field. Derived quantities (wavelengths, free-space gain
+    of the offending field. Derived quantities (wavelength, free-space gain
     constant) are pure functions of the fields, exposed as properties so
     they can never drift.
     """
@@ -82,14 +82,13 @@ class SystemConfig:
     noise_power: float = 1e-12
     loss_case: LossCase = LossCase.CASE_I
     waveguide_loss_db_per_m: float = 0.08
-    n_eff: float = 1.4
     constrain_under_waveguide: bool = False
 
     def __post_init__(self) -> None:
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
         positive = ("d_w", "d_l", "height", "carrier_freq", "noise_power",
-                    "tx_power", "n_eff")
+                    "tx_power")
         for name in positive + ("phi", "waveguide_loss_db_per_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -119,11 +118,6 @@ class SystemConfig:
     def wavelength(self) -> float:
         """Carrier wavelength in meters."""
         return SPEED_OF_LIGHT / self.carrier_freq
-
-    @property
-    def guided_wavelength(self) -> float:
-        """In-waveguide wavelength: carrier wavelength over n_eff."""
-        return self.wavelength / self.n_eff
 
     @property
     def path_gain_factor(self) -> float:

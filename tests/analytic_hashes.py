@@ -17,7 +17,8 @@ clamped to it. Each line reads ``<function> <count> <sha256>`` and
 hashes the float64 bits of each value in order (a raised exception is
 hashed by its type and message). The two-user functions also run on each
 MODEL_B configuration at the tiny phis SMALL_PHIS, where the bracket's
-closed form cancels, on lines of their own (``<function> small_phi``).
+closed form cancels, on lines of their own (``<function> small_phi``),
+and on configs past the float range (``<function> past_float_range``).
 ``ergodic_conv_highsnr`` runs up to M = 32 users, where its integrand is
 evaluated in several batches of links. The file is not named ``test_*``,
 so pytest does not collect it.
@@ -45,7 +46,6 @@ from pinchsim import (
     outage_pin_model_a_highsnr,
     outage_pin_model_b,
     outage_pin_model_b_highsnr,
-    triangular_pdf,
     two_user_cross_blockage_factor,
 )
 
@@ -59,6 +59,14 @@ WIDE_AREAS = ((0.5, 1000.0), (10.0, 40.0), (200.0, 1.0))  # (d_w, d_l)
 TAU3_FRACTIONS = (0.0, 1e-9, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0)
 FIXED_TARGETS = (1e-300, 1e-16, 1e-3, 2.0, 7.0, 9.2, 14.0, 1030.0)
 SMALL_PHIS = (1e-18, 1e-14, 1e-10)
+# Two-user configs past the float range: a square of d_l or of the
+# waveguide spacing, an infinite SNR against a zero LoS probability, and
+# an SNR beyond the float range, each on fig4's geometry at 10 dBm.
+PAST_FLOAT_RANGE = (dict(d_l=1e200), dict(d_w=1e160),
+                    dict(d_w=1e-300, d_l=1e154, height=1e-8, phi=1e300,
+                         tx_power=10.0 ** 300.0),
+                    dict(d_w=1e8, d_l=1e8, height=1e-150, phi=1e-12,
+                         tx_power=1e300))
 MULTI_USER = ((2, 10.0, 40.0, False), (3, 12.0, 30.0, False),
               (5, 10.0, 10.0, False), (3, 12.0, 30.0, True),
               (16, 10.0, 40.0, False), (17, 10.0, 40.0, False),
@@ -146,8 +154,14 @@ def main() -> None:
                     for phi in SMALL_PHIS:
                         record(f"{fn.__name__} small_phi",
                                evaluate(fn, replace(two, phi=phi)))
-                z = np.linspace(-1.25 * cfg.d_l, 1.25 * cfg.d_l, 11)
-                record("triangular_pdf", evaluate(triangular_pdf, z, cfg.d_l))
+    fig4 = SystemConfig(num_users=2, d_w=10.0, d_l=40.0, tx_power=0.01,
+                        phi=0.1, blockage_model=BlockageModel.MODEL_B,
+                        constrain_under_waveguide=True)
+    for fields in PAST_FLOAT_RANGE:
+        for fn in (two_user_cross_blockage_factor,
+                   ergodic_pin_two_user_highsnr):
+            record(f"{fn.__name__} past_float_range",
+                   evaluate(fn, replace(fig4, **fields)))
     for m, d_w, d_l, constrained in MULTI_USER:
         cfg = SystemConfig(num_users=m, d_w=d_w, d_l=d_l, tx_power=1.0,
                            phi=0.1, blockage_model=BlockageModel.MODEL_A,

@@ -47,7 +47,9 @@ def zf_applies_highprec(h, dps: int = 60) -> bool:
         mat = _mp_matrix(h)
         try:
             inv = mat ** -1
-        except ZeroDivisionError:  # mpmath's LU met a zero pivot
+        # mpmath's LU met a zero pivot, or, as a TypeError, a column with
+        # no nonzero entry left to pivot on: H is singular either way
+        except (ZeroDivisionError, TypeError):
             return False
         return mpmath.mnorm(mat, 1) * mpmath.mnorm(inv, 1) <= COND_LIMIT
 
@@ -59,6 +61,30 @@ def zf_gains_highprec(h, dps: int = 60) -> list[float]:
         mat = _mp_matrix(h)
         inv = mat ** -1
         m = mat.rows
+        return [float(1 / (m * mpmath.fsum(abs(inv[i, j]) ** 2
+                                           for i in range(m))))
+                for j in range(m)]
+
+
+def zf_gains_of_placement_mp(cfg: SystemConfig, x, y,
+                             dps: int = 50) -> list[float]:
+    """Zero-forcing gains of one placement's all-clear lossless pinching
+    channel h[u][k] = sqrt(G) / r exp(-2 pi j r / lambda), the antenna of
+    waveguide k above x[k], with every step from the float coordinates on
+    (distances, phases, inverse) in ``dps``-digit mpmath arithmetic."""
+    m = cfg.num_users
+    beta = waveguide_y_offsets(cfg).tolist()
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(SPEED_OF_LIGHT) / mpmath.mpf(cfg.carrier_freq)
+        amp = lam / (4 * mpmath.pi)
+        h = mpmath.matrix(m, m)
+        for u in range(m):
+            for k in range(m):
+                r = mpmath.sqrt((mpmath.mpf(x[u]) - x[k]) ** 2
+                                + (mpmath.mpf(y[u]) - beta[k]) ** 2
+                                + mpmath.mpf(cfg.height) ** 2)
+                h[u, k] = amp / r * mpmath.expjpi(-2 * r / lam)
+        inv = h ** -1
         return [float(1 / (m * mpmath.fsum(abs(inv[i, j]) ** 2
                                            for i in range(m))))
                 for j in range(m)]
@@ -90,11 +116,11 @@ def los_probability(cfg: SystemConfig, r: float) -> float:
     return math.exp(-cfg.phi * r * r)
 
 
-def _constants(cfg: SystemConfig) -> tuple[float, float, float]:
-    """Carrier wavelength, guided wavelength and 1 m power gain (lambda/4pi)^2,
-    from the raw config fields."""
+def _constants(cfg: SystemConfig) -> tuple[float, float]:
+    """Carrier wavelength and 1 m power gain (lambda/4pi)^2, from the raw
+    config fields."""
     lam = SPEED_OF_LIGHT / cfg.carrier_freq
-    return lam, lam / cfg.n_eff, (lam / (4.0 * math.pi)) ** 2
+    return lam, (lam / (4.0 * math.pi)) ** 2
 
 
 def pin_link_distance(cfg: SystemConfig, x, y, u: int, k: int) -> float:
@@ -104,12 +130,26 @@ def pin_link_distance(cfg: SystemConfig, x, y, u: int, k: int) -> float:
                      + cfg.height ** 2)
 
 
-def pin_channel(cfg: SystemConfig, x, y, alpha) -> list[list[complex]]:
-    """Pinching channel of one realization, link by link:
-    h[u][k] = alpha sqrt(G) / r a(l) exp(-2 pi j (r / lambda + l / lambda_g)),
-    with l = x[k] + d_l / 2 the in-waveguide run from the feed and a(l) its
-    dB/m amplitude loss (1 for CASE_I)."""
-    lam, lam_g, gain = _constants(cfg)
+def guided_phase(cfg: SystemConfig, x, k: int, n_eff: float) -> complex:
+    """The in-waveguide phase exp(-2 pi j l / lambda_g) of antenna k, with
+    l = x[k] + d_l / 2 its run from the feed and lambda_g = lambda / n_eff
+    the guided wavelength."""
+    lam, _ = _constants(cfg)
+    run = x[k] + cfg.d_l / 2.0
+    return cmath.exp(-2j * math.pi * run / (lam / n_eff))
+
+
+def pin_channel(cfg: SystemConfig, x, y, alpha,
+                n_eff: float = 1.4) -> list[list[complex]]:
+    """Pinching channel of one realization, link by link, as the paper
+    writes it: h[u][k] = alpha sqrt(G) / r a(l)
+    exp(-2 pi j (r / lambda + l / lambda_g)), with l = x[k] + d_l / 2 the
+    in-waveguide run from the feed, a(l) its dB/m amplitude loss (1 for
+    CASE_I) and lambda_g = lambda / n_eff the guided wavelength. The model
+    under test leaves out the guided phase, one unit factor per column
+    (see ``guided_phase``), which no rate sees."""
+    lam, gain = _constants(cfg)
+    lam_g = lam / n_eff
     m = cfg.num_users
     h = [[0j] * m for _ in range(m)]
     for u in range(m):
@@ -154,7 +194,7 @@ def conv_rates(cfg: SystemConfig, x, y, alpha) -> list[float]:
     """Per-user conventional rates: element k of the half-wavelength array at
     ((k - (M - 1) / 2) lambda / 2, 0, height) sends user k's stream at power
     P / M, and user u's links share its indicator alpha[u]."""
-    lam, _, gain = _constants(cfg)
+    lam, gain = _constants(cfg)
     m = cfg.num_users
     elem_x = [(k - (m - 1) / 2.0) * lam / 2.0 for k in range(m)]
     h = [[alpha[u] * math.sqrt(gain)
@@ -251,7 +291,7 @@ def conv_rate_bound_quadrature(cfg: SystemConfig) -> list[float]:
     ``dblquad`` over x and the user's strip, or a ``quad`` over x alone
     with the user on its waveguide's center line.
     """
-    lam, _, _ = _constants(cfg)
+    lam, _ = _constants(cfg)
     m = cfg.num_users
     elem_x = [(k - (m - 1) / 2.0) * lam / 2.0 for k in range(m)]
     half_l, half_s = cfg.d_l / 2.0, cfg.strip_width / 2.0
@@ -288,15 +328,21 @@ def pin_d2_rates_dense(cfg: SystemConfig, x, y, u):
                                  cfg.noise_power, cfg.num_users)
 
 
-def channel_coefficients_dense(cfg: SystemConfig, dist_sq, s_eff, pinch_x):
-    """Complex coefficients sqrt(s_eff) exp(-2 pi j cycles) of every link,
-    blocked or not, as one dense expression over the whole array. This is
-    the evaluation the line-of-sight-gated ``channel_coefficients`` must
-    reproduce bit for bit on every clear link.
+def channel_coefficients_dense(cfg: SystemConfig, dist_sq, s_eff):
+    """Complex coefficients sqrt(s_eff) exp(-2 pi j r / lambda) of every
+    link, blocked or not, as one dense expression over the whole array.
+    This is the evaluation the line-of-sight-gated ``channel_coefficients``
+    must reproduce bit for bit on every clear link.
     """
-    cycles = (np.sqrt(dist_sq) / cfg.wavelength
-              + (pinch_x + cfg.d_l / 2.0)[:, None, :] / cfg.guided_wavelength)
+    cycles = np.sqrt(dist_sq) / cfg.wavelength
     return np.sqrt(s_eff) * np.exp(1j * (-2.0 * np.pi * cycles))
+
+
+def triangular_pdf(z, d_l: float):
+    """Density (d_l - |z|) / d_l^2 on [-d_l, d_l], zero outside, of the
+    difference of two independent U(-d_l/2, d_l/2) draws."""
+    z = np.abs(np.asarray(z, dtype=float))
+    return np.where(z <= d_l, (d_l - z) / d_l ** 2, 0.0)
 
 
 def _quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL):

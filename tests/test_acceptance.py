@@ -34,7 +34,6 @@ from pinchsim import (
     parse_config,
     run_experiment,
     sweep,
-    triangular_pdf,
     two_user_cross_blockage_factor,
 )
 from pinchsim.channel import channel_coefficients, pin_distances_sq, power_gains
@@ -230,7 +229,7 @@ def test_criterion_07_zero_forcing_correctness():
                 x, y = oracles.placement(cfg, 1, rng)
                 dist_sq = pin_distances_sq(cfg, x, y, beta)
                 h = channel_coefficients(cfg, dist_sq,
-                                         power_gains(cfg, dist_sq, x), x)[0]
+                                         power_gains(cfg, dist_sq, x))[0]
                 gains, ok = zf_gains_batch(h)
                 assert ok  # unblocked channels stay invertible
                 w = np.linalg.inv(h) * np.sqrt(gains)
@@ -262,7 +261,7 @@ def test_criterion_08_triangular_distribution():
         centers = 0.5 * (edges[:-1] + edges[1:])
         width = edges[1] - edges[0]
         # density is linear inside each bin, so the center value is exact
-        p_bin = triangular_pdf(centers, d_l) * width
+        p_bin = oracles.triangular_pdf(centers, d_l) * width
         expected = n * p_bin
         sigma = np.sqrt(n * p_bin * (1.0 - p_bin))
         assert np.all(np.abs(counts - expected) <= 4.0 * sigma)

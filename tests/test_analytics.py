@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 import oracles
 from pinchsim import analytics, transceiver
@@ -32,7 +31,6 @@ from pinchsim import (
     outage_pin_model_a_highsnr,
     outage_pin_model_b,
     outage_pin_model_b_highsnr,
-    triangular_pdf,
     two_user_cross_blockage_factor,
 )
 
@@ -471,29 +469,6 @@ class TestOutageGapModelB:
             r_target=7.0)) == pytest.approx(0.0, abs=1e-6)
 
 
-class TestTriangularPdf:
-    def test_peak_and_edges(self):
-        assert triangular_pdf(0.0, 40.0) == pytest.approx(1.0 / 40.0, rel=1e-15)
-        assert triangular_pdf(40.0, 40.0) == 0.0
-        assert triangular_pdf(-40.0, 40.0) == 0.0
-        assert triangular_pdf(55.0, 40.0) == 0.0
-
-    def test_normalization(self):
-        val, _ = quad(lambda z: triangular_pdf(z, 40.0), -40.0, 40.0,
-                      epsabs=1e-13, epsrel=1e-12)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            triangular_pdf(0.0, 0.0)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("d_l", [math.inf, math.nan, -math.inf, -1.0])
-    def test_non_finite_width_rejected(self, d_l):
-        with pytest.raises(ValueError, match="^d_l must be finite and > 0$"):
-            triangular_pdf(1.0, d_l)
-
-
 class TestTwoUserErgodic:
     def two_user_cfg(self, tx_power=1.0, phi=0.1):
         return SystemConfig(num_users=2, d_w=10.0, d_l=40.0, tx_power=tx_power,
@@ -570,6 +545,50 @@ class TestTwoUserErgodic:
             num_users=2, d_w=d_w, d_l=d_l, tx_power=1.0, phi=10.0 ** log_phi,
             height=height, blockage_model=BlockageModel.MODEL_B,
             constrain_under_waveguide=True))
+
+    # Past the float range: d_l = 1e200 and d_w = 1e160 raised
+    # "(34, 'Numerical result out of range')" from d_l ** 2 and the squared
+    # waveguide spacing; at 3030 dBm and phi = 1e300 the rate was NaN
+    # (an infinite SNR times a zero LoS probability); at h = 1e-150 and
+    # 1e300 W it was inf; at h = 1e-157 its noise term 2 sigma^2 h^2
+    # underflowed to 0 and it raised ZeroDivisionError.
+    @pytest.mark.parametrize("fields", [
+        dict(d_l=1e200), dict(d_w=1e160), dict(height=1e-157),
+        dict(d_w=1e-300, d_l=1e154, height=1e-8, phi=1e300,
+             tx_power=dbm_to_watt(3030.0)),
+        dict(d_w=1e8, d_l=1e8, height=1e-150, phi=1e-12, tx_power=1e300),
+    ])
+    def test_past_the_float_range(self, fields):
+        self.check_against_mpmath(replace(
+            self.two_user_cfg(tx_power=dbm_to_watt(40.0)), **fields))
+
+    # Bounds fixed before the first run: every decade the config gate
+    # admits for d_l, d_w, phi and P, and for the height from where its
+    # gain 7.3e-7 / h^2 is finite up to where h^2 is.
+    @settings(max_examples=300, deadline=None)
+    @given(log_d_l=st.floats(-300.0, 300.0), log_d_w=st.floats(-300.0, 300.0),
+           log_h=st.floats(-157.0, 154.0), log_phi=st.floats(-300.0, 300.0),
+           log_p=st.floats(-300.0, 300.0))
+    def test_finite_across_the_gate(self, log_d_l, log_d_w, log_h, log_phi,
+                                    log_p):
+        cfg = SystemConfig(
+            num_users=2, d_w=10.0 ** log_d_w, d_l=10.0 ** log_d_l,
+            tx_power=10.0 ** log_p, phi=10.0 ** log_phi,
+            height=10.0 ** log_h, blockage_model=BlockageModel.MODEL_B,
+            constrain_under_waveguide=True)
+        assert 0.0 <= two_user_cross_blockage_factor(cfg) <= 0.5
+        rate = ergodic_pin_two_user_highsnr(cfg)
+        assert math.isfinite(rate) and rate >= 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_counterpart_that_is_not_finite_is_named(self, value):
+        source = type("Source", (), {
+            "ergodic_pin_two_user_highsnr": staticmethod(lambda cfg: value)})
+        with pytest.raises(ArithmeticError,
+                           match="^ergodic_pin_two_user_highsnr produced "):
+            list(analytics.counterparts(Scheme.PIN_D2,
+                                        MetricKind.ERGODIC_PER_USER,
+                                        self.two_user_cfg(), {}, source))
 
     def test_close_to_exact_constrained_expectation(self):
         # the approximation only drops the bounded both-links-clear term

@@ -57,7 +57,7 @@ def pin_channel(cfg, x, y, alpha):
     """(n, M, M) pinching channels of (n, M) placements under the
     line-of-sight indicators ``alpha``, assembled as the chunk kernel does."""
     d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
-    return channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq, x) * alpha, x)
+    return channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq, x) * alpha)
 
 
 class TestBlockageProbability:
@@ -122,29 +122,20 @@ class TestSampleBlockage:
         assert abs(hits / n - p) <= tol
 
 
-def at_feed(cfg):
-    """(1, 1) antenna x at the feed, x = -d_l/2, where the in-waveguide run
-    is exactly 0.0 and adds no phase."""
-    return np.full((1, 1), -cfg.d_l / 2.0)
-
-
 class TestFreeSpaceCoefficient:
-    """The free-space part of a link: an antenna at the feed, so no
-    in-waveguide phase."""
+    """The free-space coefficient of one link."""
 
     def test_magnitude_at_three_meters(self):
         cfg = make_cfg()
         d_sq = one_link(9.0)
-        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq),
-                                 at_feed(cfg))[0, 0, 0]
+        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq))[0, 0, 0]
         # sqrt(eta)/3 with eta = (lambda / 4 pi)^2 at 28 GHz
         assert abs(h) == pytest.approx(2.840086404307704e-04, rel=1e-12)
 
     def test_full_wavelength_phase_wraps(self):
         cfg = make_cfg()
         d_sq = one_link(cfg.wavelength ** 2)
-        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq),
-                                 at_feed(cfg))[0, 0, 0]
+        h = channel_coefficients(cfg, d_sq, power_gains(cfg, d_sq))[0, 0, 0]
         assert math.isclose(h.imag, 0.0, abs_tol=1e-12 * abs(h))
         assert h.real > 0
 
@@ -246,17 +237,6 @@ class TestWaveguideFactor:
         pinched = power_gains(cfg, d_sq, x)
         assert np.array_equal(pinched.view(np.int64), free.view(np.int64))
 
-    def test_guided_wavelength_phase_wraps(self):
-        # with d_l = 2 guided wavelengths, an antenna at x = 0 is exactly one
-        # guided wavelength from the feed, so the waveguide adds no phase
-        lam_g = make_cfg().guided_wavelength
-        cfg = make_cfg(d_l=2.0 * lam_g)
-        d_sq = one_link(9.0)
-        s = power_gains(cfg, d_sq)
-        pinch = channel_coefficients(cfg, d_sq, s, np.zeros((1, 1)))
-        free = channel_coefficients(cfg, d_sq, s, at_feed(cfg))
-        assert abs(pinch[0, 0, 0] - free[0, 0, 0]) <= 1e-12 * abs(free[0, 0, 0])
-
 
 class TestChannelAssembly:
     def test_full_blockage_gives_zero_matrix(self):
@@ -339,20 +319,18 @@ class TestGatedCoefficients:
     @settings(max_examples=60, deadline=None)
     @given(m=st.sampled_from([1, 2, 5, 16]),
            phi=st.sampled_from([0.0, 0.1, 50.0]),
-           loss=st.sampled_from(list(LossCase)), pinched=st.booleans(),
+           loss=st.sampled_from(list(LossCase)),
            n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
-    def test_clear_links_equal_the_dense_evaluation(self, m, phi, loss,
-                                                    pinched, n, seed):
+    def test_clear_links_equal_the_dense_evaluation(self, m, phi, loss, n,
+                                                    seed):
         cfg = make_cfg(num_users=m, phi=phi, loss_case=loss)
         rng = np.random.default_rng(seed)
         x, y = drop(cfg, rng, n)
         d_sq = pin_distances_sq(cfg, x, y, waveguide_y_offsets(cfg))
         alpha = rng.random(d_sq.shape) < unblocked_probability_sq(d_sq, cfg)
-        # the antennas above the users, or all at the feed (no guided phase)
-        pinch_x = x if pinched else np.full_like(x, -cfg.d_l / 2.0)
-        s = power_gains(cfg, d_sq, pinch_x) * alpha
-        h = channel_coefficients(cfg, d_sq, s, pinch_x)
-        dense = oracles.channel_coefficients_dense(cfg, d_sq, s, pinch_x)
+        s = power_gains(cfg, d_sq, x) * alpha
+        h = channel_coefficients(cfg, d_sq, s)
+        dense = oracles.channel_coefficients_dense(cfg, d_sq, s)
         assert h.shape == dense.shape and h.dtype == dense.dtype
         bits, dense_bits = h.view(np.int64), dense.view(np.int64)
         clear = np.repeat(alpha, 2, axis=-1)  # real and imaginary parts

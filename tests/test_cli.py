@@ -3,6 +3,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,7 +175,6 @@ class TestPresetTables:
             assert f["system.height"] == 3.0
             assert f["system.carrier_freq_hz"] == 28e9
             assert f["system.noise_dbm"] == -90.0
-            assert f["system.n_eff"] == 1.4
             assert f["system.waveguide_loss_db_per_m"] == 0.08
             assert f["system.phi"] == 0.1
 
@@ -227,7 +227,6 @@ class TestPresetTables:
             "system.height": 3.0,
             "system.carrier_freq_hz": 28e9,
             "system.noise_dbm": -90.0,
-            "system.n_eff": 1.4,
             "system.waveguide_loss_db_per_m": 0.08,
             "system.phi": 0.1,
             "system.d_l": 40.0,
@@ -354,7 +353,6 @@ KEY_DOMAINS = {
     "system.phi": _num(0.0, 10.0),
     "system.loss_case": _tokens(LossCase),
     "system.waveguide_loss_db_per_m": _num(0.0, 10.0),
-    "system.n_eff": _num(1.0, 4.0),
     "system.constrain_under_waveguide": st.sampled_from(["true", "false"]),
     "run.schemes": st.lists(_tokens(Scheme), min_size=1,
                             max_size=4).map(", ".join),
@@ -867,6 +865,36 @@ class TestMainEntryPoint:
         assert err.startswith(f"error: {key}: must ")
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_removed_n_eff_key_is_one_line_naming_it(self, tmp_path, capsys):
+        # the in-waveguide phase it set is not modeled, as no rate sees it
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(manual_doc("system.n_eff = 1.4",
+                                       out=tmp_path / "r.csv"))
+        assert main(["simulate", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'system.n_eff'" in err
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    # fig4-shaped runs whose two-user analytic squared d_l or the waveguide
+    # spacing past the float range and exited 1 with "(34, 'Numerical
+    # result out of range')"
+    @pytest.mark.parametrize("line", ["system.d_l = 1e200",
+                                      "system.d_w = 1e160"])
+    def test_two_user_analytic_past_the_float_range_runs(self, tmp_path,
+                                                         line):
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "r.csv"
+        cfg_path.write_text(manual_doc(
+            line, "system.blockage_model = MODEL_B",
+            "system.constrain_under_waveguide = true", "run.schemes = PIN_D2",
+            "run.metric = ERGODIC_PER_USER", "run.n_trials = 64", out=out))
+        assert main(["simulate", str(cfg_path)]) == 0
+        closed = [row.split(",") for row in out.read_text().splitlines()
+                  if ",CLOSED_FORM," in row]
+        assert len(closed) == 2  # user 1 at each power
+        assert all(math.isfinite(float(row[4])) for row in closed)
 
     def test_bad_config_returns_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

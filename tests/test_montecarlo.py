@@ -95,9 +95,10 @@ class TestKernelMatchesReferencePath:
         # 14 conventional rows at a time at M = 2
         set_sub_links(monkeypatch, 7 * 2 * 2)
 
-    def replay_pin_channels(self, cfg, n, seed):
-        """Each trial's pinching LoS indicators and channel, link by link,
-        from a chunk's draws: the user drop, then the (n, M, M) uniforms."""
+    def replay_pin_channels(self, cfg, n, seed, n_eff=1.4):
+        """Each trial's antenna x coordinates, pinching LoS indicators and
+        channel, link by link with the guided phase of ``n_eff``, from a
+        chunk's draws: the user drop, then the (n, M, M) uniforms."""
         m = cfg.num_users
         rng = chunk_generator(seed, 0, 0)
         x, y = oracles.placement(cfg, n, rng)
@@ -106,7 +107,8 @@ class TestKernelMatchesReferencePath:
             alpha = [[int(u[t, i, k] < oracles.los_probability(
                 cfg, oracles.pin_link_distance(cfg, x[t], y[t], i, k)))
                 for k in range(m)] for i in range(m)]
-            yield alpha, oracles.pin_channel(cfg, x[t], y[t], alpha)
+            yield x[t], alpha, oracles.pin_channel(cfg, x[t], y[t], alpha,
+                                                   n_eff)
 
     # At M = 2 a zero pattern with no empty row or column is always
     # invertible; M = 3 also admits structurally singular patterns.
@@ -129,18 +131,38 @@ class TestKernelMatchesReferencePath:
         kernel_h = np.concatenate(seen)
 
         zero_forced = []
-        for t, (alpha, h) in enumerate(self.replay_pin_channels(cfg, n, seed)):
+        for t, (x, alpha, h) in enumerate(
+                self.replay_pin_channels(cfg, n, seed)):
             assert np.allclose(d2_rates[t], oracles.design2_rates(cfg, h),
                                rtol=1e-9)
             assert np.allclose(d1_rates[t], oracles.design1_rates(cfg, h),
                                rtol=1e-9)
             a = np.array(alpha)
             if a.any(axis=0).all() and a.any(axis=1).all():
-                zero_forced.append(h)
+                # the kernel leaves out each column's guided phase
+                guided = [oracles.guided_phase(cfg, x, k, 1.4)
+                          for k in range(m)]
+                zero_forced.append(np.array(h) / guided)
         assert len(zero_forced) >= 10
         assert len(kernel_h) == len(zero_forced)
         for kernel, h in zip(kernel_h, zero_forced):
             assert np.allclose(kernel, h, rtol=1e-9, atol=0.0)
+
+    # The guided phase is one unit factor per column of H, which neither
+    # design sees, so the paper's channel at any n_eff gives the rates.
+    @pytest.mark.parametrize("n_eff", [1.0, 1.4, 3.5])
+    def test_rates_do_not_see_the_guided_phase(self, n_eff):
+        cfg = make_cfg(num_users=3, tx_power=1.0, loss_case=LossCase.CASE_II)
+        n, seed = 40, 271
+        d2_rates, d1_rates = _rates_chunk((Scheme.PIN_D2, Scheme.PIN_D1), cfg,
+                                          n, chunk_generator(seed, 0, 0))
+        assert (d1_rates != d2_rates).any(axis=1).sum() >= 10  # zero-forced
+        for t, (_, _, h) in enumerate(
+                self.replay_pin_channels(cfg, n, seed, n_eff)):
+            assert np.allclose(d2_rates[t], oracles.design2_rates(cfg, h),
+                               rtol=1e-9)
+            assert np.allclose(d1_rates[t], oracles.design1_rates(cfg, h),
+                               rtol=1e-9)
 
     # Design II alone evaluates only the rows of users whose own link is
     # clear, a path the pair above, which zero-forces, never takes
@@ -152,7 +174,8 @@ class TestKernelMatchesReferencePath:
         (rates,) = _rates_chunk((Scheme.PIN_D2,), cfg, n,
                                 chunk_generator(seed, 0, 0))
         blocked_own = 0
-        for t, (alpha, h) in enumerate(self.replay_pin_channels(cfg, n, seed)):
+        for t, (_, alpha, h) in enumerate(
+                self.replay_pin_channels(cfg, n, seed)):
             assert np.allclose(rates[t], oracles.design2_rates(cfg, h),
                                rtol=1e-9)
             for i in range(m):

@@ -35,12 +35,11 @@ class TestSystemConfig:
         # independent recomputation: eta = (lambda / 4 pi)^2
         lam = 299792458.0 / 28e9
         assert np.isclose(cfg.wavelength, lam, rtol=1e-15)
-        assert np.isclose(cfg.guided_wavelength, lam / 1.4, rtol=1e-15)
         assert np.isclose(cfg.path_gain_factor, (lam / (4 * math.pi)) ** 2, rtol=1e-13)
         assert np.isclose(cfg.path_gain_factor, 7.259481705540116e-07, rtol=1e-12)
 
     @pytest.mark.parametrize("field", ["d_w", "d_l", "height", "carrier_freq",
-                                       "noise_power", "tx_power", "n_eff"])
+                                       "noise_power", "tx_power"])
     def test_nonpositive_parameters_rejected(self, field):
         with pytest.raises(ValueError):
             make_cfg(**{field: 0.0})
@@ -49,7 +48,7 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["d_w", "d_l", "height", "carrier_freq",
-                                       "noise_power", "tx_power", "n_eff",
+                                       "noise_power", "tx_power",
                                        "phi", "waveguide_loss_db_per_m"])
     def test_non_finite_parameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):

@@ -161,7 +161,7 @@ class TestDesign1:
         rng = chunk_generator(3, 0, 0)
         x, y, d_sq, s = pin_draw(cfg, rng, n)
         alpha = rng.random(d_sq.shape) < unblocked_probability_sq(d_sq, cfg)
-        h = channel_coefficients(cfg, d_sq, s * alpha, x)
+        h = channel_coefficients(cfg, d_sq, s * alpha)
         gains, ok = zf_gains_batch(h)
         assert ok.any() and not ok.all()
         assert np.array_equal(d1[~ok].view(np.int64), d2[~ok].view(np.int64))
@@ -229,7 +229,7 @@ class TestDesign1VersusDesign2:
     def test_zero_forcing_wins_at_high_snr_when_feasible(self):
         cfg = make_cfg(tx_power=1.0)
         x, _, d_sq, s = pin_draw(cfg, np.random.default_rng(17))
-        h = channel_coefficients(cfg, d_sq, s, x)[0]
+        h = channel_coefficients(cfg, d_sq, s)[0]
         r1, ok = design1(h, cfg)
         assert ok
         assert r1.sum() >= design2(h, cfg).sum()
@@ -319,6 +319,21 @@ class TestZeroForcingAccuracy:
         for h, g in zip(batch, gains):
             expected = np.array(oracles.zf_gains_highprec(h))
             assert np.all(np.abs(g - expected) <= 1e-5 * expected)
+
+
+    # The bound was fixed before the first run. The worst of these
+    # placements errs by 7.4e-13 (M = 2) and 1.9e-12 (M = 5). With the
+    # in-waveguide phase, about 5000 more cycles per column, it erred by
+    # 1.5e-12 and 1.9e-11.
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_gains_match_a_50_digit_channel(self, m):
+        cfg = make_cfg(num_users=m, phi=0.0)
+        x, y, d_sq, s = pin_draw(cfg, np.random.default_rng(3), 60)
+        gains, ok = zf_gains_batch(channel_coefficients(cfg, d_sq, s))
+        assert ok.all()
+        exact = np.array([oracles.zf_gains_of_placement_mp(cfg, x[t], y[t])
+                          for t in range(len(x))])
+        assert np.abs(gains / exact - 1.0).max() <= 1e-11
 
 
 class TestMixedBatch:

@@ -58,6 +58,18 @@ _MAX_PANELS = 512
 # dropped: there it has fallen below 41 * exp(-40) < 2e-16 of its value at
 # y = 0 (or at its peak), and it decays faster from there.
 _DECAY = 40.0
+# Half-width of the window in s about the peak of the conventional
+# outage's edge integrand, which falls like e^-|s - s*| on either side:
+# past it, each tail is below 21 * exp(-_WINDOW) < 5e-18 of the edge's
+# integral.
+_WINDOW = _DECAY + 3.0
+# Below v = _Q_SMALL, q(v) = (1 - (1 + v) e^-v) / v^2 loses digits to
+# cancellation in closed form and comes from its Taylor series,
+# sum_k (-v)^k / (k! (k + 2)); nine terms reach double precision there.
+_Q_SMALL = 0.05
+_Q_SERIES = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in range(9))
+_LOG2 = math.log(2.0)
+_NORMAL = sys.float_info.min  # the smallest positive normal float
 
 
 @functools.cache
@@ -175,7 +187,12 @@ def _strip_integral(cfg: SystemConfig, reach: float, where: str) -> float:
     # asinh(reach / height), kept as the quotient reach^2 / (reach * height):
     # the plain one differs from it in the last bit for about one (reach,
     # height) pair in nine, which would move the MODEL_A outages by an ulp.
-    span = math.asinh(reach * reach / (reach * height))
+    # Where either product leaves the normal range, the plain one it is.
+    square, area = reach * reach, reach * height
+    if _NORMAL <= square < math.inf and _NORMAL <= area < math.inf:
+        span = math.asinh(square / area)
+    else:
+        span = math.asinh(reach / height)
     if phi > 0.0:
         span = min(span, math.acosh(
             (max(phi * height, 1.0) + _DECAY) / (phi * height)))
@@ -248,9 +265,15 @@ def _pin_outage(cfg: SystemConfig, model: BlockageModel, reach: float,
         val = 1.0 - 2.0 * reach / cfg.d_w  # no blockage: out of range alone
     else:
         sqrt_phi = math.sqrt(cfg.phi)
-        val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2)
-                     * SQRT_PI / (2.0 * sqrt_phi * cfg.d_w)
-                     * (2.0 * erf(sqrt_phi * reach)))
+        den = 2.0 * sqrt_phi * cfg.d_w
+        if den >= _NORMAL:
+            val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2) * SQRT_PI / den
+                         * (2.0 * erf(sqrt_phi * reach)))
+        else:
+            # z = sqrt(phi) reach <= den / 4 is so small that
+            # erf(z) = 2 z / sqrt(pi) to double precision
+            val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2)
+                         * (2.0 * reach / cfg.d_w))
     return _check_probability(val, where)
 
 
@@ -274,39 +297,135 @@ def outage_pin_model_a_highsnr(p: OutageParams) -> float:
                        "outage_pin_model_a_highsnr")
 
 
+def _conv_edge(phi: float, height: float, c: float, other: float) -> tuple:
+    """One far edge of the conventional quadrant, at distance c from the
+    antenna and ``other`` long, for ``outage_conv_model_a_highsnr``:
+    (width, foot_ray, foot_weight, grow_ray, grow_weight).
+
+    The edge is integrated over s = lo + width * u, u in [0, 1]. There the
+    ray is R = foot_ray cosh(s - lo) + grow_ray e^(s - lo) = c cosh(s), and
+    width * R / other is the same with the weights.
+
+    The integrand peaks near the ray length R* = sqrt(2 height / phi +
+    1 / phi^2) at which v = 1, and falls like e^-|s - s*| on both sides,
+    so the window ends _WINDOW past s* (or past the foot, s = 0, where
+    R* <= c), or at the corner. It starts at the foot unless both the
+    corner and s* lie past s = 2 _WINDOW: there it starts _WINDOW before
+    s*, at lo, where cosh(s) = e^s / 2 to double precision, and the rays
+    are grow_ray e^(s - lo), as e^s could overflow. They are scaled from
+    the ray at the window's end, so that one ending at the corner ends on
+    its exact length.
+    """
+    x = other / c
+    if x <= 1.0:
+        # span / x -> 1 as x -> 0, also where x underflows
+        span = math.asinh(x)
+        return span, c, span / x if x > 0.0 else 1.0, 0.0, 0.0
+    log_x = math.log(other) - math.log(c)
+    span = math.asinh(x) if x < math.inf else _LOG2 + log_x
+    # log R* to within log(2) / 2 below it; s* lies within
+    # [log(R* / c), log(2 R* / c)] when R* > c
+    log_peak = 0.5 * (_LOG2 + max(math.log(2.0 * height) - math.log(phi),
+                                  -2.0 * math.log(phi))) - math.log(c)
+    lo = min(span, log_peak - 0.5 * _LOG2) - _WINDOW
+    if lo < _WINDOW:
+        lo = 0.0
+    hi = min(span, max(log_peak + _LOG2, 0.0) + _WINDOW)
+    width = hi - lo
+    if lo == 0.0:
+        return width, c, width / x, 0.0, 0.0
+    # the ray at hi, the corner's own where the window ends there
+    end = (math.hypot(c, other) if hi == span
+           else math.exp(math.log(c) + hi - _LOG2))
+    shrink = math.exp(-width)
+    return width, 0.0, 0.0, end * shrink, width * (end / other) * shrink
+
+
 def outage_conv_model_a_highsnr(p: OutageParams) -> float:
-    """High-SNR conventional outage under MODEL_A by 2-D quadrature.
+    """High-SNR conventional outage under MODEL_A, by one 1-D quadrature.
 
     Averages the blockage probability of the fixed center antenna over the
-    whole service area (symmetry reduces the domain to one quadrant). With
-    x = height * sinh(s), the y integral at each x is the strip integral at
-    height c = sqrt(x^2 + height^2) = height * cosh(s), and dx = c ds; the
-    outer and inner nodes form one tensor grid per round. The factor
-    exp(-phi * height) stays outside both quadratures, and the outer
-    exponent uses c - height = 2 height sinh(s/2)^2.
+    whole service area; by symmetry, over one quadrant, in polar
+    coordinates about the antenna. Along a ray of length R the mass
+    int_0^R exp(-phi sqrt(r^2 + height^2)) r dr is elementary: with
+    U = hypot(R, height), L = U - height = R^2 / (U + height) and
+    v = phi L, it is exp(-phi height) L (height e1(v) + L q(v)), where
+    e1(v) = (1 - e^-v) / v and q(v) = (1 - (1 + v) e^-v) / v^2. Divided by
+    R^2 exp(-phi height), that is
+    m(R) = (height e^-v + (1 + phi height) L q(v)) / (U + height) <= 1/2.
+
+    Each of the quadrant's two far edges, at distance c from the antenna
+    and o long, is parametrised as c sinh(s): the ray to that point has
+    length R = c cosh(s) and subtends d(angle) = ds / cosh(s), so the
+    edge's share of the quadrant's mass, divided by its area c o, is the
+    integral of (R / o) m(R) over s in [0, asinh(o / c)], or over the
+    window of it that ``_conv_edge`` keeps. The two edges are the trailing
+    integrands of one ``_integrate`` call. 0.0 at phi = 0, and 1.0 where
+    exp(-phi height) underflows or the outage rounds to 1, with no
+    quadrature.
     """
     where = "outage_conv_model_a_highsnr"
     _check_model(p.cfg, _MODEL_A, where)
     cfg = p.cfg
     phi, height = cfg.phi, cfg.height
+    if phi == 0.0:
+        return 0.0
+    scale = math.exp(-phi * height)
+    half_l, half_w = cfg.d_l / 2.0, cfg.d_w / 2.0
+    # The unblocked share is at most the mean of exp(-phi x) along the
+    # longer side, below 1 / (phi * that half-side): from 2^-54 on, the
+    # outage rounds to 1. Short of that, no v overflows.
+    if scale == 0.0 or phi * max(half_l, half_w) >= 2.0 ** 54:
+        return 1.0
+    edges = (_conv_edge(phi, height, half_l, half_w),
+             _conv_edge(phi, height, half_w, half_l))
+    # one row per edge, so that each coefficient broadcasts along a row
+    width, foot_ray, foot_weight, grow_ray, grow_weight = np.array(
+        edges).T[:, :, None]
+    shifted = edges[0][3] > 0.0 or edges[1][3] > 0.0  # a window past a foot
+    # v is smallest at the foot of the nearer edge
+    near = min(half_l, half_w)
+    foot_v = phi * near * (near / (math.hypot(near, height) + height))
+    series = foot_v < _Q_SMALL
+    gain = 1.0 + phi * height
 
-    def over_x(s: np.ndarray) -> np.ndarray:
-        rise = 2.0 * height * np.sinh(s / 2.0) ** 2
-        c = height + rise
-        # _strip_integral's span over [0, d_w / 2] for every c at once, with
-        # the quotient d_w / 2 / c, whose last bits these outages carry
-        span = np.arcsinh(cfg.d_w / 2.0 / c)
-        if phi > 0.0:
-            span = np.minimum(span, np.arccosh(
-                (np.maximum(phi * c, 1.0) + _DECAY) / (phi * c)))
-        inner = _scaled_strip_integral(phi, c, span, where)
-        return c * np.exp(-phi * rise) * inner
+    def integrand(u: np.ndarray) -> np.ndarray:
+        w = width * u
+        grow = np.cosh(w)
+        ray = grow * foot_ray
+        weight = grow * foot_weight
+        if shifted:
+            np.exp(w, out=grow)
+            ray += grow * grow_ray
+            weight += grow * grow_weight
+        den = np.hypot(ray, height)
+        den += height
+        rise = ray / den
+        rise *= ray                      # L = U - height
+        neg_v = rise * -phi
+        decay = np.exp(neg_v)
+        v_clip = np.minimum(neg_v, -_Q_SMALL) if series else neg_v
+        q = v_clip * decay
+        q -= np.expm1(v_clip)
+        q /= v_clip
+        q /= v_clip                      # q(v) where v >= _Q_SMALL
+        if series:
+            small = np.maximum(neg_v, -_Q_SMALL)
+            poly = np.full_like(small, _Q_SERIES[-1])
+            for coef in _Q_SERIES[-2::-1]:
+                poly *= small
+                poly += coef
+            np.copyto(q, poly, where=neg_v > -_Q_SMALL)
+        q *= rise
+        q *= gain
+        decay *= height
+        q += decay
+        q /= den
+        q *= weight
+        return q.T
 
-    s_max = math.asinh(cfg.d_l / (2.0 * height))
-    mass = (math.exp(-phi * height) * s_max
-            * float(_integrate(lambda u: over_x(s_max * u), where)))
-    val = 1.0 - 4.0 * mass / (cfg.d_w * cfg.d_l)
-    return _check_probability(val, where)
+    low, high = _integrate(integrand, where).tolist()
+    return _check_probability(1.0 - scale * (low + high), where)
 
 
 def outage_pin_model_b(p: OutageParams) -> float:

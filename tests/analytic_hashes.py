@@ -19,6 +19,12 @@ hashed by its type and message). The two-user functions also run on each
 MODEL_B configuration at the tiny phis SMALL_PHIS, where the bracket's
 closed form cancels, on lines of their own (``<function> small_phi``),
 and on configs past the float range (``<function> past_float_range``).
+The conventional MODEL_A floor also runs on each MODEL_A configuration at
+the phis CONV_SMALL_PHIS, where its radial mass takes q(v) from a series
+(``outage_conv_model_a_highsnr small_phi``), and on the areas
+EXTREME_AREAS, up to aspect ratios past the float range, at the heights
+WIDE_HEIGHTS and the phis EXTREME_PHIS
+(``outage_conv_model_a_highsnr extreme_aspect``).
 ``ergodic_conv_highsnr`` runs up to M = 32 users, where its integrand is
 evaluated in several batches of links. The file is not named ``test_*``,
 so pytest does not collect it.
@@ -59,6 +65,11 @@ WIDE_AREAS = ((0.5, 1000.0), (10.0, 40.0), (200.0, 1.0))  # (d_w, d_l)
 TAU3_FRACTIONS = (0.0, 1e-9, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0)
 FIXED_TARGETS = (1e-300, 1e-16, 1e-3, 2.0, 7.0, 9.2, 14.0, 1030.0)
 SMALL_PHIS = (1e-18, 1e-14, 1e-10)
+CONV_SMALL_PHIS = SMALL_PHIS + (1e-6, 1e-3)
+# (d_w, d_l) from a strip 2000 times longer than wide to one 1e600 times
+EXTREME_AREAS = ((1e-3, 2.0), (400.0, 2.0), (1e-9, 1e9), (1e9, 1e-9),
+                 (1e150, 1e-150), (1e-300, 1e300))
+EXTREME_PHIS = (1e-299, 1e-148, 1e-3, 0.1, 5.0, 1e3)
 # Two-user configs past the float range: a square of d_l or of the
 # waveguide spacing, an infinite SNR against a zero LoS probability, and
 # an SNR beyond the float range, each on fig4's geometry at 10 dBm.
@@ -138,6 +149,10 @@ def main() -> None:
                 for fn in (outage_pin_model_a_highsnr,
                            outage_conv_model_a_highsnr):
                     record(fn.__name__, evaluate(fn, params[0]))
+                for phi in CONV_SMALL_PHIS:
+                    record("outage_conv_model_a_highsnr small_phi",
+                           evaluate(outage_conv_model_a_highsnr, OutageParams(
+                               cfg=replace(cfg, phi=phi), r_target=7.0)))
             else:
                 for p in params:
                     record("outage_pin_model_b", evaluate(outage_pin_model_b, p))
@@ -162,6 +177,14 @@ def main() -> None:
                    ergodic_pin_two_user_highsnr):
             record(f"{fn.__name__} past_float_range",
                    evaluate(fn, replace(fig4, **fields)))
+    for (d_w, d_l), height, phi in itertools.product(
+            EXTREME_AREAS, WIDE_HEIGHTS, EXTREME_PHIS):
+        cfg = SystemConfig(num_users=1, d_w=d_w, d_l=d_l, tx_power=0.01,
+                           phi=phi, height=height,
+                           blockage_model=BlockageModel.MODEL_A)
+        record("outage_conv_model_a_highsnr extreme_aspect",
+               evaluate(outage_conv_model_a_highsnr,
+                        OutageParams(cfg=cfg, r_target=7.0)))
     for m, d_w, d_l, constrained in MULTI_USER:
         cfg = SystemConfig(num_users=m, d_w=d_w, d_l=d_l, tx_power=1.0,
                            phi=0.1, blockage_model=BlockageModel.MODEL_A,

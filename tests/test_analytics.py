@@ -320,6 +320,22 @@ class TestOutagePinModelAHighSnr:
         expected = 1.0 - oracles.pin_los_mass_model_a(cfg, -5.0, 5.0)
         assert outage_pin_model_a_highsnr(p) == pytest.approx(expected, rel=1e-10)
 
+    def test_strip_wider_than_its_square(self):
+        # reach * reach overflowed, the span was clipped at 676.8 instead of
+        # asinh(reach / height) = 672.4, and the floor raised "produced
+        # -1.0000000000000138". At height / d_w = 1e-292 the blockage mass
+        # is that of exp(-phi y) over the strip.
+        cfg = make_cfg(d_w=1e300, height=1e8, phi=1e-300)
+        half_exponent = cfg.phi * cfg.d_w / 2.0
+        p = OutageParams(cfg=cfg, r_target=2.0)
+        assert outage_pin_model_a_highsnr(p) == pytest.approx(
+            1.0 + math.expm1(-half_exponent) / half_exponent, rel=1e-12,
+            abs=1e-14)
+        # a target whose SINR threshold rounds to 0 clamps tau3 to d_w / 2
+        clamped = OutageParams(cfg=cfg, r_target=1e-300)
+        assert clamped.tau3 == cfg.d_w / 2.0
+        assert outage_pin_model_a(clamped) == outage_pin_model_a_highsnr(p)
+
 
 class TestOutageConvModelA:
     def test_zero_without_blockage(self):
@@ -339,6 +355,91 @@ class TestOutageConvModelA:
                                  r_target=7.0)
                 assert (outage_conv_model_a_highsnr(p)
                         > outage_pin_model_a_highsnr(p))
+
+    def test_edges_of_blockage_need_no_quadrature(self, monkeypatch):
+        def no_quadrature(f, where):
+            raise AssertionError(f"{where} ran a quadrature")
+
+        monkeypatch.setattr(analytics, "_integrate", no_quadrature)
+        for fields in ({}, {"d_w": 1e-300, "d_l": 1e300},
+                       {"height": 1e-150, "d_w": 1e300}):
+            cfg = make_cfg(phi=0.0, **fields)
+            assert outage_conv_model_a_highsnr(
+                OutageParams(cfg=cfg, r_target=7.0)) == 0.0
+        # exp(-phi * height) underflows, or the unblocked share is below
+        # 1 / (phi * d_l / 2) = 2^-54: the outage is 1 in double precision
+        for fields in ({"phi": 300.0}, {"phi": 1e300},
+                       {"phi": 1.0, "d_l": 2.0 ** 55}):
+            assert outage_conv_model_a_highsnr(OutageParams(
+                cfg=make_cfg(**fields), r_target=7.0)) == 1.0
+
+    def test_one_quadrature(self, monkeypatch):
+        integrate, calls = analytics._integrate, []
+
+        def counted(f, where):
+            calls.append(where)
+            return integrate(f, where)
+
+        monkeypatch.setattr(analytics, "_integrate", counted)
+        for fields in ({}, {"phi": 1e-9}, {"d_w": 1e-150, "d_l": 1e150,
+                                           "phi": 1e-148}):
+            calls.clear()
+            outage_conv_model_a_highsnr(OutageParams(cfg=make_cfg(**fields),
+                                                     r_target=7.0))
+            assert calls == ["outage_conv_model_a_highsnr"]
+
+    @pytest.mark.parametrize("d_l, phi", [(1e150, 1e-148), (1e300, 1e-299),
+                                          (1e9, 1e-8)])
+    def test_thin_area_is_its_long_side(self, d_l, phi):
+        # Across a strip 1 / d_l^2 as wide as long the LoS share is the mean
+        # of exp(-phi x) along the long side. The first two take the
+        # window that starts far along the long edge.
+        cfg = make_cfg(d_w=1.0 / d_l, d_l=d_l, phi=phi)
+        half_exponent = phi * d_l / 2.0
+        for area in (cfg, replace(cfg, d_w=cfg.d_l, d_l=cfg.d_w)):
+            assert outage_conv_model_a_highsnr(OutageParams(
+                cfg=area, r_target=7.0)) == pytest.approx(
+                    1.0 + math.expm1(-half_exponent) / half_exponent,
+                    rel=1e-12, abs=1e-14)
+
+    # Bounds fixed before the first run: TestCrossRouteFuzz's ranges with
+    # phi log-uniform down to 1e-9, against the 30-digit polar oracle
+    # (16-32 ms a config).
+    @settings(max_examples=40, deadline=None)
+    @given(log_d_w=st.floats(math.log(0.3), math.log(30.0)),
+           log_d_l=st.floats(math.log(1.0), math.log(200.0)),
+           log_h=st.floats(math.log(0.3), math.log(10.0)),
+           log_phi=st.floats(math.log(1e-9), 0.0))
+    def test_matches_polar_oracle(self, log_d_w, log_d_l, log_h, log_phi):
+        cfg = make_cfg(d_w=math.exp(log_d_w), d_l=math.exp(log_d_l),
+                       height=math.exp(log_h), phi=math.exp(log_phi))
+        ref = 1.0 - oracles.conv_los_mass_model_a_mp(cfg)
+        assert outage_conv_model_a_highsnr(OutageParams(
+            cfg=cfg, r_target=7.0)) == pytest.approx(ref, rel=1e-12,
+                                                     abs=1e-14)
+
+    # Bounds fixed before the first run: every decade the config gate
+    # admits for d_l, d_w and phi, and for the height from 1e-150 to
+    # 1e150. The 2-D quadrature this replaced warned (overflow, invalid
+    # value), divided by zero, ran out of panels or went below 0 on about
+    # two draws in five.
+    @settings(max_examples=300, deadline=None)
+    @given(log_d_l=st.floats(-300.0, 300.0), log_d_w=st.floats(-300.0, 300.0),
+           log_h=st.floats(-150.0, 150.0),
+           log_phi=st.one_of(st.none(), st.floats(-300.0, 300.0)))
+    def test_in_range_across_the_gate(self, log_d_l, log_d_w, log_h,
+                                      log_phi):
+        cfg = make_cfg(d_w=10.0 ** log_d_w, d_l=10.0 ** log_d_l,
+                       height=10.0 ** log_h,
+                       phi=0.0 if log_phi is None else 10.0 ** log_phi)
+        where = "outage_conv_model_a_highsnr"
+        try:
+            value = outage_conv_model_a_highsnr(OutageParams(cfg=cfg,
+                                                             r_target=7.0))
+        except ArithmeticError as exc:
+            assert str(exc).startswith(where), exc
+        else:
+            assert math.isfinite(value) and 0.0 <= value <= 1.0, value
 
 
 class TestOutagePinModelB:
@@ -363,6 +464,17 @@ class TestOutagePinModelB:
         p = OutageParams(cfg=make_cfg(BlockageModel.MODEL_B, d_w=5.0),
                          r_target=9.2)
         assert outage_pin_model_b(p) == pytest.approx(0.732, abs=2e-3)
+
+    def test_vanishing_strip_and_phi(self):
+        # 2 * sqrt(phi) * d_w underflowed to 0 and raised ZeroDivisionError.
+        # sqrt(phi) * d_w is so small that the law's mass over the strip is
+        # exp(-phi height^2) * d_w, and exp(-phi height^2) = 1 here.
+        cfg = make_cfg(BlockageModel.MODEL_B, d_w=1e-300, height=1e-8,
+                       phi=1e-300, tx_power=1e300)
+        p = OutageParams(cfg=cfg, r_target=2.0)
+        assert p.tau3 == cfg.d_w / 2.0
+        assert outage_pin_model_b(p) == 0.0
+        assert outage_pin_model_b_highsnr(p) == 0.0
 
     def test_phi_zero_limit_branch(self):
         cfg = make_cfg(BlockageModel.MODEL_B, phi=0.0, d_w=5.0)

@@ -33,6 +33,7 @@ from .scenario import (
     MetricKind,
     Scheme,
     SystemConfig,
+    _check_bound,
     waveguide_y_offsets,
 )
 from .transceiver import conv_rates
@@ -58,18 +59,11 @@ _MAX_PANELS = 512
 # dropped: there it has fallen below 41 * exp(-40) < 2e-16 of its value at
 # y = 0 (or at its peak), and it decays faster from there.
 _DECAY = 40.0
-# Half-width of the window in s about the peak of the conventional
-# outage's edge integrand, which falls like e^-|s - s*| on either side:
-# past it, each tail is below 21 * exp(-_WINDOW) < 5e-18 of the edge's
-# integral.
-_WINDOW = _DECAY + 3.0
 # Below v = _Q_SMALL, q(v) = (1 - (1 + v) e^-v) / v^2 loses digits to
 # cancellation in closed form and comes from its Taylor series,
 # sum_k (-v)^k / (k! (k + 2)); nine terms reach double precision there.
 _Q_SMALL = 0.05
 _Q_SERIES = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in range(9))
-_LOG2 = math.log(2.0)
-_NORMAL = sys.float_info.min  # the smallest positive normal float
 
 
 @functools.cache
@@ -187,12 +181,7 @@ def _strip_integral(cfg: SystemConfig, reach: float, where: str) -> float:
     # asinh(reach / height), kept as the quotient reach^2 / (reach * height):
     # the plain one differs from it in the last bit for about one (reach,
     # height) pair in nine, which would move the MODEL_A outages by an ulp.
-    # Where either product leaves the normal range, the plain one it is.
-    square, area = reach * reach, reach * height
-    if _NORMAL <= square < math.inf and _NORMAL <= area < math.inf:
-        span = math.asinh(square / area)
-    else:
-        span = math.asinh(reach / height)
+    span = math.asinh(reach * reach / (reach * height))
     if phi > 0.0:
         span = min(span, math.acosh(
             (max(phi * height, 1.0) + _DECAY) / (phi * height)))
@@ -208,26 +197,19 @@ class OutageParams:
     r_target: float
 
     def __post_init__(self) -> None:
-        if not self.r_target > 0:
-            raise ValueError("r_target must be > 0")
+        _check_bound("r_target", self.r_target)
 
     @property
     def epsilon(self) -> float:
-        """SINR threshold 2**r_target - 1 (inf beyond the float range)."""
-        try:
-            return 2.0 ** self.r_target - 1.0
-        except OverflowError:
-            return math.inf
+        """SINR threshold 2**r_target - 1."""
+        return 2.0 ** self.r_target - 1.0
 
     @property
     def tau1(self) -> float:
-        """Maximum link distance that still meets the target rate (inf
-        where the SINR threshold rounds to 0)."""
+        """Maximum link distance that still meets the target rate."""
         cfg = self.cfg
-        floor = self.epsilon * cfg.noise_power
-        if floor == 0.0:
-            return math.inf
-        return math.sqrt(cfg.path_gain_factor * cfg.tx_power / floor)
+        return math.sqrt(cfg.path_gain_factor * cfg.tx_power
+                         / (self.epsilon * cfg.noise_power))
 
     @property
     def tau3(self) -> float:
@@ -265,15 +247,9 @@ def _pin_outage(cfg: SystemConfig, model: BlockageModel, reach: float,
         val = 1.0 - 2.0 * reach / cfg.d_w  # no blockage: out of range alone
     else:
         sqrt_phi = math.sqrt(cfg.phi)
-        den = 2.0 * sqrt_phi * cfg.d_w
-        if den >= _NORMAL:
-            val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2) * SQRT_PI / den
-                         * (2.0 * erf(sqrt_phi * reach)))
-        else:
-            # z = sqrt(phi) reach <= den / 4 is so small that
-            # erf(z) = 2 z / sqrt(pi) to double precision
-            val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2)
-                         * (2.0 * reach / cfg.d_w))
+        val = 1.0 - (math.exp(-cfg.phi * cfg.height ** 2) * SQRT_PI
+                     / (2.0 * sqrt_phi * cfg.d_w)
+                     * (2.0 * erf(sqrt_phi * reach)))
     return _check_probability(val, where)
 
 
@@ -297,50 +273,6 @@ def outage_pin_model_a_highsnr(p: OutageParams) -> float:
                        "outage_pin_model_a_highsnr")
 
 
-def _conv_edge(phi: float, height: float, c: float, other: float) -> tuple:
-    """One far edge of the conventional quadrant, at distance c from the
-    antenna and ``other`` long, for ``outage_conv_model_a_highsnr``:
-    (width, foot_ray, foot_weight, grow_ray, grow_weight).
-
-    The edge is integrated over s = lo + width * u, u in [0, 1]. There the
-    ray is R = foot_ray cosh(s - lo) + grow_ray e^(s - lo) = c cosh(s), and
-    width * R / other is the same with the weights.
-
-    The integrand peaks near the ray length R* = sqrt(2 height / phi +
-    1 / phi^2) at which v = 1, and falls like e^-|s - s*| on both sides,
-    so the window ends _WINDOW past s* (or past the foot, s = 0, where
-    R* <= c), or at the corner. It starts at the foot unless both the
-    corner and s* lie past s = 2 _WINDOW: there it starts _WINDOW before
-    s*, at lo, where cosh(s) = e^s / 2 to double precision, and the rays
-    are grow_ray e^(s - lo), as e^s could overflow. They are scaled from
-    the ray at the window's end, so that one ending at the corner ends on
-    its exact length.
-    """
-    x = other / c
-    if x <= 1.0:
-        # span / x -> 1 as x -> 0, also where x underflows
-        span = math.asinh(x)
-        return span, c, span / x if x > 0.0 else 1.0, 0.0, 0.0
-    log_x = math.log(other) - math.log(c)
-    span = math.asinh(x) if x < math.inf else _LOG2 + log_x
-    # log R* to within log(2) / 2 below it; s* lies within
-    # [log(R* / c), log(2 R* / c)] when R* > c
-    log_peak = 0.5 * (_LOG2 + max(math.log(2.0 * height) - math.log(phi),
-                                  -2.0 * math.log(phi))) - math.log(c)
-    lo = min(span, log_peak - 0.5 * _LOG2) - _WINDOW
-    if lo < _WINDOW:
-        lo = 0.0
-    hi = min(span, max(log_peak + _LOG2, 0.0) + _WINDOW)
-    width = hi - lo
-    if lo == 0.0:
-        return width, c, width / x, 0.0, 0.0
-    # the ray at hi, the corner's own where the window ends there
-    end = (math.hypot(c, other) if hi == span
-           else math.exp(math.log(c) + hi - _LOG2))
-    shrink = math.exp(-width)
-    return width, 0.0, 0.0, end * shrink, width * (end / other) * shrink
-
-
 def outage_conv_model_a_highsnr(p: OutageParams) -> float:
     """High-SNR conventional outage under MODEL_A, by one 1-D quadrature.
 
@@ -358,10 +290,9 @@ def outage_conv_model_a_highsnr(p: OutageParams) -> float:
     and o long, is parametrised as c sinh(s): the ray to that point has
     length R = c cosh(s) and subtends d(angle) = ds / cosh(s), so the
     edge's share of the quadrant's mass, divided by its area c o, is the
-    integral of (R / o) m(R) over s in [0, asinh(o / c)], or over the
-    window of it that ``_conv_edge`` keeps. The two edges are the trailing
-    integrands of one ``_integrate`` call. 0.0 at phi = 0, and 1.0 where
-    exp(-phi height) underflows or the outage rounds to 1, with no
+    integral of (R / o) m(R) over s in [0, asinh(o / c)]. The two edges
+    are the trailing integrands of one ``_integrate`` call. 0.0 at
+    phi = 0, and 1.0 where exp(-phi height) underflows, with no
     quadrature.
     """
     where = "outage_conv_model_a_highsnr"
@@ -371,18 +302,19 @@ def outage_conv_model_a_highsnr(p: OutageParams) -> float:
     if phi == 0.0:
         return 0.0
     scale = math.exp(-phi * height)
-    half_l, half_w = cfg.d_l / 2.0, cfg.d_w / 2.0
-    # The unblocked share is at most the mean of exp(-phi x) along the
-    # longer side, below 1 / (phi * that half-side): from 2^-54 on, the
-    # outage rounds to 1. Short of that, no v overflows.
-    if scale == 0.0 or phi * max(half_l, half_w) >= 2.0 ** 54:
+    if scale == 0.0:
         return 1.0
-    edges = (_conv_edge(phi, height, half_l, half_w),
-             _conv_edge(phi, height, half_w, half_l))
-    # one row per edge, so that each coefficient broadcasts along a row
-    width, foot_ray, foot_weight, grow_ray, grow_weight = np.array(
-        edges).T[:, :, None]
-    shifted = edges[0][3] > 0.0 or edges[1][3] > 0.0  # a window past a foot
+    half_l, half_w = cfg.d_l / 2.0, cfg.d_w / 2.0
+    # An edge c from the antenna and o long spans s in [0, asinh(x)],
+    # x = o / c; there its ray is c cosh(s), and R / o times the span is
+    # (span / x) cosh(s). One row per edge, so that each coefficient
+    # broadcasts along a row.
+    edges = []
+    for c, o in ((half_l, half_w), (half_w, half_l)):
+        x = o / c
+        span = math.asinh(x)
+        edges.append((span, c, span / x))
+    width, foot_ray, foot_weight = np.array(edges).T[:, :, None]
     # v is smallest at the foot of the nearer edge
     near = min(half_l, half_w)
     foot_v = phi * near * (near / (math.hypot(near, height) + height))
@@ -390,14 +322,9 @@ def outage_conv_model_a_highsnr(p: OutageParams) -> float:
     gain = 1.0 + phi * height
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        w = width * u
-        grow = np.cosh(w)
+        grow = np.cosh(width * u)
         ray = grow * foot_ray
         weight = grow * foot_weight
-        if shifted:
-            np.exp(w, out=grow)
-            ray += grow * grow_ray
-            weight += grow * grow_weight
         den = np.hypot(ray, height)
         den += height
         rise = ray / den
@@ -483,8 +410,7 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
     Half the triangular-averaged probability that the cross-waveguide link is
     blocked, with both users pinned under their waveguides:
     1/2 - E_z[exp(-phi (z^2 + tau4))] / 2 where z = x_1 - x_2 and
-    tau4 = (beta_1 - beta_2)^2 + height^2. A square past the float range
-    is not formed: phi times it is, and the bracket then tends to 1/2.
+    tau4 = (beta_1 - beta_2)^2 + height^2.
     """
     if cfg.num_users != 2:
         raise ValueError("the two-user analysis requires num_users == 2")
@@ -494,10 +420,7 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
     beta1, beta2 = waveguide_y_offsets(cfg).tolist()
     phi = cfg.phi
     d_l = cfg.d_l
-    try:
-        decay = phi * ((beta1 - beta2) ** 2 + cfg.height ** 2)
-    except OverflowError:
-        decay = phi * (beta1 - beta2) * (beta1 - beta2) + phi * cfg.height ** 2
+    decay = phi * ((beta1 - beta2) ** 2 + cfg.height ** 2)
     x = phi * d_l * d_l
     if x < 0.1:
         # 1/2 - exp(-phi tau4) E / 2, E = E_z[exp(-phi z^2)], cancels here,
@@ -509,11 +432,8 @@ def two_user_cross_blockage_factor(cfg: SystemConfig) -> float:
             gap += 2.0 * term / ((2 * k + 1) * (2 * k + 2))
         return 0.5 * (math.exp(-decay) * gap - math.expm1(-decay))
     sqrt_phi = math.sqrt(phi)
-    try:
-        tail = (math.exp(-decay) / (2.0 * phi * d_l ** 2)
-                * (1.0 - math.exp(-phi * d_l ** 2)))
-    except OverflowError:
-        tail = math.exp(-decay) / (2.0 * x) * (1.0 - math.exp(-x))
+    tail = (math.exp(-decay) / (2.0 * phi * d_l ** 2)
+            * (1.0 - math.exp(-phi * d_l ** 2)))
     return (0.5
             - math.exp(-decay) / d_l * SQRT_PI / (2.0 * sqrt_phi)
             * erf(sqrt_phi * d_l)
@@ -526,8 +446,7 @@ def ergodic_pin_two_user_highsnr(cfg: SystemConfig) -> float:
     Keeps the dominant blockage pattern (own link clear, cross link blocked),
     where user 1 sees the interference-free rate at the minimum distance
     ``height``. Requires MODEL_B; the phi -> 0 limit is 0 because the cross
-    link is then never blocked. An SNR past the float's normal range is
-    taken in logs, so a pattern of probability 0 gives 0.0.
+    link is then never blocked.
     """
     if cfg.num_users != 2:
         raise ValueError("the two-user analysis requires num_users == 2")
@@ -535,15 +454,7 @@ def ergodic_pin_two_user_highsnr(cfg: SystemConfig) -> float:
     if cfg.phi == 0.0:
         return 0.0
     noise = cfg.num_users * cfg.noise_power * cfg.height ** 2
-    snr = (cfg.path_gain_factor * cfg.tx_power / noise
-           if noise >= sys.float_info.min else math.inf)
-    if math.isfinite(snr):
-        rate_clear = math.log2(1.0 + snr)
-    else:
-        log_snr = (math.log2(cfg.path_gain_factor) + math.log2(cfg.tx_power)
-                   - math.log2(cfg.num_users) - math.log2(cfg.noise_power)
-                   - 2.0 * math.log2(cfg.height))
-        rate_clear = float(np.logaddexp2(0.0, log_snr))
+    rate_clear = math.log2(1.0 + cfg.path_gain_factor * cfg.tx_power / noise)
     return (2.0 * rate_clear * math.exp(-cfg.phi * cfg.height ** 2)
             * two_user_cross_blockage_factor(cfg))
 

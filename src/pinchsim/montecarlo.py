@@ -85,6 +85,7 @@ from .scenario import (
     MetricKind,
     Scheme,
     SystemConfig,
+    _check_bound,
     _place_users,
     dbm_to_watt,
     waveguide_y_offsets,
@@ -480,8 +481,8 @@ def sweep_inputs(cfg: SystemConfig, sweep_axis: SweepAxis, axis_values,
     outage = metric is MetricKind.OUTAGE
     if sweep_axis is SweepAxis.R_TARGET and not outage:
         raise ValueError("sweep_axis R_TARGET applies only to the OUTAGE metric")
-    if r_target is not None and not r_target > 0:
-        raise ValueError("r_target must be > 0")
+    if r_target is not None:
+        _check_bound("r_target", r_target)
     if outage and r_target is None and sweep_axis is not SweepAxis.R_TARGET:
         raise ValueError("r_target must be given for the OUTAGE metric "
                          "unless the axis is R_TARGET")

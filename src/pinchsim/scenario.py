@@ -60,15 +60,43 @@ def dbm_to_watt(dbm: float) -> float:
         return math.inf
 
 
+# The admitted box: (low, high, unit) of each float field of SystemConfig,
+# and of the target rate, which OutageParams and ``montecarlo.sweep_inputs``
+# check. It holds an indoor mmWave downlink with room to spare: areas from
+# 1 cm to 10 km a side, powers from -100 to 100 dBm transmitted and from
+# -200 to 0 dBm of noise (dbm_to_watt converts those edges exactly). A phi
+# of 0, no blockage, is admitted as well.
+_BOUNDS = {
+    "d_w": (1e-2, 1e4, "m"),
+    "d_l": (1e-2, 1e4, "m"),
+    "height": (1e-2, 1e3, "m"),
+    "carrier_freq": (1e8, 1e12, "Hz"),
+    "tx_power": (1e-13, 1e7, "W (-100 to 100 dBm)"),
+    "noise_power": (1e-23, 1e-3, "W (-200 to 0 dBm)"),
+    "phi": (1e-9, 1e3, "(1/m or 1/m^2), or 0"),
+    "waveguide_loss_db_per_m": (0.0, 1.0, "dB/m"),
+    "r_target": (1e-9, 1e3, "bits/s/Hz"),
+}
+
+
+def _check_bound(name: str, value: float) -> None:
+    """Raise ValueError, beginning with ``name``, unless ``value`` lies in
+    its row of _BOUNDS (edges included; nan and inf never do)."""
+    low, high, unit = _BOUNDS[name]
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low:g}, {high:g}] {unit}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All physical and deployment parameters, validated eagerly.
 
-    Powers are linear watts; frequencies in Hz; lengths in meters. Every
-    float field must be finite, and each error message begins with the name
-    of the offending field. Derived quantities (wavelength, free-space gain
-    constant) are pure functions of the fields, exposed as properties so
-    they can never drift.
+    Powers are linear watts; frequencies in Hz; lengths in meters. The
+    table _BOUNDS is the one gate of the float fields: each must lie in its
+    row (phi may also be 0), and each error message begins with the name
+    of the offending field. The kernels are written for that box alone.
+    Derived quantities (wavelength, free-space gain constant) are pure
+    functions of the fields, exposed as properties so they can never drift.
     """
 
     num_users: int
@@ -87,28 +115,10 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
-        positive = ("d_w", "d_l", "height", "carrier_freq", "noise_power",
-                    "tx_power")
-        for name in positive + ("phi", "waveguide_loss_db_per_m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        try:
-            gain = self.path_gain_factor
-        except (OverflowError, ZeroDivisionError):
-            gain = math.nan
-        if not 0 < gain < math.inf:
-            raise ValueError("carrier_freq must give a finite gain > 0")
-        h_sq = self.height * self.height
-        if not (0 < h_sq < math.inf and math.isfinite(gain / h_sq)):
-            raise ValueError("height must have a finite nonzero square and "
-                             "a finite gain at that distance")
-        if self.phi < 0:
-            raise ValueError("phi must be >= 0")
-        if self.waveguide_loss_db_per_m < 0:
-            raise ValueError("waveguide_loss_db_per_m must be >= 0")
+        for name in _BOUNDS:
+            # r_target is OutageParams' field; phi = 0 is no blockage
+            if name != "r_target" and not (name == "phi" and self.phi == 0.0):
+                _check_bound(name, getattr(self, name))
         if not isinstance(self.blockage_model, BlockageModel):
             raise TypeError("blockage_model must be a BlockageModel")
         if not isinstance(self.loss_case, LossCase):

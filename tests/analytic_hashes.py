@@ -8,22 +8,24 @@ values a change moves, bit for bit:
     diff old.txt new.txt
 
 ``pinchsim`` is imported from PYTHONPATH, so the script itself runs
-unchanged against any checkout. The grid is the corners of
+unchanged against any checkout. Every configuration lies in the box that
+``SystemConfig`` admits. The grid is the corners of
 ``tests/test_analytics.py``'s wide range (heights WIDE_HEIGHTS, phis
 WIDE_PHIS, strips and areas from 0.5 m to 1 km) plus configurations drawn
 from a fixed seed. Every outage function runs at targets that place the
 in-range half-width tau3 at 0, near 0, inside the strip, near its edge and
-clamped to it. Each line reads ``<function> <count> <sha256>`` and
-hashes the float64 bits of each value in order (a raised exception is
-hashed by its type and message). The two-user functions also run on each
-MODEL_B configuration at the tiny phis SMALL_PHIS, where the bracket's
-closed form cancels, on lines of their own (``<function> small_phi``),
-and on configs past the float range (``<function> past_float_range``).
-The conventional MODEL_A floor also runs on each MODEL_A configuration at
-the phis CONV_SMALL_PHIS, where its radial mass takes q(v) from a series
-(``outage_conv_model_a_highsnr small_phi``), and on the areas
-EXTREME_AREAS, up to aspect ratios past the float range, at the heights
-WIDE_HEIGHTS and the phis EXTREME_PHIS
+clamped to it, and at FIXED_TARGETS, from the box's least target to its
+largest. Each line reads ``<function> <count> <sha256>`` and hashes the
+float64 bits of each value in order (a raised exception is hashed by its
+type and message). The two-user functions also run on each MODEL_B
+configuration at the small phis SMALL_PHIS, down to the box's least,
+where the bracket's closed form cancels, on lines of their own
+(``<function> small_phi``), and on configs at the box's corners
+(``<function> box_corner``). The conventional MODEL_A floor also runs on
+each MODEL_A configuration at the phis CONV_SMALL_PHIS, where its radial
+mass takes q(v) from a series (``outage_conv_model_a_highsnr
+small_phi``), and on the areas EXTREME_AREAS, up to the box's aspect
+ratio of 1e6, at the heights WIDE_HEIGHTS and the phis EXTREME_PHIS
 (``outage_conv_model_a_highsnr extreme_aspect``).
 ``ergodic_conv_highsnr`` runs up to M = 32 users, where its integrand is
 evaluated in several batches of links. The file is not named ``test_*``,
@@ -63,21 +65,21 @@ WIDE_PHIS = (0.0, 0.1, 5.0)
 WIDE_AREAS = ((0.5, 1000.0), (10.0, 40.0), (200.0, 1.0))  # (d_w, d_l)
 # tau3 as a fraction of d_w / 2; 0 is the edge of certain outage.
 TAU3_FRACTIONS = (0.0, 1e-9, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0)
-FIXED_TARGETS = (1e-300, 1e-16, 1e-3, 2.0, 7.0, 9.2, 14.0, 1030.0)
-SMALL_PHIS = (1e-18, 1e-14, 1e-10)
-CONV_SMALL_PHIS = SMALL_PHIS + (1e-6, 1e-3)
-# (d_w, d_l) from a strip 2000 times longer than wide to one 1e600 times
-EXTREME_AREAS = ((1e-3, 2.0), (400.0, 2.0), (1e-9, 1e9), (1e9, 1e-9),
-                 (1e150, 1e-150), (1e-300, 1e300))
-EXTREME_PHIS = (1e-299, 1e-148, 1e-3, 0.1, 5.0, 1e3)
-# Two-user configs past the float range: a square of d_l or of the
-# waveguide spacing, an infinite SNR against a zero LoS probability, and
-# an SNR beyond the float range, each on fig4's geometry at 10 dBm.
-PAST_FLOAT_RANGE = (dict(d_l=1e200), dict(d_w=1e160),
-                    dict(d_w=1e-300, d_l=1e154, height=1e-8, phi=1e300,
-                         tx_power=10.0 ** 300.0),
-                    dict(d_w=1e8, d_l=1e8, height=1e-150, phi=1e-12,
-                         tx_power=1e300))
+FIXED_TARGETS = (1e-9, 1e-6, 1e-3, 2.0, 7.0, 9.2, 14.0, 1e3)
+SMALL_PHIS = (1e-9, 1e-8, 1e-6)
+CONV_SMALL_PHIS = SMALL_PHIS + (1e-4, 1e-3)
+# (d_w, d_l) from a strip 200 times longer than wide to one 1e6 times, and
+# the box's smallest and largest squares
+EXTREME_AREAS = ((1e-2, 2.0), (400.0, 2.0), (1e-2, 1e4), (1e4, 1e-2),
+                 (1e-2, 1e-2), (1e4, 1e4))
+EXTREME_PHIS = (1e-9, 1e-6, 1e-3, 0.1, 5.0, 1e3)
+# Two-user configs at the box's corners, on fig4's geometry at 10 dBm
+# where a field is not set: its longest and widest areas, its largest phi
+# at its largest power, and its least phi at its largest SNR.
+BOX_CORNERS = (dict(d_l=1e4), dict(d_w=1e4),
+               dict(d_w=1e-2, d_l=1e4, height=1e-2, phi=1e3, tx_power=1e7),
+               dict(d_w=1e4, d_l=1e4, height=1e-2, phi=1e-9, tx_power=1e7,
+                    noise_power=1e-23))
 MULTI_USER = ((2, 10.0, 40.0, False), (3, 12.0, 30.0, False),
               (5, 10.0, 10.0, False), (3, 12.0, 30.0, True),
               (16, 10.0, 40.0, False), (17, 10.0, 40.0, False),
@@ -172,10 +174,10 @@ def main() -> None:
     fig4 = SystemConfig(num_users=2, d_w=10.0, d_l=40.0, tx_power=0.01,
                         phi=0.1, blockage_model=BlockageModel.MODEL_B,
                         constrain_under_waveguide=True)
-    for fields in PAST_FLOAT_RANGE:
+    for fields in BOX_CORNERS:
         for fn in (two_user_cross_blockage_factor,
                    ergodic_pin_two_user_highsnr):
-            record(f"{fn.__name__} past_float_range",
+            record(f"{fn.__name__} box_corner",
                    evaluate(fn, replace(fig4, **fields)))
     for (d_w, d_l), height, phi in itertools.product(
             EXTREME_AREAS, WIDE_HEIGHTS, EXTREME_PHIS):

@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -156,13 +157,21 @@ class TestNonFiniteValues:
         with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
             parse_config(manual_doc(*lines))
 
+    TX = "system.tx_power_dbm: must be in [1e-13, 1e+07] W (-100 to 100 dBm)"
+    NOISE = "system.noise_dbm: must be in [1e-23, 0.001] W (-200 to 0 dBm)"
+
     @pytest.mark.parametrize("line, message", [
         # 10 ** 397 W overflows a float; 10 ** -403 W underflows to 0
-        ("system.tx_power_dbm = 4000", "system.tx_power_dbm: must be finite"),
-        ("system.noise_dbm = -4000", "system.noise_dbm: must be > 0"),
+        ("system.tx_power_dbm = 4000", TX),
+        ("system.noise_dbm = -4000", NOISE),
+        # just past the box's edges
+        ("system.tx_power_dbm = 100.000000001", TX),
+        ("system.tx_power_dbm = -100.000000001", TX),
+        ("system.noise_dbm = 0.000000001", NOISE),
+        ("system.noise_dbm = -200.000000001", NOISE),
     ])
     def test_dbm_beyond_the_float_range_is_named(self, line, message):
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(manual_doc(line))
 
 
@@ -343,22 +352,23 @@ def _tokens(enum_cls):
 KEY_DOMAINS = {
     "preset": _tokens(Preset),
     "system.num_users": st.integers(1, 16).map(str),
-    "system.d_w": _num(1e-3, 1e4),
-    "system.d_l": _num(1e-3, 1e4),
-    "system.height": _num(1e-3, 1e3),
-    "system.carrier_freq_hz": _num(1e6, 1e12),
-    "system.noise_dbm": _num(-200.0, 100.0),
-    "system.tx_power_dbm": _num(-200.0, 200.0),
+    "system.d_w": _num(1e-2, 1e4),
+    "system.d_l": _num(1e-2, 1e4),
+    "system.height": _num(1e-2, 1e3),
+    "system.carrier_freq_hz": _num(1e8, 1e12),
+    "system.noise_dbm": _num(-200.0, 0.0),
+    "system.tx_power_dbm": _num(-100.0, 100.0),
     "system.blockage_model": _tokens(BlockageModel),
-    "system.phi": _num(0.0, 10.0),
+    "system.phi": st.just("0.0") | _num(1e-9, 1e3),
     "system.loss_case": _tokens(LossCase),
-    "system.waveguide_loss_db_per_m": _num(0.0, 10.0),
+    "system.waveguide_loss_db_per_m": _num(0.0, 1.0),
     "system.constrain_under_waveguide": st.sampled_from(["true", "false"]),
     "run.schemes": st.lists(_tokens(Scheme), min_size=1,
                             max_size=4).map(", ".join),
     "run.metric": _tokens(MetricKind),
     "run.sweep_axis": _tokens(SweepAxis),
-    "run.axis_values": st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5,
+    "run.axis_values": st.lists(st.floats(-100.0, 100.0), min_size=1,
+                                max_size=5,
                                 unique=True).map(
         lambda v: ", ".join(repr(x) for x in sorted(v))),
     "run.r_target": _num(1e-6, 50.0),
@@ -371,8 +381,9 @@ KEY_DOMAINS = {
 }
 
 
-# Sweep values each axis admits; KEY_DOMAINS has the TX_POWER_DBM ones.
-POSITIVE_AXIS_VALUES = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5,
+# Sweep values the D_L and R_TARGET axes admit; KEY_DOMAINS has the
+# TX_POWER_DBM ones.
+POSITIVE_AXIS_VALUES = st.lists(st.floats(1e-2, 1e3), min_size=1, max_size=5,
                                 unique=True).map(
     lambda v: ", ".join(repr(x) for x in sorted(v)))
 
@@ -412,12 +423,25 @@ OUT_OF_DOMAIN_RUN = st.one_of(
                                "run.sweep_axis": axis,
                                "run.axis_values": f"{v!r}, 1000.5"},
               st.sampled_from(["D_L", "R_TARGET"]), st.floats(-1e3, 0.0)),
-    # 10 ** ((v - 30) / 10) W overflows a float
+    # past the box's longest area or largest target
+    st.builds(lambda axis, v: {"run.metric": "OUTAGE", "run.r_target": "5",
+                               "run.sweep_axis": axis,
+                               "run.axis_values": f"1.5, {v!r}"},
+              st.sampled_from(["D_L", "R_TARGET"]),
+              st.floats(1e4, 1e300, exclude_min=True)),
+    # past -100 or 100 dBm (from 3083 dBm on, 10 ** ((v - 30) / 10) W
+    # overflows a float)
     st.builds(lambda v: {"run.r_target": "5", "run.sweep_axis": "TX_POWER_DBM",
-                         "run.axis_values": f"10.0, {v!r}"},
-              st.floats(3200.0, 1e300)),
+                         "run.axis_values": f"-100.0, {v!r}"},
+              st.floats(100.0, 1e300, exclude_min=True)),
+    st.builds(lambda v: {"run.r_target": "5", "run.sweep_axis": "TX_POWER_DBM",
+                         "run.axis_values": f"{v!r}, 100.0"},
+              st.floats(-1e300, -100.0, exclude_max=True)),
     st.builds(lambda metric, r: {"run.metric": metric, "run.r_target": r},
-              _tokens(MetricKind), st.just(None) | _num(-1e3, 0.0)),
+              _tokens(MetricKind),
+              st.just(None) | _num(-1e3, 0.0)
+              | st.floats(0.0, 1e-9, exclude_max=True).map(repr)
+              | st.floats(1e3, 1e300, exclude_min=True).map(repr)),
     st.builds(lambda metric: {"run.metric": metric, "run.sweep_axis": "R_TARGET",
                               "run.axis_values": "1.5, 2.5"},
               st.sampled_from(["ERGODIC_SUM", "ERGODIC_PER_USER"])),
@@ -743,6 +767,55 @@ class TestMainEntryPoint:
         assert all(int(r["seed"]) == 3 for r in rows)
         assert str(out_path) in capsys.readouterr().out
 
+    # Each bounded key: its two edges, then a value just past each (for the
+    # dBm keys, far enough past that its watts leave the box too).
+    BOX_KEYS = [
+        ("system.d_w", "0.01", "10000", "0.009999999999999998",
+         "10000.000000000002"),
+        ("system.d_l", "0.01", "10000", "0.009999999999999998",
+         "10000.000000000002"),
+        ("system.height", "0.01", "1000", "0.009999999999999998",
+         "1000.0000000000001"),
+        ("system.carrier_freq_hz", "1e8", "1e12", "99999999.99999999",
+         "1000000000000.0001"),
+        ("system.tx_power_dbm", "-100", "100", "-100.000000001",
+         "100.000000001"),
+        ("system.noise_dbm", "-200", "0", "-200.000000001", "0.000000001"),
+        ("system.phi", "1e-9", "1000", "9.999999999999999e-10",
+         "1000.0000000000001"),
+        ("system.waveguide_loss_db_per_m", "0", "1", "-5e-324",
+         "1.0000000000000002"),
+        ("run.r_target", "1e-9", "1000", "9.999999999999999e-10",
+         "1000.0000000000001"),
+    ]
+
+    @pytest.mark.parametrize("key, low, high, below, above", BOX_KEYS,
+                             ids=[k[0] for k in BOX_KEYS])
+    def test_box_edges_run_and_values_past_them_are_one_line(
+            self, tmp_path, capsys, key, low, high, below, above):
+        cfg_path = tmp_path / "exp.cfg"
+
+        def doc(value, out):
+            lines = {"run.metric": "OUTAGE", "run.r_target": "5",
+                     "run.n_trials": "64", key: value}
+            return manual_doc(*(f"{k} = {v}" for k, v in lines.items()),
+                              out=out)
+
+        for value in (low, high):
+            out = tmp_path / f"edge{value}.csv"
+            cfg_path.write_text(doc(value, out))
+            assert main(["simulate", str(cfg_path)]) == 0
+            assert capsys.readouterr().err == ""
+            out.unlink()
+            out.with_name(f"{out.name}.config").unlink()
+        for value in (below, above):
+            cfg_path.write_text(doc(value, tmp_path / "r.csv"))
+            assert main(["simulate", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key}: must be in ["), err
+            assert err.count("\n") == 1
+            assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
     def test_figure_subcommand(self, tmp_path):
         rc = main(["figure", "fig3a", "--out", str(tmp_path), "--trials", "300"])
         assert rc == 0
@@ -802,10 +875,14 @@ class TestMainEntryPoint:
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     @pytest.mark.parametrize("axis, values, message", [
-        ("D_L", (-5.0, 10.0), "at D_L = -5.0: d_l must be > 0"),
-        ("R_TARGET", (0.0, 5.0), "at R_TARGET = 0.0: r_target must be > 0"),
-        ("TX_POWER_DBM", (10.0, 4000.0),
-         "at TX_POWER_DBM = 4000.0: tx_power must be finite"),
+        ("D_L", (10.0, 10000.000000000002),
+         "at D_L = 10000.000000000002: d_l must be in [0.01, 10000] m"),
+        ("R_TARGET", (9.999999999999999e-10, 5.0),
+         "at R_TARGET = 9.999999999999999e-10: r_target must be in "
+         "[1e-09, 1000] bits/s/Hz"),
+        ("TX_POWER_DBM", (10.0, 100.000000001),
+         "at TX_POWER_DBM = 100.000000001: tx_power must be in "
+         "[1e-13, 1e+07] W (-100 to 100 dBm)"),
     ], ids=["D_L", "R_TARGET", "TX_POWER_DBM"])
     @pytest.mark.parametrize("command", ["simulate", "figure"])
     def test_axis_value_out_of_its_domain_fails_before_any_run(
@@ -837,8 +914,9 @@ class TestMainEntryPoint:
             ["exp.cfg"] if command == "simulate" else [])
         assert not out_dir.exists()
 
-    # The free-space gain or the gain at distance height beyond the float
-    # range: 1e300 Hz and heights of 1e300 and 1e160 m raised an unnamed
+    # Values far past the box, which it now rejects, where the free-space
+    # gain or the gain at distance height left the float range before the
+    # box: 1e300 Hz and heights of 1e300 and 1e160 m raised an unnamed
     # "(34, 'Numerical result out of range')", 1e-300 Hz a division by zero,
     # and 1e-160 Hz and a height of 1e-200 m ran on NaN rates, the outage
     # reading 0.0, with RuntimeWarnings (which this suite makes errors).
@@ -877,13 +955,13 @@ class TestMainEntryPoint:
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
-    # fig4-shaped runs whose two-user analytic squared d_l or the waveguide
-    # spacing past the float range and exited 1 with "(34, 'Numerical
-    # result out of range')"
-    @pytest.mark.parametrize("line", ["system.d_l = 1e200",
-                                      "system.d_w = 1e160"])
-    def test_two_user_analytic_past_the_float_range_runs(self, tmp_path,
-                                                         line):
+    # fig4-shaped runs at the box's longest and widest areas, where past
+    # the float range the two-user analytic squared d_l or the waveguide
+    # spacing and exited 1 with "(34, 'Numerical result out of range')"
+    @pytest.mark.parametrize("line", ["system.d_l = 1e4",
+                                      "system.d_w = 1e4"])
+    def test_two_user_analytic_at_the_box_corners_runs(self, tmp_path,
+                                                       line):
         cfg_path = tmp_path / "exp.cfg"
         out = tmp_path / "r.csv"
         cfg_path.write_text(manual_doc(
@@ -944,42 +1022,43 @@ class TestMainEntryPoint:
         assert [p.name for p in tmp_path.iterdir()] == (
             ["exp.cfg"] if command == "simulate" else [])
 
-    def test_target_beyond_the_float_range_is_certain_outage(
+    def test_target_at_the_top_of_the_box_is_certain_outage(
             self, tmp_path, capsys):
-        # 2**2000 overflows a float; every rate is then in outage
+        # 1000 bits/s/Hz, the box's largest target: every rate is in outage
         cfg_path = tmp_path / "exp.cfg"
         out = tmp_path / "r.csv"
         cfg_path.write_text(manual_doc(
             "system.num_users = 1", "system.blockage_model = MODEL_B",
             "run.metric = OUTAGE", "run.sweep_axis = R_TARGET",
-            "run.axis_values = 5, 2000", "run.n_trials = 500", out=out))
+            "run.axis_values = 5, 1000", "run.n_trials = 500", out=out))
         assert main(["simulate", str(cfg_path)]) == 0
         assert capsys.readouterr().err == ""
         rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
-        at_2000 = {(r["scheme"], r["provenance"]): float(r["value"])
-                   for r in rows if float(r["axis_value"]) == 2000.0}
+        at_1000 = {(r["scheme"], r["provenance"]): float(r["value"])
+                   for r in rows if float(r["axis_value"]) == 1000.0}
         # CONV's closed form is a high-SNR floor, which ignores the target
-        assert {k: v for k, v in at_2000.items()
+        assert {k: v for k, v in at_1000.items()
                 if k != ("CONV", "CLOSED_FORM")} == {
             ("PIN_D2", "SIMULATED"): 1.0, ("PIN_D2", "CLOSED_FORM"): 1.0,
             ("CONV", "SIMULATED"): 1.0}
 
     def test_vanishing_target_gives_the_high_snr_floor(self, tmp_path,
                                                        capsys):
-        # 2**1e-300 - 1 rounds to 0; the threshold is then unbounded
+        # at 1e-9, the box's least target, the threshold is far past the
+        # strip, so tau3 is clamped to it
         cfg_path = tmp_path / "exp.cfg"
         out = tmp_path / "r.csv"
         cfg_path.write_text(manual_doc(
             "system.num_users = 1", "system.blockage_model = MODEL_B",
             "run.metric = OUTAGE", "run.sweep_axis = R_TARGET",
-            "run.axis_values = 1e-300, 5", "run.n_trials = 500", out=out))
+            "run.axis_values = 1e-9, 5", "run.n_trials = 500", out=out))
         assert main(["simulate", str(cfg_path)]) == 0
         assert capsys.readouterr().err == ""
         rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
         assert len(rows) == 8
         system = parse_config(cfg_path.read_text()).system
         floor = analytics.outage_pin_model_b_highsnr(
-            analytics.OutageParams(cfg=system, r_target=1e-300))
+            analytics.OutageParams(cfg=system, r_target=1e-9))
         assert [float(r["value"]) for r in rows
                 if r["scheme"] == "PIN_D2"
                 and r["provenance"] == "CLOSED_FORM"] == [
@@ -1074,9 +1153,9 @@ class TestModuleEntryPoint:
         assert line.startswith("error: "), line
         assert "python -m pinchsim`" in line and "`pinchsim` script" in line
 
-    def test_non_finite_ergodic_estimate_is_an_error(self, tmp_path):
-        # 3100 dBm parses as finite watts, but P |h|^2 overflows, so the
-        # pinching rates sum to inf or nan at that sweep point
+    def test_power_past_the_box_is_an_error_before_any_trial(self, tmp_path):
+        # At 3100 dBm, P |h|^2 overflowed and the pinching rates summed to
+        # inf or nan; the box now rejects the point before any trial.
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(manual_doc(
             "run.schemes = PIN_D1, PIN_D2, CONV", "run.axis_values = 10, 3100",
@@ -1085,19 +1164,19 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "pinchsim", "simulate", str(cfg_path)],
             capture_output=True, text=True, env=_env_with_src(), timeout=300)
         assert proc.returncode == 1
-        # the one-line error is the whole of stderr: no overflow warnings
         (line,) = proc.stderr.splitlines()
-        assert line.startswith("error: TX_POWER_DBM = 3100.0: PIN_D"), line
-        assert "PIN_D1" in line or "PIN_D2" in line
+        assert line == ("error: run.axis_values: at TX_POWER_DBM = 3100.0: "
+                        "tx_power must be in [1e-13, 1e+07] W "
+                        "(-100 to 100 dBm)"), line
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
-    def test_overflowing_snr_outage_is_quiet_and_valid(self, tmp_path):
-        # the same overflow as above gives rates of +inf, which are not in
-        # outage, so an OUTAGE run succeeds without warnings
+    def test_outage_at_the_largest_power_is_quiet_and_valid(self, tmp_path):
+        # at 100 dBm, the box's largest power, an OUTAGE run of every
+        # scheme succeeds without warnings
         cfg_path = tmp_path / "exp.cfg"
         out = tmp_path / "r.csv"
         cfg_path.write_text(manual_doc(
-            "run.schemes = PIN_D1, PIN_D2, CONV", "run.axis_values = 10, 3100",
+            "run.schemes = PIN_D1, PIN_D2, CONV", "run.axis_values = 10, 100",
             "run.metric = OUTAGE", "run.r_target = 2", "run.n_trials = 64",
             out=out))
         proc = subprocess.run(

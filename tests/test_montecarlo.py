@@ -309,7 +309,7 @@ class TestConventionalGate:
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 17), model=st.sampled_from(list(BlockageModel)),
            loss=st.sampled_from(list(LossCase)), constrained=st.booleans(),
-           phi=st.floats(0.0, 1.0), n=st.integers(1, 64),
+           phi=st.just(0.0) | st.floats(1e-9, 1.0), n=st.integers(1, 64),
            sub_links=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32))
     def test_gated_rates_equal_the_dense_evaluation_anywhere(
             self, m, model, loss, constrained, phi, n, sub_links, seed):
@@ -385,7 +385,7 @@ class TestPinchingGate:
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 17), model=st.sampled_from(list(BlockageModel)),
            loss=st.sampled_from(list(LossCase)), constrained=st.booleans(),
-           phi=st.floats(0.0, 1.0), n=st.integers(1, 64),
+           phi=st.just(0.0) | st.floats(1e-9, 1.0), n=st.integers(1, 64),
            sub_links=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32))
     def test_gated_rates_equal_the_dense_evaluation_anywhere(
             self, m, model, loss, constrained, phi, n, sub_links, seed):
@@ -907,13 +907,12 @@ class TestCrossRouteFuzz:
     Z_FLOOR_II = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / K_II)
     # (config fields, dBm, r_target or None for tau1 = 2 heights) of the
     # edges: no blockage, a low height on a wide strip, a long strip on a
-    # short area, an SNR that overflows to +inf, and a target whose SINR
-    # threshold 2^r - 1 rounds to 0
+    # short area, the box's largest power, and its least target
     EDGES = (({"phi": 0.0}, 20.0, None),
              ({"height": 0.05, "d_w": 20.0}, 20.0, None),
              ({"d_w": 400.0, "d_l": 2.0}, 20.0, None),
-             ({}, 3100.0, None),
-             ({}, 20.0, 1e-300))
+             ({}, 100.0, None),
+             ({}, 20.0, 1e-9))
 
     @staticmethod
     def target(cfg, k):
@@ -954,8 +953,7 @@ class TestCrossRouteFuzz:
     def edge_configs():
         """The EDGES, each under MODEL_A then MODEL_B, on a 10 x 40 m area
         with height 3 and phi 0.1 where a field is not set. A target left
-        None puts tau1 at 2 heights of that base at 20 dBm, so it stays
-        finite at 3100 dBm."""
+        None puts tau1 at 2 heights of that base at 20 dBm."""
         base = dict(num_users=1, d_w=10.0, d_l=40.0, height=3.0, phi=0.1,
                     tx_power=dbm_to_watt(20.0), noise_power=dbm_to_watt(-90.0),
                     blockage_model=BlockageModel.MODEL_A)
@@ -1160,7 +1158,7 @@ class TestConfidenceIntervals:
 
 class TestEstimateErgodic:
     def test_total_blockage_gives_zero_rate(self):
-        cfg = make_cfg(phi=1e6)
+        cfg = make_cfg(phi=1e3)
         ests = estimate_ergodic([Scheme.PIN_D2], cfg, 20000, 21)[0]
         assert ests[-1].value == 0.0
 
@@ -1206,13 +1204,14 @@ class TestEstimateErgodic:
         assert 0.0 < d1.value < 1.0
         assert d1 == estimate_outage([Scheme.PIN_D2], p, 20000, 11)[0]
 
-    def test_interference_survives_a_nanometre_height(self):
-        # M = 2 under the waveguides at h = 1e-8 m, where the own link is
-        # about 3e17 times the cross link: Design II keeps its interference,
-        # so it stays below zero forcing, and every rate of both its routes
-        # is within TestInterferenceAcrossHeights' bound of the cross-sum
+    def test_interference_survives_the_lowest_height(self):
+        # M = 2 under the waveguides at h = 1e-2 m, the box's lowest
+        # height, 20 m apart, where the own link is at least 4e6 > CANCEL
+        # times the cross link: Design II keeps its interference, so it
+        # stays below zero forcing, and every rate of both its routes is
+        # within TestInterferenceAcrossHeights' bound of the cross-sum
         # reference on the chunk's own placements
-        cfg = SystemConfig(num_users=2, d_w=10.0, d_l=40.0, height=1e-8,
+        cfg = SystemConfig(num_users=2, d_w=40.0, d_l=40.0, height=1e-2,
                            phi=0.0, tx_power=dbm_to_watt(40.0),
                            blockage_model=BlockageModel.MODEL_B,
                            constrain_under_waveguide=True)
@@ -1239,19 +1238,48 @@ class TestEstimateErgodic:
         assert bound > finite.value
         assert bound == pytest.approx(2.0, abs=0.02)
 
-    def test_non_finite_estimate_names_the_scheme_and_the_point(self):
-        # 3100 dBm is a finite power, but P |h|^2 overflows, so a Design II
-        # rate is +inf and the per-user total is not finite
-        cfg = make_cfg(num_users=2, tx_power=dbm_to_watt(3100.0))
+    def test_non_finite_total_is_named(self):
+        # no config in the box gives a rate that is not finite, so the
+        # reduction is fed such chunk totals directly
+        finite = ([1.0, 2.0], [1.0, 4.0], 3.0, 5.0)
+        for bad, message in (
+                (([math.inf, 2.0], [1.0, 4.0], 3.0, 5.0),
+                 "the ergodic rate of user 1 is not finite (total inf over "
+                 "10 trials)"),
+                (([1.0, 2.0], [1.0, math.nan], 3.0, 5.0),
+                 "the ergodic rate of user 2 is not finite (total 4.0 over "
+                 "10 trials)"),
+                (([1.0, 2.0], [1.0, 4.0], 3.0, math.inf),
+                 "the ergodic sum rate is not finite (total 6.0 over 10 "
+                 "trials)")):
+            with pytest.raises(ArithmeticError,
+                               match=f"^{re.escape('PIN_D1: ' + message)}$"):
+                montecarlo._ergodic_estimates([finite, bad], 10, "PIN_D1")
+
+    def test_non_finite_estimate_names_the_scheme_and_the_point(
+            self, monkeypatch):
+        # every chunk's user-1 total made +inf, as an overflowing rate
+        # would make it
+        sums = montecarlo._ergodic_sums
+
+        def overflowing(rates):
+            per_sum, per_sq, total, total_sq = sums(rates)
+            return [math.inf] + per_sum[1:], per_sq, total, total_sq
+
+        monkeypatch.setattr(montecarlo, "_ergodic_sums", overflowing)
+        cfg = make_cfg(num_users=2, tx_power=dbm_to_watt(100.0))
         schemes = [Scheme.PIN_D2, Scheme.CONV]
         message = ("PIN_D2: the ergodic rate of user 1 is not finite "
                    "(total inf over 100 trials)")
         with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
             estimate_ergodic(schemes, cfg, 100, 1)
         with pytest.raises(ArithmeticError, match="^" + re.escape(
-                f"TX_POWER_DBM = 3100.0: {message}") + "$"):
-            sweep(cfg, schemes, SweepAxis.TX_POWER_DBM, [10.0, 3100.0],
+                f"TX_POWER_DBM = 10.0: {message}") + "$"):
+            sweep(cfg, schemes, SweepAxis.TX_POWER_DBM, [10.0, 100.0],
                   MetricKind.ERGODIC_SUM, 100, 1)
+
+
+R_TARGET_BOX = "r_target must be in [1e-09, 1000] bits/s/Hz"
 
 
 class TestSweep:
@@ -1322,11 +1350,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis, metric, values, message", [
         (SweepAxis.D_L, MetricKind.ERGODIC_SUM, [10.0, 20.0, math.inf],
-         "axis_values at D_L = inf: d_l must be finite"),
+         "axis_values at D_L = inf: d_l must be in [0.01, 10000] m"),
         (SweepAxis.TX_POWER_DBM, MetricKind.OUTAGE, [10.0, 20.0, 4000.0],
-         "axis_values at TX_POWER_DBM = 4000.0: tx_power must be finite"),
+         "axis_values at TX_POWER_DBM = 4000.0: tx_power must be in "
+         "[1e-13, 1e+07] W (-100 to 100 dBm)"),
         (SweepAxis.R_TARGET, MetricKind.OUTAGE, [1.0, 2.0, math.nan],
-         "axis_values at R_TARGET = nan: r_target must be > 0"),
+         "axis_values at R_TARGET = nan: r_target must be in [1e-09, 1000] "
+         "bits/s/Hz"),
     ], ids=["D_L", "TX_POWER_DBM", "R_TARGET"])
     def test_bad_last_point_fails_before_any_estimate(
             self, monkeypatch, axis, metric, values, message):
@@ -1340,10 +1370,12 @@ class TestSweep:
     @pytest.mark.parametrize("r_target, metric, message", [
         (None, MetricKind.OUTAGE, "r_target must be given for the OUTAGE "
          "metric unless the axis is R_TARGET"),
-        (0.0, MetricKind.OUTAGE, "r_target must be > 0"),
-        (-1.0, MetricKind.OUTAGE, "r_target must be > 0"),
-        (-1.0, MetricKind.ERGODIC_SUM, "r_target must be > 0"),
-        (0.0, MetricKind.ERGODIC_PER_USER, "r_target must be > 0"),
+        (0.0, MetricKind.OUTAGE, R_TARGET_BOX),
+        (-1.0, MetricKind.OUTAGE, R_TARGET_BOX),
+        (-1.0, MetricKind.ERGODIC_SUM, R_TARGET_BOX),
+        (0.0, MetricKind.ERGODIC_PER_USER, R_TARGET_BOX),
+        (9.999999999999999e-10, MetricKind.OUTAGE, R_TARGET_BOX),
+        (1000.0000000000001, MetricKind.ERGODIC_SUM, R_TARGET_BOX),
     ])
     def test_fixed_target_checked_before_any_estimate(
             self, monkeypatch, r_target, metric, message):
@@ -1374,7 +1406,8 @@ class TestSmallRunProperties:
            loss=st.sampled_from(list(LossCase)),
            constrained=st.booleans(),
            d_w=st.floats(0.5, 50.0), d_l=st.floats(0.5, 500.0),
-           height=st.floats(0.01, 20.0), phi=st.floats(0.0, 2.0),
+           height=st.floats(0.01, 20.0),
+           phi=st.just(0.0) | st.floats(1e-9, 2.0),
            tx_power_dbm=st.floats(-30.0, 80.0),
            targets=st.lists(st.floats(1e-3, 40.0), min_size=2, max_size=2),
            seed=st.integers(0, 2 ** 32 - 1))

@@ -51,7 +51,7 @@ class TestSystemConfig:
                                        "noise_power", "tx_power",
                                        "phi", "waveguide_loss_db_per_m"])
     def test_non_finite_parameters_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        with pytest.raises(ValueError, match=f"^{field} must be in \\["):
             make_cfg(**{field: value})
 
     def test_bad_counts_and_phi_rejected(self):
@@ -60,9 +60,37 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_cfg(phi=-0.1)
         with pytest.raises(ValueError,
-                           match="^waveguide_loss_db_per_m must be >= 0$"):
+                           match="^waveguide_loss_db_per_m must be in "
+                                 "\\[0, 1\\] dB/m$"):
             make_cfg(waveguide_loss_db_per_m=-0.01)
 
+    # Each bounded field, its lower and upper edge. The power edges are
+    # -100 and 100 dBm transmitted, -200 and 0 dBm of noise.
+    BOX = [("d_w", 1e-2, 1e4), ("d_l", 1e-2, 1e4), ("height", 1e-2, 1e3),
+           ("carrier_freq", 1e8, 1e12), ("tx_power", 1e-13, 1e7),
+           ("noise_power", 1e-23, 1e-3), ("phi", 1e-9, 1e3),
+           ("waveguide_loss_db_per_m", 0.0, 1.0)]
+
+    @pytest.mark.parametrize("field, low, high", BOX)
+    def test_box_edges_admitted_and_values_past_them_rejected(
+            self, field, low, high):
+        for value in (low, high):
+            assert getattr(make_cfg(**{field: value}), field) == value
+        for value in (math.nextafter(low, -math.inf),
+                      math.nextafter(high, math.inf)):
+            with pytest.raises(ValueError, match=f"^{field} must be in "):
+                make_cfg(**{field: value})
+
+    def test_power_edges_convert_exactly(self):
+        assert (dbm_to_watt(-100.0), dbm_to_watt(100.0)) == (1e-13, 1e7)
+        assert (dbm_to_watt(-200.0), dbm_to_watt(0.0)) == (1e-23, 1e-3)
+
+    def test_phi_zero_admitted_below_its_floor(self):
+        assert make_cfg(phi=0.0).phi == 0.0
+        with pytest.raises(ValueError, match="^phi must be in .*, or 0$"):
+            make_cfg(phi=5e-324)
+
+    # Values the float-range gain checks rejected before the box did:
     # 1e300 Hz overflowed carrier_freq ** 2, 1e-300 Hz divided by zero and
     # 1e-160 Hz gave an infinite gain; a height of 1e-200 squares to zero,
     # 1e160 to inf, and at 1e-160 the gain at that distance is infinite
@@ -75,9 +103,9 @@ class TestSystemConfig:
             make_cfg(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("carrier_freq", 1e150), ("carrier_freq", 1e-100), ("height", 1e150),
-        ("height", 1e-150)])
-    def test_gains_within_the_float_range_admitted(self, field, value):
+        ("carrier_freq", 1e12), ("carrier_freq", 1e8), ("height", 1e3),
+        ("height", 1e-2)])
+    def test_gains_at_the_box_edges_admitted(self, field, value):
         cfg = make_cfg(**{field: value})
         assert 0.0 < cfg.path_gain_factor / (cfg.height * cfg.height) < math.inf
 

@@ -625,9 +625,10 @@ class TestSinrStepBitForBit:
 
 class TestInterferenceAcrossHeights:
     """Design II rates of both row routes and of the conventional array
-    against ``oracles.design2_rates_cross_sum``, for antennas down to 1 nm
-    above the floor, where a user under its waveguide has an own link up
-    to about 10^20 times stronger than its cross links.
+    against ``oracles.design2_rates_cross_sum``, for antennas down to 1 cm
+    above the floor, the box's lowest height, where a user under its
+    waveguide has an own link up to about 6e6 times stronger than its
+    cross links.
 
     REL_PER_USER was fixed before the first run. Where S P exceeds the
     denominator I P + M sigma^2 by more than CANCEL, the kernel sums the
@@ -641,14 +642,33 @@ class TestInterferenceAcrossHeights:
     N = 8
 
     @settings(max_examples=100, deadline=None)
-    @given(m=st.integers(2, 5), log_height=st.floats(-9.0, 1.0),
+    @given(m=st.integers(2, 5), log_height=st.floats(-2.0, 1.0),
            d_w=st.floats(0.5, 50.0), d_l=st.floats(1.0, 200.0),
            dbm=st.floats(-20.0, 40.0), loss=st.sampled_from(LossCase),
            constrained=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_rates_match_the_cross_sum_reference(
             self, m, log_height, d_w, d_l, dbm, loss, constrained, seed):
+        self.check(m, 10.0 ** log_height, d_w, d_l, dbm, loss, constrained,
+                   seed)
+
+    def test_lowest_height_takes_the_cross_branch(self, monkeypatch):
+        # At 1 cm under a 50 m wide area of two strips, a pinching own
+        # link is 6e6 > CANCEL times as strong as its cross link, so both
+        # row routes sum the cross gains themselves.
+        calls = []
+        cross_sums = transceiver._cross_sums
+
+        def counted(rows, own_col):
+            calls.append(len(rows))
+            return cross_sums(rows, own_col)
+
+        monkeypatch.setattr(transceiver, "_cross_sums", counted)
+        self.check(2, 1e-2, 50.0, 200.0, 40.0, LossCase.CASE_I, True, 7)
+        assert calls and min(calls) > 0, calls
+
+    def check(self, m, height, d_w, d_l, dbm, loss, constrained, seed):
         cfg = SystemConfig(num_users=m, d_w=d_w, d_l=d_l,
-                           height=10.0 ** log_height, phi=0.1,
+                           height=height, phi=0.1,
                            tx_power=dbm_to_watt(dbm),
                            noise_power=dbm_to_watt(-90.0),
                            blockage_model=BlockageModel.MODEL_B,

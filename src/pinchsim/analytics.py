@@ -9,19 +9,13 @@ functions; under MODEL_A the strip integral has no elementary antiderivative
 and is evaluated by adaptive composite Gauss-Legendre quadrature in numpy
 (``_integrate``), after the substitution y = height * sinh(t) that makes its
 integrand entire.
-
-``counterparts`` is the one table of which analytic stands beside each
-simulated row, and whether it is exact, a lower bound or an approximation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import Enum
 from math import erf
 
 import numpy as np
@@ -29,9 +23,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .scenario import (
     BlockageModel,
-    LossCase,
-    MetricKind,
-    Scheme,
     SystemConfig,
     _check_bound,
     waveguide_y_offsets,
@@ -260,8 +251,7 @@ def outage_pin_model_a(p: OutageParams) -> float:
     in-range interval [-tau3, tau3]. That mass is even in y, so the outage
     is 1 - (2/d_w) * the unblocked mass of [0, tau3], from one quadrature;
     at tau3 = d_w/2 it is the high-SNR floor, bit for bit, and at tau3 = 0
-    it is 1.0 without one. Which simulated rows it stands beside, and as
-    what, is ``counterparts``' table (README, "Analytic counterparts").
+    it is 1.0 without one.
     """
     return _pin_outage(p.cfg, _MODEL_A, p.tau3,
                        "outage_pin_model_a")
@@ -360,8 +350,7 @@ def outage_pin_model_b(p: OutageParams) -> float:
 
     The strip integral of exp(-phi y^2) becomes an error function, so no
     high-SNR approximation is needed; at tau3 = d_w/2 it is the floor, bit
-    for bit. Which simulated rows it stands beside, and as what, is
-    ``counterparts``' table (README, "Analytic counterparts").
+    for bit.
     """
     return _pin_outage(p.cfg, _MODEL_B, p.tau3,
                        "outage_pin_model_b")
@@ -464,92 +453,37 @@ def ergodic_conv_highsnr(cfg: SystemConfig) -> list[float]:
     user's bound, then their sum. Blockage drops out, as a user's elements
     share its indicator. User m's bound integrates x, and y over strip m
     unless ``constrain_under_waveguide``, of the estimators' own rate
-    routine, ``transceiver.conv_rates``, at unit power and no noise.
+    routine, ``transceiver.conv_rates``, at unit power and no noise. That
+    peaks under the elements, at x within (M - 1) lambda / 4 of the center
+    and y = 0, about sqrt(y^2 + height^2) wide, so x runs as +-height *
+    sinh(t) and y as height * sinh(t) (see ``_scaled_strip_integral``).
     """
     if cfg.num_users < 2:
         raise ValueError("the conventional rate bound needs num_users >= 2")
     where = "ergodic_conv_highsnr"
-    beta = waveguide_y_offsets(cfg)
+    height, beta = cfg.height, waveguide_y_offsets(cfg)
 
-    def rates(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # every user at x = d_l (u - 1/2) and at its own y along the last axis
-        x, y = np.broadcast_arrays(cfg.d_l * (u[..., None] - 0.5), y)
-        out = np.empty(x.size)
-        conv_rates(cfg, x, y, np.arange(x.size), 1.0, 0.0, out)
-        return out.reshape(x.shape)
+    def sinh_map(lo, hi, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # points height * sinh(t) of [lo, hi], t linear in u; mean weights
+        t_lo = np.arcsinh(lo / height)
+        t_span = np.arcsinh(hi / height) - t_lo
+        t = t_lo + t_span * u
+        return height * np.sinh(t), height * t_span / (hi - lo) * np.cosh(t)
+
+    def rates(u: np.ndarray, y: np.ndarray, y_weight=1.0) -> np.ndarray:
+        # mean of the users at +x and -x, x = sinh_map(0, d_l / 2, u), at y
+        x, x_weight = sinh_map(0.0, cfg.d_l / 2.0, u[:, None])
+        x, y = np.broadcast_arrays(x, y)
+        out = np.empty((2, x.size))
+        for sign, row in zip((x, -x), out):
+            conv_rates(cfg, sign, y, np.arange(x.size), 1.0, 0.0, row)
+        return (out[0] + out[1]).reshape(x.shape) * x_weight * y_weight / 2
 
     if cfg.constrain_under_waveguide:
         bounds = _integrate(lambda u: rates(u, beta), where).tolist()
     else:
+        half = cfg.strip_width / 2.0
         bounds = _integrate(lambda u: _integrate(lambda v: rates(
-            u, beta + cfg.strip_width * (v[:, None, None] - 0.5)), where),
+            u, *sinh_map(beta - half, beta + half, v[:, None, None])), where),
             where).tolist()
     return bounds + [math.fsum(bounds)]
-
-
-class Kind(Enum):
-    """What an analytic counterpart is to the quantity it stands beside."""
-
-    EXACT = "EXACT"    # the same quantity by another route
-    LOWER = "LOWER"    # a lower bound on it
-    APPROX = "APPROX"  # an approximation that bounds it on no known side
-
-
-def _floor(analytic, p: OutageParams, memo: dict) -> float:
-    """``analytic(p)`` for a high-SNR outage floor, which does not depend
-    on the target rate: evaluated once per (analytic, config) in ``memo``."""
-    key = (analytic, p.cfg)
-    if key not in memo:
-        memo[key] = analytic(p)
-    return memo[key]
-
-
-def counterparts(scheme: Scheme, metric: MetricKind,
-                 point: SystemConfig | OutageParams, memo: dict,
-                 source=None) -> Iterator[tuple[Kind, float]]:
-    """The analytic counterparts of a simulated sweep point's first
-    estimate, as (kind, value) pairs: the one table of them.
-
-    ``point`` is the point's estimator input from ``montecarlo.sweep_inputs``
-    and ``memo`` a dict kept for one run (see ``_floor``). The first pair
-    is the one the CLI writes as the point's CLOSED_FORM row; a check of
-    the simulation takes the tightest. Each value is evaluated when its
-    pair is read, so a caller that takes the first evaluates only that.
-    The analytics are read from ``source`` by name, this module by
-    default; the CLI passes its own, where the benchmark re-binds them to
-    time them.
-
-    A high-SNR floor is a lower bound, as a finite SNR only adds outage.
-    Waveguide loss (CASE_II) only lowers the pinching gains, so there an
-    outage exact for a lossless waveguide is a lower bound. Every outage
-    analytic spreads the user over its strip, so with users constrained
-    to the waveguide's center line an outage has no counterpart. A value
-    that is not finite raises ArithmeticError naming its analytic.
-    """
-    fns = source or sys.modules[__name__]
-    if metric is MetricKind.OUTAGE:
-        cfg = point.cfg
-        if cfg.num_users != 1 or cfg.constrain_under_waveguide:
-            return
-        model_a = cfg.blockage_model is _MODEL_A
-        exact = Kind.EXACT if cfg.loss_case is LossCase.CASE_I else Kind.LOWER
-        if scheme is Scheme.CONV:
-            yield Kind.LOWER, _floor(
-                fns.outage_conv_model_a_highsnr if model_a
-                else fns.outage_conv_model_b_highsnr, point, memo)
-        elif model_a:
-            yield Kind.LOWER, _floor(fns.outage_pin_model_a_highsnr, point,
-                                     memo)
-            yield exact, fns.outage_pin_model_a(point)
-        else:
-            yield exact, fns.outage_pin_model_b(point)
-    elif (scheme is Scheme.PIN_D2 and point.num_users == 2
-          and point.blockage_model is _MODEL_B
-          and point.constrain_under_waveguide):
-        rate = fns.ergodic_pin_two_user_highsnr(point)
-        if not math.isfinite(rate):
-            raise ArithmeticError(f"ergodic_pin_two_user_highsnr produced "
-                                  f"{rate}")
-        # The two users are mirror images, so the sum is twice user 1's rate.
-        yield Kind.APPROX, (2.0 * rate if metric is MetricKind.ERGODIC_SUM
-                            else rate)

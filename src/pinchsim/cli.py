@@ -6,6 +6,9 @@ converted to watts exactly once at parse time. Named presets bundle the
 deployment and sweep used by the reference figures; preset fields override
 manual fields, and the fully expanded effective configuration is echoed next
 to the results so every output is self-describing and re-parseable.
+
+``counterparts`` is the one table of which analytic stands beside each
+simulated row, and whether it is exact, a lower bound or an approximation.
 """
 
 from __future__ import annotations
@@ -18,15 +21,13 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-# The analytics that ``counterparts`` reads from this module, where the
-# benchmark re-binds them to time the CLI's calls.
 from .analytics import (
-    counterparts,
+    OutageParams,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
@@ -408,6 +409,70 @@ def _metric_label(kind: MetricKind, index: int) -> str:
     return kind.value
 
 
+class Kind(Enum):
+    """What an analytic counterpart is to the quantity it stands beside."""
+
+    EXACT = "EXACT"    # the same quantity by another route
+    LOWER = "LOWER"    # a lower bound on it
+    APPROX = "APPROX"  # an approximation that bounds it on no known side
+
+
+def _floor(analytic, p: OutageParams, memo: dict) -> float:
+    """``analytic(p)`` for a high-SNR outage floor, which does not depend
+    on the target rate: evaluated once per (analytic, config) in ``memo``."""
+    key = (analytic, p.cfg)
+    if key not in memo:
+        memo[key] = analytic(p)
+    return memo[key]
+
+
+def counterparts(scheme: Scheme, metric: MetricKind,
+                 point: SystemConfig | OutageParams,
+                 memo: dict) -> Iterator[tuple[Kind, float]]:
+    """The analytic counterparts of a simulated sweep point's first
+    estimate, as (kind, value) pairs: the one table of them.
+
+    ``point`` is the point's estimator input from ``montecarlo.sweep_inputs``
+    and ``memo`` a dict kept for one run (see ``_floor``). The first pair
+    is the one ``collect_rows`` writes as the point's CLOSED_FORM row; a
+    check of the simulation takes the tightest. Each value is evaluated
+    when its pair is read, so a caller that takes the first evaluates only
+    that.
+
+    A high-SNR floor is a lower bound, as a finite SNR only adds outage.
+    Waveguide loss (CASE_II) only lowers the pinching gains, so there an
+    outage exact for a lossless waveguide is a lower bound. Every outage
+    analytic spreads the user over its strip, so with users constrained
+    to the waveguide's center line an outage has no counterpart. A value
+    that is not finite raises ArithmeticError naming its analytic.
+    """
+    if metric is MetricKind.OUTAGE:
+        cfg = point.cfg
+        if cfg.num_users != 1 or cfg.constrain_under_waveguide:
+            return
+        model_a = cfg.blockage_model is BlockageModel.MODEL_A
+        exact = Kind.EXACT if cfg.loss_case is LossCase.CASE_I else Kind.LOWER
+        if scheme is Scheme.CONV:
+            yield Kind.LOWER, _floor(
+                outage_conv_model_a_highsnr if model_a
+                else outage_conv_model_b_highsnr, point, memo)
+        elif model_a:
+            yield Kind.LOWER, _floor(outage_pin_model_a_highsnr, point, memo)
+            yield exact, outage_pin_model_a(point)
+        else:
+            yield exact, outage_pin_model_b(point)
+    elif (scheme is Scheme.PIN_D2 and point.num_users == 2
+          and point.blockage_model is BlockageModel.MODEL_B
+          and point.constrain_under_waveguide):
+        rate = ergodic_pin_two_user_highsnr(point)
+        if not math.isfinite(rate):
+            raise ArithmeticError(f"ergodic_pin_two_user_highsnr produced "
+                                  f"{rate}")
+        # The two users are mirror images, so the sum is twice user 1's rate.
+        yield Kind.APPROX, (2.0 * rate if metric is MetricKind.ERGODIC_SUM
+                            else rate)
+
+
 def collect_rows(cfg: ExperimentConfig) -> list[dict]:
     """Run the configured sweep and return output rows in a frozen order.
 
@@ -430,7 +495,7 @@ def collect_rows(cfg: ExperimentConfig) -> list[dict]:
                                  est.ci_half_width, run.n_trials,
                                  Provenance.SIMULATED))
             first = (next(counterparts(scheme, run.metric, point_input,
-                                       memo, sys.modules[__name__]), None)
+                                       memo), None)
                      if run.analytics else None)
             if first is not None:
                 rows.append(_row(scheme, run, axis_value, 0, first[1], 0.0, 0,

@@ -52,10 +52,10 @@ COND_LIMIT = 1e12
 # (row_total - S) P + M sigma^2 at which the interference is read from the
 # row total. The subtraction loses about eps S, which moves the denominator
 # by about eps S P: past this ratio more than 2^-32 of it, and all of the
-# interference once S passes about 2^53 I, as when an own link of a 10 nm
-# antenna meets metre-long cross links. Such a user's cross gains are
-# summed instead. Below it, a lost interference moves no rate by more than
-# that, even where the noise dominates.
+# interference once S passes about 2^53 I. An own link 1 cm long beside
+# cross links 25 m long is about 6e6 times as strong, past CANCEL. Such a
+# user's cross gains are summed instead. Below it, a lost interference
+# moves no rate by more than that, even where the noise dominates.
 CANCEL = 2.0 ** 20
 
 # Links evaluated at once: conv_rates' rows of SUB_LINKS // M users and the

@@ -28,8 +28,10 @@ small_phi``), and on the areas EXTREME_AREAS, up to the box's aspect
 ratio of 1e6, at the heights WIDE_HEIGHTS and the phis EXTREME_PHIS
 (``outage_conv_model_a_highsnr extreme_aspect``).
 ``ergodic_conv_highsnr`` runs up to M = 32 users, where its integrand is
-evaluated in several batches of links. The file is not named ``test_*``,
-so pytest does not collect it.
+evaluated in several batches of links, and at M = 2 and 5 on the 32
+corners CONV_CORNERS of the box, where its integrand peaks sharply under
+the elements (``ergodic_conv_highsnr box_corner``). The file is not named
+``test_*``, so pytest does not collect it.
 """
 
 import hashlib
@@ -80,6 +82,9 @@ BOX_CORNERS = (dict(d_l=1e4), dict(d_w=1e4),
                dict(d_w=1e-2, d_l=1e4, height=1e-2, phi=1e3, tx_power=1e7),
                dict(d_w=1e4, d_l=1e4, height=1e-2, phi=1e-9, tx_power=1e7,
                     noise_power=1e-23))
+# (d_w, d_l, height, carrier, constrained) at the box's edges
+CONV_CORNERS = tuple(itertools.product((1e-2, 1e4), (1e-2, 1e4), (1e-2, 1e3),
+                                       (1e8, 1e12), (False, True)))
 MULTI_USER = ((2, 10.0, 40.0, False), (3, 12.0, 30.0, False),
               (5, 10.0, 10.0, False), (3, 12.0, 30.0, True),
               (16, 10.0, 40.0, False), (17, 10.0, 40.0, False),
@@ -192,6 +197,14 @@ def main() -> None:
                            phi=0.1, blockage_model=BlockageModel.MODEL_A,
                            constrain_under_waveguide=constrained)
         record("ergodic_conv_highsnr", evaluate(ergodic_conv_highsnr, cfg))
+    for m in (2, 5):
+        for d_w, d_l, height, carrier, constrained in CONV_CORNERS:
+            cfg = SystemConfig(num_users=m, d_w=d_w, d_l=d_l, tx_power=1.0,
+                               phi=0.1, height=height, carrier_freq=carrier,
+                               blockage_model=BlockageModel.MODEL_A,
+                               constrain_under_waveguide=constrained)
+            record("ergodic_conv_highsnr box_corner",
+                   evaluate(ergodic_conv_highsnr, cfg))
     for name, values in lines.items():
         print(f"{name} {len(values)} {digest(values)}")
 

@@ -281,25 +281,35 @@ def conv_rate_bound_mc(cfg: SystemConfig, n_trials: int,
             for c in columns.T]
 
 
-def conv_rate_bound_quadrature(cfg: SystemConfig) -> list[float]:
-    """High-SNR conventional rates E[log2(1 + S/I)] by scipy quadrature:
-    per user, then their sum.
+def _conv_elements_and_rate(cfg: SystemConfig):
+    """The x of each conventional element, and the high-SNR rate
+    log2(1 + S/I) of user u at (x, y).
 
-    User u at (x, y) sees element k of the half-wavelength array at
+    User u sees element k of the half-wavelength array at
     ((k - (M - 1) / 2) lambda / 2, 0, height) with power gain proportional
-    to 1 / r_uk^2, so S/I = r_uu^-2 / sum_{k != u} r_uk^-2. The mean is a
-    ``dblquad`` over x and the user's strip, or a ``quad`` over x alone
-    with the user on its waveguide's center line.
+    to 1 / r_uk^2, so S/I = r_uu^-2 / sum_{k != u} r_uk^-2.
     """
     lam, _ = _constants(cfg)
     m = cfg.num_users
     elem_x = [(k - (m - 1) / 2.0) * lam / 2.0 for k in range(m)]
-    half_l, half_s = cfg.d_l / 2.0, cfg.strip_width / 2.0
 
     def rate(u: int, x: float, y: float) -> float:
         inv = [1.0 / ((x - e) ** 2 + y * y + cfg.height ** 2) for e in elem_x]
         return math.log2(1.0 + inv[u] / math.fsum(inv[:u] + inv[u + 1:]))
 
+    return elem_x, rate
+
+
+def conv_rate_bound_quadrature(cfg: SystemConfig) -> list[float]:
+    """High-SNR conventional rates E[log2(1 + S/I)] by scipy quadrature:
+    per user, then their sum.
+
+    The mean of ``_conv_elements_and_rate``'s rate is a ``dblquad`` over
+    x and the user's strip, or a ``quad`` over x alone with the user on its
+    waveguide's center line.
+    """
+    _, rate = _conv_elements_and_rate(cfg)
+    half_l, half_s = cfg.d_l / 2.0, cfg.strip_width / 2.0
     bounds = []
     for u, center in enumerate(waveguide_centers(cfg)):
         if cfg.constrain_under_waveguide:
@@ -311,6 +321,54 @@ def conv_rate_bound_quadrature(cfg: SystemConfig) -> list[float]:
                              center - half_s, center + half_s, epsabs=0.0,
                              epsrel=1e-12)
             bounds.append(val / (cfg.d_l * cfg.strip_width))
+    return bounds + [math.fsum(bounds)]
+
+
+def _graded(peaks, reach: float, a: float, b: float) -> list[float] | None:
+    """Breakpoints inside (a, b) at each peak and at reach * 10^j on both
+    sides of it, j = 0, 1, ..., up to the interval's length."""
+    points = set()
+    for peak in peaks:
+        points.add(peak)
+        step = reach
+        while step <= b - a:
+            points.update((peak - step, peak + step))
+            step *= 10.0
+    return sorted(p for p in points if a < p < b) or None
+
+
+def conv_rate_bound_at_peaks(cfg: SystemConfig) -> list[float]:
+    """High-SNR conventional rates E[log2(1 + S/I)] by nested scipy
+    ``quad`` with breakpoints graded about the integrand's peaks: per user,
+    then their sum.
+
+    A user's rate peaks under the elements, at their x and y = 0, in
+    spikes about sqrt(y^2 + height^2) wide, which a Gauss-Kronrod rule over
+    a kilometre-long interval steps over. So the quadrature over x breaks
+    at each element's x and at height * 10^j on both sides of it, and the
+    one over the user's strip at y = 0 and at height * 10^j about it.
+    """
+    elem_x, rate = _conv_elements_and_rate(cfg)
+    half_l, half_s = cfg.d_l / 2.0, cfg.strip_width / 2.0
+    x_points = _graded(elem_x, cfg.height, -half_l, half_l)
+
+    def mean(f, a: float, b: float, points) -> float:
+        val, _ = quad(f, a, b, points=points, epsabs=0.0, epsrel=1e-13,
+                      limit=400)
+        return val / (b - a)
+
+    bounds = []
+    for u, center in enumerate(waveguide_centers(cfg)):
+        if cfg.constrain_under_waveguide:
+            def over_y(x, u=u, center=center):
+                return rate(u, x, center)
+        else:
+            lo, hi = center - half_s, center + half_s
+            y_points = _graded([0.0], cfg.height, lo, hi)
+
+            def over_y(x, u=u, lo=lo, hi=hi, y_points=y_points):
+                return mean(lambda y: rate(u, x, y), lo, hi, y_points)
+        bounds.append(mean(over_y, -half_l, half_l, x_points))
     return bounds + [math.fsum(bounds)]
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pinchsim import analytics, transceiver
+from pinchsim import analytics, cli, transceiver
 from pinchsim import (
     BlockageModel,
     MetricKind,
@@ -33,6 +33,7 @@ from pinchsim import (
     outage_pin_model_b_highsnr,
     two_user_cross_blockage_factor,
 )
+from pinchsim.cli import Kind, counterparts
 
 
 def make_cfg(model=BlockageModel.MODEL_A, **kw):
@@ -705,14 +706,14 @@ class TestTwoUserErgodic:
         assert math.isfinite(rate) and rate >= 0.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_counterpart_that_is_not_finite_is_named(self, value):
-        source = type("Source", (), {
-            "ergodic_pin_two_user_highsnr": staticmethod(lambda cfg: value)})
+    def test_counterpart_that_is_not_finite_is_named(self, value,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "ergodic_pin_two_user_highsnr",
+                            lambda cfg: value)
         with pytest.raises(ArithmeticError,
                            match="^ergodic_pin_two_user_highsnr produced "):
-            list(analytics.counterparts(Scheme.PIN_D2,
-                                        MetricKind.ERGODIC_PER_USER,
-                                        self.two_user_cfg(), {}, source))
+            list(counterparts(Scheme.PIN_D2, MetricKind.ERGODIC_PER_USER,
+                              self.two_user_cfg(), {}))
 
     def test_close_to_exact_constrained_expectation(self):
         # the approximation only drops the bounded both-links-clear term
@@ -773,6 +774,40 @@ class TestConvHighSnrBound:
                         replace(cfg, loss_case=LossCase.CASE_II)):
             assert ergodic_conv_highsnr(changed) == bounds
 
+    # The box's corners: strip and area 1 cm or 10 km, height 1 cm or 1 km,
+    # carrier 1e8 or 1e12 Hz, users spread or on their center lines.
+    BOX_CORNERS = [dict(d_w=d_w, d_l=d_l, height=h, carrier_freq=f,
+                        constrain_under_waveguide=c)
+                   for d_w, d_l, h, f, c in itertools.product(
+                       (1e-2, 1e4), (1e-2, 1e4), (1e-2, 1e3), (1e8, 1e12),
+                       (False, True))]
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_converges_at_every_box_corner(self, m):
+        for corner in self.BOX_CORNERS:
+            cfg = make_cfg(num_users=m, **corner)
+            bounds = ergodic_conv_highsnr(cfg)
+            assert len(bounds) == m + 1
+            assert all(math.isfinite(b) and b > 0.0 for b in bounds), corner
+            assert bounds[-1] == math.fsum(bounds[:-1]), corner
+
+    # 1 cm high elements on a 10 km axis: at 1e8 Hz a rule over the plain
+    # axis ran out of panels or took seconds; at 1e12 Hz it stepped over
+    # the peaks, 1.5e-4 m apart, and missed a 2.5e-10 rise above the far
+    # value 1, which a relative 1e-9 would not tell.
+    @pytest.mark.parametrize("corner", [
+        dict(d_w=1e-2, d_l=1e4, height=1e-2, carrier_freq=1e8),
+        dict(d_w=1e4, d_l=1e4, height=1e-2, carrier_freq=1e8),
+        dict(d_w=1e-2, d_l=1e4, height=1e-2, carrier_freq=1e12),
+        dict(d_w=1e-2, d_l=1e4, height=1e-2, carrier_freq=1e12,
+             constrain_under_waveguide=True),
+    ], ids=["narrow", "square", "narrow-1e12", "pinned-1e12"])
+    def test_matches_graded_scipy_quadrature_at_a_peaked_corner(self,
+                                                                 corner):
+        cfg = make_cfg(num_users=2, **corner)
+        assert ergodic_conv_highsnr(cfg) == pytest.approx(
+            oracles.conv_rate_bound_at_peaks(cfg), rel=1e-12, abs=0.0)
+
     def test_out_of_panels_names_the_caller(self, monkeypatch):
         monkeypatch.setattr(analytics, "_MAX_PANELS", 0)
         with pytest.raises(ArithmeticError,
@@ -814,10 +849,9 @@ A, B = BlockageModel.MODEL_A, BlockageModel.MODEL_B
 CASE_I, CASE_II = LossCase.CASE_I, LossCase.CASE_II
 OUT, PER, SUM = (MetricKind.OUTAGE, MetricKind.ERGODIC_PER_USER,
                  MetricKind.ERGODIC_SUM)
-EXACT, LOWER, APPROX = (analytics.Kind.EXACT, analytics.Kind.LOWER,
-                        analytics.Kind.APPROX)
+EXACT, LOWER, APPROX = Kind.EXACT, Kind.LOWER, Kind.APPROX
 
-# analytics.counterparts as it stands, cell by cell: (scheme, metric, M,
+# cli.counterparts as it stands, cell by cell: (scheme, metric, M,
 # blockage law, constrained, loss case) -> its (kind, analytic) pairs in
 # order. The first is the CLI's CLOSED_FORM row. A cell not listed has none,
 # among them every outage with users pinned under their waveguides, as every
@@ -873,7 +907,7 @@ class TestCounterpartTable:
     def test_each_cell_gives_todays_counterparts(self, cell):
         scheme, metric, *rest = cell
         point = table_point(metric, *rest)
-        got = list(analytics.counterparts(scheme, metric, point, {}))
+        got = list(counterparts(scheme, metric, point, {}))
         expected = [(kind, analytic(point))
                     for kind, analytic in COUNTERPARTS.get(cell, [])]
         assert got == expected

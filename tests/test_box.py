@@ -3,11 +3,10 @@
 Each example draws a config from the box of ``SystemConfig`` (every float
 field log-uniform between its edges, which hypothesis tries as well, phi
 also 0) and a target rate from its own bounds. Every public outage and
-two-user analytic, every row of ``analytics.counterparts`` and one small
-``_rates_chunk`` per scheme at M = 1, 2 and 5 must then give finite values
-in range, with no warning, as this suite makes warnings errors.
-``ergodic_conv_highsnr`` is left out: at a few of the box's corners one
-call takes seconds, and at some it runs out of panels.
+two-user analytic, the conventional rate bound at M = 2 and 5, every row
+of ``cli.counterparts`` and one small ``_rates_chunk`` per scheme at
+M = 1, 2 and 5 must then give finite values in range, with no warning, as
+this suite makes warnings errors.
 """
 
 import math
@@ -24,6 +23,7 @@ from pinchsim import (
     OutageParams,
     Scheme,
     SystemConfig,
+    ergodic_conv_highsnr,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
@@ -34,7 +34,7 @@ from pinchsim import (
     outage_pin_model_b_highsnr,
     two_user_cross_blockage_factor,
 )
-from pinchsim.analytics import counterparts
+from pinchsim.cli import counterparts
 from pinchsim.montecarlo import _rates_chunk, chunk_generator
 
 
@@ -84,6 +84,10 @@ def test_every_route_is_finite_and_in_range_across_the_box(cfg, r_target,
         assert math.isfinite(rate) and rate >= 0.0, rate
     for fn in outages:
         assert_probability(fn(p), fn.__name__)
+    for m in (2, 5):
+        bounds = ergodic_conv_highsnr(replace(cfg, num_users=m))
+        assert all(math.isfinite(b) and b > 0.0 for b in bounds), (m, bounds)
+        assert bounds[-1] == math.fsum(bounds[:-1]), (m, bounds)
     for scheme in Scheme:
         for metric in MetricKind:
             point = p if metric is MetricKind.OUTAGE else two

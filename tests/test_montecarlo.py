@@ -41,7 +41,7 @@ from pinchsim import (
     sweep,
 )
 from pinchsim import analytics, montecarlo, transceiver
-from pinchsim.analytics import Kind, counterparts
+from pinchsim.cli import Kind, counterparts
 from pinchsim.channel import (
     center_distances_sq,
     conv_distances_sq,
@@ -885,7 +885,7 @@ class TestOwnLinkRouteCheck:
 class TestCrossRouteFuzz:
     """The two routes across the admitted config range, at M = 1: the
     PIN_D2 and CONV outage estimates of one call, each against the
-    tightest of its counterparts in ``analytics.counterparts``' table. An
+    tightest of its counterparts in ``cli.counterparts``' table. An
     EXACT counterpart is checked two-sided and a LOWER one one-sided, as
     a finite SNR and waveguide loss only add outage. The CASE_I family is
     K configs drawn from a fixed seed, then EDGES under both laws; the

@@ -8,7 +8,6 @@ so the two routes can cross-validate each other.
 """
 
 from .analytics import (
-    OutageParams,
     ergodic_conv_highsnr,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
@@ -32,7 +31,6 @@ from .cli import (
 )
 from .montecarlo import (
     MetricEstimate,
-    SweepAxis,
     estimate_ergodic,
     estimate_outage,
     sweep,
@@ -42,7 +40,9 @@ from .scenario import (
     BlockageModel,
     LossCase,
     MetricKind,
+    OutageParams,
     Scheme,
+    SweepAxis,
     SystemConfig,
     dbm_to_watt,
     waveguide_y_offsets,

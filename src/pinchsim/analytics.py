@@ -8,14 +8,14 @@ distance-squared blockage law (MODEL_B) everything reduces to error
 functions; under MODEL_A the strip integral has no elementary antiderivative
 and is evaluated by adaptive composite Gauss-Legendre quadrature in numpy
 (``_integrate``), after the substitution y = height * sinh(t) that makes its
-integrand entire.
+integrand entire. It imports only :mod:`pinchsim.scenario`, which admits
+its inputs, and :mod:`pinchsim.transceiver`, never :mod:`pinchsim.montecarlo`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from math import erf
 
 import numpy as np
@@ -23,8 +23,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .scenario import (
     BlockageModel,
+    OutageParams,
     SystemConfig,
-    _check_bound,
     waveguide_y_offsets,
 )
 from .transceiver import conv_rates
@@ -178,39 +178,6 @@ def _strip_integral(cfg: SystemConfig, reach: float, where: str) -> float:
             (max(phi * height, 1.0) + _DECAY) / (phi * height)))
     return (float(_scaled_strip_integral(phi, height, span, where))
             * math.exp(-phi * height))
-
-
-@dataclass(frozen=True)
-class OutageParams:
-    """System config plus the target rate defining the outage event."""
-
-    cfg: SystemConfig
-    r_target: float
-
-    def __post_init__(self) -> None:
-        _check_bound("r_target", self.r_target)
-
-    @property
-    def epsilon(self) -> float:
-        """SINR threshold 2**r_target - 1."""
-        return 2.0 ** self.r_target - 1.0
-
-    @property
-    def tau1(self) -> float:
-        """Maximum link distance that still meets the target rate."""
-        cfg = self.cfg
-        return math.sqrt(cfg.path_gain_factor * cfg.tx_power
-                         / (self.epsilon * cfg.noise_power))
-
-    @property
-    def tau3(self) -> float:
-        """Half-width of the in-range y interval, sqrt(tau1^2 - height^2),
-        clamped to the strip [0, d_w/2]. It is 0 when tau1 <= height: no
-        floor position is close enough, and the out-of-range tails tile the
-        whole strip."""
-        cfg = self.cfg
-        s_sq = self.tau1 ** 2 - cfg.height ** 2
-        return min(cfg.d_w / 2.0, math.sqrt(s_sq) if s_sq > 0 else 0.0)
 
 
 def _check_model(cfg: SystemConfig, model: BlockageModel, where: str) -> None:

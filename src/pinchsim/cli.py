@@ -9,6 +9,8 @@ to the results so every output is self-describing and re-parseable.
 
 ``counterparts`` is the one table of which analytic stands beside each
 simulated row, and whether it is exact, a lower bound or an approximation.
+The admission names come from :mod:`pinchsim.scenario`, whose messages
+``_build_config`` maps to config keys.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from enum import Enum
 from pathlib import Path
 
 from .analytics import (
-    OutageParams,
     ergodic_pin_two_user_highsnr,
     outage_conv_model_a_highsnr,
     outage_conv_model_b_highsnr,
@@ -35,14 +36,17 @@ from .analytics import (
     outage_pin_model_a_highsnr,
     outage_pin_model_b,
 )
-from .montecarlo import SweepAxis, sweep, sweep_inputs
+from .montecarlo import sweep
 from .scenario import (
     BlockageModel,
     LossCase,
     MetricKind,
+    OutageParams,
     Scheme,
+    SweepAxis,
     SystemConfig,
     dbm_to_watt,
+    sweep_inputs,
 )
 
 SCHEMA_VERSION = "pinchsim-results-v1"
@@ -333,8 +337,7 @@ def _build_config(values: dict[str, object],
                      run.n_trials, run.master_seed, r_target=run.r_target,
                      workers=run.workers)
     except ValueError as exc:
-        # SystemConfig's and sweep_inputs' messages begin with the name of
-        # the offending field or parameter.
+        # scenario's messages begin with the offending field or parameter
         field_name, _, reason = str(exc).partition(" ")
         raise ConfigError(f"{_FIELD_KEY[field_name]}: {reason}") from None
     dbm = {k.key.partition(".")[2]: values[k.key] for k in _FIELD_KEYS if k.dbm}
@@ -432,7 +435,7 @@ def counterparts(scheme: Scheme, metric: MetricKind,
     """The analytic counterparts of a simulated sweep point's first
     estimate, as (kind, value) pairs: the one table of them.
 
-    ``point`` is the point's estimator input from ``montecarlo.sweep_inputs``
+    ``point`` is the point's estimator input from ``scenario.sweep_inputs``
     and ``memo`` a dict kept for one run (see ``_floor``). The first pair
     is the one ``collect_rows`` writes as the point's CLOSED_FORM row; a
     check of the simulation takes the tightest. Each value is evaluated
@@ -542,10 +545,14 @@ def _targets(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _check_targets(paths: list[Path]) -> None:
-    """Fail on a target that is a directory: ``os.replace`` meets it midway."""
+    """Fail on a target that is a directory, which ``os.replace`` meets
+    midway, or whose directory is missing or a file."""
     for path in paths:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+        if not path.parent.is_dir():
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(path))
 
 
 def _outputs(cfg: ExperimentConfig) -> list[tuple[Path, str]]:
@@ -583,7 +590,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute the experiment and write results plus the config echo.
 
     Returns the written paths; raises OSError if the output is unwritable
-    (before any trial runs if a target is a directory).
+    (before any trial runs if a target cannot take its file).
     """
     _check_targets(_targets(cfg))
     return _write_files(_outputs(cfg))
@@ -660,7 +667,13 @@ def reproduce_figure(figure_id, output_dir, *, n_trials: int | None = None,
                       "run.output": str(out_dir / csv_name)})
             for csv_name, case in cases.items()]
     stub_path = out_dir / f"{name}.gp"
-    _check_targets([p for cfg in cfgs for p in _targets(cfg)] + [stub_path])
+    targets = [p for cfg in cfgs for p in _targets(cfg)] + [stub_path]
+    # out_dir is made only at the end, so its nearest existing part is checked
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise OSError(errno.ENOTDIR, "Not a directory", str(out_dir))
+    if existing == out_dir:
+        _check_targets(targets)
     files = [file for cfg in cfgs for file in _outputs(cfg)]
     # The cases differ only in loss case and output, so any one of them
     # gives the schemes, axis and metric.

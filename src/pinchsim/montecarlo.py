@@ -7,7 +7,9 @@ estimate is bit-identical for any worker count. This module owns only the
 streams, the sub-batching, the choice of which users' links are evaluated
 and the reductions: the rates inside a chunk come from the batched
 functions of :mod:`pinchsim.channel` and :mod:`pinchsim.transceiver`, the
-one implementation of the channel model and the rate formulas.
+one implementation of the channel model and the rate formulas. It imports
+only those two and :mod:`pinchsim.scenario`, which admits its inputs, and
+never :mod:`pinchsim.analytics`, the route it is checked against.
 
 Streams are keyed per sweep point and chunk, not per scheme, and every
 scheme of an estimator call is evaluated from one pass over each chunk's
@@ -22,43 +24,25 @@ placement, then the pinching schemes' blockage uniforms, whose first ones,
 the chunk's lead, are the conventional scheme's. So a scheme's rates never
 depend on which other schemes run with it.
 
-The conventional array is evaluated only where line of sight survives: a
-blocked user's rate is exactly 0.0 without its row of gains, so only the
-users that keep line of sight get one, which on dense, strongly blocked
-systems skips most of the conventional work. Pinching Design II is gated
-the same way on each user's own link: its distance, probability and
-uniform come first, for every user, and only the users whose own link is
-clear get their row of links, in one row stage per sub-batch whatever the
-share of clear links. Design I's zero-forcing gate needs every link of
-every matrix, so when PIN_D1 runs with two or more users both designs read
-the full arrays instead. Even then only the realizations with no empty row
-or column get a complex channel matrix, and in it a blocked link is an
-exact zero without a phase: only the clear links get their square root
-and complex exponential. The gates change no draw and no rate.
+Line of sight gates the work, and the gates change no draw and no rate:
+a blocked user's rate is exactly 0.0, so only the users whose link to the
+conventional array, or whose own pinching link (see ``_design2_rows``),
+keeps line of sight get their row of links. Zero forcing needs every link,
+so when PIN_D1 runs with two or more users both designs read the full
+arrays, and only the realizations with no empty row or column get a
+channel matrix (see ``_zf_rates``).
 
 Both estimators map their chunks through ``_map_chunks``, and their
 conventional rates, like those of ``analytics.ergodic_conv_highsnr``, come
-from ``transceiver.conv_rates``. A rate whose SNR overflows is +inf, which
-an outage counts as no outage; an ergodic estimate whose reduced total is
-not finite raises ArithmeticError, naming the scheme, and ``sweep`` adds
-the sweep point, so no NaN or infinite rate reaches a result.
+from ``transceiver.conv_rates``. An ergodic estimate whose reduced total
+is not finite raises ArithmeticError, naming the scheme, and ``sweep``
+adds the sweep point, so no NaN or infinite rate reaches a result.
 
-A chunk is evaluated in batches of about SUB_LINKS links so that its
-temporaries stay cache-sized: the pinching sub-batches of ``_rates_chunk``
-and the conventional rows of ``conv_rates``. The sub-batches take their
-blockage uniforms in trial order, from the chunk's lead and then its
-stream, so the batch size never changes a draw, a rate or an estimate.
-Where a chunk is smaller than a sub-batch, as at M = 1 and 2,
-``_map_chunks`` hands consecutive chunks to one ``_rates_chunk`` call, as
-many as fit in one sub-batch, so that they share the fixed cost of the
-kernel's numpy calls. Each chunk of such a group still draws from its own
-stream in its own order and is reduced on its own, so grouping changes no
-draw, rate or estimate either.
-
-Chunk memory stays mapped from one kernel call to the next: before the
-first chunk of the process, one untouched block larger than a call's
-working set is allocated and freed (see ``_prime_heap``), and what a chunk
-returns holds no numpy buffer (see ``_ergodic_sums``).
+A chunk is evaluated in cache-sized batches of about SUB_LINKS links,
+which take their blockage uniforms in trial order, and chunks smaller than
+a batch go to ``_rates_chunk`` in groups that share its fixed cost (see
+``_map_chunks``); neither changes a draw, a rate or an estimate. Chunk
+memory stays mapped between calls (see ``_prime_heap``).
 """
 
 from __future__ import annotations
@@ -67,12 +51,10 @@ import functools
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import OutageParams
 from .channel import (
     center_distances_sq,
     channel_coefficients,
@@ -83,11 +65,13 @@ from .channel import (
 )
 from .scenario import (
     MetricKind,
+    OutageParams,
     Scheme,
+    SweepAxis,
     SystemConfig,
-    _check_bound,
+    _check_budget,
     _place_users,
-    dbm_to_watt,
+    sweep_inputs,
     waveguide_y_offsets,
 )
 from .transceiver import (
@@ -120,12 +104,6 @@ CHUNK_TRIALS = 8192
 _CHUNK_HEAP_BYTES = 8 * CHUNK_TRIALS * 16 * 8 + 16 * SUB_LINKS * 8
 
 
-class SweepAxis(Enum):
-    TX_POWER_DBM = "TX_POWER_DBM"
-    D_L = "D_L"
-    R_TARGET = "R_TARGET"
-
-
 @dataclass(frozen=True)
 class MetricEstimate:
     """A single metric value with a 99.7% (3-sigma) confidence half-width."""
@@ -155,16 +133,6 @@ def _prime_heap() -> None:
     Other allocators ignore it.
     """
     np.empty(_CHUNK_HEAP_BYTES, dtype=np.uint8)
-
-
-def _check_budget(n_trials: int, master_seed: int, workers: int) -> None:
-    """Reject a trial count, seed or worker count out of its range, by name."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if master_seed < 0:
-        raise ValueError("master_seed must be >= 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
 
 
 def _map_chunks(reduce, schemes: tuple[Scheme, ...], cfg: SystemConfig,
@@ -340,28 +308,24 @@ def _rates_chunk(schemes: tuple[Scheme, ...], cfg: SystemConfig, n: int,
         g.random(out=lead[rows])
     _place_users(cfg, x, y, beta)
     rates = {}
-    # An overflowing SNR gives the rate +inf, which an outage counts
-    # correctly and _ergodic_estimates rejects, so overflow is not reported.
-    # errstate is per thread, and chunks run on pool threads.
-    with np.errstate(over="ignore"):
-        if zero_force or Scheme.PIN_D2 in schemes:
-            d2 = np.empty((n, m))
-            # A single user sees no interference, so zero forcing is Design II.
-            d1 = np.empty((n, m)) if dense else d2
-            for b in _sub_batches(n, m):
-                u = _blockage_uniforms(chunks, b, m, lead)
-                if dense:
-                    d2[b], d1[b] = _zf_rates(cfg, x[b], y[b], beta, u)
-                else:
-                    _design2_rows(cfg, x[b], y[b], beta, u, d2[b])
-            del u  # not held through the conventional rows
-            rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = d2, d1
-        if Scheme.CONV in schemes:
-            los = np.flatnonzero(lead < unblocked_probability_sq(
-                center_distances_sq(cfg, x, y), cfg))
-            rates[Scheme.CONV] = conv = np.zeros((n, m))
-            conv_rates(cfg, x, y, los, cfg.tx_power, cfg.noise_power,
-                       conv.reshape(-1))
+    if zero_force or Scheme.PIN_D2 in schemes:
+        d2 = np.empty((n, m))
+        # A single user sees no interference, so zero forcing is Design II.
+        d1 = np.empty((n, m)) if dense else d2
+        for b in _sub_batches(n, m):
+            u = _blockage_uniforms(chunks, b, m, lead)
+            if dense:
+                d2[b], d1[b] = _zf_rates(cfg, x[b], y[b], beta, u)
+            else:
+                _design2_rows(cfg, x[b], y[b], beta, u, d2[b])
+        del u  # not held through the conventional rows
+        rates[Scheme.PIN_D2], rates[Scheme.PIN_D1] = d2, d1
+    if Scheme.CONV in schemes:
+        los = np.flatnonzero(lead < unblocked_probability_sq(
+            center_distances_sq(cfg, x, y), cfg))
+        rates[Scheme.CONV] = conv = np.zeros((n, m))
+        conv_rates(cfg, x, y, los, cfg.tx_power, cfg.noise_power,
+                   conv.reshape(-1))
     return tuple(rates[s] for s in schemes)
 
 
@@ -459,49 +423,6 @@ def estimate_ergodic(schemes: Sequence[Scheme], cfg: SystemConfig,
                         axis_index, workers)
     return [_ergodic_estimates(scheme_parts, n_trials, scheme.value)
             for scheme, scheme_parts in zip(schemes, zip(*parts))]
-
-
-def sweep_inputs(cfg: SystemConfig, sweep_axis: SweepAxis, axis_values,
-                 metric: MetricKind, n_trials: int, master_seed: int, *,
-                 r_target: float | None = None, workers: int = 1
-                 ) -> list[tuple[float, SystemConfig | OutageParams]]:
-    """Check a sweep's arguments, as ``sweep`` takes them, before any trial.
-
-    Returns each point's axis value and estimator input: its config, or
-    for OUTAGE its OutageParams. This is the one check of a sweep: every
-    message begins with the name of the offending ``sweep`` parameter, and
-    a point's error also names the axis and the value.
-    """
-    _check_budget(n_trials, master_seed, workers)
-    values = [float(v) for v in axis_values]
-    if not values:
-        raise ValueError("axis_values must be nonempty")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("axis_values must be strictly increasing")
-    outage = metric is MetricKind.OUTAGE
-    if sweep_axis is SweepAxis.R_TARGET and not outage:
-        raise ValueError("sweep_axis R_TARGET applies only to the OUTAGE metric")
-    if r_target is not None:
-        _check_bound("r_target", r_target)
-    if outage and r_target is None and sweep_axis is not SweepAxis.R_TARGET:
-        raise ValueError("r_target must be given for the OUTAGE metric "
-                         "unless the axis is R_TARGET")
-    inputs = []
-    for v in values:
-        try:
-            cfg_v, rt_v = cfg, r_target
-            if sweep_axis is SweepAxis.TX_POWER_DBM:
-                cfg_v = replace(cfg, tx_power=dbm_to_watt(v))
-            elif sweep_axis is SweepAxis.D_L:
-                cfg_v = replace(cfg, d_l=v)
-            else:
-                rt_v = v
-            inputs.append((v, OutageParams(cfg=cfg_v, r_target=rt_v)
-                           if outage else cfg_v))
-        except ValueError as exc:
-            raise ValueError(f"axis_values at {sweep_axis.value} = {v!r}: "
-                             f"{exc}") from exc
-    return inputs
 
 
 def sweep(cfg: SystemConfig, schemes: Sequence[Scheme],

@@ -1,4 +1,4 @@
-"""Deployment geometry: service area, waveguides, user and antenna placement.
+"""Deployment geometry and the admitted inputs of both estimation routes.
 
 The service area is a ``d_l`` x ``d_w`` rectangle on the floor (z = 0),
 covered by ``num_users`` parallel waveguides at height ``height``. Waveguide m
@@ -6,14 +6,20 @@ runs along the x-axis at the center line of strip m, and serves the single
 user dropped uniformly inside that strip. One pinching antenna per waveguide
 is activated at the in-waveguide position closest to its user.
 
-This module draws no random numbers. :mod:`pinchsim.montecarlo` draws a
-chunk's uniforms, and ``_place_users`` maps them to user positions.
+Every admission rule, and every message that ``cli`` maps to a config key,
+is written here: the box ``_BOUNDS``, which ``SystemConfig`` and
+``OutageParams`` check, and ``sweep_inputs``, the one check of a sweep.
+Both routes take their inputs from here, so neither imports the other.
+
+This module imports no other module of the package and draws no random
+numbers: :mod:`pinchsim.montecarlo` draws a chunk's uniforms, and
+``_place_users`` maps them to user positions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -52,6 +58,12 @@ class MetricKind(Enum):
     ERGODIC_SUM = "ERGODIC_SUM"
 
 
+class SweepAxis(Enum):
+    TX_POWER_DBM = "TX_POWER_DBM"
+    D_L = "D_L"
+    R_TARGET = "R_TARGET"
+
+
 def dbm_to_watt(dbm: float) -> float:
     """Convert a power level in dBm to watts (inf beyond the float range)."""
     try:
@@ -61,8 +73,8 @@ def dbm_to_watt(dbm: float) -> float:
 
 
 # The admitted box: (low, high, unit) of each float field of SystemConfig,
-# and of the target rate, which OutageParams and ``montecarlo.sweep_inputs``
-# check. It holds an indoor mmWave downlink with room to spare: areas from
+# and of the target rate, which OutageParams and ``sweep_inputs`` check.
+# It holds an indoor mmWave downlink with room to spare: areas from
 # 1 cm to 10 km a side, powers from -100 to 100 dBm transmitted and from
 # -200 to 0 dBm of noise (dbm_to_watt converts those edges exactly). A phi
 # of 0, no blockage, is admitted as well.
@@ -141,6 +153,92 @@ class SystemConfig:
     def strip_width(self) -> float:
         """Width d_w / num_users of the strip served by one waveguide."""
         return self.d_w / self.num_users
+
+
+@dataclass(frozen=True)
+class OutageParams:
+    """System config plus the target rate defining the outage event."""
+
+    cfg: SystemConfig
+    r_target: float
+
+    def __post_init__(self) -> None:
+        _check_bound("r_target", self.r_target)
+
+    @property
+    def epsilon(self) -> float:
+        """SINR threshold 2**r_target - 1."""
+        return 2.0 ** self.r_target - 1.0
+
+    @property
+    def tau1(self) -> float:
+        """Maximum link distance that still meets the target rate."""
+        cfg = self.cfg
+        return math.sqrt(cfg.path_gain_factor * cfg.tx_power
+                         / (self.epsilon * cfg.noise_power))
+
+    @property
+    def tau3(self) -> float:
+        """Half-width of the in-range y interval, sqrt(tau1^2 - height^2),
+        clamped to the strip [0, d_w/2]. It is 0 when tau1 <= height: no
+        floor position is close enough, and the out-of-range tails tile the
+        whole strip."""
+        cfg = self.cfg
+        s_sq = self.tau1 ** 2 - cfg.height ** 2
+        return min(cfg.d_w / 2.0, math.sqrt(s_sq) if s_sq > 0 else 0.0)
+
+
+def _check_budget(n_trials: int, master_seed: int, workers: int) -> None:
+    """Reject a trial count, seed or worker count out of its range, by name."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if master_seed < 0:
+        raise ValueError("master_seed must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
+def sweep_inputs(cfg: SystemConfig, sweep_axis: SweepAxis, axis_values,
+                 metric: MetricKind, n_trials: int, master_seed: int, *,
+                 r_target: float | None = None, workers: int = 1
+                 ) -> list[tuple[float, SystemConfig | OutageParams]]:
+    """Check a sweep's arguments, as ``sweep`` takes them, before any trial.
+
+    Returns each point's axis value and estimator input: its config, or
+    for OUTAGE its OutageParams. This is the one check of a sweep: every
+    message begins with the name of the offending ``sweep`` parameter, and
+    a point's error also names the axis and the value.
+    """
+    _check_budget(n_trials, master_seed, workers)
+    values = [float(v) for v in axis_values]
+    if not values:
+        raise ValueError("axis_values must be nonempty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("axis_values must be strictly increasing")
+    outage = metric is MetricKind.OUTAGE
+    if sweep_axis is SweepAxis.R_TARGET and not outage:
+        raise ValueError("sweep_axis R_TARGET applies only to the OUTAGE metric")
+    if r_target is not None:
+        _check_bound("r_target", r_target)
+    if outage and r_target is None and sweep_axis is not SweepAxis.R_TARGET:
+        raise ValueError("r_target must be given for the OUTAGE metric "
+                         "unless the axis is R_TARGET")
+    inputs = []
+    for v in values:
+        try:
+            cfg_v, rt_v = cfg, r_target
+            if sweep_axis is SweepAxis.TX_POWER_DBM:
+                cfg_v = replace(cfg, tx_power=dbm_to_watt(v))
+            elif sweep_axis is SweepAxis.D_L:
+                cfg_v = replace(cfg, d_l=v)
+            else:
+                rt_v = v
+            inputs.append((v, OutageParams(cfg=cfg_v, r_target=rt_v)
+                           if outage else cfg_v))
+        except ValueError as exc:
+            raise ValueError(f"axis_values at {sweep_axis.value} = {v!r}: "
+                             f"{exc}") from exc
+    return inputs
 
 
 def waveguide_y_offsets(cfg: SystemConfig) -> np.ndarray:

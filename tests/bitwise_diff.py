@@ -9,8 +9,10 @@ side. ``PARENT`` is either the ``src`` directory of the checkout to compare
 against or a git revision of this repository (``HEAD``, a branch, a commit),
 whose ``src`` is extracted with ``git archive`` into a temporary directory.
 It prints, per harness, either the number of identical lines or every line
-that differs, and exits nonzero on any difference or on a harness that
-fails. The file is not named ``test_*``, so pytest does not collect it.
+that differs, then the line totals of ``src/pinchsim/*.py`` in the parent
+and in this checkout (as ``wc -l`` counts them). It exits nonzero on any
+difference or on a harness that fails. The file is not named ``test_*``, so
+pytest does not collect it.
 """
 
 import difflib
@@ -44,6 +46,12 @@ def outputs(harness: str, parent: Path) -> list[list[str]]:
             raise SystemExit(f"{harness} on {label} failed with exit code "
                              f"{proc.returncode}:\n{err}")
     return [out.splitlines() for out, _ in results]
+
+
+def source_lines(src: Path) -> int:
+    """Newlines in the modules of the ``pinchsim`` package under ``src``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "pinchsim").glob("*.py"))
 
 
 def parent_src(parent: str, scratch: str) -> Path:
@@ -83,6 +91,8 @@ def main() -> int:
                 print("\n".join(diff))
             else:
                 print(f"{harness}: {len(new)} lines identical")
+        print(f"src/pinchsim/*.py: {source_lines(parent)} lines in the "
+              f"parent, {source_lines(HERE.parent / 'src')} in this checkout")
     return 1 if differs else 0
 
 

@@ -1,5 +1,8 @@
 """The public API: the exported names are an explicit, reviewed list."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import pinchsim
@@ -59,3 +62,33 @@ def test_row_provenance_lives_in_cli():
     # the CLI alone writes rows; the estimators return values and CIs only
     assert pinchsim.Provenance.__module__ == "pinchsim.cli"
     assert not hasattr(montecarlo, "Provenance")
+
+
+# Each module and the package modules it imports. Both routes take their
+# inputs from scenario, so montecarlo and analytics never import each other.
+LAYERS = {
+    "scenario": set(),
+    "channel": {"scenario"},
+    "transceiver": {"scenario", "channel"},
+    "analytics": {"scenario", "transceiver"},
+    "montecarlo": {"scenario", "channel", "transceiver"},
+    "cli": {"scenario", "analytics", "montecarlo"},
+}
+
+
+def test_modules_import_only_their_layers_and_scenario_admits_inputs():
+    src = Path(pinchsim.__file__).parent
+    graph = {}
+    for name in LAYERS:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        graph[name] = {
+            imported for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for imported in ([node.module.partition(".")[0]] if node.module
+                             else [alias.name for alias in node.names])}
+    assert graph == LAYERS
+    # every admission rule and its message is written in scenario
+    for admits in (pinchsim.OutageParams, pinchsim.SweepAxis,
+                   montecarlo.sweep_inputs):
+        assert admits.__module__ == "pinchsim.scenario", admits
+    assert analytics.OutageParams is scenario.OutageParams

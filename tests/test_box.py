@@ -6,9 +6,11 @@ also 0) and a target rate from its own bounds. Every public outage and
 two-user analytic, the conventional rate bound at M = 2 and 5, every row
 of ``cli.counterparts`` and one small ``_rates_chunk`` per scheme at
 M = 1, 2 and 5 must then give finite values in range, with no warning, as
-this suite makes warnings errors.
+this suite makes warnings errors. The box's loudest corners are checked
+apart, with every floating-point error but underflow raised.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -104,3 +106,22 @@ def test_every_route_is_finite_and_in_range_across_the_box(cfg, r_target,
             assert rates.shape == (4, m)
             assert (np.isfinite(rates) & (rates >= 0.0)).all(), (scheme, m,
                                                                   rates)
+
+
+def test_rates_are_finite_at_the_loudest_corners_with_overflow_raised():
+    # The corners of the box with the largest SNR: 100 dBm, -200 dBm of
+    # noise, the lowest height and carrier. No chunk runs under an errstate
+    # that hides overflow, so every rate of every scheme must be finite.
+    schemes = tuple(Scheme)
+    corners = itertools.product((1, 2, 5, 16), BlockageModel, LossCase,
+                                (1e-2, 1e4), (0.0, 1e3), (True, False))
+    with np.errstate(all="raise", under="ignore"):
+        for m, model, loss, side, phi, pinned in corners:
+            cfg = SystemConfig(
+                num_users=m, d_w=side, d_l=side, tx_power=1e7, phi=phi,
+                blockage_model=model, height=1e-2, carrier_freq=1e8,
+                noise_power=1e-23, loss_case=loss, waveguide_loss_db_per_m=1.0,
+                constrain_under_waveguide=pinned)
+            rates = _rates_chunk(schemes, cfg, 64, chunk_generator(0, 0, 0))
+            for scheme, r in zip(schemes, rates):
+                assert np.isfinite(r).all(), (cfg, scheme)

@@ -1064,11 +1064,15 @@ class TestMainEntryPoint:
                 and r["provenance"] == "CLOSED_FORM"] == [
             pytest.approx(floor, rel=1e-12)] * 2
 
-    @pytest.mark.parametrize("command", ["simulate", "figure"])
+    @pytest.mark.parametrize("case", ["simulate", "figure",
+                                      "simulate_into_missing_directory",
+                                      "figure_out_is_a_file"])
     def test_directory_target_leaves_every_file_as_it_was(
-            self, tmp_path, capsys, monkeypatch, command):
-        # A target that is a directory fails before any trial runs and
-        # before any file is replaced, so no result is left without its echo.
+            self, tmp_path, capsys, monkeypatch, case):
+        # A target that is a directory, or an output location that cannot
+        # take the files, fails with one line naming the path the user gave,
+        # before any trial runs and before any file is written or directory
+        # made, so no result is left without its echo.
         chunks = []
 
         def no_trials(*args):
@@ -1076,26 +1080,39 @@ class TestMainEntryPoint:
             raise AssertionError("a trial ran before the targets were checked")
 
         monkeypatch.setattr(montecarlo, "_rates_chunk", no_trials)
-        if command == "simulate":
-            cfg_path = tmp_path / "exp.cfg"
-            cfg_path.write_text(MANUAL_DOC.format(out=tmp_path / "r.csv"))
-            argv = ["simulate", str(cfg_path), "--trials", "200"]
-            result, blocker = tmp_path / "r.csv", tmp_path / "r.csv.config"
+        cfg_path = tmp_path / "exp.cfg"
+        result = tmp_path / "r.csv"
+        if case == "simulate":
+            cfg_path.write_text(MANUAL_DOC.format(out=result))
+            argv = ["simulate", str(cfg_path)]
+            named, error = tmp_path / "r.csv.config", errno.EISDIR
+        elif case == "figure":
+            argv = ["figure", "fig2a", "--out", str(tmp_path)]
+            result, named = tmp_path / "fig2a.csv", tmp_path / "fig2a.gp"
+            error = errno.EISDIR
+        elif case == "simulate_into_missing_directory":
+            named, error = tmp_path / "missing" / "r.csv", errno.ENOENT
+            cfg_path.write_text(MANUAL_DOC.format(out=named))
+            argv = ["simulate", str(cfg_path)]
         else:
-            argv = ["figure", "fig2a", "--out", str(tmp_path), "--trials",
-                    "200"]
-            result, blocker = tmp_path / "fig2a.csv", tmp_path / "fig2a.gp"
+            result = named = tmp_path / "figs"
+            argv = ["figure", "fig3b", "--out", str(named)]
+            error = errno.ENOTDIR
         result.write_bytes(b"old results\n")
-        blocker.mkdir()
+        if error == errno.EISDIR:
+            named.mkdir()
         before = sorted(p.name for p in tmp_path.iterdir())
-        assert main(argv) == 1
+        assert main(argv + ["--trials", "200"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: [Errno {errno.EISDIR}] Is a directory: "
-                                f"'{blocker}'\n")
+        reason = {errno.EISDIR: "Is a directory",
+                  errno.ENOENT: "No such file or directory",
+                  errno.ENOTDIR: "Not a directory"}[error]
+        assert captured.err == f"error: [Errno {error}] {reason}: '{named}'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert result.read_bytes() == b"old results\n"
-        assert list(blocker.iterdir()) == []
+        if error == errno.EISDIR:
+            assert list(named.iterdir()) == []
         assert chunks == []
 
     def test_quadrature_out_of_panels_is_one_line_and_no_file(
